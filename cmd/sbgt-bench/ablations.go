@@ -154,7 +154,7 @@ func candidatePools(n, k int) []bitvec.Mask {
 // reference implementation against the shipped kernel on the same
 // posterior. NegMass compares the dense filtered scan with the masked
 // sub-lattice walk (the crossover tunable is forced to each side);
-// Marginals compares the per-state bit walk with the radix-decomposed
+// Marginals compares the per-state bit walk with the halving-fold
 // blocks; NegMasses compares the candidate-outer full rescan with the
 // cache-tiled scan; Summary compares the four separate full-lattice
 // passes a session round used to make with the fused digest.

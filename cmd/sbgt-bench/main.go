@@ -106,7 +106,7 @@ func registry() []experiment {
 		{"A2", "ablation: fused vs two-pass update", runA2},
 		{"A3", "ablation: halving candidate set (prefix vs +local-search)", runA3},
 		{"A4", "ablation: cohort assignment (sorted vs contiguous binning)", runA4},
-		{"A5", "ablation: structure-aware kernels (sub-lattice, radix, tiling, fusion)", runA5},
+		{"A5", "ablation: structure-aware kernels (sub-lattice, fold, tiling, fusion)", runA5},
 		{"S1", "sbgt-serve loopback load (concurrent cohorts, exact p50/p99 latency)", runS1},
 		{"S1R", "S1 workload with the observability layer on (recorder overhead)", runS1R},
 		{"S1P", "S1 workload with the continuous profiler sampling (profiler overhead)", runS1P},

@@ -504,9 +504,9 @@ type Summary struct {
 	Mass             float64
 }
 
-// Summary gathers every statistic a session round reads in ONE
-// distributed round trip — marginals, entropy, MAP, expected-infected,
-// and total mass — where the separate kernels would pay four. Executor
+// Summary gathers the digest a session opens with in ONE distributed
+// round trip — marginals, entropy, MAP, expected-infected, and total
+// mass — where the separate kernels would pay four. Executor
 // partials merge in rank order with compensated accumulators; the argmax
 // takes the lowest state on ties (shards are rank-ordered by state range,
 // so first-wins is the lowest state).

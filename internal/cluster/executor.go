@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/prob"
 )
@@ -215,18 +216,9 @@ func (e *Executor) dispatch(req Request) Response {
 	}
 }
 
-// Kernel blocking parameters, mirroring the in-process lattice layer (the
-// executor re-implements the shard-local kernels rather than importing
-// lattice, keeping the dependency arrow one-way).
-const (
-	// radixBits decomposes a state into a low byte walked per state and
-	// high bits accounted once per aligned 256-state block.
-	radixBits  = 8
-	radixBlock = 1 << radixBits
-	// negMassesTile is the shard tile (in states) kept cache-resident
-	// across all candidates during a candidate scan: 4096 × 8 B = 32 KiB.
-	negMassesTile = 1 << 12
-)
+// negMassesTile is the shard tile (in states) kept cache-resident across
+// all candidates during a candidate scan: 4096 × 8 B = 32 KiB.
+const negMassesTile = 1 << 12
 
 // forRange runs body over local index chunks of the shard in parallel.
 func (e *Executor) forRange(body func(lo, hi int)) {
@@ -378,62 +370,9 @@ func (e *Executor) marginals(Request) Response {
 	out := make([]float64, e.n)
 	// Single-threaded accumulation per executor keeps this allocation-free
 	// and is still distributed across executors; shards are the unit of
-	// parallelism for vector-valued reductions on the wire. The radix
-	// decomposition (see lattice.Marginals) walks only each state's low
-	// byte and books the shared high bits once per aligned block.
-	addMarginalsRadix(e.lo, e.data, out)
+	// parallelism for vector-valued reductions on the wire.
+	lattice.AddMarginals(e.lo, e.data, out)
 	return Response{Op: OpMarginals, Vec: out}
-}
-
-// addMarginalsWalk accumulates marginal mass with the plain per-state bit
-// walk; the ragged-edge path of the radix kernel.
-func addMarginalsWalk(offset uint64, data []float64, out []float64) {
-	for j := range data {
-		w := data[j]
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		for v := offset + uint64(j); v != 0; v &= v - 1 {
-			out[bits.TrailingZeros64(v)] += w
-		}
-	}
-}
-
-// addMarginalsRadix accumulates marginal mass block-wise: within an
-// aligned radixBlock run of states only the low radixBits differ, so each
-// state walks at most 8 bits and the block's total mass is added to the
-// shared high bits once.
-func addMarginalsRadix(offset uint64, data []float64, out []float64) {
-	lo := offset
-	hi := offset + uint64(len(data))
-	head := (lo + radixBlock - 1) &^ uint64(radixBlock-1)
-	tail := hi &^ uint64(radixBlock-1)
-	if head >= tail {
-		addMarginalsWalk(lo, data, out)
-		return
-	}
-	addMarginalsWalk(lo, data[:head-lo], out)
-	for b := head; b < tail; b += radixBlock {
-		blk := data[b-lo : b-lo+radixBlock]
-		var blockSum float64
-		for j := range blk {
-			w := blk[j]
-			if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-				continue
-			}
-			blockSum += w
-			for v := uint64(j); v != 0; v &= v - 1 {
-				out[bits.TrailingZeros64(v)] += w
-			}
-		}
-		if blockSum == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		for v := b >> radixBits; v != 0; v &= v - 1 {
-			out[radixBits+bits.TrailingZeros64(v)] += blockSum
-		}
-	}
-	addMarginalsWalk(tail, data[tail-lo:], out)
 }
 
 func (e *Executor) negMasses(req Request) Response {
@@ -500,108 +439,32 @@ func (e *Executor) intersect(req Request) Response {
 // len(Order) the mass of states disjoint from the whole ordering. The
 // driver merges histograms and suffix-sums them into prefix clean masses.
 func (e *Executor) prefixScan(req Request) Response {
-	k := len(req.Order)
-	if k == 0 || k > e.n {
-		return errorf(req.Op, "order has %d subjects for cohort of %d", k, e.n)
+	tbl, err := lattice.NewRankTable(req.Order, e.n)
+	if err != nil {
+		return errorf(req.Op, "%v", err)
 	}
-	var rank [64]uint8
-	for i := range rank {
-		rank[i] = uint8(k)
-	}
-	for r, subj := range req.Order {
-		if subj < 0 || subj >= e.n {
-			return errorf(req.Op, "order subject %d outside cohort of %d", subj, e.n)
-		}
-		if rank[subj] != uint8(k) {
-			return errorf(req.Op, "duplicate subject %d in order", subj)
-		}
-		rank[subj] = uint8(r)
-	}
-	out := make([]float64, k+1)
-	for j, w := range e.data {
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		rmin := uint8(k)
-		for v := e.lo + uint64(j); v != 0; v &= v - 1 {
-			if r := rank[bits.TrailingZeros64(v)]; r < rmin {
-				rmin = r
-				if rmin == 0 {
-					break // rank 0 is the floor; the rest of the walk can't lower it
-				}
-			}
-		}
-		out[rmin] += w
-	}
+	out := make([]float64, len(req.Order)+1)
+	tbl.AddMinRankMasses(e.lo, e.data, out)
 	return Response{Op: req.Op, Vec: out}
 }
 
-// summary computes the shard's fused digest in one pass: marginal
-// partials via the radix decomposition, with the scalar statistics and
-// the shard-local argmax folded into the same sweep. Entropy ships in
-// nats; the driver merges executor partials in rank order and converts
-// to bits once.
+// summary computes the shard's digest: marginal partials from the shared
+// kernel, then the scalar statistics and the shard-local argmax in one
+// loop. Entropy ships in nats; the driver merges executor partials in rank
+// order and converts to bits once.
 func (e *Executor) summary(req Request) Response {
 	ws := &WireSummary{Marginals: make([]float64, e.n), MAPMass: math.Inf(-1), MAPOK: len(e.data) > 0}
+	lattice.AddMarginals(e.lo, e.data, ws.Marginals)
 	var ent, exp, mass prob.Accumulator
-	walk := func(offset uint64, data []float64) {
-		for j := range data {
-			w := data[j]
-			s := offset + uint64(j)
-			mass.Add(w)
-			if w > ws.MAPMass {
-				ws.MAPState, ws.MAPMass = s, w
-			}
-			if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-				continue
-			}
-			if w > 0 {
-				ent.Add(-w * math.Log(w))
-			}
-			exp.Add(w * float64(bits.OnesCount64(s)))
-			for v := s; v != 0; v &= v - 1 {
-				ws.Marginals[bits.TrailingZeros64(v)] += w
-			}
+	for j, w := range e.data {
+		mass.Add(w)
+		if w > ws.MAPMass {
+			ws.MAPState, ws.MAPMass = e.lo+uint64(j), w
 		}
-	}
-	lo := e.lo
-	hi := e.lo + uint64(len(e.data))
-	head := (lo + radixBlock - 1) &^ uint64(radixBlock-1)
-	tail := hi &^ uint64(radixBlock-1)
-	if head >= tail {
-		walk(lo, e.data)
-	} else {
-		walk(lo, e.data[:head-lo])
-		for b := head; b < tail; b += radixBlock {
-			blk := e.data[b-lo : b-lo+radixBlock]
-			highCount := float64(bits.OnesCount64(b >> radixBits))
-			var blockSum float64
-			for j := range blk {
-				w := blk[j]
-				mass.Add(w)
-				if w > ws.MAPMass {
-					ws.MAPState, ws.MAPMass = b+uint64(j), w
-				}
-				if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-					continue
-				}
-				blockSum += w
-				if w > 0 {
-					ent.Add(-w * math.Log(w))
-				}
-				exp.Add(w * (highCount + float64(bits.OnesCount64(uint64(j)))))
-				for v := uint64(j); v != 0; v &= v - 1 {
-					ws.Marginals[bits.TrailingZeros64(v)] += w
-				}
-			}
-			if blockSum == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-				continue
-			}
-			for v := b >> radixBits; v != 0; v &= v - 1 {
-				ws.Marginals[radixBits+bits.TrailingZeros64(v)] += blockSum
-			}
+		if w > 0 {
+			ent.Add(-w * math.Log(w))
+			exp.Add(w * float64(bits.OnesCount64(e.lo+uint64(j))))
 		}
-		walk(tail, e.data[tail-lo:])
 	}
 	ws.Entropy = ent.Value()
 	ws.Expected = exp.Value()

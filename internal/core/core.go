@@ -272,7 +272,7 @@ type Session struct {
 	cfg     Config
 	model   posterior.Model // nil once every subject is classified (or Close'd)
 	active  []int           // model position -> global subject index
-	marg    []float64       // cached marginals for the active subjects
+	marg    []float64       // marginals of the current posterior, by model position; nil when not held
 	calls   []Classification
 	stage   int
 	tests   int
@@ -443,12 +443,28 @@ func (s *Session) Classifications() []Classification {
 func (s *Session) classificationsLocked() []Classification {
 	out := make([]Classification, len(s.calls))
 	copy(out, s.calls)
-	if s.model != nil {
+	if s.model != nil && s.marg != nil {
 		for pos, g := range s.active {
 			out[g].Marginal = s.marg[pos]
 		}
 	}
 	return out
+}
+
+// marginals returns the marginals of the current posterior. The session
+// holds them from its last read (the opening digest, a restore, or the
+// classify pass that closed the previous stage) until an Update or a
+// Condition changes the posterior, so the model is swept only when that
+// cache is empty.
+func (s *Session) marginals() ([]float64, error) {
+	if s.marg == nil {
+		marg, err := s.model.Marginals()
+		if err != nil {
+			return nil, err
+		}
+		s.marg = marg
+	}
+	return s.marg, nil
 }
 
 // globalMask maps a model-position mask to global subject indices.
@@ -503,7 +519,12 @@ func (s *Session) proposeLocked() ([]Pool, error) {
 			pools = append(pools, se.Pool)
 		}
 	} else {
-		p, err := s.cfg.Strategy.Next(s.model)
+		// The strategy reads the marginals the session holds, not the lattice.
+		var p bitvec.Mask
+		marg, err := s.marginals()
+		if err == nil {
+			p, err = s.cfg.Strategy.Next(halving.WithMarginals(s.model, marg))
+		}
 		if err != nil {
 			sel.End()
 			return fail(fmt.Errorf("core: strategy %s: %w", s.cfg.Strategy.Name(), err))
@@ -590,6 +611,9 @@ func (s *Session) absorbLocked(results []TestResult) error {
 		s.phases.stages.Inc()
 	}()
 
+	// The updates change the posterior, so the held marginals go; classify
+	// reads them afresh, and an error on the way leaves the cache empty.
+	s.marg = nil
 	for i, lp := range p.local {
 		r := ordered[i]
 		timing.Test += r.Elapsed
@@ -698,20 +722,16 @@ func (s *Session) StageTimings() []StageTiming {
 // classify repeatedly conditions out the most certain subject until no
 // marginal crosses a threshold, and returns the entropy (bits) of the
 // final posterior — valid only while the model survives. Marginals are
-// recomputed after each collapse because conditioning shifts the
-// survivors' posteriors; each iteration reads the fused Summary, so the
-// terminal no-crossing pass yields the stage's entropy for free instead
-// of a separate full sweep.
+// read again after each collapse because conditioning shifts the
+// survivors' posteriors; the entropy, which nothing in the loop consults,
+// is one pass once the loop has settled. The marginals of the settled
+// posterior stay held for the next stage's selection.
 func (s *Session) classify() (float64, error) {
-	var ent float64
 	for s.model != nil {
-		sum, err := s.model.Summary()
+		marg, err := s.marginals()
 		if err != nil {
 			return 0, err
 		}
-		marg := sum.Marginals
-		ent = sum.EntropyBits
-		s.marg = marg
 		// Most extreme crossing first: the strongest call distorts the
 		// remaining posterior least when conditioned on.
 		bestPos, bestExtremity := -1, 0.0
@@ -732,13 +752,13 @@ func (s *Session) classify() (float64, error) {
 			}
 		}
 		if bestPos == -1 {
-			return ent, nil
+			return s.model.Entropy()
 		}
 		if err := s.record(bestPos, positive, marg[bestPos], false); err != nil {
 			return 0, err
 		}
 	}
-	return ent, nil
+	return 0, nil
 }
 
 // record classifies the subject at model position pos and collapses it
@@ -772,6 +792,7 @@ func (s *Session) record(pos int, positive bool, marginal float64, forced bool) 
 		}
 	}
 	s.model = reduced
+	s.marg = nil // the collapse moved every survivor's marginal
 	// Condition re-wraps the backend, so re-resolve the trace-carrier
 	// capability on the new wrapper (the context itself transfers with the
 	// driver's connections).
@@ -867,11 +888,10 @@ func (s *Session) forceRemaining() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.model != nil {
-		marg, err := s.model.Marginals()
+		marg, err := s.marginals()
 		if err != nil {
 			return err
 		}
-		s.marg = marg
 		// Most certain first, mirroring classify.
 		best, bestDist := 0, -1.0
 		for pos := range marg {

@@ -1,0 +1,287 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/bitvec"
+	"repro/internal/dilution"
+	"repro/internal/engine"
+	"repro/internal/halving"
+	"repro/internal/lattice"
+	"repro/internal/posterior"
+	"repro/internal/rng"
+	"repro/internal/workload"
+)
+
+// freshMarginals is the reference arm of the differential tests: it
+// ignores the posterior view the session hands the strategy (whose
+// Marginals are the held ones) and selects on the session's raw model, so
+// every selection re-reads the marginals from the lattice the way sessions
+// did before they held them.
+type freshMarginals struct {
+	inner halving.Strategy
+	sess  **Session
+}
+
+func (f freshMarginals) Next(halving.Posterior) (bitvec.Mask, error) {
+	return f.inner.Next((*f.sess).model) // called under the session lock
+}
+func (f freshMarginals) Name() string { return f.inner.Name() }
+
+// heldBackends opens the same cohort on each backend the session runs on.
+var heldBackends = []struct {
+	name string
+	spec posterior.Spec
+}{
+	{"dense", posterior.Spec{Kind: posterior.KindDense, Parts: 3}},
+	{"sparse", posterior.Spec{Kind: posterior.KindSparse, Eps: 1e-12}},
+	{"cluster", posterior.Spec{Kind: posterior.KindCluster, LocalExecutors: 2, ExecWorkers: 1, DialTimeout: 5 * time.Second}},
+}
+
+// runHeld drives one seeded campaign through propose/absorb. With
+// reference set, selection re-reads marginals (freshMarginals). With
+// reloadAt > 0, the session is saved and restored while that stage's
+// proposal is outstanding, and the campaign continues on the restored
+// session.
+func runHeld(t *testing.T, pool *engine.Pool, spec posterior.Spec, risks []float64, seed uint64, reference bool, reloadAt int) *Result {
+	t.Helper()
+	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
+	oracle := workload.NewOracle(workload.Draw(risks, rng.New(seed)), resp, rng.New(seed+1))
+	model, err := spec.Open(pool, risks, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sess *Session
+	var strategy halving.Strategy = halving.Halving{Opts: halving.Options{MaxPool: 32}}
+	if reference {
+		strategy = freshMarginals{inner: strategy, sess: &sess}
+	}
+	if sess, err = NewSessionOn(model, Config{Strategy: strategy}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		pools, err := sess.ProposePools()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pools == nil {
+			if res := sess.Result(); res.Stages >= reloadAt {
+				return res
+			}
+			t.Fatalf("campaign ended before stage %d, where the restore was due", reloadAt)
+		}
+		if pools[0].Stage == reloadAt {
+			var buf bytes.Buffer
+			if err := sess.SaveSession(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if sess, err = LoadSession(&buf, pool, strategy); err != nil {
+				t.Fatal(err)
+			}
+			if got := sess.Outstanding(); !reflect.DeepEqual(got, pools) {
+				t.Fatalf("restored proposal %v, want %v", got, pools)
+			}
+		}
+		results := make([]TestResult, len(pools))
+		for i, p := range pools {
+			results[i] = TestResult{Stage: p.Stage, Index: p.Index, Outcome: oracle.Test(p.Pool)}
+		}
+		if err := sess.AbsorbResults(results); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestHeldMarginalsMatchFreshSelection: serving the strategy the
+// marginals the session already holds must not change a campaign. On each
+// backend, with and without a save/restore while a proposal is
+// outstanding, the pool sequence, the calls and the counters equal those
+// of a session that re-reads marginals at every selection.
+func TestHeldMarginalsMatchFreshSelection(t *testing.T) {
+	pool := newTestPool(t)
+	for _, b := range heldBackends {
+		for seed := uint64(1); seed <= 3; seed++ {
+			risks := workload.BetaRisks(10, 2, 6, rng.New(40+seed))
+			for _, reloadAt := range []int{0, 2} {
+				got := runHeld(t, pool, b.spec, risks, seed, false, reloadAt)
+				want := runHeld(t, pool, b.spec, risks, seed, true, reloadAt)
+				if !reflect.DeepEqual(got.Log, want.Log) {
+					t.Fatalf("%s seed %d reload %d: pool sequence diverged:\n%v\n%v", b.name, seed, reloadAt, got.Log, want.Log)
+				}
+				if got.Tests != want.Tests || got.Stages != want.Stages {
+					t.Fatalf("%s seed %d reload %d: %d tests/%d stages, reference %d/%d",
+						b.name, seed, reloadAt, got.Tests, got.Stages, want.Tests, want.Stages)
+				}
+				for i, c := range got.Classifications {
+					w := want.Classifications[i]
+					if c.Status != w.Status || c.Stage != w.Stage || c.Forced != w.Forced || math.Abs(c.Marginal-w.Marginal) > 1e-12 {
+						t.Fatalf("%s seed %d reload %d: subject %d called %+v, reference %+v", b.name, seed, reloadAt, i, c, w)
+					}
+				}
+				if len(got.EntropyTrace) != len(want.EntropyTrace) {
+					t.Fatalf("%s seed %d reload %d: %d entropy points, reference %d",
+						b.name, seed, reloadAt, len(got.EntropyTrace), len(want.EntropyTrace))
+				}
+				for i := range got.EntropyTrace {
+					if math.Abs(got.EntropyTrace[i]-want.EntropyTrace[i]) > 1e-12 {
+						t.Fatalf("%s seed %d reload %d: entropy[%d] %v, reference %v",
+							b.name, seed, reloadAt, i, got.EntropyTrace[i], want.EntropyTrace[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// opCounts tallies the posterior calls a session makes.
+type opCounts struct {
+	update, marginals, negMasses, prefix, entropy, summary, condition int
+}
+
+// countingModel decorates a posterior with call counters shared across
+// the models Condition returns. failUpdate makes the next Update fail
+// without touching the posterior.
+type countingModel struct {
+	posterior.Model
+	c          *opCounts
+	failUpdate *bool
+}
+
+func (w countingModel) Unwrap() posterior.Model { return w.Model }
+
+func (w countingModel) Update(pool bitvec.Mask, y dilution.Outcome) error {
+	w.c.update++
+	if *w.failUpdate {
+		*w.failUpdate = false
+		return errors.New("injected update failure")
+	}
+	return w.Model.Update(pool, y)
+}
+
+func (w countingModel) Marginals() ([]float64, error) {
+	w.c.marginals++
+	return w.Model.Marginals()
+}
+
+func (w countingModel) NegMasses(cands []bitvec.Mask) ([]float64, error) {
+	w.c.negMasses++
+	return w.Model.NegMasses(cands)
+}
+
+func (w countingModel) PrefixNegMasses(order []int) ([]float64, error) {
+	w.c.prefix++
+	return w.Model.PrefixNegMasses(order)
+}
+
+func (w countingModel) Entropy() (float64, error) {
+	w.c.entropy++
+	return w.Model.Entropy()
+}
+
+func (w countingModel) Summary() (*posterior.Summary, error) {
+	w.c.summary++
+	return w.Model.Summary()
+}
+
+func (w countingModel) Condition(subject int, positive bool) (posterior.Model, error) {
+	w.c.condition++
+	next, err := w.Model.Condition(subject, positive)
+	if err != nil || next == nil {
+		return nil, err
+	}
+	return countingModel{Model: next, c: w.c, failUpdate: w.failUpdate}, nil
+}
+
+// TestStagePassCounts pins what a stage costs in posterior calls: the
+// opening digest is the only Summary; selection makes no Marginals call
+// and one prefix scan; absorbing makes one Update per pool, one Marginals
+// call per classify iteration and one Entropy call. A failed Update leaves
+// no marginals held, and the next selection reads them once.
+func TestStagePassCounts(t *testing.T) {
+	pool := newTestPool(t)
+	risks := workload.BetaRisks(10, 1.2, 9, rng.New(7))
+	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
+	oracle := workload.NewOracle(workload.Draw(risks, rng.New(8)), resp, rng.New(9))
+	dense, err := posterior.NewDense(pool, lattice.Config{Risks: risks, Response: resp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c opCounts
+	failUpdate := false
+	sess, err := NewSessionOn(countingModel{Model: dense, c: &c, failUpdate: &failUpdate}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (opCounts{summary: 1}); c != want {
+		t.Fatalf("construction made %+v, want %+v", c, want)
+	}
+	lab := func(pools []Pool) []TestResult {
+		results := make([]TestResult, len(pools))
+		for i, p := range pools {
+			results[i] = TestResult{Stage: p.Stage, Index: p.Index, Outcome: oracle.Test(p.Pool)}
+		}
+		return results
+	}
+	for {
+		c = opCounts{}
+		pools, err := sess.ProposePools()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pools == nil {
+			break
+		}
+		if want := (opCounts{prefix: 1}); c != want {
+			t.Fatalf("stage %d: selection made %+v, want %+v", pools[0].Stage, c, want)
+		}
+		if pools[0].Stage == 3 {
+			// A failed Update consumes the proposal and empties the cache;
+			// the next selection falls back to one fresh Marginals call.
+			failUpdate = true
+			if err := sess.AbsorbResults(lab(pools)); err == nil {
+				t.Fatal("injected update failure was swallowed")
+			}
+			if sess.marg != nil {
+				t.Fatal("marginals still held after a failed update")
+			}
+			c = opCounts{}
+			if pools, err = sess.ProposePools(); err != nil || pools == nil {
+				t.Fatalf("selection after a failed update: %v %v", pools, err)
+			}
+			if want := (opCounts{marginals: 1, prefix: 1}); c != want {
+				t.Fatalf("selection after a failed update made %+v, want %+v", c, want)
+			}
+			if sess.marg == nil {
+				t.Fatal("fallback marginals were not kept")
+			}
+		}
+		results := lab(pools)
+		c = opCounts{}
+		before := sess.Remaining()
+		if err := sess.AbsorbResults(results); err != nil {
+			t.Fatal(err)
+		}
+		classified := before - sess.Remaining()
+		want := opCounts{update: len(pools), marginals: classified, condition: classified}
+		if !sess.Done() {
+			want.marginals++ // the pass that finds no crossing
+			want.entropy = 1
+		} else {
+			want.condition-- // the last subject closes the model instead
+		}
+		if c != want {
+			t.Fatalf("stage %d (%d classified): absorb made %+v, want %+v", pools[0].Stage, classified, c, want)
+		}
+	}
+	if !sess.Done() || sess.Stage() <= 3 {
+		t.Fatalf("campaign done=%v after %d stages; the update failure is injected at stage 3", sess.Done(), sess.Stage())
+	}
+}

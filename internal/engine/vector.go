@@ -258,6 +258,40 @@ func (v *Vector) ShrinkGather(n uint64, parts int, body func(dst, src []float64)
 	v.partition(parts)
 }
 
+// doublingSerial is the level length below which FillDoubling multiplies on
+// the calling goroutine: under 2^14 elements (128 KiB) a level costs less
+// than dispatching it.
+const doublingSerial = 1 << 14
+
+// FillDoubling overwrites the vector with the product measure of a Boolean
+// lattice: element s becomes base · Π_{i ∈ bits(s)} factors[i], the
+// factors applied in ascending bit order. Element 0 is base, and level i
+// is elements [0, 2^i) times factors[i] written to [2^i, 2^(i+1)) — one
+// multiply per element, the same multiplies in the same order as walking
+// each index's bits. Levels run in sequence, each large one in parallel.
+// Len must be 2^len(factors).
+func (v *Vector) FillDoubling(base float64, factors []float64) {
+	if v.n != uint64(1)<<uint(len(factors)) {
+		panic(fmt.Sprintf("engine: FillDoubling with %d factors on %d elements", len(factors), v.n))
+	}
+	v.backing[0] = base
+	for i, f := range factors {
+		half := 1 << uint(i)
+		src, dst := v.backing[:half], v.backing[half:2*half]
+		level := func(lo, hi int) {
+			d := dst[lo:hi]
+			for j, x := range src[lo:hi] {
+				d[j] = x * f
+			}
+		}
+		if half < doublingSerial {
+			level(0, half)
+		} else {
+			v.pool.For(half, 0, level)
+		}
+	}
+}
+
 // Fill sets every element to x, in parallel.
 func (v *Vector) Fill(x float64) {
 	v.ForPartitions(func(_ int, _ uint64, data []float64) {

@@ -267,3 +267,32 @@ func TestVectorDeterminismAcrossPartitionCounts(t *testing.T) {
 		}
 	}
 }
+
+func TestFillDoubling(t *testing.T) {
+	p := newTestPool(t)
+	// 2^15 elements: the last level is long enough to run on the pool.
+	factors := make([]float64, 15)
+	for i := range factors {
+		factors[i] = 0.3 + 0.11*float64(i)
+	}
+	v := NewVector(p, 1<<15, 5)
+	v.Fill(-1) // FillDoubling must overwrite whatever was there
+	v.FillDoubling(0.7, factors)
+	for s := uint64(0); s < v.Len(); s++ {
+		want := 0.7
+		for i := range factors {
+			if s>>uint(i)&1 == 1 {
+				want *= factors[i]
+			}
+		}
+		if got := v.At(s); got != want {
+			t.Fatalf("element %d = %v, want %v (factors applied in ascending bit order)", s, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FillDoubling accepted 3 factors for 2^15 elements")
+		}
+	}()
+	v.FillDoubling(1, factors[:3])
+}

@@ -14,7 +14,8 @@
 // the ½-crossing is bracketed by two adjacent prefixes. All prefixes are
 // scored by ONE histogram pass (PrefixNegMasses) and the singleton
 // fallbacks for free from the marginals — two lattice passes total,
-// independent of the candidate count. An optional local search then
+// independent of the candidate count, and one when the caller already
+// holds the marginals (WithMarginals). An optional local search then
 // perturbs the winning pool one subject at a time (one batched NegMasses
 // sweep).
 //
@@ -74,6 +75,25 @@ func (d denseAdapter) NegMasses(cands []bitvec.Mask) ([]float64, error) {
 }
 func (d denseAdapter) PrefixNegMasses(order []int) ([]float64, error) {
 	return d.m.PrefixNegMasses(order), nil
+}
+
+// heldMarginals serves Marginals from a vector the caller already holds
+// and passes every other read through.
+type heldMarginals struct {
+	Posterior
+	marg []float64
+}
+
+func (h heldMarginals) Marginals() ([]float64, error) {
+	return append([]float64(nil), h.marg...), nil
+}
+
+// WithMarginals returns m with Marginals answered from marg, which must be
+// the marginals of m's current posterior. A session that has just read
+// them to classify hands them to its strategy this way, so selection costs
+// one lattice pass (the prefix scan) instead of two.
+func WithMarginals(m Posterior, marg []float64) Posterior {
+	return heldMarginals{Posterior: m, marg: marg}
 }
 
 // Dense exposes a dense lattice model as a Posterior (all errors nil).

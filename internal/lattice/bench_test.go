@@ -200,9 +200,42 @@ func BenchmarkSummary(b *testing.B) {
 	})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// BenchmarkStageKernels times every full-lattice pass a session stage
+// makes, plus the prior build, as ns/state at the benchmark's three cohort
+// sizes. scripts/ci.sh runs it at -benchtime 1x so it cannot rot.
+func BenchmarkStageKernels(b *testing.B) {
+	for _, n := range []int{12, 16, 22} {
+		m := benchLattice(b, n, flatResp)
+		order := make([]int, n)
+		for i := range order {
+			order[i] = (i*7 + 3) % n // a fixed permutation, not the identity
+		}
+		pm := bitvec.Full(n / 2)
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"marginals", func() { m.Marginals() }},
+			{"prefix_scan", func() { m.PrefixNegMasses(order) }},
+			{"entropy", func() { m.Entropy() }},
+			{"update", func() {
+				if err := m.Update(pm, dilution.Positive); err != nil {
+					b.Fatal(err)
+				}
+			}},
+			{"prior", func() {
+				if _, err := New(m.post.Pool(), Config{Risks: m.risks, Response: flatResp}); err != nil {
+					b.Fatal(err)
+				}
+			}},
+		}
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/N=%d", k.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.States()), "ns/state")
+			})
+		}
 	}
-	return b
 }

@@ -1,0 +1,158 @@
+package lattice
+
+import (
+	"fmt"
+	"math/bits"
+)
+
+// This file holds the slice-level stage kernels: plain functions over one
+// contiguous run of states (offset = the state index of data[0]). The dense
+// model runs them once per partition and the cluster executor once per
+// shard, so both backends execute the same instructions.
+
+// foldBits is the split point of the marginal kernel: an aligned block of
+// 2^foldBits states shares its high bits, so the block total is added to
+// each shared high bit once per block, and the low bits come out of the
+// halving folds.
+const foldBits = 8
+
+// foldLen is the aligned block length of the marginal kernel.
+const foldLen = 1 << foldBits
+
+// addMarginalsWalk accumulates each state's mass onto its set bits with
+// the per-state bit walk: the ragged-edge helper of AddMarginals and the
+// reference it is tested against.
+func addMarginalsWalk(offset uint64, data []float64, out []float64) {
+	for j := range data {
+		w := data[j]
+		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
+			continue
+		}
+		for v := offset + uint64(j); v != 0; v &= v - 1 {
+			out[bits.TrailingZeros64(v)] += w
+		}
+	}
+}
+
+// foldHalves writes lo[j]+hi[j] to dst[j] and returns Σ hi, the mass of
+// the bit that separates the two halves. Four independent partial sums
+// keep the additions off one latency chain. len(lo) must be a multiple
+// of 4; dst may alias lo.
+func foldHalves(dst, lo, hi []float64) float64 {
+	hi = hi[:len(lo)]
+	dst = dst[:len(lo)]
+	var a0, a1, a2, a3 float64
+	for j := 0; j+3 < len(lo); j += 4 {
+		h0, h1, h2, h3 := hi[j], hi[j+1], hi[j+2], hi[j+3]
+		a0 += h0
+		a1 += h1
+		a2 += h2
+		a3 += h3
+		dst[j] = lo[j] + h0
+		dst[j+1] = lo[j+1] + h1
+		dst[j+2] = lo[j+2] + h2
+		dst[j+3] = lo[j+3] + h3
+	}
+	return (a0 + a1) + (a2 + a3)
+}
+
+// AddMarginals accumulates onto out[i] the mass of every state in the run
+// that has bit i set — one partition's (or one shard's) contribution to
+// the marginals. out must cover every bit set in any state of the run.
+//
+// Inside an aligned foldLen-state block, bit 7's mass is the sum of the
+// upper half; adding the upper half onto the lower leaves a 128-state
+// block whose upper half is bit 6's mass, and so on down to bit 0. That is
+// two additions per state with no data-dependent branch, and the last fold
+// leaves the block total for the high bits the block shares. The sums are
+// pairwise, so they are at least as accurate as the per-state walk, from
+// which they differ in the last ulps. Ragged edges (a run need not start
+// or end on a block boundary) take the walk. The order of every addition
+// is fixed by (offset, len(data)), so results are deterministic.
+func AddMarginals(offset uint64, data []float64, out []float64) {
+	end := offset + uint64(len(data))
+	head := (offset + foldLen - 1) &^ uint64(foldLen-1)
+	tail := end &^ uint64(foldLen-1)
+	if head >= tail {
+		addMarginalsWalk(offset, data, out)
+		return
+	}
+	addMarginalsWalk(offset, data[:head-offset], out)
+	var scratch [foldLen / 2]float64
+	for b := head; b < tail; b += foldLen {
+		blk := data[b-offset : b-offset+foldLen]
+		out[foldBits-1] += foldHalves(scratch[:], blk[:foldLen/2], blk[foldLen/2:])
+		for bit, half := foldBits-2, foldLen/4; half >= 4; bit, half = bit-1, half/2 {
+			out[bit] += foldHalves(scratch[:half], scratch[:half], scratch[half:2*half])
+		}
+		// Four states are left: bit 1 splits them 2+2, bit 0 odd from even.
+		out[1] += scratch[2] + scratch[3]
+		even, odd := scratch[0]+scratch[2], scratch[1]+scratch[3]
+		out[0] += odd
+		total := even + odd
+		for v := b >> foldBits; v != 0; v &= v - 1 {
+			out[foldBits+bits.TrailingZeros64(v)] += total
+		}
+	}
+	addMarginalsWalk(tail, data[tail-offset:], out)
+}
+
+// RankTable is the lookup state of the prefix scan for one subject
+// ordering: a state's minimum order-rank is min(low[s&255], the minimum
+// rank among the bits of s>>8), so the per-state work is one table load.
+type RankTable struct {
+	k    uint8      // len(order); the rank of a state disjoint from the ordering
+	rank [64]uint8  // rank[i] = position of subject i in the ordering, k if absent
+	low  [256]uint8 // minimum rank among the set bits of a low byte
+}
+
+// NewRankTable validates order against a cohort of n subjects (each
+// subject in range and listed at most once) and builds its table.
+func NewRankTable(order []int, n int) (*RankTable, error) {
+	k := len(order)
+	if k == 0 || k > n {
+		return nil, fmt.Errorf("order has %d subjects for cohort of %d", k, n)
+	}
+	t := &RankTable{k: uint8(k)}
+	for i := range t.rank {
+		t.rank[i] = t.k
+	}
+	for r, subj := range order {
+		if subj < 0 || subj >= n {
+			return nil, fmt.Errorf("order subject %d outside cohort of %d", subj, n)
+		}
+		if t.rank[subj] != t.k {
+			return nil, fmt.Errorf("duplicate subject %d in order", subj)
+		}
+		t.rank[subj] = uint8(r)
+	}
+	t.low[0] = t.k
+	for j := 1; j < len(t.low); j++ {
+		t.low[j] = min(t.low[j&(j-1)], t.rank[bits.TrailingZeros(uint(j))])
+	}
+	return t, nil
+}
+
+// AddMinRankMasses histograms the run's mass by minimum order-rank: out[r]
+// gains the mass of every state whose lowest-ranked infected subject has
+// rank r, out[len(order)] the mass of states disjoint from the ordering.
+// States are visited in index order with one accumulator per slot, so the
+// histogram is bit-for-bit the one a per-state bit walk produces; the high
+// part of the minimum is computed once per 256-state block.
+func (t *RankTable) AddMinRankMasses(offset uint64, data []float64, out []float64) {
+	out = out[:int(t.k)+1]
+	for i := 0; i < len(data); {
+		s := offset + uint64(i)
+		high := t.k
+		for v := s >> 8; v != 0; v &= v - 1 {
+			high = min(high, t.rank[8+bits.TrailingZeros64(v)])
+		}
+		j := int(s & 255)
+		run := data[i:min(len(data), i+256-j)]
+		for _, w := range run {
+			out[min(t.low[j&255], high)] += w
+			j++
+		}
+		i += len(run)
+	}
+}

@@ -2,10 +2,13 @@ package lattice
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
+	"repro/internal/engine"
+	"repro/internal/prob"
 	"repro/internal/rng"
 )
 
@@ -14,12 +17,22 @@ import (
 // into the lattice to exercise the sparsity-skip paths.
 func randomPosterior(t *testing.T, r *rng.Source, n int, zeros bool) *Model {
 	t.Helper()
+	return randomPosteriorParts(t, r, n, 0, zeros)
+}
+
+// randomPosteriorParts is randomPosterior on a given partition count;
+// parts 0 draws one from 1 to 7.
+func randomPosteriorParts(t *testing.T, r *rng.Source, n, parts int, zeros bool) *Model {
+	t.Helper()
 	pool := newTestPool(t)
 	risks := make([]float64, n)
 	for i := range risks {
 		risks[i] = 0.02 + 0.5*r.Float64()
 	}
-	m := mustNew(t, pool, Config{Risks: risks, Response: dilution.Binary{Sens: 0.93, Spec: 0.98}, Parts: 1 + r.Intn(7)})
+	if parts == 0 {
+		parts = 1 + r.Intn(7)
+	}
+	m := mustNew(t, pool, Config{Risks: risks, Response: dilution.Binary{Sens: 0.93, Spec: 0.98}, Parts: parts})
 	for round := 0; round < 3; round++ {
 		pm := bitvec.Mask(r.Uint64()) & bitvec.Full(n)
 		if pm == 0 {
@@ -34,8 +47,8 @@ func randomPosterior(t *testing.T, r *rng.Source, n int, zeros bool) *Model {
 		}
 	}
 	if zeros {
-		// Punch exact zeros into random states (and whole aligned blocks, so
-		// the radix kernel's blockSum==0 skip is reached for n >= 9).
+		// Punch exact zeros into random states (and one whole aligned block
+		// for n >= 9).
 		post := m.Posterior()
 		for k := 0; k < 1<<uint(n-2); k++ {
 			post.Set(uint64(r.Intn(1<<uint(n))), 0)
@@ -123,22 +136,113 @@ func TestSummaryBitForBit(t *testing.T) {
 	}
 }
 
-// TestMarginalsRadixMatchesWalk: the radix decomposition regroups the
-// high-bit additions (one blockSum add replaces up to 256 per-state
-// adds), so results match the reference walk to accumulation-order
-// rounding — each marginal is a sum of <= 2^12 non-negative terms <= 1
-// here, bounding the drift far below 1e-12 — not bit-for-bit. Exact-zero
-// states and whole zeroed blocks (the sparsity skips) are exercised.
-func TestMarginalsRadixMatchesWalk(t *testing.T) {
+// TestMarginalsFoldMatchesWalk: the halving folds sum each bit's mass
+// pairwise where the per-state walk sums it in state order, so the two
+// agree to accumulation-order rounding (1e-13 relative), not bit-for-bit.
+// Every cohort size from 1 to 14 runs on partition counts that leave the
+// fold ragged edges (3, 5), blocks shorter than a fold (8 parts of a small
+// lattice) and a single partition, over posteriors with exact zeros.
+func TestMarginalsFoldMatchesWalk(t *testing.T) {
 	r := rng.New(303)
-	for trial := 0; trial < 20; trial++ {
-		n := 6 + r.Intn(6) // up to 4096 states; n > 8 crosses block alignment
-		m := randomPosterior(t, r, n, true)
-		radix := m.Marginals()
-		walk := m.MarginalsWalk()
-		for i := range walk {
-			if math.Abs(radix[i]-walk[i]) > 1e-12 {
-				t.Fatalf("trial %d: radix marginal[%d] %v vs walk %v", trial, i, radix[i], walk[i])
+	for n := 1; n <= 14; n++ {
+		for _, parts := range []int{1, 3, 5, 8} {
+			m := randomPosteriorParts(t, r, n, parts, true)
+			fold := m.Marginals()
+			walk := m.MarginalsWalk()
+			for i := range walk {
+				if math.Abs(fold[i]-walk[i]) > 1e-13*walk[i] {
+					t.Fatalf("n=%d parts=%d: fold marginal[%d] %v vs walk %v", n, parts, i, fold[i], walk[i])
+				}
+			}
+		}
+	}
+}
+
+// minRankMassesWalk is the per-state form of the prefix-scan histogram
+// (walk each state's bits for its minimum order-rank), kept as the oracle
+// for RankTable.AddMinRankMasses.
+func minRankMassesWalk(offset uint64, data []float64, order []int, out []float64) {
+	k := uint8(len(order))
+	var rank [64]uint8
+	for i := range rank {
+		rank[i] = k
+	}
+	for r, subj := range order {
+		rank[subj] = uint8(r)
+	}
+	for j, w := range data {
+		if w == 0 {
+			continue
+		}
+		rmin := k
+		for v := offset + uint64(j); v != 0; v &= v - 1 {
+			if r := rank[bits.TrailingZeros64(v)]; r < rmin {
+				rmin = r
+			}
+		}
+		out[rmin] += w
+	}
+}
+
+// TestPrefixScanTableBitForBit: the table scan visits states in the walk's
+// order with one accumulator per rank, so the prefix masses must equal the
+// per-state oracle exactly, whatever the partitioning and however short
+// the ordering.
+func TestPrefixScanTableBitForBit(t *testing.T) {
+	r := rng.New(707)
+	for n := 1; n <= 14; n++ {
+		for _, parts := range []int{1, 3, 5, 8} {
+			m := randomPosteriorParts(t, r, n, parts, true)
+			order := r.Perm(n)[:1+r.Intn(n)]
+			got := m.PrefixNegMasses(order)
+			hist := m.post.ReduceVec(len(order)+1, func(_ int, offset uint64, data []float64, out []float64) {
+				minRankMassesWalk(offset, data, order, out)
+			})
+			var acc prob.Accumulator
+			for i := len(order) - 1; i >= 0; i-- {
+				acc.Add(hist[i+1])
+				if got[i] != acc.Value() {
+					t.Fatalf("n=%d parts=%d order %v: prefix %d mass %v, oracle %v", n, parts, order, i, got[i], acc.Value())
+				}
+			}
+		}
+	}
+}
+
+// TestPriorDoublingBitForBit: building the prior by doubling applies the
+// odds in the same ascending-bit order as walking each state's bits, so
+// after the shared Normalize every state must equal the per-state oracle
+// exactly.
+func TestPriorDoublingBitForBit(t *testing.T) {
+	r := rng.New(808)
+	pool := newTestPool(t)
+	for _, n := range []int{1, 2, 7, 12, 16} { // 16 crosses into the parallel levels
+		for _, parts := range []int{1, 3, 8} {
+			risks := make([]float64, n)
+			odds := make([]float64, n)
+			logBase := 0.0
+			for i := range risks {
+				risks[i] = 0.01 + 0.9*r.Float64()
+				odds[i] = risks[i] / (1 - risks[i])
+				logBase += math.Log1p(-risks[i])
+			}
+			base := math.Exp(logBase)
+			want := engine.NewVector(pool, uint64(1)<<uint(n), parts)
+			want.ForPartitions(func(_ int, offset uint64, data []float64) {
+				for j := range data {
+					w := base
+					for v := offset + uint64(j); v != 0; v &= v - 1 {
+						w *= odds[bits.TrailingZeros64(v)]
+					}
+					data[j] = w
+				}
+			})
+			want.Normalize()
+			m := mustNew(t, pool, Config{Risks: risks, Response: dilution.Ideal{}, Parts: parts})
+			for s := uint64(0); s < m.States(); s++ {
+				if got := m.post.At(s); got != want.At(s) {
+					t.Fatalf("n=%d parts=%d: prior[%d] = %v, oracle %v", n, parts, s, got, want.At(s))
+				}
 			}
 		}
 	}

@@ -10,13 +10,25 @@
 // kernels recover the state from the partition offset with no lookup
 // tables. All three SBGT computational kernels live here or directly on top:
 //
+//   - New: the product prior by doubling — level i of the lattice is the
+//     first 2^i states times odds[i], one multiply per state,
 //   - Update: multiply every state's mass by the dilution-aware likelihood
 //     of an observed pooled-test outcome and renormalize (fused single pass
 //     plus one scale pass),
-//   - Marginals / NegMass / NegMasses: the reductions that drive
-//     classification and the halving test-selection scan,
+//   - Marginals / NegMass / NegMasses / PrefixNegMasses: the reductions that
+//     drive classification and the halving test-selection scan,
 //   - Condition: collapse a classified subject out of the lattice, halving
 //     the state space (how sequential surveillance keeps the model small).
+//
+// The per-stage passes are branch-free on the data. Marginals come from
+// halving folds (AddMarginals): in an aligned 256-state block bit 7's mass
+// is the sum of the upper half, and adding that half onto the lower leaves
+// a 128-state block with the same property for bit 6, down to bit 0 —
+// two additions per state, and the block total for the shared high bits.
+// The prefix scan (RankTable) reads a state's minimum order-rank as
+// min(table[low byte], minimum over the high bits), the second computed
+// once per block. Both are plain functions over (offset, []float64), which
+// the cluster executor calls on its shard.
 package lattice
 
 import (
@@ -59,15 +71,9 @@ type Model struct {
 	tests int // pooled tests absorbed so far (diagnostics)
 }
 
-// New builds the prior lattice model on the given pool.
-//
-// The prior is the independent-risk product measure
-//
-//	π(S) = Π_{i∈S} p_i · Π_{i∉S} (1−p_i),
-//
-// evaluated per state as the odds product Π_{i∈S} p_i/(1−p_i) times the
-// all-negative constant, which costs O(|S|) per state instead of O(N).
-func New(pool *engine.Pool, cfg Config) (*Model, error) {
+// alloc validates cfg and returns a model of its cohort around a zeroed
+// posterior, for New and Restore to fill.
+func alloc(pool *engine.Pool, cfg Config) (*Model, error) {
 	n := len(cfg.Risks)
 	if n == 0 {
 		return nil, fmt.Errorf("lattice: empty cohort")
@@ -78,32 +84,41 @@ func New(pool *engine.Pool, cfg Config) (*Model, error) {
 	if cfg.Response == nil {
 		return nil, fmt.Errorf("lattice: nil response model")
 	}
-	odds := make([]float64, n)
-	logBase := 0.0
 	for i, p := range cfg.Risks {
 		if !(p > 0 && p < 1) {
 			return nil, fmt.Errorf("lattice: risk[%d] = %v outside (0,1)", i, p)
 		}
-		odds[i] = p / (1 - p)
-		logBase += math.Log1p(-p)
 	}
-	base := math.Exp(logBase)
-	m := &Model{
+	return &Model{
 		n:     n,
 		risks: append([]float64(nil), cfg.Risks...),
 		resp:  cfg.Response,
 		post:  engine.NewVector(pool, uint64(1)<<uint(n), cfg.Parts),
+	}, nil
+}
+
+// New builds the prior lattice model on the given pool.
+//
+// The prior is the independent-risk product measure
+//
+//	π(S) = Π_{i∈S} p_i · Π_{i∉S} (1−p_i),
+//
+// the all-negative constant times the odds product Π_{i∈S} p_i/(1−p_i).
+// Setting bit i multiplies a state's mass by odds[i], so the lattice is
+// built by doubling: level i is the first 2^i states times odds[i], one
+// multiply per state (engine.Vector.FillDoubling).
+func New(pool *engine.Pool, cfg Config) (*Model, error) {
+	m, err := alloc(pool, cfg)
+	if err != nil {
+		return nil, err
 	}
-	m.post.ForPartitions(func(_ int, offset uint64, data []float64) {
-		for j := range data {
-			s := offset + uint64(j)
-			w := base
-			for v := s; v != 0; v &= v - 1 {
-				w *= odds[bits.TrailingZeros64(v)]
-			}
-			data[j] = w
-		}
-	})
+	odds := make([]float64, m.n)
+	logBase := 0.0
+	for i, p := range m.risks {
+		odds[i] = p / (1 - p)
+		logBase += math.Log1p(-p)
+	}
+	m.post.FillDoubling(math.Exp(logBase), odds)
 	// The product measure sums to 1 analytically; normalize anyway to wash
 	// out rounding so downstream invariant checks can be strict.
 	if total := m.post.Normalize(); !(total > 0) {
@@ -208,7 +223,7 @@ func (m *Model) UpdateTwoPass(pool bitvec.Mask, y dilution.Outcome) {
 // so a checkpoint written mid-update cannot smuggle in an unnormalized
 // lattice.
 func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Model, error) {
-	m, err := New(pool, cfg)
+	m, err := alloc(pool, cfg)
 	if err != nil {
 		return nil, err
 	}

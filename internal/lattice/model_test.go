@@ -290,6 +290,17 @@ func TestAccessorsAndRestore(t *testing.T) {
 	if _, err := Restore(pool, Config{Risks: risks, Response: resp}, post, -1); err == nil {
 		t.Error("negative test count accepted")
 	}
+	// Restore fills the model from the checkpoint without building a prior,
+	// but the cohort must still pass the checks New makes.
+	if _, err := Restore(pool, Config{Risks: []float64{0.1, 1, 0.2}, Response: resp}, post, 0); err == nil {
+		t.Error("risk of 1 accepted")
+	}
+	if _, err := Restore(pool, Config{Risks: risks}, post, 0); err == nil {
+		t.Error("nil response accepted")
+	}
+	if _, err := Restore(pool, Config{Response: resp}, nil, 0); err == nil {
+		t.Error("empty cohort accepted")
+	}
 }
 
 func TestCloneIndependence(t *testing.T) {

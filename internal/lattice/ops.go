@@ -1,7 +1,6 @@
 package lattice
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -39,79 +38,16 @@ func SetSubLatticeMinPool(k int) int {
 	return prev
 }
 
-// radixBits is the split point of the radix-decomposed marginal walk:
-// within one aligned block of 2^radixBits states every state shares its
-// high bits, so the block's total mass is added to each shared high bit
-// once per block instead of once per state. Per-state bit-walk work drops
-// from popcount(s) to popcount(s mod 2^radixBits) ≤ radixBits.
-const radixBits = 8
-
-// radixBlock is the aligned block length of the radix marginal walk.
-const radixBlock = 1 << radixBits
-
-// addMarginalsWalk accumulates each state's mass onto its set bits with
-// the per-state bit walk — the reference marginal kernel, retained as the
-// ragged-edge helper of the radix path and the ablation arm.
-func addMarginalsWalk(offset uint64, data []float64, out []float64) {
-	for j := range data {
-		w := data[j]
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		for v := offset + uint64(j); v != 0; v &= v - 1 {
-			out[bits.TrailingZeros64(v)] += w
-		}
-	}
-}
-
-// addMarginalsRadix is the radix-decomposed marginal kernel: aligned
-// 2^radixBits blocks walk only each state's low bits per state and add
-// the block total to the shared high bits once per block. Ragged edges
-// (partition boundaries are not block-aligned) fall back to the full
-// walk. The accumulation order is fixed, so results are deterministic.
-func addMarginalsRadix(offset uint64, data []float64, out []float64) {
-	lo := offset
-	hi := offset + uint64(len(data))
-	head := (lo + radixBlock - 1) &^ uint64(radixBlock-1)
-	tail := hi &^ uint64(radixBlock-1)
-	if head >= tail {
-		addMarginalsWalk(offset, data, out)
-		return
-	}
-	addMarginalsWalk(lo, data[:head-lo], out)
-	for b := head; b < tail; b += radixBlock {
-		blk := data[b-lo : b-lo+radixBlock]
-		var blockSum float64
-		for j := range blk {
-			w := blk[j]
-			if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-				continue
-			}
-			blockSum += w
-			for v := uint64(j); v != 0; v &= v - 1 {
-				out[bits.TrailingZeros64(v)] += w
-			}
-		}
-		if blockSum == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		for v := b >> radixBits; v != 0; v &= v - 1 {
-			out[radixBits+bits.TrailingZeros64(v)] += blockSum
-		}
-	}
-	addMarginalsWalk(tail, data[tail-lo:], out)
-}
-
 // Marginals returns each subject's posterior infection probability,
 // P(i infected | data) = Σ_{S ∋ i} π(S), computed for all N subjects in a
-// single parallel ReduceVec pass with the radix-decomposed bit walk.
+// single parallel ReduceVec pass of the halving-fold kernel AddMarginals.
 func (m *Model) Marginals() []float64 {
 	return m.post.ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
-		addMarginalsRadix(offset, data, out)
+		AddMarginals(offset, data, out)
 	})
 }
 
-// MarginalsWalk is the pre-radix marginal kernel (full per-state bit
+// MarginalsWalk is the reference marginal kernel (full per-state bit
 // walk). It exists for the A5 structure-aware kernel ablation; results
 // agree with Marginals up to accumulation-order rounding.
 func (m *Model) MarginalsWalk() []float64 {
@@ -242,48 +178,12 @@ func (m *Model) PrefixNegMasses(order []int) []float64 {
 	if k == 0 {
 		return nil
 	}
-	var rank [64]uint8
-	for i := range rank {
-		rank[i] = uint8(k)
-	}
-	for r, subj := range order {
-		if subj < 0 || subj >= m.n {
-			panic(fmt.Sprintf("lattice: order subject %d outside cohort of %d", subj, m.n))
-		}
-		if rank[subj] != uint8(k) {
-			panic(fmt.Sprintf("lattice: duplicate subject %d in order", subj))
-		}
-		rank[subj] = uint8(r)
+	tbl, err := NewRankTable(order, m.n)
+	if err != nil {
+		panic("lattice: " + err.Error())
 	}
 	hist := m.post.ReduceVec(k+1, func(_ int, offset uint64, data []float64, out []float64) {
-		// Same tiling as the candidate scan: the min-rank pass is a single
-		// sweep, but tiling keeps its access pattern identical to
-		// negMassesTiled so the two selection kernels stay cache-coherent
-		// when the halving selector interleaves them on one partition.
-		for t0 := 0; t0 < len(data); t0 += negMassesTile {
-			t1 := t0 + negMassesTile
-			if t1 > len(data) {
-				t1 = len(data)
-			}
-			tile := data[t0:t1]
-			toff := offset + uint64(t0)
-			for j := range tile {
-				w := tile[j]
-				if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-					continue
-				}
-				rmin := uint8(k)
-				for v := toff + uint64(j); v != 0; v &= v - 1 {
-					if r := rank[bits.TrailingZeros64(v)]; r < rmin {
-						rmin = r
-						if rmin == 0 {
-							break // rank 0 is the floor; the rest of the walk cannot lower it
-						}
-					}
-				}
-				out[rmin] += w
-			}
-		}
+		tbl.AddMinRankMasses(offset, data, out)
 	})
 	// neg[i] = Σ_{r > i} hist[r]: mass whose first-ranked infected subject
 	// lies beyond the prefix.

@@ -8,11 +8,9 @@ import (
 	"repro/internal/prob"
 )
 
-// Summary is the fused one-pass digest of the posterior: everything a
-// session round reads between tests. Computing the five statistics
-// together costs one lattice sweep of memory traffic instead of the four
-// separate passes the individual kernels pay (marginals, entropy, MAP,
-// expected-infected — mass rides along for invariant checks).
+// Summary is the one-sweep digest of the posterior: marginals, entropy,
+// MAP, expected-infected and total mass computed together, which is what
+// a session reads when it opens.
 type Summary struct {
 	// Marginals is each subject's posterior infection probability.
 	Marginals []float64
@@ -36,56 +34,28 @@ type summaryPartial struct {
 	bestMass       float64
 }
 
-// Summary computes the fused posterior digest in a single parallel pass.
+// Summary computes the posterior digest in a single parallel sweep: each
+// partition runs the marginal kernel and one scalar loop back to back.
 // Per-partition partials merge in ascending partition order (compensated
 // for the additive statistics, lowest-state tie-break for the argmax), so
-// the result is deterministic like every other reduction. The marginal
-// component uses the same radix-decomposed bit walk as Marginals; the
-// scalar statistics fold into the block loop so the posterior is read
-// once.
+// the result is deterministic like every other reduction. Every field is
+// bit-for-bit the standalone kernel's: the marginals are AddMarginals
+// under ReduceVec's merge, and the scalar loop keeps the accumulators and
+// state order of Entropy, MAP, ExpectedInfected and Mass.
 func (m *Model) Summary() *Summary {
 	parts := make([]summaryPartial, m.post.Parts())
 	m.post.ForPartitions(func(p int, offset uint64, data []float64) {
 		pt := summaryPartial{marg: make([]float64, m.n), bestMass: math.Inf(-1)}
-		lo := offset
-		hi := offset + uint64(len(data))
-		head := (lo + radixBlock - 1) &^ uint64(radixBlock-1)
-		tail := hi &^ uint64(radixBlock-1)
-		if head >= tail {
-			pt.summarizeWalk(lo, data)
-		} else {
-			pt.summarizeWalk(lo, data[:head-lo])
-			for b := head; b < tail; b += radixBlock {
-				blk := data[b-lo : b-lo+radixBlock]
-				highCount := float64(bits.OnesCount64(b >> radixBits))
-				var blockSum float64
-				for j := range blk {
-					w := blk[j]
-					s := b + uint64(j)
-					pt.mass.Add(w)
-					if w > pt.bestMass {
-						pt.bestState, pt.bestMass = s, w
-					}
-					if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-						continue
-					}
-					blockSum += w
-					if w > 0 {
-						pt.ent.Add(-w * math.Log(w))
-					}
-					pt.exp.Add(w * (highCount + float64(bits.OnesCount64(uint64(j)))))
-					for v := uint64(j); v != 0; v &= v - 1 {
-						pt.marg[bits.TrailingZeros64(v)] += w
-					}
-				}
-				if blockSum == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-					continue
-				}
-				for v := b >> radixBits; v != 0; v &= v - 1 {
-					pt.marg[radixBits+bits.TrailingZeros64(v)] += blockSum
-				}
+		AddMarginals(offset, data, pt.marg)
+		for j, w := range data {
+			pt.mass.Add(w)
+			if w > pt.bestMass {
+				pt.bestState, pt.bestMass = offset+uint64(j), w
 			}
-			pt.summarizeWalk(tail, data[tail-lo:])
+			if w > 0 {
+				pt.ent.Add(-w * math.Log(w))
+				pt.exp.Add(w * float64(bits.OnesCount64(offset+uint64(j))))
+			}
 		}
 		parts[p] = pt
 	})
@@ -111,27 +81,4 @@ func (m *Model) Summary() *Summary {
 	out.ExpectedInfected = exp.Value()
 	out.Mass = mass.Value()
 	return out
-}
-
-// summarizeWalk folds a ragged (non-block-aligned) run of states into the
-// partial with the full per-state bit walk.
-func (pt *summaryPartial) summarizeWalk(offset uint64, data []float64) {
-	for j := range data {
-		w := data[j]
-		s := offset + uint64(j)
-		pt.mass.Add(w)
-		if w > pt.bestMass {
-			pt.bestState, pt.bestMass = s, w
-		}
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		if w > 0 {
-			pt.ent.Add(-w * math.Log(w))
-		}
-		pt.exp.Add(w * float64(bits.OnesCount64(s)))
-		for v := s; v != 0; v &= v - 1 {
-			pt.marg[bits.TrailingZeros64(v)] += w
-		}
-	}
 }

@@ -81,9 +81,8 @@ type Model interface {
 	// Entropy returns the posterior entropy in bits.
 	Entropy() (float64, error)
 	// Summary computes marginals, entropy, MAP state, expected-infected,
-	// and total posterior mass together in one fused pass — the per-round
-	// digest sessions read between tests, at one sweep of memory traffic
-	// instead of four.
+	// and total posterior mass together in one sweep (one RPC round on the
+	// cluster backend) — the digest a session reads when it opens.
 	Summary() (*Summary, error)
 
 	// Condition collapses subject onto a known status and returns the
@@ -104,10 +103,10 @@ type Model interface {
 	Close() error
 }
 
-// Summary is the fused one-pass posterior digest: the statistics every
-// session round reads between tests, computed together so the posterior
-// is swept once. Each field matches the corresponding single-statistic
-// kernel bit-for-bit (same reduction shapes, same deterministic merges).
+// Summary is the one-sweep posterior digest: five statistics computed
+// together so the posterior is swept once. Each field matches the
+// corresponding single-statistic kernel bit-for-bit (same reduction
+// shapes, same deterministic merges).
 type Summary struct {
 	// Marginals is each subject's posterior infection probability.
 	Marginals []float64

@@ -19,6 +19,9 @@ go run ./cmd/sbgt-lint -baseline-check ./...
 echo '== go test =='
 go test ./...
 
+echo '== stage-kernel benchmark (one iteration each, so it cannot rot) =='
+go test ./internal/lattice -run '^$' -bench BenchmarkStageKernels -benchtime 1x
+
 echo '== go test -race (concurrency substrate + backend conformance + obs) =='
 go test -race -short ./internal/engine ./internal/cluster ./internal/bench ./internal/posterior ./internal/core ./internal/obs ./internal/obs/profiler
 
