@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,7 +229,7 @@ func TestKernelBeforeBuildFails(t *testing.T) {
 	// not crash.
 	e := NewExecutor(1)
 	defer e.Close()
-	for _, op := range []Op{OpUpdateMul, OpSumWhere, OpMarginals, OpEntropy, OpMass, OpFetch} {
+	for _, op := range []Op{OpUpdateMul, OpSumWhere, OpMarginals, OpEntropy, OpMass, OpFetch, OpLoadShard, OpCollapse} {
 		resp := e.dispatch(Request{Op: op, Pool: 1, Lik: []float64{1, 1}})
 		if resp.Err == "" {
 			t.Errorf("op %s on unbuilt shard did not error", op)
@@ -316,9 +317,9 @@ func TestShutdownTerminatesServe(t *testing.T) {
 }
 
 func TestOpStrings(t *testing.T) {
-	for op := OpPing; op <= OpShutdown; op++ {
-		if op.String() == "" {
-			t.Errorf("op %d has empty name", op)
+	for op := OpPing; op <= OpCollapse; op++ {
+		if op.String() == "" || strings.HasPrefix(op.String(), "op(") {
+			t.Errorf("op %d has no name", op)
 		}
 	}
 	if got := Op(250).String(); got != "op(250)" {

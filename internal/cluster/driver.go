@@ -253,20 +253,12 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 		rpcTimeout = DefaultRPCTimeout
 	}
 	met := newClusterMetrics(opts.Obs, len(addrs))
-	per := total / uint64(len(addrs))
-	rem := total % uint64(len(addrs))
 	conns := make([]*conn, len(addrs))
 	sums := make([]float64, len(addrs))
 	errs := make([]error, len(addrs))
-	var off uint64
 	var wg sync.WaitGroup
 	for i, addr := range addrs {
-		size := per
-		if uint64(i) < rem {
-			size++
-		}
-		lo, hi := off, off+size
-		off = hi
+		lo, hi := shardRange(total, len(addrs), i)
 		wg.Add(1)
 		go func(i int, addr string, lo, hi uint64) {
 			defer wg.Done()
@@ -354,6 +346,19 @@ func (m *Model) Executors() int { return len(m.conns) }
 
 // Tests returns how many outcomes have been absorbed.
 func (m *Model) Tests() int { return m.tests }
+
+// shardRange returns executor i's share [lo, hi) of an even split of total
+// states over k executors: contiguous, in rank order, sizes differing by at
+// most one (the larger shards first).
+func shardRange(total uint64, k, i int) (lo, hi uint64) {
+	per, rem := total/uint64(k), total%uint64(k)
+	lo = uint64(i)*per + min(uint64(i), rem)
+	hi = lo + per
+	if uint64(i) < rem {
+		hi++
+	}
+	return lo, hi
+}
 
 // fanout issues build(c) on every executor concurrently and returns the
 // responses in executor-rank order (first error wins).

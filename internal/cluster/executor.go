@@ -178,19 +178,18 @@ func (e *Executor) dispatch(req Request) Response {
 		return Response{Op: OpPing}
 	case OpBuildPrior:
 		return e.buildPrior(req)
-	case OpLoadShard:
-		return e.loadShard(req)
-	case OpFetch:
-		if e.data == nil {
-			return errorf(req.Op, "no shard built")
-		}
-		return Response{Op: req.Op, Vec: append([]float64(nil), e.data...)}
 	}
 	// Every remaining op needs a built shard.
 	if e.data == nil {
 		return errorf(req.Op, "no shard built")
 	}
 	switch req.Op {
+	case OpLoadShard:
+		return e.loadShard(req)
+	case OpCollapse:
+		return e.collapse(req)
+	case OpFetch:
+		return e.fetch(req)
 	case OpUpdateMul:
 		return e.updateMul(req)
 	case OpScale:
@@ -274,51 +273,81 @@ func (e *Executor) buildPrior(req Request) Response {
 	e.data = make([]float64, req.Hi-req.Lo)
 	e.noteShard()
 	e.forRange(func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			s := e.lo + uint64(j)
-			w := base
-			for v := s; v != 0; v &= v - 1 {
-				w *= odds[bits.TrailingZeros64(v)]
-			}
-			e.data[j] = w
-		}
+		lattice.FillPrior(e.lo+uint64(lo), e.data[lo:hi], base, odds)
 	})
-	return Response{Op: req.Op, Sum: e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for _, w := range e.data[lo:hi] {
-			acc.Add(w)
-		}
-		return acc
-	})}
+	return e.mass(req) // the unnormalized prior total
 }
 
-// loadShard installs a driver-supplied shard verbatim: the scatter half of
-// driver-side conditioning (and of checkpoint restores). Unlike BuildPrior
-// it accepts an empty range, so a lattice that has shrunk below the
-// executor count still keeps every connection assigned.
+// fetch returns the shard's states outside [Lo, Hi), in state order: the
+// whole shard for an empty range (snapshots), and for a rebalance the
+// states leaving this executor. Unless states leave at both ends the
+// response aliases the shard; handle encodes it before reading the next
+// request, so nothing writes the shard in between.
+func (e *Executor) fetch(req Request) Response {
+	if req.Lo > req.Hi {
+		return errorf(req.Op, "inverted range [%d,%d)", req.Lo, req.Hi)
+	}
+	end := e.lo + uint64(len(e.data))
+	below, above := min(max(req.Lo, e.lo), end)-e.lo, min(max(req.Hi, e.lo), end)-e.lo
+	vec := e.data[above:]
+	if below > 0 {
+		vec = append(e.data[:below:below], vec...)
+	}
+	return Response{Op: req.Op, Vec: vec}
+}
+
+// loadShard re-bases the shard to [Lo, Hi) after a collapse left the
+// executors unevenly loaded: the states it already holds in that range
+// stay, and Data supplies the rest — those below the retained overlap,
+// then those above. Only states whose owner changed cross the wire. An
+// empty range is valid, so a lattice that has shrunk below the executor
+// count still keeps every connection assigned.
 func (e *Executor) loadShard(req Request) Response {
-	n := len(req.Risks)
-	if n == 0 || n > MaxSubjects {
-		return errorf(req.Op, "invalid cohort size %d", n)
+	if req.Lo > req.Hi || req.Hi > uint64(1)<<uint(e.n) {
+		return errorf(req.Op, "invalid shard range [%d,%d) of %d", req.Lo, req.Hi, uint64(1)<<uint(e.n))
 	}
-	total := uint64(1) << uint(n)
-	if req.Lo > req.Hi || req.Hi > total {
-		return errorf(req.Op, "invalid shard range [%d,%d) of %d", req.Lo, req.Hi, total)
+	var keep []float64 // the states of [Lo, Hi) already here
+	var head uint64    // how many states of Data lie below them
+	if lo, hi := max(e.lo, req.Lo), min(e.lo+uint64(len(e.data)), req.Hi); lo < hi {
+		keep, head = e.data[lo-e.lo:hi-e.lo], lo-req.Lo
 	}
-	if uint64(len(req.Data)) != req.Hi-req.Lo {
-		return errorf(req.Op, "shard payload has %d states, range holds %d", len(req.Data), req.Hi-req.Lo)
+	if lacks := req.Hi - req.Lo - uint64(len(keep)); uint64(len(req.Data)) != lacks {
+		return errorf(req.Op, "shard payload has %d states, range [%d,%d) lacks %d", len(req.Data), req.Lo, req.Hi, lacks)
 	}
 	for _, w := range req.Data {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return errorf(req.Op, "invalid shard mass %v", w)
 		}
 	}
-	e.n = n
-	e.lo = req.Lo
 	// make (not append) so an empty shard is non-nil: nil means "no shard
 	// built" to dispatch, and an empty shard is a built shard.
-	e.data = make([]float64, req.Hi-req.Lo)
-	copy(e.data, req.Data)
+	data := make([]float64, req.Hi-req.Lo)
+	copy(data, req.Data[:head])
+	copy(data[head:], keep)
+	copy(data[head+uint64(len(keep)):], req.Data[head:])
+	e.lo, e.data = req.Lo, data
+	e.noteShard()
+	return Response{Op: req.Op}
+}
+
+// collapse conditions the shard on the subject at req.Pool having status
+// req.Base, in place (lattice.CollapseBit): the survivors are a contiguous
+// range of the halved lattice, so they stay here, scaled by req.Factor.
+func (e *Executor) collapse(req Request) Response {
+	if bits.OnesCount64(req.Pool) != 1 || req.Pool >= uint64(1)<<uint(e.n) {
+		return errorf(req.Op, "bit %#x is not one subject of a cohort of %d", req.Pool, e.n)
+	}
+	if req.Base != 0 && req.Base != req.Pool {
+		return errorf(req.Op, "base %#x is neither 0 nor the bit %#x", req.Base, req.Pool)
+	}
+	if !(req.Factor > 0) || math.IsInf(req.Factor, 0) {
+		return errorf(req.Op, "invalid factor %v", req.Factor)
+	}
+	if e.n <= 1 {
+		return errorf(req.Op, "cannot collapse a one-subject lattice")
+	}
+	lo, kept := lattice.CollapseBit(e.lo, e.data, req.Pool, req.Base, req.Factor)
+	e.n, e.lo, e.data = e.n-1, lo, e.data[:kept]
 	e.noteShard()
 	return Response{Op: req.Op}
 }
@@ -357,7 +386,7 @@ func (e *Executor) sumWhere(req Request) Response {
 	sum := e.reduceChunks(func(lo, hi int) prob.Accumulator {
 		var acc prob.Accumulator
 		for j := lo; j < hi; j++ {
-			if (e.lo+uint64(j))&req.Pool == 0 {
+			if (e.lo+uint64(j))&req.Pool == req.Base {
 				acc.Add(e.data[j])
 			}
 		}

@@ -11,7 +11,7 @@ import (
 var allOps = []Op{
 	OpPing, OpBuildPrior, OpUpdateMul, OpScale, OpSumWhere, OpMarginals,
 	OpNegMasses, OpEntropy, OpIntersect, OpMass, OpFetch, OpShutdown,
-	OpPrefix, OpLoadShard, OpSummary,
+	OpPrefix, OpLoadShard, OpSummary, OpCollapse,
 }
 
 // clusterMetrics is the driver-side reporting surface, shared by every

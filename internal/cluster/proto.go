@@ -33,17 +33,18 @@ const (
 	OpBuildPrior           // materialize the prior product measure on the shard
 	OpUpdateMul            // multiply shard by a likelihood table, return partial sum
 	OpScale                // multiply shard by a scalar
-	OpSumWhere             // partial sum of states disjoint from a mask (NegMass)
+	OpSumWhere             // partial sum of states s with s&Pool == Base (NegMass; the conditioning preflight)
 	OpMarginals            // partial per-subject marginal vector
 	OpNegMasses            // partial clean-mass vector for candidate pools
 	OpEntropy              // partial Σ −p·ln p
 	OpIntersect            // partial intersect-count distribution for one pool
 	OpMass                 // partial total mass
-	OpFetch                // return the raw shard (tests / checkpointing)
+	OpFetch                // return the shard's states outside [Lo, Hi): all of it (snapshots), or what a rebalance moves off it
 	OpShutdown             // close the executor process
 	OpPrefix               // partial min-rank histogram for the halving prefix scan
-	OpLoadShard            // install a driver-supplied shard (conditioning / restore scatter)
+	OpLoadShard            // re-base the shard to [Lo, Hi): keep the overlap, splice Data around it
 	OpSummary              // fused shard digest: marginals + entropy + MAP + E[|S|] + mass
+	OpCollapse             // condition the shard on s&Pool == Base in place, scaled by Factor
 )
 
 // String names the op for errors and logs.
@@ -79,6 +80,8 @@ func (o Op) String() string {
 		return "load-shard"
 	case OpSummary:
 		return "summary"
+	case OpCollapse:
+		return "collapse"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -89,19 +92,28 @@ func (o Op) String() string {
 type Request struct {
 	Op Op
 	// BuildPrior.
-	Risks  []float64 // per-subject prior risks (defines N too)
-	Lo, Hi uint64    // global state range [Lo, Hi) owned by this executor
-	// UpdateMul / SumWhere / NegMasses / Intersect.
-	Pool  uint64    // pool mask
+	Risks []float64 // per-subject prior risks (defines N too)
+	// BuildPrior: the global state range this executor owns. LoadShard: the
+	// shard's new range (Lo == Hi is a valid empty shard, for a lattice that
+	// has shrunk below the executor count). Fetch: the range whose states
+	// are NOT returned — empty for the whole shard, the new range to get
+	// the states a rebalance takes off this executor.
+	Lo, Hi uint64
+	// UpdateMul / NegMasses / Intersect: pool mask. SumWhere: the bits to
+	// test. Collapse: the single bit of the subject being conditioned out.
+	Pool  uint64
 	Lik   []float64 // likelihood by intersect count, len = popcount(Pool)+1
 	Cands []uint64  // candidate pool masks
+	// SumWhere / Collapse: the value s&Pool must take (0 for a clean-mass
+	// sum; 0 or Pool for a subject conditioned negative or positive).
+	Base uint64
 	// Prefix: subject ordering for the prefix scan.
 	Order []int
-	// Scale.
+	// Scale: the multiplier. Collapse: 1 / the event mass, applied in the
+	// same pass, so the collapsed posterior is already normalized.
 	Factor float64
-	// LoadShard: the shard's state masses, len = Hi − Lo (Risks defines N,
-	// Lo/Hi the owned range, as in BuildPrior; Lo == Hi is a valid empty
-	// shard when the lattice has shrunk below the executor count).
+	// LoadShard: the states of [Lo, Hi) the executor does not already hold,
+	// in state order — those below its retained overlap, then those above.
 	Data []float64
 	// Trace, when non-empty, is the W3C-traceparent-style context of the
 	// driver-side RPC span (obs.TraceContext.Encode). The executor opens

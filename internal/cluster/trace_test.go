@@ -159,8 +159,10 @@ func TestConditionKeepsTracer(t *testing.T) {
 	if traces[0].Find("rpc:marginals") == nil {
 		t.Error("post-Condition marginals RPC missing from the trace")
 	}
-	if traces[0].Find("rpc:load-shard") == nil {
-		t.Error("Condition's scatter RPC missing from the trace")
+	for _, name := range []string{"rpc:sum-where", "rpc:collapse", "exec:collapse"} {
+		if traces[0].Find(name) == nil {
+			t.Errorf("Condition's %s span missing from the trace", name)
+		}
 	}
 }
 

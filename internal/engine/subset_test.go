@@ -61,7 +61,9 @@ func TestReduceSubsetMatchesFilteredScan(t *testing.T) {
 		nBits := 6 + r.Intn(5) // 64 .. 1024 states
 		n := uint64(1) << uint(nBits)
 		v := NewVector(p, n, 1+r.Intn(9))
-		v.Map(func(i uint64, _ float64) float64 { return r.Float64() })
+		for i := uint64(0); i < n; i++ { // serial: Map's workers would share r
+			v.Set(i, r.Float64())
+		}
 		full := n - 1
 		free := r.Uint64() & full
 		base := r.Uint64() & full &^ free

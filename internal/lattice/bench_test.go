@@ -201,8 +201,9 @@ func BenchmarkSummary(b *testing.B) {
 }
 
 // BenchmarkStageKernels times every full-lattice pass a session stage
-// makes, plus the prior build, as ns/state at the benchmark's three cohort
-// sizes. scripts/ci.sh runs it at -benchtime 1x so it cannot rot.
+// makes, plus the prior build and the conditioning gather (lowest, middle
+// and top bit), as ns/state at the benchmark's three cohort sizes.
+// scripts/ci.sh runs it at -benchtime 1x so it cannot rot.
 func BenchmarkStageKernels(b *testing.B) {
 	for _, n := range []int{12, 16, 22} {
 		m := benchLattice(b, n, flatResp)
@@ -211,6 +212,7 @@ func BenchmarkStageKernels(b *testing.B) {
 			order[i] = (i*7 + 3) % n // a fixed permutation, not the identity
 		}
 		pm := bitvec.Full(n / 2)
+		scratch := make([]float64, m.States()) // CollapseBit overwrites its input
 		kernels := []struct {
 			name string
 			run  func()
@@ -228,6 +230,9 @@ func BenchmarkStageKernels(b *testing.B) {
 					b.Fatal(err)
 				}
 			}},
+			{"collapse_low", func() { CollapseBit(0, scratch, 1, 0, 1) }},
+			{"collapse_mid", func() { CollapseBit(0, scratch, 1<<uint(n/2), 0, 1) }},
+			{"collapse_top", func() { CollapseBit(0, scratch, 1<<uint(n-1), 0, 1) }},
 		}
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("%s/N=%d", k.name, n), func(b *testing.B) {

@@ -156,3 +156,63 @@ func (t *RankTable) AddMinRankMasses(offset uint64, data []float64, out []float6
 		i += len(run)
 	}
 }
+
+// KeptBelow counts the states s < x with s&bit == base: the index, in the
+// lattice with bit collapsed out, of the first survivor at or after x.
+func KeptBelow(x, bit, base uint64) uint64 {
+	rest := x & (2*bit - 1) // position inside the aligned 2·bit block
+	half := rest &^ bit     // … and inside its half
+	if rest&bit != base {
+		half = bit - base // the kept half lies wholly below rest (base 0) or above it
+	}
+	return x>>1&^(bit-1) + half
+}
+
+// CollapseBit conditions the run on s&bit == base, in place: the surviving
+// states move to the front of data in state order, each multiplied by
+// factor, and their indices lose the bit. The survivors of [lo, hi) are
+// exactly the states [KeptBelow(lo), KeptBelow(hi)) of the halved lattice —
+// a contiguous range, so a shard never hands a state to another owner —
+// and survivor j is read from at or above slot j (no more states are
+// dropped below the run than below any state in it), so the gather runs
+// forward over its own storage. It returns the new range's start and
+// length. bit must be a power of two and base 0 or bit.
+func CollapseBit(offset uint64, data []float64, bit, base uint64, factor float64) (newOffset uint64, kept int) {
+	newOffset = KeptBelow(offset, bit, base)
+	kept = int(KeptBelow(offset+uint64(len(data)), bit, base) - newOffset)
+	low := bit - 1
+	for j := range data[:kept] {
+		sp := newOffset + uint64(j)
+		data[j] = data[(sp&low|sp&^low<<1|base)-offset] * factor
+	}
+	return newOffset, kept
+}
+
+// FillPrior writes the product prior of the run: state s gets base times
+// odds[i] for every set bit i, multiplied in ascending bit order — the
+// order of the per-state bit walk, so the result is bit-for-bit the walk's.
+// The run splits into aligned power-of-two blocks; a block doubles from
+// base (level i is its first 2^i states times odds[i]) and then takes the
+// odds of the high bits its states share, one pass each.
+func FillPrior(offset uint64, data []float64, base float64, odds []float64) {
+	for len(data) > 0 {
+		k := min(bits.TrailingZeros64(offset), bits.Len(uint(len(data)))-1)
+		blk := data[:1<<uint(k)]
+		blk[0] = base
+		for i := 0; i < k; i++ {
+			half := 1 << uint(i)
+			dst := blk[half : 2*half]
+			for j, w := range blk[:half] {
+				dst[j] = w * odds[i]
+			}
+		}
+		for v := offset >> uint(k); v != 0; v &= v - 1 {
+			f := odds[k+bits.TrailingZeros64(v)]
+			for j := range blk {
+				blk[j] *= f
+			}
+		}
+		offset += uint64(len(blk))
+		data = data[len(blk):]
+	}
+}

@@ -384,3 +384,80 @@ func TestConditionInPlaceZeroMassRejection(t *testing.T) {
 		t.Fatalf("N=%d after complementary collapse", m.N())
 	}
 }
+
+// TestCollapseBitMatchesOracle: for arbitrary runs (offset, len), every
+// bit, both bases and two factors, the in-place gather must equal the
+// per-state oracle bit-for-bit — state s survives iff s&bit == base and
+// lands, times factor, at the index s has with the bit dropped — and the
+// survivors must be the contiguous range [KeptBelow(lo), KeptBelow(hi)).
+func TestCollapseBitMatchesOracle(t *testing.T) {
+	r := rng.New(909)
+	const n = 9
+	full := make([]float64, 1<<n)
+	for trial := 0; trial < 400; trial++ {
+		for i := range full {
+			full[i] = r.Float64()
+		}
+		lo := uint64(r.Intn(len(full) + 1))
+		hi := lo + uint64(r.Intn(len(full)+1-int(lo)))
+		if trial%8 == 0 {
+			lo, hi = 0, uint64(len(full)) // the dense model's call
+		}
+		bit := uint64(1) << uint(trial%n)
+		base := bit * uint64(trial/n%2)
+		factor := 1.0
+		if trial%3 == 0 {
+			factor = 1 / (0.1 + r.Float64())
+		}
+		low := bit - 1
+		want := map[uint64]float64{} // collapsed index → mass
+		for s := lo; s < hi; s++ {
+			if s&bit == base {
+				want[s&low|s>>1&^low] = full[s] * factor
+			}
+		}
+		run := append([]float64(nil), full[lo:hi]...)
+		off, kept := CollapseBit(lo, run, bit, base, factor)
+		if off != KeptBelow(lo, bit, base) || off+uint64(kept) != KeptBelow(hi, bit, base) || kept != len(want) {
+			t.Fatalf("[%d,%d) bit %#x base %#x: range [%d,+%d), want [%d,%d) holding %d",
+				lo, hi, bit, base, off, kept, KeptBelow(lo, bit, base), KeptBelow(hi, bit, base), len(want))
+		}
+		for j, got := range run[:kept] {
+			if w, ok := want[off+uint64(j)]; !ok || got != w {
+				t.Fatalf("[%d,%d) bit %#x base %#x factor %v: state %d = %v, oracle %v (present %v)",
+					lo, hi, bit, base, factor, off+uint64(j), got, w, ok)
+			}
+		}
+	}
+}
+
+// TestFillPriorMatchesWalk: the block-doubling prior of an arbitrary run
+// applies each state's odds in ascending bit order, as the per-state walk
+// does, so the two must agree bit-for-bit.
+func TestFillPriorMatchesWalk(t *testing.T) {
+	r := rng.New(1010)
+	const n = 11
+	odds := make([]float64, n)
+	for i := range odds {
+		odds[i] = 0.01 + 3*r.Float64()
+	}
+	base := 0.37
+	for trial := 0; trial < 300; trial++ {
+		lo := uint64(r.Intn(1 << n))
+		hi := lo + uint64(r.Intn(1<<n+1-int(lo)))
+		if trial%10 == 0 {
+			lo, hi = 0, 1<<n
+		}
+		got := make([]float64, hi-lo)
+		FillPrior(lo, got, base, odds)
+		for j := range got {
+			want := base
+			for v := lo + uint64(j); v != 0; v &= v - 1 {
+				want *= odds[bits.TrailingZeros64(v)]
+			}
+			if got[j] != want {
+				t.Fatalf("[%d,%d): prior[%d] = %v, walk %v", lo, hi, lo+uint64(j), got[j], want)
+			}
+		}
+	}
+}

@@ -366,9 +366,8 @@ func (m *Model) Condition(subject int, positive bool) *Model {
 // ConditionInPlace is the zero-allocation form of Condition: it collapses
 // subject onto a known status inside the receiver's own backing array and
 // returns the receiver, now a model over the remaining N−1 subjects. The
-// surviving states sit at indices old(s') ≥ s' (dropping a bit never
-// decreases the packed index), so the collapse is a forward monotone
-// gather and ShrinkGather can reuse the storage with no copy-out.
+// gather is CollapseBit over the whole lattice with factor 1 — the kernel
+// the cluster executors run on their shards — followed by Normalize.
 //
 // Like Condition it returns nil when the event has zero posterior mass or
 // only one subject remains — but because the gather destroys the old
@@ -379,7 +378,6 @@ func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 	if subject < 0 || subject >= m.n || m.n <= 1 {
 		return nil
 	}
-	low := uint64(1)<<uint(subject) - 1 // bits below the removed subject
 	bit := uint64(1) << uint(subject)
 	var base uint64
 	if positive {
@@ -392,11 +390,8 @@ func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 		return nil
 	}
 	nn := m.n - 1
-	m.post.ShrinkGather(uint64(1)<<uint(nn), m.post.Parts(), func(dst, src []float64) {
-		for sp := range dst {
-			spp := uint64(sp)
-			dst[sp] = src[(spp&low)|((spp&^low)<<1)|base]
-		}
+	m.post.ShrinkGather(uint64(1)<<uint(nn), m.post.Parts(), func(_, src []float64) {
+		CollapseBit(0, src, bit, base, 1)
 	})
 	m.post.Normalize()
 	m.risks = append(m.risks[:subject], m.risks[subject+1:]...)

@@ -19,8 +19,9 @@ go run ./cmd/sbgt-lint -baseline-check ./...
 echo '== go test =='
 go test ./...
 
-echo '== stage-kernel benchmark (one iteration each, so it cannot rot) =='
+echo '== stage-kernel and cluster-conditioning benchmarks (one iteration each, so they cannot rot) =='
 go test ./internal/lattice -run '^$' -bench BenchmarkStageKernels -benchtime 1x
+go test ./internal/cluster -run '^$' -bench BenchmarkClusterCondition -benchtime 1x
 
 echo '== go test -race (concurrency substrate + backend conformance + obs) =='
 go test -race -short ./internal/engine ./internal/cluster ./internal/bench ./internal/posterior ./internal/core ./internal/obs ./internal/obs/profiler
