@@ -39,7 +39,7 @@ fuzz:
 # current head of the trajectory, adding the S1P continuous-profiler
 # overhead experiment; BENCH_3.json and earlier are the points it is
 # diffed against in EXPERIMENTS.md).
-BENCH_EXPS ?= T1,F6,A5,S1,S1R,S1P
+BENCH_EXPS ?= T1,F6,S1,S1R,S1P
 BENCH_RATIO ?= 1.5
 BENCH_FILE ?= BENCH_4.json
 

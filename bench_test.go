@@ -10,7 +10,7 @@
 //	F3 -> BenchmarkSurveillanceSession
 //	F6 -> BenchmarkClusterUpdate
 //	A1 -> BenchmarkPartitionGrain{1,16}
-//	A2 -> BenchmarkFusion{Fused,TwoPass}
+//	A2 -> BenchmarkFusion{Fused,TwoPass} in internal/lattice (the two-pass arm is a test oracle)
 package sbgt_test
 
 import (
@@ -251,25 +251,3 @@ func benchPartitionGrain(b *testing.B, partsPerWorker int) {
 
 func BenchmarkPartitionGrain1(b *testing.B)  { benchPartitionGrain(b, 1) }
 func BenchmarkPartitionGrain16(b *testing.B) { benchPartitionGrain(b, 16) }
-
-// --- A2: kernel fusion -----------------------------------------------------------
-
-func BenchmarkFusionFused(b *testing.B) {
-	m := benchModel(b, 0, 0, flatResp)
-	pm := bitvec.Full(benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Update(pm, outcomes[i%2]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFusionTwoPass(b *testing.B) {
-	m := benchModel(b, 0, 0, flatResp)
-	pm := bitvec.Full(benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.UpdateTwoPass(pm, outcomes[i%2])
-	}
-}

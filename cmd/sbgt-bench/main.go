@@ -1,8 +1,12 @@
 // Command sbgt-bench regenerates every evaluation artifact of the
 // reproduction: the three speedup tables (T1 lattice ops, T2 test
 // selection, T3 statistical analyses), the scaling and accuracy figures
-// (F1–F6), and the design ablations (A1–A3). See DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for recorded results.
+// (F1–F7), the design ablations (A1, A3, A4) and the serve load runs
+// (S1, S1R, S1P). The kernel ablations A2 and A5 are not experiments here:
+// their reference arms are test oracles, compared by
+// `go test ./internal/lattice -run '^$' -bench 'Fusion|NegMassCrossover|NegMassesTiling|Summary|Condition'`.
+// See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
+// recorded results.
 //
 // Usage:
 //
@@ -103,10 +107,8 @@ func registry() []experiment {
 		{"F6", "distributed (TCP executor) lattice kernels", runF6},
 		{"F7", "population-scale campaign (cohort composition)", runF7},
 		{"A1", "ablation: partition granularity", runA1},
-		{"A2", "ablation: fused vs two-pass update", runA2},
 		{"A3", "ablation: halving candidate set (prefix vs +local-search)", runA3},
 		{"A4", "ablation: cohort assignment (sorted vs contiguous binning)", runA4},
-		{"A5", "ablation: structure-aware kernels (sub-lattice, fold, tiling, fusion)", runA5},
 		{"S1", "sbgt-serve loopback load (concurrent cohorts, exact p50/p99 latency)", runS1},
 		{"S1R", "S1 workload with the observability layer on (recorder overhead)", runS1R},
 		{"S1P", "S1 workload with the continuous profiler sampling (profiler overhead)", runS1P},
@@ -140,6 +142,7 @@ func main() {
 		for _, e := range exps {
 			fmt.Printf("%-4s %s\n", e.id, e.title)
 		}
+		fmt.Println("A2, A5: kernel ablations, run as go test ./internal/lattice -run '^$' -bench 'Fusion|NegMassCrossover|NegMassesTiling|Summary|Condition'")
 		return
 	}
 

@@ -169,16 +169,6 @@ func TestDistributedMatchesLocal(t *testing.T) {
 				t.Fatalf("execs=%d: negmasses[%d] %v vs %v", execs, i, lnm[i], dnm[i])
 			}
 		}
-		ld := local.IntersectDist(probe)
-		dd, err := dist.IntersectDist(probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range ld {
-			if math.Abs(ld[k]-dd[k]) > 1e-12 {
-				t.Fatalf("execs=%d: intersect[%d] %v vs %v", execs, k, ld[k], dd[k])
-			}
-		}
 		dmass, err := dist.Mass()
 		if err != nil {
 			t.Fatal(err)
@@ -324,5 +314,94 @@ func TestOpStrings(t *testing.T) {
 	}
 	if got := Op(250).String(); got != "op(250)" {
 		t.Errorf("unknown op string = %q", got)
+	}
+}
+
+// TestOneExecutorBitIdenticalToDense pins the kernel layer's claim that
+// both backends execute the same instructions: a one-executor cluster
+// (one shard, one reduceChunks chunk at N <= 14) and a one-partition dense
+// model share every kernel and have the same reduction shape, so across a
+// seeded 30-update campaign with two conditionings they must agree with
+// == — not a tolerance — on the posterior, the marginals, the entropy, the
+// prefix scan, the candidate scan and every Summary field.
+func TestOneExecutorBitIdenticalToDense(t *testing.T) {
+	const n = 14
+	r := rng.New(1717)
+	risks := make([]float64, n)
+	for i := range risks {
+		risks[i] = 0.02 + 0.3*r.Float64()
+	}
+	resp := dilution.Hyperbolic{MaxSens: 0.96, Spec: 0.99, D: 0.35}
+	pool := engine.NewPool(2)
+	defer pool.Close()
+	local, err := lattice.New(pool, lattice.Config{Risks: risks, Response: resp, Parts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := dialTest(t, startExecutors(t, 1), risks, resp)
+
+	same := func(step int, what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %s has %d entries, dense %d", step, what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: %s[%d] = %v on the executor, %v dense", step, what, i, got[i], want[i])
+			}
+		}
+	}
+	vec := func(v []float64, err error) []float64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for step := 0; step < 30; step++ {
+		if step == 10 || step == 20 {
+			subject, positive := r.Intn(local.N()), step == 20
+			next, err := dist.Condition(subject, positive)
+			if err != nil || next == nil {
+				t.Fatalf("step %d: cluster condition: %v, %v", step, next, err)
+			}
+			t.Cleanup(next.Close)
+			dist = next
+			if local.ConditionInPlace(subject, positive) == nil {
+				t.Fatalf("step %d: dense condition rejected", step)
+			}
+		}
+		nn := local.N()
+		pm := bitvec.Mask(r.Uint64()) & bitvec.Full(nn)
+		if pm == 0 {
+			pm = bitvec.FromIndices(r.Intn(nn))
+		}
+		y := dilution.Negative
+		if r.Bool() {
+			y = dilution.Positive
+		}
+		if errL, errD := local.Update(pm, y), dist.Update(pm, y); errL != nil || errD != nil {
+			t.Fatalf("step %d: update: dense %v, cluster %v", step, errL, errD)
+		}
+		same(step, "posterior", vec(dist.Fetch()), local.Posterior().Slice())
+		same(step, "marginals", vec(dist.Marginals()), local.Marginals())
+		ent, err := dist.Entropy()
+		same(step, "entropy", vec([]float64{ent}, err), []float64{local.Entropy()})
+		order := r.Perm(nn)[:1+r.Intn(nn)]
+		same(step, "prefix masses", vec(dist.PrefixNegMasses(order)), local.PrefixNegMasses(order))
+		cands := make([]bitvec.Mask, 7)
+		for c := range cands {
+			cands[c] = bitvec.Mask(r.Uint64()) & bitvec.Full(nn)
+		}
+		same(step, "candidate masses", vec(dist.NegMasses(cands)), local.NegMasses(cands))
+		ds, err := dist.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := local.Summary()
+		same(step, "summary marginals", ds.Marginals, ls.Marginals)
+		same(step, "summary scalars",
+			[]float64{ds.EntropyBits, ds.MAPMass, ds.ExpectedInfected, ds.Mass, float64(ds.MAPState)},
+			[]float64{ls.EntropyBits, ls.MAPMass, ls.ExpectedInfected, ls.Mass, float64(ls.MAPState)})
 	}
 }

@@ -176,7 +176,8 @@ func TestConditionZeroMassKeepsReceiver(t *testing.T) {
 }
 
 // TestCollapseAndSpliceValidation: the executor rejects every malformed
-// collapse and shard splice without touching its shard.
+// collapse, shard splice, likelihood table and scale factor without
+// touching its shard.
 func TestCollapseAndSpliceValidation(t *testing.T) {
 	e := NewExecutor(1)
 	defer e.Close()
@@ -191,21 +192,30 @@ func TestCollapseAndSpliceValidation(t *testing.T) {
 		}
 	}
 	build(4, 4, 12)
+	before := append([]float64(nil), e.data...)
 	for name, req := range map[string]Request{
-		"two-bit mask":       {Op: OpCollapse, Pool: 3, Base: 0, Factor: 1},
-		"empty mask":         {Op: OpCollapse, Pool: 0, Base: 0, Factor: 1},
-		"bit past cohort":    {Op: OpCollapse, Pool: 16, Base: 0, Factor: 1},
-		"base off the bit":   {Op: OpCollapse, Pool: 2, Base: 1, Factor: 1},
-		"zero factor":        {Op: OpCollapse, Pool: 2, Base: 2, Factor: 0},
-		"negative factor":    {Op: OpCollapse, Pool: 2, Base: 2, Factor: -1},
-		"infinite factor":    {Op: OpCollapse, Pool: 2, Base: 2, Factor: math.Inf(1)},
-		"NaN factor":         {Op: OpCollapse, Pool: 2, Base: 2, Factor: math.NaN()},
-		"inverted range":     {Op: OpLoadShard, Lo: 9, Hi: 8},
-		"range past lattice": {Op: OpLoadShard, Lo: 8, Hi: 17, Data: make([]float64, 5)},
-		"short payload":      {Op: OpLoadShard, Lo: 2, Hi: 12, Data: make([]float64, 1)},
-		"long payload":       {Op: OpLoadShard, Lo: 6, Hi: 10, Data: make([]float64, 1)},
-		"negative mass":      {Op: OpLoadShard, Lo: 3, Hi: 12, Data: []float64{-1}},
-		"fetch inverted":     {Op: OpFetch, Lo: 8, Hi: 6},
+		"two-bit mask":        {Op: OpCollapse, Pool: 3, Base: 0, Factor: 1},
+		"empty mask":          {Op: OpCollapse, Pool: 0, Base: 0, Factor: 1},
+		"bit past cohort":     {Op: OpCollapse, Pool: 16, Base: 0, Factor: 1},
+		"base off the bit":    {Op: OpCollapse, Pool: 2, Base: 1, Factor: 1},
+		"zero factor":         {Op: OpCollapse, Pool: 2, Base: 2, Factor: 0},
+		"negative factor":     {Op: OpCollapse, Pool: 2, Base: 2, Factor: -1},
+		"infinite factor":     {Op: OpCollapse, Pool: 2, Base: 2, Factor: math.Inf(1)},
+		"NaN factor":          {Op: OpCollapse, Pool: 2, Base: 2, Factor: math.NaN()},
+		"inverted range":      {Op: OpLoadShard, Lo: 9, Hi: 8},
+		"range past lattice":  {Op: OpLoadShard, Lo: 8, Hi: 17, Data: make([]float64, 5)},
+		"short payload":       {Op: OpLoadShard, Lo: 2, Hi: 12, Data: make([]float64, 1)},
+		"long payload":        {Op: OpLoadShard, Lo: 6, Hi: 10, Data: make([]float64, 1)},
+		"negative mass":       {Op: OpLoadShard, Lo: 3, Hi: 12, Data: []float64{-1}},
+		"fetch inverted":      {Op: OpFetch, Lo: 8, Hi: 6},
+		"short likelihood":    {Op: OpUpdateMul, Pool: 2, Lik: []float64{0.5}},
+		"negative likelihood": {Op: OpUpdateMul, Pool: 2, Lik: []float64{0.5, -0.1}},
+		"NaN likelihood":      {Op: OpUpdateMul, Pool: 2, Lik: []float64{math.NaN(), 0.5}},
+		"infinite likelihood": {Op: OpUpdateMul, Pool: 2, Lik: []float64{0.5, math.Inf(1)}},
+		"zero scale":          {Op: OpScale, Factor: 0},
+		"negative scale":      {Op: OpScale, Factor: -2},
+		"NaN scale":           {Op: OpScale, Factor: math.NaN()},
+		"infinite scale":      {Op: OpScale, Factor: math.Inf(1)},
 	} {
 		if resp := e.dispatch(req); resp.Err == "" {
 			t.Errorf("%s accepted", name)
@@ -213,6 +223,11 @@ func TestCollapseAndSpliceValidation(t *testing.T) {
 	}
 	if e.n != 4 || e.lo != 4 || len(e.data) != 8 {
 		t.Fatalf("rejected requests changed the shard: n=%d lo=%d len=%d", e.n, e.lo, len(e.data))
+	}
+	for j, w := range before {
+		if e.data[j] != w {
+			t.Fatalf("rejected requests changed state %d: %v, was %v", e.lo+uint64(j), e.data[j], w)
+		}
 	}
 	if resp := e.dispatch(valid); resp.Err != "" || e.n != 3 || e.lo != 2 || len(e.data) != 4 {
 		t.Fatalf("valid collapse: %q, n=%d lo=%d len=%d", resp.Err, e.n, e.lo, len(e.data))

@@ -4,13 +4,13 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"math/bits"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
+	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/prob"
 )
@@ -235,10 +235,8 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 	if resp == nil {
 		return nil, fmt.Errorf("cluster: nil response model")
 	}
-	for i, p := range risks {
-		if !(p > 0 && p < 1) {
-			return nil, fmt.Errorf("cluster: risk[%d] = %v outside (0,1)", i, p)
-		}
+	if _, _, err := lattice.PriorOdds(risks); err != nil {
+		return nil, fmt.Errorf("cluster: %v", err)
 	}
 	total := uint64(1) << uint(n)
 	if uint64(len(addrs)) > total {
@@ -434,14 +432,9 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	if !pool.SubsetOf(bitvec.Full(m.n)) {
 		return fmt.Errorf("cluster: pool %v outside cohort of %d", pool, m.n)
 	}
-	size := pool.Count()
-	lik := make([]float64, size+1)
-	for k := 0; k <= size; k++ {
-		l := m.resp.Likelihood(y, k, size)
-		if l < 0 || math.IsNaN(l) {
-			return fmt.Errorf("cluster: invalid likelihood %v at k=%d", l, k)
-		}
-		lik[k] = l
+	lik, err := lattice.LikelihoodTable(m.resp, y, pool.Count())
+	if err != nil {
+		return fmt.Errorf("cluster: %v", err)
 	}
 	total, err := m.fanoutSum(func(*conn) Request {
 		return Request{Op: OpUpdateMul, Pool: uint64(pool), Lik: lik}
@@ -548,13 +541,6 @@ func (m *Model) Summary() (*Summary, error) {
 	out.ExpectedInfected = exp.Value()
 	out.Mass = mass.Value()
 	return out, nil
-}
-
-// IntersectDist returns the posterior distribution of |S ∩ pool|.
-func (m *Model) IntersectDist(pool bitvec.Mask) ([]float64, error) {
-	return m.fanoutVec(bits.OnesCount64(uint64(pool))+1, func(*conn) Request {
-		return Request{Op: OpIntersect, Pool: uint64(pool)}
-	})
 }
 
 // Mass returns the total posterior mass (≈1 between updates).

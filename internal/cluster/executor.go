@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"math/bits"
 	"net"
 	"time"
@@ -202,8 +201,6 @@ func (e *Executor) dispatch(req Request) Response {
 		return e.negMasses(req)
 	case OpEntropy:
 		return e.entropy(req)
-	case OpIntersect:
-		return e.intersect(req)
 	case OpMass:
 		return e.mass(req)
 	case OpPrefix:
@@ -215,19 +212,16 @@ func (e *Executor) dispatch(req Request) Response {
 	}
 }
 
-// negMassesTile is the shard tile (in states) kept cache-resident across
-// all candidates during a candidate scan: 4096 × 8 B = 32 KiB.
-const negMassesTile = 1 << 12
-
 // forRange runs body over local index chunks of the shard in parallel.
 func (e *Executor) forRange(body func(lo, hi int)) {
 	e.pool.For(len(e.data), 0, body)
 }
 
-// reduceChunks evaluates a compensated partial sum per fixed-size chunk
-// and merges the chunk partials in order, mirroring engine.Vector's
-// deterministic reduction shape.
-func (e *Executor) reduceChunks(body func(lo, hi int) prob.Accumulator) float64 {
+// reduceChunks evaluates kernel's compensated partial sum over each
+// fixed-size chunk of the shard — a run (offset, data) — and merges the
+// chunk partials in order, mirroring engine.Vector's deterministic
+// reduction shape.
+func (e *Executor) reduceChunks(kernel func(offset uint64, data []float64) prob.Accumulator) float64 {
 	const chunk = 1 << 14
 	n := len(e.data)
 	parts := (n + chunk - 1) / chunk
@@ -235,11 +229,7 @@ func (e *Executor) reduceChunks(body func(lo, hi int) prob.Accumulator) float64 
 	e.pool.For(parts, 1, func(plo, phi int) {
 		for p := plo; p < phi; p++ {
 			lo := p * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			partials[p] = body(lo, hi)
+			partials[p] = kernel(e.lo+uint64(lo), e.data[lo:min(lo+chunk, n)])
 		}
 	})
 	var total prob.Accumulator
@@ -258,16 +248,10 @@ func (e *Executor) buildPrior(req Request) Response {
 	if req.Lo >= req.Hi || req.Hi > total {
 		return errorf(req.Op, "invalid shard range [%d,%d) of %d", req.Lo, req.Hi, total)
 	}
-	odds := make([]float64, n)
-	logBase := 0.0
-	for i, p := range req.Risks {
-		if !(p > 0 && p < 1) {
-			return errorf(req.Op, "risk[%d] = %v outside (0,1)", i, p)
-		}
-		odds[i] = p / (1 - p)
-		logBase += math.Log1p(-p)
+	base, odds, err := lattice.PriorOdds(req.Risks)
+	if err != nil {
+		return errorf(req.Op, "%v", err)
 	}
-	base := math.Exp(logBase)
 	e.n = n
 	e.lo = req.Lo
 	e.data = make([]float64, req.Hi-req.Lo)
@@ -314,10 +298,8 @@ func (e *Executor) loadShard(req Request) Response {
 	if lacks := req.Hi - req.Lo - uint64(len(keep)); uint64(len(req.Data)) != lacks {
 		return errorf(req.Op, "shard payload has %d states, range [%d,%d) lacks %d", len(req.Data), req.Lo, req.Hi, lacks)
 	}
-	for _, w := range req.Data {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return errorf(req.Op, "invalid shard mass %v", w)
-		}
+	if i := lattice.FirstInvalid(req.Data); i >= 0 {
+		return errorf(req.Op, "invalid shard mass %v", req.Data[i])
 	}
 	// make (not append) so an empty shard is non-nil: nil means "no shard
 	// built" to dispatch, and an empty shard is a built shard.
@@ -340,7 +322,7 @@ func (e *Executor) collapse(req Request) Response {
 	if req.Base != 0 && req.Base != req.Pool {
 		return errorf(req.Op, "base %#x is neither 0 nor the bit %#x", req.Base, req.Pool)
 	}
-	if !(req.Factor > 0) || math.IsInf(req.Factor, 0) {
+	if !lattice.ValidFactor(req.Factor) {
 		return errorf(req.Op, "invalid factor %v", req.Factor)
 	}
 	if e.n <= 1 {
@@ -352,45 +334,36 @@ func (e *Executor) collapse(req Request) Response {
 	return Response{Op: req.Op}
 }
 
+// updateMul multiplies the shard by the likelihood table and returns the
+// products' sum. The table crosses a trust boundary and the multiply
+// cannot be undone, so every entry is checked before the shard is touched.
 func (e *Executor) updateMul(req Request) Response {
 	want := bits.OnesCount64(req.Pool) + 1
 	if len(req.Lik) != want {
 		return errorf(req.Op, "likelihood table has %d entries, want %d", len(req.Lik), want)
 	}
-	sum := e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for j := lo; j < hi; j++ {
-			s := e.lo + uint64(j)
-			w := e.data[j] * req.Lik[bits.OnesCount64(s&req.Pool)]
-			e.data[j] = w
-			acc.Add(w)
-		}
-		return acc
+	if k := lattice.FirstInvalid(req.Lik); k >= 0 {
+		return errorf(req.Op, "invalid likelihood %v at k=%d", req.Lik[k], k)
+	}
+	sum := e.reduceChunks(func(offset uint64, data []float64) prob.Accumulator {
+		return lattice.MulLikelihood(offset, data, req.Pool, req.Lik)
 	})
 	return Response{Op: req.Op, Sum: sum}
 }
 
 func (e *Executor) scale(req Request) Response {
-	if math.IsNaN(req.Factor) || math.IsInf(req.Factor, 0) {
+	if !lattice.ValidFactor(req.Factor) {
 		return errorf(req.Op, "invalid factor %v", req.Factor)
 	}
 	e.forRange(func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			e.data[j] *= req.Factor
-		}
+		lattice.Scale(e.data[lo:hi], req.Factor)
 	})
 	return Response{Op: req.Op}
 }
 
 func (e *Executor) sumWhere(req Request) Response {
-	sum := e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for j := lo; j < hi; j++ {
-			if (e.lo+uint64(j))&req.Pool == req.Base {
-				acc.Add(e.data[j])
-			}
-		}
-		return acc
+	sum := e.reduceChunks(func(offset uint64, data []float64) prob.Accumulator {
+		return lattice.SumWhere(offset, data, req.Pool, req.Base)
 	})
 	return Response{Op: req.Op, Sum: sum}
 }
@@ -409,57 +382,20 @@ func (e *Executor) negMasses(req Request) Response {
 		return errorf(req.Op, "no candidates")
 	}
 	out := make([]float64, len(req.Cands))
-	// Tile-outer, candidate-inner loop (see lattice.NegMasses): each
-	// 32 KiB shard tile stays cache-resident while every candidate in the
-	// worker's chunk scores it, instead of re-streaming the whole shard
-	// once per candidate. Workers split the candidate list; each out[c]
-	// has a single writer accumulating in fixed tile order, so the result
-	// is deterministic.
+	// Workers split the candidate list and each runs the tiled scan over
+	// the whole shard for its candidates: out[c] has a single writer
+	// accumulating in fixed tile order, so the result is deterministic.
 	e.pool.For(len(req.Cands), 1, func(clo, chi int) {
-		for t0 := 0; t0 < len(e.data); t0 += negMassesTile {
-			t1 := t0 + negMassesTile
-			if t1 > len(e.data) {
-				t1 = len(e.data)
-			}
-			blk := e.data[t0:t1]
-			toff := e.lo + uint64(t0)
-			for c := clo; c < chi; c++ {
-				pm := req.Cands[c]
-				var acc float64
-				for j := range blk {
-					if (toff+uint64(j))&pm == 0 {
-						acc += blk[j]
-					}
-				}
-				out[c] += acc
-			}
-		}
+		lattice.AddCleanMasses(e.lo, e.data, req.Cands[clo:chi], out[clo:chi])
 	})
 	return Response{Op: req.Op, Vec: out}
 }
 
 func (e *Executor) entropy(req Request) Response {
-	sum := e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for _, p := range e.data[lo:hi] {
-			if p > 0 {
-				acc.Add(-p * math.Log(p))
-			}
-		}
-		return acc
+	sum := e.reduceChunks(func(_ uint64, data []float64) prob.Accumulator {
+		return lattice.EntropyNats(data)
 	})
 	return Response{Op: req.Op, Sum: sum}
-}
-
-func (e *Executor) intersect(req Request) Response {
-	out := make([]float64, bits.OnesCount64(req.Pool)+1)
-	for j, w := range e.data {
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		out[bits.OnesCount64((e.lo+uint64(j))&req.Pool)] += w
-	}
-	return Response{Op: OpIntersect, Vec: out}
 }
 
 // prefixScan returns the shard's min-rank histogram for the halving
@@ -477,40 +413,25 @@ func (e *Executor) prefixScan(req Request) Response {
 	return Response{Op: req.Op, Vec: out}
 }
 
-// summary computes the shard's digest: marginal partials from the shared
-// kernel, then the scalar statistics and the shard-local argmax in one
-// loop. Entropy ships in nats; the driver merges executor partials in rank
-// order and converts to bits once.
+// summary computes the shard's digest: marginal partials and the scalar
+// statistics with the shard-local argmax, from the shared kernels. Entropy
+// ships in nats; the driver merges executor partials in rank order and
+// converts to bits once.
 func (e *Executor) summary(req Request) Response {
-	ws := &WireSummary{Marginals: make([]float64, e.n), MAPMass: math.Inf(-1), MAPOK: len(e.data) > 0}
+	ws := &WireSummary{Marginals: make([]float64, e.n), MAPOK: len(e.data) > 0}
 	lattice.AddMarginals(e.lo, e.data, ws.Marginals)
-	var ent, exp, mass prob.Accumulator
-	for j, w := range e.data {
-		mass.Add(w)
-		if w > ws.MAPMass {
-			ws.MAPState, ws.MAPMass = e.lo+uint64(j), w
-		}
-		if w > 0 {
-			ent.Add(-w * math.Log(w))
-			exp.Add(w * float64(bits.OnesCount64(e.lo+uint64(j))))
-		}
-	}
-	ws.Entropy = ent.Value()
-	ws.Expected = exp.Value()
-	ws.Mass = mass.Value()
-	if !ws.MAPOK {
-		ws.MAPMass = 0 // keep the wire form finite; MAPOK marks the argmax absent
+	d := lattice.ScanDigest(e.lo, e.data)
+	ws.Entropy, ws.Expected, ws.Mass = d.Entropy.Value(), d.Expected.Value(), d.Mass.Value()
+	if ws.MAPOK { // else keep the wire form finite; MAPOK marks the argmax absent
+		ws.MAPState, ws.MAPMass = d.MAPState, d.MAPMass
 	}
 	return Response{Op: req.Op, Summary: ws}
 }
 
+// mass sums the whole shard: SumWhere with mask 0 keeps every state.
 func (e *Executor) mass(req Request) Response {
-	sum := e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for _, w := range e.data[lo:hi] {
-			acc.Add(w)
-		}
-		return acc
+	sum := e.reduceChunks(func(offset uint64, data []float64) prob.Accumulator {
+		return lattice.SumWhere(offset, data, 0, 0)
 	})
 	return Response{Op: req.Op, Sum: sum}
 }

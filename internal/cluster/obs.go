@@ -10,7 +10,7 @@ import (
 // allOps enumerates the protocol for per-op metric registration.
 var allOps = []Op{
 	OpPing, OpBuildPrior, OpUpdateMul, OpScale, OpSumWhere, OpMarginals,
-	OpNegMasses, OpEntropy, OpIntersect, OpMass, OpFetch, OpShutdown,
+	OpNegMasses, OpEntropy, OpMass, OpFetch, OpShutdown,
 	OpPrefix, OpLoadShard, OpSummary, OpCollapse,
 }
 

@@ -37,7 +37,6 @@ const (
 	OpMarginals            // partial per-subject marginal vector
 	OpNegMasses            // partial clean-mass vector for candidate pools
 	OpEntropy              // partial Σ −p·ln p
-	OpIntersect            // partial intersect-count distribution for one pool
 	OpMass                 // partial total mass
 	OpFetch                // return the shard's states outside [Lo, Hi): all of it (snapshots), or what a rebalance moves off it
 	OpShutdown             // close the executor process
@@ -66,8 +65,6 @@ func (o Op) String() string {
 		return "neg-masses"
 	case OpEntropy:
 		return "entropy"
-	case OpIntersect:
-		return "intersect"
 	case OpMass:
 		return "mass"
 	case OpFetch:
@@ -99,8 +96,8 @@ type Request struct {
 	// are NOT returned — empty for the whole shard, the new range to get
 	// the states a rebalance takes off this executor.
 	Lo, Hi uint64
-	// UpdateMul / NegMasses / Intersect: pool mask. SumWhere: the bits to
-	// test. Collapse: the single bit of the subject being conditioned out.
+	// UpdateMul: pool mask. SumWhere: the bits to test. Collapse: the
+	// single bit of the subject being conditioned out.
 	Pool  uint64
 	Lik   []float64 // likelihood by intersect count, len = popcount(Pool)+1
 	Cands []uint64  // candidate pool masks

@@ -81,15 +81,6 @@ func BenchmarkSelectionScan(b *testing.B) {
 	})
 }
 
-func BenchmarkIntersectDist(b *testing.B) {
-	m := benchLattice(b, 18, flatResp)
-	pm := bitvec.Full(12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.IntersectDist(pm)
-	}
-}
-
 func BenchmarkCondition(b *testing.B) {
 	m := benchLattice(b, 16, flatResp)
 	b.ReportAllocs()
@@ -102,7 +93,7 @@ func BenchmarkCondition(b *testing.B) {
 }
 
 // BenchmarkConditionInPlace measures the reuse path against the
-// allocating Condition above: the collapse gathers inside the receiver's
+// allocating Condition above (now Clone + the same collapse): the collapse gathers inside the receiver's
 // own backing array, so the 2^N vector (and model) allocation disappears.
 // Each collapse shrinks the model, so rebuild when it runs out.
 func BenchmarkConditionInPlace(b *testing.B) {
@@ -121,11 +112,12 @@ func BenchmarkConditionInPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkNegMassCrossover sweeps pool size × N for both NegMass paths.
-// This sweep backs the SubLatticeMinPool default: the sub-lattice walk
-// visits 2^(N−g) states but strided, the dense sweep visits 2^N
-// contiguously, so the crossover sits where the 2^g state reduction
-// overtakes the bandwidth advantage.
+// BenchmarkNegMassCrossover sweeps pool size × N for NegMass against the
+// full filtered sweep it replaced (the oracle negMassDense). This sweep
+// backs shipping the sub-lattice walk alone: it visits 2^(N−g) states but
+// strided, the dense sweep visits 2^N contiguously, so a crossover would
+// sit where the 2^g state reduction overtakes the bandwidth advantage — on
+// the reference hardware the walk wins from g=1.
 func BenchmarkNegMassCrossover(b *testing.B) {
 	for _, n := range []int{14, 18, 20} {
 		m := benchLattice(b, n, flatResp)
@@ -137,15 +129,11 @@ func BenchmarkNegMassCrossover(b *testing.B) {
 				pm = pm.With(i * n / g)
 			}
 			b.Run(fmt.Sprintf("N=%d/pool=%d/dense", n, g), func(b *testing.B) {
-				prev := SetSubLatticeMinPool(n + 1)
-				defer SetSubLatticeMinPool(prev)
 				for i := 0; i < b.N; i++ {
-					m.NegMass(pm)
+					negMassDense(m, pm)
 				}
 			})
 			b.Run(fmt.Sprintf("N=%d/pool=%d/sublattice", n, g), func(b *testing.B) {
-				prev := SetSubLatticeMinPool(1)
-				defer SetSubLatticeMinPool(prev)
 				for i := 0; i < b.N; i++ {
 					m.NegMass(pm)
 				}
@@ -168,7 +156,7 @@ func BenchmarkNegMassesTiling(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("N=%d/cands=%d/untiled", n, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m.NegMassesUntiled(cands)
+					negMassesUntiled(m, cands)
 				}
 			})
 			b.Run(fmt.Sprintf("N=%d/cands=%d/tiled", n, k), func(b *testing.B) {
@@ -180,16 +168,17 @@ func BenchmarkNegMassesTiling(b *testing.B) {
 	}
 }
 
-// BenchmarkSummary compares the fused digest with the four separate
-// passes it replaces per session round.
+// BenchmarkSummary compares the fused digest with the separate passes it
+// replaces per session round (the argmax and E[|S|] passes are the
+// oracle_test.go forms).
 func BenchmarkSummary(b *testing.B) {
 	m := benchLattice(b, 18, flatResp)
 	b.Run("separate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.Marginals()
 			m.Entropy()
-			m.MAP()
-			m.ExpectedInfected()
+			mapScan(m)
+			expectedInfectedScan(m)
 			m.Mass()
 		}
 	})
@@ -198,6 +187,31 @@ func BenchmarkSummary(b *testing.B) {
 			m.Summary()
 		}
 	})
+}
+
+// BenchmarkFusionFused and BenchmarkFusionTwoPass are the A2 ablation: the
+// shipped Update (multiply and sum in one pass, then a scale pass) against
+// the unfused oracle (multiply pass, then sum and scale).
+func BenchmarkFusionFused(b *testing.B) {
+	m := benchLattice(b, 16, flatResp)
+	pm := bitvec.Full(16)
+	ys := []dilution.Outcome{dilution.Negative, dilution.Positive}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Update(pm, ys[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFusionTwoPass(b *testing.B) {
+	m := benchLattice(b, 16, flatResp)
+	pm := bitvec.Full(16)
+	ys := []dilution.Outcome{dilution.Negative, dilution.Positive}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		updateTwoPass(m, pm, ys[i%2])
+	}
 }
 
 // BenchmarkStageKernels times every full-lattice pass a session stage
@@ -218,6 +232,7 @@ func BenchmarkStageKernels(b *testing.B) {
 			run  func()
 		}{
 			{"marginals", func() { m.Marginals() }},
+			{"marginals_walk", func() { marginalsWalk(m) }}, // the per-state oracle the fold replaced
 			{"prefix_scan", func() { m.PrefixNegMasses(order) }},
 			{"entropy", func() { m.Entropy() }},
 			{"update", func() {

@@ -2,13 +2,29 @@ package lattice
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+
+	"repro/internal/dilution"
+	"repro/internal/prob"
 )
 
-// This file holds the slice-level stage kernels: plain functions over one
-// contiguous run of states (offset = the state index of data[0]). The dense
-// model runs them once per partition and the cluster executor once per
-// shard, so both backends execute the same instructions.
+// This file holds every per-state loop of the lattice and cluster
+// packages: plain functions over one contiguous run of states (offset = the
+// state index of data[0]). The dense model runs them once per partition
+// and the cluster executor once per shard or chunk, so both backends
+// execute the same instructions; each keeps only its own reduction shape
+// and merge order. A loop over posterior states written anywhere else in
+// the two packages is a bug (engine.Vector's own primitives — Scale, Sum,
+// ReduceSubset, FillDoubling — sit below them).
+//
+//	prior        PriorOdds, FillPrior
+//	update       LikelihoodTable, MulLikelihood
+//	reductions   AddMarginals, RankTable.AddMinRankMasses, AddCleanMasses,
+//	             SumWhere, DotLikelihood, EntropyNats, ScanDigest
+//	conditioning KeptBelow, CollapseBit
+//	rescaling    ValidFactor, Scale
+//	input checks FirstInvalid
 
 // foldBits is the split point of the marginal kernel: an aligned block of
 // 2^foldBits states shares its high bits, so the block total is added to
@@ -214,5 +230,175 @@ func FillPrior(offset uint64, data []float64, base float64, odds []float64) {
 		}
 		offset += uint64(len(blk))
 		data = data[len(blk):]
+	}
+}
+
+// PriorOdds validates the prior risks (each must lie in (0, 1): risk 0 or 1
+// is a classified subject and does not enter the lattice) and returns the
+// product prior in the form the fill kernels take: base = Π(1−p_i), the
+// all-negative state's mass, and odds[i] = p_i/(1−p_i), the factor that
+// setting bit i multiplies in.
+func PriorOdds(risks []float64) (base float64, odds []float64, err error) {
+	odds = make([]float64, len(risks))
+	logBase := 0.0
+	for i, p := range risks {
+		if !(p > 0 && p < 1) {
+			return 0, nil, fmt.Errorf("risk[%d] = %v outside (0,1)", i, p)
+		}
+		odds[i] = p / (1 - p)
+		logBase += math.Log1p(-p)
+	}
+	return math.Exp(logBase), odds, nil
+}
+
+// FirstInvalid returns the index of the first entry that cannot be a
+// lattice mass or a likelihood — negative, NaN or infinite — or −1. Input
+// from outside the process (a checkpoint, a wire frame, a response model)
+// passes through it before it touches a posterior: multiplied or spliced
+// in, such a value could not be undone.
+func FirstInvalid(ws []float64) int {
+	for i, w := range ws {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return i
+		}
+	}
+	return -1
+}
+
+// LikelihoodTable returns the checked likelihood of outcome y by infected
+// count k = 0..size for a pool of size specimens. An update's likelihood
+// depends on a state only through k, so this table is all a pass needs.
+func LikelihoodTable(resp dilution.Response, y dilution.Outcome, size int) ([]float64, error) {
+	lik := make([]float64, size+1)
+	for k := range lik {
+		lik[k] = resp.Likelihood(y, k, size)
+	}
+	if k := FirstInvalid(lik); k >= 0 {
+		return nil, fmt.Errorf("response %q returned invalid likelihood %v at k=%d n=%d", resp.Name(), lik[k], k, size)
+	}
+	return lik, nil
+}
+
+// MulLikelihood is the fused update pass: every state s of the run is
+// multiplied in place by lik[|s ∩ pool|], and the compensated sum of the
+// products is returned for the normalization that follows. lik must have
+// popcount(pool)+1 entries.
+func MulLikelihood(offset uint64, data []float64, pool uint64, lik []float64) prob.Accumulator {
+	var acc prob.Accumulator
+	for j := range data {
+		w := data[j] * lik[bits.OnesCount64((offset+uint64(j))&pool)]
+		data[j] = w
+		acc.Add(w)
+	}
+	return acc
+}
+
+// DotLikelihood returns Σ π(s)·lik[|s ∩ pool|] over the run, the predictive
+// probability of the outcome lik describes; the run is not modified.
+func DotLikelihood(offset uint64, data []float64, pool uint64, lik []float64) prob.Accumulator {
+	var acc prob.Accumulator
+	for j, w := range data {
+		if w != 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
+			acc.Add(w * lik[bits.OnesCount64((offset+uint64(j))&pool)])
+		}
+	}
+	return acc
+}
+
+// cleanMassTile is the candidate-scan tile length in states: 4096
+// float64s = 32 KiB, sized so one tile stays L1-resident while every
+// candidate re-reads it.
+const cleanMassTile = 1 << 12
+
+// AddCleanMasses adds to out[c] the run's mass of states disjoint from
+// masks[c], for every candidate, in L1-sized tiles: the tile loop is
+// outermost and the candidate loop re-reads the resident tile, so the
+// run's memory traffic is paid once per tile rather than once per
+// candidate. Per-candidate tile partials accumulate into out in fixed tile
+// order, keeping the result deterministic. Kept out of line: inlined into
+// a caller's closure the scan measured ~2× slower (BenchmarkSelectionScan).
+//
+//go:noinline
+func AddCleanMasses(offset uint64, data []float64, masks []uint64, out []float64) {
+	for t0 := 0; t0 < len(data); t0 += cleanMassTile {
+		t1 := t0 + cleanMassTile
+		if t1 > len(data) {
+			t1 = len(data)
+		}
+		tile := data[t0:t1]
+		toff := offset + uint64(t0)
+		for c, pm := range masks {
+			var acc float64
+			for j := range tile {
+				if (toff+uint64(j))&pm == 0 {
+					acc += tile[j]
+				}
+			}
+			out[c] += acc
+		}
+	}
+}
+
+// SumWhere returns the compensated mass of the run's states s with
+// s&mask == base, visited in index order: a clean-pool mass (base 0), a
+// conditioning event's mass (mask one bit), or with mask 0 the run's total.
+func SumWhere(offset uint64, data []float64, mask, base uint64) prob.Accumulator {
+	var acc prob.Accumulator
+	for j, w := range data {
+		if (offset+uint64(j))&mask == base {
+			acc.Add(w)
+		}
+	}
+	return acc
+}
+
+// EntropyNats returns Σ −p·ln p over the run's positive masses, in nats.
+func EntropyNats(data []float64) prob.Accumulator {
+	var acc prob.Accumulator
+	for _, p := range data {
+		if p > 0 {
+			acc.Add(-p * math.Log(p))
+		}
+	}
+	return acc
+}
+
+// Digest is the scalar part of a posterior summary over one run: total
+// mass, Σ −p·ln p in nats, Σ p·|S|, and the run's argmax — the lowest
+// state on ties, with MAPMass −Inf when the run is empty.
+type Digest struct {
+	Mass, Entropy, Expected prob.Accumulator
+	MAPState                uint64
+	MAPMass                 float64
+}
+
+// ScanDigest computes the run's Digest in one loop. Each statistic keeps
+// the accumulator and state order of its standalone kernel (SumWhere with
+// mask 0, EntropyNats), so it is bit-for-bit theirs.
+func ScanDigest(offset uint64, data []float64) Digest {
+	var mass, ent, exp prob.Accumulator
+	bestState, bestMass := uint64(0), math.Inf(-1)
+	for j, w := range data {
+		mass.Add(w)
+		if w > bestMass {
+			bestState, bestMass = offset+uint64(j), w
+		}
+		if w > 0 {
+			ent.Add(-w * math.Log(w))
+			exp.Add(w * float64(bits.OnesCount64(offset+uint64(j))))
+		}
+	}
+	return Digest{Mass: mass, Entropy: ent, Expected: exp, MAPState: bestState, MAPMass: bestMass}
+}
+
+// ValidFactor reports whether f can rescale a posterior and leave it one:
+// positive and finite. A zero, negative, NaN or infinite factor would
+// destroy the masses it multiplies with no way back.
+func ValidFactor(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
+
+// Scale multiplies every state of the run by factor.
+func Scale(data []float64, factor float64) {
+	for j := range data {
+		data[j] *= factor
 	}
 }

@@ -3,6 +3,7 @@ package lattice
 import (
 	"math"
 	"math/bits"
+	"sort"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -76,10 +77,7 @@ func TestNegMassSubLatticeBitForBit(t *testing.T) {
 			if pm == 0 {
 				continue
 			}
-			prev := SetSubLatticeMinPool(1) // force the sub-lattice walk
-			got := m.NegMass(pm)
-			SetSubLatticeMinPool(prev)
-			want := m.negMassDense(uint64(pm))
+			got, want := m.NegMass(pm), negMassDense(m, pm)
 			if got != want {
 				t.Fatalf("trial %d pool %v: sub-lattice %v vs dense %v", trial, pm, got, want)
 			}
@@ -87,28 +85,10 @@ func TestNegMassSubLatticeBitForBit(t *testing.T) {
 	}
 }
 
-// TestSubLatticeCrossoverTunable pins the setter contract the A5 ablation
-// and the bench sweep rely on.
-func TestSubLatticeCrossoverTunable(t *testing.T) {
-	def := SubLatticeMinPool()
-	if def < 1 {
-		t.Fatalf("default crossover %d < 1", def)
-	}
-	if prev := SetSubLatticeMinPool(9); prev != def {
-		t.Fatalf("setter returned %d, want previous %d", prev, def)
-	}
-	if got := SubLatticeMinPool(); got != 9 {
-		t.Fatalf("crossover %d after set, want 9", got)
-	}
-	if SetSubLatticeMinPool(0); SubLatticeMinPool() != 1 {
-		t.Fatalf("crossover %d after clamping set, want 1", SubLatticeMinPool())
-	}
-	SetSubLatticeMinPool(def)
-}
-
 // TestSummaryBitForBit: every Summary field must equal its standalone
-// kernel exactly — the fused pass reuses the same per-partition loops,
-// accumulators, and rank-ordered merges, so no tolerance is needed.
+// pass exactly — the fused pass keeps the same per-partition loops,
+// accumulators, and rank-ordered merges, so no tolerance is needed. The
+// argmax and E[|S|] passes are the oracle_test.go forms.
 func TestSummaryBitForBit(t *testing.T) {
 	r := rng.New(202)
 	for trial := 0; trial < 20; trial++ {
@@ -124,10 +104,10 @@ func TestSummaryBitForBit(t *testing.T) {
 		if h := m.Entropy(); sum.EntropyBits != h {
 			t.Fatalf("trial %d: fused entropy %v vs %v", trial, sum.EntropyBits, h)
 		}
-		if st, mass := m.MAP(); sum.MAPState != st || sum.MAPMass != mass {
+		if st, mass := mapScan(m); sum.MAPState != st || sum.MAPMass != mass {
 			t.Fatalf("trial %d: fused MAP %v/%v vs %v/%v", trial, sum.MAPState, sum.MAPMass, st, mass)
 		}
-		if e := m.ExpectedInfected(); sum.ExpectedInfected != e {
+		if e := expectedInfectedScan(m); sum.ExpectedInfected != e {
 			t.Fatalf("trial %d: fused E[|S|] %v vs %v", trial, sum.ExpectedInfected, e)
 		}
 		if tot := m.Mass(); sum.Mass != tot {
@@ -148,7 +128,7 @@ func TestMarginalsFoldMatchesWalk(t *testing.T) {
 		for _, parts := range []int{1, 3, 5, 8} {
 			m := randomPosteriorParts(t, r, n, parts, true)
 			fold := m.Marginals()
-			walk := m.MarginalsWalk()
+			walk := marginalsWalk(m)
 			for i := range walk {
 				if math.Abs(fold[i]-walk[i]) > 1e-13*walk[i] {
 					t.Fatalf("n=%d parts=%d: fold marginal[%d] %v vs walk %v", n, parts, i, fold[i], walk[i])
@@ -266,7 +246,7 @@ func TestNegMassesTiledMatchesUntiled(t *testing.T) {
 			cands = append(cands, pm)
 		}
 		tiled := m.NegMasses(cands)
-		flat := m.NegMassesUntiled(cands)
+		flat := negMassesUntiled(m, cands)
 		for c := range cands {
 			if math.Abs(tiled[c]-flat[c]) > 1e-12 {
 				t.Fatalf("n=%d cand %d: tiled %v vs untiled %v", n, c, tiled[c], flat[c])
@@ -277,8 +257,8 @@ func TestNegMassesTiledMatchesUntiled(t *testing.T) {
 
 // TestPredictiveMatchesDefinition checks both Predictive paths — the
 // flat-tail sub-lattice shortcut (count-independent likelihood tables)
-// and the fused general pass — against the direct IntersectDist dot
-// product.
+// and the general DotLikelihood pass — against the definition: the
+// intersect-count distribution's dot product with the likelihood table.
 func TestPredictiveMatchesDefinition(t *testing.T) {
 	r := rng.New(505)
 	responses := []dilution.Response{
@@ -301,7 +281,7 @@ func TestPredictiveMatchesDefinition(t *testing.T) {
 			}
 			for _, y := range []dilution.Outcome{dilution.Negative, dilution.Positive} {
 				got := m.Predictive(pm, y)
-				dist := m.IntersectDist(pm)
+				dist := intersectDist(m, pm)
 				want := 0.0
 				for k, w := range dist {
 					want += w * resp.Likelihood(y, k, pm.Count())
@@ -315,8 +295,10 @@ func TestPredictiveMatchesDefinition(t *testing.T) {
 }
 
 // TestConditionInPlaceMatchesCondition: the in-place collapse must agree
-// with the allocating path state-for-state, and a zero-mass rejection
-// must leave the receiver untouched and usable.
+// with the allocating gather (conditionGather, the form Condition had
+// before it became Clone + ConditionInPlace) state-for-state, and so must
+// Condition itself; a zero-mass rejection must leave the receiver untouched
+// and usable.
 func TestConditionInPlaceMatchesCondition(t *testing.T) {
 	r := rng.New(606)
 	for trial := 0; trial < 20; trial++ {
@@ -324,10 +306,11 @@ func TestConditionInPlaceMatchesCondition(t *testing.T) {
 		m := randomPosterior(t, r, n, false)
 		subject := r.Intn(n)
 		positive := r.Bernoulli(0.5)
-		want := m.Condition(subject, positive) // allocating reference; receiver unchanged
+		want := conditionGather(m, subject, positive) // allocating reference; receiver unchanged
+		viaClone := m.Condition(subject, positive)
 		got := m.ConditionInPlace(subject, positive)
-		if (want == nil) != (got == nil) {
-			t.Fatalf("trial %d: in-place nil=%v, reference nil=%v", trial, got == nil, want == nil)
+		if (want == nil) != (got == nil) || (want == nil) != (viaClone == nil) {
+			t.Fatalf("trial %d: in-place nil=%v, Condition nil=%v, reference nil=%v", trial, got == nil, viaClone == nil, want == nil)
 		}
 		if want == nil {
 			continue
@@ -339,8 +322,9 @@ func TestConditionInPlaceMatchesCondition(t *testing.T) {
 			t.Fatalf("trial %d: shape %d/%d vs %d/%d", trial, got.N(), got.States(), want.N(), want.States())
 		}
 		for s := uint64(0); s < got.States(); s++ {
-			if g, w := got.StateMass(bitvec.Mask(s)), want.StateMass(bitvec.Mask(s)); g != w {
-				t.Fatalf("trial %d: state %d mass %v vs %v", trial, s, g, w)
+			g, c, w := got.StateMass(bitvec.Mask(s)), viaClone.StateMass(bitvec.Mask(s)), want.StateMass(bitvec.Mask(s))
+			if g != w || c != w {
+				t.Fatalf("trial %d: state %d mass in-place %v, Condition %v, reference %v", trial, s, g, c, w)
 			}
 		}
 		gr, wr := got.Risks(), want.Risks()
@@ -458,6 +442,182 @@ func TestFillPriorMatchesWalk(t *testing.T) {
 			if got[j] != want {
 				t.Fatalf("[%d,%d): prior[%d] = %v, walk %v", lo, hi, lo+uint64(j), got[j], want)
 			}
+		}
+	}
+}
+
+// raggedCuts returns ascending cut points 0 = c[0] <= … <= c[k] = n that
+// include an empty run and, when n allows, a run of one state.
+func raggedCuts(r *rng.Source, n int) []int {
+	cuts := []int{0, n}
+	for i := r.Intn(6); i > 0; i-- {
+		cuts = append(cuts, r.Intn(n+1))
+	}
+	one := r.Intn(n)
+	cuts = append(cuts, one, one, one+1) // [one, one) is empty, [one, one+1) one state
+	sort.Ints(cuts)
+	return cuts
+}
+
+// TestSliceKernelsSplitInvariant: each slice kernel, run over arbitrary
+// ragged (offset, len) splits of a random posterior, must produce on every
+// run exactly what a per-state loop written here produces on that run
+// (`==`: the kernels keep the per-state accumulation order; the tiled
+// candidate scan regroups sums per tile, so 1e-12), and the run partials
+// merged in order must agree with the per-state loop over the whole
+// lattice to 1e-12 — a kernel may not depend on where its run starts.
+func TestSliceKernelsSplitInvariant(t *testing.T) {
+	r := rng.New(1111)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12 }
+	for n := 2; n <= 12; n++ {
+		full := randomPosterior(t, r, n, n%2 == 0).Posterior().Slice()
+		pm := r.Uint64()&uint64(bitvec.Full(n)) | 1
+		lik := make([]float64, bits.OnesCount64(pm)+1)
+		for k := range lik {
+			lik[k] = r.Float64()
+		}
+		masks := make([]uint64, 5)
+		for c := range masks {
+			masks[c] = r.Uint64() & uint64(bitvec.Full(n))
+		}
+		base := pm & r.Uint64()
+		factor := 0.25 + r.Float64()
+
+		// Whole-lattice per-state oracles.
+		var wantMul, wantDot, wantWhere, wantEnt, wantMass, wantExp float64
+		wantClean := make([]float64, len(masks))
+		wantMAP, wantMAPMass := uint64(0), math.Inf(-1)
+		for s, w := range full {
+			l := lik[bits.OnesCount64(uint64(s)&pm)]
+			wantMul += w * l
+			wantDot += w * l
+			wantMass += w
+			if uint64(s)&pm == base {
+				wantWhere += w
+			}
+			if w > 0 {
+				wantEnt -= w * math.Log(w)
+				wantExp += w * float64(bits.OnesCount64(uint64(s)))
+			}
+			if w > wantMAPMass {
+				wantMAP, wantMAPMass = uint64(s), w
+			}
+			for c, cm := range masks {
+				if uint64(s)&cm == 0 {
+					wantClean[c] += w
+				}
+			}
+		}
+
+		var gotMul, gotDot, gotWhere, gotEnt, gotMass, gotExp prob.Accumulator
+		gotClean := make([]float64, len(masks))
+		gotMAP, gotMAPMass := uint64(0), math.Inf(-1)
+		cuts := raggedCuts(r, len(full))
+		for i := 0; i+1 < len(cuts); i++ {
+			off := uint64(cuts[i])
+			run := full[cuts[i]:cuts[i+1]]
+
+			// The run's own per-state oracle, same accumulators in state order.
+			var oMul, oDot, oWhere, oEnt, oMass, oExp prob.Accumulator
+			oClean := make([]float64, len(masks))
+			oMAP, oMAPMass := uint64(0), math.Inf(-1)
+			oData := make([]float64, len(run))
+			for j, w := range run {
+				s := off + uint64(j)
+				l := lik[bits.OnesCount64(s&pm)]
+				oData[j] = w * l
+				oMul.Add(w * l)
+				if w != 0 {
+					oDot.Add(w * l)
+				}
+				oMass.Add(w)
+				if s&pm == base {
+					oWhere.Add(w)
+				}
+				if w > 0 {
+					oEnt.Add(-w * math.Log(w))
+					oExp.Add(w * float64(bits.OnesCount64(s)))
+				}
+				if w > oMAPMass {
+					oMAP, oMAPMass = s, w
+				}
+				for c, cm := range masks {
+					if s&cm == 0 {
+						oClean[c] += w
+					}
+				}
+			}
+
+			if acc := DotLikelihood(off, run, pm, lik); acc != oDot {
+				t.Fatalf("n=%d run [%d,+%d): DotLikelihood %v, oracle %v", n, off, len(run), acc, oDot)
+			} else {
+				gotDot.Merge(acc)
+			}
+			if acc := SumWhere(off, run, pm, base); acc != oWhere {
+				t.Fatalf("n=%d run [%d,+%d): SumWhere %v, oracle %v", n, off, len(run), acc, oWhere)
+			} else {
+				gotWhere.Merge(acc)
+			}
+			if acc := SumWhere(off, run, 0, 0); acc != oMass {
+				t.Fatalf("n=%d run [%d,+%d): SumWhere(mask 0) %v, oracle total %v", n, off, len(run), acc, oMass)
+			}
+			if acc := EntropyNats(run); acc != oEnt {
+				t.Fatalf("n=%d run [%d,+%d): EntropyNats %v, oracle %v", n, off, len(run), acc, oEnt)
+			} else {
+				gotEnt.Merge(acc)
+			}
+			d := ScanDigest(off, run)
+			if d.Mass != oMass || d.Entropy != oEnt || d.Expected != oExp || d.MAPMass != oMAPMass || (len(run) > 0 && d.MAPState != oMAP) {
+				t.Fatalf("n=%d run [%d,+%d): ScanDigest %+v, oracle mass %v entropy %v E|S| %v argmax %d/%v",
+					n, off, len(run), d, oMass, oEnt, oExp, oMAP, oMAPMass)
+			}
+			gotMass.Merge(d.Mass)
+			gotExp.Merge(d.Expected)
+			if d.MAPMass > gotMAPMass { // runs are in state order, so first-wins is the lowest state
+				gotMAP, gotMAPMass = d.MAPState, d.MAPMass
+			}
+			clean := make([]float64, len(masks))
+			AddCleanMasses(off, run, masks, clean)
+			for c := range masks {
+				if !near(clean[c], oClean[c]) {
+					t.Fatalf("n=%d run [%d,+%d): AddCleanMasses[%d] %v, oracle %v", n, off, len(run), c, clean[c], oClean[c])
+				}
+				gotClean[c] += clean[c]
+			}
+			scaled := append([]float64(nil), run...)
+			Scale(scaled, factor)
+			mul := append([]float64(nil), run...)
+			acc := MulLikelihood(off, mul, pm, lik)
+			if acc != oMul {
+				t.Fatalf("n=%d run [%d,+%d): MulLikelihood sum %v, oracle %v", n, off, len(run), acc, oMul)
+			}
+			gotMul.Merge(acc)
+			for j := range run {
+				if mul[j] != oData[j] || scaled[j] != run[j]*factor {
+					t.Fatalf("n=%d state %d: MulLikelihood %v (oracle %v), Scale %v (oracle %v)",
+						n, off+uint64(j), mul[j], oData[j], scaled[j], run[j]*factor)
+				}
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"MulLikelihood", gotMul.Value(), wantMul}, {"DotLikelihood", gotDot.Value(), wantDot},
+			{"SumWhere", gotWhere.Value(), wantWhere}, {"EntropyNats", gotEnt.Value(), wantEnt},
+			{"ScanDigest mass", gotMass.Value(), wantMass}, {"ScanDigest E|S|", gotExp.Value(), wantExp},
+		} {
+			if !near(c.got, c.want) {
+				t.Fatalf("n=%d cuts %v: merged %s %v, whole-lattice oracle %v", n, cuts, c.name, c.got, c.want)
+			}
+		}
+		for c := range masks {
+			if !near(gotClean[c], wantClean[c]) {
+				t.Fatalf("n=%d cuts %v: merged AddCleanMasses[%d] %v, whole-lattice oracle %v", n, cuts, c, gotClean[c], wantClean[c])
+			}
+		}
+		if gotMAP != wantMAP || gotMAPMass != wantMAPMass {
+			t.Fatalf("n=%d cuts %v: merged argmax %d/%v, oracle %d/%v", n, cuts, gotMAP, gotMAPMass, wantMAP, wantMAPMass)
 		}
 	}
 }

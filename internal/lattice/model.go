@@ -20,6 +20,18 @@
 //   - Condition: collapse a classified subject out of the lattice, halving
 //     the state space (how sequential surveillance keeps the model small).
 //
+// Every per-state loop lives once, in kernels.go, as a plain function
+// over one contiguous run of states (offset, []float64): the prior fill
+// (FillPrior, PriorOdds), the update multiply-and-sum (MulLikelihood over a
+// LikelihoodTable), the reductions (AddMarginals, RankTable's min-rank
+// histogram, AddCleanMasses, SumWhere, DotLikelihood, EntropyNats,
+// ScanDigest), the conditioning gather (CollapseBit, KeptBelow) and Scale.
+// Model's methods run them per partition and the cluster executor runs
+// them on its shard; each backend owns only its reduction shape and merge
+// order. A loop over posterior states outside kernels.go is a bug
+// (engine.Vector's primitives sit below this package; the reference and
+// ablation forms the kernels are tested against live in the _test files).
+//
 // The per-stage passes are branch-free on the data. Marginals come from
 // halving folds (AddMarginals): in an aligned 256-state block bit 7's mass
 // is the sum of the upper half, and adding that half onto the lower leaves
@@ -27,14 +39,12 @@
 // two additions per state, and the block total for the shared high bits.
 // The prefix scan (RankTable) reads a state's minimum order-rank as
 // min(table[low byte], minimum over the high bits), the second computed
-// once per block. Both are plain functions over (offset, []float64), which
-// the cluster executor calls on its shard.
+// once per block.
 package lattice
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
@@ -72,29 +82,27 @@ type Model struct {
 }
 
 // alloc validates cfg and returns a model of its cohort around a zeroed
-// posterior, for New and Restore to fill.
-func alloc(pool *engine.Pool, cfg Config) (*Model, error) {
+// posterior, for New and Restore to fill, with the prior's base and odds.
+func alloc(pool *engine.Pool, cfg Config) (m *Model, base float64, odds []float64, err error) {
 	n := len(cfg.Risks)
 	if n == 0 {
-		return nil, fmt.Errorf("lattice: empty cohort")
+		return nil, 0, nil, fmt.Errorf("lattice: empty cohort")
 	}
 	if n > MaxSubjects {
-		return nil, fmt.Errorf("lattice: cohort size %d exceeds max %d (use the cluster runtime)", n, MaxSubjects)
+		return nil, 0, nil, fmt.Errorf("lattice: cohort size %d exceeds max %d (use the cluster runtime)", n, MaxSubjects)
 	}
 	if cfg.Response == nil {
-		return nil, fmt.Errorf("lattice: nil response model")
+		return nil, 0, nil, fmt.Errorf("lattice: nil response model")
 	}
-	for i, p := range cfg.Risks {
-		if !(p > 0 && p < 1) {
-			return nil, fmt.Errorf("lattice: risk[%d] = %v outside (0,1)", i, p)
-		}
+	if base, odds, err = PriorOdds(cfg.Risks); err != nil {
+		return nil, 0, nil, fmt.Errorf("lattice: %v", err)
 	}
 	return &Model{
 		n:     n,
 		risks: append([]float64(nil), cfg.Risks...),
 		resp:  cfg.Response,
 		post:  engine.NewVector(pool, uint64(1)<<uint(n), cfg.Parts),
-	}, nil
+	}, base, odds, nil
 }
 
 // New builds the prior lattice model on the given pool.
@@ -108,17 +116,11 @@ func alloc(pool *engine.Pool, cfg Config) (*Model, error) {
 // built by doubling: level i is the first 2^i states times odds[i], one
 // multiply per state (engine.Vector.FillDoubling).
 func New(pool *engine.Pool, cfg Config) (*Model, error) {
-	m, err := alloc(pool, cfg)
+	m, base, odds, err := alloc(pool, cfg)
 	if err != nil {
 		return nil, err
 	}
-	odds := make([]float64, m.n)
-	logBase := 0.0
-	for i, p := range m.risks {
-		odds[i] = p / (1 - p)
-		logBase += math.Log1p(-p)
-	}
-	m.post.FillDoubling(math.Exp(logBase), odds)
+	m.post.FillDoubling(base, odds)
 	// The product measure sums to 1 analytically; normalize anyway to wash
 	// out rounding so downstream invariant checks can be strict.
 	if total := m.post.Normalize(); !(total > 0) {
@@ -166,25 +168,12 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	if !pool.SubsetOf(bitvec.Full(m.n)) {
 		return fmt.Errorf("lattice: pool %v outside cohort of %d", pool, m.n)
 	}
-	size := pool.Count()
-	lik := make([]float64, size+1)
-	for k := 0; k <= size; k++ {
-		l := m.resp.Likelihood(y, k, size)
-		if l < 0 || math.IsNaN(l) {
-			return fmt.Errorf("lattice: response %q returned invalid likelihood %v at k=%d n=%d", m.resp.Name(), l, k, size)
-		}
-		lik[k] = l
+	lik, err := LikelihoodTable(m.resp, y, pool.Count())
+	if err != nil {
+		return fmt.Errorf("lattice: %v", err)
 	}
-	pm := uint64(pool)
 	total := m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
-		var acc prob.Accumulator
-		for j := range data {
-			s := offset + uint64(j)
-			w := data[j] * lik[bits.OnesCount64(s&pm)]
-			data[j] = w
-			acc.Add(w)
-		}
-		return acc
+		return MulLikelihood(offset, data, uint64(pool), lik)
 	})
 	if !(total > 0) || math.IsInf(total, 0) {
 		return fmt.Errorf("lattice: outcome %v on pool %v has zero total likelihood (total %v)", y, pool, total)
@@ -194,36 +183,13 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	return nil
 }
 
-// UpdateTwoPass is the unfused variant of Update (separate reweight and
-// normalize passes over the lattice). It exists for the A2 fusion ablation;
-// results are identical to Update up to one rounding. It panics on the
-// error cases Update reports, since it is bench-only.
-func (m *Model) UpdateTwoPass(pool bitvec.Mask, y dilution.Outcome) {
-	size := pool.Count()
-	lik := make([]float64, size+1)
-	for k := 0; k <= size; k++ {
-		lik[k] = m.resp.Likelihood(y, k, size)
-	}
-	pm := uint64(pool)
-	m.post.ForPartitions(func(_ int, offset uint64, data []float64) {
-		for j := range data {
-			s := offset + uint64(j)
-			data[j] *= lik[bits.OnesCount64(s&pm)]
-		}
-	})
-	if total := m.post.Normalize(); !(total > 0) {
-		panic(fmt.Sprintf("lattice: zero-likelihood outcome in UpdateTwoPass (total %v)", total))
-	}
-	m.tests++
-}
-
 // Restore rebuilds a model from a previously captured posterior (state
 // order, length 2^len(cfg.Risks)) and test counter — the checkpointing
 // hook used by internal/latticeio. The posterior is renormalized on load
 // so a checkpoint written mid-update cannot smuggle in an unnormalized
 // lattice.
 func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Model, error) {
-	m, err := alloc(pool, cfg)
+	m, _, _, err := alloc(pool, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -231,10 +197,8 @@ func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Mo
 		return nil, fmt.Errorf("lattice: posterior has %d states, cohort of %d needs %d",
 			len(posterior), m.n, m.post.Len())
 	}
-	for _, w := range posterior {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("lattice: invalid posterior mass %v", w)
-		}
+	if i := FirstInvalid(posterior); i >= 0 {
+		return nil, fmt.Errorf("lattice: invalid posterior mass %v", posterior[i])
 	}
 	m.post.ForPartitions(func(_ int, offset uint64, data []float64) {
 		copy(data, posterior[offset:])

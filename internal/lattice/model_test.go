@@ -202,7 +202,7 @@ func TestUpdateTwoPassMatchesFused(t *testing.T) {
 	if err := a.Update(pm, dilution.Positive); err != nil {
 		t.Fatal(err)
 	}
-	b.UpdateTwoPass(pm, dilution.Positive)
+	updateTwoPass(b, pm, dilution.Positive)
 	for s := uint64(0); s < a.States(); s++ {
 		x, y := a.StateMass(bitvec.Mask(s)), b.StateMass(bitvec.Mask(s))
 		if math.Abs(x-y) > 1e-14*math.Max(1, x) {

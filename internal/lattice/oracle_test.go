@@ -1,0 +1,171 @@
+package lattice
+
+import (
+	"math"
+	"math/bits"
+
+	"repro/internal/bitvec"
+	"repro/internal/dilution"
+	"repro/internal/engine"
+	"repro/internal/prob"
+)
+
+// The reference and ablation forms of the shipped kernels. They left the
+// API (nothing in production called them) and stay here as the oracles the
+// kernels are tested against and the old arms of the go test -bench
+// comparisons in bench_test.go.
+
+// updateTwoPass is the unfused Update: a reweight pass, then a separate
+// sum-and-scale. It agrees with Update up to one rounding and panics where
+// Update reports an error.
+func updateTwoPass(m *Model, pool bitvec.Mask, y dilution.Outcome) {
+	size := pool.Count()
+	lik := make([]float64, size+1)
+	for k := 0; k <= size; k++ {
+		lik[k] = m.resp.Likelihood(y, k, size)
+	}
+	pm := uint64(pool)
+	m.post.ForPartitions(func(_ int, offset uint64, data []float64) {
+		for j := range data {
+			s := offset + uint64(j)
+			data[j] *= lik[bits.OnesCount64(s&pm)]
+		}
+	})
+	if total := m.post.Normalize(); !(total > 0) {
+		panic("lattice: zero-likelihood outcome in updateTwoPass")
+	}
+	m.tests++
+}
+
+// marginalsWalk is the marginal pass as a full per-state bit walk; it
+// agrees with Marginals up to accumulation-order rounding.
+func marginalsWalk(m *Model) []float64 {
+	return m.post.ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
+		addMarginalsWalk(offset, data, out)
+	})
+}
+
+// negMassDense is NegMass as a full filtered sweep: it visits the clean
+// states in increasing index order with the same per-partition accumulator
+// as the sub-lattice walk, so the two agree bit-for-bit.
+func negMassDense(m *Model, pool bitvec.Mask) float64 {
+	pm := uint64(pool)
+	return m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+		var acc prob.Accumulator
+		for j := range data {
+			if (offset+uint64(j))&pm == 0 {
+				acc.Add(data[j])
+			}
+		}
+		return acc
+	})
+}
+
+// negMassesUntiled is the pre-tiling candidate scan (candidate-outer loop
+// re-reading the whole partition per candidate); it agrees with NegMasses
+// up to accumulation-order rounding.
+func negMassesUntiled(m *Model, cands []bitvec.Mask) []float64 {
+	return m.post.ReduceVec(len(cands), func(_ int, offset uint64, data []float64, out []float64) {
+		for c, pm := range cands {
+			var acc float64
+			for j := range data {
+				if (offset+uint64(j))&uint64(pm) == 0 {
+					acc += data[j]
+				}
+			}
+			out[c] = acc
+		}
+	})
+}
+
+// intersectDist is the posterior distribution of k = |S ∩ pool|: element k
+// holds P(|S ∩ pool| = k | data). Predictive is defined as its dot product
+// with the likelihood table.
+func intersectDist(m *Model, pool bitvec.Mask) []float64 {
+	pm := uint64(pool)
+	return m.post.ReduceVec(pool.Count()+1, func(_ int, offset uint64, data []float64, out []float64) {
+		for j, w := range data {
+			out[bits.OnesCount64((offset+uint64(j))&pm)] += w
+		}
+	})
+}
+
+// mapScan is the standalone argmax pass: per-partition best, merged with
+// ties to the lowest state.
+func mapScan(m *Model) (bitvec.Mask, float64) {
+	type best struct {
+		state uint64
+		mass  float64
+	}
+	parts := make([]best, m.post.Parts())
+	m.post.ForPartitions(func(p int, offset uint64, data []float64) {
+		b := best{mass: math.Inf(-1)}
+		for j := range data {
+			if data[j] > b.mass {
+				b = best{state: offset + uint64(j), mass: data[j]}
+			}
+		}
+		parts[p] = b
+	})
+	top := best{mass: math.Inf(-1)}
+	for _, b := range parts {
+		if b.mass > top.mass || (b.mass == top.mass && b.state < top.state) {
+			top = b
+		}
+	}
+	return bitvec.Mask(top.state), top.mass
+}
+
+// expectedInfectedScan is the standalone E[|S|] pass.
+func expectedInfectedScan(m *Model) float64 {
+	return m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+		var acc prob.Accumulator
+		for j, w := range data {
+			if w != 0 {
+				acc.Add(w * float64(bits.OnesCount64(offset+uint64(j))))
+			}
+		}
+		return acc
+	})
+}
+
+// conditionGather is the allocating conditioning path: a fresh vector
+// gathers each surviving state by re-inserting the subject's bit into its
+// index, then normalizes. ConditionInPlace must agree with it state for
+// state; the receiver is unchanged.
+func conditionGather(m *Model, subject int, positive bool) *Model {
+	if subject < 0 || subject >= m.n || m.n <= 1 {
+		return nil
+	}
+	nn := m.n - 1
+	low := uint64(1)<<uint(subject) - 1 // bits below the removed subject
+	bit := uint64(1) << uint(subject)
+	parts := m.post.Parts()
+	if uint64(parts) > uint64(1)<<uint(nn) {
+		parts = 1 << uint(nn)
+	}
+	out := &Model{
+		n:     nn,
+		risks: make([]float64, 0, nn),
+		resp:  m.resp,
+		post:  engine.NewVector(m.post.Pool(), uint64(1)<<uint(nn), parts),
+		tests: m.tests,
+	}
+	out.risks = append(out.risks, m.risks[:subject]...)
+	out.risks = append(out.risks, m.risks[subject+1:]...)
+	src := m.post
+	out.post.ForPartitions(func(_ int, offset uint64, data []float64) {
+		for j := range data {
+			sp := offset + uint64(j)
+			old := (sp & low) | ((sp &^ low) << 1)
+			if positive {
+				old |= bit
+			}
+			data[j] = src.At(old)
+		}
+	})
+	if total := out.post.Normalize(); !(total > 0) {
+		return nil
+	}
+	return out
+}

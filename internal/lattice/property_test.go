@@ -73,11 +73,11 @@ func TestInvariantsUnderRandomCampaigns(t *testing.T) {
 							trial, probe, nm, i, 1-marg[i])
 					}
 				}
-				// Invariant: IntersectDist sums to 1 and its zero slot is
-				// exactly NegMass.
-				dist := m.IntersectDist(probe)
+				// Invariant: the intersect-count distribution sums to 1 and
+				// its zero slot is exactly NegMass.
+				dist := intersectDist(m, probe)
 				if math.Abs(prob.Sum(dist)-1) > 1e-9 {
-					t.Fatalf("trial %d: IntersectDist sums to %v", trial, prob.Sum(dist))
+					t.Fatalf("trial %d: intersect distribution sums to %v", trial, prob.Sum(dist))
 				}
 				if math.Abs(dist[0]-nm) > 1e-9 {
 					t.Fatalf("trial %d: dist[0]=%v vs NegMass=%v", trial, dist[0], nm)

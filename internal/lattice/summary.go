@@ -2,7 +2,6 @@ package lattice
 
 import (
 	"math"
-	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/prob"
@@ -28,36 +27,24 @@ type Summary struct {
 
 // summaryPartial is one partition's contribution to the fused summary.
 type summaryPartial struct {
-	marg           []float64
-	ent, exp, mass prob.Accumulator
-	bestState      uint64
-	bestMass       float64
+	marg []float64
+	Digest
 }
 
 // Summary computes the posterior digest in a single parallel sweep: each
-// partition runs the marginal kernel and one scalar loop back to back.
+// partition runs the marginal kernel and the scalar kernel back to back.
 // Per-partition partials merge in ascending partition order (compensated
 // for the additive statistics, lowest-state tie-break for the argmax), so
-// the result is deterministic like every other reduction. Every field is
-// bit-for-bit the standalone kernel's: the marginals are AddMarginals
-// under ReduceVec's merge, and the scalar loop keeps the accumulators and
-// state order of Entropy, MAP, ExpectedInfected and Mass.
+// the result is deterministic like every other reduction. The marginals
+// are AddMarginals under ReduceVec's merge and ScanDigest keeps the
+// accumulators and state order of Entropy and Mass, so those fields are
+// bit-for-bit the standalone methods'.
 func (m *Model) Summary() *Summary {
 	parts := make([]summaryPartial, m.post.Parts())
 	m.post.ForPartitions(func(p int, offset uint64, data []float64) {
-		pt := summaryPartial{marg: make([]float64, m.n), bestMass: math.Inf(-1)}
-		AddMarginals(offset, data, pt.marg)
-		for j, w := range data {
-			pt.mass.Add(w)
-			if w > pt.bestMass {
-				pt.bestState, pt.bestMass = offset+uint64(j), w
-			}
-			if w > 0 {
-				pt.ent.Add(-w * math.Log(w))
-				pt.exp.Add(w * float64(bits.OnesCount64(offset+uint64(j))))
-			}
-		}
-		parts[p] = pt
+		marg := make([]float64, m.n)
+		AddMarginals(offset, data, marg)
+		parts[p] = summaryPartial{marg, ScanDigest(offset, data)}
 	})
 
 	out := &Summary{Marginals: make([]float64, m.n), MAPMass: math.Inf(-1)}
@@ -67,11 +54,11 @@ func (m *Model) Summary() *Summary {
 		for j, x := range pt.marg {
 			margAccs[j].Add(x)
 		}
-		ent.Merge(pt.ent)
-		exp.Merge(pt.exp)
-		mass.Merge(pt.mass)
-		if pt.bestMass > out.MAPMass || (pt.bestMass == out.MAPMass && pt.bestState < uint64(out.MAPState)) { //lint:allow floats exact equality is the deterministic argmax tie-break
-			out.MAPState, out.MAPMass = bitvec.Mask(pt.bestState), pt.bestMass
+		ent.Merge(pt.Entropy)
+		exp.Merge(pt.Expected)
+		mass.Merge(pt.Mass)
+		if pt.MAPMass > out.MAPMass || (pt.MAPMass == out.MAPMass && pt.MAPState < uint64(out.MAPState)) { //lint:allow floats exact equality is the deterministic argmax tie-break
+			out.MAPState, out.MAPMass = bitvec.Mask(pt.MAPState), pt.MAPMass
 		}
 	}
 	for j := range margAccs {

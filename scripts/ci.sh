@@ -19,8 +19,8 @@ go run ./cmd/sbgt-lint -baseline-check ./...
 echo '== go test =='
 go test ./...
 
-echo '== stage-kernel and cluster-conditioning benchmarks (one iteration each, so they cannot rot) =='
-go test ./internal/lattice -run '^$' -bench BenchmarkStageKernels -benchtime 1x
+echo '== stage-kernel, kernel-ablation and cluster-conditioning benchmarks (one iteration each, so they cannot rot) =='
+go test ./internal/lattice -run '^$' -bench 'BenchmarkStageKernels|BenchmarkNegMassCrossover|BenchmarkNegMassesTiling|BenchmarkSummary|BenchmarkFusion' -benchtime 1x
 go test ./internal/cluster -run '^$' -bench BenchmarkClusterCondition -benchtime 1x
 
 echo '== go test -race (concurrency substrate + backend conformance + obs) =='
@@ -38,7 +38,7 @@ echo '== serve smoke (boot sbgt-serve, drive over HTTP, drain on SIGTERM) =='
 ./scripts/serve_smoke.sh
 
 echo '== bench smoke (quick, vs committed baseline, 5x bound) =='
-go run ./cmd/sbgt-bench -exp T1,F6,A5,S1,S1R,S1P -quick -baseline BENCH_new.json > /dev/null
+go run ./cmd/sbgt-bench -exp T1,F6,S1,S1R,S1P -quick -baseline BENCH_new.json > /dev/null
 go run ./cmd/sbgt-benchdiff -ratio 5 BENCH_4.json BENCH_new.json
 
 echo '== sbgt-metriclint (metric naming + cardinality contract over the bench snapshot) =='
