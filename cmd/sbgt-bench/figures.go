@@ -237,6 +237,7 @@ func runF6(c *ctx) error {
 			LocalExecutors: execs,
 			ExecWorkers:    1,
 			DialTimeout:    2 * time.Second,
+			Obs:            c.obs,
 		}.Open(nil, risks, benchResponse)
 		if err != nil {
 			return err

@@ -1,12 +1,12 @@
-// Command sbgt-bench regenerates every evaluation artifact of the
-// reproduction: the three speedup tables (T1 lattice ops, T2 test
+// Command sbgt-bench regenerates the paper-reproduction tables recorded in
+// EXPERIMENTS.md: the three speedup tables (T1 lattice ops, T2 test
 // selection, T3 statistical analyses), the scaling and accuracy figures
-// (F1–F7), the design ablations (A1, A3, A4) and the serve load runs
-// (S1, S1R, S1P). The kernel ablations A2 and A5 are not experiments here:
-// their reference arms are test oracles, compared by
+// (F1–F7) and the design ablations (A1, A3, A4). It gates nothing: whether
+// a change made the system faster is answered by the repository benchmark
+// (benchmark/README.md). The kernel ablations A2 and A5 are not experiments
+// here: their reference arms are test oracles, compared by
 // `go test ./internal/lattice -run '^$' -bench 'Fusion|NegMassCrossover|NegMassesTiling|Summary|Condition'`.
-// See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// recorded results.
+// See DESIGN.md §4 for the experiment index.
 //
 // Usage:
 //
@@ -23,17 +23,11 @@
 //	-seed uint      root seed for every randomized experiment (default 1)
 //	-backend string posterior backend for the study experiments (F3, F4):
 //	                dense | sparse | cluster (default dense)
-//	-json string    write a machine-readable run report (experiments,
-//	                wall times, and the full metric snapshot — including
-//	                per-stage session timings) to this file; "-" = stdout
-//	-baseline string
-//	                write a schema-versioned bench file (BENCH_<n>.json:
-//	                per-experiment wall times, registry snapshot, git SHA)
-//	                here, for regression comparison with sbgt-benchdiff
 //
 // Observability flags (shared across the sbgt commands):
 //
-//	-metrics-addr string  serve /metrics, /healthz, and pprof here
+//	-metrics-addr string  serve /metrics, /metrics.json (the registry
+//	                      snapshot sbgt-metriclint reads), /healthz, pprof
 //	-log-level string     debug | info | warn | error (default info)
 //	-trace-out string     write collected spans as NDJSON on exit
 package main
@@ -41,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -48,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/benchfile"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/posterior"
@@ -68,7 +62,7 @@ type ctx struct {
 	workers int
 	seed    uint64
 	backend posterior.Spec // posterior backend for the study experiments
-	out     *os.File
+	out     io.Writer
 	obs     *obs.Registry // nil-safe shared registry for every experiment
 }
 
@@ -109,23 +103,18 @@ func registry() []experiment {
 		{"A1", "ablation: partition granularity", runA1},
 		{"A3", "ablation: halving candidate set (prefix vs +local-search)", runA3},
 		{"A4", "ablation: cohort assignment (sorted vs contiguous binning)", runA4},
-		{"S1", "sbgt-serve loopback load (concurrent cohorts, exact p50/p99 latency)", runS1},
-		{"S1R", "S1 workload with the observability layer on (recorder overhead)", runS1R},
-		{"S1P", "S1 workload with the continuous profiler sampling (profiler overhead)", runS1P},
 	}
 }
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "all", `experiment ids, comma-separated, or "all"`)
-		quick    = flag.Bool("quick", false, "reduced problem sizes")
-		csv      = flag.Bool("csv", false, "also emit CSV")
-		workers  = flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
-		seed     = flag.Uint64("seed", 1, "root seed")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		backend  = flag.String("backend", "dense", "posterior backend for the study experiments: dense | sparse | cluster")
-		jsonOut  = flag.String("json", "", `write a JSON run report (wall times + metric snapshot) here; "-" = stdout`)
-		baseline = flag.String("baseline", "", `write a schema-versioned bench file (for sbgt-benchdiff) here; "-" = stdout`)
+		expFlag = flag.String("exp", "all", `experiment ids, comma-separated, or "all"`)
+		quick   = flag.Bool("quick", false, "reduced problem sizes")
+		csv     = flag.Bool("csv", false, "also emit CSV")
+		workers = flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
+		seed    = flag.Uint64("seed", 1, "root seed")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		backend = flag.String("backend", "dense", "posterior backend for the study experiments: dense | sparse | cluster")
 	)
 	obsFlags := obs.RegisterFlags(nil)
 	flag.Parse()
@@ -186,31 +175,13 @@ func main() {
 		c.workers = runtime.GOMAXPROCS(0)
 	}
 	fmt.Printf("sbgt-bench: %d workers, quick=%v, seed=%d, backend=%s\n\n", c.workers, c.quick, c.seed, kind)
-	// The run report and the bench baseline are the same schema-versioned
-	// artifact (benchfile.File); -json keeps its historical name.
-	report := &benchfile.File{Workers: c.workers, Quick: c.quick, Seed: c.seed, Backend: string(kind)}
 	for _, e := range exps {
 		if *expFlag != "all" && !want[e.id] {
 			continue
 		}
 		fmt.Printf("### %s: %s\n", e.id, e.title)
-		start := time.Now()
 		if err := e.run(c); err != nil {
 			rt.Fatal(fmt.Errorf("%s: %v", e.id, err))
-		}
-		report.Experiments = append(report.Experiments, benchfile.Experiment{
-			ID: e.id, Title: e.title, Seconds: time.Since(start).Seconds(),
-		})
-	}
-	if *jsonOut != "" || *baseline != "" {
-		report.Metrics = rt.Reg.Snapshot()
-	}
-	for _, path := range []string{*jsonOut, *baseline} {
-		if path == "" {
-			continue
-		}
-		if err := benchfile.Write(path, report); err != nil {
-			rt.Fatal(err)
 		}
 	}
 }

@@ -129,19 +129,11 @@ func load(src string) (*obs.Snapshot, error) {
 		defer f.Close()
 		r = f
 	}
-	// Accept either a bare registry snapshot (/metrics.json) or a bench
-	// file (BENCH_<n>.json) whose snapshot sits under the "metrics" key.
-	var doc struct {
-		obs.Snapshot
-		Metrics *obs.Snapshot `json:"metrics"`
-	}
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	var snap obs.Snapshot
+	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("decode %s: %w", src, err)
 	}
-	if doc.Metrics != nil {
-		return doc.Metrics, nil
-	}
-	return &doc.Snapshot, nil
+	return &snap, nil
 }
 
 // series is the name+labels view the rules operate on, flattened across

@@ -1,7 +1,6 @@
 // Command sbgt-profdiff compares two profile captures by cumulative
-// hot-function share and exits nonzero on regression — the trajectory
-// treatment BENCH_n.json gives wall times, applied to where the time
-// goes.
+// hot-function share and exits nonzero on regression: a before/after
+// comparison of where the time goes rather than of how much there is.
 //
 // Usage:
 //

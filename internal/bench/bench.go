@@ -1,6 +1,6 @@
 // Package bench provides the small harness the experiment driver
 // (cmd/sbgt-bench) uses to time kernels, sweep parameters, and print the
-// tables and series that correspond to the paper's evaluation artifacts.
+// tables that correspond to the paper's evaluation artifacts.
 //
 // Output discipline: every experiment prints (a) a human-readable aligned
 // table to stdout and (b) optionally the same rows as CSV, so EXPERIMENTS.md
@@ -168,27 +168,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Series is a labelled (x, y) sequence for figure-style outputs.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Add appends one point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// WriteTo renders the series as "name x y" lines.
-func (s *Series) WriteTo(w io.Writer) (int64, error) {
-	var b strings.Builder
-	for i := range s.X {
-		fmt.Fprintf(&b, "%s\t%g\t%g\n", s.Name, s.X[i], s.Y[i])
-	}
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
 }

@@ -86,18 +86,3 @@ func TestTableCSV(t *testing.T) {
 		t.Fatalf("CSV = %q, want %q", sb.String(), want)
 	}
 }
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "halving"
-	s.Add(1, 5.5)
-	s.Add(2, 4.25)
-	var sb strings.Builder
-	if _, err := s.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "halving\t1\t5.5\nhalving\t2\t4.25\n"
-	if sb.String() != want {
-		t.Fatalf("series = %q", sb.String())
-	}
-}

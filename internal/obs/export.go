@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -13,9 +12,8 @@ import (
 )
 
 // Snapshot is a point-in-time capture of every metric in a registry, the
-// unit the JSON exporter and the bench harness serialize. Within one
-// section entries are sorted by name then labels, so snapshots diff
-// cleanly across runs.
+// unit the JSON exporter serializes. Within one section entries are sorted
+// by name then labels, so snapshots diff cleanly across runs.
 type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters,omitempty"`
 	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
@@ -287,15 +285,4 @@ func (s *Snapshot) WriteOpenMetrics(w io.Writer) error {
 // epoch, the OpenMetrics exemplar timestamp form.
 func openMetricsTS(t time.Time) string {
 	return strconv.FormatFloat(float64(t.UnixNano())/1e9, 'f', 3, 64)
-}
-
-// PublishExpvar exposes the registry under the given expvar name as a
-// Func rendering the JSON snapshot (visible on /debug/vars). Publishing
-// the same name twice is a no-op: expvar forbids replacement, and the
-// first-published registry wins.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

@@ -83,10 +83,3 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		t.Error("two snapshots of identical registries differ")
 	}
 }
-
-func TestPublishExpvar(t *testing.T) {
-	r := goldenRegistry()
-	r.PublishExpvar("sbgt_test_registry")
-	// Double-publish must not panic.
-	r.PublishExpvar("sbgt_test_registry")
-}

@@ -7,9 +7,9 @@ import (
 
 // The flight recorder and exemplar path sit on the serve request hot
 // path, so their per-call cost is the observability layer's per-request
-// overhead (the S1 vs S1R comparison in the bench file measures the same
-// thing end to end, but single-run loopback p99 is noisy; these pin the
-// per-operation cost directly).
+// overhead (the serve_hot workload of the repository benchmark pays it
+// end to end with the whole layer attached; these pin the per-operation
+// cost directly).
 
 func BenchmarkFlightRecord(b *testing.B) {
 	r := NewFlightRecorder(2048)

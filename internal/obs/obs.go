@@ -2,8 +2,8 @@
 // dependency-free, race-safe metrics registry (counters, gauges,
 // fixed-bucket histograms with a lock-free sync/atomic hot path), a Span
 // API for named timed regions with parent/child nesting, a leveled
-// structured logger built on log/slog, and exporters (expvar, Prometheus
-// text, JSON snapshots, and an HTTP mux serving /metrics, /healthz, and
+// structured logger built on log/slog, and exporters (Prometheus text,
+// JSON snapshots, and an HTTP mux serving /metrics, /healthz, and
 // net/http/pprof).
 //
 // SBGT's headline claims are throughput numbers; this package is how the
@@ -57,8 +57,7 @@ func fullName(name string, labels []Label) string {
 }
 
 // validName reports whether name is a legal metric identifier
-// ([a-zA-Z_:][a-zA-Z0-9_:]*), the subset shared by Prometheus and expvar
-// consumers.
+// ([a-zA-Z_:][a-zA-Z0-9_:]*), the Prometheus identifier grammar.
 func validName(name string) bool {
 	if name == "" {
 		return false

@@ -7,11 +7,11 @@ import (
 	"sort"
 )
 
-// Profile-share diffing: the trajectory treatment BENCH_n.json gives
-// wall times, applied to where the time goes. Two captures (or a
-// capture and a committed baseline table) are compared by cumulative
-// hot-function share; a function whose share of total grew by more than
-// a threshold — and is large enough to matter — is a regression.
+// Profile-share diffing: a before/after comparison of where the time
+// goes. Two captures (or a capture and a committed baseline table) are
+// compared by cumulative hot-function share; a function whose share of
+// total grew by more than a threshold — and is large enough to matter —
+// is a regression.
 // Shares, not absolute nanoseconds, so a diff is meaningful across
 // windows of different lengths and machines of different speeds.
 

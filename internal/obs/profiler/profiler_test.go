@@ -414,8 +414,7 @@ func TestNilProfilerIsSafe(t *testing.T) {
 
 // BenchmarkSnapshotCapture measures the cost of one snapshot-only
 // capture (heap+goroutine+mutex, no CPU window) — the per-interval
-// price of background sampling, certifying the overhead budget
-// alongside the S1P bench experiment.
+// price of background sampling.
 func BenchmarkSnapshotCapture(b *testing.B) {
 	p, err := New(Config{Dir: b.TempDir(), CPUWindow: -1, Cooldown: -1, KeepSamples: 2})
 	if err != nil {
@@ -434,7 +433,7 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 // BenchmarkRecordWhileWindowOpen measures the request-path cost the
 // profiler adds while a CPU window is open: none directly (capture runs
 // on its own goroutine) — this pins the hot-path arithmetic a profiled
-// process runs, for comparing profiled vs unprofiled in the S1P notes.
+// process runs.
 func BenchmarkRecordWhileWindowOpen(b *testing.B) {
 	p, err := New(Config{Dir: b.TempDir(), CPUWindow: 10 * time.Second, Cooldown: -1})
 	if err != nil {

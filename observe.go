@@ -8,9 +8,9 @@ import (
 )
 
 // Metrics is a process-wide metric registry: counters, gauges, and
-// histograms with a lock-free hot path, exportable as Prometheus text,
-// JSON, or expvar. Hand one to Engine.Instrument, Backend.Obs, and
-// Config.Obs to light up the whole pipeline.
+// histograms with a lock-free hot path, exportable as Prometheus text or
+// JSON. Hand one to Engine.Instrument, Backend.Obs, and Config.Obs to
+// light up the whole pipeline.
 type Metrics = obs.Registry
 
 // NewMetrics creates an empty registry.
