@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -42,6 +43,21 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 		}
 		if len(lines) < 4 {
 			t.Errorf("%s: table has no data row:\n%s", e.id, buf.String())
+			continue
+		}
+		if e.id == "F4" {
+			// The entropy trace is opt-in (core.Config.EntropyTrace); a study
+			// that forgot to ask for it would print a flat table of zeros. In
+			// every arm the first stage printed after the prior must have
+			// removed some entropy and left some.
+			for _, row := range lines[3:] {
+				f := strings.Fields(row)
+				prior, _ := strconv.ParseFloat(f[1], 64)
+				next, err := strconv.ParseFloat(f[2], 64)
+				if err != nil || !(next > 0 && next < prior) {
+					t.Errorf("F4 %s: entropy %q after the prior's %q, want positive and below it", f[0], f[2], f[1])
+				}
+			}
 		}
 	}
 

@@ -323,7 +323,11 @@ func TestOpStrings(t *testing.T) {
 // model share every kernel and have the same reduction shape, so across a
 // seeded 30-update campaign with two conditionings they must agree with
 // == — not a tolerance — on the posterior, the marginals, the entropy, the
-// prefix scan, the candidate scan and every Summary field.
+// prefix scan, the candidate scan and every Summary field. Both carry
+// their normaliser as a scalar and must fold it the same way: on every
+// third step two updates and a condition run back to back with only
+// Marginals and PrefixNegMasses read in between, so the comparison is of
+// the un-settled path, before the settled readers below apply the scale.
 func TestOneExecutorBitIdenticalToDense(t *testing.T) {
 	const n = 14
 	r := rng.New(1717)
@@ -358,19 +362,21 @@ func TestOneExecutorBitIdenticalToDense(t *testing.T) {
 		}
 		return v
 	}
-	for step := 0; step < 30; step++ {
-		if step == 10 || step == 20 {
-			subject, positive := r.Intn(local.N()), step == 20
-			next, err := dist.Condition(subject, positive)
-			if err != nil || next == nil {
-				t.Fatalf("step %d: cluster condition: %v, %v", step, next, err)
-			}
-			t.Cleanup(next.Close)
-			dist = next
-			if local.ConditionInPlace(subject, positive) == nil {
-				t.Fatalf("step %d: dense condition rejected", step)
-			}
+	condition := func(step int, positive bool) {
+		t.Helper()
+		subject := r.Intn(local.N())
+		next, err := dist.Condition(subject, positive)
+		if err != nil || next == nil {
+			t.Fatalf("step %d: cluster condition: %v, %v", step, next, err)
 		}
+		t.Cleanup(next.Close)
+		dist = next
+		if local.ConditionInPlace(subject, positive) == nil {
+			t.Fatalf("step %d: dense condition rejected", step)
+		}
+	}
+	update := func(step int) {
+		t.Helper()
 		nn := local.N()
 		pm := bitvec.Mask(r.Uint64()) & bitvec.Full(nn)
 		if pm == 0 {
@@ -383,6 +389,31 @@ func TestOneExecutorBitIdenticalToDense(t *testing.T) {
 		if errL, errD := local.Update(pm, y), dist.Update(pm, y); errL != nil || errD != nil {
 			t.Fatalf("step %d: update: dense %v, cluster %v", step, errL, errD)
 		}
+	}
+	// unsettled compares the two readers that take the pending scale as a
+	// factor of their sums and leave it pending.
+	unsettled := func(step int) {
+		t.Helper()
+		nn := local.N()
+		same(step, "unsettled marginals", vec(dist.Marginals()), local.Marginals())
+		order := r.Perm(nn)[:1+r.Intn(nn)]
+		same(step, "unsettled prefix masses", vec(dist.PrefixNegMasses(order)), local.PrefixNegMasses(order))
+	}
+	for step := 0; step < 30; step++ {
+		if step == 10 || step == 20 {
+			condition(step, step == 20)
+		}
+		if step%3 == 1 && local.N() > 8 {
+			update(step)
+			unsettled(step)
+			update(step)
+			unsettled(step)
+			condition(step, step%2 == 0)
+			unsettled(step)
+		}
+		update(step)
+		unsettled(step)
+		nn := local.N()
 		same(step, "posterior", vec(dist.Fetch()), local.Posterior().Slice())
 		same(step, "marginals", vec(dist.Marginals()), local.Marginals())
 		ent, err := dist.Entropy()
@@ -403,5 +434,70 @@ func TestOneExecutorBitIdenticalToDense(t *testing.T) {
 		same(step, "summary scalars",
 			[]float64{ds.EntropyBits, ds.MAPMass, ds.ExpectedInfected, ds.Mass, float64(ds.MAPState)},
 			[]float64{ls.EntropyBits, ls.MAPMass, ls.ExpectedInfected, ls.Mass, float64(ls.MAPState)})
+	}
+}
+
+// TestPriorClosedFormMatchesSweepOnCluster is the lattice test of the same
+// name on a loopback cluster: a freshly dialed model answers Marginals and
+// Entropy from its risks with no RPC, both equal to what the kernels read
+// off the fetched shards, and after one Update or one Condition the shards
+// are swept.
+func TestPriorClosedFormMatchesSweepOnCluster(t *testing.T) {
+	r := rng.New(919)
+	resp := dilution.Binary{Sens: 0.93, Spec: 0.98}
+	check := func(what string, m *Model, wantPrior bool) {
+		t.Helper()
+		if m.prior != wantPrior {
+			t.Fatalf("%s: prior flag %v, want %v", what, m.prior, wantPrior)
+		}
+		marg, err := m.Marginals()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, err := m.Entropy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		post, err := m.Fetch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMarg := make([]float64, m.N())
+		lattice.AddMarginals(0, post, wantMarg)
+		nats := lattice.EntropyNats(post)
+		wantEnt := nats.Value() / math.Ln2
+		for i := range wantMarg {
+			if math.Abs(marg[i]-wantMarg[i]) > 1e-12 {
+				t.Fatalf("%s: marginal %d = %v, swept %v", what, i, marg[i], wantMarg[i])
+			}
+		}
+		if math.Abs(ent-wantEnt) > 1e-12*math.Max(1, wantEnt) {
+			t.Fatalf("%s: entropy %v, swept %v", what, ent, wantEnt)
+		}
+	}
+	for _, n := range []int{1, 2, 5, 9, 14} {
+		risks := make([]float64, n)
+		for i := range risks {
+			risks[i] = 0.01 + 0.9*r.Float64()
+		}
+		addrs := startExecutors(t, min(2, 1<<uint(n)))
+		fresh := dialTest(t, addrs, risks, resp)
+		check("prior", fresh, true)
+		if err := fresh.Update(bitvec.Full(n), dilution.Positive); err != nil {
+			t.Fatal(err)
+		}
+		check("updated", fresh, false)
+		if marg, _ := fresh.Marginals(); !(marg[0] > risks[0]) {
+			t.Fatalf("n=%d: a positive pool left marginal 0 at %v (risk %v)", n, marg[0], risks[0])
+		}
+		if n > 1 {
+			fresh.Close() // an executor serves one driver at a time
+			cond, err := dialTest(t, addrs, risks, resp).Condition(r.Intn(n), r.Bool())
+			if err != nil || cond == nil {
+				t.Fatalf("n=%d: condition: %v, %v", n, cond, err)
+			}
+			t.Cleanup(cond.Close)
+			check("conditioned", cond, false)
+		}
 	}
 }

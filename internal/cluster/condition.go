@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/lattice"
 )
@@ -40,15 +39,15 @@ func (m *Model) Condition(subject int, positive bool) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	factor := 1 / mass
-	if !(mass > 0) || math.IsInf(factor, 0) {
+	factor := 1 / mass // of stored mass: the collapse leaves no scale pending
+	if !lattice.ValidFactor(factor) {
 		return nil, nil
 	}
 
 	risks := make([]float64, 0, m.n-1)
 	risks = append(risks, m.risks[:subject]...)
 	risks = append(risks, m.risks[subject+1:]...)
-	out := &Model{conns: m.conns, n: m.n - 1, risks: risks, resp: m.resp, tests: m.tests, met: m.met, tracer: m.tracer, parent: m.parent, flight: m.flight}
+	out := &Model{conns: m.conns, n: m.n - 1, risks: risks, resp: m.resp, tests: m.tests, scale: 1, met: m.met, tracer: m.tracer, parent: m.parent, flight: m.flight}
 	m.conns = nil // ownership transfers; the receiver's Close is now a no-op
 
 	_, err = out.fanout(func(*conn) Request {

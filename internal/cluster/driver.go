@@ -84,6 +84,10 @@ type Model struct {
 	resp  dilution.Response
 	tests int
 	met   *clusterMetrics // nil when uninstrumented; shared by the conns
+	// scale and prior are lattice.Model's, for the shards: the posterior is
+	// scale × what the executors hold, and prior marks the untouched prior.
+	scale float64
+	prior bool
 
 	// Distributed tracing state: when tracer is set and parent holds a
 	// valid context (injected by the session via SetTraceContext), every
@@ -173,7 +177,7 @@ type DialOptions struct {
 
 // Dial connects to the executors, shards the lattice across them
 // proportionally to their order, and materializes the prior product
-// measure remotely. The model is normalized before Dial returns.
+// measure remotely. Its normaliser is carried on the model, not applied.
 //
 // Executors are dialed concurrently, and the deadline applies per
 // connection — covering both the TCP dial and that executor's
@@ -294,19 +298,14 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 		return nil, firstErr
 	}
 	met.noteShards(m.conns)
-	// Merge the prior partials in rank order and normalize remotely.
+	// Merge the prior partials in rank order; 1/total is the carried scale.
 	var acc prob.Accumulator
 	for _, s := range sums {
 		acc.Add(s)
 	}
-	sum := acc.Value()
-	if !(sum > 0) {
+	if m.scale, m.prior = 1/acc.Value(), true; !lattice.ValidFactor(m.scale) {
 		m.Close()
-		return nil, fmt.Errorf("cluster: degenerate prior (total %v)", sum)
-	}
-	if err := m.scale(1 / sum); err != nil {
-		m.Close()
-		return nil, err
+		return nil, fmt.Errorf("cluster: degenerate prior (total %v)", acc.Value())
 	}
 	return m, nil
 }
@@ -394,7 +393,8 @@ func (m *Model) fanoutSum(build func(c *conn) Request) (float64, error) {
 	return acc.Value(), nil
 }
 
-// fanoutVec fans out and merges vector partials element-wise in rank order.
+// fanoutVec fans out, merges vector partials element-wise in rank order and
+// multiplies in the carried scale (1 once settled).
 func (m *Model) fanoutVec(length int, build func(c *conn) Request) ([]float64, error) {
 	resps, err := m.fanout(build)
 	if err != nil {
@@ -411,20 +411,26 @@ func (m *Model) fanoutVec(length int, build func(c *conn) Request) ([]float64, e
 	}
 	out := make([]float64, length)
 	for j := range accs {
-		out[j] = accs[j].Value()
+		out[j] = accs[j].Value() * m.scale
 	}
 	return out, nil
 }
 
-func (m *Model) scale(factor float64) error {
-	_, err := m.fanout(func(*conn) Request {
-		return Request{Op: OpScale, Factor: factor}
-	})
+// settle applies the carried normaliser to the shards — the one OpScale
+// round — for the readers that take raw mass.
+func (m *Model) settle() error {
+	if m.scale == 1 { //lint:allow floats exactly 1 marks "nothing pending", not a numeric test
+		return nil
+	}
+	_, err := m.fanout(func(*conn) Request { return Request{Op: OpScale, Factor: m.scale} })
+	if err == nil {
+		m.scale = 1
+	}
 	return err
 }
 
-// Update folds one pooled-test outcome into the distributed posterior:
-// one fused multiply-and-sum round, one scale round.
+// Update folds one pooled-test outcome into the distributed posterior in one
+// fused multiply-and-sum round, the scale carried as lattice.Model.Update does.
 func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	if pool == 0 {
 		return fmt.Errorf("cluster: empty pool")
@@ -436,24 +442,26 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	if err != nil {
 		return fmt.Errorf("cluster: %v", err)
 	}
+	lattice.Scale(lik, m.scale)
 	total, err := m.fanoutSum(func(*conn) Request {
 		return Request{Op: OpUpdateMul, Pool: uint64(pool), Lik: lik}
 	})
 	if err != nil {
 		return err
 	}
-	if !(total > 0) || math.IsInf(total, 0) {
+	if !lattice.ValidFactor(1 / total) {
 		return fmt.Errorf("cluster: outcome %v on pool %v has zero total likelihood", y, pool)
 	}
-	if err := m.scale(1 / total); err != nil {
-		return err
-	}
+	m.scale, m.prior = 1/total, false
 	m.tests++
 	return nil
 }
 
 // Marginals returns every subject's posterior infection probability.
 func (m *Model) Marginals() ([]float64, error) {
+	if m.prior {
+		return m.Risks(), nil
+	}
 	return m.fanoutVec(m.n, func(*conn) Request {
 		return Request{Op: OpMarginals}
 	})
@@ -461,6 +469,9 @@ func (m *Model) Marginals() ([]float64, error) {
 
 // NegMass returns P(S ∩ pool = ∅ | data).
 func (m *Model) NegMass(pool bitvec.Mask) (float64, error) {
+	if err := m.settle(); err != nil {
+		return 0, err
+	}
 	return m.fanoutSum(func(*conn) Request {
 		return Request{Op: OpSumWhere, Pool: uint64(pool)}
 	})
@@ -475,6 +486,9 @@ func (m *Model) NegMasses(cands []bitvec.Mask) ([]float64, error) {
 	for i, c := range cands {
 		masks[i] = uint64(c)
 	}
+	if err := m.settle(); err != nil {
+		return nil, err
+	}
 	return m.fanoutVec(len(cands), func(*conn) Request {
 		return Request{Op: OpNegMasses, Cands: masks}
 	})
@@ -482,6 +496,12 @@ func (m *Model) NegMasses(cands []bitvec.Mask) ([]float64, error) {
 
 // Entropy returns the posterior entropy in bits.
 func (m *Model) Entropy() (float64, error) {
+	if m.prior {
+		return lattice.PriorSummary(m.risks).EntropyBits, nil
+	}
+	if err := m.settle(); err != nil {
+		return 0, err
+	}
 	nats, err := m.fanoutSum(func(*conn) Request {
 		return Request{Op: OpEntropy}
 	})
@@ -491,16 +511,8 @@ func (m *Model) Entropy() (float64, error) {
 	return nats / math.Ln2, nil
 }
 
-// Summary is the driver-side merged fused digest; fields mirror
-// posterior.Summary.
-type Summary struct {
-	Marginals        []float64
-	EntropyBits      float64
-	MAPState         bitvec.Mask
-	MAPMass          float64
-	ExpectedInfected float64
-	Mass             float64
-}
+// Summary is the driver-side merged fused digest.
+type Summary = lattice.Summary
 
 // Summary gathers the digest a session opens with in ONE distributed
 // round trip — marginals, entropy, MAP, expected-infected, and total
@@ -509,6 +521,12 @@ type Summary struct {
 // takes the lowest state on ties (shards are rank-ordered by state range,
 // so first-wins is the lowest state).
 func (m *Model) Summary() (*Summary, error) {
+	if m.prior {
+		return lattice.PriorSummary(m.risks), nil
+	}
+	if err := m.settle(); err != nil {
+		return nil, err
+	}
 	resps, err := m.fanout(func(*conn) Request { return Request{Op: OpSummary} })
 	if err != nil {
 		return nil, err
@@ -545,6 +563,9 @@ func (m *Model) Summary() (*Summary, error) {
 
 // Mass returns the total posterior mass (≈1 between updates).
 func (m *Model) Mass() (float64, error) {
+	if err := m.settle(); err != nil {
+		return 0, err
+	}
 	return m.fanoutSum(func(*conn) Request {
 		return Request{Op: OpMass}
 	})
@@ -553,6 +574,9 @@ func (m *Model) Mass() (float64, error) {
 // Fetch materializes the full posterior on the driver, in state order.
 // Intended for tests and small lattices only: it moves 8·2^N bytes.
 func (m *Model) Fetch() ([]float64, error) {
+	if err := m.settle(); err != nil {
+		return nil, err
+	}
 	resps, err := m.fanout(func(*conn) Request {
 		return Request{Op: OpFetch}
 	})

@@ -32,7 +32,7 @@ const (
 	OpPing       Op = iota // liveness check; echoes
 	OpBuildPrior           // materialize the prior product measure on the shard
 	OpUpdateMul            // multiply shard by a likelihood table, return partial sum
-	OpScale                // multiply shard by a scalar
+	OpScale                // multiply shard by a scalar (the driver's settle round, and nothing else)
 	OpSumWhere             // partial sum of states s with s&Pool == Base (NegMass; the conditioning preflight)
 	OpMarginals            // partial per-subject marginal vector
 	OpNegMasses            // partial clean-mass vector for candidate pools

@@ -6,7 +6,8 @@ import (
 
 // PrefixNegMasses returns the clean masses of every nested prefix of the
 // subject ordering, distributed: each executor histograms its shard by
-// minimum order-rank, the driver merges in rank order and suffix-sums.
+// minimum order-rank, the driver merges in rank order (fanoutVec brings in
+// the carried scale) and suffix-sums.
 //
 // Together with N, Marginals, and NegMasses this makes *Model satisfy
 // halving.Posterior, so pool selection over the distributed posterior is

@@ -58,9 +58,9 @@ func TestRPCTracePropagation(t *testing.T) {
 	if len(tr.Roots) != 1 || tr.Roots[0].Name != "session" {
 		t.Fatalf("trace roots = %+v, want single session root", tr.Roots)
 	}
-	// Update = update-mul + scale rounds, Marginals one more; each fans out
-	// to 2 executors, so 6 rpc spans each holding one exec span with one
-	// kernel child.
+	// Update is one update-mul round (its normaliser is carried, not
+	// applied), Marginals one more; each fans out to 2 executors, so 4 rpc
+	// spans each holding one exec span with one kernel child.
 	var rpcs, execs, kernels int
 	tr.Walk(func(depth int, n *obs.TraceNode) {
 		switch {
@@ -81,8 +81,8 @@ func TestRPCTracePropagation(t *testing.T) {
 			kernels++
 		}
 	})
-	if rpcs != 6 || execs != 6 || kernels != 6 {
-		t.Errorf("span counts rpc=%d exec=%d kernel=%d, want 6 each", rpcs, execs, kernels)
+	if rpcs != 4 || execs != 4 || kernels != 4 {
+		t.Errorf("span counts rpc=%d exec=%d kernel=%d, want 4 each", rpcs, execs, kernels)
 	}
 	if tr.TraceID != root.Context().TraceID {
 		t.Errorf("assembled trace ID %x, want %x", tr.TraceID, root.Context().TraceID)

@@ -42,6 +42,10 @@ type sessionHeader struct {
 	MaxStages    int
 	Parts        int
 	Done         bool
+	// EntropyTrace echoes Config.EntropyTrace so a resumed traced campaign
+	// keeps extending Entropy. Checkpoints that predate the field decode it
+	// false: their recorded prefix stays and nothing is appended.
+	EntropyTrace bool
 }
 
 const sessionVersion = 2
@@ -97,6 +101,7 @@ func (s *Session) SaveSession(w io.Writer) error {
 		MaxStages:    s.cfg.MaxStages,
 		Parts:        s.cfg.Parts,
 		Done:         s.model == nil,
+		EntropyTrace: s.cfg.EntropyTrace,
 	}
 	if s.pend != nil {
 		h.Version = sessionVersionPending
@@ -233,6 +238,7 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Se
 			NegThreshold: h.NegThreshold,
 			MaxStages:    h.MaxStages,
 			Parts:        h.Parts,
+			EntropyTrace: h.EntropyTrace,
 		}
 		full, err := cfg.withDefaults()
 		if err != nil {
@@ -276,6 +282,7 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Se
 			NegThreshold: h.NegThreshold,
 			MaxStages:    h.MaxStages,
 			Parts:        h.Parts,
+			EntropyTrace: h.EntropyTrace,
 		}
 	}
 	return s, nil

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/dilution"
 	"repro/internal/halving"
+	"repro/internal/latticeio"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -19,7 +22,7 @@ func TestSessionCheckpointMidCampaign(t *testing.T) {
 	popu := workload.Draw(risks, r)
 	oracle := workload.NewOracle(popu, resp, r)
 
-	sess, err := NewSession(pool, Config{Risks: risks, Response: resp})
+	sess, err := NewSession(pool, Config{Risks: risks, Response: resp, EntropyTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +151,107 @@ func TestLoadSessionStrategyMismatch(t *testing.T) {
 	}
 	if _, err := LoadSession(&buf, pool, halving.Individual{}); err == nil {
 		t.Fatal("lookahead checkpoint accepted a non-halving strategy")
+	}
+}
+
+// TestCheckpointCarriesEntropyTrace: a traced session saved while a
+// proposal is outstanding resumes traced — the full trace of the
+// interrupted campaign (runHeld, which traces) equals an uninterrupted
+// one's. (That an untraced header resumes untraced is the next test.)
+func TestCheckpointCarriesEntropyTrace(t *testing.T) {
+	pool := newTestPool(t)
+	risks := workload.BetaRisks(10, 2, 6, rng.New(51))
+	dense := heldBackends[0].spec
+	want := runHeld(t, pool, dense, risks, 52, false, 0)
+	if want.Stages < 4 || len(want.EntropyTrace) < 4 {
+		t.Fatalf("campaign too short to interrupt: %d stages, trace %v", want.Stages, want.EntropyTrace)
+	}
+	got := runHeld(t, pool, dense, risks, 52, false, 3)
+	if got.Stages != want.Stages || len(got.EntropyTrace) != len(want.EntropyTrace) {
+		t.Fatalf("resumed campaign: %d stages, %d trace points; uninterrupted %d, %d",
+			got.Stages, len(got.EntropyTrace), want.Stages, len(want.EntropyTrace))
+	}
+	for i, w := range want.EntropyTrace {
+		if math.Abs(got.EntropyTrace[i]-w) > 1e-12 {
+			t.Fatalf("entropy[%d] = %v resumed, %v uninterrupted", i, got.EntropyTrace[i], w)
+		}
+	}
+}
+
+// TestLoadSessionBeforeEntropyTraceField: a checkpoint in the format of
+// the commits before Config.EntropyTrace — the same header without the
+// field, when every session traced — loads as an untraced session: the
+// entropy prefix it recorded is kept and the resumed stages add nothing.
+func TestLoadSessionBeforeEntropyTraceField(t *testing.T) {
+	pool := newTestPool(t)
+	risks := workload.UniformRisks(8, 0.12)
+	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
+	oracle := workload.NewOracle(workload.Draw(risks, rng.New(61)), resp, rng.New(62))
+	sess, err := NewSession(pool, Config{Risks: risks, Response: resp, EntropyTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := sess.Step(oracle.Test); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sess.Done() {
+		t.Fatal("campaign finished before the checkpoint")
+	}
+	// The parent's sessionHeader, field for field (gob matches by name).
+	type headerBefore struct {
+		Version      int
+		Backend      string
+		Active       []int
+		Calls        []Classification
+		Stage        int
+		Tests        int
+		Entropy      []float64
+		Log          []TestRecord
+		Lookahead    int
+		PosThreshold float64
+		NegThreshold float64
+		MaxStages    int
+		Parts        int
+		Done         bool
+	}
+	snap, err := sess.model.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := sess.Result().EntropyTrace
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&headerBefore{
+		Version: sessionVersion, Backend: string(snap.Kind), Active: sess.active, Calls: sess.calls,
+		Stage: sess.stage, Tests: sess.tests, Entropy: prefix, Log: sess.log,
+		Lookahead: 1, PosThreshold: 0.99, NegThreshold: 0.01, MaxStages: 64,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := latticeio.SaveRaw(&buf, snap.Risks, snap.Response, snap.Tests, snap.Dense); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadSession(&buf, pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.cfg.EntropyTrace {
+		t.Fatal("a checkpoint without the field loaded as traced")
+	}
+	res, err := restored.Run(oracle.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prefix) != 3 || res.Stages <= 2 {
+		t.Fatalf("recorded prefix %v, resumed campaign ended at stage %d", prefix, res.Stages)
+	}
+	if len(res.EntropyTrace) != len(prefix) {
+		t.Fatalf("resumed trace %v, recorded prefix %v", res.EntropyTrace, prefix)
+	}
+	for i := range prefix {
+		if res.EntropyTrace[i] != prefix[i] {
+			t.Fatalf("prefix[%d] = %v after the resume, recorded %v", i, res.EntropyTrace[i], prefix[i])
+		}
 	}
 }

@@ -128,6 +128,12 @@ type Config struct {
 	// Parts is the lattice partition count (engine default when 0). Dense
 	// backend only.
 	Parts int
+	// EntropyTrace makes the session record the posterior entropy of the
+	// prior and of every settled stage (Result.EntropyTrace). Off by
+	// default: no decision reads the entropy, and it is the costliest pass
+	// over the lattice (a logarithm per state), so only a caller that wants
+	// the convergence curve pays for it. A checkpoint carries the setting.
+	EntropyTrace bool
 	// Obs, when non-nil, receives session metrics
 	// (sbgt_session_stage_seconds{phase}, stage/test counters) and wraps
 	// the posterior with posterior.Instrument so backend ops report too.
@@ -337,8 +343,9 @@ func NewSessionOn(model posterior.Model, cfg Config) (*Session, error) {
 		root:    full.Tracer.Start("session", obs.A("subjects", n)),
 		carrier: carrierOf(model),
 	}
-	// Install the session context before the prior marginals/entropy below,
-	// so even pre-stage RPCs land in the trace.
+	// Install the session context before the opening digest below, so even
+	// pre-stage RPCs land in the trace. (A fresh dense or cluster model
+	// answers it from its risks, without reading the lattice.)
 	s.setCarrierContext(s.root.Context())
 	for i := range s.active {
 		s.active[i] = i
@@ -349,7 +356,9 @@ func NewSessionOn(model posterior.Model, cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("core: prior summary: %w", err)
 	}
 	s.marg = sum.Marginals
-	s.entropy = append(s.entropy, sum.EntropyBits)
+	if full.EntropyTrace {
+		s.entropy = append(s.entropy, sum.EntropyBits)
+	}
 	return s, nil
 }
 
@@ -639,9 +648,12 @@ func (s *Session) absorbLocked(results []TestResult) error {
 
 	cs := span.Child("classify")
 	s.setCarrierContext(cs.Context())
-	ent, err := s.classify()
-	if err == nil && s.model != nil {
-		s.entropy = append(s.entropy, ent)
+	err := s.classify()
+	if err == nil && s.model != nil && s.cfg.EntropyTrace {
+		var ent float64
+		if ent, err = s.model.Entropy(); err == nil {
+			s.entropy = append(s.entropy, ent)
+		}
 	}
 	timing.Classify = cs.End()
 	s.phases.classify.Observe(timing.Classify.Seconds())
@@ -720,17 +732,16 @@ func (s *Session) StageTimings() []StageTiming {
 }
 
 // classify repeatedly conditions out the most certain subject until no
-// marginal crosses a threshold, and returns the entropy (bits) of the
-// final posterior — valid only while the model survives. Marginals are
-// read again after each collapse because conditioning shifts the
-// survivors' posteriors; the entropy, which nothing in the loop consults,
-// is one pass once the loop has settled. The marginals of the settled
-// posterior stay held for the next stage's selection.
-func (s *Session) classify() (float64, error) {
+// marginal crosses a threshold. Marginals are read again after each
+// collapse because conditioning shifts the survivors' posteriors; nothing
+// in the loop consults the entropy, so a traced session reads it once the
+// loop has settled (absorbLocked). The marginals of the settled posterior
+// stay held for the next stage's selection.
+func (s *Session) classify() error {
 	for s.model != nil {
 		marg, err := s.marginals()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		// Most extreme crossing first: the strongest call distorts the
 		// remaining posterior least when conditioned on.
@@ -752,13 +763,13 @@ func (s *Session) classify() (float64, error) {
 			}
 		}
 		if bestPos == -1 {
-			return s.model.Entropy()
+			return nil
 		}
 		if err := s.record(bestPos, positive, marg[bestPos], false); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return 0, nil
+	return nil
 }
 
 // record classifies the subject at model position pos and collapses it
@@ -807,7 +818,7 @@ type Result struct {
 	Tests           int              // physical tests consumed
 	Stages          int              // sequential stages consumed
 	Converged       bool             // false when MaxStages forced the tail calls
-	EntropyTrace    []float64        // posterior entropy (bits) after each stage; [0] is the prior
+	EntropyTrace    []float64        // posterior entropy (bits) after each stage, [0] the prior; empty unless Config.EntropyTrace
 	Log             []TestRecord     // every test in execution order
 	StageTimings    []StageTiming    // wall-time phase breakdown per stage
 }

@@ -268,7 +268,7 @@ func TestEntropyTraceTrendsToZero(t *testing.T) {
 	r := rng.New(29)
 	popu := workload.Draw(risks, r)
 	oracle := workload.NewOracle(popu, dilution.Ideal{}, r)
-	sess, err := NewSession(pool, Config{Risks: risks, Response: dilution.Ideal{}})
+	sess, err := NewSession(pool, Config{Risks: risks, Response: dilution.Ideal{}, EntropyTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

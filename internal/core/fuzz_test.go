@@ -17,8 +17,9 @@ import (
 // disk on demand, so a corrupt or truncated checkpoint must come back as
 // an error — never a panic, a huge allocation, or a session that lies
 // about its state. The corpus seeds every real checkpoint shape: dense
-// idle (v2), dense with a pending proposal (v3), sparse-backed, and a
-// completed campaign, plus truncations and bit flips of each.
+// idle (v2), dense with a pending proposal (v3), sparse-backed, a
+// completed campaign and a traced session (EntropyTrace set in the
+// header), plus truncations and bit flips.
 func FuzzSessionCheckpointLoad(f *testing.F) {
 	pool := engine.NewPool(1)
 	defer pool.Close()
@@ -90,6 +91,17 @@ func FuzzSessionCheckpointLoad(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 96))
+
+	// A traced session mid-proposal: the header's EntropyTrace field set.
+	traced, err := NewSession(pool, Config{Risks: risks, Response: resp, EntropyTrace: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := traced.ProposePools(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(checkpoint(traced))
+	traced.Close()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := LoadSession(bytes.NewReader(data), pool, nil)

@@ -61,7 +61,7 @@ func runHeld(t *testing.T, pool *engine.Pool, spec posterior.Spec, risks []float
 	if reference {
 		strategy = freshMarginals{inner: strategy, sess: &sess}
 	}
-	if sess, err = NewSessionOn(model, Config{Strategy: strategy}); err != nil {
+	if sess, err = NewSessionOn(model, Config{Strategy: strategy, EntropyTrace: true}); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -201,11 +201,24 @@ func (w countingModel) Condition(subject int, positive bool) (posterior.Model, e
 }
 
 // TestStagePassCounts pins what a stage costs in posterior calls: the
-// opening digest is the only Summary; selection makes no Marginals call
-// and one prefix scan; absorbing makes one Update per pool, one Marginals
-// call per classify iteration and one Entropy call. A failed Update leaves
-// no marginals held, and the next selection reads them once.
+// opening digest is the only Summary (which a fresh model answers from its
+// risks, and which carries the prior's entropy for a traced session);
+// selection makes no Marginals call and one prefix scan; absorbing makes
+// one Update per pool and one Marginals call per classify iteration. No
+// Entropy call is made at all unless the session traces it, and then one
+// per settled stage. A failed Update leaves no marginals held, and the next
+// selection reads them once.
 func TestStagePassCounts(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		stagePassCounts(t, traced)
+	}
+}
+
+func stagePassCounts(t *testing.T, traced bool) {
+	entropy := 0 // Entropy calls per settled stage, and trace points per digest
+	if traced {
+		entropy = 1
+	}
 	pool := newTestPool(t)
 	risks := workload.BetaRisks(10, 1.2, 9, rng.New(7))
 	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
@@ -216,12 +229,12 @@ func TestStagePassCounts(t *testing.T) {
 	}
 	var c opCounts
 	failUpdate := false
-	sess, err := NewSessionOn(countingModel{Model: dense, c: &c, failUpdate: &failUpdate}, Config{})
+	sess, err := NewSessionOn(countingModel{Model: dense, c: &c, failUpdate: &failUpdate}, Config{EntropyTrace: traced})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := (opCounts{summary: 1}); c != want {
-		t.Fatalf("construction made %+v, want %+v", c, want)
+		t.Fatalf("traced=%v: construction made %+v, want %+v", traced, c, want)
 	}
 	lab := func(pools []Pool) []TestResult {
 		results := make([]TestResult, len(pools))
@@ -273,13 +286,18 @@ func TestStagePassCounts(t *testing.T) {
 		want := opCounts{update: len(pools), marginals: classified, condition: classified}
 		if !sess.Done() {
 			want.marginals++ // the pass that finds no crossing
-			want.entropy = 1
+			want.entropy = entropy
 		} else {
 			want.condition-- // the last subject closes the model instead
 		}
 		if c != want {
-			t.Fatalf("stage %d (%d classified): absorb made %+v, want %+v", pools[0].Stage, classified, c, want)
+			t.Fatalf("traced=%v stage %d (%d classified): absorb made %+v, want %+v", traced, pools[0].Stage, classified, c, want)
 		}
+	}
+	if got, want := len(sess.Result().EntropyTrace), entropy*(sess.Stage()-1); got != want {
+		// One point for the prior and one per settled stage; the stage whose
+		// update failed and the one that finished the cohort add none.
+		t.Fatalf("traced=%v: %d entropy points after %d stages, want %d", traced, got, sess.Stage(), want)
 	}
 	if !sess.Done() || sess.Stage() <= 3 {
 		t.Fatalf("campaign done=%v after %d stages; the update failure is injected at stage 3", sess.Done(), sess.Stage())

@@ -86,7 +86,7 @@ func TestProposeAbsorbMatchesRun(t *testing.T) {
 		run := func(drive func(*testing.T, *Session, TestFunc) *Result) (*Result, []string) {
 			tr := obs.NewTracer(1 << 14)
 			oracle := workload.NewOracle(popu, resp, rng.New(92))
-			sess, err := NewSession(pool, Config{Risks: risks, Response: resp, Lookahead: lookahead, Tracer: tr})
+			sess, err := NewSession(pool, Config{Risks: risks, Response: resp, Lookahead: lookahead, Tracer: tr, EntropyTrace: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +290,7 @@ func TestCheckpointPendingProposalRoundTrip(t *testing.T) {
 	popu := workload.Draw(risks, rng.New(404))
 	oracle := workload.NewOracle(popu, resp, rng.New(405))
 
-	sess, err := NewSession(pool, Config{Risks: risks, Response: resp})
+	sess, err := NewSession(pool, Config{Risks: risks, Response: resp, EntropyTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

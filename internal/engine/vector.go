@@ -332,20 +332,6 @@ func (v *Vector) Sum() float64 {
 	})
 }
 
-// Normalize scales the vector so it sums to 1 and returns the pre-scale
-// total. Like prob.Normalize, a degenerate total (zero, NaN, ±Inf) leaves
-// the data unchanged.
-func (v *Vector) Normalize() float64 {
-	total := v.Sum()
-	if !(total > 0) || total > maxFinite {
-		return total
-	}
-	v.Scale(1 / total)
-	return total
-}
-
-const maxFinite = 1.7976931348623157e308
-
 // Clone returns a deep copy sharing the pool and partition layout.
 func (v *Vector) Clone() *Vector {
 	out := NewVector(v.pool, v.n, len(v.parts))

@@ -142,30 +142,6 @@ func TestSumDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	p := newTestPool(t)
-	v := NewVector(p, 1000, 8)
-	v.Fill(0.5)
-	total := v.Normalize()
-	if math.Abs(total-500) > 1e-9 {
-		t.Fatalf("total = %v", total)
-	}
-	if got := v.Sum(); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("post-normalize sum = %v", got)
-	}
-}
-
-func TestNormalizeDegenerate(t *testing.T) {
-	p := newTestPool(t)
-	v := NewVector(p, 10, 2)
-	if total := v.Normalize(); total != 0 {
-		t.Fatalf("zero-vector total = %v", total)
-	}
-	if v.At(3) != 0 {
-		t.Fatal("degenerate Normalize mutated data")
-	}
-}
-
 func TestReduceSumPartialsMergedInOrder(t *testing.T) {
 	p := newTestPool(t)
 	v := NewVector(p, 100, 10)

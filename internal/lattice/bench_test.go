@@ -27,6 +27,11 @@ func benchLattice(b *testing.B, n int, resp dilution.Response) *Model {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// A fresh model answers Marginals, Entropy and Summary from its risks;
+	// one absorbed outcome makes the benchmarks time the sweeps.
+	if err := m.Update(bitvec.FromIndices(0), dilution.Negative); err != nil {
+		b.Fatal(err)
+	}
 	return m
 }
 
@@ -190,8 +195,8 @@ func BenchmarkSummary(b *testing.B) {
 }
 
 // BenchmarkFusionFused and BenchmarkFusionTwoPass are the A2 ablation: the
-// shipped Update (multiply and sum in one pass, then a scale pass) against
-// the unfused oracle (multiply pass, then sum and scale).
+// shipped Update (multiply and sum in one pass, the normaliser carried)
+// against the unfused oracle (multiply pass, then sum and scale).
 func BenchmarkFusionFused(b *testing.B) {
 	m := benchLattice(b, 16, flatResp)
 	pm := bitvec.Full(16)
@@ -215,9 +220,12 @@ func BenchmarkFusionTwoPass(b *testing.B) {
 }
 
 // BenchmarkStageKernels times every full-lattice pass a session stage
-// makes, plus the prior build and the conditioning gather (lowest, middle
-// and top bit), as ns/state at the benchmark's three cohort sizes.
-// scripts/ci.sh runs it at -benchtime 1x so it cannot rot.
+// makes, plus the prior build and conditioning on the lowest, middle and
+// top bit — the bare gather (collapse_*) and ConditionInPlace whole,
+// preflight included (condition_*) — as ns/state at the benchmark's three
+// cohort sizes. update_eager is the oracle's multiply pass plus Scale pass
+// beside the shipped one-pass update. scripts/ci.sh runs it at -benchtime
+// 1x so it cannot rot.
 func BenchmarkStageKernels(b *testing.B) {
 	for _, n := range []int{12, 16, 22} {
 		m := benchLattice(b, n, flatResp)
@@ -227,31 +235,49 @@ func BenchmarkStageKernels(b *testing.B) {
 		}
 		pm := bitvec.Full(n / 2)
 		scratch := make([]float64, m.States()) // CollapseBit overwrites its input
+		var victim *Model                      // ConditionInPlace consumes its receiver
+		condition := func(subject int) func() {
+			return func() {
+				if victim.ConditionInPlace(subject, false) == nil {
+					b.Fatal("condition rejected")
+				}
+			}
+		}
 		kernels := []struct {
-			name string
-			run  func()
+			name  string
+			run   func()
+			setup func() // untimed, before every run
 		}{
-			{"marginals", func() { m.Marginals() }},
-			{"marginals_walk", func() { marginalsWalk(m) }}, // the per-state oracle the fold replaced
-			{"prefix_scan", func() { m.PrefixNegMasses(order) }},
-			{"entropy", func() { m.Entropy() }},
-			{"update", func() {
+			{name: "marginals", run: func() { m.Marginals() }},
+			{name: "marginals_walk", run: func() { marginalsWalk(m) }}, // the per-state oracle the fold replaced
+			{name: "prefix_scan", run: func() { m.PrefixNegMasses(order) }},
+			{name: "entropy", run: func() { m.Entropy() }},
+			{name: "update", run: func() {
 				if err := m.Update(pm, dilution.Positive); err != nil {
 					b.Fatal(err)
 				}
 			}},
-			{"prior", func() {
+			{name: "update_eager", run: func() { updateEager(m, pm, dilution.Positive) }},
+			{name: "prior", run: func() {
 				if _, err := New(m.post.Pool(), Config{Risks: m.risks, Response: flatResp}); err != nil {
 					b.Fatal(err)
 				}
 			}},
-			{"collapse_low", func() { CollapseBit(0, scratch, 1, 0, 1) }},
-			{"collapse_mid", func() { CollapseBit(0, scratch, 1<<uint(n/2), 0, 1) }},
-			{"collapse_top", func() { CollapseBit(0, scratch, 1<<uint(n-1), 0, 1) }},
+			{name: "collapse_low", run: func() { CollapseBit(0, scratch, 1, 0, 1) }},
+			{name: "collapse_mid", run: func() { CollapseBit(0, scratch, 1<<uint(n/2), 0, 1) }},
+			{name: "collapse_top", run: func() { CollapseBit(0, scratch, 1<<uint(n-1), 0, 1) }},
+			{name: "condition_low", run: condition(0), setup: func() { victim = m.Clone() }},
+			{name: "condition_mid", run: condition(n / 2), setup: func() { victim = m.Clone() }},
+			{name: "condition_top", run: condition(n - 1), setup: func() { victim = m.Clone() }},
 		}
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("%s/N=%d", k.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
+					if k.setup != nil {
+						b.StopTimer()
+						k.setup()
+						b.StartTimer()
+					}
 					k.run()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.States()), "ns/state")

@@ -36,7 +36,7 @@ func (m *Model) CredibleSet(level float64) ([]bitvec.Mask, float64) {
 		mass  float64
 	}
 	entries := make([]entry, 0, m.post.Len())
-	for _, w := range m.post.Slice() {
+	for _, w := range m.settle().Slice() {
 		entries = append(entries, entry{uint64(len(entries)), w})
 	}
 	sort.Slice(entries, func(a, b int) bool {

@@ -18,7 +18,7 @@ import (
 // the two packages is a bug (engine.Vector's own primitives — Scale, Sum,
 // ReduceSubset, FillDoubling — sit below them).
 //
-//	prior        PriorOdds, FillPrior
+//	prior        PriorOdds, FillPrior, PriorSummary
 //	update       LikelihoodTable, MulLikelihood
 //	reductions   AddMarginals, RankTable.AddMinRankMasses, AddCleanMasses,
 //	             SumWhere, DotLikelihood, EntropyNats, ScanDigest
@@ -251,6 +251,26 @@ func PriorOdds(risks []float64) (base float64, odds []float64, err error) {
 	return math.Exp(logBase), odds, nil
 }
 
+// PriorSummary is the Summary of the product prior in closed form, what a
+// model still at its prior answers without reading the lattice: subjects are
+// independent, so the marginals are the risks, entropies and expectations
+// add, and the MAP state takes each subject's likelier status (negative on
+// a tie: the lowest state).
+func PriorSummary(risks []float64) *Summary {
+	out := &Summary{Marginals: append([]float64(nil), risks...), MAPMass: 1, Mass: 1}
+	var ent, exp prob.Accumulator
+	for i, p := range risks {
+		ent.Add(-p*math.Log(p) - (1-p)*math.Log1p(-p))
+		exp.Add(p)
+		if p > 0.5 {
+			out.MAPState = out.MAPState.With(i)
+		}
+		out.MAPMass *= max(p, 1-p)
+	}
+	out.EntropyBits, out.ExpectedInfected = ent.Value()/math.Ln2, exp.Value()
+	return out
+}
+
 // FirstInvalid returns the index of the first entry that cannot be a
 // lattice mass or a likelihood — negative, NaN or infinite — or −1. Input
 // from outside the process (a checkpoint, a wire frame, a response model)
@@ -281,8 +301,8 @@ func LikelihoodTable(resp dilution.Response, y dilution.Outcome, size int) ([]fl
 
 // MulLikelihood is the fused update pass: every state s of the run is
 // multiplied in place by lik[|s ∩ pool|], and the compensated sum of the
-// products is returned for the normalization that follows. lik must have
-// popcount(pool)+1 entries.
+// products is returned, whose reciprocal is the normaliser the model
+// carries. lik must have popcount(pool)+1 entries.
 func MulLikelihood(offset uint64, data []float64, pool uint64, lik []float64) prob.Accumulator {
 	var acc prob.Accumulator
 	for j := range data {

@@ -217,10 +217,10 @@ func TestPriorDoublingBitForBit(t *testing.T) {
 					data[j] = w
 				}
 			})
-			want.Normalize()
+			normalize(want)
 			m := mustNew(t, pool, Config{Risks: risks, Response: dilution.Ideal{}, Parts: parts})
 			for s := uint64(0); s < m.States(); s++ {
-				if got := m.post.At(s); got != want.At(s) {
+				if got := m.StateMass(bitvec.Mask(s)); got != want.At(s) {
 					t.Fatalf("n=%d parts=%d: prior[%d] = %v, oracle %v", n, parts, s, got, want.At(s))
 				}
 			}
@@ -322,8 +322,11 @@ func TestConditionInPlaceMatchesCondition(t *testing.T) {
 			t.Fatalf("trial %d: shape %d/%d vs %d/%d", trial, got.N(), got.States(), want.N(), want.States())
 		}
 		for s := uint64(0); s < got.States(); s++ {
+			// In place and via Clone share one arithmetic; the reference sums
+			// the survivors after the gather, not before, so its normaliser
+			// may differ in the last place.
 			g, c, w := got.StateMass(bitvec.Mask(s)), viaClone.StateMass(bitvec.Mask(s)), want.StateMass(bitvec.Mask(s))
-			if g != w || c != w {
+			if g != c || math.Abs(g-w) > 1e-15*w {
 				t.Fatalf("trial %d: state %d mass in-place %v, Condition %v, reference %v", trial, s, g, c, w)
 			}
 		}

@@ -13,8 +13,8 @@
 //   - New: the product prior by doubling — level i of the lattice is the
 //     first 2^i states times odds[i], one multiply per state,
 //   - Update: multiply every state's mass by the dilution-aware likelihood
-//     of an observed pooled-test outcome and renormalize (fused single pass
-//     plus one scale pass),
+//     of an observed pooled-test outcome and renormalize — one fused pass:
+//     the normaliser is a scalar the model carries into the next table,
 //   - Marginals / NegMass / NegMasses / PrefixNegMasses: the reductions that
 //     drive classification and the halving test-selection scan,
 //   - Condition: collapse a classified subject out of the lattice, halving
@@ -44,7 +44,7 @@ package lattice
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
@@ -79,6 +79,20 @@ type Model struct {
 	resp  dilution.Response
 	post  *engine.Vector
 	tests int // pooled tests absorbed so far (diagnostics)
+	// scale is the carried normaliser: the posterior is scale × post. Update
+	// folds it into its table, Marginals and PrefixNegMasses into their sums,
+	// ConditionInPlace into its factor; every other reader calls settle.
+	scale float64
+	prior bool // post is still New's product prior: its digest is PriorSummary
+}
+
+// settle applies the carried normaliser and returns post, now the posterior.
+func (m *Model) settle() *engine.Vector {
+	if m.scale != 1 { //lint:allow floats exactly 1 marks "nothing pending", not a numeric test
+		m.post.Scale(m.scale)
+		m.scale = 1
+	}
+	return m.post
 }
 
 // alloc validates cfg and returns a model of its cohort around a zeroed
@@ -114,16 +128,16 @@ func alloc(pool *engine.Pool, cfg Config) (m *Model, base float64, odds []float6
 // the all-negative constant times the odds product Π_{i∈S} p_i/(1−p_i).
 // Setting bit i multiplies a state's mass by odds[i], so the lattice is
 // built by doubling: level i is the first 2^i states times odds[i], one
-// multiply per state (engine.Vector.FillDoubling).
+// multiply per state (engine.Vector.FillDoubling). The product sums to 1 up
+// to rounding, which one Sum finds; its reciprocal is the carried scale.
 func New(pool *engine.Pool, cfg Config) (*Model, error) {
 	m, base, odds, err := alloc(pool, cfg)
 	if err != nil {
 		return nil, err
 	}
 	m.post.FillDoubling(base, odds)
-	// The product measure sums to 1 analytically; normalize anyway to wash
-	// out rounding so downstream invariant checks can be strict.
-	if total := m.post.Normalize(); !(total > 0) {
+	total := m.post.Sum()
+	if m.scale, m.prior = 1/total, true; !ValidFactor(m.scale) {
 		return nil, fmt.Errorf("lattice: degenerate prior (total %v)", total)
 	}
 	return m, nil
@@ -146,21 +160,24 @@ func (m *Model) Risks() []float64 { return append([]float64(nil), m.risks...) }
 
 // Posterior exposes the partitioned posterior for engine-level consumers
 // (the halving scan and the cluster runtime). Callers must not mutate it.
-func (m *Model) Posterior() *engine.Vector { return m.post }
+func (m *Model) Posterior() *engine.Vector { return m.settle() }
 
 // StateMass returns the posterior mass of one lattice state.
-func (m *Model) StateMass(s bitvec.Mask) float64 { return m.post.At(uint64(s)) }
+func (m *Model) StateMass(s bitvec.Mask) float64 { return m.settle().At(uint64(s)) }
 
 // Update folds one observed pooled-test outcome into the posterior:
 // every state S is reweighted by the likelihood of outcome y for a pool
 // with k = |S ∩ pool| infected among |pool| specimens, then the lattice is
 // renormalized. The likelihood depends on the state only through k, so it
-// is precomputed into a (|pool|+1)-entry table and the reweighting is a
-// single fused multiply-and-accumulate pass over every partition.
+// is precomputed into a (|pool|+1)-entry table, the pending scale folded in,
+// and the reweighting is one fused multiply-and-accumulate pass whose total's
+// reciprocal is the new scale: stored mass stays within one predictive
+// factor of 1, so nothing drifts.
 //
 // Update returns an error if the pool is empty, references subjects outside
-// the cohort, or the outcome has zero likelihood under every state (which
-// would zero the lattice).
+// the cohort, or the outcome has zero likelihood under every state — with
+// the posterior untouched: a table with an entry that could zero the
+// lattice is summed (DotLikelihood) before anything is multiplied.
 func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	if pool == 0 {
 		return fmt.Errorf("lattice: empty pool")
@@ -172,13 +189,23 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	if err != nil {
 		return fmt.Errorf("lattice: %v", err)
 	}
-	total := m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
-		return MulLikelihood(offset, data, uint64(pool), lik)
-	})
-	if !(total > 0) || math.IsInf(total, 0) {
+	pass := func(kernel func(uint64, []float64, uint64, []float64) prob.Accumulator) float64 {
+		return m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+			return kernel(offset, data, uint64(pool), lik)
+		})
+	}
+	Scale(lik, m.scale) // the pending normaliser rides in the table
+	total := 1.0
+	if !ValidFactor(1 / slices.Min(lik)) {
+		total = pass(DotLikelihood) // a zero entry: look before multiplying
+	}
+	if ValidFactor(1 / total) {
+		total = pass(MulLikelihood)
+	}
+	if !ValidFactor(1 / total) {
 		return fmt.Errorf("lattice: outcome %v on pool %v has zero total likelihood (total %v)", y, pool, total)
 	}
-	m.post.Scale(1 / total)
+	m.scale, m.prior = 1/total, false
 	m.tests++
 	return nil
 }
@@ -186,8 +213,8 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 // Restore rebuilds a model from a previously captured posterior (state
 // order, length 2^len(cfg.Risks)) and test counter — the checkpointing
 // hook used by internal/latticeio. The posterior is renormalized on load
-// so a checkpoint written mid-update cannot smuggle in an unnormalized
-// lattice.
+// (its total's reciprocal is the carried scale) so a checkpoint cannot
+// smuggle in an unnormalized lattice; it is never taken for a prior.
 func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Model, error) {
 	m, _, _, err := alloc(pool, cfg)
 	if err != nil {
@@ -203,7 +230,7 @@ func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Mo
 	m.post.ForPartitions(func(_ int, offset uint64, data []float64) {
 		copy(data, posterior[offset:])
 	})
-	if total := m.post.Normalize(); !(total > 0) {
+	if m.scale = 1 / m.post.Sum(); !ValidFactor(m.scale) {
 		return nil, fmt.Errorf("lattice: restored posterior has zero mass")
 	}
 	if tests < 0 {
@@ -223,5 +250,7 @@ func (m *Model) Clone() *Model {
 		resp:  m.resp,
 		post:  m.post.Clone(),
 		tests: m.tests,
+		scale: m.scale,
+		prior: m.prior,
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
 	"repro/internal/engine"
+	"repro/internal/rng"
 )
 
 func newTestPool(t *testing.T) *engine.Pool {
@@ -318,5 +319,115 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if c.Tests() != 1 || m.Tests() != 0 {
 		t.Error("test counters entangled")
+	}
+}
+
+// TestFailedUpdateLeavesPosteriorIntact: an outcome the posterior gives no
+// mass must be refused before anything is multiplied. With the ideal
+// assay, a negative test on subject 0 rules its infection out, so a
+// positive test on the same pool has zero likelihood everywhere: the
+// update fails, and the model the session still holds is unchanged.
+func TestFailedUpdateLeavesPosteriorIntact(t *testing.T) {
+	pool := newTestPool(t)
+	m := mustNew(t, pool, Config{Risks: []float64{0.1, 0.3, 0.2, 0.15}, Response: dilution.Ideal{}, Parts: 3})
+	only0 := bitvec.FromIndices(0)
+	if err := m.Update(only0, dilution.Negative); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Marginals()
+	if err := m.Update(only0, dilution.Positive); err == nil {
+		t.Fatal("an impossible outcome was absorbed")
+	}
+	if m.Tests() != 1 {
+		t.Fatalf("failed update counted: %d tests", m.Tests())
+	}
+	after := m.Marginals()
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("marginal %d moved from %v to %v across a failed update", i, before[i], after[i])
+		}
+	}
+	if mass := m.Mass(); math.Abs(mass-1) > 1e-12 {
+		t.Fatalf("mass %v after a failed update", mass)
+	}
+	// The model is still usable.
+	if err := m.Update(bitvec.FromIndices(1, 2), dilution.Positive); err != nil {
+		t.Fatal(err)
+	}
+	if mass := m.Mass(); math.Abs(mass-1) > 1e-12 {
+		t.Fatalf("mass %v after the next update", mass)
+	}
+}
+
+// sweptDigest reads marginals and entropy (bits) off the settled vector
+// with the kernels themselves, whatever the model's flags say.
+func sweptDigest(m *Model) (marg []float64, entropy float64) {
+	post := m.settle().Slice()
+	marg = make([]float64, m.n)
+	AddMarginals(0, post, marg)
+	nats := EntropyNats(post)
+	return marg, nats.Value() / math.Ln2
+}
+
+// TestPriorClosedFormMatchesSweep: a fresh model answers Marginals and
+// Entropy from its risks; both must be what a sweep of the lattice finds.
+// Anything that is not the product prior New built — a restored posterior
+// (even with zero tests), a model after one Update or one Condition — must
+// be swept.
+func TestPriorClosedFormMatchesSweep(t *testing.T) {
+	pool := newTestPool(t)
+	r := rng.New(909)
+	check := func(what string, m *Model, wantPrior bool) {
+		t.Helper()
+		if m.prior != wantPrior {
+			t.Fatalf("%s: prior flag %v, want %v", what, m.prior, wantPrior)
+		}
+		marg, ent := m.Marginals(), m.Entropy()
+		wantMarg, wantEnt := sweptDigest(m)
+		for i := range wantMarg {
+			if math.Abs(marg[i]-wantMarg[i]) > 1e-12 {
+				t.Fatalf("%s: marginal %d = %v, swept %v", what, i, marg[i], wantMarg[i])
+			}
+		}
+		if math.Abs(ent-wantEnt) > 1e-12*math.Max(1, wantEnt) {
+			t.Fatalf("%s: entropy %v, swept %v", what, ent, wantEnt)
+		}
+	}
+	for n := 1; n <= 14; n++ {
+		risks := make([]float64, n)
+		for i := range risks {
+			risks[i] = 0.01 + 0.9*r.Float64()
+		}
+		cfg := Config{Risks: risks, Response: dilution.Binary{Sens: 0.93, Spec: 0.98}, Parts: 1 + n%4}
+		check("prior", mustNew(t, pool, cfg), true)
+		check("prior clone", mustNew(t, pool, cfg).Clone(), true)
+
+		// A checkpoint of a posterior that is no product measure, tests == 0.
+		post := mustNew(t, pool, cfg).Posterior().Slice()
+		for s := range post {
+			post[s] *= 0.5 + r.Float64()
+		}
+		restored, err := Restore(pool, cfg, post, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("restored", restored, false)
+		if n > 1 {
+			if marg := restored.Marginals(); math.Abs(marg[0]-risks[0]) < 1e-9 {
+				t.Fatalf("n=%d: the perturbed posterior still has the prior's marginal", n)
+			}
+		}
+
+		updated := mustNew(t, pool, cfg)
+		if err := updated.Update(bitvec.Full(n), dilution.Positive); err != nil {
+			t.Fatal(err)
+		}
+		check("updated", updated, false)
+		if marg := updated.Marginals(); !(marg[0] > risks[0]) {
+			t.Fatalf("n=%d: a positive pool left marginal 0 at %v (risk %v)", n, marg[0], risks[0])
+		}
+		if n > 1 {
+			check("conditioned", mustNew(t, pool, cfg).ConditionInPlace(r.Intn(n), r.Bool()), false)
+		}
 	}
 }

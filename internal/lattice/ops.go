@@ -10,11 +10,17 @@ import (
 
 // Marginals returns each subject's posterior infection probability,
 // P(i infected | data) = Σ_{S ∋ i} π(S), computed for all N subjects in a
-// single parallel ReduceVec pass of the halving-fold kernel AddMarginals.
+// single parallel ReduceVec pass of the halving-fold kernel AddMarginals
+// (times the carried scale). At the prior they are the risks: no pass.
 func (m *Model) Marginals() []float64 {
-	return m.post.ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
+	if m.prior {
+		return m.Risks()
+	}
+	marg := m.post.ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
 		AddMarginals(offset, data, out)
 	})
+	Scale(marg, m.scale)
+	return marg
 }
 
 // NegMass returns P(S ∩ pool = ∅ | data): the posterior mass of the up-set
@@ -28,7 +34,7 @@ func (m *Model) Marginals() []float64 {
 // visited states outweighs the sweep's contiguous reads before the
 // exponential reduction kicks in.
 func (m *Model) NegMass(pool bitvec.Mask) float64 {
-	return m.post.ReduceSubset(0, uint64(bitvec.Full(m.n))&^uint64(pool))
+	return m.settle().ReduceSubset(0, uint64(bitvec.Full(m.n))&^uint64(pool))
 }
 
 // NegMasses evaluates NegMass for every candidate pool in one parallel
@@ -46,7 +52,7 @@ func (m *Model) NegMasses(cands []bitvec.Mask) []float64 {
 	for i, c := range cands {
 		masks[i] = uint64(c)
 	}
-	return m.post.ReduceVec(len(cands), func(_ int, offset uint64, data []float64, out []float64) {
+	return m.settle().ReduceVec(len(cands), func(_ int, offset uint64, data []float64, out []float64) {
 		AddCleanMasses(offset, data, masks, out)
 	})
 }
@@ -73,6 +79,7 @@ func (m *Model) PrefixNegMasses(order []int) []float64 {
 	hist := m.post.ReduceVec(k+1, func(_ int, offset uint64, data []float64, out []float64) {
 		tbl.AddMinRankMasses(offset, data, out)
 	})
+	Scale(hist, m.scale)
 	// neg[i] = Σ_{r > i} hist[r]: mass whose first-ranked infected subject
 	// lies beyond the prefix.
 	neg := make([]float64, k)
@@ -109,7 +116,7 @@ func (m *Model) Predictive(pool bitvec.Mask, y dilution.Outcome) float64 {
 		nm := m.NegMass(pool)
 		return lik[0]*nm + lik[1]*(1-nm)
 	}
-	return m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+	return m.settle().ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
 		return DotLikelihood(offset, data, uint64(pool), lik)
 	})
 }
@@ -118,7 +125,10 @@ func (m *Model) Predictive(pool bitvec.Mask, y dilution.Outcome) float64 {
 // residual classification uncertainty. An ideal halving test removes one
 // bit per update.
 func (m *Model) Entropy() float64 {
-	nats := m.post.ReduceSum(func(_ int, _ uint64, data []float64) prob.Accumulator {
+	if m.prior {
+		return PriorSummary(m.risks).EntropyBits
+	}
+	nats := m.settle().ReduceSum(func(_ int, _ uint64, data []float64) prob.Accumulator {
 		return EntropyNats(data)
 	})
 	return nats / math.Ln2
@@ -133,7 +143,7 @@ func (m *Model) MAP() (bitvec.Mask, float64) {
 
 // Mass returns the total posterior mass (≈1 between updates; exposed for
 // invariant checks and tests).
-func (m *Model) Mass() float64 { return m.post.Sum() }
+func (m *Model) Mass() float64 { return m.settle().Sum() }
 
 // ExpectedInfected returns E[|S|], the posterior expected number of
 // infected subjects, read from Summary.
@@ -155,8 +165,9 @@ func (m *Model) Condition(subject int, positive bool) *Model {
 // ConditionInPlace is the zero-allocation form of Condition: it collapses
 // subject onto a known status inside the receiver's own backing array and
 // returns the receiver, now a model over the remaining N−1 subjects. The
-// gather is CollapseBit over the whole lattice with factor 1 — the kernel
-// the cluster executors run on their shards — followed by Normalize.
+// gather is CollapseBit over the whole lattice — the kernel the cluster
+// executors run on their shards — with 1/(the preflight mass) as its factor,
+// so the survivors come out normalized in the one pass.
 //
 // Like Condition it returns nil when the event has zero posterior mass or
 // only one subject remains — but because the gather destroys the old
@@ -174,15 +185,16 @@ func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 	}
 	// Preflight: the surviving states form the sub-lattice {base | f : f ⊆
 	// ^bit}, so their mass is one ReduceSubset away. Rejecting here keeps
-	// the receiver intact.
-	if mass := m.post.ReduceSubset(base, uint64(bitvec.Full(m.n))&^bit); !(mass > 0) {
+	// the receiver intact. (Of stored mass: the pending scale cancels.)
+	factor := 1 / m.post.ReduceSubset(base, uint64(bitvec.Full(m.n))&^bit)
+	if !ValidFactor(factor) {
 		return nil
 	}
 	nn := m.n - 1
 	m.post.ShrinkGather(uint64(1)<<uint(nn), m.post.Parts(), func(_, src []float64) {
-		CollapseBit(0, src, bit, base, 1)
+		CollapseBit(0, src, bit, base, factor)
 	})
-	m.post.Normalize()
+	m.scale, m.prior = 1, false
 	m.risks = append(m.risks[:subject], m.risks[subject+1:]...)
 	m.n = nn
 	return m

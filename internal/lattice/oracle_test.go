@@ -13,7 +13,60 @@ import (
 // The reference and ablation forms of the shipped kernels. They left the
 // API (nothing in production called them) and stay here as the oracles the
 // kernels are tested against and the old arms of the go test -bench
-// comparisons in bench_test.go.
+// comparisons in bench_test.go. They read the settled vector (m.settle()):
+// the references keep the posterior itself in storage, normalized after
+// every reweighting, which is what the carried scale is compared with.
+
+// normalize is the eager normalisation — one Sum pass, one Scale pass —
+// and returns the pre-scale total; a degenerate total leaves v unchanged.
+func normalize(v *engine.Vector) float64 {
+	total := v.Sum()
+	if ValidFactor(1 / total) {
+		v.Scale(1 / total)
+	}
+	return total
+}
+
+// updateEager is Update as it was before the model carried its normaliser:
+// the fused MulLikelihood pass, then a Scale pass by 1/total. It panics
+// where Update reports an error.
+func updateEager(m *Model, pool bitvec.Mask, y dilution.Outcome) {
+	lik, err := LikelihoodTable(m.resp, y, pool.Count())
+	if err != nil {
+		panic(err)
+	}
+	post := m.settle()
+	total := post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+		return MulLikelihood(offset, data, uint64(pool), lik)
+	})
+	if !ValidFactor(1 / total) {
+		panic("lattice: zero-likelihood outcome in updateEager")
+	}
+	post.Scale(1 / total)
+	m.prior = false
+	m.tests++
+}
+
+// conditionEager is ConditionInPlace as it was: CollapseBit with factor 1,
+// then Normalize. It returns nil, receiver untouched, on a zero-mass event.
+func conditionEager(m *Model, subject int, positive bool) *Model {
+	bit := uint64(1) << uint(subject)
+	var base uint64
+	if positive {
+		base = bit
+	}
+	post := m.settle()
+	if mass := post.ReduceSubset(base, uint64(bitvec.Full(m.n))&^bit); !(mass > 0) || m.n <= 1 {
+		return nil
+	}
+	post.ShrinkGather(uint64(1)<<uint(m.n-1), post.Parts(), func(_, src []float64) {
+		CollapseBit(0, src, bit, base, 1)
+	})
+	normalize(post)
+	m.risks = append(m.risks[:subject], m.risks[subject+1:]...)
+	m.n, m.prior = m.n-1, false
+	return m
+}
 
 // updateTwoPass is the unfused Update: a reweight pass, then a separate
 // sum-and-scale. It agrees with Update up to one rounding and panics where
@@ -25,22 +78,23 @@ func updateTwoPass(m *Model, pool bitvec.Mask, y dilution.Outcome) {
 		lik[k] = m.resp.Likelihood(y, k, size)
 	}
 	pm := uint64(pool)
-	m.post.ForPartitions(func(_ int, offset uint64, data []float64) {
+	m.settle().ForPartitions(func(_ int, offset uint64, data []float64) {
 		for j := range data {
 			s := offset + uint64(j)
 			data[j] *= lik[bits.OnesCount64(s&pm)]
 		}
 	})
-	if total := m.post.Normalize(); !(total > 0) {
+	if total := normalize(m.post); !(total > 0) {
 		panic("lattice: zero-likelihood outcome in updateTwoPass")
 	}
+	m.prior = false
 	m.tests++
 }
 
 // marginalsWalk is the marginal pass as a full per-state bit walk; it
 // agrees with Marginals up to accumulation-order rounding.
 func marginalsWalk(m *Model) []float64 {
-	return m.post.ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
+	return m.settle().ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
 		addMarginalsWalk(offset, data, out)
 	})
 }
@@ -50,7 +104,7 @@ func marginalsWalk(m *Model) []float64 {
 // as the sub-lattice walk, so the two agree bit-for-bit.
 func negMassDense(m *Model, pool bitvec.Mask) float64 {
 	pm := uint64(pool)
-	return m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+	return m.settle().ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
 		var acc prob.Accumulator
 		for j := range data {
 			if (offset+uint64(j))&pm == 0 {
@@ -65,7 +119,7 @@ func negMassDense(m *Model, pool bitvec.Mask) float64 {
 // re-reading the whole partition per candidate); it agrees with NegMasses
 // up to accumulation-order rounding.
 func negMassesUntiled(m *Model, cands []bitvec.Mask) []float64 {
-	return m.post.ReduceVec(len(cands), func(_ int, offset uint64, data []float64, out []float64) {
+	return m.settle().ReduceVec(len(cands), func(_ int, offset uint64, data []float64, out []float64) {
 		for c, pm := range cands {
 			var acc float64
 			for j := range data {
@@ -83,7 +137,7 @@ func negMassesUntiled(m *Model, cands []bitvec.Mask) []float64 {
 // with the likelihood table.
 func intersectDist(m *Model, pool bitvec.Mask) []float64 {
 	pm := uint64(pool)
-	return m.post.ReduceVec(pool.Count()+1, func(_ int, offset uint64, data []float64, out []float64) {
+	return m.settle().ReduceVec(pool.Count()+1, func(_ int, offset uint64, data []float64, out []float64) {
 		for j, w := range data {
 			out[bits.OnesCount64((offset+uint64(j))&pm)] += w
 		}
@@ -98,7 +152,7 @@ func mapScan(m *Model) (bitvec.Mask, float64) {
 		mass  float64
 	}
 	parts := make([]best, m.post.Parts())
-	m.post.ForPartitions(func(p int, offset uint64, data []float64) {
+	m.settle().ForPartitions(func(p int, offset uint64, data []float64) {
 		b := best{mass: math.Inf(-1)}
 		for j := range data {
 			if data[j] > b.mass {
@@ -118,7 +172,7 @@ func mapScan(m *Model) (bitvec.Mask, float64) {
 
 // expectedInfectedScan is the standalone E[|S|] pass.
 func expectedInfectedScan(m *Model) float64 {
-	return m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+	return m.settle().ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
 		var acc prob.Accumulator
 		for j, w := range data {
 			if w != 0 {
@@ -150,10 +204,11 @@ func conditionGather(m *Model, subject int, positive bool) *Model {
 		resp:  m.resp,
 		post:  engine.NewVector(m.post.Pool(), uint64(1)<<uint(nn), parts),
 		tests: m.tests,
+		scale: 1,
 	}
 	out.risks = append(out.risks, m.risks[:subject]...)
 	out.risks = append(out.risks, m.risks[subject+1:]...)
-	src := m.post
+	src := m.settle()
 	out.post.ForPartitions(func(_ int, offset uint64, data []float64) {
 		for j := range data {
 			sp := offset + uint64(j)
@@ -164,7 +219,7 @@ func conditionGather(m *Model, subject int, positive bool) *Model {
 			data[j] = src.At(old)
 		}
 	})
-	if total := out.post.Normalize(); !(total > 0) {
+	if total := normalize(out.post); !(total > 0) {
 		return nil
 	}
 	return out

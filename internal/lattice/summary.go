@@ -9,7 +9,7 @@ import (
 
 // Summary is the one-sweep digest of the posterior: marginals, entropy,
 // MAP, expected-infected and total mass computed together, which is what
-// a session reads when it opens.
+// a session reads when it opens (from the risks alone: PriorSummary).
 type Summary struct {
 	// Marginals is each subject's posterior infection probability.
 	Marginals []float64
@@ -40,8 +40,11 @@ type summaryPartial struct {
 // accumulators and state order of Entropy and Mass, so those fields are
 // bit-for-bit the standalone methods'.
 func (m *Model) Summary() *Summary {
+	if m.prior {
+		return PriorSummary(m.risks)
+	}
 	parts := make([]summaryPartial, m.post.Parts())
-	m.post.ForPartitions(func(p int, offset uint64, data []float64) {
+	m.settle().ForPartitions(func(p int, offset uint64, data []float64) {
 		marg := make([]float64, m.n)
 		AddMarginals(offset, data, marg)
 		parts[p] = summaryPartial{marg, ScanDigest(offset, data)}

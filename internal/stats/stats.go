@@ -199,8 +199,9 @@ func prepare(cfg StudyConfig) ([]*rng.Source, error) {
 
 // openSession builds one replicate's session on the study's backend.
 // The session owns the opened model and closes it when the campaign
-// completes or the caller abandons it.
-func openSession(cfg StudyConfig, lp *engine.Pool, risks []float64, strat halving.Strategy) (*core.Session, error) {
+// completes or the caller abandons it. entropyTrace is
+// core.Config.EntropyTrace: only the convergence figure asks for it.
+func openSession(cfg StudyConfig, lp *engine.Pool, risks []float64, strat halving.Strategy, entropyTrace bool) (*core.Session, error) {
 	spec := cfg.Backend
 	if spec.Obs == nil {
 		spec.Obs = cfg.Obs
@@ -218,6 +219,7 @@ func openSession(cfg StudyConfig, lp *engine.Pool, risks []float64, strat halvin
 		NegThreshold: cfg.NegThreshold,
 		MaxStages:    cfg.MaxStages,
 		Obs:          cfg.Obs,
+		EntropyTrace: entropyTrace,
 	})
 	if err != nil {
 		model.Close() //lint:allow errcheck teardown on a constructor failure path; the construction error wins
@@ -237,7 +239,7 @@ func runOne(cfg StudyConfig, r *rng.Source) (Replicate, error) {
 	}
 	lp := engine.NewPool(1)
 	defer lp.Close()
-	sess, err := openSession(cfg, lp, risks, strat)
+	sess, err := openSession(cfg, lp, risks, strat, false)
 	if err != nil {
 		return Replicate{}, err
 	}
@@ -360,7 +362,7 @@ func MeanEntropyTrace(cfg StudyConfig, stages int) ([]float64, error) {
 			strat = cfg.Strategy(r)
 		}
 		lp := engine.NewPool(1)
-		sess, err := openSession(cfg, lp, risks, strat)
+		sess, err := openSession(cfg, lp, risks, strat, true)
 		if err != nil {
 			lp.Close()
 			return nil, err
