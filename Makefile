@@ -11,11 +11,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Repo-invariant static analysis (nine analyzers; `sbgt-lint -list`
-# describes them). -audit also fails on stale //lint:allow waivers, and
-# the second pass fails on stale entries in lint-baseline.json. Exits
-# non-zero on any fresh diagnostic.
+# Formatting, then repo-invariant static analysis (nine analyzers;
+# `sbgt-lint -list` describes them). gofmt -l must print nothing. -audit
+# also fails on stale //lint:allow waivers, and the second pass fails on
+# stale entries in lint-baseline.json. Exits non-zero on any fresh
+# diagnostic.
 lint:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 	$(GO) run ./cmd/sbgt-lint -audit ./...
 	$(GO) run ./cmd/sbgt-lint -baseline-check ./...
 

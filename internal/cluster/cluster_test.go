@@ -11,6 +11,8 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/engine"
 	"repro/internal/lattice"
+	"repro/internal/obs"
+	"repro/internal/prob"
 	"repro/internal/rng"
 )
 
@@ -214,12 +216,51 @@ func TestUpdateErrorsRemote(t *testing.T) {
 	}
 }
 
+// TestFailedUpdateLeavesShardsIntact: an outcome with zero likelihood under
+// every state must be refused with the distributed posterior untouched, as
+// lattice.Model.Update refuses it — the table has a zero entry, so the
+// driver looks (OpDotLik) before any executor multiplies. An ideal negative
+// test on subject 0 followed by an ideal positive one is such an outcome;
+// before the look it zeroed every shard and only then reported the error.
+func TestFailedUpdateLeavesShardsIntact(t *testing.T) {
+	m := dialTest(t, startExecutors(t, 2), uniform(5, 0.2), dilution.Ideal{})
+	pm := bitvec.FromIndices(0)
+	if err := m.Update(pm, dilution.Negative); err != nil {
+		t.Fatal(err)
+	}
+	before, err := m.Marginals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update(pm, dilution.Positive); err == nil || !strings.Contains(err.Error(), "zero total likelihood") {
+		t.Fatalf("impossible outcome: %v", err)
+	}
+	if mass, err := m.Mass(); err != nil || math.Abs(mass-1) > 1e-12 {
+		t.Fatalf("mass after the refused update: %v, %v", mass, err)
+	}
+	for _, held := range []bool{true, false} {
+		after, err := m.Marginals()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range before {
+			if held && after[i] != before[i] || math.Abs(after[i]-before[i]) > 1e-15 {
+				t.Fatalf("marginal %d = %v after the refused update (held %v), %v before", i, after[i], held, before[i])
+			}
+		}
+		m.marg = nil // and once more, swept off the (settled) shards
+	}
+	if m.Tests() != 1 {
+		t.Fatalf("Tests = %d after one absorbed and one refused outcome", m.Tests())
+	}
+}
+
 func TestKernelBeforeBuildFails(t *testing.T) {
 	// Direct executor-level check: ops on an unbuilt shard must error,
 	// not crash.
 	e := NewExecutor(1)
 	defer e.Close()
-	for _, op := range []Op{OpUpdateMul, OpSumWhere, OpMarginals, OpEntropy, OpMass, OpFetch, OpLoadShard, OpCollapse} {
+	for _, op := range []Op{OpUpdateMul, OpDotLik, OpSumWhere, OpMarginals, OpEntropy, OpMass, OpFetch, OpLoadShard, OpCollapse} {
 		resp := e.dispatch(Request{Op: op, Pool: 1, Lik: []float64{1, 1}})
 		if resp.Err == "" {
 			t.Errorf("op %s on unbuilt shard did not error", op)
@@ -240,8 +281,13 @@ func TestDispatchValidation(t *testing.T) {
 	if ok.Err != "" {
 		t.Fatalf("valid build failed: %s", ok.Err)
 	}
-	if resp := e.dispatch(Request{Op: OpUpdateMul, Pool: 0b11, Lik: []float64{1}}); resp.Err == "" {
-		t.Error("short likelihood table accepted")
+	for _, op := range []Op{OpUpdateMul, OpDotLik} {
+		if resp := e.dispatch(Request{Op: op, Pool: 0b11, Lik: []float64{1}}); resp.Err == "" {
+			t.Errorf("%s: short likelihood table accepted", op)
+		}
+		if resp := e.dispatch(Request{Op: op, Pool: 0b11, Lik: []float64{1, math.NaN(), 1}}); resp.Err == "" {
+			t.Errorf("%s: NaN likelihood accepted", op)
+		}
 	}
 	if resp := e.dispatch(Request{Op: OpScale, Factor: math.NaN()}); resp.Err == "" {
 		t.Error("NaN scale accepted")
@@ -307,7 +353,7 @@ func TestShutdownTerminatesServe(t *testing.T) {
 }
 
 func TestOpStrings(t *testing.T) {
-	for op := OpPing; op <= OpCollapse; op++ {
+	for op := OpPing; op <= OpDotLik; op++ {
 		if op.String() == "" || strings.HasPrefix(op.String(), "op(") {
 			t.Errorf("op %d has no name", op)
 		}
@@ -399,9 +445,30 @@ func TestOneExecutorBitIdenticalToDense(t *testing.T) {
 		order := r.Perm(nn)[:1+r.Intn(nn)]
 		same(step, "unsettled prefix masses", vec(dist.PrefixNegMasses(order)), local.PrefixNegMasses(order))
 	}
+	// heldThenSwept reads Marginals twice straight after one update — both
+	// from the vector that update's pass left behind, no round — and once
+	// after a condition, which sweeps: both paths must be the dense model's.
+	heldThenSwept := func(step int) {
+		t.Helper()
+		update(step)
+		for read := 0; read < 2; read++ {
+			if dist.marg == nil {
+				t.Fatalf("step %d: the cluster model holds no marginals after an update", step)
+			}
+			same(step, "held marginals", vec(dist.Marginals()), local.Marginals())
+		}
+		condition(step, false)
+		if dist.marg != nil {
+			t.Fatalf("step %d: the held marginals survived a condition", step)
+		}
+		same(step, "swept marginals", vec(dist.Marginals()), local.Marginals())
+	}
 	for step := 0; step < 30; step++ {
 		if step == 10 || step == 20 {
 			condition(step, step == 20)
+		}
+		if step == 5 {
+			heldThenSwept(step)
 		}
 		if step%3 == 1 && local.N() > 8 {
 			update(step)
@@ -499,5 +566,65 @@ func TestPriorClosedFormMatchesSweepOnCluster(t *testing.T) {
 			t.Cleanup(cond.Close)
 			check("conditioned", cond, false)
 		}
+	}
+}
+
+// TestPriorPrefixClosedFormOnCluster: a freshly dialed model answers
+// PrefixNegMasses from its risks with no round — the same closed form the
+// dense model uses — within 1e-13 of the histogram the kernel reads off the
+// fetched shards, and refuses a malformed ordering itself, as the executors
+// would. A degenerate prior (every risk the largest float below 1: from 21
+// subjects up the all-negative mass underflows to 0) is refused by DialWith
+// before anything is dialed, so no executor needs to exist.
+func TestPriorPrefixClosedFormOnCluster(t *testing.T) {
+	r := rng.New(929)
+	resp := dilution.Binary{Sens: 0.93, Spec: 0.98}
+	for _, n := range []int{1, 2, 5, 9, 14} {
+		risks := make([]float64, n)
+		for i := range risks {
+			risks[i] = 0.01 + 0.9*r.Float64()
+		}
+		addrs, stop, err := StartLocal(min(2, 1<<uint(n)), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(stop)
+		m, err := DialWith(addrs, risks, resp, DialOptions{Timeout: 2 * time.Second, Obs: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		order := r.Perm(n)[:1+r.Intn(n)]
+		neg, err := m.PrefixNegMasses(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rounds := rpcCount(m, OpPrefix); rounds != 0 {
+			t.Fatalf("n=%d: the prior's prefix scan cost %d prefix RPCs", n, rounds)
+		}
+		if _, err := m.PrefixNegMasses(append(order, order[0])); err == nil {
+			t.Fatalf("n=%d: a duplicate subject was accepted at the prior", n)
+		}
+		post, err := m.Fetch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := lattice.NewRankTable(order, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := make([]float64, len(order)+1)
+		tbl.AddMinRankMasses(0, post, hist)
+		var acc prob.Accumulator
+		for i := len(order) - 1; i >= 0; i-- {
+			acc.Add(hist[i+1])
+			if math.Abs(neg[i]-acc.Value()) > 1e-13 {
+				t.Fatalf("n=%d order %v: prior prefix mass %d = %v, swept %v", n, order, i, neg[i], acc.Value())
+			}
+		}
+	}
+	_, err := DialWith([]string{"127.0.0.1:1"}, uniform(21, 1-0x1p-53), resp, DialOptions{})
+	if err == nil || !strings.Contains(err.Error(), "degenerate prior") {
+		t.Fatalf("a prior of total 0 was not refused before dialing: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -88,6 +89,9 @@ type Model struct {
 	// scale × what the executors hold, and prior marks the untouched prior.
 	scale float64
 	prior bool
+	// marg is lattice.Model's held marginals: the last Update's partials,
+	// merged and scaled, until Condition or Fetch ends them.
+	marg []float64
 
 	// Distributed tracing state: when tracer is set and parent holds a
 	// valid context (injected by the session via SetTraceContext), every
@@ -177,7 +181,8 @@ type DialOptions struct {
 
 // Dial connects to the executors, shards the lattice across them
 // proportionally to their order, and materializes the prior product
-// measure remotely. Its normaliser is carried on the model, not applied.
+// measure remotely. Its normaliser is carried on the model, not applied,
+// and comes from lattice.PriorTotal's closed form, not from the shards.
 //
 // Executors are dialed concurrently, and the deadline applies per
 // connection — covering both the TCP dial and that executor's
@@ -190,10 +195,10 @@ func Dial(addrs []string, risks []float64, resp dilution.Response, timeout time.
 // dialOne runs one connection attempt: TCP dial, deadline, prior build.
 // Errors are unadorned — DialWith wraps them with the executor address
 // and attempt number.
-func dialOne(addr string, rank int, lo, hi uint64, risks []float64, timeout, rpcTimeout time.Duration, met *clusterMetrics) (*conn, float64, error) {
+func dialOne(addr string, rank int, lo, hi uint64, risks []float64, timeout, rpcTimeout time.Duration, met *clusterMetrics) (*conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if met != nil {
 		nc = &countingConn{Conn: nc, sent: met.bytesSent, recv: met.bytesRecv}
@@ -203,31 +208,31 @@ func dialOne(addr string, rank int, lo, hi uint64, risks []float64, timeout, rpc
 		// hung executor fails this dial, not the whole fan-out serially.
 		if err := nc.SetDeadline(time.Now().Add(timeout)); err != nil {
 			nc.Close() //lint:allow errcheck teardown of a connection we are abandoning
-			return nil, 0, fmt.Errorf("set deadline: %w", err)
+			return nil, fmt.Errorf("set deadline: %w", err)
 		}
 	}
 	c := &conn{addr: addr, rank: rank, nc: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc), lo: lo, hi: hi, met: met}
-	resp, err := c.call(Request{Op: OpBuildPrior, Risks: risks, Lo: lo, Hi: hi})
-	if err != nil {
+	if _, err := c.call(Request{Op: OpBuildPrior, Risks: risks, Lo: lo, Hi: hi}); err != nil {
 		nc.Close() //lint:allow errcheck teardown of a connection we are abandoning
-		return nil, 0, err
+		return nil, err
 	}
 	if timeout > 0 {
 		if err := nc.SetDeadline(time.Time{}); err != nil {
 			nc.Close() //lint:allow errcheck teardown of a connection we are abandoning
-			return nil, 0, fmt.Errorf("clear deadline: %w", err)
+			return nil, fmt.Errorf("clear deadline: %w", err)
 		}
 	}
 	// Arm per-RPC deadlines only now: the dial deadline above owns the
 	// prior-build round, so the two bounds never fight over the socket.
 	c.rpcTimeout = rpcTimeout
-	return c, resp.Sum, nil
+	return c, nil
 }
 
 // DialWith is Dial with retries and observability. Every connection
 // failure — including a per-connection deadline firing mid prior build —
 // is wrapped with the executor address and the attempt number, so a
-// failed fan-out names the executor that sank it.
+// failed fan-out names the executor that sank it. A degenerate prior (the
+// all-negative mass underflows to 0) is refused before anything is dialed.
 func DialWith(addrs []string, risks []float64, resp dilution.Response, opts DialOptions) (*Model, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no executors")
@@ -239,8 +244,13 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 	if resp == nil {
 		return nil, fmt.Errorf("cluster: nil response model")
 	}
-	if _, _, err := lattice.PriorOdds(risks); err != nil {
+	base, odds, err := lattice.PriorOdds(risks)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: %v", err)
+	}
+	mass := lattice.PriorTotal(base, odds)
+	if !lattice.ValidFactor(1 / mass) {
+		return nil, fmt.Errorf("cluster: degenerate prior (total %v)", mass)
 	}
 	total := uint64(1) << uint(n)
 	if uint64(len(addrs)) > total {
@@ -256,7 +266,6 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 	}
 	met := newClusterMetrics(opts.Obs, len(addrs))
 	conns := make([]*conn, len(addrs))
-	sums := make([]float64, len(addrs))
 	errs := make([]error, len(addrs))
 	var wg sync.WaitGroup
 	for i, addr := range addrs {
@@ -265,10 +274,9 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 		go func(i int, addr string, lo, hi uint64) {
 			defer wg.Done()
 			for attempt := 1; attempt <= attempts; attempt++ {
-				c, sum, err := dialOne(addr, i, lo, hi, risks, opts.Timeout, rpcTimeout, met)
+				c, err := dialOne(addr, i, lo, hi, risks, opts.Timeout, rpcTimeout, met)
 				if err == nil {
 					conns[i] = c
-					sums[i] = sum
 					return
 				}
 				errs[i] = fmt.Errorf("cluster: executor %s attempt %d/%d: %w", addr, attempt, attempts, err)
@@ -284,7 +292,7 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 		}(i, addr, lo, hi)
 	}
 	wg.Wait()
-	m := &Model{conns: make([]*conn, 0, len(addrs)), n: n, risks: append([]float64(nil), risks...), resp: resp, met: met, tracer: opts.Tracer, flight: opts.Flight}
+	m := &Model{conns: make([]*conn, 0, len(addrs)), n: n, risks: append([]float64(nil), risks...), resp: resp, scale: 1 / mass, prior: true, met: met, tracer: opts.Tracer, flight: opts.Flight}
 	var firstErr error
 	for i, c := range conns {
 		if c != nil {
@@ -298,15 +306,6 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 		return nil, firstErr
 	}
 	met.noteShards(m.conns)
-	// Merge the prior partials in rank order; 1/total is the carried scale.
-	var acc prob.Accumulator
-	for _, s := range sums {
-		acc.Add(s)
-	}
-	if m.scale, m.prior = 1/acc.Value(), true; !lattice.ValidFactor(m.scale) {
-		m.Close()
-		return nil, fmt.Errorf("cluster: degenerate prior (total %v)", acc.Value())
-	}
 	return m, nil
 }
 
@@ -379,41 +378,41 @@ func (m *Model) fanout(build func(c *conn) Request) ([]Response, error) {
 	return resps, nil
 }
 
-// fanoutSum fans out and merges scalar partials with compensation, in rank
-// order.
-func (m *Model) fanoutSum(build func(c *conn) Request) (float64, error) {
-	resps, err := m.fanout(build)
-	if err != nil {
-		return 0, err
-	}
+// mergeSum merges scalar partials with compensation, in rank order.
+func mergeSum(resps []Response) float64 {
 	var acc prob.Accumulator
 	for _, r := range resps {
 		acc.Add(r.Sum)
 	}
-	return acc.Value(), nil
+	return acc.Value()
 }
 
-// fanoutVec fans out, merges vector partials element-wise in rank order and
+// mergeVec merges vector partials element-wise in rank order and
 // multiplies in the carried scale (1 once settled).
+func (m *Model) mergeVec(resps []Response, length int) ([]float64, error) {
+	vecs := make([][]float64, len(resps))
+	for i, r := range resps {
+		if len(r.Vec) != length {
+			return nil, fmt.Errorf("cluster: partial vector has %d entries, want %d", len(r.Vec), length)
+		}
+		vecs[i] = r.Vec
+	}
+	return lattice.MergeVec(vecs, length, m.scale), nil
+}
+
+// fanoutSum fans out and merges the scalar partials (0 beside an error).
+func (m *Model) fanoutSum(build func(c *conn) Request) (float64, error) {
+	resps, err := m.fanout(build)
+	return mergeSum(resps), err
+}
+
+// fanoutVec fans out and merges the vector partials, scale included.
 func (m *Model) fanoutVec(length int, build func(c *conn) Request) ([]float64, error) {
 	resps, err := m.fanout(build)
 	if err != nil {
 		return nil, err
 	}
-	accs := make([]prob.Accumulator, length)
-	for _, r := range resps {
-		if len(r.Vec) != length {
-			return nil, fmt.Errorf("cluster: partial vector has %d entries, want %d", len(r.Vec), length)
-		}
-		for j, x := range r.Vec {
-			accs[j].Add(x)
-		}
-	}
-	out := make([]float64, length)
-	for j := range accs {
-		out[j] = accs[j].Value() * m.scale
-	}
-	return out, nil
+	return m.mergeVec(resps, length)
 }
 
 // settle applies the carried normaliser to the shards — the one OpScale
@@ -430,7 +429,12 @@ func (m *Model) settle() error {
 }
 
 // Update folds one pooled-test outcome into the distributed posterior in one
-// fused multiply-and-sum round, the scale carried as lattice.Model.Update does.
+// fused round, as lattice.Model.Update does in one pass: OpUpdateMul returns
+// each shard's product total and marginal partials, the merged total's
+// reciprocal is the new carried scale, and the merged partials times it are
+// the marginals held for the Marginals call that follows. A table with an
+// entry that could zero the shards takes a non-mutating OpDotLik round
+// first: an impossible outcome is an error with the posterior untouched.
 func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	if pool == 0 {
 		return fmt.Errorf("cluster: empty pool")
@@ -443,24 +447,38 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 		return fmt.Errorf("cluster: %v", err)
 	}
 	lattice.Scale(lik, m.scale)
-	total, err := m.fanoutSum(func(*conn) Request {
-		return Request{Op: OpUpdateMul, Pool: uint64(pool), Lik: lik}
-	})
+	round := func(op Op) (resps []Response, total float64, err error) {
+		if resps, err = m.fanout(func(*conn) Request { return Request{Op: op, Pool: uint64(pool), Lik: lik} }); err == nil {
+			if total = mergeSum(resps); !lattice.ValidFactor(1 / total) {
+				err = fmt.Errorf("cluster: outcome %v on pool %v has zero total likelihood", y, pool)
+			}
+		}
+		return resps, total, err
+	}
+	if !lattice.ValidFactor(1 / slices.Min(lik)) { // a zero entry: look before multiplying
+		if _, _, err := round(OpDotLik); err != nil {
+			return err
+		}
+	}
+	m.marg = nil
+	resps, total, err := round(OpUpdateMul)
 	if err != nil {
 		return err
 	}
-	if !lattice.ValidFactor(1 / total) {
-		return fmt.Errorf("cluster: outcome %v on pool %v has zero total likelihood", y, pool)
-	}
 	m.scale, m.prior = 1/total, false
 	m.tests++
-	return nil
+	m.marg, err = m.mergeVec(resps, m.n)
+	return err
 }
 
-// Marginals returns every subject's posterior infection probability.
+// Marginals returns every subject's posterior infection probability: no
+// round at the prior or straight after an Update, else one OpMarginals round.
 func (m *Model) Marginals() ([]float64, error) {
 	if m.prior {
 		return m.Risks(), nil
+	}
+	if m.marg != nil {
+		return slices.Clone(m.marg), nil
 	}
 	return m.fanoutVec(m.n, func(*conn) Request {
 		return Request{Op: OpMarginals}
@@ -531,8 +549,8 @@ func (m *Model) Summary() (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Summary{Marginals: make([]float64, m.n), MAPMass: math.Inf(-1)}
-	margAccs := make([]prob.Accumulator, m.n)
+	out := &Summary{Marginals: slices.Clone(m.marg), MAPMass: math.Inf(-1)} // held: Marginals' answer, as on lattice.Model
+	margs := make([][]float64, len(resps))
 	var ent, exp, mass prob.Accumulator
 	for i, r := range resps {
 		ws := r.Summary
@@ -542,9 +560,7 @@ func (m *Model) Summary() (*Summary, error) {
 		if len(ws.Marginals) != m.n {
 			return nil, fmt.Errorf("cluster: summary marginals have %d entries, want %d", len(ws.Marginals), m.n)
 		}
-		for j, x := range ws.Marginals {
-			margAccs[j].Add(x)
-		}
+		margs[i] = ws.Marginals
 		ent.Add(ws.Entropy)
 		exp.Add(ws.Expected)
 		mass.Add(ws.Mass)
@@ -552,8 +568,8 @@ func (m *Model) Summary() (*Summary, error) {
 			out.MAPState, out.MAPMass = bitvec.Mask(ws.MAPState), ws.MAPMass
 		}
 	}
-	for j := range margAccs {
-		out.Marginals[j] = margAccs[j].Value()
+	if out.Marginals == nil {
+		out.Marginals = lattice.MergeVec(margs, m.n, 1)
 	}
 	out.EntropyBits = ent.Value() / math.Ln2
 	out.ExpectedInfected = exp.Value()
@@ -572,8 +588,10 @@ func (m *Model) Mass() (float64, error) {
 }
 
 // Fetch materializes the full posterior on the driver, in state order.
-// Intended for tests and small lattices only: it moves 8·2^N bytes.
+// Intended for tests and small lattices only: it moves 8·2^N bytes. Like
+// lattice.Model.Posterior, its dense counterpart, it ends the held marginals.
 func (m *Model) Fetch() ([]float64, error) {
+	m.marg = nil
 	if err := m.settle(); err != nil {
 		return nil, err
 	}

@@ -189,7 +189,7 @@ func (e *Executor) dispatch(req Request) Response {
 		return e.collapse(req)
 	case OpFetch:
 		return e.fetch(req)
-	case OpUpdateMul:
+	case OpUpdateMul, OpDotLik:
 		return e.updateMul(req)
 	case OpScale:
 		return e.scale(req)
@@ -217,19 +217,20 @@ func (e *Executor) forRange(body func(lo, hi int)) {
 	e.pool.For(len(e.data), 0, body)
 }
 
+// reduceChunk is the chunk length of the executor's reductions, in states.
+const reduceChunk = 1 << 14
+
 // reduceChunks evaluates kernel's compensated partial sum over each
-// fixed-size chunk of the shard — a run (offset, data) — and merges the
-// chunk partials in order, mirroring engine.Vector's deterministic
-// reduction shape.
-func (e *Executor) reduceChunks(kernel func(offset uint64, data []float64) prob.Accumulator) float64 {
-	const chunk = 1 << 14
+// fixed-size chunk of the shard — chunk p is a run (offset, data) — and
+// merges the chunk partials in order, mirroring engine.Vector's
+// deterministic reduction shape.
+func (e *Executor) reduceChunks(kernel func(p int, offset uint64, data []float64) prob.Accumulator) float64 {
 	n := len(e.data)
-	parts := (n + chunk - 1) / chunk
-	partials := make([]prob.Accumulator, parts)
-	e.pool.For(parts, 1, func(plo, phi int) {
+	partials := make([]prob.Accumulator, (n+reduceChunk-1)/reduceChunk)
+	e.pool.For(len(partials), 1, func(plo, phi int) {
 		for p := plo; p < phi; p++ {
-			lo := p * chunk
-			partials[p] = kernel(e.lo+uint64(lo), e.data[lo:min(lo+chunk, n)])
+			lo := p * reduceChunk
+			partials[p] = kernel(p, e.lo+uint64(lo), e.data[lo:min(lo+reduceChunk, n)])
 		}
 	})
 	var total prob.Accumulator
@@ -259,7 +260,7 @@ func (e *Executor) buildPrior(req Request) Response {
 	e.forRange(func(lo, hi int) {
 		lattice.FillPrior(e.lo+uint64(lo), e.data[lo:hi], base, odds)
 	})
-	return e.mass(req) // the unnormalized prior total
+	return Response{Op: req.Op} // unnormalized; the driver has the total in closed form
 }
 
 // fetch returns the shard's states outside [Lo, Hi), in state order: the
@@ -335,8 +336,11 @@ func (e *Executor) collapse(req Request) Response {
 }
 
 // updateMul multiplies the shard by the likelihood table and returns the
-// products' sum. The table crosses a trust boundary and the multiply
-// cannot be undone, so every entry is checked before the shard is touched.
+// products' sum and, in Vec, their marginal partials (chunk partials merged
+// in chunk order, as the sum's are). The table crosses a trust boundary and
+// the multiply cannot be undone, so every entry is checked before the shard
+// is touched. As OpDotLik it returns the same sum, to rounding, with the
+// shard untouched: the driver's look before a table with a zero entry.
 func (e *Executor) updateMul(req Request) Response {
 	want := bits.OnesCount64(req.Pool) + 1
 	if len(req.Lik) != want {
@@ -345,10 +349,17 @@ func (e *Executor) updateMul(req Request) Response {
 	if k := lattice.FirstInvalid(req.Lik); k >= 0 {
 		return errorf(req.Op, "invalid likelihood %v at k=%d", req.Lik[k], k)
 	}
-	sum := e.reduceChunks(func(offset uint64, data []float64) prob.Accumulator {
-		return lattice.MulLikelihood(offset, data, req.Pool, req.Lik)
+	if req.Op == OpDotLik {
+		return Response{Op: req.Op, Sum: e.reduceChunks(func(_ int, offset uint64, data []float64) prob.Accumulator {
+			return lattice.DotLikelihood(offset, data, req.Pool, req.Lik)
+		})}
+	}
+	partials := make([][]float64, (len(e.data)+reduceChunk-1)/reduceChunk)
+	sum := e.reduceChunks(func(p int, offset uint64, data []float64) prob.Accumulator {
+		partials[p] = make([]float64, e.n)
+		return lattice.MulLikelihood(offset, data, req.Pool, req.Lik, partials[p])
 	})
-	return Response{Op: req.Op, Sum: sum}
+	return Response{Op: req.Op, Sum: sum, Vec: lattice.MergeVec(partials, e.n, 1)}
 }
 
 func (e *Executor) scale(req Request) Response {
@@ -362,7 +373,7 @@ func (e *Executor) scale(req Request) Response {
 }
 
 func (e *Executor) sumWhere(req Request) Response {
-	sum := e.reduceChunks(func(offset uint64, data []float64) prob.Accumulator {
+	sum := e.reduceChunks(func(_ int, offset uint64, data []float64) prob.Accumulator {
 		return lattice.SumWhere(offset, data, req.Pool, req.Base)
 	})
 	return Response{Op: req.Op, Sum: sum}
@@ -392,7 +403,7 @@ func (e *Executor) negMasses(req Request) Response {
 }
 
 func (e *Executor) entropy(req Request) Response {
-	sum := e.reduceChunks(func(_ uint64, data []float64) prob.Accumulator {
+	sum := e.reduceChunks(func(_ int, _ uint64, data []float64) prob.Accumulator {
 		return lattice.EntropyNats(data)
 	})
 	return Response{Op: req.Op, Sum: sum}
@@ -430,7 +441,7 @@ func (e *Executor) summary(req Request) Response {
 
 // mass sums the whole shard: SumWhere with mask 0 keeps every state.
 func (e *Executor) mass(req Request) Response {
-	sum := e.reduceChunks(func(offset uint64, data []float64) prob.Accumulator {
+	sum := e.reduceChunks(func(_ int, offset uint64, data []float64) prob.Accumulator {
 		return lattice.SumWhere(offset, data, 0, 0)
 	})
 	return Response{Op: req.Op, Sum: sum}

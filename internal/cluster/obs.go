@@ -11,7 +11,7 @@ import (
 var allOps = []Op{
 	OpPing, OpBuildPrior, OpUpdateMul, OpScale, OpSumWhere, OpMarginals,
 	OpNegMasses, OpEntropy, OpMass, OpFetch, OpShutdown,
-	OpPrefix, OpLoadShard, OpSummary, OpCollapse,
+	OpPrefix, OpLoadShard, OpSummary, OpCollapse, OpDotLik,
 }
 
 // clusterMetrics is the driver-side reporting surface, shared by every

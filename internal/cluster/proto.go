@@ -30,8 +30,8 @@ type Op uint8
 // Protocol operations.
 const (
 	OpPing       Op = iota // liveness check; echoes
-	OpBuildPrior           // materialize the prior product measure on the shard
-	OpUpdateMul            // multiply shard by a likelihood table, return partial sum
+	OpBuildPrior           // materialize the prior product measure on the shard, unnormalized (the driver knows its total in closed form)
+	OpUpdateMul            // multiply shard by a likelihood table, return the products' partial sum and marginal partials
 	OpScale                // multiply shard by a scalar (the driver's settle round, and nothing else)
 	OpSumWhere             // partial sum of states s with s&Pool == Base (NegMass; the conditioning preflight)
 	OpMarginals            // partial per-subject marginal vector
@@ -44,6 +44,7 @@ const (
 	OpLoadShard            // re-base the shard to [Lo, Hi): keep the overlap, splice Data around it
 	OpSummary              // fused shard digest: marginals + entropy + MAP + E[|S|] + mass
 	OpCollapse             // condition the shard on s&Pool == Base in place, scaled by Factor
+	OpDotLik               // partial Σ π(s)·Lik[|s∩Pool|] with the shard untouched: the look before an OpUpdateMul whose table has a zero
 )
 
 // String names the op for errors and logs.
@@ -79,6 +80,8 @@ func (o Op) String() string {
 		return "summary"
 	case OpCollapse:
 		return "collapse"
+	case OpDotLik:
+		return "dot-lik"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -96,8 +99,8 @@ type Request struct {
 	// are NOT returned — empty for the whole shard, the new range to get
 	// the states a rebalance takes off this executor.
 	Lo, Hi uint64
-	// UpdateMul: pool mask. SumWhere: the bits to test. Collapse: the
-	// single bit of the subject being conditioned out.
+	// UpdateMul / DotLik: pool mask. SumWhere: the bits to test. Collapse:
+	// the single bit of the subject being conditioned out.
 	Pool  uint64
 	Lik   []float64 // likelihood by intersect count, len = popcount(Pool)+1
 	Cands []uint64  // candidate pool masks

@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"fmt"
+
+	"repro/internal/lattice"
 	"repro/internal/prob"
 )
 
 // PrefixNegMasses returns the clean masses of every nested prefix of the
 // subject ordering, distributed: each executor histograms its shard by
 // minimum order-rank, the driver merges in rank order (fanoutVec brings in
-// the carried scale) and suffix-sums.
+// the carried scale) and suffix-sums. At the prior the answer is the closed
+// form lattice.PriorPrefixNegMasses, after the executors' check: no round.
 //
 // Together with N, Marginals, and NegMasses this makes *Model satisfy
 // halving.Posterior, so pool selection over the distributed posterior is
@@ -17,6 +21,12 @@ func (m *Model) PrefixNegMasses(order []int) ([]float64, error) {
 	k := len(order)
 	if k == 0 {
 		return nil, nil
+	}
+	if m.prior {
+		if _, err := lattice.NewRankTable(order, m.n); err != nil {
+			return nil, fmt.Errorf("cluster: %v", err)
+		}
+		return lattice.PriorPrefixNegMasses(m.risks, order), nil
 	}
 	hist, err := m.fanoutVec(k+1, func(*conn) Request {
 		return Request{Op: OpPrefix, Order: order}

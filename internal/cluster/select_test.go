@@ -107,6 +107,11 @@ func TestSelectOnSurfacesTransportError(t *testing.T) {
 	if err := m.Ping(); err != nil {
 		t.Fatal(err)
 	}
+	// One absorbed outcome takes the model off its prior, whose selection is
+	// closed-form and would need no executor.
+	if err := m.Update(bitvec.FromIndices(0, 1), dilution.Positive); err != nil {
+		t.Fatal(err)
+	}
 	// Close the driver-side connections to simulate a dead link.
 	for _, c := range m.conns {
 		c.nc.Close()

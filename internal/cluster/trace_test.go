@@ -59,8 +59,10 @@ func TestRPCTracePropagation(t *testing.T) {
 		t.Fatalf("trace roots = %+v, want single session root", tr.Roots)
 	}
 	// Update is one update-mul round (its normaliser is carried, not
-	// applied), Marginals one more; each fans out to 2 executors, so 4 rpc
-	// spans each holding one exec span with one kernel child.
+	// applied) and Marginals none: the round's responses carry the marginal
+	// partials, so the OpMarginals round that used to follow is gone. The one
+	// round fans out to 2 executors, so 2 rpc spans each holding one exec
+	// span with one kernel child.
 	var rpcs, execs, kernels int
 	tr.Walk(func(depth int, n *obs.TraceNode) {
 		switch {
@@ -81,8 +83,8 @@ func TestRPCTracePropagation(t *testing.T) {
 			kernels++
 		}
 	})
-	if rpcs != 4 || execs != 4 || kernels != 4 {
-		t.Errorf("span counts rpc=%d exec=%d kernel=%d, want 4 each", rpcs, execs, kernels)
+	if rpcs != 2 || execs != 2 || kernels != 2 {
+		t.Errorf("span counts rpc=%d exec=%d kernel=%d, want 2 each", rpcs, execs, kernels)
 	}
 	if tr.TraceID != root.Context().TraceID {
 		t.Errorf("assembled trace ID %x, want %x", tr.TraceID, root.Context().TraceID)

@@ -27,11 +27,13 @@ func benchLattice(b *testing.B, n int, resp dilution.Response) *Model {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A fresh model answers Marginals, Entropy and Summary from its risks;
-	// one absorbed outcome makes the benchmarks time the sweeps.
+	// A fresh model answers Marginals, Entropy and Summary from its risks and
+	// an updated one Marginals from what the update held; one absorbed
+	// outcome and a Posterior call make the benchmarks time the sweeps.
 	if err := m.Update(bitvec.FromIndices(0), dilution.Negative); err != nil {
 		b.Fatal(err)
 	}
+	m.Posterior()
 	return m
 }
 
@@ -223,11 +225,16 @@ func BenchmarkFusionTwoPass(b *testing.B) {
 // makes, plus the prior build and conditioning on the lowest, middle and
 // top bit — the bare gather (collapse_*) and ConditionInPlace whole,
 // preflight included (condition_*) — as ns/state at the benchmark's three
-// cohort sizes. update_eager is the oracle's multiply pass plus Scale pass
-// beside the shipped one-pass update. scripts/ci.sh runs it at -benchtime
-// 1x so it cannot rot.
+// cohort sizes. update_marginals is the pair the session issues (the
+// Marginals call reads what the update held; marginals alone is the sweep),
+// update_eager the oracle's multiply pass plus Scale pass, sum the
+// per-state compensated chain (Vector.Sum) the block folds took out of the
+// update. prefix_scan also runs at N=18, whose 2^15-state partitions are
+// the first the row histogram takes: N=16 times the per-state loop below
+// the rule, N=18 and 22 the rows above it. scripts/ci.sh runs it at
+// -benchtime 1x so it cannot rot.
 func BenchmarkStageKernels(b *testing.B) {
-	for _, n := range []int{12, 16, 22} {
+	for _, n := range []int{12, 16, 18, 22} {
 		m := benchLattice(b, n, flatResp)
 		order := make([]int, n)
 		for i := range order {
@@ -243,21 +250,25 @@ func BenchmarkStageKernels(b *testing.B) {
 				}
 			}
 		}
+		update := func() {
+			if err := m.Update(pm, dilution.Positive); err != nil {
+				b.Fatal(err)
+			}
+		}
 		kernels := []struct {
-			name  string
-			run   func()
-			setup func() // untimed, before every run
+			name   string
+			run    func()
+			setup  func() // untimed, before every run
+			before func() // untimed, once before the runs
 		}{
-			{name: "marginals", run: func() { m.Marginals() }},
-			{name: "marginals_walk", run: func() { marginalsWalk(m) }}, // the per-state oracle the fold replaced
+			{name: "marginals", run: func() { m.Marginals() }, before: func() { m.Posterior() }}, // sweep: drop what an update arm held
+			{name: "marginals_walk", run: func() { marginalsWalk(m) }},                           // the per-state oracle the fold replaced
 			{name: "prefix_scan", run: func() { m.PrefixNegMasses(order) }},
 			{name: "entropy", run: func() { m.Entropy() }},
-			{name: "update", run: func() {
-				if err := m.Update(pm, dilution.Positive); err != nil {
-					b.Fatal(err)
-				}
-			}},
+			{name: "update", run: update},
+			{name: "update_marginals", run: func() { update(); m.Marginals() }},
 			{name: "update_eager", run: func() { updateEager(m, pm, dilution.Positive) }},
+			{name: "sum", run: func() { m.post.Sum() }},
 			{name: "prior", run: func() {
 				if _, err := New(m.post.Pool(), Config{Risks: m.risks, Response: flatResp}); err != nil {
 					b.Fatal(err)
@@ -271,7 +282,14 @@ func BenchmarkStageKernels(b *testing.B) {
 			{name: "condition_top", run: condition(n - 1), setup: func() { victim = m.Clone() }},
 		}
 		for _, k := range kernels {
+			if n == 18 && k.name != "prefix_scan" {
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/N=%d", k.name, n), func(b *testing.B) {
+				if k.before != nil {
+					k.before()
+					b.ResetTimer()
+				}
 				for i := 0; i < b.N; i++ {
 					if k.setup != nil {
 						b.StopTimer()

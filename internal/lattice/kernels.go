@@ -18,12 +18,12 @@ import (
 // the two packages is a bug (engine.Vector's own primitives — Scale, Sum,
 // ReduceSubset, FillDoubling — sit below them).
 //
-//	prior        PriorOdds, FillPrior, PriorSummary
+//	prior        PriorOdds, PriorTotal, PriorPrefixNegMasses, FillPrior, PriorSummary
 //	update       LikelihoodTable, MulLikelihood
 //	reductions   AddMarginals, RankTable.AddMinRankMasses, AddCleanMasses,
 //	             SumWhere, DotLikelihood, EntropyNats, ScanDigest
 //	conditioning KeptBelow, CollapseBit
-//	rescaling    ValidFactor, Scale
+//	rescaling    ValidFactor, Scale, MergeVec
 //	input checks FirstInvalid
 
 // foldBits is the split point of the marginal kernel: an aligned block of
@@ -72,23 +72,45 @@ func foldHalves(dst, lo, hi []float64) float64 {
 	return (a0 + a1) + (a2 + a3)
 }
 
+// foldBlock adds to out the marginal contributions of the aligned block at
+// state b and returns the block's total, which the last fold leaves behind:
+// bit 7's mass is the sum of the upper half; adding the upper half onto the
+// lower leaves a 128-state block whose upper half is bit 6's mass, and so on
+// down to bit 0, and the total goes to each high bit the block shares.
+func foldBlock(b uint64, blk *[foldLen]float64, scratch *[foldLen / 2]float64, out []float64) float64 {
+	out[foldBits-1] += foldHalves(scratch[:], blk[:foldLen/2], blk[foldLen/2:])
+	for bit, half := foldBits-2, foldLen/4; half >= 4; bit, half = bit-1, half/2 {
+		out[bit] += foldHalves(scratch[:half], scratch[:half], scratch[half:2*half])
+	}
+	// Four states are left: bit 1 splits them 2+2, bit 0 odd from even.
+	out[1] += scratch[2] + scratch[3]
+	even, odd := scratch[0]+scratch[2], scratch[1]+scratch[3]
+	out[0] += odd
+	total := even + odd
+	for v := b >> foldBits; v != 0; v &= v - 1 {
+		out[foldBits+bits.TrailingZeros64(v)] += total
+	}
+	return total
+}
+
+// blockSpan returns the aligned blocks the run [offset, end) covers whole,
+// as [head, tail) (head >= tail: none); the ragged edges go state by state.
+func blockSpan(offset, end uint64) (head, tail uint64) {
+	return (offset + foldLen - 1) &^ uint64(foldLen-1), end &^ uint64(foldLen-1)
+}
+
 // AddMarginals accumulates onto out[i] the mass of every state in the run
 // that has bit i set — one partition's (or one shard's) contribution to
 // the marginals. out must cover every bit set in any state of the run.
 //
-// Inside an aligned foldLen-state block, bit 7's mass is the sum of the
-// upper half; adding the upper half onto the lower leaves a 128-state
-// block whose upper half is bit 6's mass, and so on down to bit 0. That is
-// two additions per state with no data-dependent branch, and the last fold
-// leaves the block total for the high bits the block shares. The sums are
+// Aligned foldLen-state blocks take the halving folds (foldBlock): two
+// additions per state with no data-dependent branch. The sums are
 // pairwise, so they are at least as accurate as the per-state walk, from
 // which they differ in the last ulps. Ragged edges (a run need not start
 // or end on a block boundary) take the walk. The order of every addition
 // is fixed by (offset, len(data)), so results are deterministic.
 func AddMarginals(offset uint64, data []float64, out []float64) {
-	end := offset + uint64(len(data))
-	head := (offset + foldLen - 1) &^ uint64(foldLen-1)
-	tail := end &^ uint64(foldLen-1)
+	head, tail := blockSpan(offset, offset+uint64(len(data)))
 	if head >= tail {
 		addMarginalsWalk(offset, data, out)
 		return
@@ -96,19 +118,7 @@ func AddMarginals(offset uint64, data []float64, out []float64) {
 	addMarginalsWalk(offset, data[:head-offset], out)
 	var scratch [foldLen / 2]float64
 	for b := head; b < tail; b += foldLen {
-		blk := data[b-offset : b-offset+foldLen]
-		out[foldBits-1] += foldHalves(scratch[:], blk[:foldLen/2], blk[foldLen/2:])
-		for bit, half := foldBits-2, foldLen/4; half >= 4; bit, half = bit-1, half/2 {
-			out[bit] += foldHalves(scratch[:half], scratch[:half], scratch[half:2*half])
-		}
-		// Four states are left: bit 1 splits them 2+2, bit 0 odd from even.
-		out[1] += scratch[2] + scratch[3]
-		even, odd := scratch[0]+scratch[2], scratch[1]+scratch[3]
-		out[0] += odd
-		total := even + odd
-		for v := b >> foldBits; v != 0; v &= v - 1 {
-			out[foldBits+bits.TrailingZeros64(v)] += total
-		}
+		foldBlock(b, (*[foldLen]float64)(data[b-offset:]), &scratch, out)
 	}
 	addMarginalsWalk(tail, data[tail-offset:], out)
 }
@@ -149,20 +159,22 @@ func NewRankTable(order []int, n int) (*RankTable, error) {
 	return t, nil
 }
 
-// AddMinRankMasses histograms the run's mass by minimum order-rank: out[r]
-// gains the mass of every state whose lowest-ranked infected subject has
-// rank r, out[len(order)] the mass of states disjoint from the ordering.
-// States are visited in index order with one accumulator per slot, so the
-// histogram is bit-for-bit the one a per-state bit walk produces; the high
-// part of the minimum is computed once per 256-state block.
-func (t *RankTable) AddMinRankMasses(offset uint64, data []float64, out []float64) {
-	out = out[:int(t.k)+1]
+// highRank is the minimum rank among the bits of s above its low byte.
+func (t *RankTable) highRank(s uint64) uint8 {
+	high := t.k
+	for v := s >> 8; v != 0; v &= v - 1 {
+		high = min(high, t.rank[8+bits.TrailingZeros64(v)])
+	}
+	return high
+}
+
+// addMinRankWalk is the per-state form of AddMinRankMasses: states in index
+// order, one accumulator per slot, so bit-for-bit a per-state bit walk's;
+// the high part of the minimum is computed once per 256-state block.
+func (t *RankTable) addMinRankWalk(offset uint64, data []float64, out []float64) {
 	for i := 0; i < len(data); {
 		s := offset + uint64(i)
-		high := t.k
-		for v := s >> 8; v != 0; v &= v - 1 {
-			high = min(high, t.rank[8+bits.TrailingZeros64(v)])
-		}
+		high := t.highRank(s)
 		j := int(s & 255)
 		run := data[i:min(len(data), i+256-j)]
 		for _, w := range run {
@@ -171,6 +183,53 @@ func (t *RankTable) AddMinRankMasses(offset uint64, data []float64, out []float6
 		}
 		i += len(run)
 	}
+}
+
+// rowScanMin is the run length from which AddMinRankMasses histograms by
+// rows; shorter, the rows cost more than they save (measured, DESIGN §5.2).
+const rowScanMin = 1 << 15
+
+// AddMinRankMasses histograms the run's mass by minimum order-rank: out[r]
+// gains the mass of every state whose lowest-ranked infected subject has
+// rank r, out[len(order)] the mass of states disjoint from the ordering.
+//
+// Adding every state to out[its rank] is a load-add-store chain through a
+// few slots. A run of at least rowScanMin states instead adds each aligned
+// 256-state block state-for-state into one 256-float row per high-bit
+// minimum rank (made on first use) — 256 independent sums — and applies the
+// low byte's ranks once per row at the end; ragged edges and shorter runs
+// take the per-state loop. Rows regroup the additions: the two forms agree
+// to 1e-13 relative, each fixed by (offset, len(data)).
+func (t *RankTable) AddMinRankMasses(offset uint64, data []float64, out []float64) {
+	out = out[:int(t.k)+1]
+	if len(data) < rowScanMin {
+		t.addMinRankWalk(offset, data, out)
+		return
+	}
+	head, tail := blockSpan(offset, offset+uint64(len(data))) // foldLen is the low byte's 256
+	t.addMinRankWalk(offset, data[:head-offset], out)
+	rows := make([]*[256]float64, len(out))
+	for b := head; b < tail; b += 256 {
+		high := t.highRank(b)
+		if rows[high] == nil {
+			rows[high] = new([256]float64)
+		}
+		row, blk := rows[high], (*[256]float64)(data[b-offset:])
+		for j := 0; j < len(blk); j += 4 {
+			row[j] += blk[j]
+			row[j+1] += blk[j+1]
+			row[j+2] += blk[j+2]
+			row[j+3] += blk[j+3]
+		}
+	}
+	for high, row := range rows {
+		if row != nil {
+			for j, w := range row {
+				out[min(t.low[j], uint8(high))] += w
+			}
+		}
+	}
+	t.addMinRankWalk(tail, data[tail-offset:], out)
 }
 
 // KeptBelow counts the states s < x with s&bit == base: the index, in the
@@ -251,6 +310,30 @@ func PriorOdds(risks []float64) (base float64, odds []float64, err error) {
 	return math.Exp(logBase), odds, nil
 }
 
+// PriorTotal is the total mass of the product prior FillPrior writes, Σ_S
+// base·Π_{i∈S} odds[i] = base·Π(1+odds[i]): what a sweep sums to, within a
+// few ulps per subject. A base that underflowed to 0 gives 0, no one's scale.
+func PriorTotal(base float64, odds []float64) float64 {
+	total := base
+	for _, o := range odds {
+		total *= 1 + o //lint:allow floats every partial product is the all-negative probability of the sub-cohort still to come, so it stays in [base, 1]
+	}
+	return total
+}
+
+// PriorPrefixNegMasses is the prefix scan of the product prior in closed
+// form: subjects are independent, so the clean mass of order[0..i] is
+// Π_{j≤i} (1−risks[order[j]]). order must have passed NewRankTable.
+func PriorPrefixNegMasses(risks []float64, order []int) []float64 {
+	neg := make([]float64, len(order))
+	clean := 1.0
+	for i, subj := range order {
+		clean *= 1 - risks[subj] //lint:allow floats a clean-pool probability, reported as small as it is: the swept histogram gives the same value
+		neg[i] = clean
+	}
+	return neg
+}
+
 // PriorSummary is the Summary of the product prior in closed form, what a
 // model still at its prior answers without reading the lattice: subjects are
 // independent, so the marginals are the risks, entropies and expectations
@@ -299,17 +382,55 @@ func LikelihoodTable(resp dilution.Response, y dilution.Outcome, size int) ([]fl
 	return lik, nil
 }
 
-// MulLikelihood is the fused update pass: every state s of the run is
-// multiplied in place by lik[|s ∩ pool|], and the compensated sum of the
-// products is returned, whose reciprocal is the normaliser the model
-// carries. lik must have popcount(pool)+1 entries.
-func MulLikelihood(offset uint64, data []float64, pool uint64, lik []float64) prob.Accumulator {
-	var acc prob.Accumulator
+// mulLikelihoodWalk is MulLikelihood's per-state edge form: one compensated
+// add per state, and the bit walk for marg.
+func mulLikelihoodWalk(offset uint64, data []float64, pool uint64, lik, marg []float64, acc *prob.Accumulator) {
 	for j := range data {
 		w := data[j] * lik[bits.OnesCount64((offset+uint64(j))&pool)]
 		data[j] = w
 		acc.Add(w)
 	}
+	addMarginalsWalk(offset, data, marg)
+}
+
+// MulLikelihood is the fused update pass: every state s of the run is
+// multiplied in place by lik[|s ∩ pool|], marg gains the products' marginal
+// partials — exactly what AddMarginals of the run would add afterwards —
+// and the products' compensated sum is returned, whose reciprocal is the
+// normaliser the model carries. lik must have popcount(pool)+1 entries and
+// marg must cover every bit set in any state of the run.
+//
+// A compensated add per state is a dependency chain, and it, not memory,
+// bounded the pass. So an aligned block is multiplied (the intersect count
+// is the block's high-bit count plus a low-byte table's), folded for its
+// marginals while still in L1, and the block total the fold leaves behind
+// is added to the accumulator: one compensated add per block. The total is
+// within 1e-14 relative of the per-state sum; the products are the same.
+func MulLikelihood(offset uint64, data []float64, pool uint64, lik, marg []float64) prob.Accumulator {
+	var acc prob.Accumulator
+	head, tail := blockSpan(offset, offset+uint64(len(data)))
+	if head >= tail {
+		mulLikelihoodWalk(offset, data, pool, lik, marg, &acc)
+		return acc
+	}
+	mulLikelihoodWalk(offset, data[:head-offset], pool, lik, marg, &acc)
+	var low [foldLen]uint8 // |j ∩ pool| of a low byte j
+	for j := range low {
+		low[j] = uint8(bits.OnesCount64(uint64(j) & pool))
+	}
+	var scratch [foldLen / 2]float64
+	for b := head; b < tail; b += foldLen {
+		blk := (*[foldLen]float64)(data[b-offset:])
+		high := lik[bits.OnesCount64(b&pool):]
+		for j := 0; j < len(blk); j += 4 {
+			blk[j] *= high[low[j]]
+			blk[j+1] *= high[low[j+1]]
+			blk[j+2] *= high[low[j+2]]
+			blk[j+3] *= high[low[j+3]]
+		}
+		acc.Add(foldBlock(b, blk, &scratch, marg))
+	}
+	mulLikelihoodWalk(tail, data[tail-offset:], pool, lik, marg, &acc)
 	return acc
 }
 
@@ -360,13 +481,32 @@ func AddCleanMasses(offset uint64, data []float64, masks []uint64, out []float64
 }
 
 // SumWhere returns the compensated mass of the run's states s with
-// s&mask == base, visited in index order: a clean-pool mass (base 0), a
-// conditioning event's mass (mask one bit), or with mask 0 the run's total.
+// s&mask == base: a clean-pool mass (base 0), a conditioning event's mass
+// (mask one bit), or with mask 0 the run's total.
+//
+// States are visited in index order, one compensated add each — except
+// under a single-bit mask of at least 4, the conditioning preflight: the
+// kept states are then aligned mask-long stretches, each summed in four
+// lanes with one compensated add per foldLen states at most (within 1e-14
+// relative of the per-state sum; an all-zero event is exactly 0 either way).
 func SumWhere(offset uint64, data []float64, mask, base uint64) prob.Accumulator {
 	var acc prob.Accumulator
-	for j, w := range data {
-		if (offset+uint64(j))&mask == base {
-			acc.Add(w)
+	if mask < 4 || mask&(mask-1) != 0 {
+		for j, w := range data {
+			if (offset+uint64(j))&mask == base {
+				acc.Add(w)
+			}
+		}
+		return acc
+	}
+	end := offset + uint64(len(data))
+	for s := offset&^(2*mask-1) | base; s < end; s += 2 * mask {
+		for lo, hi := max(s, offset), min(s+mask, end); lo < hi; lo += foldLen {
+			var a [4]float64
+			for j, w := range data[lo-offset : min(hi, lo+foldLen)-offset] {
+				a[j&3] += w
+			}
+			acc.Add((a[0] + a[1]) + (a[2] + a[3]))
 		}
 	}
 	return acc
@@ -421,4 +561,19 @@ func Scale(data []float64, factor float64) {
 	for j := range data {
 		data[j] *= factor
 	}
+}
+
+// MergeVec merges the n-entry vector partials of consecutive runs
+// element-wise, in run order, through compensated accumulators — as
+// engine.Vector.ReduceVec merges its partitions' — times scale.
+func MergeVec(partials [][]float64, n int, scale float64) []float64 {
+	out := make([]float64, n)
+	for j := range out {
+		var acc prob.Accumulator
+		for _, part := range partials {
+			acc.Add(part[j])
+		}
+		out[j] = acc.Value() * scale
+	}
+	return out
 }

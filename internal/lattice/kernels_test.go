@@ -191,8 +191,10 @@ func TestPrefixScanTableBitForBit(t *testing.T) {
 
 // TestPriorDoublingBitForBit: building the prior by doubling applies the
 // odds in the same ascending-bit order as walking each state's bits, so
-// after the shared Normalize every state must equal the per-state oracle
-// exactly.
+// every stored state must equal the per-state oracle exactly. The carried
+// scale is the reciprocal of the closed-form total, not of the oracle's
+// swept one, so the settled masses agree with the normalized oracle to
+// 1e-15 relative.
 func TestPriorDoublingBitForBit(t *testing.T) {
 	r := rng.New(808)
 	pool := newTestPool(t)
@@ -217,11 +219,16 @@ func TestPriorDoublingBitForBit(t *testing.T) {
 					data[j] = w
 				}
 			})
-			normalize(want)
 			m := mustNew(t, pool, Config{Risks: risks, Response: dilution.Ideal{}, Parts: parts})
 			for s := uint64(0); s < m.States(); s++ {
-				if got := m.StateMass(bitvec.Mask(s)); got != want.At(s) {
-					t.Fatalf("n=%d parts=%d: prior[%d] = %v, oracle %v", n, parts, s, got, want.At(s))
+				if got := m.post.At(s); got != want.At(s) {
+					t.Fatalf("n=%d parts=%d: stored prior[%d] = %v, oracle %v", n, parts, s, got, want.At(s))
+				}
+			}
+			normalize(want)
+			for s := uint64(0); s < m.States(); s++ {
+				if got := m.StateMass(bitvec.Mask(s)); math.Abs(got-want.At(s)) > 1e-15*want.At(s) {
+					t.Fatalf("n=%d parts=%d: prior[%d] = %v, normalized oracle %v", n, parts, s, got, want.At(s))
 				}
 			}
 		}
@@ -466,7 +473,9 @@ func raggedCuts(r *rng.Source, n int) []int {
 // ragged (offset, len) splits of a random posterior, must produce on every
 // run exactly what a per-state loop written here produces on that run
 // (`==`: the kernels keep the per-state accumulation order; the tiled
-// candidate scan regroups sums per tile, so 1e-12), and the run partials
+// candidate scan regroups sums per tile, so 1e-12, and MulLikelihood's
+// total takes fold totals for whole blocks, so 1e-14 relative there, while
+// its products and marginal partials stay `==`), and the run partials
 // merged in order must agree with the per-state loop over the whole
 // lattice to 1e-12 — a kernel may not depend on where its run starts.
 func TestSliceKernelsSplitInvariant(t *testing.T) {
@@ -590,11 +599,21 @@ func TestSliceKernelsSplitInvariant(t *testing.T) {
 			scaled := append([]float64(nil), run...)
 			Scale(scaled, factor)
 			mul := append([]float64(nil), run...)
-			acc := MulLikelihood(off, mul, pm, lik)
-			if acc != oMul {
+			marg, wantMarg := make([]float64, n), make([]float64, n)
+			acc := MulLikelihood(off, mul, pm, lik, marg)
+			// A run that holds a whole aligned block adds that block's fold
+			// total, not its states: 1e-14 relative there, == elsewhere.
+			if head, tail := blockSpan(off, off+uint64(len(run))); head >= tail && acc != oMul ||
+				math.Abs(acc.Value()-oMul.Value()) > 1e-14*oMul.Value() {
 				t.Fatalf("n=%d run [%d,+%d): MulLikelihood sum %v, oracle %v", n, off, len(run), acc, oMul)
 			}
 			gotMul.Merge(acc)
+			AddMarginals(off, oData, wantMarg)
+			for i := range wantMarg {
+				if marg[i] != wantMarg[i] {
+					t.Fatalf("n=%d run [%d,+%d): MulLikelihood marginal partial %d = %v, AddMarginals of the products %v", n, off, len(run), i, marg[i], wantMarg[i])
+				}
+			}
 			for j := range run {
 				if mul[j] != oData[j] || scaled[j] != run[j]*factor {
 					t.Fatalf("n=%d state %d: MulLikelihood %v (oracle %v), Scale %v (oracle %v)",

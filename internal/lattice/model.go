@@ -11,10 +11,12 @@
 // tables. All three SBGT computational kernels live here or directly on top:
 //
 //   - New: the product prior by doubling — level i of the lattice is the
-//     first 2^i states times odds[i], one multiply per state,
+//     first 2^i states times odds[i], one multiply per state; its total and
+//     its prefix masses are closed forms of the risks, never swept,
 //   - Update: multiply every state's mass by the dilution-aware likelihood
-//     of an observed pooled-test outcome and renormalize — one fused pass:
-//     the normaliser is a scalar the model carries into the next table,
+//     of an observed pooled-test outcome and renormalize — one fused pass
+//     that also leaves the marginals behind: the normaliser is a scalar the
+//     model carries into the next table,
 //   - Marginals / NegMass / NegMasses / PrefixNegMasses: the reductions that
 //     drive classification and the halving test-selection scan,
 //   - Condition: collapse a classified subject out of the lattice, halving
@@ -22,9 +24,9 @@
 //
 // Every per-state loop lives once, in kernels.go, as a plain function
 // over one contiguous run of states (offset, []float64): the prior fill
-// (FillPrior, PriorOdds), the update multiply-and-sum (MulLikelihood over a
-// LikelihoodTable), the reductions (AddMarginals, RankTable's min-rank
-// histogram, AddCleanMasses, SumWhere, DotLikelihood, EntropyNats,
+// (FillPrior, PriorOdds), the update multiply-fold-and-sum (MulLikelihood
+// over a LikelihoodTable), the reductions (AddMarginals, RankTable's
+// min-rank histogram, AddCleanMasses, SumWhere, DotLikelihood, EntropyNats,
 // ScanDigest), the conditioning gather (CollapseBit, KeptBelow) and Scale.
 // Model's methods run them per partition and the cluster executor runs
 // them on its shard; each backend owns only its reduction shape and merge
@@ -32,14 +34,16 @@
 // (engine.Vector's primitives sit below this package; the reference and
 // ablation forms the kernels are tested against live in the _test files).
 //
-// The per-stage passes are branch-free on the data. Marginals come from
-// halving folds (AddMarginals): in an aligned 256-state block bit 7's mass
-// is the sum of the upper half, and adding that half onto the lower leaves
-// a 128-state block with the same property for bit 6, down to bit 0 —
-// two additions per state, and the block total for the shared high bits.
-// The prefix scan (RankTable) reads a state's minimum order-rank as
-// min(table[low byte], minimum over the high bits), the second computed
-// once per block.
+// The per-stage passes keep no per-state dependency chain: a compensated
+// add or a store to a shared slot per state, not memory, is what bounded
+// them. Marginals come from halving folds (AddMarginals): in an aligned
+// 256-state block bit 7's mass is the sum of the upper half, and adding
+// that half onto the lower leaves a 128-state block with the same property
+// for bit 6, down to bit 0 — two additions per state, and the block total
+// for the shared high bits, which is also what the update adds to its
+// normaliser, once per block. The prefix scan (RankTable) reads a state's
+// minimum order-rank as min(table[low byte], minimum over the high bits);
+// long runs add whole blocks into one row per high-bit class.
 package lattice
 
 import (
@@ -84,6 +88,10 @@ type Model struct {
 	// ConditionInPlace into its factor; every other reader calls settle.
 	scale float64
 	prior bool // post is still New's product prior: its digest is PriorSummary
+	// marg, when non-nil, is the marginals the last Update's pass left behind
+	// (its partials × the new scale), good until a conditioning or a caller of
+	// Posterior changes post.
+	marg []float64
 }
 
 // settle applies the carried normaliser and returns post, now the posterior.
@@ -95,28 +103,34 @@ func (m *Model) settle() *engine.Vector {
 	return m.post
 }
 
-// alloc validates cfg and returns a model of its cohort around a zeroed
-// posterior, for New and Restore to fill, with the prior's base and odds.
-func alloc(pool *engine.Pool, cfg Config) (m *Model, base float64, odds []float64, err error) {
+// validate checks cfg and returns its product prior's base and odds.
+func validate(cfg Config) (base float64, odds []float64, err error) {
 	n := len(cfg.Risks)
 	if n == 0 {
-		return nil, 0, nil, fmt.Errorf("lattice: empty cohort")
+		return 0, nil, fmt.Errorf("lattice: empty cohort")
 	}
 	if n > MaxSubjects {
-		return nil, 0, nil, fmt.Errorf("lattice: cohort size %d exceeds max %d (use the cluster runtime)", n, MaxSubjects)
+		return 0, nil, fmt.Errorf("lattice: cohort size %d exceeds max %d (use the cluster runtime)", n, MaxSubjects)
 	}
 	if cfg.Response == nil {
-		return nil, 0, nil, fmt.Errorf("lattice: nil response model")
+		return 0, nil, fmt.Errorf("lattice: nil response model")
 	}
 	if base, odds, err = PriorOdds(cfg.Risks); err != nil {
-		return nil, 0, nil, fmt.Errorf("lattice: %v", err)
+		return 0, nil, fmt.Errorf("lattice: %v", err)
 	}
+	return base, odds, nil
+}
+
+// alloc returns a model of a validated cfg's cohort around a zeroed
+// posterior, for New and Restore to fill.
+func alloc(pool *engine.Pool, cfg Config) *Model {
+	n := len(cfg.Risks)
 	return &Model{
 		n:     n,
 		risks: append([]float64(nil), cfg.Risks...),
 		resp:  cfg.Response,
 		post:  engine.NewVector(pool, uint64(1)<<uint(n), cfg.Parts),
-	}, base, odds, nil
+	}
 }
 
 // New builds the prior lattice model on the given pool.
@@ -129,17 +143,21 @@ func alloc(pool *engine.Pool, cfg Config) (m *Model, base float64, odds []float6
 // Setting bit i multiplies a state's mass by odds[i], so the lattice is
 // built by doubling: level i is the first 2^i states times odds[i], one
 // multiply per state (engine.Vector.FillDoubling). The product sums to 1 up
-// to rounding, which one Sum finds; its reciprocal is the carried scale.
+// to rounding; that total is PriorTotal's closed form, not a sweep, and its
+// reciprocal is the carried scale. A degenerate prior (total 0: the risks'
+// all-negative mass underflowed) is refused before the 2^N allocation.
 func New(pool *engine.Pool, cfg Config) (*Model, error) {
-	m, base, odds, err := alloc(pool, cfg)
+	base, odds, err := validate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m.post.FillDoubling(base, odds)
-	total := m.post.Sum()
-	if m.scale, m.prior = 1/total, true; !ValidFactor(m.scale) {
+	total := PriorTotal(base, odds)
+	if !ValidFactor(1 / total) {
 		return nil, fmt.Errorf("lattice: degenerate prior (total %v)", total)
 	}
+	m := alloc(pool, cfg)
+	m.post.FillDoubling(base, odds)
+	m.scale, m.prior = 1/total, true
 	return m, nil
 }
 
@@ -159,8 +177,13 @@ func (m *Model) Response() dilution.Response { return m.resp }
 func (m *Model) Risks() []float64 { return append([]float64(nil), m.risks...) }
 
 // Posterior exposes the partitioned posterior for engine-level consumers
-// (the halving scan and the cluster runtime). Callers must not mutate it.
-func (m *Model) Posterior() *engine.Vector { return m.settle() }
+// (the halving scan and the cluster runtime). Callers must not mutate it —
+// but the storage it hands out is mutable, so the held marginals end here
+// and the next Marginals sweeps.
+func (m *Model) Posterior() *engine.Vector {
+	m.marg = nil
+	return m.settle()
+}
 
 // StateMass returns the posterior mass of one lattice state.
 func (m *Model) StateMass(s bitvec.Mask) float64 { return m.settle().At(uint64(s)) }
@@ -170,9 +193,11 @@ func (m *Model) StateMass(s bitvec.Mask) float64 { return m.settle().At(uint64(s
 // with k = |S ∩ pool| infected among |pool| specimens, then the lattice is
 // renormalized. The likelihood depends on the state only through k, so it
 // is precomputed into a (|pool|+1)-entry table, the pending scale folded in,
-// and the reweighting is one fused multiply-and-accumulate pass whose total's
-// reciprocal is the new scale: stored mass stays within one predictive
-// factor of 1, so nothing drifts.
+// and the reweighting is one MulLikelihood pass that hands back the
+// products' total and marginal partials. The total's reciprocal is the new
+// scale — stored mass stays within one predictive factor of 1, so nothing
+// drifts — and the partials, merged as ReduceVec merges them and times that
+// scale, are held for the Marginals call that follows every update.
 //
 // Update returns an error if the pool is empty, references subjects outside
 // the cohort, or the outcome has zero likelihood under every state — with
@@ -189,23 +214,26 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	if err != nil {
 		return fmt.Errorf("lattice: %v", err)
 	}
-	pass := func(kernel func(uint64, []float64, uint64, []float64) prob.Accumulator) float64 {
-		return m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
-			return kernel(offset, data, uint64(pool), lik)
-		})
-	}
 	Scale(lik, m.scale) // the pending normaliser rides in the table
 	total := 1.0
-	if !ValidFactor(1 / slices.Min(lik)) {
-		total = pass(DotLikelihood) // a zero entry: look before multiplying
+	if !ValidFactor(1 / slices.Min(lik)) { // a zero entry: look before multiplying
+		total = m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+			return DotLikelihood(offset, data, uint64(pool), lik)
+		})
 	}
+	partials := make([][]float64, m.post.Parts())
 	if ValidFactor(1 / total) {
-		total = pass(MulLikelihood)
+		total = m.post.ReduceSum(func(p int, offset uint64, data []float64) prob.Accumulator {
+			partials[p] = make([]float64, m.n)
+			return MulLikelihood(offset, data, uint64(pool), lik, partials[p])
+		})
+		m.marg = nil
 	}
 	if !ValidFactor(1 / total) {
 		return fmt.Errorf("lattice: outcome %v on pool %v has zero total likelihood (total %v)", y, pool, total)
 	}
 	m.scale, m.prior = 1/total, false
+	m.marg = MergeVec(partials, m.n, m.scale)
 	m.tests++
 	return nil
 }
@@ -216,10 +244,10 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 // (its total's reciprocal is the carried scale) so a checkpoint cannot
 // smuggle in an unnormalized lattice; it is never taken for a prior.
 func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Model, error) {
-	m, _, _, err := alloc(pool, cfg)
-	if err != nil {
+	if _, _, err := validate(cfg); err != nil {
 		return nil, err
 	}
+	m := alloc(pool, cfg)
 	if uint64(len(posterior)) != m.post.Len() {
 		return nil, fmt.Errorf("lattice: posterior has %d states, cohort of %d needs %d",
 			len(posterior), m.n, m.post.Len())
@@ -252,5 +280,6 @@ func (m *Model) Clone() *Model {
 		tests: m.tests,
 		scale: m.scale,
 		prior: m.prior,
+		marg:  slices.Clone(m.marg),
 	}
 }

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
@@ -9,12 +10,17 @@ import (
 )
 
 // Marginals returns each subject's posterior infection probability,
-// P(i infected | data) = Σ_{S ∋ i} π(S), computed for all N subjects in a
-// single parallel ReduceVec pass of the halving-fold kernel AddMarginals
-// (times the carried scale). At the prior they are the risks: no pass.
+// P(i infected | data) = Σ_{S ∋ i} π(S). Straight after an Update it is a
+// copy of the vector that update's pass left behind, and at the prior the
+// risks: no pass. Otherwise — after a conditioning, a Restore, or once
+// Posterior has handed the storage out — it is one parallel ReduceVec pass
+// of the halving-fold kernel AddMarginals, times the carried scale.
 func (m *Model) Marginals() []float64 {
 	if m.prior {
 		return m.Risks()
+	}
+	if m.marg != nil {
+		return slices.Clone(m.marg)
 	}
 	marg := m.post.ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
 		AddMarginals(offset, data, out)
@@ -66,7 +72,8 @@ func (m *Model) NegMasses(cands []bitvec.Mask) []float64 {
 // rank; suffix sums of the histogram are the prefix masses. This replaces
 // the len(order) separate scans a direct implementation needs and is the
 // algorithmic core of SBGT's fast test selection. Subjects may appear in
-// order at most once; duplicates panic.
+// order at most once; duplicates panic. At the prior the prefix masses are
+// products of the risks' complements (PriorPrefixNegMasses): no pass.
 func (m *Model) PrefixNegMasses(order []int) []float64 {
 	k := len(order)
 	if k == 0 {
@@ -75,6 +82,9 @@ func (m *Model) PrefixNegMasses(order []int) []float64 {
 	tbl, err := NewRankTable(order, m.n)
 	if err != nil {
 		panic("lattice: " + err.Error())
+	}
+	if m.prior {
+		return PriorPrefixNegMasses(m.risks, order)
 	}
 	hist := m.post.ReduceVec(k+1, func(_ int, offset uint64, data []float64, out []float64) {
 		tbl.AddMinRankMasses(offset, data, out)
@@ -171,9 +181,9 @@ func (m *Model) Condition(subject int, positive bool) *Model {
 //
 // Like Condition it returns nil when the event has zero posterior mass or
 // only one subject remains — but because the gather destroys the old
-// contents, the event mass is preflighted with an exact sub-lattice
-// reduction first, so on nil the receiver is untouched and still usable
-// (core.Session relies on that to retry the complementary event).
+// contents, the event mass is preflighted with an exact SumWhere pass over
+// the kept stretches first, so on nil the receiver is untouched and still
+// usable (core.Session relies on that to retry the complementary event).
 func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 	if subject < 0 || subject >= m.n || m.n <= 1 {
 		return nil
@@ -183,10 +193,10 @@ func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 	if positive {
 		base = bit
 	}
-	// Preflight: the surviving states form the sub-lattice {base | f : f ⊆
-	// ^bit}, so their mass is one ReduceSubset away. Rejecting here keeps
-	// the receiver intact. (Of stored mass: the pending scale cancels.)
-	factor := 1 / m.post.ReduceSubset(base, uint64(bitvec.Full(m.n))&^bit)
+	// Preflight, of stored mass: the pending scale cancels in the factor.
+	factor := 1 / m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+		return SumWhere(offset, data, bit, base)
+	})
 	if !ValidFactor(factor) {
 		return nil
 	}
@@ -194,7 +204,7 @@ func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 	m.post.ShrinkGather(uint64(1)<<uint(nn), m.post.Parts(), func(_, src []float64) {
 		CollapseBit(0, src, bit, base, factor)
 	})
-	m.scale, m.prior = 1, false
+	m.scale, m.prior, m.marg = 1, false, nil
 	m.risks = append(m.risks[:subject], m.risks[subject+1:]...)
 	m.n = nn
 	return m

@@ -37,13 +37,13 @@ func updateEager(m *Model, pool bitvec.Mask, y dilution.Outcome) {
 	}
 	post := m.settle()
 	total := post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
-		return MulLikelihood(offset, data, uint64(pool), lik)
+		return MulLikelihood(offset, data, uint64(pool), lik, make([]float64, m.n))
 	})
 	if !ValidFactor(1 / total) {
 		panic("lattice: zero-likelihood outcome in updateEager")
 	}
 	post.Scale(1 / total)
-	m.prior = false
+	m.prior, m.marg = false, nil
 	m.tests++
 }
 
@@ -64,7 +64,7 @@ func conditionEager(m *Model, subject int, positive bool) *Model {
 	})
 	normalize(post)
 	m.risks = append(m.risks[:subject], m.risks[subject+1:]...)
-	m.n, m.prior = m.n-1, false
+	m.n, m.prior, m.marg = m.n-1, false, nil
 	return m
 }
 
@@ -87,7 +87,7 @@ func updateTwoPass(m *Model, pool bitvec.Mask, y dilution.Outcome) {
 	if total := normalize(m.post); !(total > 0) {
 		panic("lattice: zero-likelihood outcome in updateTwoPass")
 	}
-	m.prior = false
+	m.prior, m.marg = false, nil
 	m.tests++
 }
 
@@ -223,4 +223,28 @@ func conditionGather(m *Model, subject int, positive bool) *Model {
 		return nil
 	}
 	return out
+}
+
+// mulLikelihoodPerState is the update pass as it was before the block
+// folds: every state multiplied by its factor and added, compensated, one
+// at a time. It returns the products and their total.
+func mulLikelihoodPerState(offset uint64, data []float64, pool uint64, lik []float64) ([]float64, prob.Accumulator) {
+	out := make([]float64, len(data))
+	var acc prob.Accumulator
+	for j, w := range data {
+		out[j] = w * lik[bits.OnesCount64((offset+uint64(j))&pool)]
+		acc.Add(out[j])
+	}
+	return out, acc
+}
+
+// sumWhereWalk is SumWhere as the masked per-state walk, whatever the mask.
+func sumWhereWalk(offset uint64, data []float64, mask, base uint64) prob.Accumulator {
+	var acc prob.Accumulator
+	for j, w := range data {
+		if (offset+uint64(j))&mask == base {
+			acc.Add(w)
+		}
+	}
+	return acc
 }

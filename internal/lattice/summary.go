@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/prob"
@@ -25,47 +26,40 @@ type Summary struct {
 	Mass float64
 }
 
-// summaryPartial is one partition's contribution to the fused summary.
-type summaryPartial struct {
-	marg []float64
-	Digest
-}
-
 // Summary computes the posterior digest in a single parallel sweep: each
-// partition runs the marginal kernel and the scalar kernel back to back.
-// Per-partition partials merge in ascending partition order (compensated
-// for the additive statistics, lowest-state tie-break for the argmax), so
-// the result is deterministic like every other reduction. The marginals
-// are AddMarginals under ReduceVec's merge and ScanDigest keeps the
-// accumulators and state order of Entropy and Mass, so those fields are
-// bit-for-bit the standalone methods'.
+// partition runs the marginal kernel — unless the last Update's marginals
+// are still held, which it takes instead — and the scalar kernel back to
+// back. Per-partition partials merge in ascending partition order
+// (compensated for the additive statistics, lowest-state tie-break for the
+// argmax), so the result is deterministic like every other reduction. The
+// marginals are Marginals' (held, or AddMarginals under ReduceVec's merge)
+// and ScanDigest keeps the accumulators and state order of Entropy and
+// Mass, so those fields are bit-for-bit the standalone methods'.
 func (m *Model) Summary() *Summary {
 	if m.prior {
 		return PriorSummary(m.risks)
 	}
-	parts := make([]summaryPartial, m.post.Parts())
+	margs, digests := make([][]float64, m.post.Parts()), make([]Digest, m.post.Parts())
 	m.settle().ForPartitions(func(p int, offset uint64, data []float64) {
-		marg := make([]float64, m.n)
-		AddMarginals(offset, data, marg)
-		parts[p] = summaryPartial{marg, ScanDigest(offset, data)}
+		digests[p] = ScanDigest(offset, data)
+		if m.marg == nil {
+			margs[p] = make([]float64, m.n)
+			AddMarginals(offset, data, margs[p])
+		}
 	})
 
-	out := &Summary{Marginals: make([]float64, m.n), MAPMass: math.Inf(-1)}
-	margAccs := make([]prob.Accumulator, m.n)
-	var ent, exp, mass prob.Accumulator
-	for _, pt := range parts {
-		for j, x := range pt.marg {
-			margAccs[j].Add(x)
-		}
-		ent.Merge(pt.Entropy)
-		exp.Merge(pt.Expected)
-		mass.Merge(pt.Mass)
-		if pt.MAPMass > out.MAPMass || (pt.MAPMass == out.MAPMass && pt.MAPState < uint64(out.MAPState)) { //lint:allow floats exact equality is the deterministic argmax tie-break
-			out.MAPState, out.MAPMass = bitvec.Mask(pt.MAPState), pt.MAPMass
-		}
+	out := &Summary{Marginals: slices.Clone(m.marg), MAPMass: math.Inf(-1)}
+	if out.Marginals == nil {
+		out.Marginals = MergeVec(margs, m.n, 1)
 	}
-	for j := range margAccs {
-		out.Marginals[j] = margAccs[j].Value()
+	var ent, exp, mass prob.Accumulator
+	for _, d := range digests {
+		ent.Merge(d.Entropy)
+		exp.Merge(d.Expected)
+		mass.Merge(d.Mass)
+		if d.MAPMass > out.MAPMass || (d.MAPMass == out.MAPMass && d.MAPState < uint64(out.MAPState)) { //lint:allow floats exact equality is the deterministic argmax tie-break
+			out.MAPState, out.MAPMass = bitvec.Mask(d.MAPState), d.MAPMass
+		}
 	}
 	out.EntropyBits = ent.Value() / math.Ln2
 	out.ExpectedInfected = exp.Value()

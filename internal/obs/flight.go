@@ -258,8 +258,8 @@ func (r *FlightRecorder) TriggerAnomaly(reason string, attrs ...Attr) bool {
 	r.anomSeq++
 	events, _ := r.events()
 	dump := AnomalyDump{
-		ID:     fmt.Sprintf("a%06d", r.anomSeq),
-		Time:   now, Reason: reason, Attrs: attrs, Events: events,
+		ID:   fmt.Sprintf("a%06d", r.anomSeq),
+		Time: now, Reason: reason, Attrs: attrs, Events: events,
 	}
 	r.anomalies = append(r.anomalies, dump)
 	if len(r.anomalies) > maxAnomalyDumps {

@@ -23,7 +23,7 @@ func writeRuntimeGoroutineProfile(t *testing.T, w io.Writer) {
 // locations (with inline chains), and samples with packed value arrays.
 
 type synthProfile struct {
-	strings []string        // index 0 must be ""
+	strings []string // index 0 must be ""
 	strIdx  map[string]uint64
 	buf     bytes.Buffer
 }

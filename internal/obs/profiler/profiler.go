@@ -386,14 +386,14 @@ func (p *Profiler) Capture(reason, class, anomalyID string, attrs []obs.Attr, op
 	p.mu.Unlock()
 
 	meta := BundleMeta{
-		ID:     id,
-		Time:   p.cfg.Clock(),
-		Reason: reason,
-		Class:  class,
+		ID:        id,
+		Time:      p.cfg.Clock(),
+		Reason:    reason,
+		Class:     class,
 		AnomalyID: anomalyID,
-		GitSHA: p.gitSHA,
-		Attrs:  attrs,
-		Profiles: map[string]int64{},
+		GitSHA:    p.gitSHA,
+		Attrs:     attrs,
+		Profiles:  map[string]int64{},
 	}
 	for _, opt := range opts {
 		opt(&meta)
@@ -517,8 +517,8 @@ func (p *Profiler) captureCPU(path string) error {
 	cpuMu.Lock()
 	if err := pprof.StartCPUProfile(f); err != nil {
 		cpuMu.Unlock()
-		f.Close()           //lint:allow errcheck bail-out path; the start error wins
-		os.Remove(path)     //lint:allow errcheck best-effort removal of the empty file
+		f.Close()       //lint:allow errcheck bail-out path; the start error wins
+		os.Remove(path) //lint:allow errcheck best-effort removal of the empty file
 		return fmt.Errorf("profiler: cpu profile: %w", err)
 	}
 	select {

@@ -439,9 +439,9 @@ func BenchmarkRecordWhileWindowOpen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer p.Close() // interrupts the open window
+	defer p.Close()                                    // interrupts the open window
 	go p.Capture("bench-window", ClassManual, "", nil) //lint:allow concurrency bench helper; Close interrupts the window and waits via capMu on next capture
-	time.Sleep(5 * time.Millisecond) // let the window open
+	time.Sleep(5 * time.Millisecond)                   // let the window open
 	b.ReportAllocs()
 	b.ResetTimer()
 	x := 0.0

@@ -217,7 +217,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		t.Errorf("shared_total = %d, want %d", got, writers*perWriter)
 	}
 	for w := 0; w < writers; w += 2 {
-		name := fullName("own_total", []Label{L("writer", string(rune('a' + w)))})
+		name := fullName("own_total", []Label{L("writer", string(rune('a'+w)))})
 		if got := byName[name].Value; got != perWriter {
 			t.Errorf("%s = %d, want %d", name, got, perWriter)
 		}

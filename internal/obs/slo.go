@@ -91,8 +91,8 @@ func (o *Objective) validate() error {
 type ObjectiveState struct {
 	Name     string    `json:"name"`
 	Kind     string    `json:"kind"`
-	Burn     float64   `json:"burn"`     // budget consumption rate; > 1 is a breach
-	Current  float64   `json:"current"`  // bad fraction / error ratio / burst delta
+	Burn     float64   `json:"burn"`    // budget consumption rate; > 1 is a breach
+	Current  float64   `json:"current"` // bad fraction / error ratio / burst delta
 	Breached bool      `json:"breached"`
 	Since    time.Time `json:"since,omitempty"` // when the current breach began
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Full CI gate: build, vet, repo-invariant lint, tests, race tests, fuzz
+# Full CI gate: build, gofmt, vet, repo-invariant lint, tests, race tests, fuzz
 # smoke, serve smoke (which runs sbgt-metriclint over the live registry).
 # Mirrors .github/workflows/ci.yml so the same gate runs locally via
 # `make ci`. Fails on the first broken step.
@@ -9,6 +9,14 @@ cd "$(dirname "$0")/.."
 
 echo '== go build =='
 go build ./...
+
+echo '== gofmt =='
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l . lists:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo '== go vet =='
 go vet ./...

@@ -33,7 +33,7 @@ func SelectPoolSparse(m *SparseModel, maxPool int, localSearch bool) (Selection,
 // halving.Posterior surface.
 type sparseAdapter struct{ m *SparseModel }
 
-func (a sparseAdapter) N() int                       { return a.m.N() }
+func (a sparseAdapter) N() int                        { return a.m.N() }
 func (a sparseAdapter) Marginals() ([]float64, error) { return a.m.Marginals(), nil }
 func (a sparseAdapter) NegMasses(cands []SubjectSet) ([]float64, error) {
 	return a.m.NegMasses(cands), nil
