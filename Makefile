@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint vet race fuzz ci serve-smoke
+.PHONY: build test lint vet race fuzz examples ci serve-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,11 @@ fuzz:
 	$(GO) test ./internal/analysis -run xxx -fuzz FuzzAllowParser -fuzztime 10s
 	$(GO) test ./internal/analysis -run xxx -fuzz FuzzBaselineReader -fuzztime 10s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSessionCheckpointLoad -fuzztime 10s
+
+# Run every example program to completion (a few seconds in all): `go
+# build ./...` compiles them, only this executes them.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 # End-to-end smoke of the surveillance service: boot sbgt-serve, drive
 # cohorts to classification over HTTP, scrape /metrics, SIGTERM-drain,

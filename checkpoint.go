@@ -4,23 +4,7 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/latticeio"
 )
-
-// SaveModel checkpoints a lattice model to w: risks, response model, test
-// counter, and the full posterior, in a versioned binary format. Custom
-// Response implementations (not constructed by this package) must be
-// registered with encoding/gob before saving.
-func SaveModel(w io.Writer, m *Model) error {
-	return latticeio.Save(w, m)
-}
-
-// LoadModel restores a checkpointed model onto the engine. The posterior
-// is validated and renormalized; corrupt or truncated checkpoints are
-// rejected.
-func (e *Engine) LoadModel(r io.Reader) (*Model, error) {
-	return latticeio.Load(r, e.pool, 0)
-}
 
 // SaveSession checkpoints a surveillance session mid-campaign (or after
 // completion): classifications, counters, the test log, and the live

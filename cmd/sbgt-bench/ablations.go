@@ -8,6 +8,7 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/halving"
 	"repro/internal/lattice"
+	"repro/internal/posterior"
 	"repro/internal/workload"
 )
 
@@ -61,7 +62,7 @@ func runA3(c *ctx) error {
 	pool := c.newPool(c.workers)
 	defer pool.Close()
 	risks := workload.UniformRisks(n, 0.08)
-	m, err := lattice.New(pool, lattice.Config{Risks: risks, Response: benchResponse})
+	m, err := posterior.Spec{}.Open(pool, risks, benchResponse)
 	if err != nil {
 		return err
 	}
@@ -83,8 +84,11 @@ func runA3(c *ctx) error {
 	} {
 		var sel halving.Selection
 		t := bench.Measure(c.reps(), 1, func() {
-			sel = halving.Select(m, arm.opts)
+			sel, err = halving.SelectOn(m, arm.opts)
 		})
+		if err != nil {
+			return err
+		}
 		tab.AddRow(arm.name, t.Mean, sel.Scanned, math.Abs(sel.NegMass-0.5))
 	}
 	return c.emit(tab)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/halving"
 	"repro/internal/lattice"
+	"repro/internal/posterior"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -78,7 +79,7 @@ func runT2(c *ctx) error {
 		"N", "states", "baseline", "sbgt", "speedup")
 	for _, n := range c.sizes() {
 		risks := workload.UniformRisks(n, 0.05)
-		fast, err := lattice.New(pool, lattice.Config{Risks: risks, Response: benchResponse})
+		fast, err := posterior.Spec{}.Open(pool, risks, benchResponse)
 		if err != nil {
 			return err
 		}
@@ -96,8 +97,11 @@ func runT2(c *ctx) error {
 			}
 		}
 		tFast := bench.Measure(c.reps(), 1, func() {
-			halving.Select(fast, halving.Options{MaxPool: 32})
+			_, err = halving.SelectOn(fast, halving.Options{MaxPool: 32})
 		})
+		if err != nil {
+			return err
+		}
 		tSlow := bench.Measure(c.reps(), 1, func() {
 			slow.SelectHalving(32)
 		})

@@ -1,6 +1,7 @@
 // Command sbgt-exec runs one lattice executor: it owns a shard of the
 // distributed posterior and serves kernel requests from an sbgt driver
-// (sbgt.DialCluster or cmd/sbgt-bench -exp F6) until told to shut down.
+// (a cluster sbgt.Backend's Addrs, or cmd/sbgt-bench -exp F6) until told
+// to shut down.
 //
 // Usage:
 //

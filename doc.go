@@ -13,10 +13,11 @@
 // marginals cross decision thresholds. All lattice kernels run
 // data-parallel on a partitioned vector engine; an optional TCP
 // driver/executor runtime distributes the lattice across processes.
-// Beyond the dense 30-subject bound, the truncated SparseModel carries
-// cohorts to 64 subjects with an explicit error bound, and RunCampaign
-// composes cohort-sized sessions into arbitrarily large population
-// screens.
+// Beyond the dense 30-subject bound, the truncated sparse backend
+// (OpenBackend with BackendSparse) carries cohorts to 64 subjects with an
+// explicit error bound, and RunCampaign composes cohort-sized sessions
+// into arbitrarily large population screens. Every backend is reached the
+// same way: OpenBackend returns a Posterior, NewSessionOn drives it.
 //
 // # Quick start
 //

@@ -1,8 +1,9 @@
 // Cluster: run the lattice distributed across TCP executors — the
-// Spark-cluster analogue. The example starts three executors inside this
-// process on loopback (in production each would be cmd/sbgt-exec on its
-// own node), dials them as a driver, and runs Bayesian updates whose
-// posterior lives sharded across the executors.
+// Spark-cluster analogue. The example opens the cluster backend with three
+// executors started inside this process on loopback (in production each
+// would be cmd/sbgt-exec on its own node, listed in Backend.Addrs) and
+// runs Bayesian updates whose posterior lives sharded across them: same
+// wire protocol, sharding and merge order as a real deployment.
 //
 //	go run ./examples/cluster
 package main
@@ -10,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log/slog"
-	"net"
 	"os"
 	"time"
 
@@ -18,43 +18,32 @@ import (
 	"repro/internal/obs"
 )
 
+const executors = 3
+
 func main() {
 	logg := obs.NewLogger(os.Stderr, slog.LevelInfo, "example-cluster")
 	fatal := func(err error) {
 		logg.Error(err.Error())
 		os.Exit(1)
 	}
-	// Start three executors on ephemeral loopback ports. Each one owns a
-	// shard of the 2^N posterior and serves kernel RPCs.
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		addrs = append(addrs, l.Addr().String())
-		//lint:allow concurrency the demo runs executors in-process; deployments use cmd/sbgt-exec
-		go func(l net.Listener) {
-			// Library form of cmd/sbgt-exec: serve until shutdown. (The
-			// "use of closed network connection" error on process exit is
-			// expected; the executors outlive the driver here.)
-			if err := sbgt.ServeExecutorOn(l, 0); err != nil {
-				logg.Warn("executor stopped", "err", err)
-			}
-		}(l)
-	}
-	fmt.Printf("executors: %v\n", addrs)
-
 	// The driver shards a 16-subject lattice (65,536 states) across the
-	// three executors and builds the prior remotely.
+	// three executors — each owns a shard of the 2^N posterior and serves
+	// kernel RPCs — and builds the prior remotely. Closing the model stops
+	// the executors it started.
 	risks := sbgt.UniformRisks(16, 0.06)
 	assay := sbgt.BinaryTest(0.95, 0.99)
-	model, err := sbgt.DialCluster(addrs, risks, assay, 3*time.Second)
+	eng := sbgt.NewEngine(0)
+	defer eng.Close()
+	model, err := eng.OpenBackend(sbgt.Backend{
+		Kind:           sbgt.BackendCluster,
+		LocalExecutors: executors,
+		DialTimeout:    3 * time.Second,
+	}, risks, assay)
 	if err != nil {
 		fatal(err)
 	}
 	defer model.Close()
-	fmt.Printf("lattice of %d subjects sharded over %d executors\n", model.N(), model.Executors())
+	fmt.Printf("lattice of %d subjects sharded over %d executors\n", model.N(), executors)
 
 	// Drive a few pooled observations through the distributed posterior.
 	steps := []struct {

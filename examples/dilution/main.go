@@ -39,11 +39,14 @@ func main() {
 	// dilution changes is how much a test of that pool is *worth* — the
 	// chance it detects a lone positive collapses as d grows, which is why
 	// the campaign costs below explode and why capping pool size helps.
-	m, err := eng.NewModel(sbgt.UniformRisks(cohort, prevalence), sbgt.IdealTest())
+	m, err := eng.OpenBackend(sbgt.Backend{}, sbgt.UniformRisks(cohort, prevalence), sbgt.IdealTest())
 	if err != nil {
 		fatal(err)
 	}
-	sel := sbgt.SelectPool(m, 0, false)
+	sel, err := sbgt.SelectPool(m, 0, false)
+	if err != nil {
+		fatal(err)
+	}
 	k := sel.Pool.Count()
 	fmt.Printf("-- halving selects a %d-subject pool (clean mass %.3f); its worth under dilution --\n", k, sel.NegMass)
 	for _, d := range []float64{0, 0.2, 0.5, 1.0} {

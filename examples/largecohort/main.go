@@ -39,70 +39,71 @@ func main() {
 	fmt.Printf("cohort of %d at %.0f%% prevalence; hidden truth %v (%d infected)\n",
 		cohort, prevalence*100, population.Truth, population.Infected())
 
-	model, err := sbgt.NewSparseModel(sbgt.SparseConfig{
-		Risks:    risks,
-		Response: assay,
-		Eps:      1e-9,
+	eng := sbgt.NewEngine(0)
+	defer eng.Close()
+	model, err := eng.OpenBackend(sbgt.Backend{Kind: sbgt.BackendSparse, Eps: 1e-9}, risks, assay)
+	if err != nil {
+		fatal(err)
+	}
+	// The sparse backend's snapshot carries its truncation accounting: the
+	// retained support and the bound on the mass it has discarded.
+	truncation := func(m sbgt.Posterior) (support int, bound float64) {
+		snap, err := m.Snapshot()
+		if err != nil {
+			fatal(err)
+		}
+		return len(snap.States), snap.Pruned
+	}
+	support, bound := truncation(model)
+	fmt.Printf("truncated prior support: %d states (vs 2^48 ≈ 2.8e14 dense), bound %.2g\n", support, bound)
+
+	// The same session loop that drives the dense lattice drives the
+	// truncated posterior: halving selects, the oracle answers, subjects
+	// whose marginal crosses a threshold are classified and conditioned
+	// out of the model.
+	sess, err := eng.NewSessionOn(model, sbgt.Config{
+		Strategy:     sbgt.HalvingStrategy(16, false),
+		PosThreshold: posThresh,
+		NegThreshold: negThresh,
+		MaxStages:    200,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("truncated prior support: %d states (vs 2^48 ≈ 2.8e14 dense), bound %.2g\n",
-		model.Support(), model.Pruned())
-
-	// The classification loop, written out by hand: the sparse model has
-	// no session wrapper, which makes it a good tour of the lower-level
-	// API. Subjects are classified when their marginal crosses a
-	// threshold; classified subjects simply stop appearing in halving's
-	// candidate pools (their marginals are extreme), so no explicit
-	// conditioning step is needed.
-	classified := func(marg []float64) (pos, neg int) {
-		for _, g := range marg {
-			switch {
-			case g >= posThresh:
-				pos++
-			case g <= negThresh:
-				neg++
-			}
-		}
-		return
+	var pool sbgt.SubjectSet
+	var outcome sbgt.Outcome
+	test := func(p sbgt.SubjectSet) sbgt.Outcome {
+		pool, outcome = p, oracle.Test(p)
+		return outcome
 	}
-	stage := 0
-	for ; stage < 200; stage++ {
-		marg := model.Marginals()
-		pos, neg := classified(marg)
-		if pos+neg == cohort {
+	for !sess.Done() {
+		if err := sess.Step(test); err != nil {
+			fatal(err)
+		}
+		live := sess.Model() // nil once the last subject is classified
+		if live == nil {
 			break
 		}
-		sel, err := sbgt.SelectPoolSparse(model, 16, false)
-		if err != nil {
-			fatal(err)
-		}
-		y := oracle.Test(sel.Pool)
-		if err := model.Update(sel.Pool, y); err != nil {
-			fatal(err)
-		}
-		if stage < 6 || stage%10 == 0 {
+		support, bound = truncation(live)
+		if stage := sess.Stage(); stage <= 6 || stage%10 == 0 {
+			entropy, err := live.Entropy()
+			if err != nil {
+				fatal(err)
+			}
 			fmt.Printf("  stage %3d: pool %-30v -> %-8v  support %6d  entropy %6.2f bits\n",
-				stage+1, sel.Pool, y, model.Support(), model.Entropy())
+				stage, pool, outcome, support, entropy)
 		}
 	}
 
-	marg := model.Marginals()
-	var called sbgt.SubjectSet
-	for i, g := range marg {
-		if g >= 0.5 {
-			called = called.With(i)
-		}
-	}
+	res := sess.Result()
+	called := res.Positives()
 	correct := 0
 	for i := 0; i < cohort; i++ {
 		if called.Has(i) == population.Truth.Has(i) {
 			correct++
 		}
 	}
-	fmt.Printf("finished after %d tests (%.2f per subject)\n", oracle.Tests(),
-		float64(oracle.Tests())/cohort)
+	fmt.Printf("finished after %d tests (%.2f per subject)\n", res.Tests, res.TestsPerSubject())
 	fmt.Printf("called positives %v; accuracy %d/%d; truncation bound %.3g\n",
-		called, correct, cohort, model.Pruned())
+		called, correct, cohort, bound)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/halving"
 	"repro/internal/lattice"
+	"repro/internal/posterior"
 	"repro/internal/rng"
 )
 
@@ -107,7 +108,10 @@ func TestCrossValidationAgainstEngine(t *testing.T) {
 			}
 		}
 		for round := 0; round < 6; round++ {
-			sel := halving.Select(fast, halving.Options{MaxPool: 8})
+			sel, err := halving.SelectOn(posterior.FromLattice(fast), halving.Options{MaxPool: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
 			// The two implementations may break exact score ties differently
 			// (compensated vs naive summation); require the baseline's pick
 			// to be an equally good split, then apply the engine's pool to

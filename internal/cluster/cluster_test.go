@@ -39,7 +39,7 @@ func startExecutors(t *testing.T, k int) []string {
 
 func dialTest(t *testing.T, addrs []string, risks []float64, resp dilution.Response) *Model {
 	t.Helper()
-	m, err := Dial(addrs, risks, resp, 2*time.Second)
+	m, err := DialWith(addrs, risks, resp, DialOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,19 +57,19 @@ func uniform(n int, p float64) []float64 {
 
 func TestDialValidation(t *testing.T) {
 	addrs := startExecutors(t, 1)
-	if _, err := Dial(nil, uniform(4, 0.1), dilution.Ideal{}, time.Second); err == nil {
+	if _, err := DialWith(nil, uniform(4, 0.1), dilution.Ideal{}, DialOptions{Timeout: time.Second}); err == nil {
 		t.Error("no executors accepted")
 	}
-	if _, err := Dial(addrs, nil, dilution.Ideal{}, time.Second); err == nil {
+	if _, err := DialWith(addrs, nil, dilution.Ideal{}, DialOptions{Timeout: time.Second}); err == nil {
 		t.Error("empty cohort accepted")
 	}
-	if _, err := Dial(addrs, uniform(4, 0.1), nil, time.Second); err == nil {
+	if _, err := DialWith(addrs, uniform(4, 0.1), nil, DialOptions{Timeout: time.Second}); err == nil {
 		t.Error("nil response accepted")
 	}
-	if _, err := Dial([]string{"127.0.0.1:1"}, uniform(4, 0.1), dilution.Ideal{}, 200*time.Millisecond); err == nil {
+	if _, err := DialWith([]string{"127.0.0.1:1"}, uniform(4, 0.1), dilution.Ideal{}, DialOptions{Timeout: 200 * time.Millisecond}); err == nil {
 		t.Error("unreachable executor accepted")
 	}
-	if _, err := Dial(addrs, []float64{0.1, 1.5}, dilution.Ideal{}, time.Second); err == nil {
+	if _, err := DialWith(addrs, []float64{0.1, 1.5}, dilution.Ideal{}, DialOptions{Timeout: time.Second}); err == nil {
 		t.Error("invalid risk accepted")
 	}
 }
@@ -80,8 +80,8 @@ func TestPingAndShards(t *testing.T) {
 	if err := m.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Executors() != 3 || m.N() != 8 {
-		t.Fatalf("executors=%d n=%d", m.Executors(), m.N())
+	if len(m.conns) != 3 || m.N() != 8 {
+		t.Fatalf("executors=%d n=%d", len(m.conns), m.N())
 	}
 	// Shards must partition [0, 2^8).
 	var covered uint64
@@ -336,7 +336,7 @@ func TestShutdownTerminatesServe(t *testing.T) {
 	defer e.Close()
 	done := make(chan error, 1)
 	go func() { done <- e.Serve(l) }()
-	m, err := Dial([]string{l.Addr().String()}, uniform(4, 0.1), dilution.Ideal{}, time.Second)
+	m, err := DialWith([]string{l.Addr().String()}, uniform(4, 0.1), dilution.Ideal{}, DialOptions{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +584,7 @@ func TestPriorPrefixClosedFormOnCluster(t *testing.T) {
 		for i := range risks {
 			risks[i] = 0.01 + 0.9*r.Float64()
 		}
-		addrs, stop, err := StartLocal(min(2, 1<<uint(n)), 1)
+		addrs, stop, err := StartLocalObs(min(2, 1<<uint(n)), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

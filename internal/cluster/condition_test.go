@@ -280,7 +280,7 @@ func TestCollapseAndSpliceValidation(t *testing.T) {
 func BenchmarkClusterCondition(b *testing.B) {
 	const n = 16
 	for _, k := range []int{2, 3} {
-		addrs, stop, err := StartLocal(k, 1)
+		addrs, stop, err := StartLocalObs(k, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -179,19 +179,6 @@ type DialOptions struct {
 	Flight *obs.FlightScope
 }
 
-// Dial connects to the executors, shards the lattice across them
-// proportionally to their order, and materializes the prior product
-// measure remotely. Its normaliser is carried on the model, not applied,
-// and comes from lattice.PriorTotal's closed form, not from the shards.
-//
-// Executors are dialed concurrently, and the deadline applies per
-// connection — covering both the TCP dial and that executor's
-// prior-materialization round — so N executors cost one timeout
-// worst-case, not N of them. timeout <= 0 means no deadline.
-func Dial(addrs []string, risks []float64, resp dilution.Response, timeout time.Duration) (*Model, error) {
-	return DialWith(addrs, risks, resp, DialOptions{Timeout: timeout})
-}
-
 // dialOne runs one connection attempt: TCP dial, deadline, prior build.
 // Errors are unadorned — DialWith wraps them with the executor address
 // and attempt number.
@@ -228,11 +215,19 @@ func dialOne(addr string, rank int, lo, hi uint64, risks []float64, timeout, rpc
 	return c, nil
 }
 
-// DialWith is Dial with retries and observability. Every connection
-// failure — including a per-connection deadline firing mid prior build —
-// is wrapped with the executor address and the attempt number, so a
-// failed fan-out names the executor that sank it. A degenerate prior (the
-// all-negative mass underflows to 0) is refused before anything is dialed.
+// DialWith connects to the executors, shards the lattice across them
+// proportionally to their order, and materializes the prior product
+// measure remotely. Its normaliser is carried on the model, not applied,
+// and comes from lattice.PriorTotal's closed form, not from the shards.
+//
+// Executors are dialed concurrently, and opts.Timeout applies per
+// connection — covering both the TCP dial and that executor's
+// prior-materialization round — so N executors cost one timeout
+// worst-case, not N of them. Every connection failure — including that
+// deadline firing mid prior build — is wrapped with the executor address
+// and the attempt number, so a failed fan-out names the executor that sank
+// it. A degenerate prior (the all-negative mass underflows to 0) is
+// refused before anything is dialed.
 func DialWith(addrs []string, risks []float64, resp dilution.Response, opts DialOptions) (*Model, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no executors")
@@ -336,9 +331,6 @@ func (m *Model) Risks() []float64 { return append([]float64(nil), m.risks...) }
 
 // Response returns the assay model updates use.
 func (m *Model) Response() dilution.Response { return m.resp }
-
-// Executors returns the number of remote shards.
-func (m *Model) Executors() int { return len(m.conns) }
 
 // Tests returns how many outcomes have been absorbed.
 func (m *Model) Tests() int { return m.tests }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/gob"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"math/bits"
@@ -445,41 +444,4 @@ func (e *Executor) mass(req Request) Response {
 		return lattice.SumWhere(offset, data, 0, 0)
 	})
 	return Response{Op: req.Op, Sum: sum}
-}
-
-// ListenAndServe runs an executor on addr until shutdown. It is the body
-// of cmd/sbgt-exec.
-func ListenAndServe(addr string, workers int) error {
-	return ListenAndServeObs(addr, workers, nil, nil)
-}
-
-// ListenAndServeObs is ListenAndServe with the executor instrumented into
-// reg (nil disables metrics) and logging through log (nil selects
-// slog.Default).
-func ListenAndServeObs(addr string, workers int, reg *obs.Registry, log *slog.Logger) error {
-	return ListenAndServeTraced(addr, workers, reg, nil, log)
-}
-
-// ListenAndServeTraced is ListenAndServeObs with the executor's dispatch
-// spans recorded into tracer — pass the runtime tracer backing the
-// process's /spans endpoint so the executor side of every distributed
-// trace is scrapeable in place as well as shipped back to the driver. A
-// nil tracer keeps the executor's private one.
-func ListenAndServeTraced(addr string, workers int, reg *obs.Registry, tracer *obs.Tracer, log *slog.Logger) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("cluster: listen %s: %w", addr, err)
-	}
-	defer l.Close()
-	e := NewExecutor(workers)
-	defer e.Close()
-	if log != nil {
-		e.SetLogger(log)
-	}
-	if tracer != nil {
-		e.SetTracer(tracer)
-	}
-	e.Instrument(reg, "")
-	e.log.Info("cluster executor: serving", "addr", l.Addr().String())
-	return e.Serve(l)
 }

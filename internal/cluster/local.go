@@ -10,24 +10,19 @@ import (
 	"repro/internal/obs"
 )
 
-// StartLocal launches k in-process executors on ephemeral loopback ports
-// and returns their addresses plus a stop function that tears all of
-// them down. It exists so single-machine callers (CLIs, studies, tests)
+// StartLocalObs launches k in-process executors on ephemeral loopback
+// ports and returns their addresses plus a stop function that tears all
+// of them down. It exists so single-machine callers (CLIs, studies, tests)
 // can use the distributed backend without arranging external executor
 // processes: the wire protocol, sharding, and merge order are exactly
 // those of a real deployment — only the network is loopback.
 //
 // workers sets each executor's local pool size as in NewExecutor
-// (<= 0 means GOMAXPROCS). stop is safe to call more than once and
-// after the executors have already failed.
-func StartLocal(k, workers int) (addrs []string, stop func(), err error) {
-	return StartLocalObs(k, workers, nil)
-}
-
-// StartLocalObs is StartLocal with every executor instrumented into reg
-// (nil disables metrics): executor pools report into the shared
+// (<= 0 means GOMAXPROCS). Every executor is instrumented into reg (nil
+// disables metrics): executor pools report into the shared
 // sbgt_engine_pool_* series, and per-executor request counts and shard
-// sizes carry an executor="<rank>" label.
+// sizes carry an executor="<rank>" label. stop is safe to call more than
+// once and after the executors have already failed.
 func StartLocalObs(k, workers int, reg *obs.Registry) (addrs []string, stop func(), err error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("cluster: executor count %d outside [1,∞)", k)

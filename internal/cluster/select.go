@@ -13,10 +13,10 @@ import (
 // the carried scale) and suffix-sums. At the prior the answer is the closed
 // form lattice.PriorPrefixNegMasses, after the executors' check: no round.
 //
-// Together with N, Marginals, and NegMasses this makes *Model satisfy
-// halving.Posterior, so pool selection over the distributed posterior is
-// just halving.SelectOn(m, opts) — transport failures surface as the
-// returned error.
+// With N, Marginals and NegMasses this is the read surface
+// halving.Posterior asks of a backend; selection reaches it through
+// posterior.Cluster like every other consumer, and a transport failure
+// surfaces as the returned error.
 func (m *Model) PrefixNegMasses(order []int) ([]float64, error) {
 	k := len(order)
 	if k == 0 {

@@ -69,6 +69,20 @@ func TestPrefixScanValidation(t *testing.T) {
 	}
 }
 
+// localReads is the reference side of the comparison below: the dense
+// model's four selection reads. (posterior.Dense is the shipped form; this
+// package cannot import it without a cycle.)
+type localReads struct{ m *lattice.Model }
+
+func (l localReads) N() int                        { return l.m.N() }
+func (l localReads) Marginals() ([]float64, error) { return l.m.Marginals(), nil }
+func (l localReads) NegMasses(c []bitvec.Mask) ([]float64, error) {
+	return l.m.NegMasses(c), nil
+}
+func (l localReads) PrefixNegMasses(order []int) ([]float64, error) {
+	return l.m.PrefixNegMasses(order), nil
+}
+
 func TestSelectOnClusterMatchesLocal(t *testing.T) {
 	risks := []float64{0.05, 0.2, 0.1, 0.3, 0.15, 0.08, 0.12, 0.07}
 	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
@@ -86,7 +100,10 @@ func TestSelectOnClusterMatchesLocal(t *testing.T) {
 	if err := dist.Update(bitvec.FromIndices(1, 3), dilution.Positive); err != nil {
 		t.Fatal(err)
 	}
-	want := halving.Select(local, halving.Options{MaxPool: 6})
+	want, err := halving.SelectOn(localReads{local}, halving.Options{MaxPool: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := halving.SelectOn(dist, halving.Options{MaxPool: 6})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // dialTraced starts a local cluster and dials it with a tracer attached.
 func dialTraced(t *testing.T, k int, risks []float64, tracer *obs.Tracer) (*Model, func()) {
 	t.Helper()
-	addrs, stop, err := StartLocal(k, 1)
+	addrs, stop, err := StartLocalObs(k, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestConditionKeepsTracer(t *testing.T) {
 // fixed per-RPC tracing cost is most visible; 16 is the sbgt CLI default
 // and the representative campaign size.
 func benchSelectPath(b *testing.B, n int, traced bool) {
-	addrs, stop, err := StartLocal(2, 0)
+	addrs, stop, err := StartLocalObs(2, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/latticeio"
 	"repro/internal/obs"
 	"repro/internal/posterior"
-	"repro/internal/sparse"
 )
 
 // sessionHeader is the gob-encoded session metadata that precedes the
@@ -58,8 +57,7 @@ const sessionVersion = 2
 const sessionVersionPending = 3
 
 // sparsePayload is the gob-encoded posterior block of a sparse-backed
-// checkpoint: the retained support plus the truncation accounting, the
-// inputs of sparse.Restore.
+// checkpoint: the retained support plus the truncation accounting.
 type sparsePayload struct {
 	Snapshot posterior.Snapshot
 }
@@ -143,8 +141,8 @@ func (s *Session) SaveSession(w io.Writer) error {
 // LoadSession restores a session checkpoint onto the pool. strategy
 // supplies the selection policy for the resumed campaign (nil selects the
 // default halving strategy); it must be compatible with the Lookahead
-// recorded in the checkpoint (lookahead > 1 requires halving and the
-// dense backend, as at session construction).
+// recorded in the checkpoint (lookahead > 1 requires halving and a
+// backend that can branch, as at session construction).
 //
 // Dense checkpoints resume on the dense backend and sparse checkpoints on
 // the sparse backend. Cluster checkpoints resume as *dense* sessions: the
@@ -193,30 +191,29 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Se
 		if backend == "" {
 			backend = posterior.KindDense // version-1 checkpoints are dense
 		}
-		var model posterior.Model
+		// Decode the backend's payload into a Snapshot; posterior.FromSnapshot
+		// owns the one snapshot → model switch.
+		snap := &posterior.Snapshot{Kind: backend}
 		switch backend {
 		case posterior.KindDense, posterior.KindCluster:
-			lm, err := latticeio.Load(br, pool, h.Parts)
+			var err error
+			snap.Risks, snap.Response, snap.Tests, snap.Dense, err = latticeio.LoadRaw(br)
 			if err != nil {
 				return nil, fmt.Errorf("core: load posterior: %w", err)
 			}
-			model = posterior.FromLattice(lm)
 		case posterior.KindSparse:
 			var p sparsePayload
 			if err := gob.NewDecoder(br).Decode(&p); err != nil {
 				return nil, fmt.Errorf("core: load sparse posterior: %w", err)
 			}
-			sm, err := sparse.Restore(sparse.Config{
-				Risks:    p.Snapshot.Risks,
-				Response: p.Snapshot.Response,
-				Eps:      p.Snapshot.Eps,
-			}, p.Snapshot.States, p.Snapshot.Mass, p.Snapshot.Pruned, p.Snapshot.Tests)
-			if err != nil {
-				return nil, fmt.Errorf("core: load sparse posterior: %w", err)
-			}
-			model = posterior.FromSparse(sm)
+			snap = &p.Snapshot
+			snap.Kind = backend
 		default:
 			return nil, fmt.Errorf("core: unknown checkpoint backend %q", h.Backend)
+		}
+		model, err := posterior.FromSnapshot(pool, snap, h.Parts)
+		if err != nil {
+			return nil, fmt.Errorf("core: load %s posterior: %w", backend, err)
 		}
 		if model.N() != len(h.Active) {
 			return nil, fmt.Errorf("core: posterior has %d subjects, header lists %d active", model.N(), len(h.Active))
@@ -229,9 +226,7 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Se
 		s.marg = marg
 		// Rebuild the config through the usual validation path so the
 		// resumed session enforces the same invariants as a fresh one.
-		cfg := Config{
-			Risks:        model.Risks(),
-			Response:     model.Response(),
+		full, err := configFor(model, Config{
 			Strategy:     strategy,
 			Lookahead:    h.Lookahead,
 			PosThreshold: h.PosThreshold,
@@ -239,15 +234,9 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Se
 			MaxStages:    h.MaxStages,
 			Parts:        h.Parts,
 			EntropyTrace: h.EntropyTrace,
-		}
-		full, err := cfg.withDefaults()
+		})
 		if err != nil {
 			return nil, err
-		}
-		if full.Lookahead > 1 {
-			if _, ok := posterior.Base(model).(denseBacked); !ok {
-				return nil, fmt.Errorf("core: lookahead requires the dense backend, have %s", model.Kind())
-			}
 		}
 		s.cfg = full
 		if h.Version == sessionVersionPending {

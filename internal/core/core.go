@@ -24,7 +24,6 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/engine"
 	"repro/internal/halving"
-	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/posterior"
 )
@@ -114,7 +113,8 @@ type Config struct {
 	Strategy halving.Strategy
 	// Lookahead > 1 selects that many pools per stage with the halving
 	// look-ahead rule (fewer lab round-trips, slightly more tests).
-	// Requires the strategy to be halving (or nil) and the dense backend.
+	// Requires the strategy to be halving (or nil) and a backend that can
+	// branch (halving.Brancher: the dense one); at most MaxLookahead.
 	Lookahead int
 	// PosThreshold classifies a subject positive when its marginal reaches
 	// it; 0 defaults to 0.99.
@@ -148,6 +148,12 @@ type Config struct {
 	Flight *obs.FlightScope
 }
 
+// MaxLookahead is the deepest look-ahead a session accepts. Selecting k
+// pools keeps up to 2^(k−1) live copies of the 2^N posterior, and the
+// depth reaches withDefaults from outside the program (the serve API's
+// create request, a checkpoint header); experiment F5 sweeps 1, 2 and 4.
+const MaxLookahead = 8
+
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
 	if len(out.Risks) == 0 {
@@ -161,6 +167,9 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Lookahead < 1 {
 		out.Lookahead = 1
+	}
+	if out.Lookahead > MaxLookahead {
+		return out, fmt.Errorf("core: lookahead %d above the limit of %d", out.Lookahead, MaxLookahead)
 	}
 	if out.Lookahead > 1 {
 		if _, ok := out.Strategy.(halving.Halving); !ok {
@@ -185,10 +194,29 @@ func (c *Config) withDefaults() (Config, error) {
 	return out, nil
 }
 
-// denseBacked is the capability the look-ahead selector needs: direct
-// access to a dense lattice. Only posterior.Dense provides it.
-type denseBacked interface {
-	Lattice() *lattice.Model
+// configFor validates cfg for a session over model — fresh or restored —
+// and is the one place that decides whether the model's backend can run
+// the configured look-ahead. Risks and Response default to the model's own
+// when nil; when set, they must agree with the model.
+func configFor(model posterior.Model, cfg Config) (Config, error) {
+	if cfg.Risks == nil {
+		cfg.Risks = model.Risks()
+	} else if len(cfg.Risks) != model.N() {
+		return cfg, fmt.Errorf("core: config lists %d risks, model holds %d subjects", len(cfg.Risks), model.N())
+	}
+	if cfg.Response == nil {
+		cfg.Response = model.Response()
+	}
+	full, err := cfg.withDefaults()
+	if err != nil {
+		return full, err
+	}
+	if full.Lookahead > 1 {
+		if _, err := posterior.LookaheadOf(model); err != nil {
+			return full, fmt.Errorf("core: lookahead %d: %w", full.Lookahead, err)
+		}
+	}
+	return full, nil
 }
 
 // traceCarrier is the optional backend capability for distributed
@@ -299,7 +327,7 @@ func NewSession(pool *engine.Pool, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := posterior.NewDense(pool, lattice.Config{Risks: full.Risks, Response: full.Response, Parts: full.Parts})
+	model, err := posterior.Spec{Parts: full.Parts}.Open(pool, full.Risks, full.Response)
 	if err != nil {
 		return nil, err
 	}
@@ -315,22 +343,9 @@ func NewSessionOn(model posterior.Model, cfg Config) (*Session, error) {
 	if model == nil {
 		return nil, fmt.Errorf("core: nil posterior model")
 	}
-	if cfg.Risks == nil {
-		cfg.Risks = model.Risks()
-	} else if len(cfg.Risks) != model.N() {
-		return nil, fmt.Errorf("core: config lists %d risks, model holds %d subjects", len(cfg.Risks), model.N())
-	}
-	if cfg.Response == nil {
-		cfg.Response = model.Response()
-	}
-	full, err := cfg.withDefaults()
+	full, err := configFor(model, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if full.Lookahead > 1 {
-		if _, ok := posterior.Base(model).(denseBacked); !ok {
-			return nil, fmt.Errorf("core: lookahead requires the dense backend, have %s", model.Kind())
-		}
 	}
 	model = posterior.Instrument(model, full.Obs)
 	n := len(full.Risks)
@@ -520,25 +535,21 @@ func (s *Session) proposeLocked() ([]Pool, error) {
 	sel := span.Child("select")
 	s.setCarrierContext(sel.Context())
 	var pools []bitvec.Mask
+	var err error
 	if s.cfg.Lookahead > 1 {
-		h := s.cfg.Strategy.(halving.Halving)
-		dense := posterior.Base(s.model).(denseBacked) // checked at construction
-		sels := halving.SelectLookahead(dense.Lattice(), s.cfg.Lookahead, h.Opts)
-		for _, se := range sels {
-			pools = append(pools, se.Pool)
-		}
+		pools, err = s.lookaheadPools()
 	} else {
 		// The strategy reads the marginals the session holds, not the lattice.
 		var p bitvec.Mask
-		marg, err := s.marginals()
-		if err == nil {
+		var marg []float64
+		if marg, err = s.marginals(); err == nil {
 			p, err = s.cfg.Strategy.Next(halving.WithMarginals(s.model, marg))
 		}
-		if err != nil {
-			sel.End()
-			return fail(fmt.Errorf("core: strategy %s: %w", s.cfg.Strategy.Name(), err))
-		}
 		pools = []bitvec.Mask{p}
+	}
+	if err != nil {
+		sel.End()
+		return fail(fmt.Errorf("core: strategy %s: %w", s.cfg.Strategy.Name(), err))
 	}
 	timing.Select = sel.End()
 	s.phases.sel.Observe(timing.Select.Seconds())
@@ -561,6 +572,25 @@ func (s *Session) proposeLocked() ([]Pool, error) {
 		Attrs:   []obs.Attr{obs.A("stage", s.stage), obs.A("pools", len(pend.local))},
 	})
 	return pend.proposals(), nil
+}
+
+// lookaheadPools selects the stage's Lookahead pools (model-position
+// masks) with the halving look-ahead rule.
+func (s *Session) lookaheadPools() ([]bitvec.Mask, error) {
+	h := s.cfg.Strategy.(halving.Halving) // configFor checked this, and the backend
+	b, err := posterior.LookaheadOf(s.model)
+	if err != nil {
+		return nil, err
+	}
+	sels, err := halving.SelectLookahead(b, s.cfg.Lookahead, h.Opts)
+	if err != nil {
+		return nil, err
+	}
+	pools := make([]bitvec.Mask, len(sels))
+	for i, se := range sels {
+		pools[i] = se.Pool
+	}
+	return pools, nil
 }
 
 // AbsorbResults folds the outcomes of the currently proposed pools into

@@ -49,6 +49,7 @@ func TestConfigValidation(t *testing.T) {
 		{"nil response", Config{Risks: workload.UniformRisks(4, 0.1)}},
 		{"bad thresholds", Config{Risks: workload.UniformRisks(4, 0.1), Response: dilution.Ideal{}, PosThreshold: 0.3, NegThreshold: 0.5}},
 		{"lookahead without halving", Config{Risks: workload.UniformRisks(4, 0.1), Response: dilution.Ideal{}, Lookahead: 2, Strategy: halving.Individual{}}},
+		{"lookahead above MaxLookahead", Config{Risks: workload.UniformRisks(4, 0.1), Response: dilution.Ideal{}, Lookahead: MaxLookahead + 1}},
 		{"negative MaxStages", Config{Risks: workload.UniformRisks(4, 0.1), Response: dilution.Ideal{}, MaxStages: -1}},
 	}
 	for _, c := range cases {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/engine"
 	"repro/internal/halving"
-	"repro/internal/lattice"
 	"repro/internal/posterior"
 	"repro/internal/rng"
 	"repro/internal/workload"
@@ -223,7 +222,7 @@ func stagePassCounts(t *testing.T, traced bool) {
 	risks := workload.BetaRisks(10, 1.2, 9, rng.New(7))
 	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
 	oracle := workload.NewOracle(workload.Draw(risks, rng.New(8)), resp, rng.New(9))
-	dense, err := posterior.NewDense(pool, lattice.Config{Risks: risks, Response: resp})
+	dense, err := posterior.Spec{}.Open(pool, risks, resp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package halving
+package halving_test
 
 import (
 	"testing"
@@ -6,10 +6,11 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
 	"repro/internal/engine"
-	"repro/internal/lattice"
+	. "repro/internal/halving"
+	"repro/internal/posterior"
 )
 
-func benchModel(b *testing.B, n int) *lattice.Model {
+func benchModel(b *testing.B, n int) posterior.Model {
 	b.Helper()
 	pool := engine.NewPool(0)
 	b.Cleanup(pool.Close)
@@ -17,7 +18,7 @@ func benchModel(b *testing.B, n int) *lattice.Model {
 	for i := range risks {
 		risks[i] = 0.06
 	}
-	m, err := lattice.New(pool, lattice.Config{Risks: risks, Response: dilution.Binary{Sens: 0.95, Spec: 0.99}})
+	m, err := posterior.Spec{}.Open(pool, risks, dilution.Binary{Sens: 0.95, Spec: 0.99})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,6 +48,6 @@ func BenchmarkLookahead2(b *testing.B) {
 	m := benchModel(b, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SelectLookahead(m, 2, Options{MaxPool: 8})
+		lookahead(b, m, 2, Options{MaxPool: 8})
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"sort"
 
 	"repro/internal/bitvec"
-	"repro/internal/lattice"
 )
 
 // Options tunes the halving selector.
@@ -55,26 +54,12 @@ type Selection struct {
 // fallible: backends whose reads can fail (the TCP cluster driver) report
 // transport errors directly instead of smuggling them through panics, and
 // infallible backends (dense lattice, truncated sparse) simply always
-// return nil errors. posterior.Model satisfies this interface, as does the
-// cluster driver; wrap a bare *lattice.Model with Dense.
+// return nil errors. Every posterior.Model satisfies this interface.
 type Posterior interface {
 	N() int
 	Marginals() ([]float64, error)
 	NegMasses(cands []bitvec.Mask) ([]float64, error)
 	PrefixNegMasses(order []int) ([]float64, error)
-}
-
-// denseAdapter lifts the infallible *lattice.Model onto the fallible
-// Posterior surface. Its errors are always nil.
-type denseAdapter struct{ m *lattice.Model }
-
-func (d denseAdapter) N() int                        { return d.m.N() }
-func (d denseAdapter) Marginals() ([]float64, error) { return d.m.Marginals(), nil }
-func (d denseAdapter) NegMasses(cands []bitvec.Mask) ([]float64, error) {
-	return d.m.NegMasses(cands), nil
-}
-func (d denseAdapter) PrefixNegMasses(order []int) ([]float64, error) {
-	return d.m.PrefixNegMasses(order), nil
 }
 
 // heldMarginals serves Marginals from a vector the caller already holds
@@ -96,24 +81,11 @@ func WithMarginals(m Posterior, marg []float64) Posterior {
 	return heldMarginals{Posterior: m, marg: marg}
 }
 
-// Dense exposes a dense lattice model as a Posterior (all errors nil).
-func Dense(m *lattice.Model) Posterior { return denseAdapter{m} }
-
-// Select runs the Bayesian Halving Algorithm on a dense lattice model.
-// It never returns an empty pool; for a fully certain posterior it
-// returns the best available split even though that split is far from ½.
-func Select(m *lattice.Model, opts Options) Selection {
-	sel, err := SelectOn(denseAdapter{m}, opts)
-	if err != nil {
-		// The dense adapter never reports errors; reaching this is a bug.
-		panic(fmt.Sprintf("halving: dense selection failed: %v", err))
-	}
-	return sel
-}
-
-// SelectOn runs the Bayesian Halving Algorithm on any Posterior. A non-nil
-// error is a failed posterior read (e.g. a lost executor), not a selection
-// quality problem; the returned Selection is zero in that case.
+// SelectOn runs the Bayesian Halving Algorithm on any Posterior. It never
+// returns an empty pool; for a fully certain posterior it returns the best
+// available split even though that split is far from ½. A non-nil error is
+// a failed posterior read (e.g. a lost executor), not a selection quality
+// problem; the returned Selection is zero in that case.
 func SelectOn(m Posterior, opts Options) (Selection, error) {
 	n := m.N()
 	maxPool := opts.MaxPool
@@ -126,7 +98,8 @@ func SelectOn(m Posterior, opts Options) (Selection, error) {
 		return Selection{}, fmt.Errorf("halving: marginals: %w", err)
 	}
 	order := prefixOrder(marg, maxPool)
-	cands, masses, err := scoreCandidates(m, marg, order)
+	cands := candidates(n, order)
+	masses, err := cleanMasses(m, marg, order, cands)
 	if err != nil {
 		return Selection{}, err
 	}
@@ -169,40 +142,45 @@ func prefixOrder(marg []float64, maxPool int) []int {
 	return order
 }
 
-// scoreCandidates produces the candidate pools and their clean masses
-// using two lattice passes total, independent of the candidate count:
-// the nested prefixes of order come from one PrefixNegMasses histogram
-// pass, and every singleton's clean mass is 1 − marginal (free, from the
-// marginals already in hand). Singletons keep selection sane when all
+// candidates lists the pools one selection scores: the nested prefixes of
+// order, then every singleton. Singletons keep selection sane when all
 // subjects are already probably-positive. The only possible duplicate —
 // the size-1 prefix — is skipped in the singleton sweep.
-func scoreCandidates(m Posterior, marg []float64, order []int) ([]bitvec.Mask, []float64, error) {
-	n := len(marg)
+func candidates(n int, order []int) []bitvec.Mask {
 	cands := make([]bitvec.Mask, 0, len(order)+n)
-	masses := make([]float64, 0, len(order)+n)
-	var firstPrefix bitvec.Mask
+	var prefix, firstPrefix bitvec.Mask
+	for _, subj := range order {
+		prefix = prefix.With(subj)
+		cands = append(cands, prefix)
+	}
 	if len(order) > 0 {
-		prefixMass, err := m.PrefixNegMasses(order)
-		if err != nil {
-			return nil, nil, fmt.Errorf("halving: prefix scan: %w", err)
-		}
-		var prefix bitvec.Mask
-		for i, subj := range order {
-			prefix = prefix.With(subj)
-			cands = append(cands, prefix)
-			masses = append(masses, prefixMass[i])
-		}
 		firstPrefix = cands[0]
 	}
 	for i := 0; i < n; i++ {
-		c := bitvec.FromIndices(i)
-		if c == firstPrefix {
-			continue
+		if c := bitvec.FromIndices(i); c != firstPrefix {
+			cands = append(cands, c)
 		}
-		cands = append(cands, c)
-		masses = append(masses, 1-marg[i])
 	}
-	return cands, masses, nil
+	return cands
+}
+
+// cleanMasses scores candidates(len(marg), order) on m with two lattice
+// passes total, independent of the candidate count: the prefixes come from
+// one PrefixNegMasses histogram pass, and every singleton's clean mass is
+// 1 − marginal (free, from the marginals already in hand).
+func cleanMasses(m Posterior, marg []float64, order []int, cands []bitvec.Mask) ([]float64, error) {
+	masses := make([]float64, len(cands))
+	if len(order) > 0 {
+		prefixMass, err := m.PrefixNegMasses(order)
+		if err != nil {
+			return nil, fmt.Errorf("halving: prefix scan: %w", err)
+		}
+		copy(masses, prefixMass)
+	}
+	for i := len(order); i < len(cands); i++ {
+		masses[i] = 1 - marg[cands[i].Lowest()]
+	}
+	return masses, nil
 }
 
 // pickBest returns the candidate whose neg-mass is closest to ½; ties

@@ -1,4 +1,4 @@
-package halving
+package halving_test
 
 import (
 	"math"
@@ -7,19 +7,52 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
 	"repro/internal/engine"
-	"repro/internal/lattice"
+	. "repro/internal/halving"
+	"repro/internal/posterior"
 	"repro/internal/rng"
 )
 
-func newModel(t *testing.T, risks []float64, resp dilution.Response) *lattice.Model {
+func newModel(t *testing.T, risks []float64, resp dilution.Response) posterior.Model {
 	t.Helper()
 	pool := engine.NewPool(4)
 	t.Cleanup(pool.Close)
-	m, err := lattice.New(pool, lattice.Config{Risks: risks, Response: resp})
+	m, err := posterior.Spec{}.Open(pool, risks, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// Select is SelectOn on the dense backend, whose reads never fail.
+func Select(m Posterior, opts Options) Selection {
+	sel, err := SelectOn(m, opts)
+	if err != nil {
+		panic(err)
+	}
+	return sel
+}
+
+// lookahead is SelectLookahead through the backend's stated capability.
+func lookahead(t testing.TB, m posterior.Model, depth int, opts Options) []Selection {
+	t.Helper()
+	b, err := posterior.LookaheadOf(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sels, err := SelectLookahead(b, depth, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sels
+}
+
+func entropy(t *testing.T, m posterior.Model) float64 {
+	t.Helper()
+	h, err := m.Entropy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func uniform(n int, p float64) []float64 {
@@ -145,7 +178,7 @@ func TestHalvingReducesEntropyFasterThanRandom(t *testing.T) {
 			}
 		}
 		for round := 0; round < 6; round++ {
-			pool, err := strat.Next(Dense(m))
+			pool, err := strat.Next(m)
 			if err != nil {
 				t.Fatalf("%s: %v", strat.Name(), err)
 			}
@@ -155,7 +188,7 @@ func TestHalvingReducesEntropyFasterThanRandom(t *testing.T) {
 				t.Fatalf("%s: %v", strat.Name(), err)
 			}
 		}
-		return m.Entropy()
+		return entropy(t, m)
 	}
 	var hSum, rSum float64
 	const reps = 10
@@ -168,11 +201,38 @@ func TestHalvingReducesEntropyFasterThanRandom(t *testing.T) {
 	}
 }
 
+// TestExpectedEntropyAfterIsReduction drives the Brancher capability
+// directly: over the two outcomes of the halving pool, the predictive
+// weights sum to one, branching leaves the receiver alone, and the expected
+// posterior entropy Σ_y P(y)·H(π | y) falls by close to the one bit an
+// even split removes.
 func TestExpectedEntropyAfterIsReduction(t *testing.T) {
 	m := newModel(t, uniform(8, 0.2), dilution.Ideal{})
-	before := m.Entropy()
+	before := entropy(t, m)
 	sel := Select(m, Options{})
-	after := ExpectedEntropyAfter(m, sel.Pool)
+	b, err := posterior.LookaheadOf(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var after, total float64
+	for _, y := range []dilution.Outcome{dilution.Negative, dilution.Positive} {
+		w, err := b.Predictive(sel.Pool, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := b.Branch(sel.Pool, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += w
+		after += w * entropy(t, c.(posterior.Model))
+	}
+	if math.Abs(total-1) > 1e-12 {
+		t.Fatalf("predictive weights sum to %v", total)
+	}
+	if got := entropy(t, m); got != before {
+		t.Fatalf("branching moved the receiver's entropy %v -> %v", before, got)
+	}
 	if after >= before {
 		t.Fatalf("expected entropy %v did not drop from %v", after, before)
 	}
@@ -184,7 +244,7 @@ func TestExpectedEntropyAfterIsReduction(t *testing.T) {
 
 func TestSelectLookaheadDepths(t *testing.T) {
 	m := newModel(t, uniform(10, 0.1), dilution.Ideal{})
-	sels := SelectLookahead(m, 3, Options{MaxPool: 6})
+	sels := lookahead(t, m, 3, Options{MaxPool: 6})
 	if len(sels) != 3 {
 		t.Fatalf("got %d selections, want 3", len(sels))
 	}
@@ -197,13 +257,13 @@ func TestSelectLookaheadDepths(t *testing.T) {
 		}
 	}
 	// Depth 1 equals plain halving.
-	one := SelectLookahead(m, 1, Options{MaxPool: 6})
+	one := lookahead(t, m, 1, Options{MaxPool: 6})
 	plain := Select(m, Options{MaxPool: 6})
 	if one[0].Pool != plain.Pool {
 		t.Fatalf("lookahead depth 1 chose %v, plain %v", one[0].Pool, plain.Pool)
 	}
 	// Invalid depth coerces to 1.
-	if got := SelectLookahead(m, 0, Options{}); len(got) != 1 {
+	if got := lookahead(t, m, 0, Options{}); len(got) != 1 {
 		t.Fatalf("depth 0 returned %d selections", len(got))
 	}
 }
@@ -212,7 +272,7 @@ func TestSelectLookaheadDistinctStagePools(t *testing.T) {
 	// Look-ahead pools in the same stage should not be identical: a
 	// repeated pool answers a question already asked.
 	m := newModel(t, uniform(12, 0.15), dilution.Ideal{})
-	sels := SelectLookahead(m, 2, Options{})
+	sels := lookahead(t, m, 2, Options{})
 	if sels[0].Pool == sels[1].Pool {
 		t.Fatalf("stage repeats pool %v", sels[0].Pool)
 	}
@@ -221,7 +281,7 @@ func TestSelectLookaheadDistinctStagePools(t *testing.T) {
 func TestRandomStrategy(t *testing.T) {
 	m := newModel(t, uniform(9, 0.2), dilution.Ideal{})
 	r := Random{Size: 4, Rng: rng.New(5)}
-	p, err := r.Next(Dense(m))
+	p, err := r.Next(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +293,7 @@ func TestRandomStrategy(t *testing.T) {
 	}
 	// Default size when Size invalid.
 	r2 := Random{Rng: rng.New(5)}
-	p2, err := r2.Next(Dense(m))
+	p2, err := r2.Next(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +305,7 @@ func TestRandomStrategy(t *testing.T) {
 func TestIndividualStrategy(t *testing.T) {
 	risks := []float64{0.1, 0.48, 0.9}
 	m := newModel(t, risks, dilution.Ideal{})
-	p, err := Individual{}.Next(Dense(m))
+	p, err := Individual{}.Next(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +322,7 @@ func TestDorfmanCyclesBlocks(t *testing.T) {
 	d := &Dorfman{BlockSize: 4}
 	seen := bitvec.Mask(0)
 	for i := 0; i < 3; i++ {
-		p, err := d.Next(Dense(m))
+		p, err := d.Next(m)
 		if err != nil {
 			t.Fatal(err)
 		}

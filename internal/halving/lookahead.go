@@ -1,12 +1,27 @@
 package halving
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
-	"repro/internal/lattice"
 )
+
+// Brancher is a Posterior that can look ahead: besides the four reads it
+// can say how likely a hypothetical outcome is and hand back a copy of
+// itself that has absorbed it. Both cost a pass over the posterior and a
+// branch holds a second posterior alive, which is why the capability is
+// stated per backend (posterior.Dense has it; the truncated and the
+// distributed backends do not) rather than on every Posterior.
+type Brancher interface {
+	Posterior
+	// Predictive returns P(y | data) for a test of pool.
+	Predictive(pool bitvec.Mask, y dilution.Outcome) (float64, error)
+	// Branch returns an independent posterior with the outcome y on pool
+	// absorbed. The receiver is unchanged.
+	Branch(pool bitvec.Mask, y dilution.Outcome) (Brancher, error)
+}
 
 // SelectLookahead chooses depth pools to run *in the same stage*, before
 // any of their outcomes is known — the look-ahead rules of the companion
@@ -17,13 +32,14 @@ import (
 // pool t+1 is the halving choice on the *predictive mixture* over the 2^t
 // outcome combinations of the already-chosen pools, i.e. it must split well
 // in expectation across everything the earlier tests might say. The mixture
-// is evaluated exactly by enumerating outcome vectors on cloned models,
-// weighting each clone by its predictive probability.
+// is evaluated exactly by enumerating outcome vectors on branched models,
+// weighting each branch by its predictive probability.
 //
 // Only binary-outcome responses can be enumerated this way; continuous
 // responses (CtValue) fall back to their positive/negative dichotomy, which
-// is the information the halving criterion consumes anyway.
-func SelectLookahead(m *lattice.Model, depth int, opts Options) []Selection {
+// is the information the halving criterion consumes anyway. A non-nil error
+// is a failed posterior read or branch, as for SelectOn.
+func SelectLookahead(m Brancher, depth int, opts Options) ([]Selection, error) {
 	if depth < 1 {
 		depth = 1
 	}
@@ -36,19 +52,22 @@ func SelectLookahead(m *lattice.Model, depth int, opts Options) []Selection {
 	// branches holds the outcome-conditioned models with their predictive
 	// weights; it starts as the single unconditioned posterior.
 	type branch struct {
-		model  *lattice.Model
+		model  Brancher
 		weight float64
 	}
 	branches := []branch{{model: m, weight: 1}}
 	selections := make([]Selection, 0, depth)
 
 	for t := 0; t < depth; t++ {
-		// Candidate pools come from the mixture marginals; keep each
-		// branch's marginals for the singleton fast path below.
+		// Candidate pools come from the mixture marginals; each branch's
+		// own marginals score its singletons below.
 		branchMarg := make([][]float64, len(branches))
 		marg := make([]float64, n)
 		for bi, b := range branches {
-			bm := b.model.Marginals()
+			bm, err := b.model.Marginals()
+			if err != nil {
+				return nil, fmt.Errorf("halving: marginals: %w", err)
+			}
 			branchMarg[bi] = bm
 			for i := range marg {
 				marg[i] += b.weight * bm[i]
@@ -56,43 +75,18 @@ func SelectLookahead(m *lattice.Model, depth int, opts Options) []Selection {
 		}
 		order := prefixOrder(marg, maxPool)
 
-		// Build the shared candidate list (nested prefixes + singletons,
-		// deduped at the size-1 prefix) and score it per branch with the
-		// same two-pass trick Select uses: one PrefixNegMasses histogram
-		// pass per branch, singleton masses free from that branch's
-		// marginals. Scores mix by predictive weight:
+		// One shared candidate list, scored per branch the way SelectOn
+		// scores it. Scores mix by predictive weight:
 		// Σ_b w_b · |P_b(clean) − ½|.
-		var cands []bitvec.Mask
-		var firstPrefix bitvec.Mask
-		var prefix bitvec.Mask
-		for _, subj := range order {
-			prefix = prefix.With(subj)
-			cands = append(cands, prefix)
-		}
-		if len(cands) > 0 {
-			firstPrefix = cands[0]
-		}
-		singletonStart := len(cands)
-		for i := 0; i < n; i++ {
-			if c := bitvec.FromIndices(i); c != firstPrefix {
-				cands = append(cands, c)
-			}
-		}
+		cands := candidates(n, order)
 		scores := make([]float64, len(cands))
 		negUnderMix := make([]float64, len(cands))
 		for bi, b := range branches {
-			var prefixMass []float64
-			if len(order) > 0 {
-				prefixMass = b.model.PrefixNegMasses(order)
+			masses, err := cleanMasses(b.model, branchMarg[bi], order, cands)
+			if err != nil {
+				return nil, err
 			}
-			ci := 0
-			for ; ci < singletonStart; ci++ {
-				mass := prefixMass[ci]
-				scores[ci] += b.weight * math.Abs(mass-0.5)
-				negUnderMix[ci] += b.weight * mass
-			}
-			for ; ci < len(cands); ci++ {
-				mass := 1 - branchMarg[bi][cands[ci].Lowest()]
+			for ci, mass := range masses {
 				scores[ci] += b.weight * math.Abs(mass-0.5)
 				negUnderMix[ci] += b.weight * mass
 			}
@@ -114,13 +108,16 @@ func SelectLookahead(m *lattice.Model, depth int, opts Options) []Selection {
 		next := make([]branch, 0, 2*len(branches))
 		for _, b := range branches {
 			for _, y := range []dilution.Outcome{dilution.Negative, dilution.Positive} {
-				w := b.model.Predictive(best.Pool, y)
+				w, err := b.model.Predictive(best.Pool, y)
+				if err != nil {
+					return nil, fmt.Errorf("halving: predictive: %w", err)
+				}
 				if w*b.weight < 1e-12 {
 					continue // outcome (near-)impossible on this branch
 				}
-				c := b.model.Clone()
-				if err := c.Update(best.Pool, y); err != nil {
-					continue
+				c, err := b.model.Branch(best.Pool, y)
+				if err != nil {
+					return nil, fmt.Errorf("halving: branch on %v=%v: %w", best.Pool, y, err)
 				}
 				next = append(next, branch{model: c, weight: b.weight * w})
 			}
@@ -130,25 +127,5 @@ func SelectLookahead(m *lattice.Model, depth int, opts Options) []Selection {
 		}
 		branches = next
 	}
-	return selections
-}
-
-// ExpectedEntropyAfter returns the expected posterior entropy (bits) after
-// observing the binary outcome of a test on pool: Σ_y P(y)·H(π | y). It is
-// the information-theoretic yardstick experiment F4 tracks alongside the
-// halving score, and is exact for binary responses.
-func ExpectedEntropyAfter(m *lattice.Model, pool bitvec.Mask) float64 {
-	var expected float64
-	for _, y := range []dilution.Outcome{dilution.Negative, dilution.Positive} {
-		w := m.Predictive(pool, y)
-		if w < 1e-15 {
-			continue
-		}
-		c := m.Clone()
-		if err := c.Update(pool, y); err != nil {
-			continue
-		}
-		expected += w * c.Entropy()
-	}
-	return expected
+	return selections, nil
 }

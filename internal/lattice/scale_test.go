@@ -66,10 +66,14 @@ func TestCarriedScaleMatchesEagerLongCampaign(t *testing.T) {
 				got = got.Clone()
 			case step == 210:
 				var buf bytes.Buffer
-				if err := latticeio.Save(&buf, got); err != nil {
+				if err := latticeio.SaveRaw(&buf, got.Risks(), got.Response(), got.Tests(), got.Posterior().Slice()); err != nil {
 					t.Fatal(err)
 				}
-				if got, err = latticeio.Load(&buf, pool, 2); err != nil {
+				risks, resp, tests, post, err := latticeio.LoadRaw(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err = lattice.Restore(pool, lattice.Config{Risks: risks, Response: resp, Parts: 2}, post, tests); err != nil {
 					t.Fatal(err)
 				}
 			}

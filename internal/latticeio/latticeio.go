@@ -1,4 +1,6 @@
-// Package latticeio checkpoints lattice models to streams.
+// Package latticeio is the raw codec of a dense posterior: the payload a
+// session checkpoint (core.SaveSession) carries for the dense and cluster
+// backends.
 //
 // Surveillance campaigns are long-lived: a cohort's posterior accumulates
 // evidence across lab round-trips that are hours apart, and an operator
@@ -13,8 +15,9 @@
 // model), while the posterior — the bulk of the bytes — is written as raw
 // little-endian float64s in 64 KiB chunks, so a 2^24-state checkpoint
 // streams at I/O speed instead of gob-encoding 16M values one by one.
-// Load renormalizes and validates, so a truncated or corrupted posterior
-// is rejected rather than resumed.
+// LoadRaw rejects a truncated stream; lattice.Restore validates and
+// renormalizes what it decoded, so a corrupted posterior is rejected
+// rather than resumed.
 package latticeio
 
 import (
@@ -26,7 +29,6 @@ import (
 	"math"
 
 	"repro/internal/dilution"
-	"repro/internal/engine"
 	"repro/internal/lattice"
 )
 
@@ -46,7 +48,7 @@ type header struct {
 func init() {
 	// Register every concrete response model so the interface value in the
 	// header round-trips. Third-party Response implementations must be
-	// registered by the caller with gob.Register before Save/Load.
+	// registered by the caller with gob.Register before SaveRaw/LoadRaw.
 	gob.Register(dilution.Ideal{})
 	gob.Register(dilution.Binary{})
 	gob.Register(dilution.Hyperbolic{})
@@ -58,16 +60,10 @@ func init() {
 // chunkStates is how many float64s each posterior chunk carries (64 KiB).
 const chunkStates = 8192
 
-// Save writes a checkpoint of m to w.
-func Save(w io.Writer, m *lattice.Model) error {
-	return SaveRaw(w, m.Risks(), m.Response(), m.Tests(), m.Posterior().Slice())
-}
-
 // SaveRaw writes a checkpoint from raw components: the prior risks, the
 // response model, the test counter, and the full posterior in state
-// order (length 2^len(risks)). It is the payload writer any dense-shaped
-// posterior can use — the cluster driver checkpoints a gathered shard
-// array through it without materializing a lattice.Model first.
+// order (length 2^len(risks)) — the dense payload of a posterior.Snapshot,
+// whichever backend it was taken from.
 func SaveRaw(w io.Writer, risks []float64, resp dilution.Response, tests int, post []float64) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
@@ -112,24 +108,11 @@ func SaveRaw(w io.Writer, risks []float64, resp dilution.Response, tests int, po
 	return nil
 }
 
-// Load reads a checkpoint from r and rebuilds the model on pool with the
-// given partition count (0 = engine default).
-func Load(r io.Reader, pool *engine.Pool, parts int) (*lattice.Model, error) {
-	risks, resp, tests, post, err := LoadRaw(r)
-	if err != nil {
-		return nil, err
-	}
-	m, err := lattice.Restore(pool, lattice.Config{Risks: risks, Response: resp, Parts: parts}, post, tests)
-	if err != nil {
-		return nil, fmt.Errorf("latticeio: %w", err)
-	}
-	return m, nil
-}
-
 // LoadRaw reads a checkpoint from r and returns its raw components
-// (risks, response, test counter, state-order posterior) without
-// building a model — the counterpart of SaveRaw for callers that
-// restore onto a non-lattice backend.
+// (risks, response, test counter, state-order posterior). It checks the
+// framing only; the posterior itself is validated and renormalized by
+// whoever builds a model from it (lattice.Restore, through
+// posterior.FromSnapshot).
 func LoadRaw(r io.Reader) ([]float64, dilution.Response, int, []float64, error) {
 	br := bufio.NewReader(r)
 	got := make([]byte, len(magic))

@@ -2,6 +2,7 @@ package latticeio
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -17,6 +18,21 @@ func newTestPool(t *testing.T) *engine.Pool {
 	p := engine.NewPool(2)
 	t.Cleanup(p.Close)
 	return p
+}
+
+// Save and Load compose the codec with the model it exists for: a dense
+// posterior written from a lattice.Model and rebuilt by lattice.Restore,
+// which is where a decoded posterior is validated and renormalized.
+func Save(w io.Writer, m *lattice.Model) error {
+	return SaveRaw(w, m.Risks(), m.Response(), m.Tests(), m.Posterior().Slice())
+}
+
+func Load(r io.Reader, pool *engine.Pool, parts int) (*lattice.Model, error) {
+	risks, resp, tests, post, err := LoadRaw(r)
+	if err != nil {
+		return nil, err
+	}
+	return lattice.Restore(pool, lattice.Config{Risks: risks, Response: resp, Parts: parts}, post, tests)
 }
 
 func buildModel(t *testing.T, pool *engine.Pool, resp dilution.Response) *lattice.Model {

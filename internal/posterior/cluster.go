@@ -25,10 +25,6 @@ func FromCluster(m *cluster.Model, stop func()) *Cluster {
 	return &Cluster{m: m, stop: stop}
 }
 
-// Driver exposes the wrapped cluster model (executor counts, Ping,
-// Shutdown for deployment tooling).
-func (c *Cluster) Driver() *cluster.Model { return c.m }
-
 // SetTraceContext forwards a propagated trace context to the driver, so
 // subsequent RPCs emit spans under it — the trace-carrier capability the
 // session probes for (see cluster.Model.SetTraceContext).
@@ -72,20 +68,7 @@ func (c *Cluster) Entropy() (float64, error) { return c.m.Entropy() }
 
 // Summary gathers the fused per-round digest in one distributed round
 // trip instead of four.
-func (c *Cluster) Summary() (*Summary, error) {
-	d, err := c.m.Summary()
-	if err != nil {
-		return nil, err
-	}
-	return &Summary{
-		Marginals:        d.Marginals,
-		EntropyBits:      d.EntropyBits,
-		MAPState:         d.MAPState,
-		MAPMass:          d.MAPMass,
-		ExpectedInfected: d.ExpectedInfected,
-		Mass:             d.Mass,
-	}, nil
-}
+func (c *Cluster) Summary() (*Summary, error) { return c.m.Summary() }
 
 // Condition collapses subject onto a known status; see Model.Condition.
 // The executor connections (and the local-executor stop function, if

@@ -484,7 +484,7 @@ func TestMaxSubjectsConsistency(t *testing.T) {
 	}
 	// Dial validates the cohort before touching the network, so a bogus
 	// address proves the rejection happens up front.
-	if _, err := cluster.Dial([]string{"127.0.0.1:1"}, over(cluster.MaxSubjects+1), resp, time.Second); err == nil {
+	if _, err := cluster.DialWith([]string{"127.0.0.1:1"}, over(cluster.MaxSubjects+1), resp, cluster.DialOptions{Timeout: time.Second}); err == nil {
 		t.Error("cluster accepted an over-limit cohort")
 	}
 	if _, err := sparse.New(sparse.Config{Risks: over(sparse.MaxSubjects + 1), Response: resp, Eps: 1e-9}); err == nil {

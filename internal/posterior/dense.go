@@ -3,7 +3,7 @@ package posterior
 import (
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
-	"repro/internal/engine"
+	"repro/internal/halving"
 	"repro/internal/lattice"
 )
 
@@ -13,22 +13,8 @@ type Dense struct {
 	m *lattice.Model
 }
 
-// NewDense builds the dense prior backend on the given pool.
-func NewDense(pool *engine.Pool, cfg lattice.Config) (*Dense, error) {
-	m, err := lattice.New(pool, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Dense{m: m}, nil
-}
-
 // FromLattice wraps an existing dense model.
 func FromLattice(m *lattice.Model) *Dense { return &Dense{m: m} }
-
-// Lattice exposes the wrapped dense model for dense-only consumers (the
-// look-ahead selector, ablation benches). Callers that need it should
-// type-assert for `interface{ Lattice() *lattice.Model }`.
-func (d *Dense) Lattice() *lattice.Model { return d.m }
 
 // N returns the cohort size.
 func (d *Dense) N() int { return d.m.N() }
@@ -67,16 +53,23 @@ func (d *Dense) PrefixNegMasses(order []int) ([]float64, error) {
 func (d *Dense) Entropy() (float64, error) { return d.m.Entropy(), nil }
 
 // Summary returns the fused one-pass posterior digest.
-func (d *Dense) Summary() (*Summary, error) {
-	s := d.m.Summary()
-	return &Summary{
-		Marginals:        s.Marginals,
-		EntropyBits:      s.EntropyBits,
-		MAPState:         s.MAPState,
-		MAPMass:          s.MAPMass,
-		ExpectedInfected: s.ExpectedInfected,
-		Mass:             s.Mass,
-	}, nil
+func (d *Dense) Summary() (*Summary, error) { return d.m.Summary(), nil }
+
+// Predictive returns P(y | data) for a test of pool under the current
+// posterior. With Branch it makes Dense a halving.Brancher: the dense
+// lattice is the one backend that can afford look-ahead's outcome clones.
+func (d *Dense) Predictive(pool bitvec.Mask, y dilution.Outcome) (float64, error) {
+	return d.m.Predictive(pool, y), nil
+}
+
+// Branch returns an independent copy of the posterior with the outcome y
+// on pool absorbed; the receiver is unchanged.
+func (d *Dense) Branch(pool bitvec.Mask, y dilution.Outcome) (halving.Brancher, error) {
+	c := d.m.Clone()
+	if err := c.Update(pool, y); err != nil {
+		return nil, err
+	}
+	return FromLattice(c), nil
 }
 
 // Condition collapses subject onto a known status; see Model.Condition.

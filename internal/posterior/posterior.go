@@ -103,24 +103,11 @@ type Model interface {
 	Close() error
 }
 
-// Summary is the one-sweep posterior digest: five statistics computed
-// together so the posterior is swept once. Each field matches the
-// corresponding single-statistic kernel bit-for-bit (same reduction
-// shapes, same deterministic merges).
-type Summary struct {
-	// Marginals is each subject's posterior infection probability.
-	Marginals []float64
-	// EntropyBits is the Shannon entropy of the posterior in bits.
-	EntropyBits float64
-	// MAPState is the maximum-a-posteriori state (ties break to the
-	// lowest state index) and MAPMass its posterior mass.
-	MAPState bitvec.Mask
-	MAPMass  float64
-	// ExpectedInfected is E[|S|], the expected number of infected.
-	ExpectedInfected float64
-	// Mass is the total posterior mass (≈1 between updates).
-	Mass float64
-}
+// Summary is the one-sweep posterior digest — marginals, entropy, MAP
+// state, expected-infected and total mass. It is the kernel layer's own
+// type, so the dense and cluster backends hand back the digest they
+// computed instead of a copy.
+type Summary = lattice.Summary
 
 // Snapshot is a backend-tagged capture of a posterior, the unit
 // checkpoints serialize. Exactly one payload family is populated: Dense

@@ -13,21 +13,8 @@ type Sparse struct {
 	m *sparse.Model
 }
 
-// NewSparse builds the sparse prior backend.
-func NewSparse(cfg sparse.Config) (*Sparse, error) {
-	m, err := sparse.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Sparse{m: m}, nil
-}
-
 // FromSparse wraps an existing sparse model.
 func FromSparse(m *sparse.Model) *Sparse { return &Sparse{m: m} }
-
-// Sparse exposes the wrapped model for sparse-only consumers (support
-// and pruned-bound diagnostics).
-func (s *Sparse) Sparse() *sparse.Model { return s.m }
 
 // N returns the cohort size.
 func (s *Sparse) N() int { return s.m.N() }
@@ -66,17 +53,9 @@ func (s *Sparse) PrefixNegMasses(order []int) ([]float64, error) {
 func (s *Sparse) Entropy() (float64, error) { return s.m.Entropy(), nil }
 
 // Summary returns the fused one-pass digest over the retained support.
-func (s *Sparse) Summary() (*Summary, error) {
-	d := s.m.Summary()
-	return &Summary{
-		Marginals:        d.Marginals,
-		EntropyBits:      d.EntropyBits,
-		MAPState:         d.MAPState,
-		MAPMass:          d.MAPMass,
-		ExpectedInfected: d.ExpectedInfected,
-		Mass:             d.Mass,
-	}, nil
-}
+// sparse cannot import lattice (lattice's tests compare against it), so
+// its digest is a field-identical struct, converted rather than copied.
+func (s *Sparse) Summary() (*Summary, error) { return (*Summary)(s.m.Summary()), nil }
 
 // Condition collapses subject onto a known status; see Model.Condition.
 func (s *Sparse) Condition(subject int, positive bool) (Model, error) {

@@ -68,9 +68,15 @@ func (s Spec) Open(pool *engine.Pool, risks []float64, resp dilution.Response) (
 	var m Model
 	switch kind {
 	case KindDense:
-		m, err = NewDense(pool, lattice.Config{Risks: risks, Response: resp, Parts: s.Parts})
+		var lm *lattice.Model
+		if lm, err = lattice.New(pool, lattice.Config{Risks: risks, Response: resp, Parts: s.Parts}); err == nil {
+			m = FromLattice(lm)
+		}
 	case KindSparse:
-		m, err = NewSparse(sparse.Config{Risks: risks, Response: resp, Eps: s.Eps, MaxStates: s.MaxStates})
+		var sm *sparse.Model
+		if sm, err = sparse.New(sparse.Config{Risks: risks, Response: resp, Eps: s.Eps, MaxStates: s.MaxStates}); err == nil {
+			m = FromSparse(sm)
+		}
 	case KindCluster:
 		addrs := s.Addrs
 		var stop func()

@@ -50,7 +50,9 @@ func (r ResponseSpec) Response() (dilution.Response, error) {
 
 // CreateCohortRequest opens a new campaign. Risks carries the per-subject
 // prior infection probabilities (its length is the cohort size); the
-// remaining knobs mirror core.Config and are optional.
+// remaining knobs mirror core.Config and are optional; core validates
+// them (a Lookahead above core.MaxLookahead answers 400, before any
+// lattice is built).
 type CreateCohortRequest struct {
 	Tenant       string       `json:"tenant"`
 	Risks        []float64    `json:"risks"`

@@ -161,6 +161,15 @@ func TestServerValidation(t *testing.T) {
 		t.Fatalf("bad kind: %d", code)
 	}
 
+	// A look-ahead depth that would hold 2^23 copies of the posterior: the
+	// client's integer is bounded before any lattice is built.
+	code, _ = doJSON(t, "POST", ts.URL+"/v1/cohorts", CreateCohortRequest{
+		Risks: workload.UniformRisks(16, 0.05), Lookahead: 24,
+	}, nil)
+	if code != http.StatusBadRequest {
+		t.Fatalf("lookahead 24: %d", code)
+	}
+
 	// Unknown cohort.
 	if code, _ := doJSON(t, "GET", ts.URL+"/v1/cohorts/c99999999/pools", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown cohort: %d", code)

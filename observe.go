@@ -1,11 +1,6 @@
 package sbgt
 
-import (
-	"log/slog"
-
-	"repro/internal/cluster"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Metrics is a process-wide metric registry: counters, gauges, and
 // histograms with a lock-free hot path, exportable as Prometheus text or
@@ -45,19 +40,3 @@ func AssembleTraces(sets ...[]SpanRecord) []*Trace { return obs.Assemble(sets...
 // internal/obs): task counts, queue depth, in-flight gauge, task-time
 // and submit-wait histograms under sbgt_engine_pool_*.
 func (e *Engine) Instrument(reg *Metrics) { e.pool.Instrument(reg) }
-
-// ServeExecutorObs is ServeExecutor with the executor instrumented into
-// reg (request counts, shard size, pool series; nil disables) and its
-// protocol warnings routed to log (nil discards).
-func ServeExecutorObs(addr string, workers int, reg *Metrics, log *slog.Logger) error {
-	return cluster.ListenAndServeObs(addr, workers, reg, log)
-}
-
-// ServeExecutorTraced is ServeExecutorObs with the executor's dispatch
-// spans additionally recorded into tracer — pass the tracer behind the
-// process's /spans endpoint so the executor side of every distributed
-// trace is scrapeable in place (spans also ship back to the driver in
-// response trailers regardless).
-func ServeExecutorTraced(addr string, workers int, reg *Metrics, tracer *Tracer, log *slog.Logger) error {
-	return cluster.ListenAndServeTraced(addr, workers, reg, tracer, log)
-}

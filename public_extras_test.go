@@ -2,36 +2,10 @@ package sbgt_test
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	sbgt "repro"
 )
-
-func TestModelCheckpointPublic(t *testing.T) {
-	eng := newEngine(t)
-	m, err := eng.NewModel(sbgt.UniformRisks(8, 0.1), sbgt.BinaryTest(0.95, 0.99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Update(sbgt.Subjects(0, 1, 2), sbgt.Positive); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sbgt.SaveModel(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := m.Marginals(), got.Marginals()
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			t.Fatalf("marginal[%d]: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
 
 func TestSessionCheckpointPublic(t *testing.T) {
 	eng := newEngine(t)
@@ -101,15 +75,14 @@ func TestCampaignPublic(t *testing.T) {
 }
 
 func TestSparseModelPublic(t *testing.T) {
-	m, err := sbgt.NewSparseModel(sbgt.SparseConfig{
-		Risks:    sbgt.UniformRisks(40, 0.02),
-		Response: sbgt.IdealTest(),
-		Eps:      1e-10,
-	})
+	eng := newEngine(t)
+	m, err := eng.OpenBackend(sbgt.Backend{Kind: sbgt.BackendSparse, Eps: 1e-10},
+		sbgt.UniformRisks(40, 0.02), sbgt.IdealTest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := sbgt.SelectPoolSparse(m, 16, false)
+	defer m.Close()
+	sel, err := sbgt.SelectPool(m, 16, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,35 +92,24 @@ func TestSparseModelPublic(t *testing.T) {
 	if err := m.Update(sel.Pool, sbgt.Negative); err != nil {
 		t.Fatal(err)
 	}
+	marg, err := m.Marginals()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, idx := range sel.Pool.Indices() {
-		if g := m.Marginals()[idx]; g != 0 {
+		if g := marg[idx]; g != 0 {
 			t.Fatalf("marginal[%d] = %v after ideal negative", idx, g)
 		}
 	}
 	// The prior tail (many-positive states) below eps carries ~1e-4 mass
-	// at this size; the bound must stay small but won't be zero.
-	if m.Pruned() > 1e-2 {
-		t.Fatalf("pruned bound %v unexpectedly large", m.Pruned())
-	}
-}
-
-func TestCredibleSetPublic(t *testing.T) {
-	eng := newEngine(t)
-	m, err := eng.NewModel(sbgt.UniformRisks(8, 0.1), sbgt.BinaryTest(0.95, 0.99))
+	// at this size; the bound must stay small but won't be zero. The
+	// snapshot is where the sparse backend reports it.
+	snap, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(sbgt.Subjects(0, 1), sbgt.Positive); err != nil {
-		t.Fatal(err)
-	}
-	set, mass := m.CredibleSet(0.95)
-	if len(set) == 0 || mass < 0.95 {
-		t.Fatalf("credible set %d states covering %v", len(set), mass)
-	}
-	// The MAP state leads the set.
-	mapState, _ := m.MAP()
-	if set[0] != mapState {
-		t.Fatalf("set starts at %v, MAP is %v", set[0], mapState)
+	if len(snap.States) == 0 || snap.Pruned > 1e-2 {
+		t.Fatalf("support %d states, pruned bound %v", len(snap.States), snap.Pruned)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/engine"
 	"repro/internal/halving"
-	"repro/internal/lattice"
+	"repro/internal/posterior"
 )
 
 // SubjectSet identifies a set of subjects (bit i = subject i). Pools,
@@ -93,15 +93,6 @@ func (e *Engine) NewSession(cfg Config) (*Session, error) {
 	return core.NewSession(e.pool, cfg)
 }
 
-// NewModel exposes the raw lattice model for advanced use (custom
-// selection rules, diagnostics). Most callers want NewSession.
-func (e *Engine) NewModel(risks []float64, resp Response) (*Model, error) {
-	return lattice.New(e.pool, lattice.Config{Risks: risks, Response: resp})
-}
-
-// Model is the Bayesian lattice posterior over 2^N infection states.
-type Model = lattice.Model
-
 // HalvingStrategy returns the Bayesian Halving Algorithm as a session
 // strategy. maxPool caps pool size (0 = unbounded); localSearch enables
 // the swap-refinement pass.
@@ -116,12 +107,22 @@ func IndividualStrategy() Strategy { return halving.Individual{} }
 // non-adaptive design).
 func DorfmanStrategy(blockSize int) Strategy { return &halving.Dorfman{BlockSize: blockSize} }
 
-// SelectPool runs one halving selection on a raw model.
-func SelectPool(m *Model, maxPool int, localSearch bool) Selection {
-	return halving.Select(m, halving.Options{MaxPool: maxPool, LocalSearch: localSearch})
+// SelectPool runs one Bayesian halving selection on a posterior from
+// OpenBackend (any backend). maxPool caps pool size (0 = unbounded);
+// localSearch enables the swap-refinement pass. A non-nil error is a
+// failed posterior read — a lost cluster executor — not a poor split.
+func SelectPool(m Posterior, maxPool int, localSearch bool) (Selection, error) {
+	return halving.SelectOn(m, halving.Options{MaxPool: maxPool, LocalSearch: localSearch})
 }
 
-// SelectPools runs the depth-pool look-ahead rule on a raw model.
-func SelectPools(m *Model, depth, maxPool int) []Selection {
-	return halving.SelectLookahead(m, depth, halving.Options{MaxPool: maxPool})
+// SelectPools runs the depth-pool look-ahead rule: the pools to run in
+// one stage, before any of their outcomes is known. Look-ahead branches
+// the posterior on hypothetical outcomes, which only the dense backend
+// supports; any other backend is refused with an error naming it.
+func SelectPools(m Posterior, depth, maxPool int) ([]Selection, error) {
+	b, err := posterior.LookaheadOf(m)
+	if err != nil {
+		return nil, err
+	}
+	return halving.SelectLookahead(b, depth, halving.Options{MaxPool: maxPool})
 }

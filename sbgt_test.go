@@ -2,12 +2,11 @@ package sbgt_test
 
 import (
 	"math"
-	"net"
+	"strings"
 	"testing"
 	"time"
 
 	sbgt "repro"
-	"repro/internal/cluster"
 )
 
 func newEngine(t *testing.T) *sbgt.Engine {
@@ -73,22 +72,32 @@ func TestResponseConstructors(t *testing.T) {
 
 func TestRawModelAndSelection(t *testing.T) {
 	eng := newEngine(t)
-	m, err := eng.NewModel(sbgt.UniformRisks(10, 0.08), sbgt.IdealTest())
+	m, err := eng.OpenBackend(sbgt.Backend{}, sbgt.UniformRisks(10, 0.08), sbgt.IdealTest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := sbgt.SelectPool(m, 8, false)
+	defer m.Close()
+	sel, err := sbgt.SelectPool(m, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sel.Pool == 0 || sel.Pool.Count() > 8 {
 		t.Fatalf("selection %v", sel.Pool)
 	}
-	sels := sbgt.SelectPools(m, 2, 8)
+	sels, err := sbgt.SelectPools(m, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sels) != 2 {
 		t.Fatalf("lookahead returned %d pools", len(sels))
 	}
 	if err := m.Update(sel.Pool, sbgt.Negative); err != nil {
 		t.Fatal(err)
 	}
-	marg := m.Marginals()
+	marg, err := m.Marginals()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range sel.Pool.Indices() {
 		if marg[i] != 0 {
 			t.Fatalf("marginal[%d] = %v after ideal negative", i, marg[i])
@@ -161,17 +170,15 @@ func TestHouseholdAndBetaRisks(t *testing.T) {
 }
 
 func TestClusterThroughPublicAPI(t *testing.T) {
-	// One in-process executor on loopback.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := cluster.NewExecutor(2)
-	go func() { _ = exec.Serve(l) }()
-	t.Cleanup(func() { l.Close(); exec.Close() })
-
+	// One in-process executor on loopback, owned by the model.
+	eng := newEngine(t)
 	risks := sbgt.UniformRisks(8, 0.1)
-	m, err := sbgt.DialCluster([]string{l.Addr().String()}, risks, sbgt.IdealTest(), 2*time.Second)
+	m, err := eng.OpenBackend(sbgt.Backend{
+		Kind:           sbgt.BackendCluster,
+		LocalExecutors: 1,
+		ExecWorkers:    2,
+		DialTimeout:    2 * time.Second,
+	}, risks, sbgt.IdealTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +197,10 @@ func TestClusterThroughPublicAPI(t *testing.T) {
 	}
 	if math.Abs(marg[4]-0.1) > 1e-9 {
 		t.Fatalf("untested marginal = %v", marg[4])
+	}
+	// Look-ahead is a stated capability, and the cluster backend lacks it.
+	if _, err := sbgt.SelectPools(m, 2, 8); err == nil || !strings.Contains(err.Error(), "cluster") {
+		t.Fatalf("look-ahead on the cluster backend: %v, want an error naming it", err)
 	}
 }
 

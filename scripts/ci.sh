@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Full CI gate: build, gofmt, vet, repo-invariant lint, tests, race tests, fuzz
-# smoke, serve smoke (which runs sbgt-metriclint over the live registry).
+# Full CI gate: build, gofmt, vet, repo-invariant lint, tests, the example
+# programs, race tests, fuzz smoke, serve smoke (which runs sbgt-metriclint over the live registry).
 # Mirrors .github/workflows/ci.yml so the same gate runs locally via
 # `make ci`. Fails on the first broken step.
 set -eu
@@ -27,6 +27,9 @@ go run ./cmd/sbgt-lint -baseline-check ./...
 
 echo '== go test =='
 go test ./...
+
+echo '== examples (every program under examples/ runs to exit 0) =='
+make -s examples
 
 echo '== stage-kernel, kernel-ablation and cluster-conditioning benchmarks (one iteration each, so they cannot rot) =='
 go test ./internal/lattice -run '^$' -bench 'BenchmarkStageKernels|BenchmarkNegMassCrossover|BenchmarkNegMassesTiling|BenchmarkSummary|BenchmarkFusion' -benchtime 1x
