@@ -25,7 +25,7 @@ lint:
 # backend conformance suite (which drives the cluster backend end to end
 # over loopback TCP). Short mode keeps the statistical loops out.
 race:
-	$(GO) test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs ./internal/obs/profiler
+	$(GO) test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs
 
 # Short fuzz smoke over the numeric-kernel and lint-input invariants.
 fuzz:

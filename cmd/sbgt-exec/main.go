@@ -11,10 +11,9 @@
 // addresses to the driver. The executor is stateless between drivers: a
 // new driver connection rebuilds the shard with BuildPrior.
 //
-// With -metrics-addr the executor also serves its own /metrics (request
-// counts per op, shard size, worker-pool series), /healthz, /readyz,
-// /spans, /debug/flight, and pprof — the per-node introspection surface
-// of a real deployment. /readyz mirrors the executor's drain state: it
+// With -metrics-addr the executor also serves its own /metrics (the
+// worker-pool series), /healthz, /readyz, /spans, /debug/flight, and
+// pprof — the per-node introspection surface of a real deployment. /readyz mirrors the executor's drain state: it
 // serves 200 while accepting drivers and flips to 503 the moment SIGTERM
 // or SIGINT arrives, before the listener closes, so an orchestrator
 // health-checking executors stops routing new drivers to a terminating
@@ -22,11 +21,6 @@
 // When a driver propagates a trace context, the executor's dispatch
 // spans appear both on its /spans endpoint and in the driver's assembled
 // trace (they ship back in the response trailer).
-//
-// With -profile-dir the continuous profiler also runs: anomaly dumps
-// freeze profile bundles served on the metrics listener at
-// /debug/profiles, where the driver's -harvest-profiles pulls them —
-// that is how a cross-process trace resolves to per-executor flame data.
 package main
 
 import (
@@ -40,7 +34,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/obs/profiler"
 )
 
 func main() {
@@ -59,10 +52,6 @@ func main() {
 	defer rt.Close()
 	rt.DumpFlightOnSIGQUIT()
 
-	if _, err := profiler.StartFromRuntime(rt, obsFlags); err != nil {
-		rt.Fatal(err)
-	}
-
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {
 		rt.Fatal(fmt.Errorf("sbgt-exec: listen %s: %w", *listen, err))
@@ -71,7 +60,7 @@ func main() {
 	defer e.Close()
 	e.SetLogger(rt.Log)
 	e.SetTracer(rt.Tracer)
-	e.Instrument(rt.Reg, "")
+	e.Instrument(rt.Reg)
 
 	// Drain on SIGTERM/SIGINT: flip /readyz to 503 first, then close the
 	// listener. In-flight driver connections finish their current RPC; the

@@ -22,13 +22,6 @@
 //     values — the bound that keeps per-tenant labels from exploding a
 //     scrape (the server caps tenants and overflows into "__other__";
 //     this verifies nothing bypasses that cap)
-//   - profiler metrics (sbgt_obs_profiler_*) carry only declared label
-//     keys with closed value sets: "class" ∈ {anomaly, manual, sample}.
-//     Free-form identifiers — capture reasons ("slo:p99_request"),
-//     bundle paths, anomaly IDs — are one label per incident, i.e.
-//     unbounded; they belong in bundle metadata, never in a label. The
-//     cardinality rule above only catches this after the explosion; the
-//     value-set rule rejects the first stray value.
 package main
 
 import (
@@ -43,38 +36,12 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profiler"
 )
 
 var (
 	nameRE  = regexp.MustCompile(`^sbgt(_[a-z0-9]+){2,}$`)
 	labelRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 )
-
-// profilerPrefix scopes the bounded value-set rule to the continuous
-// profiler's metric family.
-const profilerPrefix = "sbgt_obs_profiler_"
-
-// profilerLabelSets declares the only label keys profiler metrics may
-// carry and the closed value set for each — sourced from the profiler
-// package's own declaration so the lint rule and the instrumentation
-// cannot drift apart.
-var profilerLabelSets = func() map[string]map[string]bool {
-	classes := map[string]bool{}
-	for _, c := range profiler.CaptureClasses {
-		classes[c] = true
-	}
-	return map[string]map[string]bool{"class": classes}
-}()
-
-func allowedValues(set map[string]bool) string {
-	var vals []string
-	for v := range set {
-		vals = append(vals, v)
-	}
-	sort.Strings(vals)
-	return strings.Join(vals, ", ")
-}
 
 func main() {
 	maxCard := flag.Int("max-cardinality", 64, "max distinct values per (metric, label key)")
@@ -189,17 +156,6 @@ func lint(snap *obs.Snapshot, maxCard int) []string {
 		for _, l := range s.labels {
 			if !labelRE.MatchString(l.Key) {
 				report(s.kind+" "+s.name, fmt.Sprintf("label key %q must match ^[a-z][a-z0-9_]*$", l.Key))
-			}
-			if strings.HasPrefix(s.name, profilerPrefix) {
-				set, declared := profilerLabelSets[l.Key]
-				switch {
-				case !declared:
-					report(s.kind+" "+s.name, fmt.Sprintf(
-						"label key %q is not declared for profiler metrics — reason/path-style identifiers are unbounded; put them in bundle metadata, not labels", l.Key))
-				case !set[l.Value]:
-					report(s.kind+" "+s.name, fmt.Sprintf(
-						"label %s=%q is outside the declared value set {%s}", l.Key, l.Value, allowedValues(set)))
-				}
 			}
 			byKey := cardinality[s.name]
 			if byKey == nil {

@@ -1,67 +1,51 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-// The TP/FP fixture pair for the profiler value-set rule: the bad
-// snapshot smuggles free-form reason/path labels and an undeclared class
-// value onto profiler metrics; the ok snapshot is the instrumentation
-// the profiler actually emits.
+// TestLintRules feeds lint one snapshot that breaks every rule once and
+// one that breaks none: the contract scripts/serve_smoke.sh holds the
+// live registry to.
+func TestLintRules(t *testing.T) {
+	tenant := func(v string) []obs.Label { return []obs.Label{obs.L("tenant", v)} }
+	clean := &obs.Snapshot{
+		Counters:   []obs.CounterSnapshot{{Name: "sbgt_serve_requests_total"}, {Name: "sbgt_serve_tenant_requests_total", Labels: tenant("a")}},
+		Gauges:     []obs.GaugeSnapshot{{Name: "sbgt_serve_cohorts"}},
+		Histograms: []obs.HistogramSnapshot{{Name: "sbgt_serve_request_seconds"}},
+	}
+	if got := lint(clean, 2); len(got) != 0 {
+		t.Fatalf("clean snapshot flagged:\n%s", strings.Join(got, "\n"))
+	}
 
-func TestProfilerLabelRuleTruePositives(t *testing.T) {
-	snap, err := load("testdata/profiler_labels_bad.json")
-	if err != nil {
-		t.Fatal(err)
+	bad := &obs.Snapshot{
+		Counters: []obs.CounterSnapshot{
+			{Name: "requests_total"},
+			{Name: "sbgt_serve_requests"},
+			{Name: "sbgt_serve_errors_total", Labels: []obs.Label{obs.L("Tenant", "a")}},
+		},
+		Gauges:     []obs.GaugeSnapshot{{Name: "sbgt_serve_cohorts_total"}},
+		Histograms: []obs.HistogramSnapshot{{Name: "sbgt_serve_request_millis"}},
 	}
-	violations := lint(snap, 64)
-	want := []string{
-		`label key "reason" is not declared`,
-		`label key "path" is not declared`,
-		`label class="periodic" is outside the declared value set {anomaly, manual, sample}`,
+	for i := 0; i < 3; i++ {
+		bad.Counters = append(bad.Counters, obs.CounterSnapshot{
+			Name: "sbgt_serve_tenant_requests_total", Labels: tenant(fmt.Sprint(i))})
 	}
-	for _, w := range want {
-		found := false
-		for _, v := range violations {
-			if strings.Contains(v, w) {
-				found = true
-			}
+	got := strings.Join(lint(bad, 2), "\n")
+	for _, want := range []string{
+		"counter requests_total: name must match",
+		"counter sbgt_serve_requests: counter names must end in _total",
+		`label key "Tenant" must match`,
+		"gauge sbgt_serve_cohorts_total: _total is reserved for counters",
+		"histogram sbgt_serve_request_millis: histogram names must end in a base unit",
+		`sbgt_serve_tenant_requests_total: label "tenant" has 3 distinct values (max 2)`,
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("missing violation %q in:\n%s", want, got)
 		}
-		if !found {
-			t.Errorf("missing violation %q in:\n%s", w, strings.Join(violations, "\n"))
-		}
-	}
-	// The reason label has only 2 distinct values here — far under the
-	// cardinality bound. The value-set rule is what catches it: this is
-	// exactly the gap the rule exists to close.
-	if len(violations) < len(want) {
-		t.Fatalf("violations = %v", violations)
-	}
-}
-
-func TestProfilerLabelRuleFalsePositives(t *testing.T) {
-	snap, err := load("testdata/profiler_labels_ok.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations := lint(snap, 64); len(violations) != 0 {
-		t.Fatalf("clean profiler snapshot flagged:\n%s", strings.Join(violations, "\n"))
-	}
-}
-
-// TestProfilerRuleScopedToProfilerMetrics guards the blast radius: a
-// "class" or even "reason" label on a non-profiler metric is not this
-// rule's business (the cardinality bound still applies to it).
-func TestProfilerRuleScopedToProfilerMetrics(t *testing.T) {
-	snap, err := load("testdata/profiler_labels_ok.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Counters[0].Name = "sbgt_serve_whatever_total"
-	snap.Counters[0].Labels[0].Key = "reason"
-	snap.Counters[0].Labels[0].Value = "free-form text"
-	if violations := lint(snap, 64); len(violations) != 0 {
-		t.Fatalf("non-profiler metric flagged by profiler rule:\n%s", strings.Join(violations, "\n"))
 	}
 }

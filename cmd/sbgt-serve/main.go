@@ -19,8 +19,8 @@
 //	DELETE /v1/cohorts/{id}         close and forget a cohort
 //	POST   /v1/drain                checkpoint everything, stop admitting
 //
-// plus /metrics, /metrics.json, /healthz, /readyz, /spans, and
-// /debug/pprof/* on the same listener. SIGTERM and SIGINT drain
+// plus /metrics, /metrics.json, /healthz, /readyz, /spans, /debug/flight
+// and /debug/pprof/* on the same listener. SIGTERM and SIGINT drain
 // gracefully: admission stops, /readyz flips to 503, every resident
 // cohort is checkpointed, and the process exits 0.
 //
@@ -57,12 +57,11 @@
 //	-seed uint            population seed (default 1)
 //
 // Observability flags (shared across the sbgt commands): -metrics-addr,
-// -log-level, -trace-out, -cpuprofile, -memprofile, and the continuous
-// profiler's -profile-dir / -profile-interval / -profile-cpu-window.
-// With -profile-dir set, every SLO breach freezes a profile bundle
-// (CPU window + heap/goroutine/mutex) under the same anomaly ID as its
-// flight dump; bundles are browsable on the API listener at
-// /debug/profiles and diffable with sbgt-profdiff.
+// -log-level, -trace-out, -cpuprofile, -memprofile. A breach's dump
+// totals its window per event kind (request, stage_propose,
+// stage_absorb, restore, evict), so it names the slow layer; for a
+// flame graph of a live server, /debug/pprof/profile is on the API
+// listener and `go tool pprof -diff_base` compares two of them.
 package main
 
 import (
@@ -80,7 +79,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/obs/profiler"
 	"repro/internal/serve"
 )
 
@@ -142,11 +140,6 @@ func main() {
 
 	rt.DumpFlightOnSIGQUIT()
 
-	prof, err := profiler.StartFromRuntime(rt, obsFlags)
-	if err != nil {
-		rt.Fatal(err)
-	}
-
 	pool := engine.NewPool(*workers)
 	defer pool.Close()
 	pool.Instrument(rt.Reg)
@@ -204,7 +197,6 @@ func main() {
 		Log:         rt.Log,
 		Flight:      rt.Flight,
 		SLO:         slo,
-		Profiles:    prof.Handler(),
 	})
 
 	lis, err := net.Listen("tcp", *addr)

@@ -1,9 +1,8 @@
 // Command sbgt-top is a terminal live view of a running sbgt-serve (or
-// any sbgt process serving the obs mux): it polls /metrics.json,
-// /debug/flight, and /debug/profiles and renders per-tenant throughput,
-// residency, SLO burn, the most recent anomaly dump, and the profile
-// bundles frozen for it (a server without the continuous profiler just
-// omits that section).
+// any sbgt process serving the obs mux): it polls /metrics.json and
+// /debug/flight and renders per-tenant throughput, residency, SLO burn
+// and the most recent anomaly dump — its per-layer time split (which
+// event kind the window's time went to) above the tail of its events.
 //
 // Usage:
 //
@@ -23,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profiler"
 )
 
 func main() {
@@ -64,10 +63,9 @@ func main() {
 
 // frame is one poll's worth of server state.
 type frame struct {
-	at       time.Time
-	metrics  *obs.Snapshot
-	flight   *obs.FlightSnapshot
-	profiles *profiler.IndexDoc
+	at      time.Time
+	metrics *obs.Snapshot
+	flight  *obs.FlightSnapshot
 }
 
 func poll(client *http.Client, target string) (*frame, error) {
@@ -77,13 +75,6 @@ func poll(client *http.Client, target string) (*frame, error) {
 	}
 	if err := getJSON(client, target+"/debug/flight", f.flight); err != nil {
 		return nil, err
-	}
-	// /debug/profiles exists only when the continuous profiler is on (and
-	// not at all on older servers) — a failure here degrades the view, it
-	// does not kill it.
-	var idx profiler.IndexDoc
-	if err := getJSON(client, target+"/debug/profiles", &idx); err == nil {
-		f.profiles = &idx
 	}
 	return f, nil
 }
@@ -202,7 +193,7 @@ func tenantRows(s *obs.Snapshot) []tenantRow {
 	return out
 }
 
-func render(w *os.File, f, prev *frame) {
+func render(w io.Writer, f, prev *frame) {
 	fmt.Fprintf(w, "sbgt-top · %s\n\n", f.at.Format("15:04:05"))
 
 	// Headline: aggregate throughput, residency, process health.
@@ -267,6 +258,12 @@ func render(w *os.File, f, prev *frame) {
 		d := f.flight.Anomalies[n-1]
 		fmt.Fprintf(w, "last anomaly: %s %s at %s (%d events captured, %d coalesced)\n",
 			d.ID, d.Reason, d.Time.Format("15:04:05"), len(d.Events), d.Coalesced)
+		// Where the window's time went, largest layer first. Kinds nest (a
+		// request contains the stages, restores and evictions it caused),
+		// so the lines rank layers rather than add up.
+		for _, l := range d.Layers {
+			fmt.Fprintf(w, "  layer %-14s n=%-5d total=%-12v max=%v\n", l.Kind, l.Count, l.Total, l.Max)
+		}
 		tail := d.Events
 		if len(tail) > 5 {
 			tail = tail[len(tail)-5:]
@@ -282,30 +279,11 @@ func render(w *os.File, f, prev *frame) {
 			if ev.TraceID != 0 {
 				line += fmt.Sprintf(" trace=%016x", ev.TraceID)
 			}
+			if ev.Dur != 0 {
+				line += fmt.Sprintf(" dur=%v", ev.Dur)
+			}
 			if ev.Err != "" {
 				line += " err=" + ev.Err
-			}
-			fmt.Fprintln(w, line)
-		}
-	}
-
-	// Continuous-profiler bundles: the newest few, anomaly IDs first so
-	// an operator can go straight from "last anomaly: aNNNNNN" to its
-	// flame data (GET /debug/profiles?anomaly=aNNNNNN, then sbgt-profdiff).
-	if f.profiles != nil {
-		bundles := f.profiles.Bundles
-		fmt.Fprintf(w, "\nprofiles: %d bundle(s) on /debug/profiles\n", len(bundles))
-		tail := bundles
-		if len(tail) > 4 {
-			tail = tail[len(tail)-4:]
-		}
-		for _, b := range tail {
-			line := fmt.Sprintf("  %s %s %-7s %s", b.Time.Format("15:04:05"), b.ID, b.Class, b.Reason)
-			if b.AnomalyID != "" {
-				line += " anomaly=" + b.AnomalyID
-			}
-			if b.CPUError != "" {
-				line += " cpu-error"
 			}
 			fmt.Fprintln(w, line)
 		}

@@ -18,13 +18,6 @@
 //	-exec-addrs string
 //	                cluster backend: comma-separated external executor
 //	                addresses (sbgt-exec processes); overrides -execs
-//	-exec-metrics-addrs string
-//	                cluster backend: the executors' metrics addresses,
-//	                comma-separated, parallel to -exec-addrs
-//	-harvest-profiles string
-//	                after the campaign, pull each executor's continuous-
-//	                profiler bundles (over -exec-metrics-addrs) into this
-//	                directory, one subdirectory per executor
 //	-maxpool int    pool size cap (default 16)
 //	-lookahead int  pools selected per stage (default 1; dense backend only)
 //	-seed uint      RNG seed (default 1)
@@ -36,20 +29,19 @@
 //	-metrics-addr string  serve /metrics, /healthz, and pprof here
 //	-log-level string     debug | info | warn | error (default info)
 //	-trace-out string     write per-stage spans as NDJSON on exit
+//	-cpuprofile string    write a CPU profile of the run (go tool pprof)
+//	-memprofile string    write an allocation profile at exit
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	sbgt "repro"
 	"repro/internal/obs"
-	"repro/internal/obs/profiler"
 )
 
 func main() {
@@ -69,9 +61,6 @@ func main() {
 		eps       = flag.Float64("eps", 1e-9, "sparse backend: relative truncation threshold")
 		execs     = flag.Int("execs", 2, "cluster backend: local executors to start")
 		execAddrs = flag.String("exec-addrs", "", "cluster backend: comma-separated external executor addresses (overrides -execs)")
-
-		execMetricsAddrs = flag.String("exec-metrics-addrs", "", "cluster backend: executors' metrics addresses, comma-separated (for -harvest-profiles)")
-		harvestProfiles  = flag.String("harvest-profiles", "", "pull executors' profile bundles into this directory after the campaign (requires -exec-metrics-addrs)")
 	)
 	obsFlags := obs.RegisterFlags(nil)
 	flag.Parse()
@@ -204,11 +193,6 @@ func main() {
 			sel.Round(time.Microsecond), tst.Round(time.Microsecond),
 			upd.Round(time.Microsecond), cls.Round(time.Microsecond), len(res.StageTimings))
 	}
-	if *harvestProfiles != "" {
-		if err := harvestAll(rt, splitAddrs(*execMetricsAddrs), *harvestProfiles); err != nil {
-			rt.Fatal(err)
-		}
-	}
 	// Misclassification under a noisy assay is not an error; exit 0 either way.
 }
 
@@ -221,29 +205,6 @@ func splitAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-// harvestAll pulls each executor's profile bundles over its metrics
-// address into dest/<addr-safe>/ — the cluster-wide harvest that turns a
-// cross-process trace into per-executor flame data. Executors without a
-// profiler (404 index) are skipped with a warning, not an error, so a
-// mixed fleet harvests what it can.
-func harvestAll(rt *obs.Runtime, metricsAddrs []string, dest string) error {
-	if len(metricsAddrs) == 0 {
-		return fmt.Errorf("sbgt: -harvest-profiles requires -exec-metrics-addrs")
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	for _, addr := range metricsAddrs {
-		sub := strings.NewReplacer(":", "_", "/", "_").Replace(addr)
-		got, err := profiler.Harvest(client, addr, filepath.Join(dest, sub))
-		if err != nil {
-			rt.Log.Warn("sbgt: profile harvest failed", "addr", addr, "err", err)
-			continue
-		}
-		rt.Log.Info("sbgt: harvested profile bundles", "addr", addr, "bundles", len(got))
-		fmt.Printf("harvested %d profile bundle(s) from %s into %s\n", len(got), addr, filepath.Join(dest, sub))
-	}
-	return nil
 }
 
 func makeRisks(profile string, n int, prev float64, r *sbgt.Rand) ([]float64, error) {

@@ -63,7 +63,6 @@ func (m *Model) Condition(subject int, positive bool) (*Model, error) {
 		out.Close()
 		return nil, err
 	}
-	out.met.noteShards(out.conns)
 	return out, nil
 }
 

@@ -156,8 +156,8 @@ type DialOptions struct {
 	// executor's prior-materialization round. <= 0 means no deadline.
 	Timeout time.Duration
 	// Attempts is how many times each executor is dialed before its
-	// failure aborts the fan-out (<= 0 selects 1). Retries are counted in
-	// sbgt_cluster_dial_retries_total when a registry is attached.
+	// failure aborts the fan-out (<= 0 selects 1). Each retry is a
+	// dial_retry flight event when Flight is attached.
 	Attempts int
 	// RPCTimeout bounds every post-dial RPC round (request send plus
 	// response receive) on each connection. 0 selects DefaultRPCTimeout;
@@ -165,17 +165,15 @@ type DialOptions struct {
 	// which a dead executor parks the calling goroutine forever.
 	RPCTimeout time.Duration
 	// Obs, when non-nil, receives driver-side metrics: per-op RPC latency
-	// histograms, bytes sent/received, dial retries, and per-executor
-	// shard-size gauges. Per-executor series use the stable fan-out rank
-	// as the executor label, not the host:port string.
+	// histograms and bytes sent/received. Per-executor series use the
+	// stable fan-out rank as the executor label, not the host:port string.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records driver-side rpc:<op> spans and absorbs
 	// the executor spans shipped back in response trailers. Spans are only
 	// emitted once SetTraceContext installs a valid parent context.
 	Tracer *obs.Tracer
 	// Flight, when non-nil, receives structured dial_retry and rpc_error
-	// events — the flight-recorder counterpart of the aggregate retry and
-	// error counters, carrying executor rank, op, and trace identity.
+	// events carrying executor rank, op, and trace identity.
 	Flight *obs.FlightScope
 }
 
@@ -276,7 +274,6 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 				}
 				errs[i] = fmt.Errorf("cluster: executor %s attempt %d/%d: %w", addr, attempt, attempts, err)
 				if attempt < attempts {
-					met.dialRetry(i)
 					opts.Flight.Event(obs.Event{
 						Kind:  "dial_retry",
 						Err:   err.Error(),
@@ -300,7 +297,6 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 		m.Close()
 		return nil, firstErr
 	}
-	met.noteShards(m.conns)
 	return m, nil
 }
 

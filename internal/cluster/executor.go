@@ -21,9 +21,8 @@ import (
 type Executor struct {
 	pool   *engine.Pool
 	log    *slog.Logger
-	met    *executorMetrics // nil when uninstrumented
-	tracer *obs.Tracer      // always non-nil; records traced dispatches
-	idle   time.Duration    // per-round read/write bound; 0 disables
+	tracer *obs.Tracer   // always non-nil; records traced dispatches
+	idle   time.Duration // per-round read/write bound; 0 disables
 
 	// Shard state, valid after OpBuildPrior.
 	n    int
@@ -166,11 +165,6 @@ func (e *Executor) serve(req Request) Response {
 
 // dispatch evaluates one request against the shard.
 func (e *Executor) dispatch(req Request) Response {
-	if e.met != nil {
-		if c, ok := e.met.requests[req.Op]; ok {
-			c.Inc()
-		}
-	}
 	switch req.Op {
 	case OpPing:
 		return Response{Op: OpPing}
@@ -255,7 +249,6 @@ func (e *Executor) buildPrior(req Request) Response {
 	e.n = n
 	e.lo = req.Lo
 	e.data = make([]float64, req.Hi-req.Lo)
-	e.noteShard()
 	e.forRange(func(lo, hi int) {
 		lattice.FillPrior(e.lo+uint64(lo), e.data[lo:hi], base, odds)
 	})
@@ -308,7 +301,6 @@ func (e *Executor) loadShard(req Request) Response {
 	copy(data[head:], keep)
 	copy(data[head+uint64(len(keep)):], req.Data[head:])
 	e.lo, e.data = req.Lo, data
-	e.noteShard()
 	return Response{Op: req.Op}
 }
 
@@ -330,7 +322,6 @@ func (e *Executor) collapse(req Request) Response {
 	}
 	lo, kept := lattice.CollapseBit(e.lo, e.data, req.Pool, req.Base, req.Factor)
 	e.n, e.lo, e.data = e.n-1, lo, e.data[:kept]
-	e.noteShard()
 	return Response{Op: req.Op}
 }
 

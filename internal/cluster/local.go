@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"strconv"
 
 	"repro/internal/obs"
 )
@@ -20,9 +19,8 @@ import (
 // workers sets each executor's local pool size as in NewExecutor
 // (<= 0 means GOMAXPROCS). Every executor is instrumented into reg (nil
 // disables metrics): executor pools report into the shared
-// sbgt_engine_pool_* series, and per-executor request counts and shard
-// sizes carry an executor="<rank>" label. stop is safe to call more than
-// once and after the executors have already failed.
+// sbgt_engine_pool_* series. stop is safe to call more than once and
+// after the executors have already failed.
 func StartLocalObs(k, workers int, reg *obs.Registry) (addrs []string, stop func(), err error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("cluster: executor count %d outside [1,∞)", k)
@@ -44,7 +42,7 @@ func StartLocalObs(k, workers int, reg *obs.Registry) (addrs []string, stop func
 			return nil, nil, fmt.Errorf("cluster: local listener %d: %w", i, lerr)
 		}
 		e := NewExecutor(workers)
-		e.Instrument(reg, strconv.Itoa(i))
+		e.Instrument(reg)
 		listeners = append(listeners, l)
 		execs = append(execs, e)
 		go func(e *Executor, l net.Listener) {

@@ -23,11 +23,9 @@ var allOps = []Op{
 // cardinality at the fan-out width and stay comparable across redials,
 // where raw addresses would mint a fresh series per ephemeral port.
 type clusterMetrics struct {
-	reg         *obs.Registry
-	rpc         []map[Op]*obs.Histogram // round-trip latency by executor rank and op
-	bytesSent   *obs.Counter
-	bytesRecv   *obs.Counter
-	dialRetries []*obs.Counter // by executor rank
+	rpc       []map[Op]*obs.Histogram // round-trip latency by executor rank and op
+	bytesSent *obs.Counter
+	bytesRecv *obs.Counter
 }
 
 func newClusterMetrics(reg *obs.Registry, executors int) *clusterMetrics {
@@ -35,15 +33,12 @@ func newClusterMetrics(reg *obs.Registry, executors int) *clusterMetrics {
 		return nil
 	}
 	m := &clusterMetrics{
-		reg:         reg,
-		rpc:         make([]map[Op]*obs.Histogram, executors),
-		bytesSent:   reg.Counter("sbgt_cluster_bytes_sent_total"),
-		bytesRecv:   reg.Counter("sbgt_cluster_bytes_recv_total"),
-		dialRetries: make([]*obs.Counter, executors),
+		rpc:       make([]map[Op]*obs.Histogram, executors),
+		bytesSent: reg.Counter("sbgt_cluster_bytes_sent_total"),
+		bytesRecv: reg.Counter("sbgt_cluster_bytes_recv_total"),
 	}
 	for rank := 0; rank < executors; rank++ {
 		idx := obs.L("executor", strconv.Itoa(rank))
-		m.dialRetries[rank] = reg.Counter("sbgt_cluster_dial_retries_total", idx)
 		m.rpc[rank] = make(map[Op]*obs.Histogram, len(allOps))
 		for _, op := range allOps {
 			m.rpc[rank][op] = reg.Histogram("sbgt_cluster_rpc_seconds", nil, obs.L("op", op.String()), idx)
@@ -58,27 +53,6 @@ func (m *clusterMetrics) rpcHist(op Op, rank int) *obs.Histogram {
 		return nil // nil *obs.Histogram still times; it just records nowhere
 	}
 	return m.rpc[rank][op]
-}
-
-// dialRetry counts one redial of the executor at the given rank.
-func (m *clusterMetrics) dialRetry(rank int) {
-	if m == nil || rank < 0 || rank >= len(m.dialRetries) {
-		return
-	}
-	m.dialRetries[rank].Inc()
-}
-
-// noteShards publishes the fan-out width and each connection's shard size
-// (kept current across Condition re-sharding).
-func (m *clusterMetrics) noteShards(conns []*conn) {
-	if m == nil {
-		return
-	}
-	m.reg.Gauge("sbgt_cluster_executors").Set(float64(len(conns)))
-	for i, c := range conns {
-		m.reg.Gauge("sbgt_cluster_shard_states", obs.L("executor", strconv.Itoa(i))).
-			Set(float64(c.hi - c.lo))
-	}
 }
 
 // countingConn counts bytes moved over one executor connection. The
@@ -102,42 +76,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// executorMetrics is the executor-side reporting surface.
-type executorMetrics struct {
-	requests map[Op]*obs.Counter
-	shard    *obs.Gauge
-}
-
-// noteShard publishes the currently owned shard size.
-func (e *Executor) noteShard() {
-	if e.met != nil {
-		e.met.shard.Set(float64(len(e.data)))
-	}
-}
-
-// Instrument attaches the executor to a registry: its kernel pool reports
-// as sbgt_engine_pool_*, served requests as
-// sbgt_cluster_executor_requests_total{op}, and the owned shard size as
-// sbgt_cluster_executor_shard_states. id, when non-empty, becomes an
-// executor label so co-resident executors (StartLocal) stay
-// distinguishable; pool metrics are unlabeled and aggregate across
-// executors sharing a registry. A nil registry is a no-op.
-func (e *Executor) Instrument(reg *obs.Registry, id string) {
-	if reg == nil {
-		return
-	}
+// Instrument attaches the executor's kernel pool to a registry; it
+// reports as sbgt_engine_pool_*, unlabeled, so co-resident executors
+// (StartLocalObs) aggregate. A nil registry is a no-op.
+func (e *Executor) Instrument(reg *obs.Registry) {
 	e.pool.Instrument(reg)
-	var labels []obs.Label
-	if id != "" {
-		labels = []obs.Label{obs.L("executor", id)}
-	}
-	m := &executorMetrics{
-		requests: make(map[Op]*obs.Counter, len(allOps)),
-		shard:    reg.Gauge("sbgt_cluster_executor_shard_states", labels...),
-	}
-	for _, op := range allOps {
-		m.requests[op] = reg.Counter("sbgt_cluster_executor_requests_total",
-			append([]obs.Label{obs.L("op", op.String())}, labels...)...)
-	}
-	e.met = m
 }

@@ -13,7 +13,7 @@ import (
 
 // TestDialWithRetriesWrapsAddressAndAttempt pins the Dial error contract:
 // a connection that keeps failing surfaces the executor address and the
-// attempt number, and each retry is counted.
+// attempt number, and each retry leaves a dial_retry flight event.
 func TestDialWithRetriesWrapsAddressAndAttempt(t *testing.T) {
 	// A listener that is immediately closed yields a refused port.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -23,9 +23,9 @@ func TestDialWithRetriesWrapsAddressAndAttempt(t *testing.T) {
 	dead := l.Addr().String()
 	l.Close()
 
-	reg := obs.NewRegistry()
+	flight := obs.NewFlightRecorder(8)
 	_, err = DialWith([]string{dead}, []float64{0.1, 0.2}, dilution.Binary{Sens: 0.95, Spec: 0.99},
-		DialOptions{Timeout: time.Second, Attempts: 3, Obs: reg})
+		DialOptions{Timeout: time.Second, Attempts: 3, Flight: flight.Scope("", "")})
 	if err == nil {
 		t.Fatal("dial of a dead executor succeeded")
 	}
@@ -35,14 +35,14 @@ func TestDialWithRetriesWrapsAddressAndAttempt(t *testing.T) {
 	if !strings.Contains(err.Error(), "attempt 3/3") {
 		t.Errorf("error does not carry the attempt number: %v", err)
 	}
-	var retries uint64
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == "sbgt_cluster_dial_retries_total" {
-			retries = c.Value
+	retries := 0
+	for _, ev := range flight.Snapshot().Events {
+		if ev.Kind == "dial_retry" && ev.Err != "" {
+			retries++
 		}
 	}
 	if retries != 2 {
-		t.Errorf("dial retries = %d, want 2", retries)
+		t.Errorf("dial_retry events = %d, want 2", retries)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestDialDeadlineErrorNamesExecutor(t *testing.T) {
 }
 
 // TestClusterMetricsEndToEnd drives an instrumented local cluster and
-// checks RPC latency, byte counters, shard gauges, and executor-side
-// request counts all materialize — including after a Condition re-shard.
+// checks RPC latency, byte counters and the executors' pool series all
+// materialize — the three the benchmark's cluster layer reads.
 func TestClusterMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	addrs, stop, err := StartLocalObs(2, 1, reg)
@@ -116,9 +116,6 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	if counters["sbgt_cluster_bytes_sent_total"] == 0 || counters["sbgt_cluster_bytes_recv_total"] == 0 {
 		t.Errorf("byte counters empty: %v", counters)
 	}
-	if counters["sbgt_cluster_executor_requests_total"] == 0 {
-		t.Error("executor request counter empty")
-	}
 	var rpcCount uint64
 	for _, h := range snap.Histograms {
 		if h.Name == "sbgt_cluster_rpc_seconds" {
@@ -127,24 +124,6 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	}
 	if rpcCount == 0 {
 		t.Error("no RPC latencies observed")
-	}
-	var executors float64
-	shardTotal := 0.0
-	for _, g := range snap.Gauges {
-		switch g.Name {
-		case "sbgt_cluster_executors":
-			executors = g.Value
-		case "sbgt_cluster_shard_states":
-			shardTotal += g.Value
-		}
-	}
-	if executors != 2 {
-		t.Errorf("executors gauge = %v, want 2", executors)
-	}
-	// After conditioning 4 subjects down to 3 the driver-side shard gauges
-	// must reflect the halved lattice: 2^3 states across the fan-out.
-	if shardTotal != 8 {
-		t.Errorf("driver shard gauges sum to %v, want 8", shardTotal)
 	}
 	// Executor pools report through the shared engine pool series.
 	poolSeries := false

@@ -138,6 +138,16 @@ func (s *Session) SaveSession(w io.Writer) error {
 	return bw.Flush()
 }
 
+// ObserveFlight attaches a flight scope to a session LoadSession
+// restored — it starts unobserved — so a served cohort's stage_propose
+// and stage_absorb events survive an evict/restore cycle, and the dump a
+// churning server freezes still accounts for selection and absorb.
+func (s *Session) ObserveFlight(f *obs.FlightScope) {
+	s.mu.Lock()
+	s.cfg.Flight = f
+	s.mu.Unlock()
+}
+
 // LoadSession restores a session checkpoint onto the pool. strategy
 // supplies the selection policy for the resumed campaign (nil selects the
 // default halving strategy); it must be compatible with the Lookahead

@@ -135,8 +135,8 @@ type Config struct {
 	// the convergence curve pays for it. A checkpoint carries the setting.
 	EntropyTrace bool
 	// Obs, when non-nil, receives session metrics
-	// (sbgt_session_stage_seconds{phase}, stage/test counters) and wraps
-	// the posterior with posterior.Instrument so backend ops report too.
+	// (sbgt_session_stage_seconds{phase}) and wraps the posterior with
+	// posterior.Instrument so backend ops report too.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records one span per stage with select / test /
 	// update / classify children.
@@ -253,7 +253,6 @@ type StageTiming struct {
 // so the stage loop times unconditionally.
 type stagePhases struct {
 	sel, test, update, classify *obs.Histogram
-	stages, tests               *obs.Counter
 }
 
 func newStagePhases(reg *obs.Registry) stagePhases {
@@ -265,8 +264,6 @@ func newStagePhases(reg *obs.Registry) stagePhases {
 		test:     hist("test"),
 		update:   hist("update"),
 		classify: hist("classify"),
-		stages:   reg.Counter("sbgt_session_stages_total"),
-		tests:    reg.Counter("sbgt_session_tests_total"),
 	}
 }
 
@@ -526,7 +523,6 @@ func (s *Session) proposeLocked() ([]Pool, error) {
 	// timing row is recorded with the phases measured so far.
 	fail := func(err error) ([]Pool, error) {
 		s.timings = append(s.timings, timing)
-		s.phases.stages.Inc()
 		s.setCarrierContext(s.root.Context())
 		span.End()
 		return nil, err
@@ -645,10 +641,7 @@ func (s *Session) absorbLocked(results []TestResult) error {
 	// after the stage they fall back to the session root, covering any
 	// between-stage backend calls.
 	defer s.setCarrierContext(s.root.Context())
-	defer func() {
-		s.timings = append(s.timings, *timing)
-		s.phases.stages.Inc()
-	}()
+	defer func() { s.timings = append(s.timings, *timing) }()
 
 	// The updates change the posterior, so the held marginals go; classify
 	// reads them afresh, and an error on the way leaves the cache empty.
@@ -657,7 +650,6 @@ func (s *Session) absorbLocked(results []TestResult) error {
 		r := ordered[i]
 		timing.Test += r.Elapsed
 		s.tests++
-		s.phases.tests.Inc()
 		s.log = append(s.log, TestRecord{Stage: s.stage, Pool: p.global[i], Outcome: r.Outcome})
 		us := span.Child("update")
 		s.setCarrierContext(us.Context())

@@ -57,31 +57,24 @@ type Pool struct {
 type poolMetrics struct {
 	tasks      *obs.Counter   // every task executed (worker-run or inline)
 	inline     *obs.Counter   // the subset run inline (closed pool, saturated workers, or the single-chunk fast path)
-	inflight   *obs.Gauge     // tasks currently executing
-	taskTime   *obs.Histogram // per-task wall time
 	submitWait *obs.Histogram // submit-to-start queue latency
 }
 
 // wrap instruments one task: queue wait observed when the task starts,
-// in-flight gauge held for the task body, wall time observed on return.
+// the task counted when it returns. Every body handed to wrap recovers
+// its own panics (panicBox), so the count needs no defer.
 func (m *poolMetrics) wrap(fn func()) func() {
 	wait := m.submitWait.Time()
 	return func() {
 		wait()
-		m.inflight.Inc()
-		stop := m.taskTime.Time()
-		defer func() {
-			stop()
-			m.inflight.Dec()
-			m.tasks.Inc()
-		}()
 		fn()
+		m.tasks.Inc()
 	}
 }
 
 // Instrument attaches the pool to a registry under the
-// sbgt_engine_pool_* family: tasks/inline counters, an in-flight gauge, a
-// live queue-depth gauge, and task-time and submit-wait histograms. A nil
+// sbgt_engine_pool_* family: tasks/inline counters and the submit-wait
+// histogram — the three series the benchmark's engine layer reads. A nil
 // registry detaches nothing and costs nothing; calling Instrument again
 // re-points the pool at the new registry.
 func (p *Pool) Instrument(reg *obs.Registry) {
@@ -91,14 +84,8 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 	m := &poolMetrics{
 		tasks:      reg.Counter("sbgt_engine_pool_tasks_total"),
 		inline:     reg.Counter("sbgt_engine_pool_inline_total"),
-		inflight:   reg.Gauge("sbgt_engine_pool_inflight"),
-		taskTime:   reg.Histogram("sbgt_engine_pool_task_seconds", nil),
 		submitWait: reg.Histogram("sbgt_engine_pool_submit_wait_seconds", nil),
 	}
-	reg.Gauge("sbgt_engine_pool_workers").Set(float64(p.workers))
-	reg.GaugeFunc("sbgt_engine_pool_queue_depth", func() float64 {
-		return float64(len(p.tasks))
-	})
 	p.metrics.Store(m)
 }
 

@@ -26,8 +26,6 @@ func TestPoolInstrument(t *testing.T) {
 
 	snap := reg.Snapshot()
 	var tasks, inline uint64
-	var taskCount uint64
-	var workers float64
 	for _, c := range snap.Counters {
 		switch c.Name {
 		case "sbgt_engine_pool_tasks_total":
@@ -36,14 +34,10 @@ func TestPoolInstrument(t *testing.T) {
 			inline = c.Value
 		}
 	}
-	for _, g := range snap.Gauges {
-		if g.Name == "sbgt_engine_pool_workers" {
-			workers = g.Value
-		}
-	}
+	var waits uint64
 	for _, h := range snap.Histograms {
-		if h.Name == "sbgt_engine_pool_task_seconds" {
-			taskCount = h.Count
+		if h.Name == "sbgt_engine_pool_submit_wait_seconds" {
+			waits = h.Count
 		}
 	}
 	if tasks == 0 {
@@ -52,11 +46,8 @@ func TestPoolInstrument(t *testing.T) {
 	if inline > tasks {
 		t.Errorf("inline %d exceeds total tasks %d", inline, tasks)
 	}
-	if taskCount != tasks {
-		t.Errorf("task_seconds count %d != tasks_total %d", taskCount, tasks)
-	}
-	if workers != 4 {
-		t.Errorf("workers gauge = %v, want 4", workers)
+	if waits != tasks {
+		t.Errorf("submit_wait_seconds count %d != tasks_total %d", waits, tasks)
 	}
 
 	// Post-close submissions run inline and keep counting.

@@ -4,35 +4,24 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"syscall"
-	"time"
 )
 
 // CLIFlags bundles the observability flags every sbgt command shares:
-// -metrics-addr, -log-level, -trace-out, the offline profiling pair
-// -cpuprofile / -memprofile, and the continuous-profiler trio
-// -profile-dir / -profile-interval / -profile-cpu-window. Register them
-// with RegisterFlags, parse, then call Start to materialize the runtime.
+// -metrics-addr, -log-level, -trace-out and the offline profiling pair
+// -cpuprofile / -memprofile. Register them with RegisterFlags, parse,
+// then call Start to materialize the runtime.
 type CLIFlags struct {
 	MetricsAddr string
 	LogLevel    string
 	TraceOut    string
 	CPUProfile  string
 	MemProfile  string
-
-	// Continuous profiler (consumed by profiler.StartFromRuntime — the
-	// obs package itself never reads these, the profiler package does, so
-	// the dependency arrow stays profiler → obs).
-	ProfileDir       string
-	ProfileInterval  time.Duration
-	ProfileCPUWindow time.Duration
 }
 
 // RegisterFlags installs the shared observability flags on fs
@@ -52,12 +41,6 @@ func RegisterFlags(fs *flag.FlagSet) *CLIFlags {
 		"write a CPU profile covering Start-to-Close to this file (empty = off)")
 	fs.StringVar(&f.MemProfile, "memprofile", "",
 		"write an allocation profile at Close to this file (empty = off)")
-	fs.StringVar(&f.ProfileDir, "profile-dir", "",
-		"continuous profiler: keep anomaly/background profile bundles in this directory, served on /debug/profiles (empty = off)")
-	fs.DurationVar(&f.ProfileInterval, "profile-interval", 0,
-		"continuous profiler: background capture period (0 = anomaly-triggered captures only)")
-	fs.DurationVar(&f.ProfileCPUWindow, "profile-cpu-window", 0,
-		"continuous profiler: CPU-profile window per capture (0 = default 1s, negative = snapshots only)")
 	return f
 }
 
@@ -76,17 +59,11 @@ type Runtime struct {
 	cpuOut   *os.File // non-nil while a CPU profile is being collected
 	memOut   string
 
-	// profiles delegates /debug/profiles to a handler installed after
-	// Start (the profiler is built on top of the runtime, so the server
-	// necessarily boots first). Holds an http.Handler.
-	profiles atomic.Value
-
 	readyMu  sync.Mutex
 	readyErr error
 
 	closeMu  sync.Mutex
 	closed   bool
-	onClose  []func() error
 	closeErr error
 }
 
@@ -109,12 +86,9 @@ func (f *CLIFlags) Start(component string) (*Runtime, error) {
 	rt.Flight.Instrument(rt.Reg)
 	rt.Flight.LogDumps(rt.Log)
 	if f.MetricsAddr != "" {
-		rt.server, err = ServeConfig(f.MetricsAddr, MuxConfig{
-			Reg:      rt.Reg,
-			Tracer:   rt.Tracer,
-			Flight:   rt.Flight,
-			Profiles: http.HandlerFunc(rt.serveProfiles),
-			Ready:    []func() error{rt.ReadyError},
+		rt.server, err = Serve(f.MetricsAddr, MuxConfig{
+			Reg: rt.Reg, Tracer: rt.Tracer, Flight: rt.Flight,
+			Ready: []func() error{rt.ReadyError},
 		}, rt.Log)
 		if err != nil {
 			return nil, err
@@ -135,40 +109,6 @@ func (f *CLIFlags) Start(component string) (*Runtime, error) {
 	return rt, nil
 }
 
-// SetProfilesHandler installs the /debug/profiles handler after the
-// metrics server is already up — the continuous profiler is built on top
-// of the runtime, so this indirection closes the loop without an import
-// cycle (obs cannot import internal/obs/profiler).
-func (rt *Runtime) SetProfilesHandler(h http.Handler) {
-	if h == nil {
-		return
-	}
-	rt.profiles.Store(h)
-}
-
-// serveProfiles delegates to the installed profiles handler, or 404s
-// until one exists.
-func (rt *Runtime) serveProfiles(w http.ResponseWriter, req *http.Request) {
-	if h, ok := rt.profiles.Load().(http.Handler); ok {
-		h.ServeHTTP(w, req)
-		return
-	}
-	http.Error(w, "continuous profiler not enabled", http.StatusNotFound)
-}
-
-// OnClose registers fn to run at the head of Close, before the metrics
-// server and profile files are torn down — the hook the continuous
-// profiler uses so an in-flight CPU window finishes before the
-// -cpuprofile flag's StopCPUProfile runs.
-func (rt *Runtime) OnClose(fn func() error) {
-	if fn == nil {
-		return
-	}
-	rt.closeMu.Lock()
-	rt.onClose = append(rt.onClose, fn)
-	rt.closeMu.Unlock()
-}
-
 // SetReadyError flips the runtime's /readyz state: nil means serving,
 // non-nil serves 503 with the error text. Executors flip this to a drain
 // error on SIGTERM so a load balancer (or the driver's redial loop) stops
@@ -179,8 +119,8 @@ func (rt *Runtime) SetReadyError(err error) {
 	rt.readyMu.Unlock()
 }
 
-// ReadyError reports the current readiness state (the func form NewMux
-// wants).
+// ReadyError reports the current readiness state (the func form
+// MuxConfig.Ready wants).
 func (rt *Runtime) ReadyError() error {
 	rt.readyMu.Lock()
 	defer rt.readyMu.Unlock()
@@ -206,15 +146,6 @@ func (rt *Runtime) DumpFlightOnSIGQUIT() {
 	}()
 }
 
-// MetricsAddr reports the bound metrics address ("" when disabled) —
-// useful when the flag asked for port 0.
-func (rt *Runtime) MetricsAddr() string {
-	if rt.server == nil {
-		return ""
-	}
-	return rt.server.Addr()
-}
-
 // Fatal logs err at error level and exits the process with status 1.
 // It is the obs-flavored replacement for log.Fatal in command mains.
 func (rt *Runtime) Fatal(err error) {
@@ -222,13 +153,13 @@ func (rt *Runtime) Fatal(err error) {
 	os.Exit(1)
 }
 
-// Close runs the registered OnClose hooks, stops the metrics server (if
-// any), finishes the CPU profile and writes the allocation profile (when
-// requested), and writes the trace file (if configured). It returns the
-// first error; commands exiting anyway may log it at warn level. Safe to
-// call concurrently and more than once: one caller does the teardown,
-// the rest wait for it and observe the same result — the shape a
-// SIGTERM drain racing a deferred Close needs.
+// Close stops the metrics server (if any), finishes the CPU profile and
+// writes the allocation profile (when requested), and writes the trace
+// file (if configured). It returns the first error; commands exiting
+// anyway may log it at warn level. Safe to call concurrently and more
+// than once: one caller does the teardown, the rest wait for it and
+// observe the same result — the shape a SIGTERM drain racing a deferred
+// Close needs.
 func (rt *Runtime) Close() error {
 	rt.closeMu.Lock()
 	defer rt.closeMu.Unlock()
@@ -242,11 +173,6 @@ func (rt *Runtime) Close() error {
 
 func (rt *Runtime) closeLocked() error {
 	var first error
-	for _, fn := range rt.onClose {
-		if err := fn(); err != nil && first == nil {
-			first = err
-		}
-	}
 	if rt.server != nil {
 		if err := rt.server.Close(); err != nil {
 			first = err

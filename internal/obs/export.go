@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Snapshot is a point-in-time capture of every metric in a registry, the
@@ -78,23 +77,13 @@ func (b *BucketSnapshot) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ExemplarSnapshot is one bucket's captured exemplar. Bucket is the
-// index into the histogram's Buckets slice the exemplar belongs to.
-type ExemplarSnapshot struct {
-	Bucket  int       `json:"bucket"`
-	Value   float64   `json:"value"`
-	TraceID uint64    `json:"trace_id"`
-	Time    time.Time `json:"t"`
-}
-
 // HistogramSnapshot is one histogram's captured state.
 type HistogramSnapshot struct {
-	Name      string             `json:"name"`
-	Labels    []Label            `json:"labels,omitempty"`
-	Count     uint64             `json:"count"`
-	Sum       float64            `json:"sum"`
-	Buckets   []BucketSnapshot   `json:"buckets"`
-	Exemplars []ExemplarSnapshot `json:"exemplars,omitempty"`
+	Name    string           `json:"name"`
+	Labels  []Label          `json:"labels,omitempty"`
+	Count   uint64           `json:"count"`
+	Sum     float64          `json:"sum"`
+	Buckets []BucketSnapshot `json:"buckets"`
 }
 
 // Snapshot captures every registered metric. Counters and gauges are
@@ -133,13 +122,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			hs.Buckets = append(hs.Buckets, BucketSnapshot{UpperBound: math.Inf(1), Count: cum})
 			hs.Count = h.Count()
 			hs.Sum = h.Sum()
-			for b := range hs.Buckets {
-				if ex := h.exemplarAt(b); ex != nil {
-					hs.Exemplars = append(hs.Exemplars, ExemplarSnapshot{
-						Bucket: b, Value: ex.Value, TraceID: ex.TraceID, Time: ex.Time,
-					})
-				}
-			}
 			snap.Histograms = append(snap.Histograms, hs)
 		}
 	}
@@ -229,60 +211,4 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteOpenMetrics renders the snapshot in OpenMetrics 1.0 text format:
-// counter families are exposed under their base name (the _total suffix
-// becomes the sample suffix), histogram buckets carry exemplars in the
-// `# {trace_id="…"} value timestamp` form, and the exposition ends with
-// the mandatory # EOF marker. This is the format Prometheus scrapes when
-// it negotiates application/openmetrics-text — and the only text format
-// that can carry exemplars at all.
-func (s *Snapshot) WriteOpenMetrics(w io.Writer) error {
-	var b strings.Builder
-	typed := map[string]bool{}
-	writeType := func(name, typ string) {
-		if !typed[name] {
-			typed[name] = true
-			fmt.Fprintf(&b, "# TYPE %s %s\n", name, typ)
-		}
-	}
-	exemplar := func(h HistogramSnapshot, bucket int) string {
-		for _, ex := range h.Exemplars {
-			if ex.Bucket == bucket {
-				return fmt.Sprintf(" # {trace_id=\"%016x\"} %s %s",
-					ex.TraceID, formatValue(ex.Value), openMetricsTS(ex.Time))
-			}
-		}
-		return ""
-	}
-	for _, c := range s.Counters {
-		// OpenMetrics counters are declared under the base name; the sample
-		// line keeps the conventional _total suffix.
-		base := strings.TrimSuffix(c.Name, "_total")
-		writeType(base, "counter")
-		fmt.Fprintf(&b, "%s_total%s %d\n", base, promLabels(c.Labels, "", ""), c.Value)
-	}
-	for _, g := range s.Gauges {
-		writeType(g.Name, "gauge")
-		fmt.Fprintf(&b, "%s%s %s\n", g.Name, promLabels(g.Labels, "", ""), formatValue(g.Value))
-	}
-	for _, h := range s.Histograms {
-		writeType(h.Name, "histogram")
-		for i, bk := range h.Buckets {
-			fmt.Fprintf(&b, "%s_bucket%s %d%s\n",
-				h.Name, promLabels(h.Labels, "le", formatValue(bk.UpperBound)), bk.Count, exemplar(h, i))
-		}
-		fmt.Fprintf(&b, "%s_sum%s %s\n", h.Name, promLabels(h.Labels, "", ""), formatValue(h.Sum))
-		fmt.Fprintf(&b, "%s_count%s %d\n", h.Name, promLabels(h.Labels, "", ""), h.Count)
-	}
-	b.WriteString("# EOF\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// openMetricsTS renders a timestamp as seconds-with-fraction since the
-// epoch, the OpenMetrics exemplar timestamp form.
-func openMetricsTS(t time.Time) string {
-	return strconv.FormatFloat(float64(t.UnixNano())/1e9, 'f', 3, 64)
 }

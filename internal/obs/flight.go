@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,17 +38,56 @@ type flightSlot struct {
 // AnomalyDump is one auto-captured ring snapshot: the trigger reason,
 // when it fired, and the events that led up to it. Dumps are retained in
 // memory (most recent last) and served on /debug/flight so the window
-// around an incident survives the incident. ID is the anomaly's handle
-// across the forensic surfaces: the same ID names the dump here, the
-// profile bundle the profiler freezes for it, and the sbgt-top line an
-// operator starts from.
+// around an incident survives the incident. ID names the dump on
+// /debug/flight, in the LogDumps line and on the sbgt-top line an
+// operator starts from. Layers is the window totalled per event kind,
+// largest total first: the dump's own answer to "where did the time go".
 type AnomalyDump struct {
-	ID        string    `json:"id"`
-	Time      time.Time `json:"t"`
-	Reason    string    `json:"reason"`
-	Attrs     []Attr    `json:"attrs,omitempty"`
-	Coalesced uint64    `json:"coalesced,omitempty"` // triggers suppressed by the cooldown since this dump
-	Events    []Event   `json:"events"`
+	ID        string       `json:"id"`
+	Time      time.Time    `json:"t"`
+	Reason    string       `json:"reason"`
+	Attrs     []Attr       `json:"attrs,omitempty"`
+	Coalesced uint64       `json:"coalesced,omitempty"` // triggers suppressed by the cooldown since this dump
+	Layers    []LayerTotal `json:"layers"`
+	Events    []Event      `json:"events"`
+}
+
+// LayerTotal is one event kind's share of a dump's window. Kinds nest —
+// a request's Dur contains the stage_propose, stage_absorb, restore and
+// evict events it caused — so totals rank layers, they do not add up.
+type LayerTotal struct {
+	Kind  string        `json:"kind"`
+	Count int           `json:"count"`
+	Total time.Duration `json:"total_ns"`
+	Max   time.Duration `json:"max_ns"`
+}
+
+// foldLayers totals events per kind, sorted by total (then kind, so
+// kinds that carry no duration keep a stable order).
+func foldLayers(events []Event) []LayerTotal {
+	at := map[string]int{}
+	out := []LayerTotal{}
+	for _, ev := range events {
+		i, ok := at[ev.Kind]
+		if !ok {
+			i = len(out)
+			at[ev.Kind] = i
+			out = append(out, LayerTotal{Kind: ev.Kind})
+		}
+		l := &out[i]
+		l.Count++
+		l.Total += ev.Dur
+		if ev.Dur > l.Max {
+			l.Max = ev.Dur
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total != out[j].Total {
+			return out[i].Total > out[j].Total
+		}
+		return out[i].Kind < out[j].Kind
+	})
+	return out
 }
 
 // FlightSnapshot is the /debug/flight payload: the current event window,
@@ -77,9 +118,9 @@ type FlightRecorder struct {
 	lastFire  map[string]time.Time
 	cooldown  time.Duration
 	clock     func() time.Time
-	onDump    []func(AnomalyDump)
+	log       *slog.Logger // set by LogDumps; nil logs nothing
 
-	mEvents   *Counter
+	mEvents   atomic.Pointer[Counter] // read by Record, which takes no lock
 	mDumps    *Counter
 	mCoalesce *Counter
 }
@@ -111,8 +152,8 @@ func (r *FlightRecorder) Instrument(reg *Registry) {
 	if r == nil || reg == nil {
 		return
 	}
+	r.mEvents.Store(reg.Counter("sbgt_obs_flight_events_total"))
 	r.mu.Lock()
-	r.mEvents = reg.Counter("sbgt_obs_flight_events_total")
 	r.mDumps = reg.Counter("sbgt_obs_flight_dumps_total")
 	r.mCoalesce = reg.Counter("sbgt_obs_flight_dumps_coalesced_total")
 	r.mu.Unlock()
@@ -139,19 +180,6 @@ func (r *FlightRecorder) SetClock(clock func() time.Time) {
 	r.mu.Unlock()
 }
 
-// OnDump registers a callback invoked (under the recorder's lock, keep it
-// cheap — hand real work to a channel) for every anomaly dump. Hooks
-// accumulate: the logger and the continuous profiler both observe the
-// same dump stream.
-func (r *FlightRecorder) OnDump(fn func(AnomalyDump)) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	r.onDump = append(r.onDump, fn)
-	r.mu.Unlock()
-}
-
 // Record appends one event, overwriting the oldest when the ring is
 // full. Safe for concurrent use and lock-free. Time defaults to now.
 func (r *FlightRecorder) Record(ev Event) {
@@ -163,8 +191,8 @@ func (r *FlightRecorder) Record(ev Event) {
 	}
 	seq := r.next.Add(1)
 	r.slots[(seq-1)%uint64(len(r.slots))].Store(&flightSlot{seq: seq, ev: ev})
-	if r.mEvents != nil {
-		r.mEvents.Inc()
+	if c := r.mEvents.Load(); c != nil {
+		c.Inc()
 	}
 }
 
@@ -259,7 +287,7 @@ func (r *FlightRecorder) TriggerAnomaly(reason string, attrs ...Attr) bool {
 	events, _ := r.events()
 	dump := AnomalyDump{
 		ID:   fmt.Sprintf("a%06d", r.anomSeq),
-		Time: now, Reason: reason, Attrs: attrs, Events: events,
+		Time: now, Reason: reason, Attrs: attrs, Layers: foldLayers(events), Events: events,
 	}
 	r.anomalies = append(r.anomalies, dump)
 	if len(r.anomalies) > maxAnomalyDumps {
@@ -268,10 +296,11 @@ func (r *FlightRecorder) TriggerAnomaly(reason string, attrs ...Attr) bool {
 	if r.mDumps != nil {
 		r.mDumps.Inc()
 	}
-	for _, fn := range r.onDump {
-		fn(dump)
-	}
+	log := r.log
 	r.mu.Unlock()
+	if log != nil {
+		logDump(log, dump) // outside the lock: the handler is the caller's code
+	}
 	return true
 }
 
@@ -293,20 +322,33 @@ func (r *FlightRecorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// LogDumps wires OnDump to log each anomaly dump's headline (reason,
-// event count, trigger attrs) through log at error level — the "a dump
-// happened, go look at /debug/flight" operator signal.
+// LogDumps logs each anomaly dump's headline (reason, event count, the
+// three largest layers, trigger attrs) through log at error level — the
+// "a dump happened, and this is where its time went" operator signal.
 func (r *FlightRecorder) LogDumps(log *slog.Logger) {
 	if r == nil || log == nil {
 		return
 	}
-	r.OnDump(func(d AnomalyDump) {
-		args := []any{"anomaly", d.ID, "reason", d.Reason, "events", len(d.Events)}
-		for _, a := range d.Attrs {
-			args = append(args, a.Key, a.Value)
-		}
-		log.Error("obs: anomaly auto-dump captured", args...)
-	})
+	r.mu.Lock()
+	r.log = log
+	r.mu.Unlock()
+}
+
+func logDump(log *slog.Logger, d AnomalyDump) {
+	top := d.Layers
+	if len(top) > 3 {
+		top = top[:3]
+	}
+	layers := make([]string, len(top))
+	for i, l := range top {
+		layers[i] = fmt.Sprintf("%s=%v/%d", l.Kind, l.Total, l.Count)
+	}
+	args := []any{"anomaly", d.ID, "reason", d.Reason, "events", len(d.Events),
+		"layers", strings.Join(layers, " ")}
+	for _, a := range d.Attrs {
+		args = append(args, a.Key, a.Value)
+	}
+	log.Error("obs: anomaly auto-dump captured", args...)
 }
 
 // FlightScope pre-binds tenant and cohort identity onto recorded events —

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// The flight recorder and exemplar path sit on the serve request hot
-// path, so their per-call cost is the observability layer's per-request
+// The flight recorder and the latency histogram sit on the serve request
+// hot path, so their per-call cost is the observability layer's per-request
 // overhead (the serve_hot workload of the repository benchmark pays it
 // end to end with the whole layer attached; these pin the per-operation
 // cost directly).
@@ -41,17 +41,7 @@ func BenchmarkFlightRecordNil(b *testing.B) {
 	}
 }
 
-func BenchmarkObserveExemplar(b *testing.B) {
-	reg := NewRegistry()
-	h := reg.Histogram("sbgt_serve_request_seconds", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ObserveExemplar(0.004, uint64(i)+1)
-	}
-}
-
-func BenchmarkObserveNoExemplar(b *testing.B) {
+func BenchmarkObserve(b *testing.B) {
 	reg := NewRegistry()
 	h := reg.Histogram("sbgt_serve_request_seconds", nil)
 	b.ReportAllocs()

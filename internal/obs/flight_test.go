@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -175,7 +178,6 @@ func TestFlightNilSafety(t *testing.T) {
 	r.Instrument(NewRegistry())
 	r.SetCooldown(time.Second)
 	r.SetClock(time.Now)
-	r.OnDump(func(AnomalyDump) {})
 	r.LogDumps(NopLogger())
 	if r.TriggerAnomaly("x") {
 		t.Fatal("nil recorder dumped")
@@ -203,8 +205,14 @@ func TestFlightNilSafety(t *testing.T) {
 
 func TestFlightWriteJSONShape(t *testing.T) {
 	r := NewFlightRecorder(4)
-	r.Record(Event{Kind: "evict", Tenant: "t1", Cohort: "c1"})
+	var logged bytes.Buffer
+	r.LogDumps(NewLogger(&logged, slog.LevelError, ""))
+	r.Record(Event{Kind: "evict", Tenant: "t1", Cohort: "c1", Dur: 3 * time.Millisecond})
 	r.TriggerAnomaly("absorb_failure", A("err", "boom"))
+	// The dump names its slow layer in the log line and in the JSON.
+	if !strings.Contains(logged.String(), `layers="evict=3ms/1"`) {
+		t.Errorf("LogDumps line lacks the layer split: %s", logged.String())
+	}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -218,6 +226,10 @@ func TestFlightWriteJSONShape(t *testing.T) {
 	}
 	if len(snap.Anomalies) != 1 || snap.Anomalies[0].Reason != "absorb_failure" {
 		t.Fatalf("round-tripped anomalies = %+v", snap.Anomalies)
+	}
+	want := LayerTotal{Kind: "evict", Count: 1, Total: 3 * time.Millisecond, Max: 3 * time.Millisecond}
+	if l := snap.Anomalies[0].Layers; len(l) != 1 || l[0] != want {
+		t.Fatalf("round-tripped layers = %+v, want [%+v]", l, want)
 	}
 }
 
@@ -238,5 +250,41 @@ func TestFlightInstrumentCounters(t *testing.T) {
 	}
 	if got := reg.Counter("sbgt_obs_flight_dumps_coalesced_total").Value(); got != 1 {
 		t.Fatalf("coalesced counter = %d, want 1", got)
+	}
+}
+
+// TestFlightInstrumentWhileRecording: a process may instrument a recorder
+// that is already taking events; Record reads the events counter with no
+// lock, so the handle must be published atomically (run under -race).
+func TestFlightInstrumentWhileRecording(t *testing.T) {
+	r := NewFlightRecorder(64)
+	reg := NewRegistry()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Record(Event{Kind: "request"})
+			}
+		}
+	}()
+	// Instrument only once the writer is recording, and let it record on
+	// for a while afterwards, so its reads straddle the write.
+	for r.next.Load() == 0 {
+		runtime.Gosched()
+	}
+	r.Instrument(reg)
+	for n := r.next.Load(); r.next.Load() < n+100; {
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	if reg.Counter("sbgt_obs_flight_events_total").Value() == 0 {
+		t.Fatal("no event counted after Instrument")
 	}
 }

@@ -9,79 +9,52 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 )
 
+// MuxConfig names what the observability mux serves. Reg, Tracer and
+// Flight may be nil; the corresponding endpoints then serve empty
+// documents. Ready funcs drive /readyz — nil error means ready; a
+// non-nil error serves 503 with the error text as the body, which is how
+// a draining server sheds traffic before its listener closes. With no
+// readiness func /readyz mirrors /healthz (a process with no drain
+// states is always ready).
+type MuxConfig struct {
+	Reg    *Registry
+	Tracer *Tracer
+	Flight *FlightRecorder
+	Ready  []func() error
+}
+
 // NewMux builds the observability HTTP mux:
 //
-//	/metrics        Prometheus text exposition of the registry; clients
-//	                whose Accept header asks for application/openmetrics-text
-//	                get OpenMetrics 1.0 instead (the format that carries
-//	                histogram exemplars)
+//	/metrics        Prometheus text exposition of the registry
 //	/metrics.json   JSON snapshot of the registry
 //	/healthz        liveness probe (200 "ok")
 //	/readyz         readiness probe (200 "ok", or 503 + reason)
 //	/spans          JSON {"dropped": n, "spans": [...]} of the tracer's
 //	                buffered spans plus its retention-bound eviction count
 //	/debug/flight   flight-recorder snapshot: recent events + anomaly dumps
-//	/debug/profiles continuous-profiler bundle store (only when a Profiles
-//	                handler is mounted via MuxConfig)
 //	/debug/pprof/*  net/http/pprof profiles
 //
 // Liveness and readiness are distinct probes: /healthz answers "is the
 // process running" and is always 200, while /readyz answers "should a
-// load balancer route traffic here". Optional readiness funcs drive
-// /readyz — nil error means ready; a non-nil error serves 503 with the
-// error text as the body, which is how a draining server sheds traffic
-// before its listener closes. With no readiness func /readyz mirrors
-// /healthz (a process with no drain states is always ready).
+// load balancer route traffic here".
 //
-// reg, tracer, and flight may be nil; the corresponding endpoints then
-// serve empty documents. A non-nil reg gets the Go runtime collector
-// (sbgt_go_*) installed, so every served registry reports process health
-// for free. The mux is standalone (not http.DefaultServeMux), so
-// importing this package never leaks pprof onto a server the caller did
-// not ask for.
-func NewMux(reg *Registry, tracer *Tracer, flight *FlightRecorder, ready ...func() error) *http.ServeMux {
-	return NewMuxConfig(MuxConfig{Reg: reg, Tracer: tracer, Flight: flight, Ready: ready})
-}
-
-// MuxConfig is the full-surface form of NewMux for callers that mount
-// optional endpoints. Profiles, when non-nil, is served under
-// /debug/profiles (the continuous profiler's bundle store; this package
-// cannot import internal/obs/profiler — the profiler imports obs — so
-// the handler arrives as a plain http.Handler).
-type MuxConfig struct {
-	Reg      *Registry
-	Tracer   *Tracer
-	Flight   *FlightRecorder
-	Profiles http.Handler
-	Ready    []func() error
-}
-
-// NewMuxConfig builds the observability mux from an explicit config.
-func NewMuxConfig(cfg MuxConfig) *http.ServeMux {
+// A non-nil Reg gets the Go runtime collector (sbgt_go_*) installed, so
+// every served registry reports process health for free. The mux is
+// standalone (not http.DefaultServeMux), so importing this package never
+// leaks pprof onto a server the caller did not ask for.
+func NewMux(cfg MuxConfig) *http.ServeMux {
 	reg, tracer, flight, ready := cfg.Reg, cfg.Tracer, cfg.Flight, cfg.Ready
 	RegisterRuntimeMetrics(reg)
 	mux := http.NewServeMux()
-	if cfg.Profiles != nil {
-		h := http.StripPrefix("/debug/profiles", cfg.Profiles)
-		mux.Handle("/debug/profiles", h)
-		mux.Handle("/debug/profiles/", h)
-	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		var snap *Snapshot
 		if reg != nil {
 			snap = reg.Snapshot()
 		} else {
 			snap = &Snapshot{}
-		}
-		if strings.Contains(req.Header.Get("Accept"), "application/openmetrics-text") {
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			//lint:allow errcheck the client hung up mid-write; nothing to recover
-			_ = snap.WriteOpenMetrics(w)
-			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := snap.WritePrometheus(w); err != nil {
@@ -162,20 +135,14 @@ type Server struct {
 // ephemeral port) and serves it on a background goroutine. The returned
 // Server reports the bound address and shuts the listener down on Close.
 // log, if non-nil, receives a startup line and any serve failure.
-func Serve(addr string, reg *Registry, tracer *Tracer, flight *FlightRecorder, log *slog.Logger, ready ...func() error) (*Server, error) {
-	return ServeConfig(addr, MuxConfig{Reg: reg, Tracer: tracer, Flight: flight, Ready: ready}, log)
-}
-
-// ServeConfig is Serve over an explicit MuxConfig (the form that mounts
-// /debug/profiles).
-func ServeConfig(addr string, cfg MuxConfig, log *slog.Logger) (*Server, error) {
+func Serve(addr string, cfg MuxConfig, log *slog.Logger) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	log = OrNop(log)
 	srv := &http.Server{
-		Handler:           NewMuxConfig(cfg),
+		Handler:           NewMux(cfg),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	s := &Server{lis: lis, srv: srv}

@@ -18,7 +18,7 @@ func TestServeEndpoints(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Start("probe").End()
 
-	srv, err := Serve("127.0.0.1:0", reg, tr, nil, NopLogger())
+	srv, err := Serve("127.0.0.1:0", MuxConfig{Reg: reg, Tracer: tr}, NopLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve("256.0.0.1:bad", nil, nil, nil, nil); err == nil {
+	if _, err := Serve("256.0.0.1:bad", MuxConfig{}, nil); err == nil {
 		t.Fatal("Serve on an invalid address succeeded")
 	}
 }
@@ -144,7 +144,7 @@ func TestMuxConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	tracer := NewTracer(64)
 	tracer.SetDropCounter(reg.Counter("sbgt_obs_spans_dropped_total"))
-	srv, err := Serve("127.0.0.1:0", reg, tracer, nil, NopLogger())
+	srv, err := Serve("127.0.0.1:0", MuxConfig{Reg: reg, Tracer: tracer}, NopLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMuxConcurrentScrape(t *testing.T) {
 
 func TestReadyzDefault(t *testing.T) {
 	// With no readiness func /readyz mirrors /healthz: always 200.
-	srv := httptest.NewServer(NewMux(nil, nil, nil))
+	srv := httptest.NewServer(NewMux(MuxConfig{}))
 	defer srv.Close()
 	for _, path := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(srv.URL + path)
@@ -219,7 +219,7 @@ func TestReadyzDrainFlipsTo503(t *testing.T) {
 		}
 		return nil
 	}
-	srv := httptest.NewServer(NewMux(nil, nil, nil, ready))
+	srv := httptest.NewServer(NewMux(MuxConfig{Ready: []func() error{ready}}))
 	defer srv.Close()
 
 	status := func(path string) (int, string) {
@@ -255,7 +255,7 @@ func TestReadyzDrainFlipsTo503(t *testing.T) {
 
 func TestReadyzNilFunc(t *testing.T) {
 	// A nil entry in the readiness chain is skipped, not dereferenced.
-	srv := httptest.NewServer(NewMux(nil, nil, nil, nil, func() error { return nil }))
+	srv := httptest.NewServer(NewMux(MuxConfig{Ready: []func() error{nil, func() error { return nil }}}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/readyz")
 	if err != nil {

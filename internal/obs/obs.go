@@ -1,10 +1,10 @@
 // Package obs is the observability core of the reproduction: a
 // dependency-free, race-safe metrics registry (counters, gauges,
 // fixed-bucket histograms with a lock-free sync/atomic hot path), a Span
-// API for named timed regions with parent/child nesting, a leveled
-// structured logger built on log/slog, and exporters (Prometheus text,
-// JSON snapshots, and an HTTP mux serving /metrics, /healthz, and
-// net/http/pprof).
+// API for named timed regions with parent/child nesting, a flight
+// recorder of recent structured events whose anomaly dumps total their
+// window per event kind, an SLO evaluator, a leveled structured logger
+// built on log/slog, and one HTTP mux serving it all.
 //
 // SBGT's headline claims are throughput numbers; this package is how the
 // repository sees where time and capacity go at runtime instead of
@@ -12,6 +12,13 @@
 // (through posterior.Instrument), the cluster driver and executors, and
 // core sessions all report into a Registry; the CLIs expose it with
 // -metrics-addr, -log-level, and -trace-out.
+//
+// Each signal has one recorder and one way out of the process: a metric
+// by /metrics (Prometheus text) or /metrics.json, an event by
+// /debug/flight (and SIGQUIT), a span by /spans or -trace-out, a profile
+// by the /debug/pprof routes on the live listener or -cpuprofile /
+// -memprofile on a batch command. Every family, event kind and span name has a named
+// reader in DESIGN.md §9.5; a signal nobody reads is not registered.
 //
 // Everything is nil-tolerant by design: a nil *Registry hands out
 // detached (functional but unexported) metrics, a nil *Tracer hands out

@@ -54,28 +54,15 @@ func (g *Gauge) Dec() { g.Add(-1) }
 // Value returns the current level.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Exemplar attaches a trace identity to one histogram bucket: the trace
-// ID of a sampled observation that landed there, with its exact value
-// and timestamp. Exemplars are what turn "the p99 bucket filled up" into
-// "here is a trace of a request that did that".
-type Exemplar struct {
-	Value   float64   `json:"value"`
-	TraceID uint64    `json:"trace_id"`
-	Time    time.Time `json:"t"`
-}
-
 // Histogram is a fixed-bucket distribution of float64 observations with
 // a running count and sum. Buckets are cumulative at snapshot time,
 // Prometheus-style; internally each bucket is an independent atomic so
-// Observe never takes a lock. Each bucket can additionally hold one
-// exemplar (last write wins), stored behind an atomic pointer so the
-// exemplar path is lock-free too.
+// Observe never takes a lock.
 type Histogram struct {
-	bounds    []float64 // ascending upper bounds; implicit +Inf bucket at the end
-	buckets   []atomic.Uint64
-	exemplars []atomic.Pointer[Exemplar]
-	count     atomic.Uint64
-	sumBits   atomic.Uint64 // float64 bits, CAS-accumulated
+	bounds  []float64 // ascending upper bounds; implicit +Inf bucket at the end
+	buckets []atomic.Uint64
+	count   atomic.Uint64
+	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -85,11 +72,7 @@ func newHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram bounds not strictly ascending at %d: %v", i, bs))
 		}
 	}
-	return &Histogram{
-		bounds:    bs,
-		buckets:   make([]atomic.Uint64, len(bs)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bs)+1),
-	}
+	return &Histogram{bounds: bs, buckets: make([]atomic.Uint64, len(bs)+1)}
 }
 
 // bucketIndex returns the bucket slot for v: the first bound >= v, or
@@ -122,28 +105,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveExemplar records one value and, when traceID is non-zero,
-// attaches it as the bucket's exemplar (last write wins — recency is
-// exactly what an operator chasing a live latency spike wants). A nil
-// histogram discards both.
-func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
-	if h == nil {
-		return
-	}
-	if traceID != 0 {
-		h.exemplars[h.bucketIndex(v)].Store(&Exemplar{Value: v, TraceID: traceID, Time: time.Now()})
-	}
-	h.Observe(v)
-}
-
-// exemplarAt returns the bucket's exemplar, nil when none was recorded.
-func (h *Histogram) exemplarAt(bucket int) *Exemplar {
-	if h == nil || bucket < 0 || bucket >= len(h.exemplars) {
-		return nil
-	}
-	return h.exemplars[bucket].Load()
 }
 
 // Time starts a wall-clock measurement of one region. The returned stop

@@ -1,69 +1,26 @@
 package obs
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime"
 
-// runtimeSampler caches one runtime.ReadMemStats sample so a scrape that
-// reads several gauges pays the stop-the-world cost once, and a burst of
-// scrapes (a dashboard plus an alerter) pays it at most every interval.
-type runtimeSampler struct {
-	mu    sync.Mutex
-	at    time.Time
-	stats runtime.MemStats
-	ttl   time.Duration
-}
-
-func (s *runtimeSampler) sample() *runtime.MemStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if time.Since(s.at) > s.ttl {
-		runtime.ReadMemStats(&s.stats)
-		s.at = time.Now()
-	}
-	return &s.stats
-}
-
-// RegisterRuntimeMetrics installs Go runtime gauges on reg, sampled at
-// scrape time (ReadMemStats is cached for ~100ms so multi-gauge snapshots
-// read one sample):
+// RegisterRuntimeMetrics installs the two Go runtime gauges sbgt-top
+// prints as its process-health line, sampled at scrape time:
 //
-//	sbgt_go_goroutines             live goroutine count
-//	sbgt_go_heap_inuse_bytes       bytes in in-use heap spans
-//	sbgt_go_heap_alloc_bytes       bytes of allocated heap objects
-//	sbgt_go_gc_cycles              completed GC cycles (gauge: sampled, not a handle)
-//	sbgt_go_gc_pause_last_seconds  most recent GC stop-the-world pause
-//	sbgt_go_gc_pause_total_seconds cumulative GC pause time
+//	sbgt_go_goroutines        live goroutine count
+//	sbgt_go_heap_inuse_bytes  bytes in in-use heap spans
 //
-// Safe to call more than once on the same registry (GaugeFunc replaces).
-// A nil registry is a no-op.
+// GC and allocation detail is /debug/pprof/heap's job. Safe to call more
+// than once on the same registry (GaugeFunc replaces). A nil registry is
+// a no-op.
 func RegisterRuntimeMetrics(reg *Registry) {
 	if reg == nil {
 		return
 	}
-	s := &runtimeSampler{ttl: 100 * time.Millisecond}
 	reg.GaugeFunc("sbgt_go_goroutines", func() float64 {
 		return float64(runtime.NumGoroutine())
 	})
 	reg.GaugeFunc("sbgt_go_heap_inuse_bytes", func() float64 {
-		return float64(s.sample().HeapInuse)
-	})
-	reg.GaugeFunc("sbgt_go_heap_alloc_bytes", func() float64 {
-		return float64(s.sample().HeapAlloc)
-	})
-	reg.GaugeFunc("sbgt_go_gc_cycles", func() float64 {
-		return float64(s.sample().NumGC)
-	})
-	reg.GaugeFunc("sbgt_go_gc_pause_last_seconds", func() float64 {
-		st := s.sample()
-		if st.NumGC == 0 {
-			return 0
-		}
-		return float64(st.PauseNs[(st.NumGC+255)%256]) / 1e9
-	})
-	reg.GaugeFunc("sbgt_go_gc_pause_total_seconds", func() float64 {
-		return float64(s.sample().PauseTotalNs) / 1e9
+		var st runtime.MemStats
+		runtime.ReadMemStats(&st)
+		return float64(st.HeapInuse)
 	})
 }

@@ -9,22 +9,20 @@ import (
 	"repro/internal/obs"
 )
 
-// instrumented decorates a Model with per-operation latency histograms
-// and op/error counters, tagged by backend. It adds no behavior: every
-// call delegates to the wrapped model, and Condition re-wraps its result
-// so instrumentation survives sequential collapse.
+// instrumented decorates a Model with per-operation latency histograms,
+// tagged by backend. It adds no behavior: every call delegates to the
+// wrapped model, and Condition re-wraps its result so instrumentation
+// survives sequential collapse.
 type instrumented struct {
 	m   Model
 	reg *obs.Registry
 
 	update, marginals, negMasses, prefix, entropy, summary, condition *obs.Histogram
-	errs                                                              *obs.Counter
 }
 
 // Instrument wraps m so that Update, Marginals, NegMasses,
-// PrefixNegMasses, Entropy, and Condition report latency into
-// sbgt_posterior_op_seconds{backend,op} and failures into
-// sbgt_posterior_op_errors_total{backend}. A nil registry (or nil model)
+// PrefixNegMasses, Entropy, Summary, and Condition report latency into
+// sbgt_posterior_op_seconds{backend,op}. A nil registry (or nil model)
 // returns m unchanged, so callers can wire instrumentation
 // unconditionally. Wrapping an already-instrumented model re-points it at
 // the new registry instead of stacking decorators.
@@ -49,7 +47,6 @@ func Instrument(m Model, reg *obs.Registry) Model {
 		entropy:   hist("entropy"),
 		summary:   hist("summary"),
 		condition: hist("condition"),
-		errs:      reg.Counter("sbgt_posterior_op_errors_total", backend),
 	}
 }
 
@@ -90,53 +87,40 @@ func (w *instrumented) Risks() []float64            { return w.m.Risks() }
 func (w *instrumented) Response() dilution.Response { return w.m.Response() }
 func (w *instrumented) Tests() int                  { return w.m.Tests() }
 
-// fail counts an error without branching at every call site.
-func (w *instrumented) fail(err error) error {
-	if err != nil {
-		w.errs.Inc()
-	}
-	return err
-}
-
 func (w *instrumented) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	stop := w.update.Time()
 	defer stop()
-	return w.fail(w.m.Update(pool, y))
+	return w.m.Update(pool, y)
 }
 
 func (w *instrumented) Marginals() ([]float64, error) {
 	stop := w.marginals.Time()
 	defer stop()
-	v, err := w.m.Marginals()
-	return v, w.fail(err)
+	return w.m.Marginals()
 }
 
 func (w *instrumented) NegMasses(cands []bitvec.Mask) ([]float64, error) {
 	stop := w.negMasses.Time()
 	defer stop()
-	v, err := w.m.NegMasses(cands)
-	return v, w.fail(err)
+	return w.m.NegMasses(cands)
 }
 
 func (w *instrumented) PrefixNegMasses(order []int) ([]float64, error) {
 	stop := w.prefix.Time()
 	defer stop()
-	v, err := w.m.PrefixNegMasses(order)
-	return v, w.fail(err)
+	return w.m.PrefixNegMasses(order)
 }
 
 func (w *instrumented) Entropy() (float64, error) {
 	stop := w.entropy.Time()
 	defer stop()
-	v, err := w.m.Entropy()
-	return v, w.fail(err)
+	return w.m.Entropy()
 }
 
 func (w *instrumented) Summary() (*Summary, error) {
 	stop := w.summary.Time()
 	defer stop()
-	v, err := w.m.Summary()
-	return v, w.fail(err)
+	return w.m.Summary()
 }
 
 func (w *instrumented) Condition(subject int, positive bool) (Model, error) {
@@ -144,7 +128,7 @@ func (w *instrumented) Condition(subject int, positive bool) (Model, error) {
 	defer stop()
 	next, err := w.m.Condition(subject, positive)
 	if err != nil {
-		return nil, w.fail(err)
+		return nil, err
 	}
 	if next == nil {
 		// Zero-mass event or degenerate collapse: the receiver is unchanged
@@ -154,9 +138,6 @@ func (w *instrumented) Condition(subject int, positive bool) (Model, error) {
 	return Instrument(next, w.reg), nil
 }
 
-func (w *instrumented) Snapshot() (*Snapshot, error) {
-	s, err := w.m.Snapshot()
-	return s, w.fail(err)
-}
+func (w *instrumented) Snapshot() (*Snapshot, error) { return w.m.Snapshot() }
 
 func (w *instrumented) Close() error { return w.m.Close() }

@@ -54,9 +54,9 @@ type ManagerConfig struct {
 	Obs    *obs.Registry
 	Tracer *obs.Tracer
 	Log    *slog.Logger
-	// Flight, when non-nil, receives structured lifecycle events (creates,
-	// evictions, restores, deletes, drains) and absorb-failure anomaly
-	// triggers, each tagged with tenant and cohort identity.
+	// Flight, when non-nil, receives evict and restore events and
+	// absorb-failure anomaly triggers, each tagged with tenant and cohort
+	// identity, and is handed to every session for its stage events.
 	Flight *obs.FlightRecorder
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -92,11 +92,8 @@ type Manager struct {
 	stop chan struct{}
 	done chan struct{}
 
-	mCreated  *obs.Counter
 	mEvicted  *obs.Counter
 	mRestored *obs.Counter
-	mRejected *obs.Counter
-	mResults  *obs.Counter
 	mResident *obs.Gauge
 	mCohorts  *obs.Gauge
 }
@@ -158,11 +155,8 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		cfg.Log.Info("serve: recovered checkpointed cohorts", "count", len(m.cohorts))
 	}
 	if reg := cfg.Obs; reg != nil {
-		m.mCreated = reg.Counter("sbgt_serve_cohorts_created_total")
 		m.mEvicted = reg.Counter("sbgt_serve_evictions_total")
 		m.mRestored = reg.Counter("sbgt_serve_restores_total")
-		m.mRejected = reg.Counter("sbgt_serve_admission_rejected_total")
-		m.mResults = reg.Counter("sbgt_serve_results_total")
 		m.mResident = reg.Gauge("sbgt_serve_cohorts_resident")
 		m.mCohorts = reg.Gauge("sbgt_serve_cohorts")
 	}
@@ -282,6 +276,7 @@ func (m *Manager) restoreLocked(c *cohort) error {
 	if err != nil {
 		return fmt.Errorf("serve: restore %s: %w", c.id, err)
 	}
+	sess.ObserveFlight(m.cfg.Flight.Scope(c.tenant, c.id))
 	c.sess = sess
 	m.resident.Add(1)
 	gaugeAdd(m.mResident, 1)
@@ -380,12 +375,10 @@ func (m *Manager) Create(req CreateCohortRequest) (string, error) {
 	m.mu.Lock()
 	if len(m.cohorts) >= m.cfg.MaxCohorts {
 		m.mu.Unlock()
-		inc(m.mRejected)
 		return "", ErrBusy
 	}
 	if m.cfg.MaxPerTenant > 0 && m.perTenant[req.Tenant] >= m.cfg.MaxPerTenant {
 		m.mu.Unlock()
-		inc(m.mRejected)
 		return "", fmt.Errorf("%w: tenant %q", ErrTenantLimit, req.Tenant)
 	}
 	m.seq++
@@ -416,11 +409,6 @@ func (m *Manager) Create(req CreateCohortRequest) (string, error) {
 	m.resident.Add(1)
 	gaugeAdd(m.mResident, 1)
 	gaugeAdd(m.mCohorts, 1)
-	inc(m.mCreated)
-	m.cfg.Flight.Record(obs.Event{
-		Kind: "create", Tenant: req.Tenant, Cohort: id,
-		Attrs: []obs.Attr{obs.A("subjects", len(req.Risks))},
-	})
 	m.makeRoom()
 	m.cfg.Log.Debug("serve: cohort created", "cohort", id, "tenant", req.Tenant, "subjects", len(req.Risks))
 	return id, nil
@@ -478,9 +466,6 @@ func (m *Manager) Submit(id string, results []core.TestResult) error {
 			}
 			return err
 		}
-		if m.mResults != nil {
-			m.mResults.Add(uint64(len(results)))
-		}
 		return nil
 	})
 }
@@ -534,7 +519,6 @@ func (m *Manager) Delete(id string) error {
 	}
 	m.drop(c)
 	gaugeAdd(m.mCohorts, -1)
-	m.cfg.Flight.Record(obs.Event{Kind: "delete", Tenant: c.tenant, Cohort: id})
 	return nil
 }
 
@@ -583,7 +567,6 @@ func (m *Manager) Drain() (int, error) {
 		}
 		c.mu.Unlock()
 	}
-	m.cfg.Flight.Record(obs.Event{Kind: "drain", Attrs: []obs.Attr{obs.A("checkpointed", n)}})
 	m.cfg.Log.Info("serve: drained", "checkpointed", n)
 	return n, first
 }

@@ -1,16 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"net/http"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profiler"
 	"repro/internal/workload"
 )
 
@@ -197,31 +192,15 @@ func TestInducedAnomalyExactlyOneDump(t *testing.T) {
 	}
 }
 
-// TestForensicChainBreachToFlameDiff is the PR's acceptance test: one
-// induced SLO breach yields exactly one anomaly ID, and from that single
-// ID an operator can pull — over HTTP, from the same listener that took
-// the traffic — the flight dump, the offending request's assembled
-// trace, AND a frozen profile bundle (CPU + goroutine) stamped with the
-// same anomaly ID, then flame-diff it against a quiet baseline with a
-// stable result.
-func TestForensicChainBreachToFlameDiff(t *testing.T) {
+// breachDump drives two cohorts in alternation under the given residency
+// bound with an unmeetable p99 objective, and returns the one anomaly
+// dump the breach produced together with the tracer that saw the traffic.
+func breachDump(t *testing.T, maxResident int) (obs.AnomalyDump, *obs.Tracer) {
+	t.Helper()
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(256)
-	flight := obs.NewFlightRecorder(64)
-	flight.SetCooldown(0)
-
-	prof, err := profiler.New(profiler.Config{
-		Dir:       t.TempDir(),
-		CPUWindow: 30 * time.Millisecond,
-		Cooldown:  -1,
-		Reg:       reg,
-		Flight:    flight,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof.Start()
-	defer prof.Close()
+	tracer := obs.NewTracer(1024)
+	flight := obs.NewFlightRecorder(1024)
+	flight.SetCooldown(0) // isolate the SLO edge-trigger from the recorder cooldown
 
 	slo, err := obs.NewSLO(reg, flight, []obs.Objective{{
 		Name:     "p99_request",
@@ -233,146 +212,134 @@ func TestForensicChainBreachToFlameDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t,
-		ManagerConfig{Obs: reg, Tracer: tracer, Flight: flight},
-		ServerConfig{Obs: reg, Tracer: tracer, Flight: flight, SLO: slo, Profiles: prof.Handler()})
-
-	// Freeze the quiet baseline before any traffic misbehaves — the
-	// "last known good" side of the flame diff.
-	baseline, err := prof.CaptureNow("quiet-baseline")
-	if err != nil {
-		t.Fatal(err)
-	}
+		ManagerConfig{Obs: reg, Tracer: tracer, Flight: flight, MaxResident: maxResident},
+		ServerConfig{Obs: reg, Tracer: tracer, Flight: flight, SLO: slo})
 
 	slo.Eval() // baseline window
 
-	var created CreateCohortResponse
-	code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts", CreateCohortRequest{
-		Tenant: "acme",
-		Risks:  workload.UniformRisks(4, 0.1),
-	}, &created)
-	if code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
+	risks := workload.UniformRisks(6, 0.15)
+	var ids [2]string
+	for i := range ids {
+		var created CreateCohortResponse
+		code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts", CreateCohortRequest{
+			Tenant:   fmt.Sprintf("lab-%d", i),
+			Risks:    risks,
+			Response: ResponseSpec{Kind: "binary", Sens: 1, Spec: 1},
+		}, &created)
+		if code != http.StatusCreated {
+			t.Fatalf("create %d: status %d", i, code)
+		}
+		ids[i] = created.ID
 	}
-	if code, _ := doJSON(t, "GET", ts.URL+"/v1/cohorts/"+created.ID+"/pools", nil, nil); code != http.StatusOK {
-		t.Fatalf("pools: status %d", code)
+	// One turn is fetch-the-proposal then answer it; subject 1 is the only
+	// positive, so each cohort needs several stages.
+	turn := func(id string) {
+		var pools PoolsResponse
+		if code, _ := doJSON(t, "GET", ts.URL+"/v1/cohorts/"+id+"/pools", nil, &pools); code != http.StatusOK {
+			t.Fatalf("pools %s: status %d", id, code)
+		}
+		if pools.Done {
+			return
+		}
+		req := SubmitResultsRequest{}
+		for _, p := range pools.Pools {
+			positive := false
+			for _, s := range p.Subjects {
+				positive = positive || s == 1
+			}
+			req.Results = append(req.Results, ResultJSON{Stage: p.Stage, Index: p.Index, Positive: positive})
+		}
+		if code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts/"+id+"/results", req, nil); code != http.StatusOK {
+			t.Fatalf("results %s: status %d", id, code)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		turn(ids[0])
+		turn(ids[1])
 	}
 	if st := slo.Eval(); !st[0].Breached {
 		t.Fatalf("objective not breached: %+v", st[0])
 	}
+	// The breach persists across a later window with fresh traffic — still
+	// exactly one dump.
+	turn(ids[0])
+	turn(ids[1])
+	slo.Eval()
 
 	dumps := flight.Anomalies()
 	if len(dumps) != 1 {
 		t.Fatalf("got %d anomaly dumps, want exactly 1", len(dumps))
 	}
-	dump := dumps[0]
-	if dump.ID == "" {
-		t.Fatal("anomaly dump has no ID")
-	}
+	return dumps[0], tracer
+}
 
-	// The profiler captures asynchronously off the dump hook; poll the
-	// public /debug/profiles index — served by the API listener itself —
-	// until the bundle stamped with the dump's anomaly ID appears.
-	var bundle *profiler.BundleMeta
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		var idx profiler.IndexDoc
-		if code, _ := doJSON(t, "GET", ts.URL+"/debug/profiles/", nil, &idx); code == http.StatusOK {
-			for i := range idx.Bundles {
-				if idx.Bundles[i].AnomalyID == dump.ID {
-					bundle = &idx.Bundles[i]
-					break
-				}
+// TestAnomalyDumpNamesLayers: the dump an SLO breach freezes totals its
+// own window per event kind, so a churn-shaped drive (two cohorts, one
+// resident slot) accounts for restore and evict beside selection
+// (stage_propose) and lattice update + classification (stage_absorb),
+// and the same drive with both cohorts resident has neither. No ranking
+// by time is asserted — only that Layers is exactly the fold of Events.
+func TestAnomalyDumpNamesLayers(t *testing.T) {
+	churn, tracer := breachDump(t, 1)
+	resident, _ := breachDump(t, 2)
+
+	for name, d := range map[string]obs.AnomalyDump{"churn": churn, "resident": resident} {
+		want := map[string]obs.LayerTotal{}
+		for _, ev := range d.Events {
+			l := want[ev.Kind]
+			l.Kind = ev.Kind
+			l.Count++
+			l.Total += ev.Dur
+			if ev.Dur > l.Max {
+				l.Max = ev.Dur
+			}
+			want[ev.Kind] = l
+		}
+		if len(d.Layers) != len(want) {
+			t.Errorf("%s: %d layers for %d event kinds: %+v", name, len(d.Layers), len(want), d.Layers)
+		}
+		for i, l := range d.Layers {
+			if l != want[l.Kind] {
+				t.Errorf("%s: layer %+v, events fold to %+v", name, l, want[l.Kind])
+			}
+			if i > 0 && l.Total > d.Layers[i-1].Total {
+				t.Errorf("%s: layers not sorted by total: %+v", name, d.Layers)
 			}
 		}
-		if bundle != nil {
-			break
+		timed := []string{"request", "stage_propose", "stage_absorb"}
+		if name == "churn" {
+			timed = append(timed, "restore", "evict")
+		} else if want["restore"].Count+want["evict"].Count > 0 {
+			t.Errorf("resident: dump has restore or evict events: %+v", d.Layers)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if bundle == nil {
-		t.Fatalf("no profile bundle stamped with anomaly %s on /debug/profiles", dump.ID)
-	}
-	if bundle.Class != profiler.ClassAnomaly {
-		t.Errorf("bundle class = %q, want %q", bundle.Class, profiler.ClassAnomaly)
-	}
-	if bundle.Reason != "slo:p99_request" {
-		t.Errorf("bundle reason = %q", bundle.Reason)
-	}
-	if bundle.Tenant != "acme" {
-		t.Errorf("bundle tenant = %q, want the offending tenant", bundle.Tenant)
-	}
-	if bundle.TraceID == 0 {
-		t.Error("bundle carries no trace ID")
-	}
-	if bundle.CPUError != "" {
-		t.Errorf("CPU window failed: %s", bundle.CPUError)
+		for _, kind := range timed {
+			if want[kind].Count == 0 || want[kind].Total <= 0 {
+				t.Errorf("%s: no timed %s events in the dump: %+v", name, kind, d.Layers)
+			}
+		}
 	}
 
-	// The bundle's trace ID resolves through the tracer to a span tree —
-	// the same pivot the flight dump offers, now reachable from the
-	// profile side too.
+	// The dump's request events still resolve to a span tree.
+	var offender *obs.Event
+	for i := range churn.Events {
+		if ev := &churn.Events[i]; ev.Kind == "request" && ev.TraceID != 0 {
+			offender = ev
+			break
+		}
+	}
+	if offender == nil {
+		t.Fatalf("churn dump has no request event with a trace ID: %+v", churn.Events)
+	}
 	spans, _ := tracer.Snapshot()
-	var found *obs.Trace
 	for _, tr := range obs.Assemble(spans) {
-		if tr.TraceID == bundle.TraceID {
-			found = tr
-			break
+		if tr.TraceID == offender.TraceID {
+			if len(tr.Roots) == 0 || tr.Roots[0].Name != "http" {
+				t.Fatalf("assembled trace = %+v, want an http root span", tr.Roots)
+			}
+			return
 		}
 	}
-	if found == nil {
-		t.Fatalf("trace %016x from the bundle not resolvable from the tracer", bundle.TraceID)
-	}
-
-	// Pull the profiles over HTTP like a remote operator would and check
-	// they are real pprof documents.
-	fetch := func(name string) *profiler.Profile {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/debug/profiles/" + bundle.ID + "/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", name, resp.StatusCode)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := profiler.ParseProfile(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		return p
-	}
-	goro := fetch(profiler.GoroutineProfile)
-	goroTable, err := goro.Table("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if goroTable.Total == 0 || len(goroTable.Funcs) == 0 {
-		t.Fatalf("goroutine profile is empty: %+v", goroTable)
-	}
-	fetch(profiler.CPUProfile) // parseable even when the window saw no samples
-
-	// Flame diff, anomaly vs quiet baseline. The diff must be well-formed
-	// on live data, and self-diff must be clean — the stable-exit-code
-	// contract sbgt-profdiff builds on.
-	basep, err := profiler.ParseProfileFile(
-		filepath.Join(prof.Dir(), baseline.ID, profiler.GoroutineProfile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseTable, err := basep.Table("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := profiler.Diff(baseTable, goroTable, profiler.DiffOptions{})
-	if res.SampleType != goroTable.SampleType {
-		t.Errorf("diff sample type = %q, want %q", res.SampleType, goroTable.SampleType)
-	}
-	if self := profiler.Diff(goroTable, goroTable, profiler.DiffOptions{}); self.Regressions != 0 {
-		t.Fatalf("self-diff reports %d regressions, want 0: %+v", self.Regressions, self.Deltas)
-	}
+	t.Fatalf("trace %016x from the dump not resolvable from the tracer", offender.TraceID)
 }
 
 // TestFlightShedEvent: shed requests leave a flight event even though no

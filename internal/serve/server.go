@@ -50,17 +50,12 @@ type ServerConfig struct {
 	Tracer          *obs.Tracer
 	Log             *slog.Logger
 	// Flight, when non-nil, records request summaries and sheds (the
-	// manager records lifecycle events through its own config).
+	// manager records evictions and restores through its own config).
 	Flight *obs.FlightRecorder
 	// SLO, when non-nil, joins the /readyz chain: a breached Degrade
 	// objective turns readiness 503 so the load balancer backs off while
 	// the error budget burns.
 	SLO *obs.SLO
-	// Profiles, when non-nil, serves the continuous profiler's bundle
-	// store on /debug/profiles — the same listener that serves the API,
-	// so one anomaly ID resolves to flight dump and profile bundle from
-	// one address.
-	Profiles http.Handler
 }
 
 // Server is the sbgt-serve HTTP API:
@@ -73,7 +68,8 @@ type ServerConfig struct {
 //	POST   /v1/drain                checkpoint everything, stop admitting
 //
 // plus the observability endpoints from obs.NewMux (/metrics,
-// /metrics.json, /healthz, /readyz, /spans, /debug/pprof/*). Readiness
+// /metrics.json, /healthz, /readyz, /spans, /debug/flight,
+// /debug/pprof/*). Readiness
 // follows the manager: /readyz turns 503 the moment a drain starts.
 type Server struct {
 	mgr      *Manager
@@ -148,9 +144,8 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	s := &Server{
 		mgr: cfg.Manager,
-		mux: obs.NewMuxConfig(obs.MuxConfig{
-			Reg: cfg.Obs, Tracer: cfg.Tracer, Flight: cfg.Flight,
-			Profiles: cfg.Profiles, Ready: ready,
+		mux: obs.NewMux(obs.MuxConfig{
+			Reg: cfg.Obs, Tracer: cfg.Tracer, Flight: cfg.Flight, Ready: ready,
 		}),
 		log:        obs.OrNop(cfg.Log),
 		tracer:     cfg.Tracer,
@@ -207,8 +202,8 @@ func (r *statusRecorder) WriteHeader(code int) {
 }
 
 // guard wraps an API handler with backpressure, metrics (aggregate and
-// per-tenant RED with exemplars), flight-recorder events, and a
-// per-request span.
+// per-tenant RED), a flight-recorder request event — the slow-request →
+// trace-ID link, present in every dump — and a per-request span.
 func (s *Server) guard(h func(http.ResponseWriter, *http.Request, *reqInfo) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		select {
@@ -243,12 +238,10 @@ func (s *Server) guard(h func(http.ResponseWriter, *http.Request, *reqInfo) erro
 			span.End()
 		}
 		elapsed := time.Since(start).Seconds()
-		if s.mLatency != nil {
-			s.mLatency.ObserveExemplar(elapsed, traceID)
-		}
+		s.mLatency.Observe(elapsed)
 		if tm := s.tenant(ri.tenant); tm != nil {
 			tm.requests.Inc()
-			tm.latency.ObserveExemplar(elapsed, traceID)
+			tm.latency.Observe(elapsed)
 			if ri.status >= http.StatusInternalServerError {
 				tm.errors.Inc()
 			}

@@ -126,7 +126,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, metric := range []string{"sbgt_serve_requests_total", "sbgt_serve_cohorts_created_total", "sbgt_serve_request_seconds"} {
+	for _, metric := range []string{"sbgt_serve_requests_total", "sbgt_serve_cohorts_resident", "sbgt_serve_request_seconds"} {
 		if !strings.Contains(string(body), metric) {
 			t.Errorf("/metrics missing %s", metric)
 		}

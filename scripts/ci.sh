@@ -36,7 +36,7 @@ go test ./internal/lattice -run '^$' -bench 'BenchmarkStageKernels|BenchmarkNegM
 go test ./internal/cluster -run '^$' -bench BenchmarkClusterCondition -benchtime 1x
 
 echo '== go test -race (concurrency substrate + backend conformance + obs) =='
-go test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs ./internal/obs/profiler
+go test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs
 
 echo '== fuzz smoke (10s each) =='
 go test ./internal/prob -run FuzzLogSumExp -fuzz FuzzLogSumExp -fuzztime 10s

@@ -4,13 +4,13 @@
 # the built-in load client (which reconciles every classification against
 # drawn truth and the server's test counters against the client's sent
 # count), walk the API once with curl, scrape the metrics endpoint, run
-# the forensic chain (impossible SLO -> anomaly dump -> profile bundle on
-# /debug/profiles -> sbgt-profdiff against a quiet baseline), then
-# SIGTERM the process and require a clean drain: exit status 0 and the
-# still-open cohort checkpointed to disk.
+# the hunt (impossible SLO -> anomaly ID in the log -> its dump on
+# /debug/flight names the layers the window's time went to -> sbgt-top
+# prints the same split), then SIGTERM the process and require a clean
+# drain: exit status 0 and the still-open cohort checkpointed to disk.
 #
 # Set SMOKE_OUT to a directory to keep the captured artifacts (logs,
-# metrics, flight dump, profile bundles) after the run — CI uploads them.
+# metrics, flight dump, sbgt-top frame) after the run — CI uploads them.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,7 +22,7 @@ finish() {
   [ -n "$pid" ] && kill "$pid" 2>/dev/null
   if [ -n "${SMOKE_OUT:-}" ]; then
     mkdir -p "$SMOKE_OUT"
-    cp -r "$dir"/*.log "$dir"/*.json "$dir"/*.txt "$dir/profiles" "$SMOKE_OUT"/ 2>/dev/null || true
+    cp "$dir"/*.log "$dir"/*.json "$dir"/*.txt "$SMOKE_OUT"/ 2>/dev/null || true
   fi
   rm -rf "$dir"
   exit $status
@@ -32,9 +32,8 @@ trap finish EXIT INT TERM
 echo '== build =='
 go build -o "$dir/sbgt-serve" ./cmd/sbgt-serve
 
-echo '== start (continuous profiler on, impossible p99 objective to induce one anomaly) =='
+echo '== start (impossible p99 objective to induce one anomaly) =='
 "$dir/sbgt-serve" -addr 127.0.0.1:0 -addr-file "$dir/addr.txt" -ckpt-dir "$dir/ckpt" \
-  -profile-dir "$dir/profiles" -profile-interval 1s -profile-cpu-window 100ms \
   -slo-p99 1ns -slo-interval 1s \
   >"$dir/serve.log" 2>&1 &
 pid=$!
@@ -47,24 +46,6 @@ while [ ! -s "$dir/addr.txt" ]; do
 done
 base="http://$(cat "$dir/addr.txt")"
 echo "listening at $base"
-
-echo '== quiet profile baseline (first background sample, before any load) =='
-# Wait for the background sampler's first bundle and pull it down now —
-# retention rotates samples away, and the load drive is about to dirty
-# the process. This is the "last known good" side of the flame diff.
-i=0
-quiet=
-while [ -z "$quiet" ]; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo 'no background sample bundle appeared'; cat "$dir/serve.log"; exit 1; }
-  curl -sf "$base/debug/profiles" >"$dir/profindex.json" || true
-  quiet=$(awk -F'"' '/"id":/ {id=$4} /"class": "sample"/ {print id; exit}' "$dir/profindex.json" 2>/dev/null || true)
-  [ -n "$quiet" ] || sleep 0.2
-done
-mkdir -p "$dir/quiet/$quiet"
-curl -sSf "$base/debug/profiles/$quiet" >"$dir/quiet/$quiet/meta.json"
-curl -sSf "$base/debug/profiles/$quiet/cpu.pprof" >"$dir/quiet/$quiet/cpu.pprof"
-echo "quiet baseline bundle: $quiet"
 
 echo '== load drive (25 cohorts to classification, reconciled) =='
 "$dir/sbgt-serve" -loadtest -target "$base" -cohorts 25 -subjects 6 -load-workers 8 \
@@ -82,7 +63,7 @@ curl -sSf "$base/v1/cohorts/$id" | grep -q '"tenant":"smoke"'
 echo '== observability =='
 curl -sSf "$base/readyz" | grep -q ok
 curl -sSf "$base/metrics" >"$dir/metrics.txt"
-for series in sbgt_serve_requests_total sbgt_serve_cohorts_created_total sbgt_serve_results_total; do
+for series in sbgt_serve_requests_total sbgt_serve_request_seconds sbgt_serve_cohorts_resident; do
   grep -q "^$series" "$dir/metrics.txt" || { echo "missing metric $series"; exit 1; }
 done
 
@@ -92,48 +73,34 @@ grep -q '"kind": "request"' "$dir/flight.json" || { echo 'no request events in /
 # At least one request event must carry a resolvable (nonzero) trace ID.
 grep -q '"trace_id": [1-9]' "$dir/flight.json" || { echo 'no nonzero trace_id in flight events'; exit 1; }
 
-echo '== forensic chain (SLO breach -> anomaly ID -> profile bundle -> flame diff) =='
-# The impossible p99 objective breached during the load drive, so the
-# flight recorder froze a dump and the profiler froze a bundle stamped
-# with the same anomaly ID. Resolve the chain from the outside in.
+echo '== the hunt (SLO breach -> anomaly ID -> the dump names its layers) =='
+# Any evaluation window with traffic breaches the impossible p99
+# objective, so the flight recorder freezes a dump and logs its ID. Keep
+# a trickle of requests going until it does (the load drive can finish
+# inside the evaluator's baseline window), then resolve that ID on
+# /debug/flight to a dump whose window is totalled per event kind.
 i=0
-anom=
-while [ -z "$anom" ]; do
+anom_id=
+while [ -z "$anom_id" ]; do
   i=$((i + 1))
-  [ "$i" -le 150 ] || { echo 'no anomaly profile bundle appeared'; cat "$dir/serve.log"; exit 1; }
-  curl -sf "$base/debug/profiles" >"$dir/profindex.json" || true
-  anom=$(awk -F'"' '/"id":/ {id=$4} /"anomaly_id":/ {print id; exit}' "$dir/profindex.json" 2>/dev/null || true)
-  [ -n "$anom" ] || sleep 0.2
+  [ "$i" -le 150 ] || { echo 'no anomaly dump was logged'; cat "$dir/serve.log"; exit 1; }
+  curl -sSf "$base/v1/cohorts/$id" >/dev/null
+  anom_id=$(sed -n 's/.*anomaly auto-dump captured.* anomaly=\([a-z0-9]*\).*/\1/p' "$dir/serve.log" | head -n 1)
+  [ -n "$anom_id" ] || sleep 0.2
 done
-anom_id=$(awk -F'"' '/"anomaly_id":/ {print $4; exit}' "$dir/profindex.json")
-echo "anomaly $anom_id captured as bundle $anom"
-# The same anomaly ID resolves to a dump on /debug/flight.
+echo "anomaly $anom_id"
+grep -q "anomaly=$anom_id .*layers=\"request=" "$dir/serve.log" || { echo 'dump log line does not name its layers'; cat "$dir/serve.log"; exit 1; }
 curl -sSf "$base/debug/flight" >"$dir/flight.json"
-grep -q "\"id\": \"$anom_id\"" "$dir/flight.json" || { echo "anomaly $anom_id has no dump in /debug/flight"; exit 1; }
-# Pull the bundle the way a remote operator would and flame-diff it.
-mkdir -p "$dir/anom/$anom"
-curl -sSf "$base/debug/profiles/$anom" >"$dir/anom/$anom/meta.json"
-curl -sSf "$base/debug/profiles/$anom/cpu.pprof" >"$dir/anom/$anom/cpu.pprof"
-go build -o "$dir/sbgt-profdiff" ./cmd/sbgt-profdiff
-# Self-diff is the stable-exit contract: same bundle, exit 0, no noise.
-"$dir/sbgt-profdiff" "$dir/anom/$anom" "$dir/anom/$anom" >/dev/null
-# Quiet-vs-anomaly must parse both bundles and exit 0 (clean) or 1
-# (regressions found) — anything else means an unreadable bundle.
-rc=0
-"$dir/sbgt-profdiff" "$dir/quiet/$quiet" "$dir/anom/$anom" >"$dir/profdiff.txt" || rc=$?
-[ "$rc" -le 1 ] || { echo "sbgt-profdiff could not diff the bundles (exit $rc)"; cat "$dir/profdiff.txt"; exit 1; }
-sed -n '1,8p' "$dir/profdiff.txt"
-
-echo '== OpenMetrics negotiation (exemplar-capable exposition) =='
-curl -sSf -H 'Accept: application/openmetrics-text' "$base/metrics" >"$dir/openmetrics.txt"
-grep -q '^# EOF' "$dir/openmetrics.txt" || { echo 'OpenMetrics exposition missing # EOF'; exit 1; }
-grep -q 'trace_id=' "$dir/openmetrics.txt" || { echo 'no exemplars in OpenMetrics exposition'; exit 1; }
+jq -e --arg id "$anom_id" \
+  '.anomalies[] | select(.id == $id) | (.layers | length > 0) and (.layers | map(.kind) | index("request") != null)' \
+  "$dir/flight.json" >/dev/null || { echo "anomaly $anom_id has no dump with a layer split in /debug/flight"; exit 1; }
+jq -r --arg id "$anom_id" '.anomalies[] | select(.id == $id) | .layers[] | "\(.kind) n=\(.count) total_ns=\(.total_ns) max_ns=\(.max_ns)"' "$dir/flight.json"
 
 echo '== sbgt-top (one frame against the live server) =='
 go run ./cmd/sbgt-top -target "$base" -once >"$dir/top.txt"
 grep -q 'requests' "$dir/top.txt" || { echo 'sbgt-top rendered nothing'; cat "$dir/top.txt"; exit 1; }
 grep -q 'flight:' "$dir/top.txt" || { echo 'sbgt-top missing flight section'; cat "$dir/top.txt"; exit 1; }
-grep -q 'profiles:' "$dir/top.txt" || { echo 'sbgt-top missing profiles section'; cat "$dir/top.txt"; exit 1; }
+grep -q '^  layer request ' "$dir/top.txt" || { echo 'sbgt-top missing the anomaly layer split'; cat "$dir/top.txt"; exit 1; }
 
 echo '== sbgt-metriclint (naming + cardinality over the live registry) =='
 curl -sSf "$base/metrics.json" >"$dir/metrics.json"
