@@ -11,7 +11,7 @@ func benchVector(b *testing.B, n uint64, parts int) *Vector {
 	pool := NewPool(0)
 	b.Cleanup(pool.Close)
 	v := NewVector(pool, n, parts)
-	v.Fill(1.0 / float64(n))
+	setEach(v, func(uint64) float64 { return 1.0 / float64(n) })
 	return v
 }
 

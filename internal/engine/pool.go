@@ -56,7 +56,7 @@ type Pool struct {
 // poolMetrics is the pool's reporting surface, registered by Instrument.
 type poolMetrics struct {
 	tasks      *obs.Counter   // every task executed (worker-run or inline)
-	inline     *obs.Counter   // the subset run inline (closed pool, saturated workers, or the single-chunk fast path)
+	inline     *obs.Counter   // the subset run inline (closed pool, saturated workers, a single chunk, or a Vector below serialBelow)
 	submitWait *obs.Histogram // submit-to-start queue latency
 }
 
@@ -200,19 +200,7 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 		spawn = chunks
 	}
 	if spawn == 1 {
-		// Single chunk: skip the scheduling machinery entirely (but still
-		// count the work as an inline task when instrumented).
-		var box panicBox
-		run := func() {
-			defer box.capture()
-			fn(0, n)
-		}
-		if m := p.metrics.Load(); m != nil {
-			m.inline.Inc()
-			run = m.wrap(run)
-		}
-		run()
-		box.rethrow()
+		p.inline(n, fn)
 		return
 	}
 
@@ -239,6 +227,24 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 		p.submit(body)
 	}
 	wg.Wait()
+	box.rethrow()
+}
+
+// inline runs fn(0, n) on the calling goroutine, skipping the scheduling
+// machinery entirely but still counting the work as one inline task when
+// instrumented. It is For's single-chunk path and the serial side of
+// Vector's serial-versus-fan-out policy.
+func (p *Pool) inline(n int, fn func(lo, hi int)) {
+	var box panicBox
+	run := func() {
+		defer box.capture()
+		fn(0, n)
+	}
+	if m := p.metrics.Load(); m != nil {
+		m.inline.Inc()
+		run = m.wrap(run)
+	}
+	run()
 	box.rethrow()
 }
 

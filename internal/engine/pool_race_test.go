@@ -64,3 +64,35 @@ func TestCloseConcurrentWithClose(t *testing.T) {
 		t.Fatalf("post-close inline For covered %d, want 100", n)
 	}
 }
+
+// TestSerialAndFanOutShareAPool: two goroutines drive Vector kernels on one
+// pool, one below serialBelow (on its caller) and one above (on the
+// workers), as served cohorts beside a large campaign do. Both keep exact
+// results. Run under -race in CI.
+func TestSerialAndFanOutShareAPool(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	var wg sync.WaitGroup
+	for _, n := range []uint64{serialBelow / 4, serialBelow * 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := NewVector(p, n, 0)
+			for round := 0; round < 20; round++ {
+				setEach(v, func(uint64) float64 { return 1 })
+				v.Scale(2)
+				if got := v.Sum(); got != float64(2*n) {
+					t.Errorf("n=%d round %d: Sum = %v, want %d", n, round, got, 2*n)
+					return
+				}
+				if got := v.ReduceVec(1, func(_ int, _ uint64, data, out []float64) {
+					out[0] = float64(len(data))
+				}); got[0] != float64(n) {
+					t.Errorf("n=%d round %d: ReduceVec counted %v states", n, round, got[0])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -61,7 +61,7 @@ func TestReduceSubsetMatchesFilteredScan(t *testing.T) {
 		nBits := 6 + r.Intn(5) // 64 .. 1024 states
 		n := uint64(1) << uint(nBits)
 		v := NewVector(p, n, 1+r.Intn(9))
-		for i := uint64(0); i < n; i++ { // serial: Map's workers would share r
+		for i := uint64(0); i < n; i++ { // serial: partition bodies would share r
 			v.Set(i, r.Float64())
 		}
 		full := n - 1
@@ -105,7 +105,7 @@ func TestReduceSubsetPanics(t *testing.T) {
 func TestShrinkGather(t *testing.T) {
 	p := newTestPool(t)
 	v := NewVector(p, 16, 4)
-	v.Map(func(i uint64, _ float64) float64 { return float64(i) })
+	setEach(v, func(i uint64) float64 { return float64(i) })
 	// Forward monotone gather: keep the even positions.
 	v.ShrinkGather(8, 2, func(dst, src []float64) {
 		for i := range dst {

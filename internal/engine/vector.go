@@ -110,25 +110,45 @@ func (v *Vector) locate(i uint64) (part int, idx uint64) {
 	return p, i - v.offsets[p]
 }
 
-// ForPartitions runs body once per partition in parallel. body receives the
-// partition index, the global index of the partition's first element, and
-// the partition's data slice, which it may mutate. This is the primitive
-// the lattice layer builds its fused kernels on.
+// serialBelow is the state count under which a Vector kernel runs its
+// partition loop on the calling goroutine instead of fanning out to the
+// pool: below it a second core does not repay the hand-off even when it
+// is idle (BenchmarkSerialCrossover; the measured table is in DESIGN
+// §5.2). The partition layout, and so every merge order, is the same
+// either way.
+const serialBelow = 1 << 16
+
+// forParts runs fn over the partition range [0, Parts()): inline below
+// serialBelow states, on the pool from there up.
+func (v *Vector) forParts(fn func(lo, hi int)) {
+	switch {
+	case v.n >= serialBelow:
+		v.pool.For(len(v.parts), 1, fn)
+	case len(v.parts) > 0:
+		v.pool.inline(len(v.parts), fn)
+	}
+}
+
+// ForPartitions runs body once per partition, in parallel from serialBelow
+// states up. body receives the partition index, the global index of the
+// partition's first element, and the partition's data slice, which it may
+// mutate. This is the primitive the lattice layer builds its fused kernels
+// on.
 func (v *Vector) ForPartitions(body func(part int, offset uint64, data []float64)) {
-	v.pool.For(len(v.parts), 1, func(lo, hi int) {
+	v.forParts(func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			body(p, v.offsets[p], v.parts[p])
 		}
 	})
 }
 
-// ReduceSum runs body once per partition in parallel; each invocation
-// returns a compensated partial sum for its partition. Partials are merged
+// ReduceSum runs body once per partition, as ForPartitions does; each
+// invocation returns a compensated partial sum for its partition. Partials are merged
 // in ascending partition order, giving a fixed-shape reduction tree:
 // repeated runs produce bit-identical results regardless of scheduling.
 func (v *Vector) ReduceSum(body func(part int, offset uint64, data []float64) prob.Accumulator) float64 {
 	partials := make([]prob.Accumulator, len(v.parts))
-	v.pool.For(len(v.parts), 1, func(lo, hi int) {
+	v.forParts(func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			partials[p] = body(p, v.offsets[p], v.parts[p])
 		}
@@ -148,7 +168,7 @@ func (v *Vector) ReduceSum(body func(part int, offset uint64, data []float64) pr
 // candidate pools) are both single ReduceVec passes.
 func (v *Vector) ReduceVec(m int, body func(part int, offset uint64, data []float64, out []float64)) []float64 {
 	partials := make([][]float64, len(v.parts))
-	v.pool.For(len(v.parts), 1, func(lo, hi int) {
+	v.forParts(func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			out := make([]float64, m)
 			body(p, v.offsets[p], v.parts[p], out)
@@ -258,58 +278,35 @@ func (v *Vector) ShrinkGather(n uint64, parts int, body func(dst, src []float64)
 	v.partition(parts)
 }
 
-// doublingSerial is the level length below which FillDoubling multiplies on
-// the calling goroutine: under 2^14 elements (128 KiB) a level costs less
-// than dispatching it.
-const doublingSerial = 1 << 14
-
 // FillDoubling overwrites the vector with the product measure of a Boolean
 // lattice: element s becomes base · Π_{i ∈ bits(s)} factors[i], the
 // factors applied in ascending bit order. Element 0 is base, and level i
 // is elements [0, 2^i) times factors[i] written to [2^i, 2^(i+1)) — one
 // multiply per element, the same multiplies in the same order as walking
-// each index's bits. Levels run in sequence, each large one in parallel.
-// Len must be 2^len(factors).
+// each index's bits. Levels run in sequence: those shorter than
+// serialBelow back to back as one inline task, each longer one on the
+// pool. Len must be 2^len(factors).
 func (v *Vector) FillDoubling(base float64, factors []float64) {
 	if v.n != uint64(1)<<uint(len(factors)) {
 		panic(fmt.Sprintf("engine: FillDoubling with %d factors on %d elements", len(factors), v.n))
 	}
 	v.backing[0] = base
-	for i, f := range factors {
-		half := 1 << uint(i)
-		src, dst := v.backing[:half], v.backing[half:2*half]
-		level := func(lo, hi int) {
-			d := dst[lo:hi]
-			for j, x := range src[lo:hi] {
-				d[j] = x * f
-			}
-		}
-		if half < doublingSerial {
-			level(0, half)
-		} else {
-			v.pool.For(half, 0, level)
+	level := func(i, lo, hi int) {
+		half, f := 1<<uint(i), factors[i]
+		d := v.backing[half+lo : half+hi]
+		for j, x := range v.backing[lo:hi] {
+			d[j] = x * f
 		}
 	}
-}
-
-// Fill sets every element to x, in parallel.
-func (v *Vector) Fill(x float64) {
-	v.ForPartitions(func(_ int, _ uint64, data []float64) {
-		for i := range data {
-			data[i] = x
+	i := 0
+	v.pool.inline(1, func(int, int) {
+		for ; i < len(factors) && 1<<uint(i) < serialBelow; i++ {
+			level(i, 0, 1<<uint(i))
 		}
 	})
-}
-
-// Map applies fn element-wise in place; fn receives the global index.
-// Prefer a hand-fused ForPartitions body on hot paths — Map pays one
-// indirect call per element and exists for setup code and tests.
-func (v *Vector) Map(fn func(i uint64, x float64) float64) {
-	v.ForPartitions(func(_ int, offset uint64, data []float64) {
-		for j := range data {
-			data[j] = fn(offset+uint64(j), data[j])
-		}
-	})
+	for ; i < len(factors); i++ {
+		v.pool.For(1<<uint(i), 0, func(lo, hi int) { level(i, lo, hi) })
+	}
 }
 
 // Scale multiplies every element by c.
@@ -339,17 +336,6 @@ func (v *Vector) Clone() *Vector {
 		copy(data, v.parts[p])
 	})
 	return out
-}
-
-// CopyFrom overwrites v's contents with src's. Layouts must match exactly
-// (same length and partition count) or CopyFrom panics.
-func (v *Vector) CopyFrom(src *Vector) {
-	if v.n != src.n || len(v.parts) != len(src.parts) {
-		panic("engine: CopyFrom layout mismatch")
-	}
-	v.ForPartitions(func(p int, _ uint64, data []float64) {
-		copy(data, src.parts[p])
-	})
 }
 
 // Slice materializes the whole vector into one flat slice, for tests and

@@ -14,6 +14,15 @@ func newTestPool(t *testing.T) *Pool {
 	return p
 }
 
+// setEach writes fn(i) to every element i.
+func setEach(v *Vector, fn func(i uint64) float64) {
+	v.ForPartitions(func(_ int, offset uint64, data []float64) {
+		for j := range data {
+			data[j] = fn(offset + uint64(j))
+		}
+	})
+}
+
 func TestNewVectorLayout(t *testing.T) {
 	p := newTestPool(t)
 	v := NewVector(p, 103, 10)
@@ -100,11 +109,10 @@ func TestForPartitionsSeesGlobalOffsets(t *testing.T) {
 	}
 }
 
-func TestFillMapScale(t *testing.T) {
+func TestScale(t *testing.T) {
 	p := newTestPool(t)
 	v := NewVector(p, 64, 5)
-	v.Fill(2)
-	v.Map(func(i uint64, x float64) float64 { return x + float64(i) })
+	setEach(v, func(i uint64) float64 { return 2 + float64(i) })
 	v.Scale(0.5)
 	for i := uint64(0); i < 64; i++ {
 		want := (2 + float64(i)) / 2
@@ -131,9 +139,7 @@ func TestSumMatchesSequential(t *testing.T) {
 func TestSumDeterministicAcrossRuns(t *testing.T) {
 	p := newTestPool(t)
 	v := NewVector(p, 65537, 13)
-	v.Map(func(i uint64, _ float64) float64 {
-		return math.Sin(float64(i)) * 1e-7
-	})
+	setEach(v, func(i uint64) float64 { return math.Sin(float64(i)) * 1e-7 })
 	first := v.Sum()
 	for run := 0; run < 20; run++ {
 		if got := v.Sum(); got != first {
@@ -158,7 +164,7 @@ func TestReduceSumPartialsMergedInOrder(t *testing.T) {
 func TestReduceVec(t *testing.T) {
 	p := newTestPool(t)
 	v := NewVector(p, 1000, 8)
-	v.Fill(1)
+	setEach(v, func(uint64) float64 { return 1 })
 	// out[0] counts elements; out[1] sums global indices.
 	got := v.ReduceVec(2, func(_ int, offset uint64, data []float64, out []float64) {
 		for j := range data {
@@ -182,37 +188,24 @@ func TestReduceVecZeroOutputs(t *testing.T) {
 	}
 }
 
-func TestCloneAndCopyFrom(t *testing.T) {
+func TestClone(t *testing.T) {
 	p := newTestPool(t)
 	v := NewVector(p, 77, 5)
-	v.Map(func(i uint64, _ float64) float64 { return float64(i) })
+	setEach(v, func(i uint64) float64 { return float64(i) })
 	c := v.Clone()
+	if c.Parts() != v.Parts() {
+		t.Fatalf("clone has %d partitions, original %d", c.Parts(), v.Parts())
+	}
 	c.Scale(2)
 	if v.At(10) != 10 || c.At(10) != 20 {
 		t.Fatal("Clone aliases original storage")
 	}
-	v.CopyFrom(c)
-	if v.At(10) != 20 {
-		t.Fatal("CopyFrom did not copy")
-	}
-}
-
-func TestCopyFromLayoutMismatchPanics(t *testing.T) {
-	p := newTestPool(t)
-	a := NewVector(p, 10, 2)
-	b := NewVector(p, 10, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("layout mismatch did not panic")
-		}
-	}()
-	a.CopyFrom(b)
 }
 
 func TestSlice(t *testing.T) {
 	p := newTestPool(t)
 	v := NewVector(p, 33, 4)
-	v.Map(func(i uint64, _ float64) float64 { return float64(i * i) })
+	setEach(v, func(i uint64) float64 { return float64(i * i) })
 	s := v.Slice()
 	if len(s) != 33 {
 		t.Fatalf("Slice len = %d", len(s))
@@ -232,7 +225,7 @@ func TestVectorDeterminismAcrossPartitionCounts(t *testing.T) {
 	ref := 0.0
 	for trial, parts := range []int{1, 3, 16, 64} {
 		v := NewVector(p, 4096, parts)
-		v.Map(func(i uint64, _ float64) float64 { return math.Cos(float64(i)) })
+		setEach(v, func(i uint64) float64 { return math.Cos(float64(i)) })
 		s := v.Sum()
 		if trial == 0 {
 			ref = s
@@ -246,28 +239,33 @@ func TestVectorDeterminismAcrossPartitionCounts(t *testing.T) {
 
 func TestFillDoubling(t *testing.T) {
 	p := newTestPool(t)
-	// 2^15 elements: the last level is long enough to run on the pool.
-	factors := make([]float64, 15)
-	for i := range factors {
-		factors[i] = 0.3 + 0.11*float64(i)
-	}
-	v := NewVector(p, 1<<15, 5)
-	v.Fill(-1) // FillDoubling must overwrite whatever was there
-	v.FillDoubling(0.7, factors)
-	for s := uint64(0); s < v.Len(); s++ {
-		want := 0.7
+	// 2^15 and 2^16 elements run every level on the caller; at 2^17 the
+	// last level, 2^16 long, reaches serialBelow and runs on the pool.
+	var factors []float64
+	var v *Vector
+	for bits := 15; bits <= 17; bits++ {
+		factors = make([]float64, bits)
 		for i := range factors {
-			if s>>uint(i)&1 == 1 {
-				want *= factors[i]
-			}
+			factors[i] = 0.3 + 0.11*float64(i)
 		}
-		if got := v.At(s); got != want {
-			t.Fatalf("element %d = %v, want %v (factors applied in ascending bit order)", s, got, want)
+		v = NewVector(p, 1<<uint(bits), 5)
+		setEach(v, func(uint64) float64 { return -1 }) // FillDoubling must overwrite whatever was there
+		v.FillDoubling(0.7, factors)
+		for s, got := range v.Slice() {
+			want := 0.7
+			for i, f := range factors {
+				if s>>uint(i)&1 == 1 {
+					want *= f
+				}
+			}
+			if got != want {
+				t.Fatalf("2^%d: element %d = %v, want %v (factors applied in ascending bit order)", bits, s, got, want)
+			}
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FillDoubling accepted 3 factors for 2^15 elements")
+			t.Fatal("FillDoubling accepted 3 factors for 2^17 elements")
 		}
 	}()
 	v.FillDoubling(1, factors[:3])

@@ -98,8 +98,9 @@ type ObjectiveState struct {
 }
 
 // SLO evaluates objectives against a registry on a fixed cadence. Each
-// Eval diffs the current snapshot against the previous one, so the
-// evaluation interval is the burn window. Breach transitions are
+// Eval diffs the current snapshot against the previous one (the first
+// against the snapshot taken by NewSLO), so the evaluation interval is the
+// burn window. Breach transitions are
 // edge-triggered into the flight recorder (one anomaly auto-dump per
 // onset, coalesced by the recorder's cooldown while the breach holds),
 // and the per-objective burn/breach state is republished as gauges
@@ -129,6 +130,7 @@ func NewSLO(reg *Registry, flight *FlightRecorder, objs []Objective) (*SLO, erro
 		reg:     reg,
 		flight:  flight,
 		objs:    append([]Objective(nil), objs...),
+		prev:    reg.Snapshot(),
 		states:  make([]ObjectiveState, len(objs)),
 		clock:   time.Now,
 		burn:    make([]*Gauge, len(objs)),
@@ -224,8 +226,8 @@ func countAbove(h *HistogramSnapshot, target float64) float64 {
 }
 
 // deltaHistogram subtracts prev's cumulative buckets from cur's,
-// returning a window-local histogram snapshot. A nil prev means "since
-// process start".
+// returning a window-local histogram snapshot. A nil prev (a series first
+// registered inside the window) counts from zero.
 func deltaHistogram(cur, prev *HistogramSnapshot) HistogramSnapshot {
 	out := HistogramSnapshot{Name: cur.Name, Labels: cur.Labels, Count: cur.Count, Sum: cur.Sum}
 	out.Buckets = append([]BucketSnapshot(nil), cur.Buckets...)
@@ -242,9 +244,8 @@ func deltaHistogram(cur, prev *HistogramSnapshot) HistogramSnapshot {
 	return out
 }
 
-// Eval runs one evaluation pass and returns the refreshed states. The
-// first call establishes the baseline snapshot and reports every
-// objective healthy (there is no window yet).
+// Eval runs one evaluation pass over the window since the previous call,
+// or since NewSLO for the first, and returns the refreshed states.
 func (s *SLO) Eval() []ObjectiveState {
 	snap := s.reg.Snapshot()
 	s.mu.Lock()
@@ -257,33 +258,31 @@ func (s *SLO) Eval() []ObjectiveState {
 		o := &s.objs[i]
 		st := &s.states[i]
 		burn, current := 0.0, 0.0
-		if prev != nil {
-			switch o.kind() {
-			case "latency":
-				cur := findHistogram(snap, o.Metric, o.Labels)
-				if cur != nil {
-					d := deltaHistogram(cur, findHistogram(prev, o.Metric, o.Labels))
-					if d.Count > 0 {
-						current = countAbove(&d, o.Target) / float64(d.Count)
-						burn = current / (1 - o.Quantile)
-					}
+		switch o.kind() {
+		case "latency":
+			cur := findHistogram(snap, o.Metric, o.Labels)
+			if cur != nil {
+				d := deltaHistogram(cur, findHistogram(prev, o.Metric, o.Labels))
+				if d.Count > 0 {
+					current = countAbove(&d, o.Target) / float64(d.Count)
+					burn = current / (1 - o.Quantile)
 				}
-			case "errors":
-				ce, oke := findCounter(snap, o.ErrorMetric, o.ErrorLabels)
-				ct, okt := findCounter(snap, o.TotalMetric, o.TotalLabels)
-				pe, _ := findCounter(prev, o.ErrorMetric, o.ErrorLabels)
-				pt, _ := findCounter(prev, o.TotalMetric, o.TotalLabels)
-				if oke && okt && ct > pt {
-					current = float64(ce-pe) / float64(ct-pt)
-					burn = current / o.MaxRatio
-				}
-			case "burst":
-				cb, ok := findCounter(snap, o.BurstMetric, o.BurstLabels)
-				pb, _ := findCounter(prev, o.BurstMetric, o.BurstLabels)
-				if ok && cb > pb {
-					current = float64(cb - pb)
-					burn = current / o.Max
-				}
+			}
+		case "errors":
+			ce, oke := findCounter(snap, o.ErrorMetric, o.ErrorLabels)
+			ct, okt := findCounter(snap, o.TotalMetric, o.TotalLabels)
+			pe, _ := findCounter(prev, o.ErrorMetric, o.ErrorLabels)
+			pt, _ := findCounter(prev, o.TotalMetric, o.TotalLabels)
+			if oke && okt && ct > pt {
+				current = float64(ce-pe) / float64(ct-pt)
+				burn = current / o.MaxRatio
+			}
+		case "burst":
+			cb, ok := findCounter(snap, o.BurstMetric, o.BurstLabels)
+			pb, _ := findCounter(prev, o.BurstMetric, o.BurstLabels)
+			if ok && cb > pb {
+				current = float64(cb - pb)
+				burn = current / o.Max
 			}
 		}
 		breached := burn > 1

@@ -30,10 +30,10 @@ func TestSLOLatencyBurn(t *testing.T) {
 	}})
 	h := reg.Histogram("sbgt_serve_request_seconds", nil)
 
-	// First Eval is the baseline: no window yet, everything healthy.
+	// A window without traffic is healthy.
 	states := slo.Eval()
 	if len(states) != 1 || states[0].Breached || states[0].Burn != 0 {
-		t.Fatalf("baseline states = %+v", states)
+		t.Fatalf("quiet window states = %+v", states)
 	}
 
 	// A window where every request takes 1s blows a 50ms p99 objective:
@@ -82,6 +82,36 @@ func TestSLOLatencyBurn(t *testing.T) {
 	}
 	if err := slo.Ready(); err != nil {
 		t.Fatalf("Ready after recovery: %v", err)
+	}
+}
+
+// TestSLOFirstEvalSeesTraffic: the baseline is taken when the evaluator is
+// built, so a burst that ends before the second tick is still judged by
+// the first.
+func TestSLOFirstEvalSeesTraffic(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("sbgt_serve_request_seconds", nil)
+	h.Observe(1.0) // before the evaluator exists: not in any window
+	flight := NewFlightRecorder(16)
+	flight.SetCooldown(0)
+	slo, err := NewSLO(reg, flight, []Objective{{
+		Name:     "p99_request",
+		Metric:   "sbgt_serve_request_seconds",
+		Quantile: 0.99,
+		Target:   0.05,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		h.Observe(1.0)
+	}
+	st := slo.Eval()[0]
+	if !st.Breached || st.Current != 1 {
+		t.Fatalf("first Eval after a breaching burst = %+v, want breached with bad fraction 1", st)
+	}
+	if dumps := flight.Anomalies(); len(dumps) != 1 || dumps[0].Reason != "slo:p99_request" {
+		t.Fatalf("anomaly dumps = %+v, want one slo:p99_request", dumps)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestInducedAnomalyExactlyOneDump(t *testing.T) {
 		ManagerConfig{Obs: reg, Tracer: tracer, Flight: flight},
 		ServerConfig{Obs: reg, Tracer: tracer, Flight: flight, SLO: slo})
 
-	slo.Eval() // baseline window
+	slo.Eval() // a quiet window before any traffic
 
 	var created CreateCohortResponse
 	code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts", CreateCohortRequest{
@@ -215,7 +215,7 @@ func breachDump(t *testing.T, maxResident int) (obs.AnomalyDump, *obs.Tracer) {
 		ManagerConfig{Obs: reg, Tracer: tracer, Flight: flight, MaxResident: maxResident},
 		ServerConfig{Obs: reg, Tracer: tracer, Flight: flight, SLO: slo})
 
-	slo.Eval() // baseline window
+	slo.Eval() // a quiet window before any traffic
 
 	risks := workload.UniformRisks(6, 0.15)
 	var ids [2]string

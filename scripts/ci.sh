@@ -31,8 +31,9 @@ go test ./...
 echo '== examples (every program under examples/ runs to exit 0) =='
 make -s examples
 
-echo '== stage-kernel, kernel-ablation and cluster-conditioning benchmarks (one iteration each, so they cannot rot) =='
+echo '== stage-kernel, kernel-ablation, serial-crossover and cluster-conditioning benchmarks (one iteration each, so they cannot rot) =='
 go test ./internal/lattice -run '^$' -bench 'BenchmarkStageKernels|BenchmarkNegMassCrossover|BenchmarkNegMassesTiling|BenchmarkSummary|BenchmarkFusion' -benchtime 1x
+go test ./internal/engine -run '^$' -bench BenchmarkSerialCrossover -benchtime 1x -cpu 1,2
 go test ./internal/cluster -run '^$' -bench BenchmarkClusterCondition -benchtime 1x
 
 echo '== go test -race (concurrency substrate + backend conformance + obs) =='

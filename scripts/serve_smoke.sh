@@ -74,17 +74,16 @@ grep -q '"kind": "request"' "$dir/flight.json" || { echo 'no request events in /
 grep -q '"trace_id": [1-9]' "$dir/flight.json" || { echo 'no nonzero trace_id in flight events'; exit 1; }
 
 echo '== the hunt (SLO breach -> anomaly ID -> the dump names its layers) =='
-# Any evaluation window with traffic breaches the impossible p99
-# objective, so the flight recorder freezes a dump and logs its ID. Keep
-# a trickle of requests going until it does (the load drive can finish
-# inside the evaluator's baseline window), then resolve that ID on
-# /debug/flight to a dump whose window is totalled per event kind.
+# The evaluator's first window opens when the server starts, so the load
+# drive above breaches the impossible p99 objective at the next tick: the
+# flight recorder freezes a dump and logs its ID. Wait for that line, then
+# resolve the ID on /debug/flight to a dump whose window is totalled per
+# event kind.
 i=0
 anom_id=
 while [ -z "$anom_id" ]; do
   i=$((i + 1))
   [ "$i" -le 150 ] || { echo 'no anomaly dump was logged'; cat "$dir/serve.log"; exit 1; }
-  curl -sSf "$base/v1/cohorts/$id" >/dev/null
   anom_id=$(sed -n 's/.*anomaly auto-dump captured.* anomaly=\([a-z0-9]*\).*/\1/p' "$dir/serve.log" | head -n 1)
   [ -n "$anom_id" ] || sleep 0.2
 done
