@@ -27,7 +27,7 @@
 // Observability flags (shared across the sbgt commands):
 //
 //	-metrics-addr string  serve /metrics, /metrics.json (the registry
-//	                      snapshot sbgt-metriclint reads), /healthz, pprof
+//	                      snapshot sbgt-top reads), /healthz, pprof
 //	-log-level string     debug | info | warn | error (default info)
 //	-trace-out string     write collected spans as NDJSON on exit
 package main

@@ -13,18 +13,12 @@
 //
 //	-list            print the analyzers and their invariants, then exit
 //	-run a,b         run only the named analyzers
-//	-format f        text | json | sarif (default text)
-//	-baseline path   waiver ledger to apply ("none" disables; default
-//	                 lint-baseline.json at the module root when present)
-//	-write-baseline  rewrite the ledger from this run's findings and exit
-//	-baseline-check  also fail on stale ledger entries (fixed findings
-//	                 whose entries must be deleted)
 //	-audit           also fail on stale //lint:allow waivers; forces the
 //	                 full suite so every waiver can be exercised
 //	-log-level       debug | info | warn | error (default info)
 //
-// Exit status: 0 clean, 1 diagnostics (or stale entries/waivers under
-// -baseline-check/-audit) reported, 2 usage or load failure.
+// Exit status: 0 clean, 1 diagnostics (or stale waivers under -audit)
+// reported, 2 usage or load failure.
 // Intentional exceptions are annotated in source as
 // "//lint:allow <analyzer> <reason>"; see internal/analysis.
 package main
@@ -43,10 +37,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	runNames := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	format := flag.String("format", "text", "output format: text | json | sarif")
-	baselinePath := flag.String("baseline", "", `baseline ledger path ("none" disables; default lint-baseline.json at the module root when present)`)
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline ledger from this run's findings and exit")
-	baselineCheck := flag.Bool("baseline-check", false, "fail on stale baseline entries too")
 	audit := flag.Bool("audit", false, "fail on stale lint:allow waivers too (forces the full suite)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 	flag.Parse()
@@ -62,12 +52,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		logg.Error("unknown format (want text, json, or sarif)", "format", *format)
-		os.Exit(2)
 	}
 
 	analyzers := analysis.All()
@@ -105,91 +89,15 @@ func main() {
 	}
 
 	diags, staleWaivers := analysis.RunAudit(pkgs, analyzers)
-	// Module-relative paths everywhere downstream: output, the baseline
-	// ledger, and SARIF artifact locations all want stable URIs.
-	for i := range diags {
-		diags[i].Pos.Filename = relTo(root, diags[i].Pos.Filename)
-	}
-	for i := range staleWaivers {
-		staleWaivers[i].Pos.Filename = relTo(root, staleWaivers[i].Pos.Filename)
-	}
-
-	ledgerPath := *baselinePath
-	switch ledgerPath {
-	case "":
-		p := filepath.Join(root, "lint-baseline.json")
-		if _, err := os.Stat(p); err == nil {
-			ledgerPath = p
-		}
-	case "none":
-		ledgerPath = ""
-	}
-
-	if *writeBaseline {
-		if ledgerPath == "" {
-			ledgerPath = filepath.Join(root, "lint-baseline.json")
-		}
-		data, err := analysis.NewBaseline(diags).Marshal()
-		if err != nil {
-			logg.Error(err.Error())
-			os.Exit(2)
-		}
-		if err := os.WriteFile(ledgerPath, data, 0o644); err != nil {
-			logg.Error(err.Error())
-			os.Exit(2)
-		}
-		logg.Info("baseline written", "path", ledgerPath, "findings", len(diags))
-		return
-	}
-
-	var staleEntries []analysis.BaselineEntry
-	if ledgerPath != "" {
-		data, err := os.ReadFile(ledgerPath)
-		if err != nil {
-			logg.Error(err.Error())
-			os.Exit(2)
-		}
-		ledger, err := analysis.ReadBaseline(data)
-		if err != nil {
-			logg.Error(err.Error())
-			os.Exit(2)
-		}
-		diags, staleEntries = ledger.Apply(diags)
-	}
-
-	report := diags
 	if *audit {
-		report = append(report, staleWaivers...)
+		diags = append(diags, staleWaivers...)
 	}
-
-	switch *format {
-	case "json":
-		err = analysis.WriteJSON(os.Stdout, report)
-	case "sarif":
-		err = analysis.WriteSARIF(os.Stdout, report, analyzers)
-	default:
-		for _, d := range report {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		d.Pos.Filename = relTo(root, d.Pos.Filename)
+		fmt.Println(d)
 	}
-	if err != nil {
-		logg.Error(err.Error())
-		os.Exit(2)
-	}
-
-	failed := false
-	if len(report) > 0 {
-		logg.Error("diagnostics reported", "count", len(report))
-		failed = true
-	}
-	if *baselineCheck && len(staleEntries) > 0 {
-		for _, e := range staleEntries {
-			fmt.Fprintf(os.Stderr, "stale baseline entry: %d x [%s] %s: %s\n", e.Count, e.Analyzer, e.File, e.Message)
-		}
-		logg.Error("stale baseline entries: the findings were fixed, delete their ledger entries", "count", len(staleEntries))
-		failed = true
-	}
-	if failed {
+	if len(diags) > 0 {
+		logg.Error("diagnostics reported", "count", len(diags))
 		os.Exit(1)
 	}
 }

@@ -62,62 +62,7 @@ type Pass struct {
 	Pkg     *types.Package
 	Info    *types.Info
 
-	flow *flowCache
 	sink *[]Diagnostic
-}
-
-// flowCache shares the expensive flow structures — the module-wide call
-// graph, per-function CFGs, and analyzer summaries — across every
-// (package, analyzer) pass of one Run.
-type flowCache struct {
-	pkgs []*Package
-	cg   *CallGraph
-	cfgs map[ast.Node]*CFG
-	// memo holds analyzer-owned module-wide computations (e.g. the
-	// blocks-forever summary), keyed by analyzer name.
-	memo map[string]any
-}
-
-func newFlowCache(pkgs []*Package) *flowCache {
-	return &flowCache{pkgs: pkgs, cfgs: make(map[ast.Node]*CFG), memo: make(map[string]any)}
-}
-
-func (f *flowCache) callGraph() *CallGraph {
-	if f.cg == nil {
-		f.cg = BuildCallGraph(f.pkgs)
-	}
-	return f.cg
-}
-
-func (f *flowCache) cfg(n *CGNode) *CFG {
-	if n == nil || n.Fn == nil {
-		return nil
-	}
-	c, ok := f.cfgs[n.Fn]
-	if !ok {
-		c = BuildCFG(n.Fn, n.Name)
-		f.cfgs[n.Fn] = c
-	}
-	return c
-}
-
-// CallGraph returns the call graph over every package of this run (the
-// whole module under cmd/sbgt-lint; the single loaded package in tests).
-func (p *Pass) CallGraph() *CallGraph { return p.flow.callGraph() }
-
-// CFGOf returns the (cached) control-flow graph of a call-graph node.
-func (p *Pass) CFGOf(n *CGNode) *CFG { return p.flow.cfg(n) }
-
-// Memo returns the analyzer's module-wide scratch value, creating it with
-// build on first use. Analyzers use it to compute interprocedural
-// summaries once instead of once per package.
-func (p *Pass) Memo(build func() any) any {
-	v, ok := p.flow.memo[p.Analyzer.Name]
-	if !ok {
-		v = build()
-		p.flow.memo[p.Analyzer.Name] = v
-	}
-	return v
 }
 
 // Reportf records a diagnostic at pos.
@@ -140,19 +85,26 @@ func (p *Pass) TypeOf(expr ast.Expr) types.Type {
 // "(net.Listener).Close". It returns "" for calls it cannot resolve
 // (function values, builtins, type conversions).
 func (p *Pass) CalleeName(call *ast.CallExpr) string {
-	var id *ast.Ident
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	default:
+	id := calleeIdent(call)
+	if id == nil {
 		return ""
 	}
 	if f, ok := p.Info.Uses[id].(*types.Func); ok {
 		return f.FullName()
 	}
 	return ""
+}
+
+// calleeIdent extracts the identifier a call resolves through: the name
+// of a plain call or the selector of a method or qualified call.
+func calleeIdent(call *ast.CallExpr) *ast.Ident {
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fn
+	case *ast.SelectorExpr:
+		return fn.Sel
+	}
+	return nil
 }
 
 // Inspect walks every file in the package in depth-first order.
@@ -198,7 +150,6 @@ func RunAudit(pkgs []*Package, analyzers []*Analyzer) (diags, stale []Diagnostic
 }
 
 func run(pkgs []*Package, analyzers []*Analyzer) (out, stale []Diagnostic) {
-	flow := newFlowCache(pkgs)
 	for _, pkg := range pkgs {
 		allows, allowDiags := collectAllows(pkg)
 		out = append(out, allowDiags...)
@@ -211,7 +162,6 @@ func run(pkgs []*Package, analyzers []*Analyzer) (out, stale []Diagnostic) {
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				flow:     flow,
 				sink:     &raw,
 			}
 			a.Run(pass)

@@ -63,9 +63,8 @@ func countByAnalyzer(diags []Diagnostic) map[string]int {
 }
 
 // TestSuiteCleanOnModule is the keystone regression: the full suite must
-// run clean over the real module tree modulo the committed baseline
-// ledger, with no stale waivers and no stale ledger entries — exactly the
-// CI gate (sbgt-lint -audit -baseline-check).
+// run clean over the real module tree with no stale waivers — exactly the
+// CI gate (sbgt-lint -audit).
 func TestSuiteCleanOnModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -82,29 +81,18 @@ func TestSuiteCleanOnModule(t *testing.T) {
 		t.Fatalf("loaded only %d packages from the module; loader lost coverage", len(pkgs))
 	}
 	diags, staleWaivers := RunAudit(pkgs, All())
-	for i := range diags {
-		if rel, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil {
-			diags[i].Pos.Filename = rel
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(root, "lint-baseline.json"))
-	if err != nil {
-		t.Fatalf("committed baseline ledger unreadable: %v", err)
-	}
-	ledger, err := ReadBaseline(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, staleEntries := ledger.Apply(diags)
-	for _, d := range fresh {
+	for _, d := range diags {
 		t.Errorf("unexpected diagnostic on clean tree: %s", d)
 	}
 	for _, d := range staleWaivers {
 		t.Errorf("stale waiver: %s", d)
 	}
-	for _, e := range staleEntries {
-		t.Errorf("stale baseline entry: %d x [%s] %s: %s", e.Count, e.Analyzer, e.File, e.Message)
-	}
+}
+
+// TestGoroutineleakGolden pins the goroutine-leak check on a fixture
+// holding true positives, clean spawns and one waived false positive.
+func TestGoroutineleakGolden(t *testing.T) {
+	runGolden(t, "goroutineleak", "repro/internal/goroutineleak", "goroutineleak", []*Analyzer{Goroutineleak})
 }
 
 func TestByName(t *testing.T) {

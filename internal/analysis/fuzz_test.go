@@ -41,47 +41,3 @@ func FuzzAllowParser(f *testing.F) {
 		}
 	})
 }
-
-// FuzzBaselineReader drives the committed-ledger parser with hostile
-// bytes: malformed JSON, wrong versions, and truncated documents must
-// return an error, never panic, and an accepted baseline must satisfy the
-// invariants ReadBaseline promises (version match, positive counts, no
-// duplicate keys).
-func FuzzBaselineReader(f *testing.F) {
-	f.Add([]byte(`{"version": 1, "entries": []}`))
-	f.Add([]byte(`{"version": 1, "entries": [{"analyzer": "deadline", "file": "a.go", "message": "m", "count": 2}]}`))
-	f.Add([]byte(`{"version": 9}`))
-	f.Add([]byte(`{"version": 1, "entries": [{"count": -1}]}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(``))
-	f.Add([]byte("\x00\x01\x02"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := ReadBaseline(data)
-		if err != nil {
-			return
-		}
-		if b.Version != baselineVersion {
-			t.Fatalf("accepted version %d", b.Version)
-		}
-		seen := map[string]bool{}
-		for _, e := range b.Entries {
-			if e.Analyzer == "" || e.File == "" || e.Message == "" || e.Count < 1 {
-				t.Fatalf("accepted invalid entry %+v", e)
-			}
-			key := baselineKey(e.Analyzer, e.File, e.Message)
-			if seen[key] {
-				t.Fatalf("accepted duplicate entry %+v", e)
-			}
-			seen[key] = true
-		}
-		// An accepted ledger must survive a marshal/read round trip.
-		data2, err := b.Marshal()
-		if err != nil {
-			t.Fatalf("marshal of accepted baseline failed: %v", err)
-		}
-		if _, err := ReadBaseline(data2); err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-	})
-}

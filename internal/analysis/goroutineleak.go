@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 )
 
 // Goroutineleak flags `go` statements that spawn a function which can
@@ -11,24 +12,21 @@ import (
 // channel nobody will ever service is a leak: it pins its stack, its
 // captures, and — in this codebase — often a connection or a shard.
 //
-// The analysis is flow- and call-graph-sensitive. The spawned function
-// (a literal or a statically resolved module function) and everything it
-// statically calls are scanned for blocking operations reachable from
-// entry in their CFGs:
+// The check is syntactic and reads one function: the spawned literal, or
+// a function declared in the same package. Its body (nested literals
+// excluded; they run on their own schedule) is scanned for
 //
-//   - a channel send outside select,
-//   - a channel receive outside select (close unblocks it, but only if
-//     some path actually closes the channel — the waiver documents that),
+//   - a channel send or receive outside select (a receive unblocks on
+//     close, but only if some path closes the channel — a waiver
+//     documents that),
 //   - a select with neither a default case nor a cancellation arm
 //     (<-ctx.Done(), <-time.After(...), a .C timer channel),
-//   - sync.WaitGroup.Wait and sync.Cond.Wait, in the spawned function's
-//     own body only: a Wait inside a transitive callee is overwhelmingly
-//     a structured fork-join whose completion the callee guarantees.
+//   - sync.WaitGroup.Wait or sync.Cond.Wait.
 //
-// Ranging over a channel is treated as cancellable (close terminates the
-// loop), which keeps the engine pool's worker pattern clean by
-// construction. Dynamic calls (function values, interface methods) are
-// not followed.
+// Callees are not followed: a Wait inside one is overwhelmingly a
+// structured fork-join whose completion the callee guarantees. Ranging
+// over a channel is treated as cancellable (close terminates the loop),
+// which keeps the engine pool's worker pattern clean by construction.
 var Goroutineleak = &Analyzer{
 	Name: "goroutineleak",
 	Doc: "flag go statements whose function can block forever on a " +
@@ -36,231 +34,95 @@ var Goroutineleak = &Analyzer{
 	Run: runGoroutineleak,
 }
 
-// blockSite is one blocking operation found in a function.
-type blockSite struct {
-	desc string
-	pos  token.Pos
-}
-
-// leakSummaries memoizes, per call-graph node, the first uncancellable
-// blocking operation transitively reachable through static calls (nil if
-// none).
-type leakSummaries struct {
-	cg   *CallGraph
-	memo map[cacheKey]*blockSite
-	// visiting breaks call cycles: a cycle is optimistically assumed
-	// non-blocking while being explored; any real blocking op on the cycle
-	// is still found when the walk returns to it.
-	visiting map[*CGNode]bool
-	flow     *flowCache
-}
-
 func runGoroutineleak(pass *Pass) {
-	sums := pass.Memo(func() any {
-		return &leakSummaries{
-			cg:       pass.CallGraph(),
-			memo:     make(map[cacheKey]*blockSite),
-			visiting: make(map[*CGNode]bool),
-			flow:     pass.flow,
+	decls := map[types.Object]*ast.FuncDecl{}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				if obj := pass.Info.Defs[fd.Name]; obj != nil {
+					decls[obj] = fd
+				}
+			}
 		}
-	}).(*leakSummaries)
-
+	}
 	pass.Inspect(func(n ast.Node) bool {
 		g, ok := n.(*ast.GoStmt)
 		if !ok {
 			return true
 		}
-		target := sums.resolveTarget(pass, g.Call)
-		if target == nil {
+		var body *ast.BlockStmt
+		if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+			body = lit.Body
+		} else if id := calleeIdent(g.Call); id != nil {
+			if fd := decls[pass.Info.Uses[id]]; fd != nil {
+				body = fd.Body
+			}
+		}
+		if body == nil {
 			return true
 		}
-		if site := sums.blocks(target, true); site != nil {
-			pos := pass.Fset.Position(site.pos)
+		if desc, at := firstBlock(pass, body); at.IsValid() {
+			pos := pass.Fset.Position(at)
 			pass.Reportf(g.Pos(),
-				"goroutine may block forever: %s in %s (%s:%d) has no cancellation path; select on a done/context channel, add a default, or close the channel",
-				site.desc, target.Name, shortFile(pos.Filename), pos.Line)
+				"goroutine may block forever: %s at %s:%d has no cancellation path; select on a done/context channel, add a default, or close the channel",
+				desc, filepath.Base(pos.Filename), pos.Line)
 		}
 		return true
 	})
 }
 
-// resolveTarget maps a go statement's call to the spawned function's
-// call-graph node: a literal, or a statically resolved module function.
-func (s *leakSummaries) resolveTarget(pass *Pass, call *ast.CallExpr) *CGNode {
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		return s.cg.NodeForLit(lit)
-	}
-	if id := calleeIdent(call); id != nil {
-		if obj, ok := pass.Info.Uses[id].(*types.Func); ok {
-			return s.cg.NodeFor(obj)
+// firstBlock returns the first uncancellable blocking operation in body,
+// or an invalid position when there is none.
+func firstBlock(pass *Pass, body *ast.BlockStmt) (desc string, at token.Pos) {
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		if at.IsValid() {
+			return false
 		}
-	}
-	return nil
-}
-
-// blocks returns the first uncancellable blocking site reachable from
-// node, or nil. direct marks the immediately spawned function: WaitGroup
-// and Cond waits only count there — a Wait inside a transitive callee is
-// overwhelmingly the structured fork-join pattern (engine.Pool.For,
-// Pool.Close) whose completion the callee itself guarantees, while a Wait
-// directly inside a spawned watcher is the shape that leaks.
-func (s *leakSummaries) blocks(node *CGNode, direct bool) *blockSite {
-	if site, ok := s.memo[cacheKey{node, direct}]; ok {
-		return site
-	}
-	if s.visiting[node] {
-		return nil
-	}
-	s.visiting[node] = true
-	defer delete(s.visiting, node)
-
-	site := s.localBlock(node, direct)
-	if site == nil {
-		for _, e := range node.Calls {
-			if e.Ref {
-				continue // a captured value may never run; calls only
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.SelectStmt:
+			if !selectCancellable(pass, n) {
+				desc, at = "select with no default or cancellation arm", n.Pos()
+				return false
 			}
-			if inner := s.blocks(e.Callee, false); inner != nil {
-				site = inner
-				break
-			}
-		}
-	}
-	s.memo[cacheKey{node, direct}] = site
-	return site
-}
-
-type cacheKey struct {
-	node   *CGNode
-	direct bool
-}
-
-// localBlock scans one function's CFG-reachable statements for an
-// uncancellable blocking operation.
-func (s *leakSummaries) localBlock(node *CGNode, direct bool) *blockSite {
-	cfg := s.flow.cfg(node)
-	if cfg == nil {
-		return nil
-	}
-	info := node.Pkg.Info
-	reach := cfg.Reachable(cfg.Entry)
-
-	// Select comm statements are exempt from the send/recv checks: their
-	// blocking semantics are judged per select statement. The SelectStmt
-	// node itself lives in no CFG block (dispatch scatters its clauses), so
-	// selects are collected here and judged against their clauses' blocks.
-	comms := map[ast.Node]bool{}
-	var selects []*ast.SelectStmt
-	inspectNoLits(funcBody(node.Fn), func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectStmt); ok {
-			selects = append(selects, sel)
-			for _, cl := range sel.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm != nil {
-					comms[cc.Comm] = true
+			// The comm statements are judged with their select; only the
+			// clause bodies can block on their own.
+			for _, cl := range n.Body.List {
+				for _, s := range cl.(*ast.CommClause).Body {
+					ast.Inspect(s, visit)
 				}
 			}
-		}
-		return true
-	})
-
-	var found *blockSite
-	for _, blk := range cfg.Blocks {
-		if !reach[blk] || found != nil {
-			continue
-		}
-		for _, bn := range blk.Nodes {
-			if found != nil {
-				break
+			return false
+		case *ast.SendStmt:
+			desc, at = "channel send", n.Pos()
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				desc, at = "channel receive", n.Pos()
 			}
-			inspectNoLits(bn, func(n ast.Node) bool {
-				if found != nil {
-					return false
-				}
-				switch n := n.(type) {
-				case *ast.SendStmt:
-					if !comms[n] && !insideComm(comms, bn, n) {
-						found = &blockSite{"channel send", n.Pos()}
-						return false
-					}
-				case *ast.UnaryExpr:
-					if n.Op == token.ARROW && !insideComm(comms, bn, n) {
-						found = &blockSite{"channel receive", n.Pos()}
-						return false
-					}
-				case *ast.CallExpr:
-					if direct {
-						switch fullCalleeName(info, n) {
-						case "(*sync.WaitGroup).Wait":
-							found = &blockSite{"sync.WaitGroup.Wait", n.Pos()}
-							return false
-						case "(*sync.Cond).Wait":
-							found = &blockSite{"sync.Cond.Wait", n.Pos()}
-							return false
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	if found == nil {
-		for _, sel := range selects {
-			if selectCancellable(info, sel) || !selectInReach(cfg, reach, sel) {
-				continue
+		case *ast.CallExpr:
+			switch pass.CalleeName(n) {
+			case "(*sync.WaitGroup).Wait":
+				desc, at = "sync.WaitGroup.Wait", n.Pos()
+			case "(*sync.Cond).Wait":
+				desc, at = "sync.Cond.Wait", n.Pos()
 			}
-			found = &blockSite{"select with no default or cancellation arm", sel.Pos()}
-			break
 		}
+		return !at.IsValid()
 	}
-	return found
-}
-
-// selectInReach reports whether sel executes on some entry-reachable
-// path, judged by its comm statements' blocks (an empty `select {}` has
-// none to locate and is skipped — its surrounding code is unreachable
-// anyway, which is its own problem).
-func selectInReach(cfg *CFG, reach map[*Block]bool, sel *ast.SelectStmt) bool {
-	for _, cl := range sel.Body.List {
-		cc, ok := cl.(*ast.CommClause)
-		if !ok || cc.Comm == nil {
-			continue
-		}
-		if ref, ok := cfg.findNode(cc.Comm); ok && reach[ref.block] {
-			return true
-		}
-	}
-	return false
-}
-
-// insideComm reports whether inner sits inside a select comm statement
-// within the block node bn (comm clauses' guards are judged with their
-// select, not as bare sends/receives).
-func insideComm(comms map[ast.Node]bool, bn, inner ast.Node) bool {
-	if comms[bn] {
-		return true
-	}
-	for comm := range comms {
-		if containsNode(comm, inner) {
-			return true
-		}
-	}
-	return false
+	ast.Inspect(body, visit)
+	return desc, at
 }
 
 // selectCancellable reports whether a select statement has an escape arm:
 // a default case, a receive from ctx.Done()/time.After/time.Tick, or a
 // receive from a timer/ticker .C channel.
-func selectCancellable(info *types.Info, sel *ast.SelectStmt) bool {
+func selectCancellable(pass *Pass, sel *ast.SelectStmt) bool {
 	for _, cl := range sel.Body.List {
-		cc, ok := cl.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		if cc.Comm == nil {
-			return true // default case
-		}
-		if recvChannelIsCancel(info, cc.Comm) {
-			return true
+		cc := cl.(*ast.CommClause)
+		if cc.Comm == nil || recvChannelIsCancel(pass, cc.Comm) {
+			return true // default case or cancellation receive
 		}
 	}
 	return false
@@ -268,7 +130,7 @@ func selectCancellable(info *types.Info, sel *ast.SelectStmt) bool {
 
 // recvChannelIsCancel inspects one comm statement for a cancellation
 // receive.
-func recvChannelIsCancel(info *types.Info, comm ast.Stmt) bool {
+func recvChannelIsCancel(pass *Pass, comm ast.Stmt) bool {
 	var expr ast.Expr
 	switch c := comm.(type) {
 	case *ast.ExprStmt:
@@ -284,7 +146,7 @@ func recvChannelIsCancel(info *types.Info, comm ast.Stmt) bool {
 	}
 	switch ch := ast.Unparen(un.X).(type) {
 	case *ast.CallExpr:
-		switch fullCalleeName(info, ch) {
+		switch pass.CalleeName(ch) {
 		case "time.After", "time.Tick":
 			return true
 		}
@@ -292,10 +154,10 @@ func recvChannelIsCancel(info *types.Info, comm ast.Stmt) bool {
 			return true // context.Context.Done or a done()-style accessor
 		}
 	case *ast.SelectorExpr:
-		if ch.Sel.Name == "C" {
+		switch ch.Sel.Name {
+		case "C":
 			return true // time.Timer.C / time.Ticker.C
-		}
-		if ch.Sel.Name == "done" || ch.Sel.Name == "quit" || ch.Sel.Name == "stop" {
+		case "done", "quit", "stop":
 			return true // conventional cancellation channel fields
 		}
 	case *ast.Ident:
@@ -305,19 +167,4 @@ func recvChannelIsCancel(info *types.Info, comm ast.Stmt) bool {
 		}
 	}
 	return false
-}
-
-// shortFile trims a path to its final two segments for message brevity.
-func shortFile(path string) string {
-	parts := []rune(path)
-	slashes := 0
-	for i := len(parts) - 1; i >= 0; i-- {
-		if parts[i] == '/' {
-			slashes++
-			if slashes == 2 {
-				return string(parts[i+1:])
-			}
-		}
-	}
-	return path
 }

@@ -1,13 +1,8 @@
 package analysis
 
-// All returns the full analyzer suite in a stable order: the original
-// AST-shape analyzers first, then the flow-sensitive ones built on the
-// CFG and call graph.
+// All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		Determinism, Concurrency, Floats, Errcheck, Obslog,
-		Goroutineleak, Lockdiscipline, Deadline, Ctxflow,
-	}
+	return []*Analyzer{Determinism, Concurrency, Floats, Errcheck, Obslog, Goroutineleak}
 }
 
 // ByName returns the named analyzers, or nil plus the first unknown name.

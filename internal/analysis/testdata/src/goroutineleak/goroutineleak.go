@@ -17,8 +17,8 @@ func leakSend() chan int {
 	return ch
 }
 
-// pump blocks on every iteration; leakNamed spawns it through the call
-// graph rather than a literal.
+// pump blocks on every iteration; leakNamed spawns it by name rather
+// than as a literal.
 func pump(ch chan int) {
 	for {
 		ch <- 0

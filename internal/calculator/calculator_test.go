@@ -203,3 +203,55 @@ func TestCompare(t *testing.T) {
 		t.Error("bad prevalence accepted")
 	}
 }
+
+// TestCtSensitivityIsAProbability pins that a continuous readout's
+// positive call is priced by its censored-negative mass, not by the Ct
+// density at zero: an undiluted DefaultCt sample crosses threshold by
+// cycle 40 almost surely.
+func TestCtSensitivityIsAProbability(t *testing.T) {
+	ct := dilution.DefaultCt()
+	if d := Individual(ct); math.Abs(d.Sens-1) > 1e-9 {
+		t.Fatalf("individual sens under ct = %v, want 1", d.Sens)
+	}
+	if d := Dorfman(0.05, 8, ct); d.Sens < 0.99 {
+		t.Fatalf("dorfman-8 sens under ct = %v, want ≥ 0.99", d.Sens)
+	}
+}
+
+// TestBinaryRowsUnchanged holds every binary response's Individual and
+// Dorfman rows to the L(positive | k, n) reading they had before P(positive)
+// became 1 − L(negative | k, n): for a binary outcome the two agree.
+func TestBinaryRowsUnchanged(t *testing.T) {
+	for _, resp := range []dilution.Response{
+		dilution.Ideal{},
+		dilution.Binary{Sens: 0.95, Spec: 0.99},
+		dilution.Hyperbolic{MaxSens: 0.98, Spec: 0.995, D: 0.25},
+		dilution.Logistic{MaxSens: 0.99, Spec: 0.99, Alpha: 4, Beta: 1.5},
+		dilution.Subsample{Q: 0.95, Spec: 0.99},
+	} {
+		pos := func(k, n int) float64 { return resp.Likelihood(dilution.Positive, k, n) }
+		near := func(what string, got, want float64) {
+			if math.Abs(got-want) > 1e-12 {
+				t.Errorf("%s %s = %v, L(positive) reading %v", resp.Name(), what, got, want)
+			}
+		}
+		ind := Individual(resp)
+		near("individual sens", ind.Sens, pos(1, 1))
+		for _, p := range []float64{0.01, 0.05, 0.2} {
+			for _, k := range []int{2, 8, 32} {
+				var block, sens, fp float64
+				for j := 0; j <= k; j++ {
+					block += binomPMF(k, j, p) * pos(j, k)
+				}
+				for j := 0; j < k; j++ {
+					sens += binomPMF(k-1, j, p) * pos(j+1, k)
+					fp += binomPMF(k-1, j, p) * pos(j, k)
+				}
+				d := Dorfman(p, k, resp)
+				near("dorfman tests", d.TestsPerSubject, 1/float64(k)+block)
+				near("dorfman sens", d.Sens, sens*pos(1, 1))
+				near("dorfman spec", d.Spec, 1-fp*pos(0, 1))
+			}
+		}
+	}
+}

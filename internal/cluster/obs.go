@@ -63,14 +63,12 @@ type countingConn struct {
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
-	//lint:allow deadline passthrough wrapper; the owner of the wrapped conn arms deadlines
 	n, err := c.Conn.Read(p)
 	c.recv.Add(uint64(n))
 	return n, err
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
-	//lint:allow deadline passthrough wrapper; the owner of the wrapped conn arms deadlines
 	n, err := c.Conn.Write(p)
 	c.sent.Add(uint64(n))
 	return n, err

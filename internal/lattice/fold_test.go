@@ -151,6 +151,22 @@ func TestSumWhereStretchesMatchWalk(t *testing.T) {
 	}
 }
 
+// TestSumWhereOddMasks: a mask above every state (up to the top bit,
+// whose stretch stride 2·mask wraps to 0) and a base with bits outside
+// its mask still answer what the masked walk does, and return.
+func TestSumWhereOddMasks(t *testing.T) {
+	data := []float64{0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625}
+	for _, c := range []struct{ mask, base uint64 }{
+		{1 << 63, 0}, {1 << 63, 1 << 63}, {1 << 62, 0}, {1 << 40, 0},
+		{4, 1}, {4, 5}, {8, 1 << 63}, {3, 4},
+	} {
+		got, want := SumWhere(1, data, c.mask, c.base), sumWhereWalk(1, data, c.mask, c.base)
+		if got.Value() != want.Value() { //lint:allow floats both sides run the same per-state walk or return exactly 0
+			t.Errorf("SumWhere(mask %#x, base %#x) = %v, masked walk %v", c.mask, c.base, got.Value(), want.Value())
+		}
+	}
+}
+
 // TestPriorClosedFormTotalAndPrefix: the total New takes its scale from and
 // the prefix masses a model at its prior answers are closed forms of the
 // risks; both must be what sweeping the lattice FillDoubling wrote finds —

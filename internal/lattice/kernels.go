@@ -482,7 +482,8 @@ func AddCleanMasses(offset uint64, data []float64, masks []uint64, out []float64
 
 // SumWhere returns the compensated mass of the run's states s with
 // s&mask == base: a clean-pool mass (base 0), a conditioning event's mass
-// (mask one bit), or with mask 0 the run's total.
+// (mask one bit), or with mask 0 the run's total. A base with a bit
+// outside mask matches no state.
 //
 // States are visited in index order, one compensated add each — except
 // under a single-bit mask of at least 4, the conditioning preflight: the
@@ -491,7 +492,12 @@ func AddCleanMasses(offset uint64, data []float64, masks []uint64, out []float64
 // relative of the per-state sum; an all-zero event is exactly 0 either way).
 func SumWhere(offset uint64, data []float64, mask, base uint64) prob.Accumulator {
 	var acc prob.Accumulator
-	if mask < 4 || mask&(mask-1) != 0 {
+	if base&^mask != 0 {
+		return acc // s&mask has no bit outside mask
+	}
+	// The top bit takes the per-state walk too: its stretch stride 2·mask
+	// would wrap to 0.
+	if mask < 4 || mask > 1<<62 || mask&(mask-1) != 0 {
 		for j, w := range data {
 			if (offset+uint64(j))&mask == base {
 				acc.Add(w)

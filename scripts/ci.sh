@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Full CI gate: build, gofmt, vet, repo-invariant lint, tests, the example
-# programs, race tests, fuzz smoke, serve smoke (which runs sbgt-metriclint over the live registry).
+# programs, race tests, fuzz smoke, serve smoke.
 # Mirrors .github/workflows/ci.yml so the same gate runs locally via
 # `make ci`. Fails on the first broken step.
 set -eu
@@ -21,9 +21,8 @@ fi
 echo '== go vet =='
 go vet ./...
 
-echo '== sbgt-lint (waiver audit + baseline check) =='
+echo '== sbgt-lint (waiver audit) =='
 go run ./cmd/sbgt-lint -audit ./...
-go run ./cmd/sbgt-lint -baseline-check ./...
 
 echo '== go test =='
 go test ./...
@@ -44,8 +43,9 @@ go test ./internal/prob -run FuzzLogSumExp -fuzz FuzzLogSumExp -fuzztime 10s
 go test ./internal/bitvec -run FuzzBitVecRoundTrip -fuzz FuzzBitVecRoundTrip -fuzztime 10s
 go test ./internal/obs -run FuzzTraceContextRoundTrip -fuzz FuzzTraceContextRoundTrip -fuzztime 10s
 go test ./internal/analysis -run xxx -fuzz FuzzAllowParser -fuzztime 10s
-go test ./internal/analysis -run xxx -fuzz FuzzBaselineReader -fuzztime 10s
 go test ./internal/core -run xxx -fuzz FuzzSessionCheckpointLoad -fuzztime 10s
+go test ./internal/cluster -run xxx -fuzz FuzzExecutorDispatch -fuzztime 10s
+go test ./internal/serve -run xxx -fuzz FuzzServerAPI -fuzztime 10s
 
 echo '== serve smoke (boot sbgt-serve, drive over HTTP, drain on SIGTERM) =='
 ./scripts/serve_smoke.sh

@@ -101,10 +101,6 @@ grep -q 'requests' "$dir/top.txt" || { echo 'sbgt-top rendered nothing'; cat "$d
 grep -q 'flight:' "$dir/top.txt" || { echo 'sbgt-top missing flight section'; cat "$dir/top.txt"; exit 1; }
 grep -q '^  layer request ' "$dir/top.txt" || { echo 'sbgt-top missing the anomaly layer split'; cat "$dir/top.txt"; exit 1; }
 
-echo '== sbgt-metriclint (naming + cardinality over the live registry) =='
-curl -sSf "$base/metrics.json" >"$dir/metrics.json"
-go run ./cmd/sbgt-metriclint "$dir/metrics.json"
-
 echo '== drain on SIGTERM =='
 kill -TERM "$pid"
 wait "$pid" || { echo 'server exited non-zero'; cat "$dir/serve.log"; exit 1; }
