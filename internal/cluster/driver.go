@@ -114,10 +114,6 @@ type Model struct {
 // invalid (zero) context disables tracing for subsequent calls.
 func (m *Model) SetTraceContext(tc obs.TraceContext) { m.parent = tc }
 
-// Tracer exposes the tracer RPC spans record into (nil when tracing is
-// not wired), for callers that assemble or export the trace.
-func (m *Model) Tracer() *obs.Tracer { return m.tracer }
-
 // call issues one RPC on c, wrapped in a driver-side span when tracing
 // is active: the span's context rides in the request frame, and the
 // executor's completed spans come back in the response trailer and are
@@ -301,7 +297,7 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 }
 
 // Close tears down every connection. Executors stay alive for the next
-// driver; use Shutdown to terminate them.
+// driver; they stop when their owner closes their listeners.
 func (m *Model) Close() {
 	for _, c := range m.conns {
 		if c.nc != nil {
@@ -309,14 +305,6 @@ func (m *Model) Close() {
 		}
 	}
 	m.conns = nil
-}
-
-// Shutdown asks every executor process to exit, then closes connections.
-func (m *Model) Shutdown() {
-	for _, c := range m.conns {
-		_, _ = c.call(Request{Op: OpShutdown}) //lint:allow errcheck best-effort shutdown fan-out; executor exit races the response
-	}
-	m.Close()
 }
 
 // N returns the cohort size.
@@ -473,16 +461,6 @@ func (m *Model) Marginals() ([]float64, error) {
 	})
 }
 
-// NegMass returns P(S ∩ pool = ∅ | data).
-func (m *Model) NegMass(pool bitvec.Mask) (float64, error) {
-	if err := m.settle(); err != nil {
-		return 0, err
-	}
-	return m.fanoutSum(func(*conn) Request {
-		return Request{Op: OpSumWhere, Pool: uint64(pool)}
-	})
-}
-
 // NegMasses scores every candidate pool in one distributed sweep.
 func (m *Model) NegMasses(cands []bitvec.Mask) ([]float64, error) {
 	if len(cands) == 0 {
@@ -503,7 +481,7 @@ func (m *Model) NegMasses(cands []bitvec.Mask) ([]float64, error) {
 // Entropy returns the posterior entropy in bits.
 func (m *Model) Entropy() (float64, error) {
 	if m.prior {
-		return lattice.PriorSummary(m.risks).EntropyBits, nil
+		return lattice.PriorEntropy(m.risks), nil
 	}
 	if err := m.settle(); err != nil {
 		return 0, err
@@ -515,54 +493,6 @@ func (m *Model) Entropy() (float64, error) {
 		return 0, err
 	}
 	return nats / math.Ln2, nil
-}
-
-// Summary is the driver-side merged fused digest.
-type Summary = lattice.Summary
-
-// Summary gathers the digest a session opens with in ONE distributed
-// round trip — marginals, entropy, MAP, expected-infected, and total
-// mass — where the separate kernels would pay four. Executor
-// partials merge in rank order with compensated accumulators; the argmax
-// takes the lowest state on ties (shards are rank-ordered by state range,
-// so first-wins is the lowest state).
-func (m *Model) Summary() (*Summary, error) {
-	if m.prior {
-		return lattice.PriorSummary(m.risks), nil
-	}
-	if err := m.settle(); err != nil {
-		return nil, err
-	}
-	resps, err := m.fanout(func(*conn) Request { return Request{Op: OpSummary} })
-	if err != nil {
-		return nil, err
-	}
-	out := &Summary{Marginals: slices.Clone(m.marg), MAPMass: math.Inf(-1)} // held: Marginals' answer, as on lattice.Model
-	margs := make([][]float64, len(resps))
-	var ent, exp, mass prob.Accumulator
-	for i, r := range resps {
-		ws := r.Summary
-		if ws == nil {
-			return nil, fmt.Errorf("cluster: executor %d returned no summary payload", i)
-		}
-		if len(ws.Marginals) != m.n {
-			return nil, fmt.Errorf("cluster: summary marginals have %d entries, want %d", len(ws.Marginals), m.n)
-		}
-		margs[i] = ws.Marginals
-		ent.Add(ws.Entropy)
-		exp.Add(ws.Expected)
-		mass.Add(ws.Mass)
-		if ws.MAPOK && (ws.MAPMass > out.MAPMass || (ws.MAPMass == out.MAPMass && ws.MAPState < uint64(out.MAPState))) { //lint:allow floats exact equality is the deterministic argmax tie-break
-			out.MAPState, out.MAPMass = bitvec.Mask(ws.MAPState), ws.MAPMass
-		}
-	}
-	if out.Marginals == nil {
-		out.Marginals = lattice.MergeVec(margs, m.n, 1)
-	}
-	out.EntropyBits = ent.Value() / math.Ln2
-	out.ExpectedInfected = exp.Value()
-	out.Mass = mass.Value()
-	return out, nil
 }
 
 // Mass returns the total posterior mass (≈1 between updates).

@@ -69,30 +69,27 @@ func (e *Executor) SetIdleTimeout(d time.Duration) {
 // Close releases the local worker pool.
 func (e *Executor) Close() { e.pool.Close() }
 
-// Serve accepts driver connections on l until l is closed or a Shutdown
-// request arrives. Each connection is handled serially — the protocol has
-// a single driver — and a dropped connection returns the executor to
-// accepting, so a restarted driver can reclaim a live executor (the
-// re-sent BuildPrior re-materializes the shard).
+// Serve accepts driver connections on l until l is closed. Each connection
+// is handled serially — the protocol has a single driver — and a dropped
+// connection returns the executor to accepting, so a restarted driver can
+// reclaim a live executor (the re-sent BuildPrior re-materializes the
+// shard). No request stops the executor: its owner closes the listener.
 func (e *Executor) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return err
 		}
-		shutdown := e.handle(conn)
+		e.handle(conn)
 		if err := conn.Close(); err != nil {
 			e.log.Warn("cluster executor: close conn", "err", err)
-		}
-		if shutdown {
-			return nil
 		}
 	}
 }
 
-// handle runs one connection's request loop. It reports whether a
-// shutdown was requested.
-func (e *Executor) handle(conn net.Conn) bool {
+// handle runs one connection's request loop until the driver hangs up or
+// the connection fails.
+func (e *Executor) handle(conn net.Conn) {
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {
@@ -101,7 +98,7 @@ func (e *Executor) handle(conn net.Conn) bool {
 			// driver releases the (serial) accept loop instead of holding it.
 			if err := conn.SetReadDeadline(time.Now().Add(e.idle)); err != nil {
 				e.log.Warn("cluster executor: arm read deadline", "err", err)
-				return false
+				return
 			}
 		}
 		var req Request
@@ -109,25 +106,20 @@ func (e *Executor) handle(conn net.Conn) bool {
 			if !errors.Is(err, io.EOF) {
 				e.log.Warn("cluster executor: decode", "err", err)
 			}
-			return false
+			return
 		}
 		if e.idle > 0 {
 			// A fresh write window per response: the read deadline above may
 			// be nearly spent by the time a long kernel finishes.
 			if err := conn.SetWriteDeadline(time.Now().Add(e.idle)); err != nil {
 				e.log.Warn("cluster executor: arm write deadline", "err", err)
-				return false
+				return
 			}
-		}
-		if req.Op == OpShutdown {
-			//lint:allow errcheck best-effort shutdown ack; the driver may already have hung up
-			_ = enc.Encode(Response{Op: OpShutdown})
-			return true
 		}
 		resp := e.serve(req)
 		if err := enc.Encode(resp); err != nil {
 			e.log.Warn("cluster executor: encode", "err", err)
-			return false
+			return
 		}
 	}
 }
@@ -198,8 +190,6 @@ func (e *Executor) dispatch(req Request) Response {
 		return e.mass(req)
 	case OpPrefix:
 		return e.prefixScan(req)
-	case OpSummary:
-		return e.summary(req)
 	default:
 		return errorf(req.Op, "unknown op")
 	}
@@ -412,21 +402,6 @@ func (e *Executor) prefixScan(req Request) Response {
 	out := make([]float64, len(req.Order)+1)
 	tbl.AddMinRankMasses(e.lo, e.data, out)
 	return Response{Op: req.Op, Vec: out}
-}
-
-// summary computes the shard's digest: marginal partials and the scalar
-// statistics with the shard-local argmax, from the shared kernels. Entropy
-// ships in nats; the driver merges executor partials in rank order and
-// converts to bits once.
-func (e *Executor) summary(req Request) Response {
-	ws := &WireSummary{Marginals: make([]float64, e.n), MAPOK: len(e.data) > 0}
-	lattice.AddMarginals(e.lo, e.data, ws.Marginals)
-	d := lattice.ScanDigest(e.lo, e.data)
-	ws.Entropy, ws.Expected, ws.Mass = d.Entropy.Value(), d.Expected.Value(), d.Mass.Value()
-	if ws.MAPOK { // else keep the wire form finite; MAPOK marks the argmax absent
-		ws.MAPState, ws.MAPMass = d.MAPState, d.MAPMass
-	}
-	return Response{Op: req.Op, Summary: ws}
 }
 
 // mass sums the whole shard: SumWhere with mask 0 keeps every state.

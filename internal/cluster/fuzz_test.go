@@ -99,7 +99,7 @@ func FuzzExecutorDispatch(f *testing.F) {
 	f.Add(cat(prior, req(OpUpdateMul, 3, 0, 0, 0, 0, 60, 20, 5)))
 	f.Add(cat(prior, req(OpDotLik, 1, 0, 0, 0, 0, 64, 0), req(OpScale, 0, 0, 0, 0, 128)))
 	f.Add(cat(prior, req(OpCollapse, 2, 2, 0, 0, 80), req(OpLoadShard, 0, 0, 0, 8, 0)))
-	f.Add(cat(prior, req(OpSummary, 0, 0, 0, 0, 0), req(OpFetch, 0, 0, 4, 12, 0), req(OpMass, 0, 0, 0, 0, 0)))
+	f.Add(cat(prior, req(OpEntropy, 0, 0, 0, 0, 0), req(OpMarginals, 0, 0, 0, 0, 0), req(OpFetch, 0, 0, 4, 12, 0), req(OpMass, 0, 0, 0, 0, 0)))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		b := fuzzBytes(in)

@@ -10,8 +10,8 @@ import (
 // allOps enumerates the protocol for per-op metric registration.
 var allOps = []Op{
 	OpPing, OpBuildPrior, OpUpdateMul, OpScale, OpSumWhere, OpMarginals,
-	OpNegMasses, OpEntropy, OpMass, OpFetch, OpShutdown,
-	OpPrefix, OpLoadShard, OpSummary, OpCollapse, OpDotLik,
+	OpNegMasses, OpEntropy, OpMass, OpFetch,
+	OpPrefix, OpLoadShard, OpCollapse, OpDotLik,
 }
 
 // clusterMetrics is the driver-side reporting surface, shared by every

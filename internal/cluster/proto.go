@@ -39,10 +39,8 @@ const (
 	OpEntropy              // partial Σ −p·ln p
 	OpMass                 // partial total mass
 	OpFetch                // return the shard's states outside [Lo, Hi): all of it (snapshots), or what a rebalance moves off it
-	OpShutdown             // close the executor process
 	OpPrefix               // partial min-rank histogram for the halving prefix scan
 	OpLoadShard            // re-base the shard to [Lo, Hi): keep the overlap, splice Data around it
-	OpSummary              // fused shard digest: marginals + entropy + MAP + E[|S|] + mass
 	OpCollapse             // condition the shard on s&Pool == Base in place, scaled by Factor
 	OpDotLik               // partial Σ π(s)·Lik[|s∩Pool|] with the shard untouched: the look before an OpUpdateMul whose table has a zero
 )
@@ -70,14 +68,10 @@ func (o Op) String() string {
 		return "mass"
 	case OpFetch:
 		return "fetch"
-	case OpShutdown:
-		return "shutdown"
 	case OpPrefix:
 		return "prefix-scan"
 	case OpLoadShard:
 		return "load-shard"
-	case OpSummary:
-		return "summary"
 	case OpCollapse:
 		return "collapse"
 	case OpDotLik:
@@ -130,28 +124,11 @@ type Response struct {
 	Err string // non-empty on failure; the rest of the payload is invalid
 	Sum float64
 	Vec []float64
-	// Summary is the fused shard digest, present only for OpSummary.
-	Summary *WireSummary
 	// Spans is the trace trailer: the executor-side spans completed while
 	// serving this request (dispatch + kernel), present only when the
 	// request carried a trace context. The driver absorbs them into its
 	// own tracer so the assembled trace holds both sides of the RPC.
 	Spans []WireSpan
-}
-
-// WireSummary is one executor's partial fused digest of its shard: the
-// per-subject marginal partials plus the scalar statistics and the
-// shard-local argmax. Entropy ships in nats — the driver merges partials
-// first and converts to bits once, matching the in-process kernel's
-// reduction shape.
-type WireSummary struct {
-	Marginals []float64
-	Entropy   float64 // Σ −p·ln p over the shard (nats)
-	Expected  float64 // Σ p·|S| over the shard
-	Mass      float64 // Σ p over the shard
-	MAPState  uint64  // shard-local argmax state
-	MAPMass   float64 // its mass; −Inf is encoded as MAPOK=false
-	MAPOK     bool    // false when the shard is empty (no argmax)
 }
 
 // WireSpan is one finished span in wire form: a gob-friendly flattening

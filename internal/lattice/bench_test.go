@@ -27,7 +27,7 @@ func benchLattice(b *testing.B, n int, resp dilution.Response) *Model {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A fresh model answers Marginals, Entropy and Summary from its risks and
+	// A fresh model answers Marginals and Entropy from its risks and
 	// an updated one Marginals from what the update held; one absorbed
 	// outcome and a Posterior call make the benchmarks time the sweeps.
 	if err := m.Update(bitvec.FromIndices(0), dilution.Negative); err != nil {
@@ -173,27 +173,6 @@ func BenchmarkNegMassesTiling(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkSummary compares the fused digest with the separate passes it
-// replaces per session round (the argmax and E[|S|] passes are the
-// oracle_test.go forms).
-func BenchmarkSummary(b *testing.B) {
-	m := benchLattice(b, 18, flatResp)
-	b.Run("separate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Marginals()
-			m.Entropy()
-			mapScan(m)
-			expectedInfectedScan(m)
-			m.Mass()
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Summary()
-		}
-	})
 }
 
 // BenchmarkFusionFused and BenchmarkFusionTwoPass are the A2 ablation: the

@@ -18,10 +18,10 @@ import (
 // the two packages is a bug (engine.Vector's own primitives — Scale, Sum,
 // ReduceSubset, FillDoubling — sit below them).
 //
-//	prior        PriorOdds, PriorTotal, PriorPrefixNegMasses, FillPrior, PriorSummary
+//	prior        PriorOdds, PriorTotal, PriorPrefixNegMasses, FillPrior, PriorEntropy
 //	update       LikelihoodTable, MulLikelihood
 //	reductions   AddMarginals, RankTable.AddMinRankMasses, AddCleanMasses,
-//	             SumWhere, DotLikelihood, EntropyNats, ScanDigest
+//	             SumWhere, DotLikelihood, EntropyNats
 //	conditioning KeptBelow, CollapseBit
 //	rescaling    ValidFactor, Scale, MergeVec
 //	input checks FirstInvalid
@@ -334,24 +334,15 @@ func PriorPrefixNegMasses(risks []float64, order []int) []float64 {
 	return neg
 }
 
-// PriorSummary is the Summary of the product prior in closed form, what a
-// model still at its prior answers without reading the lattice: subjects are
-// independent, so the marginals are the risks, entropies and expectations
-// add, and the MAP state takes each subject's likelier status (negative on
-// a tie: the lowest state).
-func PriorSummary(risks []float64) *Summary {
-	out := &Summary{Marginals: append([]float64(nil), risks...), MAPMass: 1, Mass: 1}
-	var ent, exp prob.Accumulator
-	for i, p := range risks {
+// PriorEntropy is the entropy of the product prior in bits, in closed form:
+// what a model still at its prior answers without reading the lattice.
+// Subjects are independent, so their binary entropies add.
+func PriorEntropy(risks []float64) float64 {
+	var ent prob.Accumulator
+	for _, p := range risks {
 		ent.Add(-p*math.Log(p) - (1-p)*math.Log1p(-p))
-		exp.Add(p)
-		if p > 0.5 {
-			out.MAPState = out.MAPState.With(i)
-		}
-		out.MAPMass *= max(p, 1-p)
 	}
-	out.EntropyBits, out.ExpectedInfected = ent.Value()/math.Ln2, exp.Value()
-	return out
+	return ent.Value() / math.Ln2
 }
 
 // FirstInvalid returns the index of the first entry that cannot be a
@@ -527,34 +518,6 @@ func EntropyNats(data []float64) prob.Accumulator {
 		}
 	}
 	return acc
-}
-
-// Digest is the scalar part of a posterior summary over one run: total
-// mass, Σ −p·ln p in nats, Σ p·|S|, and the run's argmax — the lowest
-// state on ties, with MAPMass −Inf when the run is empty.
-type Digest struct {
-	Mass, Entropy, Expected prob.Accumulator
-	MAPState                uint64
-	MAPMass                 float64
-}
-
-// ScanDigest computes the run's Digest in one loop. Each statistic keeps
-// the accumulator and state order of its standalone kernel (SumWhere with
-// mask 0, EntropyNats), so it is bit-for-bit theirs.
-func ScanDigest(offset uint64, data []float64) Digest {
-	var mass, ent, exp prob.Accumulator
-	bestState, bestMass := uint64(0), math.Inf(-1)
-	for j, w := range data {
-		mass.Add(w)
-		if w > bestMass {
-			bestState, bestMass = offset+uint64(j), w
-		}
-		if w > 0 {
-			ent.Add(-w * math.Log(w))
-			exp.Add(w * float64(bits.OnesCount64(offset+uint64(j))))
-		}
-	}
-	return Digest{Mass: mass, Entropy: ent, Expected: exp, MAPState: bestState, MAPMass: bestMass}
 }
 
 // ValidFactor reports whether f can rescale a posterior and leave it one:

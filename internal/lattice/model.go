@@ -26,8 +26,8 @@
 // over one contiguous run of states (offset, []float64): the prior fill
 // (FillPrior, PriorOdds), the update multiply-fold-and-sum (MulLikelihood
 // over a LikelihoodTable), the reductions (AddMarginals, RankTable's
-// min-rank histogram, AddCleanMasses, SumWhere, DotLikelihood, EntropyNats,
-// ScanDigest), the conditioning gather (CollapseBit, KeptBelow) and Scale.
+// min-rank histogram, AddCleanMasses, SumWhere, DotLikelihood, EntropyNats),
+// the conditioning gather (CollapseBit, KeptBelow) and Scale.
 // Model's methods run them per partition and the cluster executor runs
 // them on its shard; each backend owns only its reduction shape and merge
 // order. A loop over posterior states outside kernels.go is a bug
@@ -87,7 +87,7 @@ type Model struct {
 	// folds it into its table, Marginals and PrefixNegMasses into their sums,
 	// ConditionInPlace into its factor; every other reader calls settle.
 	scale float64
-	prior bool // post is still New's product prior: its digest is PriorSummary
+	prior bool // post is still New's product prior: its marginals are the risks, its entropy PriorEntropy
 	// marg, when non-nil, is the marginals the last Update's pass left behind
 	// (its partials × the new scale), good until a conditioning or a caller of
 	// Posterior changes post.

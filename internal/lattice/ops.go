@@ -136,7 +136,7 @@ func (m *Model) Predictive(pool bitvec.Mask, y dilution.Outcome) float64 {
 // bit per update.
 func (m *Model) Entropy() float64 {
 	if m.prior {
-		return PriorSummary(m.risks).EntropyBits
+		return PriorEntropy(m.risks)
 	}
 	nats := m.settle().ReduceSum(func(_ int, _ uint64, data []float64) prob.Accumulator {
 		return EntropyNats(data)
@@ -144,20 +144,9 @@ func (m *Model) Entropy() float64 {
 	return nats / math.Ln2
 }
 
-// MAP returns the maximum-a-posteriori lattice state and its mass, read
-// from Summary. Ties resolve to the lowest state index, deterministically.
-func (m *Model) MAP() (bitvec.Mask, float64) {
-	sum := m.Summary()
-	return sum.MAPState, sum.MAPMass
-}
-
 // Mass returns the total posterior mass (≈1 between updates; exposed for
 // invariant checks and tests).
 func (m *Model) Mass() float64 { return m.settle().Sum() }
-
-// ExpectedInfected returns E[|S|], the posterior expected number of
-// infected subjects, read from Summary.
-func (m *Model) ExpectedInfected() float64 { return m.Summary().ExpectedInfected }
 
 // Condition collapses subject onto a known status and returns the reduced
 // model over the remaining N−1 subjects:

@@ -1,7 +1,6 @@
 package lattice
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/bitvec"
@@ -144,33 +143,8 @@ func intersectDist(m *Model, pool bitvec.Mask) []float64 {
 	})
 }
 
-// mapScan is the standalone argmax pass: per-partition best, merged with
-// ties to the lowest state.
-func mapScan(m *Model) (bitvec.Mask, float64) {
-	type best struct {
-		state uint64
-		mass  float64
-	}
-	parts := make([]best, m.post.Parts())
-	m.settle().ForPartitions(func(p int, offset uint64, data []float64) {
-		b := best{mass: math.Inf(-1)}
-		for j := range data {
-			if data[j] > b.mass {
-				b = best{state: offset + uint64(j), mass: data[j]}
-			}
-		}
-		parts[p] = b
-	})
-	top := best{mass: math.Inf(-1)}
-	for _, b := range parts {
-		if b.mass > top.mass || (b.mass == top.mass && b.state < top.state) {
-			top = b
-		}
-	}
-	return bitvec.Mask(top.state), top.mass
-}
-
-// expectedInfectedScan is the standalone E[|S|] pass.
+// expectedInfectedScan is E[|S|] as a per-state popcount pass, the oracle
+// the marginals' sum is checked against.
 func expectedInfectedScan(m *Model) float64 {
 	return m.settle().ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
 		var acc prob.Accumulator

@@ -60,7 +60,7 @@ func TestInvariantsUnderRandomCampaigns(t *testing.T) {
 				}
 			}
 			// Invariant: E[|S|] equals the marginal sum (linearity).
-			if d := math.Abs(m.ExpectedInfected() - prob.Sum(marg)); d > 1e-9 {
+			if d := math.Abs(expectedInfectedScan(m) - prob.Sum(marg)); d > 1e-9 {
 				t.Fatalf("trial %d: E[|S|] off marginal sum by %v", trial, d)
 			}
 			// Invariant: NegMass(A) <= 1 - marg_i for every member i.

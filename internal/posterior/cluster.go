@@ -66,9 +66,8 @@ func (c *Cluster) PrefixNegMasses(order []int) ([]float64, error) {
 // Entropy returns the posterior entropy in bits.
 func (c *Cluster) Entropy() (float64, error) { return c.m.Entropy() }
 
-// Summary gathers the fused per-round digest in one distributed round
-// trip instead of four.
-func (c *Cluster) Summary() (*Summary, error) { return c.m.Summary() }
+// Summary returns the marginals and the entropy: no round at the prior.
+func (c *Cluster) Summary() (*Summary, error) { return summarize(c) }
 
 // Condition collapses subject onto a known status; see Model.Condition.
 // The executor connections (and the local-executor stop function, if

@@ -21,6 +21,7 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/engine"
 	"repro/internal/lattice"
+	"repro/internal/obs"
 	"repro/internal/posterior"
 	"repro/internal/rng"
 	"repro/internal/sparse"
@@ -185,32 +186,88 @@ func TestConformanceKernels(t *testing.T) {
 				t.Fatalf("entropy off by %v", d)
 			}
 
-			// The fused digest must agree with the dense single-statistic
-			// kernels field by field. The MAP state is compared exactly:
-			// this posterior has a unique argmax, so every backend must
-			// land on the same state.
 			sum, err := m.Summary()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d := maxAbsDiff(sum.Marginals, ref.Marginals()); d > kernelTol {
-				t.Fatalf("fused marginals off by %v", d)
+				t.Fatalf("summary marginals off by %v", d)
 			}
 			if d := math.Abs(sum.EntropyBits - ref.Entropy()); d > kernelTol {
-				t.Fatalf("fused entropy off by %v", d)
+				t.Fatalf("summary entropy off by %v", d)
 			}
-			refState, refMass := ref.MAP()
-			if sum.MAPState != refState {
-				t.Fatalf("fused MAP state %v, want %v", sum.MAPState, refState)
+		})
+	}
+}
+
+// TestConformanceSummary pins the Summary contract on every backend: it is
+// exactly (==) the backend's own Marginals then Entropy, read off a twin
+// model driven by the same script, at the prior, after three updates and
+// after a Condition. Through Instrument one Summary is one op="summary"
+// observation and no marginals or entropy observation.
+func TestConformanceSummary(t *testing.T) {
+	for _, bc := range backends(t) {
+		t.Run(string(bc.kind), func(t *testing.T) {
+			m := bc.open(t, conformanceRisks, conformanceResp)
+			twin := bc.open(t, conformanceRisks, conformanceResp)
+			check := func(stage string) {
+				t.Helper()
+				sum, err := m.Summary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				marg, err := twin.Marginals()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ent, err := twin.Entropy()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(sum.Marginals) != len(marg) {
+					t.Fatalf("%s: summary has %d marginals, twin %d", stage, len(sum.Marginals), len(marg))
+				}
+				for i := range marg {
+					if sum.Marginals[i] != marg[i] {
+						t.Fatalf("%s: summary marginal %d = %v, twin %v", stage, i, sum.Marginals[i], marg[i])
+					}
+				}
+				if sum.EntropyBits != ent {
+					t.Fatalf("%s: summary entropy %v, twin %v", stage, sum.EntropyBits, ent)
+				}
 			}
-			if d := math.Abs(sum.MAPMass - refMass); d > kernelTol {
-				t.Fatalf("fused MAP mass off by %v", d)
+			check("prior")
+			for _, s := range script[:3] {
+				if err := m.Update(s.pool, s.y); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.Update(s.pool, s.y); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if d := math.Abs(sum.ExpectedInfected - ref.ExpectedInfected()); d > kernelTol {
-				t.Fatalf("fused E[|S|] off by %v", d)
+			check("updated")
+			cond := func(m posterior.Model) posterior.Model {
+				t.Helper()
+				next, err := m.Condition(5, false)
+				if err != nil || next == nil {
+					t.Fatalf("condition: %v, %v", next, err)
+				}
+				return next
 			}
-			if d := math.Abs(sum.Mass - ref.Mass()); d > kernelTol {
-				t.Fatalf("fused mass off by %v", d)
+			m, twin = cond(m), cond(twin)
+			defer m.Close()    //lint:allow errcheck test teardown; assertions cover the live model
+			defer twin.Close() //lint:allow errcheck test teardown; assertions cover the live model
+			check("conditioned")
+
+			reg := obs.NewRegistry()
+			if _, err := posterior.Instrument(m, reg).Summary(); err != nil {
+				t.Fatal(err)
+			}
+			snap, b := reg.Snapshot(), string(bc.kind)
+			for op, want := range map[string]uint64{"summary": 1, "marginals": 0, "entropy": 0} {
+				if got := opCount(snap, b, op); got != want {
+					t.Errorf("one Summary recorded %d %s observations, want %d", got, op, want)
+				}
 			}
 		})
 	}

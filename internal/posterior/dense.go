@@ -52,8 +52,8 @@ func (d *Dense) PrefixNegMasses(order []int) ([]float64, error) {
 // Entropy returns the posterior entropy in bits.
 func (d *Dense) Entropy() (float64, error) { return d.m.Entropy(), nil }
 
-// Summary returns the fused one-pass posterior digest.
-func (d *Dense) Summary() (*Summary, error) { return d.m.Summary(), nil }
+// Summary returns the marginals and the entropy.
+func (d *Dense) Summary() (*Summary, error) { return summarize(d) }
 
 // Predictive returns P(y | data) for a test of pool under the current
 // posterior. With Branch it makes Dense a halving.Brancher: the dense

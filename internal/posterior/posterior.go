@@ -80,9 +80,9 @@ type Model interface {
 	PrefixNegMasses(order []int) ([]float64, error)
 	// Entropy returns the posterior entropy in bits.
 	Entropy() (float64, error)
-	// Summary computes marginals, entropy, MAP state, expected-infected,
-	// and total posterior mass together in one sweep (one RPC round on the
-	// cluster backend) — the digest a session reads when it opens.
+	// Summary returns the marginals and the entropy together: the digest a
+	// session reads when it opens. A fresh model answers both from its
+	// risks, with no pass and no round.
 	Summary() (*Summary, error)
 
 	// Condition collapses subject onto a known status and returns the
@@ -103,11 +103,28 @@ type Model interface {
 	Close() error
 }
 
-// Summary is the one-sweep posterior digest — marginals, entropy, MAP
-// state, expected-infected and total mass. It is the kernel layer's own
-// type, so the dense and cluster backends hand back the digest they
-// computed instead of a copy.
-type Summary = lattice.Summary
+// Summary is the posterior digest a session opens with.
+type Summary struct {
+	// Marginals is each subject's posterior infection probability.
+	Marginals []float64
+	// EntropyBits is the Shannon entropy of the posterior in bits.
+	EntropyBits float64
+}
+
+// summarize is every backend's Summary: its own Marginals, then its own
+// Entropy. The adapters call it on themselves, below Instrument, so one
+// Summary records one op="summary" observation and none for the two reads.
+func summarize(m Model) (*Summary, error) {
+	marg, err := m.Marginals()
+	if err != nil {
+		return nil, err
+	}
+	ent, err := m.Entropy()
+	if err != nil {
+		return nil, err
+	}
+	return &Summary{Marginals: marg, EntropyBits: ent}, nil
+}
 
 // Snapshot is a backend-tagged capture of a posterior, the unit
 // checkpoints serialize. Exactly one payload family is populated: Dense

@@ -52,10 +52,8 @@ func (s *Sparse) PrefixNegMasses(order []int) ([]float64, error) {
 // Entropy returns the posterior entropy in bits over the retained support.
 func (s *Sparse) Entropy() (float64, error) { return s.m.Entropy(), nil }
 
-// Summary returns the fused one-pass digest over the retained support.
-// sparse cannot import lattice (lattice's tests compare against it), so
-// its digest is a field-identical struct, converted rather than copied.
-func (s *Sparse) Summary() (*Summary, error) { return (*Summary)(s.m.Summary()), nil }
+// Summary returns the marginals and the entropy over the retained support.
+func (s *Sparse) Summary() (*Summary, error) { return summarize(s) }
 
 // Condition collapses subject onto a known status; see Model.Condition.
 func (s *Sparse) Condition(subject int, positive bool) (Model, error) {

@@ -358,56 +358,6 @@ func (m *Model) Entropy() float64 {
 	return acc.Value() / math.Ln2
 }
 
-// MAP returns the maximum-a-posteriori retained state and its mass.
-func (m *Model) MAP() (bitvec.Mask, float64) {
-	best, bestMass := uint64(0), math.Inf(-1)
-	for i, s := range m.states {
-		if m.mass[i] > bestMass {
-			best, bestMass = s, m.mass[i]
-		}
-	}
-	return bitvec.Mask(best), bestMass
-}
-
-// Summary is the fused one-pass digest over the retained support; fields
-// match the corresponding single-statistic kernels exactly.
-type Summary struct {
-	Marginals        []float64
-	EntropyBits      float64
-	MAPState         bitvec.Mask
-	MAPMass          float64
-	ExpectedInfected float64
-	Mass             float64
-}
-
-// Summary computes marginals, entropy, MAP, expected-infected, and total
-// mass together in a single pass over the retained support. Each
-// statistic uses the same accumulation order as its standalone kernel
-// (stored state order, first-strictly-greater argmax), so results are
-// bit-identical to calling the five kernels separately.
-func (m *Model) Summary() *Summary {
-	out := &Summary{Marginals: make([]float64, m.n), MAPMass: math.Inf(-1)}
-	var ent, exp, mass prob.Accumulator
-	for i, s := range m.states {
-		w := m.mass[i]
-		mass.Add(w)
-		if w > out.MAPMass {
-			out.MAPState, out.MAPMass = bitvec.Mask(s), w
-		}
-		if w > 0 {
-			ent.Add(-w * math.Log(w))
-		}
-		exp.Add(w * float64(bits.OnesCount64(s)))
-		for v := s; v != 0; v &= v - 1 {
-			out.Marginals[bits.TrailingZeros64(v)] += w
-		}
-	}
-	out.EntropyBits = ent.Value() / math.Ln2
-	out.ExpectedInfected = exp.Value()
-	out.Mass = mass.Value()
-	return out
-}
-
 // CredibleSet returns the smallest set of retained states whose mass
 // reaches level (descending mass, ties by state index) and the mass
 // covered. The truncated tail adds at most Pruned() of unaccounted mass.
@@ -554,13 +504,4 @@ func Restore(cfg Config, states []uint64, mass []float64, pruned float64, tests 
 		m.mass[i] *= inv
 	}
 	return m, nil
-}
-
-// ExpectedInfected returns E[|S|] over the retained support.
-func (m *Model) ExpectedInfected() float64 {
-	var acc prob.Accumulator
-	for i, s := range m.states {
-		acc.Add(m.mass[i] * float64(bits.OnesCount64(s)))
-	}
-	return acc.Value()
 }

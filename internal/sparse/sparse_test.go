@@ -84,14 +84,6 @@ func TestExactWhenEpsZero(t *testing.T) {
 	if a, b := dense.NegMass(probe), sp.NegMass(probe); math.Abs(a-b) > 1e-10 {
 		t.Fatalf("negmass %v vs %v", a, b)
 	}
-	if a, b := dense.ExpectedInfected(), sp.ExpectedInfected(); math.Abs(a-b) > 1e-10 {
-		t.Fatalf("E[|S|] %v vs %v", a, b)
-	}
-	dMAP, _ := dense.MAP()
-	sMAP, _ := sp.MAP()
-	if dMAP != sMAP {
-		t.Fatalf("MAP %v vs %v", dMAP, sMAP)
-	}
 	if sp.Pruned() > 1e-12 {
 		t.Fatalf("eps=0 pruned %v", sp.Pruned())
 	}
