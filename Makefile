@@ -21,9 +21,11 @@ lint:
 
 # Race-detector pass over the packages that own goroutines, plus the
 # backend conformance suite (which drives the cluster backend end to end
-# over loopback TCP). Short mode keeps the statistical loops out.
+# over loopback TCP) and the serve layer (concurrent requests record into
+# one tracer and hand their span to the session). Short mode keeps the
+# statistical loops out.
 race:
-	$(GO) test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs
+	$(GO) test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs ./internal/serve
 
 # Short fuzz smoke over the numeric-kernel, lint-input and trust-boundary
 # (executor wire, HTTP API) invariants.

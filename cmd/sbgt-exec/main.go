@@ -17,7 +17,8 @@
 // serves 200 while accepting drivers and flips to 503 the moment SIGTERM
 // or SIGINT arrives, before the listener closes, so an orchestrator
 // health-checking executors stops routing new drivers to a terminating
-// node. SIGQUIT dumps the flight recorder to stderr without exiting.
+// node. SIGQUIT writes the anomaly dumps and the span window to stderr
+// without exiting.
 // When a driver propagates a trace context, the executor's dispatch
 // spans appear both on its /spans endpoint and in the driver's assembled
 // trace (they ship back in the response trailer).

@@ -43,8 +43,10 @@
 //	-slo-interval duration  evaluation window (default 10s)
 //	-slo-degrade            flip /readyz to 503 while an objective burns
 //
-// Breaches trigger flight-recorder anomaly auto-dumps (view them on
-// /debug/flight; SIGQUIT dumps the same JSON to stderr without exiting).
+// Breaches trigger flight-recorder anomaly auto-dumps, each a frozen tail
+// of the span ring totalled as self time per span name (view them on
+// /debug/flight; SIGQUIT writes the dumps and the live /spans window to
+// stderr without exiting).
 //
 // Load-driver mode:
 //
@@ -58,8 +60,9 @@
 //
 // Observability flags (shared across the sbgt commands): -metrics-addr,
 // -log-level, -trace-out, -cpuprofile, -memprofile. A breach's dump
-// totals its window per event kind (request, stage_propose,
-// stage_absorb, restore, evict), so it names the slow layer; for a
+// totals its window as self time per span name (http, lock_wait,
+// restore, select, update, classify, checkpoint), and a request's self
+// times add up to its duration, so it names the slow layer; for a
 // flame graph of a live server, /debug/pprof/profile is on the API
 // listener and `go tool pprof -diff_base` compares two of them.
 package main

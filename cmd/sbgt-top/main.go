@@ -1,8 +1,9 @@
 // Command sbgt-top is a terminal live view of a running sbgt-serve (or
 // any sbgt process serving the obs mux): it polls /metrics.json and
 // /debug/flight and renders per-tenant throughput, residency, SLO burn
-// and the most recent anomaly dump — its per-layer time split (which
-// event kind the window's time went to) above the tail of its events.
+// and the most recent anomaly dump — its per-layer self-time split
+// (which span name the window's time went to) above the slowest served
+// request's span tree, each node with its self time.
 //
 // Usage:
 //
@@ -251,41 +252,42 @@ func render(w io.Writer, f, prev *frame) {
 		}
 	}
 
-	// Flight recorder: window size and the most recent anomaly dump.
-	fmt.Fprintf(w, "\nflight: %d events buffered, %d dropped, %d anomaly dumps\n",
-		len(f.flight.Events), f.flight.Dropped, len(f.flight.Anomalies))
+	// Flight recorder: the most recent anomaly dump.
+	fmt.Fprintf(w, "\nflight: %d anomaly dumps\n", len(f.flight.Anomalies))
 	if n := len(f.flight.Anomalies); n > 0 {
 		d := f.flight.Anomalies[n-1]
-		fmt.Fprintf(w, "last anomaly: %s %s at %s (%d events captured, %d coalesced)\n",
-			d.ID, d.Reason, d.Time.Format("15:04:05"), len(d.Events), d.Coalesced)
-		// Where the window's time went, largest layer first. Kinds nest (a
-		// request contains the stages, restores and evictions it caused),
-		// so the lines rank layers rather than add up.
+		fmt.Fprintf(w, "last anomaly: %s %s at %s (%d spans captured, %d coalesced)\n",
+			d.ID, d.Reason, d.Time.Format("15:04:05"), len(d.Spans), d.Coalesced)
+		// Where the window's time went, largest layer first: self time per
+		// span name, so a request's layers add up to its duration.
 		for _, l := range d.Layers {
-			fmt.Fprintf(w, "  layer %-14s n=%-5d total=%-12v max=%v\n", l.Kind, l.Count, l.Total, l.Max)
+			fmt.Fprintf(w, "  layer %-14s n=%-5d total=%-12v max=%v\n", l.Name, l.Count, l.Total, l.Max)
 		}
-		tail := d.Events
-		if len(tail) > 5 {
-			tail = tail[len(tail)-5:]
-		}
-		for _, ev := range tail {
-			line := fmt.Sprintf("  %s %-14s", ev.Time.Format("15:04:05.000"), ev.Kind)
-			if ev.Tenant != "" {
-				line += " tenant=" + ev.Tenant
+		writeSlowest(w, d.Spans)
+	}
+}
+
+// writeSlowest prints the slowest http span among spans as a tree, each
+// node with its duration and self time.
+func writeSlowest(w io.Writer, spans []obs.SpanRecord) {
+	var root *obs.TraceNode
+	for _, tr := range obs.Assemble(spans) {
+		for _, r := range tr.Roots {
+			if r.Name == "http" && (root == nil || r.Duration > root.Duration) {
+				root = r
 			}
-			if ev.Cohort != "" {
-				line += " cohort=" + ev.Cohort
-			}
-			if ev.TraceID != 0 {
-				line += fmt.Sprintf(" trace=%016x", ev.TraceID)
-			}
-			if ev.Dur != 0 {
-				line += fmt.Sprintf(" dur=%v", ev.Dur)
-			}
-			if ev.Err != "" {
-				line += " err=" + ev.Err
-			}
-			fmt.Fprintln(w, line)
 		}
 	}
+	if root == nil {
+		return
+	}
+	self := obs.SelfTimes(spans)
+	fmt.Fprintf(w, "slowest request: trace=%016x\n", root.TraceID)
+	(&obs.Trace{Roots: []*obs.TraceNode{root}}).Walk(func(depth int, n *obs.TraceNode) {
+		line := fmt.Sprintf("%s%-12s dur=%-10v self=%v", strings.Repeat("  ", depth+1), n.Name, n.Duration, self[n.ID])
+		for _, a := range n.Attrs {
+			line += fmt.Sprintf(" %s=%v", a.Key, a.Value)
+		}
+		fmt.Fprintln(w, line)
+	})
 }

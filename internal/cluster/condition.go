@@ -47,7 +47,7 @@ func (m *Model) Condition(subject int, positive bool) (*Model, error) {
 	risks := make([]float64, 0, m.n-1)
 	risks = append(risks, m.risks[:subject]...)
 	risks = append(risks, m.risks[subject+1:]...)
-	out := &Model{conns: m.conns, n: m.n - 1, risks: risks, resp: m.resp, tests: m.tests, scale: 1, met: m.met, tracer: m.tracer, parent: m.parent, flight: m.flight}
+	out := &Model{conns: m.conns, n: m.n - 1, risks: risks, resp: m.resp, tests: m.tests, scale: 1, met: m.met, tracer: m.tracer, parent: m.parent}
 	m.conns = nil // ownership transfers; the receiver's Close is now a no-op
 
 	_, err = out.fanout(func(*conn) Request {

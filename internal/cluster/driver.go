@@ -101,11 +101,6 @@ type Model struct {
 	// model on Condition, like the connections themselves.
 	tracer *obs.Tracer
 	parent obs.TraceContext
-
-	// flight, when non-nil, receives rpc_error events so the flight
-	// recorder captures which executor failed, on which op, in which
-	// trace — the post-hoc view the aggregate error counters cannot give.
-	flight *obs.FlightScope
 }
 
 // SetTraceContext points subsequent RPC spans at a new parent — the
@@ -126,6 +121,7 @@ func (m *Model) call(c *conn, req Request) (Response, error) {
 	}
 	resp, err := c.call(req)
 	if span != nil {
+		span.Fail(err)
 		if len(resp.Spans) > 0 {
 			recs := make([]obs.SpanRecord, len(resp.Spans))
 			for i, ws := range resp.Spans {
@@ -134,14 +130,6 @@ func (m *Model) call(c *conn, req Request) (Response, error) {
 			m.tracer.Absorb(recs...)
 		}
 		span.End()
-	}
-	if err != nil {
-		m.flight.Event(obs.Event{
-			Kind:    "rpc_error",
-			TraceID: m.parent.TraceID,
-			Err:     err.Error(),
-			Attrs:   []obs.Attr{obs.A("op", req.Op.String()), obs.A("executor", c.rank), obs.A("addr", c.addr)},
-		})
 	}
 	return resp, err
 }
@@ -153,7 +141,8 @@ type DialOptions struct {
 	Timeout time.Duration
 	// Attempts is how many times each executor is dialed before its
 	// failure aborts the fan-out (<= 0 selects 1). Each retry is a
-	// dial_retry flight event when Flight is attached.
+	// zero-length dial_retry span on Tracer carrying the failed attempt's
+	// err.
 	Attempts int
 	// RPCTimeout bounds every post-dial RPC round (request send plus
 	// response receive) on each connection. 0 selects DefaultRPCTimeout;
@@ -164,13 +153,12 @@ type DialOptions struct {
 	// histograms and bytes sent/received. Per-executor series use the
 	// stable fan-out rank as the executor label, not the host:port string.
 	Obs *obs.Registry
-	// Tracer, when non-nil, records driver-side rpc:<op> spans and absorbs
-	// the executor spans shipped back in response trailers. Spans are only
-	// emitted once SetTraceContext installs a valid parent context.
+	// Tracer, when non-nil, records driver-side rpc:<op> spans (a failed
+	// RPC's carries an err attr) and absorbs the executor spans shipped
+	// back in response trailers. RPC spans are only emitted once
+	// SetTraceContext installs a valid parent context; dial_retry spans
+	// are roots.
 	Tracer *obs.Tracer
-	// Flight, when non-nil, receives structured dial_retry and rpc_error
-	// events carrying executor rank, op, and trace identity.
-	Flight *obs.FlightScope
 }
 
 // dialOne runs one connection attempt: TCP dial, deadline, prior build.
@@ -270,17 +258,14 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 				}
 				errs[i] = fmt.Errorf("cluster: executor %s attempt %d/%d: %w", addr, attempt, attempts, err)
 				if attempt < attempts {
-					opts.Flight.Event(obs.Event{
-						Kind:  "dial_retry",
-						Err:   err.Error(),
-						Attrs: []obs.Attr{obs.A("executor", i), obs.A("addr", addr), obs.A("attempt", attempt)},
-					})
+					opts.Tracer.Start("dial_retry", obs.A("executor", i), obs.A("addr", addr),
+						obs.A("attempt", attempt), obs.A("err", err.Error())).End()
 				}
 			}
 		}(i, addr, lo, hi)
 	}
 	wg.Wait()
-	m := &Model{conns: make([]*conn, 0, len(addrs)), n: n, risks: append([]float64(nil), risks...), resp: resp, scale: 1 / mass, prior: true, met: met, tracer: opts.Tracer, flight: opts.Flight}
+	m := &Model{conns: make([]*conn, 0, len(addrs)), n: n, risks: append([]float64(nil), risks...), resp: resp, scale: 1 / mass, prior: true, met: met, tracer: opts.Tracer}
 	var firstErr error
 	for i, c := range conns {
 		if c != nil {

@@ -11,41 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TestDialWithRetriesWrapsAddressAndAttempt pins the Dial error contract:
-// a connection that keeps failing surfaces the executor address and the
-// attempt number, and each retry leaves a dial_retry flight event.
-func TestDialWithRetriesWrapsAddressAndAttempt(t *testing.T) {
-	// A listener that is immediately closed yields a refused port.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := l.Addr().String()
-	l.Close()
-
-	flight := obs.NewFlightRecorder(8)
-	_, err = DialWith([]string{dead}, []float64{0.1, 0.2}, dilution.Binary{Sens: 0.95, Spec: 0.99},
-		DialOptions{Timeout: time.Second, Attempts: 3, Flight: flight.Scope("", "")})
-	if err == nil {
-		t.Fatal("dial of a dead executor succeeded")
-	}
-	if !strings.Contains(err.Error(), dead) {
-		t.Errorf("error does not name the executor: %v", err)
-	}
-	if !strings.Contains(err.Error(), "attempt 3/3") {
-		t.Errorf("error does not carry the attempt number: %v", err)
-	}
-	retries := 0
-	for _, ev := range flight.Snapshot().Events {
-		if ev.Kind == "dial_retry" && ev.Err != "" {
-			retries++
-		}
-	}
-	if retries != 2 {
-		t.Errorf("dial_retry events = %d, want 2", retries)
-	}
-}
-
 // TestDialDeadlineErrorNamesExecutor covers the satellite bug: a
 // per-connection deadline firing during the prior build must still name
 // the executor that timed out.

@@ -141,11 +141,6 @@ type Config struct {
 	// Tracer, when non-nil, records one span per stage with select / test /
 	// update / classify children.
 	Tracer *obs.Tracer
-	// Flight, when non-nil, receives stage-transition events (proposals,
-	// absorbs, absorb failures) tagged with the session's trace ID — the
-	// flight-recorder view of the campaign. The scope carries the tenant
-	// and cohort identity; core only stamps stage facts onto it.
-	Flight *obs.FlightScope
 }
 
 // MaxLookahead is the deepest look-ahead a session accepts. Selecting k
@@ -312,6 +307,7 @@ type Session struct {
 	pend    *pending // outstanding proposal awaiting results, if any
 	phases  stagePhases
 	root    *obs.Span    // session-lifetime span; stage spans are its children
+	req     *obs.Span    // the serving request's span, when one is driving the session
 	carrier traceCarrier // non-nil when the backend accepts trace contexts
 	timings []StageTiming
 }
@@ -452,6 +448,26 @@ func (s *Session) setCarrierContext(tc obs.TraceContext) {
 	}
 }
 
+// SetRequestSpan hangs the phase spans of the session's next calls
+// (select, update, classify) under a serving request's span instead of
+// the stage span, so a served request's tree holds the work it caused;
+// nil restores the stage span. A session manager sets it under the lock
+// that serializes the cohort, around each request.
+func (s *Session) SetRequestSpan(span *obs.Span) {
+	s.mu.Lock()
+	s.req = span
+	s.mu.Unlock()
+}
+
+// phase opens a phase span under the serving request, or under the stage
+// span when no request is driving the session.
+func (s *Session) phase(stage *obs.Span, name string) *obs.Span {
+	if s.req != nil {
+		return s.req.Child(name)
+	}
+	return stage.Child(name)
+}
+
 // Classifications returns the per-subject calls made so far (global order).
 // Unclassified subjects have StatusUnknown and their marginal as of the
 // last completed stage.
@@ -528,7 +544,7 @@ func (s *Session) proposeLocked() ([]Pool, error) {
 		return nil, err
 	}
 
-	sel := span.Child("select")
+	sel := s.phase(span, "select")
 	s.setCarrierContext(sel.Context())
 	var pools []bitvec.Mask
 	var err error
@@ -561,12 +577,6 @@ func (s *Session) proposeLocked() ([]Pool, error) {
 		pend.global = append(pend.global, s.globalMask(p))
 	}
 	s.pend = pend
-	s.cfg.Flight.Event(obs.Event{
-		Kind:    "stage_propose",
-		TraceID: s.root.Context().TraceID,
-		Dur:     timing.Select,
-		Attrs:   []obs.Attr{obs.A("stage", s.stage), obs.A("pools", len(pend.local))},
-	})
 	return pend.proposals(), nil
 }
 
@@ -651,24 +661,19 @@ func (s *Session) absorbLocked(results []TestResult) error {
 		timing.Test += r.Elapsed
 		s.tests++
 		s.log = append(s.log, TestRecord{Stage: s.stage, Pool: p.global[i], Outcome: r.Outcome})
-		us := span.Child("update")
+		us := s.phase(span, "update")
 		s.setCarrierContext(us.Context())
 		err := s.model.Update(lp, r.Outcome)
+		us.Fail(err)
 		timing.Update += us.End()
 		if err != nil {
-			s.cfg.Flight.Event(obs.Event{
-				Kind:    "absorb_error",
-				TraceID: s.root.Context().TraceID,
-				Err:     err.Error(),
-				Attrs:   []obs.Attr{obs.A("stage", s.stage), obs.A("pool", i)},
-			})
 			return fmt.Errorf("core: stage %d: %w", s.stage, err)
 		}
 	}
 	s.phases.test.Observe(timing.Test.Seconds())
 	s.phases.update.Observe(timing.Update.Seconds())
 
-	cs := span.Child("classify")
+	cs := s.phase(span, "classify")
 	s.setCarrierContext(cs.Context())
 	err := s.classify()
 	if err == nil && s.model != nil && s.cfg.EntropyTrace {
@@ -677,23 +682,12 @@ func (s *Session) absorbLocked(results []TestResult) error {
 			s.entropy = append(s.entropy, ent)
 		}
 	}
+	cs.Fail(err)
 	timing.Classify = cs.End()
 	s.phases.classify.Observe(timing.Classify.Seconds())
 	if err != nil {
-		s.cfg.Flight.Event(obs.Event{
-			Kind:    "absorb_error",
-			TraceID: s.root.Context().TraceID,
-			Err:     err.Error(),
-			Attrs:   []obs.Attr{obs.A("stage", s.stage), obs.A("phase", "classify")},
-		})
 		return fmt.Errorf("core: stage %d: %w", s.stage, err)
 	}
-	s.cfg.Flight.Event(obs.Event{
-		Kind:    "stage_absorb",
-		TraceID: s.root.Context().TraceID,
-		Dur:     timing.Update + timing.Classify,
-		Attrs:   []obs.Attr{obs.A("stage", s.stage), obs.A("remaining", s.remainingLocked())},
-	})
 	return nil
 }
 

@@ -17,7 +17,7 @@ func TestAssembleSingleProcess(t *testing.T) {
 	stage.End()
 	root.End()
 
-	traces := Assemble(tr.Drain())
+	traces := Assemble(snap(tr))
 	if len(traces) != 1 {
 		t.Fatalf("assembled %d traces, want 1", len(traces))
 	}
@@ -64,7 +64,7 @@ func TestAssembleCrossProcess(t *testing.T) {
 	driver.Absorb(rec, krec)
 	rpc.End()
 
-	traces := Assemble(driver.Drain())
+	traces := Assemble(snap(driver))
 	if len(traces) != 1 {
 		t.Fatalf("assembled %d traces, want 1", len(traces))
 	}
@@ -109,7 +109,7 @@ func TestTraceWriteText(t *testing.T) {
 	c := root.Child("stage", A("stage", 2))
 	c.End()
 	root.End()
-	traces := Assemble(tr.Drain())
+	traces := Assemble(snap(tr))
 	var sb strings.Builder
 	if err := traces[0].WriteText(&sb); err != nil {
 		t.Fatal(err)

@@ -83,6 +83,7 @@ func (f *CLIFlags) Start(component string) (*Runtime, error) {
 		memOut:   f.MemProfile,
 	}
 	rt.Tracer.SetDropCounter(rt.Reg.Counter("sbgt_obs_spans_dropped_total"))
+	rt.Flight.Attach(rt.Tracer)
 	rt.Flight.Instrument(rt.Reg)
 	rt.Flight.LogDumps(rt.Log)
 	if f.MetricsAddr != "" {
@@ -127,19 +128,24 @@ func (rt *Runtime) ReadyError() error {
 	return rt.readyErr
 }
 
-// DumpFlightOnSIGQUIT installs a SIGQUIT handler that writes the flight
-// recorder's snapshot (events + anomaly dumps) to stderr as indented
-// JSON and keeps the process running — kill -QUIT becomes a
-// non-destructive "what just happened" probe. Note this replaces the Go
-// runtime's default SIGQUIT stack dump; /debug/pprof/goroutine still
-// serves stacks when -metrics-addr is set.
+// DumpFlightOnSIGQUIT installs a SIGQUIT handler that writes the
+// retained anomaly dumps (the /debug/flight document) and then the live
+// span window (the /spans document) to stderr as JSON and keeps the
+// process running — kill -QUIT becomes a non-destructive "what just
+// happened" probe. Note this replaces the Go runtime's default SIGQUIT
+// stack dump; /debug/pprof/goroutine still serves stacks when
+// -metrics-addr is set.
 func (rt *Runtime) DumpFlightOnSIGQUIT() {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGQUIT)
 	go func() {
 		for range ch {
-			rt.Log.Info("obs: SIGQUIT received, dumping flight recorder to stderr")
-			if err := rt.Flight.WriteJSON(os.Stderr); err != nil {
+			rt.Log.Info("obs: SIGQUIT received, dumping anomaly dumps and spans to stderr")
+			err := rt.Flight.WriteJSON(os.Stderr)
+			if err == nil {
+				err = rt.Tracer.writeSpans(os.Stderr)
+			}
+			if err != nil {
 				rt.Log.Error("obs: flight dump failed", "err", err)
 			}
 		}

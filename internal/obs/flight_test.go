@@ -5,54 +5,67 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// attached returns a recorder keeping limit spans of a fresh tracer.
+func attached(limit int) (*FlightRecorder, *Tracer) {
+	tr := NewTracer(0)
+	r := NewFlightRecorder(limit)
+	r.Attach(tr)
+	return r, tr
+}
+
+// dump triggers one dump and returns it.
+func dump(t *testing.T, r *FlightRecorder, reason string) AnomalyDump {
+	t.Helper()
+	if !r.TriggerAnomaly(reason) {
+		t.Fatalf("trigger %q suppressed", reason)
+	}
+	d := r.Anomalies()
+	return d[len(d)-1]
+}
+
 func TestFlightRecorderRingBound(t *testing.T) {
-	r := NewFlightRecorder(8)
+	r, tr := attached(8)
 	for i := 0; i < 20; i++ {
-		r.Record(Event{Kind: fmt.Sprintf("ev%d", i)})
+		tr.Start(fmt.Sprintf("ev%d", i)).End()
 	}
-	snap := r.Snapshot()
-	if len(snap.Events) != 8 {
-		t.Fatalf("retained %d events, want 8", len(snap.Events))
-	}
-	if snap.Dropped != 12 {
-		t.Fatalf("dropped = %d, want 12", snap.Dropped)
+	d := dump(t, r, "x")
+	if len(d.Spans) != 8 {
+		t.Fatalf("dump holds %d spans, want 8", len(d.Spans))
 	}
 	// The window is the most recent 8, oldest first.
-	for i, ev := range snap.Events {
-		if want := fmt.Sprintf("ev%d", 12+i); ev.Kind != want {
-			t.Fatalf("events[%d].Kind = %q, want %q", i, ev.Kind, want)
+	for i, s := range d.Spans {
+		if want := fmt.Sprintf("ev%d", 12+i); s.Name != want {
+			t.Fatalf("spans[%d].Name = %q, want %q", i, s.Name, want)
 		}
-	}
-	if r.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", r.Len())
 	}
 }
 
 func TestFlightRecorderPartialWindow(t *testing.T) {
-	r := NewFlightRecorder(16)
-	r.Record(Event{Kind: "a"})
-	r.Record(Event{Kind: "b"})
-	snap := r.Snapshot()
-	if len(snap.Events) != 2 || snap.Dropped != 0 {
-		t.Fatalf("events=%d dropped=%d, want 2/0", len(snap.Events), snap.Dropped)
+	r, tr := attached(16)
+	tr.Start("a").End()
+	tr.Start("b").End()
+	d := dump(t, r, "x")
+	if len(d.Spans) != 2 || d.Spans[0].Name != "a" || d.Spans[1].Name != "b" {
+		t.Fatalf("dump spans = %+v, want a, b", d.Spans)
 	}
-	if snap.Events[0].Kind != "a" || snap.Events[1].Kind != "b" {
-		t.Fatalf("order = %q,%q", snap.Events[0].Kind, snap.Events[1].Kind)
-	}
-	if snap.Events[0].Time.IsZero() {
-		t.Fatal("Record did not default Time")
+	// With no tracer attached a dump still fires, with an empty window.
+	if d := dump(t, NewFlightRecorder(16), "x"); d.Spans == nil || len(d.Spans) != 0 || len(d.Layers) != 0 {
+		t.Fatalf("unattached dump = %+v", d)
 	}
 }
 
+// TestFlightRecorderConcurrent: writers end spans while a reader triggers
+// dumps and renders them; nothing tears or panics under race, and every
+// dump holds a full window once the ring has filled.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	r := NewFlightRecorder(64)
+	r, tr := attached(64)
+	r.SetCooldown(0)
 	r.Instrument(NewRegistry())
 	var writers sync.WaitGroup
 	stop := make(chan struct{})
@@ -62,12 +75,12 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer writers.Done()
 			for i := 0; i < 500; i++ {
-				r.Record(Event{Kind: "w", Attrs: []Attr{A("g", g), A("i", i)}})
+				root := tr.Start("w", A("g", g))
+				root.Child("c", A("i", i)).End()
+				root.End()
 			}
 		}(g)
 	}
-	// A concurrent reader snapshots and triggers dumps while writers lap
-	// the ring; the point is that nothing tears or panics under race.
 	go func() {
 		defer close(readerDone)
 		for {
@@ -75,29 +88,28 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = r.Snapshot()
 				r.TriggerAnomaly("race")
+				if err := r.WriteJSON(&bytes.Buffer{}); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 	}()
 	writers.Wait()
 	close(stop)
 	<-readerDone
-	if got := r.Len(); got != 64 {
-		t.Fatalf("Len = %d, want 64", got)
-	}
-	snap := r.Snapshot()
-	if len(snap.Events) != 64 || snap.Dropped != 8*500-64 {
-		t.Fatalf("events=%d dropped=%d, want 64/%d", len(snap.Events), snap.Dropped, 8*500-64)
+	d := dump(t, r, "after")
+	if len(d.Spans) != 64 {
+		t.Fatalf("dump holds %d spans, want 64", len(d.Spans))
 	}
 }
 
 func TestTriggerAnomalyCooldownCoalescing(t *testing.T) {
-	r := NewFlightRecorder(8)
+	r, tr := attached(8)
 	now := time.Unix(1000, 0)
 	r.SetClock(func() time.Time { return now })
 	r.SetCooldown(time.Minute)
-	r.Record(Event{Kind: "request", Tenant: "acme", Cohort: "c1", TraceID: 0xabc})
+	tr.Start("http", A("tenant", "acme"), A("cohort", "c1")).End()
 
 	if !r.TriggerAnomaly("p99_breach", A("burn", 2.5)) {
 		t.Fatal("first trigger should dump")
@@ -127,8 +139,8 @@ func TestTriggerAnomalyCooldownCoalescing(t *testing.T) {
 	if first.Reason != "p99_breach" || first.Coalesced != 3 {
 		t.Fatalf("first dump = %q coalesced=%d, want p99_breach/3", first.Reason, first.Coalesced)
 	}
-	if len(first.Events) != 1 || first.Events[0].Tenant != "acme" || first.Events[0].TraceID != 0xabc {
-		t.Fatalf("dump did not freeze the ring: %+v", first.Events)
+	if len(first.Spans) != 1 || first.Spans[0].Name != "http" || first.Spans[0].TraceID == 0 {
+		t.Fatalf("dump did not freeze the ring: %+v", first.Spans)
 	}
 	if len(first.Attrs) != 1 || first.Attrs[0].Key != "burn" {
 		t.Fatalf("dump attrs = %+v", first.Attrs)
@@ -152,29 +164,9 @@ func TestAnomalyDumpRetentionBound(t *testing.T) {
 	}
 }
 
-func TestFlightScopeStamping(t *testing.T) {
-	r := NewFlightRecorder(8)
-	sc := r.Scope("acme", "c42")
-	sc.Event(Event{Kind: "stage_propose"})
-	sc.Event(Event{Kind: "request", Tenant: "explicit", Cohort: "other"})
-	snap := r.Snapshot()
-	if len(snap.Events) != 2 {
-		t.Fatalf("recorded %d events, want 2", len(snap.Events))
-	}
-	if ev := snap.Events[0]; ev.Tenant != "acme" || ev.Cohort != "c42" {
-		t.Fatalf("scope did not stamp identity: %+v", ev)
-	}
-	if ev := snap.Events[1]; ev.Tenant != "explicit" || ev.Cohort != "other" {
-		t.Fatalf("scope overwrote explicit identity: %+v", ev)
-	}
-	if sc.Recorder() != r {
-		t.Fatal("Recorder() lost the underlying recorder")
-	}
-}
-
 func TestFlightNilSafety(t *testing.T) {
 	var r *FlightRecorder
-	r.Record(Event{Kind: "x"})
+	r.Attach(NewTracer(0))
 	r.Instrument(NewRegistry())
 	r.SetCooldown(time.Second)
 	r.SetClock(time.Now)
@@ -182,35 +174,68 @@ func TestFlightNilSafety(t *testing.T) {
 	if r.TriggerAnomaly("x") {
 		t.Fatal("nil recorder dumped")
 	}
-	if r.Len() != 0 || len(r.Anomalies()) != 0 {
+	if len(r.Anomalies()) != 0 {
 		t.Fatal("nil recorder retained state")
 	}
-	snap := r.Snapshot()
-	if snap == nil || snap.Events == nil || snap.Anomalies == nil {
-		t.Fatal("nil recorder snapshot must be non-nil and JSON-friendly")
-	}
-	if err := r.WriteJSON(&bytes.Buffer{}); err != nil {
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-
-	var sc *FlightScope
-	sc.Event(Event{Kind: "x"})
-	if sc.Recorder() != nil {
-		t.Fatal("nil scope has a recorder")
+	var snap FlightSnapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil || snap.Anomalies == nil {
+		t.Fatalf("nil recorder document %q must hold an empty anomalies list (%v)", buf.String(), err)
 	}
-	if (*FlightRecorder)(nil).Scope("t", "c") != nil {
-		t.Fatal("nil recorder scope must be nil")
+}
+
+// TestSelfTimesAddUp: over a sequential tree the self times sum to the
+// root's duration exactly; children that overlap (a fan-out) clamp their
+// parent's self time at zero instead of going negative.
+func TestSelfTimesAddUp(t *testing.T) {
+	ms := time.Millisecond
+	seq := []SpanRecord{
+		{ID: 1, Name: "http", Duration: 10 * ms},
+		{ID: 2, ParentID: 1, Name: "lock_wait", Duration: 1 * ms},
+		{ID: 3, ParentID: 1, Name: "update", Duration: 4 * ms},
+		{ID: 4, ParentID: 3, Name: "rpc:update_mul", Duration: 3 * ms},
+		{ID: 5, ParentID: 1, Name: "checkpoint", Duration: 2 * ms},
+		{ID: 6, ParentID: 99, Name: "orphan", Duration: 5 * ms}, // parent outside the window
+	}
+	self := SelfTimes(seq)
+	want := map[uint64]time.Duration{1: 3 * ms, 2: 1 * ms, 3: 1 * ms, 4: 3 * ms, 5: 2 * ms, 6: 5 * ms}
+	var tree time.Duration
+	for id, d := range want {
+		if self[id] != d {
+			t.Errorf("self[%d] = %v, want %v", id, self[id], d)
+		}
+		if id != 6 {
+			tree += self[id]
+		}
+	}
+	if tree != seq[0].Duration {
+		t.Errorf("tree self times sum to %v, root lasted %v", tree, seq[0].Duration)
+	}
+	fan := []SpanRecord{
+		{ID: 1, Name: "select", Duration: 4 * ms},
+		{ID: 2, ParentID: 1, Name: "rpc:prefix_scan", Duration: 3 * ms},
+		{ID: 3, ParentID: 1, Name: "rpc:prefix_scan", Duration: 3 * ms},
+	}
+	if got := SelfTimes(fan)[1]; got != 0 {
+		t.Errorf("fan-out parent self = %v, want 0", got)
 	}
 }
 
 func TestFlightWriteJSONShape(t *testing.T) {
-	r := NewFlightRecorder(4)
+	r, tr := attached(4)
 	var logged bytes.Buffer
 	r.LogDumps(NewLogger(&logged, slog.LevelError, ""))
-	r.Record(Event{Kind: "evict", Tenant: "t1", Cohort: "c1", Dur: 3 * time.Millisecond})
+	tr.Absorb(
+		SpanRecord{TraceID: 7, ID: 2, ParentID: 1, Name: "checkpoint", Duration: 3 * time.Millisecond},
+		SpanRecord{TraceID: 7, ID: 1, Name: "http", Duration: 10 * time.Millisecond},
+	)
 	r.TriggerAnomaly("absorb_failure", A("err", "boom"))
-	// The dump names its slow layer in the log line and in the JSON.
-	if !strings.Contains(logged.String(), `layers="evict=3ms/1"`) {
+	// The dump names its layers, by self time, in the log line and in the
+	// JSON.
+	if !strings.Contains(logged.String(), `layers="http=7ms/1 checkpoint=3ms/1"`) {
 		t.Errorf("LogDumps line lacks the layer split: %s", logged.String())
 	}
 	var buf bytes.Buffer
@@ -221,15 +246,19 @@ func TestFlightWriteJSONShape(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("dump is not valid JSON: %v", err)
 	}
-	if len(snap.Events) != 1 || snap.Events[0].Kind != "evict" {
-		t.Fatalf("round-tripped events = %+v", snap.Events)
-	}
 	if len(snap.Anomalies) != 1 || snap.Anomalies[0].Reason != "absorb_failure" {
 		t.Fatalf("round-tripped anomalies = %+v", snap.Anomalies)
 	}
-	want := LayerTotal{Kind: "evict", Count: 1, Total: 3 * time.Millisecond, Max: 3 * time.Millisecond}
-	if l := snap.Anomalies[0].Layers; len(l) != 1 || l[0] != want {
-		t.Fatalf("round-tripped layers = %+v, want [%+v]", l, want)
+	d := snap.Anomalies[0]
+	if len(d.Spans) != 2 || d.Spans[1].Name != "http" || d.Spans[1].Duration != 10*time.Millisecond {
+		t.Fatalf("round-tripped spans = %+v", d.Spans)
+	}
+	want := []LayerTotal{
+		{Name: "http", Count: 1, Total: 7 * time.Millisecond, Max: 7 * time.Millisecond},
+		{Name: "checkpoint", Count: 1, Total: 3 * time.Millisecond, Max: 3 * time.Millisecond},
+	}
+	if fmt.Sprint(d.Layers) != fmt.Sprint(want) {
+		t.Fatalf("round-tripped layers = %+v, want %+v", d.Layers, want)
 	}
 }
 
@@ -238,53 +267,12 @@ func TestFlightInstrumentCounters(t *testing.T) {
 	r := NewFlightRecorder(4)
 	r.Instrument(reg)
 	r.SetCooldown(time.Hour)
-	r.Record(Event{Kind: "a"})
-	r.Record(Event{Kind: "b"})
 	r.TriggerAnomaly("x")
 	r.TriggerAnomaly("x") // coalesced
-	if got := reg.Counter("sbgt_obs_flight_events_total").Value(); got != 2 {
-		t.Fatalf("events counter = %d, want 2", got)
-	}
 	if got := reg.Counter("sbgt_obs_flight_dumps_total").Value(); got != 1 {
 		t.Fatalf("dumps counter = %d, want 1", got)
 	}
 	if got := reg.Counter("sbgt_obs_flight_dumps_coalesced_total").Value(); got != 1 {
 		t.Fatalf("coalesced counter = %d, want 1", got)
-	}
-}
-
-// TestFlightInstrumentWhileRecording: a process may instrument a recorder
-// that is already taking events; Record reads the events counter with no
-// lock, so the handle must be published atomically (run under -race).
-func TestFlightInstrumentWhileRecording(t *testing.T) {
-	r := NewFlightRecorder(64)
-	reg := NewRegistry()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				r.Record(Event{Kind: "request"})
-			}
-		}
-	}()
-	// Instrument only once the writer is recording, and let it record on
-	// for a while afterwards, so its reads straddle the write.
-	for r.next.Load() == 0 {
-		runtime.Gosched()
-	}
-	r.Instrument(reg)
-	for n := r.next.Load(); r.next.Load() < n+100; {
-		runtime.Gosched()
-	}
-	close(stop)
-	wg.Wait()
-	if reg.Counter("sbgt_obs_flight_events_total").Value() == 0 {
-		t.Fatal("no event counted after Instrument")
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,7 +33,8 @@ type MuxConfig struct {
 //	/readyz         readiness probe (200 "ok", or 503 + reason)
 //	/spans          JSON {"dropped": n, "spans": [...]} of the tracer's
 //	                buffered spans plus its retention-bound eviction count
-//	/debug/flight   flight-recorder snapshot: recent events + anomaly dumps
+//	/debug/flight   the retained anomaly dumps, each a frozen tail of the
+//	                tracer's span ring with its self-time layers
 //	/debug/pprof/*  net/http/pprof profiles
 //
 // Liveness and readiness are distinct probes: /healthz answers "is the
@@ -98,19 +98,8 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		spans, dropped := tracer.Snapshot()
-		if spans == nil {
-			spans = []SpanRecord{}
-		}
-		payload := struct {
-			Dropped uint64       `json:"dropped"`
-			Spans   []SpanRecord `json:"spans"`
-		}{Dropped: dropped, Spans: spans}
-		enc := json.NewEncoder(w)
-		if err := enc.Encode(payload); err != nil {
-			// The client hung up mid-write; nothing to recover.
-			return
-		}
+		//lint:allow errcheck the client hung up mid-write; nothing to recover
+		_ = tracer.writeSpans(w)
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

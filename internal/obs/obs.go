@@ -2,8 +2,8 @@
 // dependency-free, race-safe metrics registry (counters, gauges,
 // fixed-bucket histograms with a lock-free sync/atomic hot path), a Span
 // API for named timed regions with parent/child nesting, a flight
-// recorder of recent structured events whose anomaly dumps total their
-// window per event kind, an SLO evaluator, a leveled structured logger
+// recorder whose anomaly dumps freeze the tail of the span ring and total
+// it as self time per span name, an SLO evaluator, a leveled structured logger
 // built on log/slog, and one HTTP mux serving it all.
 //
 // SBGT's headline claims are throughput numbers; this package is how the
@@ -14,11 +14,12 @@
 // -metrics-addr, -log-level, and -trace-out.
 //
 // Each signal has one recorder and one way out of the process: a metric
-// by /metrics (Prometheus text) or /metrics.json, an event by
-// /debug/flight (and SIGQUIT), a span by /spans or -trace-out, a profile
-// by the /debug/pprof routes on the live listener or -cpuprofile /
-// -memprofile on a batch command. Every family, event kind and span name has a named
-// reader in DESIGN.md §9.5; a signal nobody reads is not registered.
+// by /metrics (Prometheus text) or /metrics.json, a span by /spans or
+// -trace-out, an anomaly dump by /debug/flight (SIGQUIT writes both of
+// the last two), a profile by the /debug/pprof routes on the live
+// listener or -cpuprofile / -memprofile on a batch command. Every family
+// and span name has a named reader in DESIGN.md §9.5; a signal nobody
+// reads is not registered.
 //
 // Everything is nil-tolerant by design: a nil *Registry hands out
 // detached (functional but unexported) metrics, a nil *Tracer hands out

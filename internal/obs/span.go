@@ -64,7 +64,8 @@ func NewTracer(limit int) *Tracer {
 
 // SetDropCounter routes buffer evictions into an exported counter
 // (conventionally sbgt_obs_spans_dropped_total) in addition to the
-// tracer's own Dropped tally. A nil tracer or counter is a no-op.
+// tracer's own tally (the "dropped" field of /spans). A nil tracer or
+// counter is a no-op.
 func (t *Tracer) SetDropCounter(c *Counter) {
 	if t == nil {
 		return
@@ -154,22 +155,9 @@ func (t *Tracer) Absorb(recs ...SpanRecord) {
 	}
 }
 
-// Drain returns the finished spans in completion order and clears the
-// buffer.
-func (t *Tracer) Drain() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := t.linearize()
-	t.spans = nil
-	t.head = 0
-	t.mu.Unlock()
-	return out
-}
-
-// Snapshot returns a copy of the buffered spans without draining, plus
-// the eviction count — the /spans payload.
+// Snapshot returns a copy of the buffered spans, oldest first, plus the
+// eviction count — the /spans payload. Nothing reads the ring
+// destructively, so an anomaly dump's window stays readable here.
 func (t *Tracer) Snapshot() (spans []SpanRecord, dropped uint64) {
 	if t == nil {
 		return nil, 0
@@ -181,18 +169,8 @@ func (t *Tracer) Snapshot() (spans []SpanRecord, dropped uint64) {
 	return spans, dropped
 }
 
-// Dropped reports how many spans were evicted by the buffer bound.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // WriteJSON renders the currently buffered spans as one JSON-lines
-// record per span (without draining), the -trace-out file format.
+// record per span, the -trace-out file format.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -205,6 +183,19 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// writeSpans renders the /spans document: the buffered spans and the
+// retention-bound eviction count.
+func (t *Tracer) writeSpans(w io.Writer) error {
+	spans, dropped := t.Snapshot()
+	if spans == nil {
+		spans = []SpanRecord{}
+	}
+	return json.NewEncoder(w).Encode(struct {
+		Dropped uint64       `json:"dropped"`
+		Spans   []SpanRecord `json:"spans"`
+	}{dropped, spans})
 }
 
 // Span is one named timed region. Spans nest: Child opens a sub-region
@@ -240,6 +231,14 @@ func (s *Span) Context() TraceContext {
 // SetAttr attaches an attribute to the span before it ends.
 func (s *Span) SetAttr(key string, value any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+}
+
+// Fail sets the span's err attr when err is non-nil, so a failed
+// region's record says what went wrong. Call it before End.
+func (s *Span) Fail(err error) {
+	if err != nil {
+		s.SetAttr("err", err.Error())
+	}
 }
 
 // End closes the span, records it if a tracer is attached, and returns

@@ -8,6 +8,12 @@ import (
 	"time"
 )
 
+// snap is the tracer's buffered window (Snapshot without the drop count).
+func snap(tr *Tracer) []SpanRecord {
+	spans, _ := tr.Snapshot()
+	return spans
+}
+
 func TestSpanNesting(t *testing.T) {
 	tr := NewTracer(16)
 	stage := tr.Start("stage", A("stage", 1))
@@ -21,9 +27,9 @@ func TestSpanNesting(t *testing.T) {
 	upd.End()
 	stage.End()
 
-	spans := tr.Drain()
+	spans := snap(tr)
 	if len(spans) != 3 {
-		t.Fatalf("drained %d spans, want 3", len(spans))
+		t.Fatalf("recorded %d spans, want 3", len(spans))
 	}
 	// Children finish before the parent.
 	if spans[0].Name != "select" || spans[1].Name != "update" || spans[2].Name != "stage" {
@@ -41,8 +47,8 @@ func TestSpanNesting(t *testing.T) {
 	if len(spans[1].Attrs) != 1 || spans[1].Attrs[0].Key != "op" {
 		t.Errorf("update span attrs = %+v", spans[1].Attrs)
 	}
-	if tr.Drain() != nil {
-		t.Error("second drain returned spans")
+	if len(snap(tr)) != 3 {
+		t.Error("a snapshot consumed the ring")
 	}
 }
 
@@ -51,7 +57,7 @@ func TestSpanEndIdempotent(t *testing.T) {
 	s := tr.Start("once")
 	s.End()
 	s.End()
-	if got := len(tr.Drain()); got != 1 {
+	if got := len(snap(tr)); got != 1 {
 		t.Fatalf("double End recorded %d spans", got)
 	}
 }
@@ -67,7 +73,7 @@ func TestNilTracerSpansStillTime(t *testing.T) {
 	if d := s.End(); d < time.Millisecond {
 		t.Fatalf("nil-tracer span measured %v", d)
 	}
-	if tr.Drain() != nil || tr.Dropped() != 0 {
+	if spans, dropped := tr.Snapshot(); spans != nil || dropped != 0 {
 		t.Error("nil tracer retained spans")
 	}
 	if err := tr.WriteJSON(&bytes.Buffer{}); err != nil {
@@ -80,10 +86,11 @@ func TestTracerEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Start("s").End()
 	}
-	if got := tr.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
+	spans, dropped := tr.Snapshot()
+	if dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", dropped)
 	}
-	if got := len(tr.Drain()); got != 3 {
+	if got := len(spans); got != 3 {
 		t.Fatalf("retained = %d, want 3", got)
 	}
 }
@@ -107,9 +114,9 @@ func TestTracerWriteJSON(t *testing.T) {
 	if rec.Name != "alpha" {
 		t.Fatalf("first record = %+v", rec)
 	}
-	// WriteJSON does not drain.
-	if got := len(tr.Drain()); got != 2 {
-		t.Fatalf("WriteJSON drained the tracer: %d left", got)
+	// WriteJSON does not consume the ring.
+	if got := len(snap(tr)); got != 2 {
+		t.Fatalf("WriteJSON consumed the ring: %d left", got)
 	}
 }
 
@@ -133,7 +140,7 @@ func TestSpanTraceIdentity(t *testing.T) {
 	child.End()
 	root.End()
 	other.End()
-	for _, rec := range tr.Drain() {
+	for _, rec := range snap(tr) {
 		if rec.TraceID == 0 || rec.ID == 0 {
 			t.Fatalf("record %q missing ids: %+v", rec.Name, rec)
 		}
@@ -182,9 +189,9 @@ func TestTracerAbsorbAndSnapshot(t *testing.T) {
 	if spans[0].Name != "b" || spans[1].Name != "c" {
 		t.Fatalf("retained %q, %q; want newest two", spans[0].Name, spans[1].Name)
 	}
-	// Snapshot does not drain.
-	if got := len(tr.Drain()); got != 2 {
-		t.Fatalf("drain after snapshot = %d", got)
+	// Snapshot does not consume the ring.
+	if got := len(snap(tr)); got != 2 {
+		t.Fatalf("second snapshot = %d", got)
 	}
 	var nilTracer *Tracer
 	nilTracer.Absorb(SpanRecord{ID: 9})
@@ -203,8 +210,8 @@ func TestTracerDropCounter(t *testing.T) {
 	if got := c.Value(); got != 3 {
 		t.Fatalf("drop counter = %d, want 3", got)
 	}
-	if got := tr.Dropped(); got != 3 {
-		t.Fatalf("Dropped() = %d, want 3", got)
+	if _, dropped := tr.Snapshot(); dropped != 3 {
+		t.Fatalf("tracer tally = %d, want 3", dropped)
 	}
 	var nilTracer *Tracer
 	nilTracer.SetDropCounter(c) // must not panic

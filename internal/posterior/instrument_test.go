@@ -161,7 +161,7 @@ func TestSessionObs(t *testing.T) {
 				t.Error("session did not report posterior update latency")
 			}
 
-			spans := tr.Drain()
+			spans, _ := tr.Snapshot()
 			names := map[string]int{}
 			for _, sp := range spans {
 				names[sp.Name]++

@@ -49,14 +49,16 @@ type ManagerConfig struct {
 	// IdleAfter is how long a cohort may sit untouched before the
 	// background sweep checkpoints it to disk. Zero means 5 minutes.
 	IdleAfter time.Duration
-	// Obs and Tracer instrument the sessions and the manager itself; nil
-	// disables. Log receives lifecycle events (nil = discard).
+	// Obs instruments the sessions and the manager itself; nil disables.
+	// Tracer receives the restore and checkpoint spans no request caused
+	// (idle sweep, drain, a direct Manager call) as roots; a served
+	// request's spans hang under its http span instead. Sessions get no
+	// tracer of their own. Log receives lifecycle events (nil = discard).
 	Obs    *obs.Registry
 	Tracer *obs.Tracer
 	Log    *slog.Logger
-	// Flight, when non-nil, receives evict and restore events and
-	// absorb-failure anomaly triggers, each tagged with tenant and cohort
-	// identity, and is handed to every session for its stage events.
+	// Flight, when non-nil, receives absorb-failure anomaly triggers
+	// tagged with tenant and cohort identity.
 	Flight *obs.FlightRecorder
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -217,18 +219,29 @@ func (m *Manager) evictIfIdle(c *cohort, cutoff time.Time) {
 	if c.sess == nil || c.deleted || c.lastUsed.After(cutoff) {
 		return
 	}
-	if err := m.checkpointLocked(c, "idle"); err != nil {
+	if err := m.checkpointLocked(c, "idle", nil); err != nil {
 		m.cfg.Log.Error("serve: idle eviction failed", "cohort", c.id, "err", err)
 	}
 }
 
+// span opens a span under the request that caused the work, or a root
+// span on the manager's tracer when no request did.
+func (m *Manager) span(parent *obs.Span, name string, attrs ...obs.Attr) *obs.Span {
+	if parent != nil {
+		return parent.Child(name, attrs...)
+	}
+	return m.cfg.Tracer.Start(name, attrs...)
+}
+
 // checkpointLocked writes c's session to disk and releases the resident
-// posterior. Caller holds c.mu and c.sess != nil. reason says why the
-// cohort is leaving residency — "idle" (sweep), "lru" (evicted to make
-// room), or "drain" — and rides the flight event so an anomaly dump
-// shows not just that residency churned but what drove it.
-func (m *Manager) checkpointLocked(c *cohort, reason string) error {
-	start := time.Now()
+// posterior, timed as a checkpoint span under parent. Caller holds c.mu
+// and c.sess != nil. reason says why the cohort is leaving residency —
+// "idle" (sweep), "lru" (evicted to make room), or "drain" — and rides
+// the span so an anomaly dump shows not just that residency churned but
+// what drove it.
+func (m *Manager) checkpointLocked(c *cohort, reason string, parent *obs.Span) (err error) {
+	span := m.span(parent, "checkpoint", obs.A("reason", reason), obs.A("tenant", c.tenant), obs.A("cohort", c.id))
+	defer func() { span.Fail(err); span.End() }()
 	f, err := os.CreateTemp(m.cfg.Dir, c.id+".tmp*")
 	if err != nil {
 		return err
@@ -251,10 +264,6 @@ func (m *Manager) checkpointLocked(c *cohort, reason string) error {
 	m.resident.Add(-1)
 	gaugeAdd(m.mResident, -1)
 	inc(m.mEvicted)
-	m.cfg.Flight.Record(obs.Event{
-		Kind: "evict", Tenant: c.tenant, Cohort: c.id, Dur: time.Since(start),
-		Attrs: []obs.Attr{obs.A("reason", reason)},
-	})
 	m.cfg.Log.Debug("serve: cohort checkpointed", "cohort", c.id, "reason", reason)
 	return nil
 }
@@ -263,10 +272,11 @@ func (m *Manager) path(id string) string {
 	return filepath.Join(m.cfg.Dir, id+".ckpt")
 }
 
-// restoreLocked loads c's session back from disk. Caller holds c.mu and
-// c.sess == nil.
-func (m *Manager) restoreLocked(c *cohort) error {
-	start := time.Now()
+// restoreLocked loads c's session back from disk, timed as a restore
+// span under parent. Caller holds c.mu and c.sess == nil.
+func (m *Manager) restoreLocked(c *cohort, parent *obs.Span) (err error) {
+	span := m.span(parent, "restore", obs.A("reason", "demand"), obs.A("tenant", c.tenant), obs.A("cohort", c.id))
+	defer func() { span.Fail(err); span.End() }()
 	f, err := os.Open(m.path(c.id))
 	if err != nil {
 		return fmt.Errorf("serve: restore %s: %w", c.id, err)
@@ -276,23 +286,19 @@ func (m *Manager) restoreLocked(c *cohort) error {
 	if err != nil {
 		return fmt.Errorf("serve: restore %s: %w", c.id, err)
 	}
-	sess.ObserveFlight(m.cfg.Flight.Scope(c.tenant, c.id))
 	c.sess = sess
 	m.resident.Add(1)
 	gaugeAdd(m.mResident, 1)
 	inc(m.mRestored)
-	m.cfg.Flight.Record(obs.Event{
-		Kind: "restore", Tenant: c.tenant, Cohort: c.id, Dur: time.Since(start),
-		Attrs: []obs.Attr{obs.A("reason", "demand")},
-	})
 	m.cfg.Log.Debug("serve: cohort restored", "cohort", c.id)
 	return nil
 }
 
 // makeRoom evicts least-recently-used resident cohorts until the
-// resident count is back under MaxResident. Called outside any cohort
-// lock.
-func (m *Manager) makeRoom() {
+// resident count is back under MaxResident; the checkpoints hang under
+// parent, the request whose admission or restore made the room short.
+// Called outside any cohort lock.
+func (m *Manager) makeRoom(parent *obs.Span) {
 	for m.resident.Load() > int64(m.cfg.MaxResident) {
 		var victim *cohort
 		var oldest time.Time
@@ -308,9 +314,9 @@ func (m *Manager) makeRoom() {
 		if victim == nil {
 			return
 		}
-		victim.mu.Lock()
+		m.lockCohort(victim, parent)
 		if victim.sess != nil && !victim.deleted {
-			if err := m.checkpointLocked(victim, "lru"); err != nil {
+			if err := m.checkpointLocked(victim, "lru", parent); err != nil {
 				m.cfg.Log.Error("serve: LRU eviction failed", "cohort", victim.id, "err", err)
 				victim.mu.Unlock()
 				return
@@ -331,39 +337,56 @@ func (m *Manager) lookup(id string) (*cohort, error) {
 	return c, nil
 }
 
+// lockCohort takes c.mu, timing the wait as a lock_wait span under
+// parent.
+func (m *Manager) lockCohort(c *cohort, parent *obs.Span) {
+	wait := m.span(parent, "lock_wait")
+	c.mu.Lock()
+	wait.End()
+}
+
 // withSession runs fn with the cohort resident and its lock held,
-// restoring from disk first when needed. LRU pressure from a restore is
-// relieved after the cohort lock drops — makeRoom locks other cohorts,
-// and this one is now the most recently used, so it is not the victim.
-func (m *Manager) withSession(id string, fn func(*core.Session) error) error {
+// restoring from disk first when needed; the lock wait, the restore, the
+// session's phase spans and any checkpoint it forces hang under parent.
+// LRU pressure from a restore is relieved after the cohort lock drops —
+// makeRoom locks other cohorts, and this one is now the most recently
+// used, so it is not the victim.
+func (m *Manager) withSession(id string, parent *obs.Span, fn func(*core.Session) error) error {
 	c, err := m.lookup(id)
 	if err != nil {
 		return err
 	}
 	restored, err := func() (bool, error) {
-		c.mu.Lock()
+		m.lockCohort(c, parent)
 		defer c.mu.Unlock()
 		if c.deleted {
 			return false, ErrNotFound
 		}
 		restored := false
 		if c.sess == nil {
-			if err := m.restoreLocked(c); err != nil {
+			if err := m.restoreLocked(c, parent); err != nil {
 				return false, err
 			}
 			restored = true
 		}
 		c.lastUsed = m.cfg.Clock()
+		if parent != nil {
+			sess := c.sess
+			sess.SetRequestSpan(parent)
+			defer sess.SetRequestSpan(nil)
+		}
 		return restored, fn(c.sess)
 	}()
 	if restored {
-		m.makeRoom()
+		m.makeRoom(parent)
 	}
 	return err
 }
 
 // Create admits a new cohort and returns its ID.
-func (m *Manager) Create(req CreateCohortRequest) (string, error) {
+func (m *Manager) Create(req CreateCohortRequest) (string, error) { return m.create(req, nil) }
+
+func (m *Manager) create(req CreateCohortRequest, parent *obs.Span) (string, error) {
 	if m.draining.Load() {
 		return "", ErrDraining
 	}
@@ -396,8 +419,6 @@ func (m *Manager) Create(req CreateCohortRequest) (string, error) {
 		NegThreshold: req.NegThreshold,
 		MaxStages:    req.MaxStages,
 		Obs:          m.cfg.Obs,
-		Tracer:       m.cfg.Tracer,
-		Flight:       m.cfg.Flight.Scope(req.Tenant, id),
 	})
 	if err != nil {
 		m.drop(c)
@@ -409,7 +430,7 @@ func (m *Manager) Create(req CreateCohortRequest) (string, error) {
 	m.resident.Add(1)
 	gaugeAdd(m.mResident, 1)
 	gaugeAdd(m.mCohorts, 1)
-	m.makeRoom()
+	m.makeRoom(parent)
 	m.cfg.Log.Debug("serve: cohort created", "cohort", id, "tenant", req.Tenant, "subjects", len(req.Risks))
 	return id, nil
 }
@@ -429,9 +450,11 @@ func (m *Manager) drop(c *cohort) {
 // Pools returns the cohort's outstanding lab work, proposing a new stage
 // when none is outstanding. Safe to call repeatedly: a proposal is
 // re-served, not re-made.
-func (m *Manager) Pools(id string) (*PoolsResponse, error) {
+func (m *Manager) Pools(id string) (*PoolsResponse, error) { return m.pools(id, nil) }
+
+func (m *Manager) pools(id string, parent *obs.Span) (*PoolsResponse, error) {
 	var out *PoolsResponse
-	err := m.withSession(id, func(s *core.Session) error {
+	err := m.withSession(id, parent, func(s *core.Session) error {
 		pools, err := s.ProposePools()
 		if err != nil {
 			return err
@@ -454,11 +477,15 @@ func (m *Manager) Pools(id string) (*PoolsResponse, error) {
 // the cohort is wedged mid-stage — and triggers an anomaly auto-dump
 // naming the tenant and cohort.
 func (m *Manager) Submit(id string, results []core.TestResult) error {
+	return m.submit(id, results, nil)
+}
+
+func (m *Manager) submit(id string, results []core.TestResult, parent *obs.Span) error {
 	var tenant string
 	if c, err := m.lookup(id); err == nil {
 		tenant = c.tenant
 	}
-	return m.withSession(id, func(s *core.Session) error {
+	return m.withSession(id, parent, func(s *core.Session) error {
 		if err := s.AbsorbResults(results); err != nil {
 			if !errors.Is(err, core.ErrNoProposal) && s.Outstanding() == nil && !s.Done() {
 				m.cfg.Flight.TriggerAnomaly("absorb_failure",
@@ -471,9 +498,11 @@ func (m *Manager) Submit(id string, results []core.TestResult) error {
 }
 
 // Status reports a cohort's progress and classifications.
-func (m *Manager) Status(id string) (*StatusResponse, error) {
+func (m *Manager) Status(id string) (*StatusResponse, error) { return m.status(id, nil) }
+
+func (m *Manager) status(id string, parent *obs.Span) (*StatusResponse, error) {
 	var out *StatusResponse
-	err := m.withSession(id, func(s *core.Session) error {
+	err := m.withSession(id, parent, func(s *core.Session) error {
 		out = &StatusResponse{
 			ID:              id,
 			Done:            s.Done(),
@@ -494,12 +523,14 @@ func (m *Manager) Status(id string) (*StatusResponse, error) {
 }
 
 // Delete closes a cohort and removes its checkpoint.
-func (m *Manager) Delete(id string) error {
+func (m *Manager) Delete(id string) error { return m.delete(id, nil) }
+
+func (m *Manager) delete(id string, parent *obs.Span) error {
 	c, err := m.lookup(id)
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
+	m.lockCohort(c, parent)
 	if c.deleted {
 		c.mu.Unlock()
 		return ErrNotFound
@@ -556,7 +587,7 @@ func (m *Manager) Drain() (int, error) {
 	for _, c := range m.snapshot() {
 		c.mu.Lock()
 		if c.sess != nil && !c.deleted {
-			if err := m.checkpointLocked(c, "drain"); err != nil {
+			if err := m.checkpointLocked(c, "drain", nil); err != nil {
 				m.cfg.Log.Error("serve: drain checkpoint failed", "cohort", c.id, "err", err)
 				if first == nil {
 					first = err

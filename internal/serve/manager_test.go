@@ -113,15 +113,15 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
-// TestResidencyFlightEvents pins the forensic shape of residency churn:
-// every evict-to-checkpoint and restore-on-demand lands in the flight
-// recorder stamped with tenant, cohort, the reason it happened
-// (lru/idle/drain for evicts, demand for restores), and how long the
-// checkpoint or load took — so an anomaly dump shows whether churn
-// drove a latency breach.
-func TestResidencyFlightEvents(t *testing.T) {
-	flight := obs.NewFlightRecorder(256)
-	m := newTestManager(t, ManagerConfig{MaxResident: 1, Flight: flight})
+// TestResidencySpans pins the forensic shape of residency churn: every
+// evict-to-checkpoint and restore-on-demand is a span stamped with
+// tenant, cohort and the reason it happened (lru/idle/drain for
+// checkpoints, demand for restores), timing the checkpoint or load — so
+// an anomaly dump shows whether churn drove a latency breach. With no
+// request behind them (a direct Manager call, a drain) they are roots.
+func TestResidencySpans(t *testing.T) {
+	tracer := obs.NewTracer(256)
+	m := newTestManager(t, ManagerConfig{MaxResident: 1, Tracer: tracer})
 	risks := workload.UniformRisks(6, 0.1)
 
 	a, err := m.Create(CreateCohortRequest{Tenant: "ta", Risks: risks})
@@ -139,45 +139,39 @@ func TestResidencyFlightEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reason := func(ev obs.Event) string {
-		for _, at := range ev.Attrs {
-			if at.Key == "reason" {
-				if s, ok := at.Value.(string); ok {
-					return s
-				}
-			}
+	spans, _ := tracer.Snapshot()
+	checkpoints := map[string]obs.SpanRecord{} // reason -> example span
+	var restore *obs.SpanRecord
+	for i, s := range spans {
+		if s.ParentID != 0 && (s.Name == "checkpoint" || s.Name == "restore") {
+			t.Errorf("%s span with no request behind it has a parent: %+v", s.Name, s)
 		}
-		return ""
-	}
-	evicts := map[string]obs.Event{} // reason -> example event
-	var restore *obs.Event
-	for _, ev := range flight.Snapshot().Events {
-		switch ev.Kind {
-		case "evict":
-			evicts[reason(ev)] = ev
+		switch s.Name {
+		case "checkpoint":
+			checkpoints[attr(s, "reason")] = s
 		case "restore":
-			restore = &ev
+			restore = &spans[i]
 		}
 	}
-	lru, ok := evicts["lru"]
+	lru, ok := checkpoints["lru"]
 	if !ok {
-		t.Fatalf("no lru evict event: %+v", evicts)
+		t.Fatalf("no lru checkpoint span: %+v", checkpoints)
 	}
-	if lru.Tenant == "" || lru.Cohort == "" || lru.Dur <= 0 {
-		t.Fatalf("lru evict missing identity or duration: %+v", lru)
+	if attr(lru, "tenant") == "" || attr(lru, "cohort") == "" || lru.Duration <= 0 {
+		t.Fatalf("lru checkpoint missing identity or duration: %+v", lru)
 	}
-	drain, ok := evicts["drain"]
+	drain, ok := checkpoints["drain"]
 	if !ok {
-		t.Fatalf("no drain evict event: %+v", evicts)
+		t.Fatalf("no drain checkpoint span: %+v", checkpoints)
 	}
-	if drain.Dur <= 0 {
-		t.Fatalf("drain evict has no duration: %+v", drain)
+	if drain.Duration <= 0 {
+		t.Fatalf("drain checkpoint has no duration: %+v", drain)
 	}
 	if restore == nil {
-		t.Fatal("no restore event")
+		t.Fatal("no restore span")
 	}
-	if reason(*restore) != "demand" || restore.Tenant != "ta" || restore.Cohort != a || restore.Dur <= 0 {
-		t.Fatalf("restore event = %+v", restore)
+	if attr(*restore, "reason") != "demand" || attr(*restore, "tenant") != "ta" || attr(*restore, "cohort") != a || restore.Duration <= 0 {
+		t.Fatalf("restore span = %+v", restore)
 	}
 }
 

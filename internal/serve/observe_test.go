@@ -3,7 +3,9 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -83,13 +85,15 @@ func TestTenantLabelCardinalityBound(t *testing.T) {
 // TestInducedAnomalyExactlyOneDump breaches an impossible p99 objective
 // with live traffic and checks the whole forensic chain the tentpole
 // promises: exactly one auto-dump fires at breach onset (later
-// evaluations coalesce), the dump carries the offending tenant, cohort,
-// and trace ID, and that trace ID resolves to a well-formed span tree
-// via obs.Assemble. With Degrade set, /readyz turns 503 while burning.
+// evaluations coalesce), the dump carries an http span naming the
+// offending tenant and cohort, and its trace ID resolves to a
+// well-formed span tree via obs.Assemble. With Degrade set, /readyz
+// turns 503 while burning.
 func TestInducedAnomalyExactlyOneDump(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(256)
 	flight := obs.NewFlightRecorder(64)
+	flight.Attach(tracer)
 	flight.SetCooldown(0) // isolate the SLO edge-trigger from the recorder cooldown
 
 	slo, err := obs.NewSLO(reg, flight, []obs.Objective{{
@@ -140,18 +144,18 @@ func TestInducedAnomalyExactlyOneDump(t *testing.T) {
 		t.Fatalf("dump reason = %q", dump.Reason)
 	}
 
-	// The dump must carry an actionable request event: tenant, cohort, and
-	// a resolvable trace ID.
-	var offender *obs.Event
-	for i := range dump.Events {
-		ev := &dump.Events[i]
-		if ev.Kind == "request" && ev.Tenant == "acme" && ev.Cohort == created.ID && ev.TraceID != 0 {
-			offender = ev
+	// The dump must carry an actionable http span: tenant, cohort, and a
+	// resolvable trace ID.
+	var offender *obs.SpanRecord
+	for i := range dump.Spans {
+		s := &dump.Spans[i]
+		if s.Name == "http" && attr(*s, "tenant") == "acme" && attr(*s, "cohort") == created.ID && s.TraceID != 0 {
+			offender = s
 			break
 		}
 	}
 	if offender == nil {
-		t.Fatalf("dump has no request event for tenant acme cohort %s with a trace ID: %+v", created.ID, dump.Events)
+		t.Fatalf("dump has no http span for tenant acme cohort %s with a trace ID: %+v", created.ID, dump.Spans)
 	}
 
 	// Resolve the offending trace through the tracer.
@@ -194,12 +198,13 @@ func TestInducedAnomalyExactlyOneDump(t *testing.T) {
 
 // breachDump drives two cohorts in alternation under the given residency
 // bound with an unmeetable p99 objective, and returns the one anomaly
-// dump the breach produced together with the tracer that saw the traffic.
-func breachDump(t *testing.T, maxResident int) (obs.AnomalyDump, *obs.Tracer) {
+// dump the breach produced.
+func breachDump(t *testing.T, maxResident int) obs.AnomalyDump {
 	t.Helper()
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(1024)
 	flight := obs.NewFlightRecorder(1024)
+	flight.Attach(tracer)
 	flight.SetCooldown(0) // isolate the SLO edge-trigger from the recorder cooldown
 
 	slo, err := obs.NewSLO(reg, flight, []obs.Objective{{
@@ -231,125 +236,148 @@ func breachDump(t *testing.T, maxResident int) (obs.AnomalyDump, *obs.Tracer) {
 		}
 		ids[i] = created.ID
 	}
-	// One turn is fetch-the-proposal then answer it; subject 1 is the only
-	// positive, so each cohort needs several stages.
-	turn := func(id string) {
-		var pools PoolsResponse
-		if code, _ := doJSON(t, "GET", ts.URL+"/v1/cohorts/"+id+"/pools", nil, &pools); code != http.StatusOK {
-			t.Fatalf("pools %s: status %d", id, code)
-		}
-		if pools.Done {
-			return
-		}
-		req := SubmitResultsRequest{}
-		for _, p := range pools.Pools {
-			positive := false
-			for _, s := range p.Subjects {
-				positive = positive || s == 1
+	// One round fetches both proposals, then answers both, so under one
+	// resident slot every request restores its cohort and checkpoints the
+	// other; subject 1 is the only positive, so each cohort needs several
+	// stages.
+	round := func() {
+		var pools [2]PoolsResponse
+		for i, id := range ids {
+			if code, _ := doJSON(t, "GET", ts.URL+"/v1/cohorts/"+id+"/pools", nil, &pools[i]); code != http.StatusOK {
+				t.Fatalf("pools %s: status %d", id, code)
 			}
-			req.Results = append(req.Results, ResultJSON{Stage: p.Stage, Index: p.Index, Positive: positive})
 		}
-		if code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts/"+id+"/results", req, nil); code != http.StatusOK {
-			t.Fatalf("results %s: status %d", id, code)
+		for i, id := range ids {
+			if pools[i].Done {
+				continue
+			}
+			req := SubmitResultsRequest{}
+			for _, p := range pools[i].Pools {
+				positive := false
+				for _, s := range p.Subjects {
+					positive = positive || s == 1
+				}
+				req.Results = append(req.Results, ResultJSON{Stage: p.Stage, Index: p.Index, Positive: positive})
+			}
+			if code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts/"+id+"/results", req, nil); code != http.StatusOK {
+				t.Fatalf("results %s: status %d", id, code)
+			}
 		}
 	}
-	for i := 0; i < 2; i++ {
-		turn(ids[0])
-		turn(ids[1])
-	}
+	round()
+	round()
 	if st := slo.Eval(); !st[0].Breached {
 		t.Fatalf("objective not breached: %+v", st[0])
 	}
 	// The breach persists across a later window with fresh traffic — still
 	// exactly one dump.
-	turn(ids[0])
-	turn(ids[1])
+	round()
 	slo.Eval()
 
 	dumps := flight.Anomalies()
 	if len(dumps) != 1 {
 		t.Fatalf("got %d anomaly dumps, want exactly 1", len(dumps))
 	}
-	return dumps[0], tracer
+	return dumps[0]
 }
 
-// TestAnomalyDumpNamesLayers: the dump an SLO breach freezes totals its
-// own window per event kind, so a churn-shaped drive (two cohorts, one
-// resident slot) accounts for restore and evict beside selection
-// (stage_propose) and lattice update + classification (stage_absorb),
-// and the same drive with both cohorts resident has neither. No ranking
-// by time is asserted — only that Layers is exactly the fold of Events.
+// attr returns the span's attr value for key, formatted ("" when
+// absent).
+func attr(s obs.SpanRecord, key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return fmt.Sprint(a.Value)
+		}
+	}
+	return ""
+}
+
+// TestAnomalyDumpNamesLayers: a served request's work hangs under its
+// http span, so the dump an SLO breach freezes adds up. On a churn-shaped
+// drive (two cohorts, one resident slot) a results submission waits for
+// the cohort lock, restores its cohort, updates, classifies (and selects
+// the next stage) and checkpoints the other cohort — all inside its http
+// tree — and every http tree's self times sum to the request's duration
+// exactly. The same drive with both cohorts resident
+// has no restore or checkpoint span. Layers is exactly the self-time fold
+// of the dump's spans, largest total first.
 func TestAnomalyDumpNamesLayers(t *testing.T) {
-	churn, tracer := breachDump(t, 1)
-	resident, _ := breachDump(t, 2)
+	churn := breachDump(t, 1)
+	resident := breachDump(t, 2)
 
 	for name, d := range map[string]obs.AnomalyDump{"churn": churn, "resident": resident} {
+		self := obs.SelfTimes(d.Spans)
 		want := map[string]obs.LayerTotal{}
-		for _, ev := range d.Events {
-			l := want[ev.Kind]
-			l.Kind = ev.Kind
+		for _, s := range d.Spans {
+			l := want[s.Name]
+			l.Name = s.Name
 			l.Count++
-			l.Total += ev.Dur
-			if ev.Dur > l.Max {
-				l.Max = ev.Dur
-			}
-			want[ev.Kind] = l
+			l.Total += self[s.ID]
+			l.Max = max(l.Max, self[s.ID])
+			want[s.Name] = l
 		}
 		if len(d.Layers) != len(want) {
-			t.Errorf("%s: %d layers for %d event kinds: %+v", name, len(d.Layers), len(want), d.Layers)
+			t.Errorf("%s: %d layers for %d span names: %+v", name, len(d.Layers), len(want), d.Layers)
 		}
 		for i, l := range d.Layers {
-			if l != want[l.Kind] {
-				t.Errorf("%s: layer %+v, events fold to %+v", name, l, want[l.Kind])
+			if l != want[l.Name] {
+				t.Errorf("%s: layer %+v, spans fold to %+v", name, l, want[l.Name])
 			}
 			if i > 0 && l.Total > d.Layers[i-1].Total {
 				t.Errorf("%s: layers not sorted by total: %+v", name, d.Layers)
 			}
 		}
-		timed := []string{"request", "stage_propose", "stage_absorb"}
-		if name == "churn" {
-			timed = append(timed, "restore", "evict")
-		} else if want["restore"].Count+want["evict"].Count > 0 {
-			t.Errorf("resident: dump has restore or evict events: %+v", d.Layers)
+		if name == "resident" && want["restore"].Count+want["checkpoint"].Count > 0 {
+			t.Errorf("resident: dump has restore or checkpoint spans: %+v", d.Layers)
 		}
-		for _, kind := range timed {
-			if want[kind].Count == 0 || want[kind].Total <= 0 {
-				t.Errorf("%s: no timed %s events in the dump: %+v", name, kind, d.Layers)
-			}
-		}
-	}
 
-	// The dump's request events still resolve to a span tree.
-	var offender *obs.Event
-	for i := range churn.Events {
-		if ev := &churn.Events[i]; ev.Kind == "request" && ev.TraceID != 0 {
-			offender = ev
-			break
-		}
-	}
-	if offender == nil {
-		t.Fatalf("churn dump has no request event with a trace ID: %+v", churn.Events)
-	}
-	spans, _ := tracer.Snapshot()
-	for _, tr := range obs.Assemble(spans) {
-		if tr.TraceID == offender.TraceID {
-			if len(tr.Roots) == 0 || tr.Roots[0].Name != "http" {
-				t.Fatalf("assembled trace = %+v, want an http root span", tr.Roots)
+		// Every served request's tree adds up; on the churned drive the
+		// slowest results submission holds every layer a turn costs.
+		var slowest *obs.TraceNode
+		var slowestHas map[string]bool
+		requests := 0
+		for _, tr := range obs.Assemble(d.Spans) {
+			for _, root := range tr.Roots {
+				if root.Name != "http" {
+					continue
+				}
+				requests++
+				var sum time.Duration
+				has := map[string]bool{}
+				(&obs.Trace{Roots: []*obs.TraceNode{root}}).Walk(func(_ int, n *obs.TraceNode) {
+					sum += self[n.ID]
+					has[n.Name] = true
+				})
+				if sum != root.Duration {
+					t.Errorf("%s: %s %s self times sum to %v, the request took %v",
+						name, attr(root.SpanRecord, "method"), attr(root.SpanRecord, "path"), sum, root.Duration)
+				}
+				if strings.HasSuffix(attr(root.SpanRecord, "path"), "/results") && (slowest == nil || root.Duration > slowest.Duration) {
+					slowest, slowestHas = root, has
+				}
 			}
-			return
+		}
+		if requests == 0 || slowest == nil {
+			t.Fatalf("%s: no http span in the dump: %+v", name, d.Layers)
+		}
+		if name == "churn" {
+			for _, layer := range []string{"lock_wait", "restore", "update", "classify", "checkpoint"} {
+				if !slowestHas[layer] {
+					t.Errorf("churn: slowest results submission has no %s span: %+v", layer, slowestHas)
+				}
+			}
 		}
 	}
-	t.Fatalf("trace %016x from the dump not resolvable from the tracer", offender.TraceID)
 }
 
-// TestFlightShedEvent: shed requests leave a flight event even though no
-// handler runs.
-func TestFlightShedEvent(t *testing.T) {
+// TestShedSpan: a shed request leaves a zero-length shed span even
+// though no handler runs.
+func TestShedSpan(t *testing.T) {
 	reg := obs.NewRegistry()
-	flight := obs.NewFlightRecorder(16)
+	tracer := obs.NewTracer(16)
 	s, _ := newTestServer(t,
 		ManagerConfig{Obs: reg},
-		ServerConfig{Obs: reg, Flight: flight, MaxInflight: 1})
+		ServerConfig{Obs: reg, Tracer: tracer, MaxInflight: 1})
 
 	// Fill the only inflight slot so the next request sheds.
 	s.inflight <- struct{}{}
@@ -361,14 +389,9 @@ func TestFlightShedEvent(t *testing.T) {
 	if rec.status != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", rec.status)
 	}
-	var shed bool
-	for _, ev := range flight.Snapshot().Events {
-		if ev.Kind == "shed" {
-			shed = true
-		}
-	}
-	if !shed {
-		t.Fatal("no shed event recorded")
+	spans, _ := tracer.Snapshot()
+	if len(spans) != 1 || spans[0].Name != "shed" || attr(spans[0], "path") != "/v1/cohorts/nope" {
+		t.Fatalf("spans = %+v, want one shed span", spans)
 	}
 }
 

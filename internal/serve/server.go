@@ -47,10 +47,12 @@ type ServerConfig struct {
 	// TenantOverflow.
 	MaxTenantLabels int
 	Obs             *obs.Registry
-	Tracer          *obs.Tracer
-	Log             *slog.Logger
-	// Flight, when non-nil, records request summaries and sheds (the
-	// manager records evictions and restores through its own config).
+	// Tracer records one http span per request, with the manager's and
+	// the session's work for it as children, and a zero-length shed span
+	// per shed request.
+	Tracer *obs.Tracer
+	Log    *slog.Logger
+	// Flight, when non-nil, serves its anomaly dumps on /debug/flight.
 	Flight *obs.FlightRecorder
 	// SLO, when non-nil, joins the /readyz chain: a breached Degrade
 	// objective turns readiness 503 so the load balancer backs off while
@@ -76,7 +78,6 @@ type Server struct {
 	mux      *http.ServeMux
 	log      *slog.Logger
 	tracer   *obs.Tracer
-	flight   *obs.FlightRecorder
 	inflight chan struct{}
 
 	mRequests *obs.Counter
@@ -149,7 +150,6 @@ func NewServer(cfg ServerConfig) *Server {
 		}),
 		log:        obs.OrNop(cfg.Log),
 		tracer:     cfg.Tracer,
-		flight:     cfg.Flight,
 		inflight:   make(chan struct{}, cfg.MaxInflight),
 		reg:        cfg.Obs,
 		maxTenants: cfg.MaxTenantLabels,
@@ -174,13 +174,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	s.mux.ServeHTTP(w, req)
 }
 
-// reqInfo threads per-request identity from handler to guard: which
-// tenant and cohort the request touched (set by the handler once it
-// knows) plus the response status, captured by the statusRecorder.
+// reqInfo threads per-request identity between guard and handler: the
+// request's http span, which the handler hands the manager as the parent
+// of the work it causes, and which tenant and cohort the request touched
+// (set by the handler once it knows).
 type reqInfo struct {
+	span   *obs.Span
 	tenant string
 	cohort string
-	status int
 }
 
 // bind resolves the cohort's tenant and stamps both identities — the
@@ -190,7 +191,7 @@ func (ri *reqInfo) bind(s *Server, cohortID string) {
 	ri.tenant = s.mgr.Tenant(cohortID)
 }
 
-// statusRecorder captures the response status for metrics and events.
+// statusRecorder captures the response status for metrics and the http span.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -202,8 +203,9 @@ func (r *statusRecorder) WriteHeader(code int) {
 }
 
 // guard wraps an API handler with backpressure, metrics (aggregate and
-// per-tenant RED), a flight-recorder request event — the slow-request →
-// trace-ID link, present in every dump — and a per-request span.
+// per-tenant RED) and a per-request http span: the manager's and the
+// session's work for the request hangs under it, and its tenant, cohort
+// and status attrs make it the slow-request → trace link in every dump.
 func (s *Server) guard(h func(http.ResponseWriter, *http.Request, *reqInfo) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		select {
@@ -211,56 +213,34 @@ func (s *Server) guard(h func(http.ResponseWriter, *http.Request, *reqInfo) erro
 			defer func() { <-s.inflight }()
 		default:
 			inc(s.mShed)
-			s.flight.Record(obs.Event{
-				Kind:  "shed",
-				Attrs: []obs.Attr{obs.A("method", req.Method), obs.A("path", req.URL.Path)},
-			})
+			s.tracer.Start("shed", obs.A("method", req.Method), obs.A("path", req.URL.Path)).End()
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, errors.New("serve: too many in-flight requests"))
 			return
 		}
 		inc(s.mRequests)
-		start := time.Now()
-		var span *obs.Span
-		var traceID uint64
-		if s.tracer != nil {
-			span = s.tracer.Start("http", obs.A("method", req.Method), obs.A("path", req.URL.Path))
-			traceID = span.Context().TraceID
-		}
-		ri := &reqInfo{status: http.StatusOK}
+		// method, path, tenant, cohort, status and (on failure) err.
+		attrs := make([]obs.Attr, 2, 6)
+		attrs[0], attrs[1] = obs.A("method", req.Method), obs.A("path", req.URL.Path)
+		ri := &reqInfo{span: s.tracer.Start("http", attrs...)}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		err := h(rec, req, ri)
-		ri.status = rec.status
-		if span != nil {
-			if err != nil {
-				span.SetAttr("err", err.Error())
-			}
-			span.End()
+		ri.span.SetAttr("tenant", ri.tenant)
+		ri.span.SetAttr("cohort", ri.cohort)
+		ri.span.SetAttr("status", rec.status)
+		if err != nil {
+			ri.span.Fail(err)
+			s.log.Debug("serve: request failed", "method", req.Method, "path", req.URL.Path, "err", err)
 		}
-		elapsed := time.Since(start).Seconds()
+		elapsed := ri.span.End().Seconds()
 		s.mLatency.Observe(elapsed)
 		if tm := s.tenant(ri.tenant); tm != nil {
 			tm.requests.Inc()
 			tm.latency.Observe(elapsed)
-			if ri.status >= http.StatusInternalServerError {
+			if rec.status >= http.StatusInternalServerError {
 				tm.errors.Inc()
 			}
 		}
-		ev := obs.Event{
-			Kind:    "request",
-			Tenant:  ri.tenant,
-			Cohort:  ri.cohort,
-			TraceID: traceID,
-			Dur:     time.Since(start),
-			Attrs: []obs.Attr{
-				obs.A("method", req.Method), obs.A("path", req.URL.Path), obs.A("status", ri.status),
-			},
-		}
-		if err != nil {
-			ev.Err = err.Error()
-			s.log.Debug("serve: request failed", "method", req.Method, "path", req.URL.Path, "err", err)
-		}
-		s.flight.Record(ev)
 	}
 }
 
@@ -319,7 +299,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request, ri *reqI
 		return fail(w, err)
 	}
 	ri.tenant = in.Tenant
-	id, err := s.mgr.Create(in)
+	id, err := s.mgr.create(in, ri.span)
 	if err != nil {
 		return fail(w, err)
 	}
@@ -330,7 +310,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request, ri *reqI
 func (s *Server) handlePools(w http.ResponseWriter, req *http.Request, ri *reqInfo) error {
 	id := req.PathValue("id")
 	ri.bind(s, id)
-	out, err := s.mgr.Pools(id)
+	out, err := s.mgr.pools(id, ri.span)
 	if err != nil {
 		return fail(w, err)
 	}
@@ -344,10 +324,10 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request, ri *req
 	if err := decode(req, &in); err != nil {
 		return fail(w, err)
 	}
-	if err := s.mgr.Submit(id, resultsFromJSON(in.Results)); err != nil {
+	if err := s.mgr.submit(id, resultsFromJSON(in.Results), ri.span); err != nil {
 		return fail(w, err)
 	}
-	out, err := s.mgr.Pools(id)
+	out, err := s.mgr.pools(id, ri.span)
 	if err != nil {
 		return fail(w, err)
 	}
@@ -357,7 +337,7 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request, ri *req
 func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request, ri *reqInfo) error {
 	id := req.PathValue("id")
 	ri.bind(s, id)
-	out, err := s.mgr.Status(id)
+	out, err := s.mgr.status(id, ri.span)
 	if err != nil {
 		return fail(w, err)
 	}
@@ -367,7 +347,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request, ri *reqI
 func (s *Server) handleDelete(w http.ResponseWriter, req *http.Request, ri *reqInfo) error {
 	id := req.PathValue("id")
 	ri.bind(s, id)
-	if err := s.mgr.Delete(id); err != nil {
+	if err := s.mgr.delete(id, ri.span); err != nil {
 		return fail(w, err)
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -30,13 +30,14 @@ go test ./...
 echo '== examples (every program under examples/ runs to exit 0) =='
 make -s examples
 
-echo '== stage-kernel, kernel-ablation, serial-crossover and cluster-conditioning benchmarks (one iteration each, so they cannot rot) =='
+echo '== stage-kernel, kernel-ablation, serial-crossover, cluster-conditioning and span-record benchmarks (one iteration each, so they cannot rot) =='
 go test ./internal/lattice -run '^$' -bench 'BenchmarkStageKernels|BenchmarkNegMassCrossover|BenchmarkNegMassesTiling|BenchmarkFusion' -benchtime 1x
 go test ./internal/engine -run '^$' -bench BenchmarkSerialCrossover -benchtime 1x -cpu 1,2
 go test ./internal/cluster -run '^$' -bench BenchmarkClusterCondition -benchtime 1x
+go test ./internal/obs -run '^$' -bench BenchmarkSpan -benchtime 1x
 
-echo '== go test -race (concurrency substrate + backend conformance + obs) =='
-go test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs
+echo '== go test -race (concurrency substrate + backend conformance + obs + serve) =='
+go test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs ./internal/serve
 
 echo '== fuzz smoke (10s each) =='
 go test ./internal/prob -run FuzzLogSumExp -fuzz FuzzLogSumExp -fuzztime 10s
