@@ -156,7 +156,7 @@ func main() {
 			if err := sess.Step(test); err != nil {
 				rt.Fatal(err)
 			}
-			if err := checkpoint(sess, *saveTo); err != nil {
+			if err := sess.SaveFile(*saveTo); err != nil {
 				rt.Fatal(err)
 			}
 		}
@@ -243,23 +243,4 @@ func minf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// checkpoint writes the session to path atomically.
-func checkpoint(sess *sbgt.Session, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := sbgt.SaveSession(f, sess); err != nil {
-		f.Close()      //lint:allow errcheck the save error dominates temp-file cleanup
-		os.Remove(tmp) //lint:allow errcheck the save error dominates temp-file cleanup
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp) //lint:allow errcheck the close error dominates temp-file cleanup
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -7,11 +7,11 @@ func TestAllowGolden(t *testing.T) {
 	// annotation failed to suppress, the malformed-allow diagnostic, and
 	// the errcheck diagnostic the malformed annotation failed to suppress.
 	// The correctly annotated sites must be absent.
-	runGolden(t, "allow", "repro/internal/latticeio", "allow", []*Analyzer{Errcheck})
+	runGolden(t, "allow", "repro/internal/core", "allow", []*Analyzer{Errcheck})
 }
 
 func TestAllowSuppressesOnlyNamedAnalyzer(t *testing.T) {
-	diags := loadAndRun(t, "allow", "repro/internal/latticeio", []*Analyzer{Errcheck})
+	diags := loadAndRun(t, "allow", "repro/internal/core", []*Analyzer{Errcheck})
 	counts := countByAnalyzer(diags)
 	if counts["errcheck"] != 2 {
 		t.Errorf("want 2 surviving errcheck diagnostics (wrong analyzer + malformed), got %d", counts["errcheck"])

@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestErrcheckGolden(t *testing.T) {
-	runGolden(t, "errcheck", "repro/internal/latticeio", "errcheck", []*Analyzer{Errcheck})
+	runGolden(t, "errcheck", "repro/internal/core", "errcheck", []*Analyzer{Errcheck})
 }

@@ -2,14 +2,19 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/dilution"
+	"repro/internal/engine"
 	"repro/internal/halving"
-	"repro/internal/latticeio"
+	"repro/internal/posterior"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -112,27 +117,100 @@ func TestSessionCheckpointCompleted(t *testing.T) {
 	}
 }
 
+// TestLoadSessionRejectsGarbage: a stream that is no checkpoint at all and
+// a real checkpoint with a byte after its tail are both refused.
 func TestLoadSessionRejectsGarbage(t *testing.T) {
 	pool := newTestPool(t)
-	if _, err := LoadSession(strings.NewReader("not a checkpoint"), pool, nil); err == nil {
-		t.Fatal("garbage accepted")
+	raw := saveSession(t, newDenseSession(t, pool, 6, false))
+	for name, data := range map[string][]byte{
+		"text":     []byte("not a checkpoint"),
+		"trailing": append(append([]byte(nil), raw...), 0),
+	} {
+		if _, err := LoadSession(bytes.NewReader(data), pool, nil); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
+// TestLoadSessionRejectsBadMagic: a stream under another magic is refused
+// by the magic it carries, and so is a real checkpoint's header and tail
+// under another magic and a stream that stops inside the magic.
+func TestLoadSessionRejectsBadMagic(t *testing.T) {
+	pool := newTestPool(t)
+	_, err := LoadSession(strings.NewReader("NOTACKPTxxxxxxxxxxxx"), pool, nil)
+	if err == nil || !strings.Contains(err.Error(), `"NOTACKPT"`) {
+		t.Fatalf("bad magic: %v, want it named", err)
+	}
+	raw := saveSession(t, newDenseSession(t, pool, 6, false))
+	for name, data := range map[string][]byte{
+		"real checkpoint": append([]byte("NOTACKPT"), raw[len(checkpointMagic):]...),
+		"short":           []byte(checkpointMagic[:5]),
+	} {
+		if _, err := LoadSession(bytes.NewReader(data), pool, nil); err == nil {
+			t.Fatalf("%s under a bad magic accepted", name)
+		}
+	}
+}
+
+// TestLoadSessionRejectsTruncation: a checkpoint cut inside the magic or
+// the header is refused.
+func TestLoadSessionRejectsTruncation(t *testing.T) {
+	pool := newTestPool(t)
+	raw, header := freshCheckpoint(t, pool, 8)
+	for _, cut := range []int{4, 12, header / 2, header - 1} {
+		if _, err := LoadSession(bytes.NewReader(raw[:cut]), pool, nil); err == nil {
+			t.Fatalf("truncation at %d of a %d-byte magic and header accepted", cut, header)
+		}
+	}
+}
+
+// TestLoadSessionRejectsTruncatedLattice: a checkpoint cut inside its
+// dense posterior tail — before its first word, after one word, halfway,
+// one byte short — is refused.
 func TestLoadSessionRejectsTruncatedLattice(t *testing.T) {
 	pool := newTestPool(t)
-	risks := workload.UniformRisks(8, 0.1)
-	sess, err := NewSession(pool, Config{Risks: risks, Response: dilution.Ideal{}})
+	raw, header := freshCheckpoint(t, pool, 8)
+	tail := len(raw) - header
+	for _, keep := range []int{0, 8, tail / 2, tail - 1} {
+		if _, err := LoadSession(bytes.NewReader(raw[:header+keep]), pool, nil); err == nil {
+			t.Fatalf("tail cut to %d of %d bytes accepted", keep, tail)
+		}
+	}
+}
+
+// freshCheckpoint saves a dense n-subject session before its first stage,
+// so its tail is the whole 2^n-state lattice, and returns the checkpoint
+// with the length of its magic and header.
+func freshCheckpoint(t *testing.T, pool *engine.Pool, n int) ([]byte, int) {
+	t.Helper()
+	sess, err := NewSession(pool, Config{Risks: workload.UniformRisks(n, 0.07), Response: dilution.Ideal{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := sess.SaveSession(&buf); err != nil {
-		t.Fatal(err)
+	defer sess.Close()
+	raw := saveSession(t, sess)
+	_, tail := splitCheckpoint(t, raw)
+	if len(tail) != 8<<n {
+		t.Fatalf("fresh %d-subject checkpoint has a %d-byte tail, want %d", n, len(tail), 8<<n)
 	}
-	raw := buf.Bytes()
-	if _, err := LoadSession(bytes.NewReader(raw[:len(raw)/2]), pool, nil); err == nil {
-		t.Fatal("truncated checkpoint accepted")
+	return raw, len(raw) - len(tail)
+}
+
+// TestLoadSessionRejectsCorruptPosterior: the tail is validated where a
+// model is built from it, so a NaN in a dense posterior or a negative
+// sparse mass is refused, not resumed.
+func TestLoadSessionRejectsCorruptPosterior(t *testing.T) {
+	pool := newTestPool(t)
+	dense := saveSession(t, newDenseSession(t, pool, 6, true))
+	for i := len(dense) - 8; i < len(dense); i++ {
+		dense[i] = 0xff // the last state's mass becomes a NaN
+	}
+	sparse := saveSession(t, newSparseSession(t, 6))
+	binary.LittleEndian.PutUint64(sparse[len(sparse)-8:], math.Float64bits(-0.5))
+	for name, raw := range map[string][]byte{"dense NaN": dense, "sparse negative": sparse} {
+		if _, err := LoadSession(bytes.NewReader(raw), pool, nil); err == nil {
+			t.Fatalf("%s mass accepted", name)
+		}
 	}
 }
 
@@ -178,80 +256,300 @@ func TestCheckpointCarriesEntropyTrace(t *testing.T) {
 	}
 }
 
-// TestLoadSessionBeforeEntropyTraceField: a checkpoint in the format of
-// the commits before Config.EntropyTrace — the same header without the
-// field, when every session traced — loads as an untraced session: the
-// entropy prefix it recorded is kept and the resumed stages add nothing.
-func TestLoadSessionBeforeEntropyTraceField(t *testing.T) {
+// TestLoadSessionRefusesParentFormat: checkpoints in the retired
+// gob-first layout (written by the build before the one-header layout: a
+// v2 idle dense session and a v3 one with a proposal outstanding) are
+// refused with an error that names that layout, never mis-read.
+func TestLoadSessionRefusesParentFormat(t *testing.T) {
 	pool := newTestPool(t)
-	risks := workload.UniformRisks(8, 0.12)
+	for _, name := range []string{"parent_v2_dense.ckpt", "parent_v3_pending.ckpt"} {
+		raw, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadSession(bytes.NewReader(raw), pool, nil)
+		if err == nil || !strings.Contains(err.Error(), "retired gob-first layout (versions 1–3)") {
+			t.Fatalf("%s: %v, want the retired layout named", name, err)
+		}
+	}
+}
+
+// TestSaveSessionIsDeterministic: two saves of the same session are the
+// same bytes, on the dense backend with a proposal outstanding and on the
+// sparse backend.
+func TestSaveSessionIsDeterministic(t *testing.T) {
+	pool := newTestPool(t)
+	for _, s := range []*Session{newDenseSession(t, pool, 8, true), newSparseSession(t, 8)} {
+		if a, b := saveSession(t, s), saveSession(t, s); !bytes.Equal(a, b) {
+			t.Fatal("two saves of the same session differ")
+		}
+	}
+}
+
+// TestCheckpointRoundTripResponses: under every shipped assay model the
+// restored posterior equals the saved one state for state, the response
+// model and the posterior's test counter come back, and the restored
+// session keeps absorbing.
+func TestCheckpointRoundTripResponses(t *testing.T) {
+	pool := newTestPool(t)
+	risks := []float64{0.05, 0.2, 0.1, 0.3, 0.15, 0.08}
+	for _, resp := range []dilution.Response{
+		dilution.Ideal{},
+		dilution.Binary{Sens: 0.9, Spec: 0.97},
+		dilution.Hyperbolic{MaxSens: 0.95, Spec: 0.99, D: 0.3},
+		dilution.DefaultCt(),
+	} {
+		oracle := workload.NewOracle(workload.Draw(risks, rng.New(9)), resp, rng.New(10))
+		sess, err := NewSession(pool, Config{Risks: risks, Response: resp, MaxStages: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Step(oracle.Test); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadSession(bytes.NewReader(saveSession(t, sess)), pool, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", resp.Name(), err)
+		}
+		want, got := snapshotOf(t, sess), snapshotOf(t, back)
+		if got.Response.Name() != resp.Name() || got.Tests != want.Tests {
+			t.Fatalf("%s: restored as %s after %d tests, saved after %d", resp.Name(), got.Response.Name(), got.Tests, want.Tests)
+		}
+		samePosterior(t, resp.Name(), got, want, 1e-15)
+		if _, err := back.Run(oracle.Test); err != nil {
+			t.Fatalf("%s: resumed campaign: %v", resp.Name(), err)
+		}
+		sess.Close()
+	}
+}
+
+// TestCheckpointTailCrossesChunks: tails longer than one 8192-word chunk —
+// a 2^14-state dense posterior, and a sparse support past 8192 states —
+// round-trip intact.
+func TestCheckpointTailCrossesChunks(t *testing.T) {
+	pool := newTestPool(t)
+	dense := newDenseSession(t, pool, 14, false)
+	sparse := newSparseSession(t, 14)
+	if n := len(snapshotOf(t, sparse).States); n <= tailChunk {
+		t.Fatalf("sparse support of %d states fits in one chunk", n)
+	}
+	for _, s := range []*Session{dense, sparse} {
+		back, err := LoadSession(bytes.NewReader(saveSession(t, s)), pool, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := snapshotOf(t, s)
+		samePosterior(t, string(want.Kind), snapshotOf(t, back), want, 1e-15)
+	}
+}
+
+// TestCheckpointLayout pins the layout on every backend a session runs
+// on: after the magic and one gob message, what is left is exactly the
+// raw tail — 8·2^N bytes for a dense or cluster-gathered posterior (idle
+// or with a proposal outstanding), 16·|support| for a sparse one, and
+// nothing once the campaign is complete.
+func TestCheckpointLayout(t *testing.T) {
+	pool := newTestPool(t)
 	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
-	oracle := workload.NewOracle(workload.Draw(risks, rng.New(61)), resp, rng.New(62))
-	sess, err := NewSession(pool, Config{Risks: risks, Response: resp, EntropyTrace: true})
+	risks := workload.BetaRisks(10, 2, 6, rng.New(71))
+	for _, b := range heldBackends {
+		model, err := b.spec.Open(pool, risks, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewSessionOn(model, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := workload.NewOracle(workload.Draw(risks, rng.New(72)), resp, rng.New(73))
+		if err := sess.Step(oracle.Test); err != nil {
+			t.Fatal(err)
+		}
+		tailBytes := func() int {
+			snap := snapshotOf(t, sess)
+			if snap.Kind == posterior.KindSparse {
+				return 16 * len(snap.States)
+			}
+			return 8 << sess.Remaining()
+		}
+		check := func(shape string, want int) {
+			t.Helper()
+			_, tail := splitCheckpoint(t, saveSession(t, sess))
+			if len(tail) != want {
+				t.Fatalf("%s %s: %d bytes after the header, want %d", b.name, shape, len(tail), want)
+			}
+		}
+		check("idle", tailBytes())
+		if _, err := sess.ProposePools(); err != nil {
+			t.Fatal(err)
+		}
+		check("pending", tailBytes())
+		if _, err := sess.Run(oracle.Test); err != nil {
+			t.Fatal(err)
+		}
+		check("completed", 0)
+	}
+}
+
+// TestLoadSessionRejectsIncoherentHeader: a header that no session could
+// have written is refused before it is resumed. The base is a 6-subject
+// campaign with some subjects called and a proposal outstanding; each row
+// rewrites one thing in its header.
+func TestLoadSessionRejectsIncoherentHeader(t *testing.T) {
+	pool := newTestPool(t)
+	risks := []float64{0.02, 0.02, 0.5, 0.02, 0.3, 0.02}
+	oracle := workload.NewOracle(workload.Draw(risks, rng.New(81)), dilution.Ideal{}, rng.New(82))
+	sess, err := NewSession(pool, Config{Risks: risks, Response: dilution.Ideal{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	defer sess.Close()
+	for sess.Remaining() == len(risks) {
 		if err := sess.Step(oracle.Test); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sess.Done() {
-		t.Fatal("campaign finished before the checkpoint")
+	if _, err := sess.ProposePools(); err != nil || sess.Done() || sess.Remaining() < 2 {
+		t.Fatalf("base campaign: done=%v, %d remaining, %v", sess.Done(), sess.Remaining(), err)
 	}
-	// The parent's sessionHeader, field for field (gob matches by name).
-	type headerBefore struct {
-		Version      int
-		Backend      string
-		Active       []int
-		Calls        []Classification
-		Stage        int
-		Tests        int
-		Entropy      []float64
-		Log          []TestRecord
-		Lookahead    int
-		PosThreshold float64
-		NegThreshold float64
-		MaxStages    int
-		Parts        int
-		Done         bool
+	raw := saveSession(t, sess)
+	if _, err := LoadSession(bytes.NewReader(raw), pool, nil); err != nil {
+		t.Fatalf("the unmodified base does not load: %v", err)
 	}
-	snap, err := sess.model.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := sess.Result().EntropyTrace
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&headerBefore{
-		Version: sessionVersion, Backend: string(snap.Kind), Active: sess.active, Calls: sess.calls,
-		Stage: sess.stage, Tests: sess.tests, Entropy: prefix, Log: sess.log,
-		Lookahead: 1, PosThreshold: 0.99, NegThreshold: 0.01, MaxStages: 64,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := latticeio.SaveRaw(&buf, snap.Risks, snap.Response, snap.Tests, snap.Dense); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadSession(&buf, pool, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.cfg.EntropyTrace {
-		t.Fatal("a checkpoint without the field loaded as traced")
-	}
-	res, err := restored.Run(oracle.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prefix) != 3 || res.Stages <= 2 {
-		t.Fatalf("recorded prefix %v, resumed campaign ended at stage %d", prefix, res.Stages)
-	}
-	if len(res.EntropyTrace) != len(prefix) {
-		t.Fatalf("resumed trace %v, recorded prefix %v", res.EntropyTrace, prefix)
-	}
-	for i := range prefix {
-		if res.EntropyTrace[i] != prefix[i] {
-			t.Fatalf("prefix[%d] = %v after the resume, recorded %v", i, res.EntropyTrace[i], prefix[i])
+	base, tail := splitCheckpoint(t, raw)
+	called := -1 // a subject already classified
+	for i, c := range base.Calls {
+		if c.Status != StatusUnknown {
+			called = i
 		}
 	}
+	for _, c := range []struct {
+		name   string
+		mutate func(h *sessionHeader)
+		tail   []byte
+	}{
+		{"duplicate active", func(h *sessionHeader) { h.Active[1] = h.Active[0] }, tail},
+		{"active outside cohort", func(h *sessionHeader) { h.Active[0] = len(h.Calls) }, tail},
+		{"active subject already called", func(h *sessionHeader) { h.Calls[h.Active[0]].Status = StatusNegative }, tail},
+		{"unknown subject not active", func(h *sessionHeader) { h.Calls[called].Status = StatusUnknown }, tail},
+		{"call for another subject", func(h *sessionHeader) { h.Calls[1].Subject = 0 }, tail},
+		{"negative stage", func(h *sessionHeader) { h.Stage = -1 }, tail},
+		{"negative tests", func(h *sessionHeader) { h.Tests = -1 }, tail},
+		{"pending on stage 0", func(h *sessionHeader) { h.Stage = 0 }, tail},
+		{"pending pool outside cohort", func(h *sessionHeader) { h.Pending[0] = bitvec.Mask(1) << len(h.Active) }, tail},
+		{"empty pending pool", func(h *sessionHeader) { h.Pending[0] = 0 }, tail},
+		{"completed with active subjects", func(h *sessionHeader) { h.Posterior, h.Pending = nil, nil }, nil},
+		{"completed with a proposal", func(h *sessionHeader) { h.Posterior, h.Active = nil, nil }, nil},
+		{"posterior over other subjects", func(h *sessionHeader) { h.Posterior.Risks = h.Posterior.Risks[1:] }, tail[:len(tail)/2]},
+		{"no response model", func(h *sessionHeader) { h.Posterior.Response = nil }, tail},
+		{"unknown backend", func(h *sessionHeader) { h.Posterior.Kind = "" }, tail},
+		{"dense with a support", func(h *sessionHeader) { h.Posterior.Support = 1 }, tail},
+		{"sparse without a support", func(h *sessionHeader) { h.Posterior.Kind = posterior.KindSparse }, tail},
+	} {
+		h, _ := splitCheckpoint(t, raw) // a fresh copy of the base header
+		c.mutate(h)
+		if _, err := LoadSession(bytes.NewReader(joinCheckpoint(t, h, c.tail)), pool, nil); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	if !reflect.DeepEqual(base.Active, sess.active) {
+		t.Fatal("the table mutated the base header")
+	}
+}
+
+func newDenseSession(t testing.TB, pool *engine.Pool, n int, propose bool) *Session {
+	t.Helper()
+	risks := workload.UniformRisks(n, 0.07)
+	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
+	sess, err := NewSession(pool, Config{Risks: risks, Response: resp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	if err := sess.Step(workload.NewOracle(workload.Draw(risks, rng.New(1)), resp, rng.New(2)).Test); err != nil {
+		t.Fatal(err)
+	}
+	if propose {
+		if _, err := sess.ProposePools(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sess
+}
+
+func newSparseSession(t testing.TB, n int) *Session {
+	t.Helper()
+	pool := newTestPool(t)
+	risks := workload.UniformRisks(n, 0.07)
+	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
+	model, err := posterior.Spec{Kind: posterior.KindSparse, Eps: 1e-12}.Open(pool, risks, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSessionOn(model, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	return sess
+}
+
+func saveSession(t testing.TB, s *Session) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveSession(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func snapshotOf(t testing.TB, s *Session) *posterior.Snapshot {
+	t.Helper()
+	snap, err := s.model.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// samePosterior compares two snapshots' posteriors, each mass relative to
+// the saved one.
+func samePosterior(t testing.TB, what string, got, want *posterior.Snapshot, tol float64) {
+	t.Helper()
+	if !reflect.DeepEqual(got.States, want.States) || len(got.Dense) != len(want.Dense) || len(got.Mass) != len(want.Mass) {
+		t.Fatalf("%s: restored support differs", what)
+	}
+	g, w := append(got.Dense, got.Mass...), append(want.Dense, want.Mass...)
+	for i := range w {
+		if math.Abs(g[i]-w[i]) > tol*w[i] {
+			t.Fatalf("%s: mass %d restored as %v, saved %v", what, i, g[i], w[i])
+		}
+	}
+}
+
+// splitCheckpoint decodes a checkpoint's one gob header and returns it with
+// every byte that follows it.
+func splitCheckpoint(t testing.TB, raw []byte) (*sessionHeader, []byte) {
+	t.Helper()
+	if !bytes.HasPrefix(raw, []byte(checkpointMagic)) {
+		t.Fatalf("checkpoint starts %q", raw[:min(len(raw), len(checkpointMagic))])
+	}
+	r := bytes.NewReader(raw[len(checkpointMagic):])
+	var h sessionHeader
+	if err := gob.NewDecoder(r).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return &h, raw[len(raw)-r.Len():]
+}
+
+// joinCheckpoint is splitCheckpoint's inverse: it writes a header and a
+// tail in the checkpoint layout, whatever they say.
+func joinCheckpoint(t testing.TB, h *sessionHeader, tail []byte) []byte {
+	t.Helper()
+	buf := bytes.NewBufferString(checkpointMagic)
+	if err := gob.NewEncoder(buf).Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(tail)
+	return buf.Bytes()
 }

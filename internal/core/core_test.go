@@ -13,7 +13,7 @@ import (
 	"repro/internal/workload"
 )
 
-func newTestPool(t *testing.T) *engine.Pool {
+func newTestPool(t testing.TB) *engine.Pool {
 	t.Helper()
 	p := engine.NewPool(4)
 	t.Cleanup(p.Close)

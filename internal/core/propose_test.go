@@ -2,11 +2,11 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -356,36 +356,44 @@ func TestCheckpointPendingProposalRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointVersionTagging(t *testing.T) {
-	// The historical format is untouched for every historical state: a
-	// session with no outstanding proposal writes version 2. Only the new
-	// state (a pending proposal) writes the new version.
+	// There is one layout: an idle session, one with a proposal
+	// outstanding and a completed one all write the same magic and the one
+	// version.
 	pool := newTestPool(t)
 	risks := workload.UniformRisks(6, 0.1)
+	oracle := workload.NewOracle(workload.Draw(risks, rng.New(13)), dilution.Ideal{}, rng.New(14))
 	sess, err := NewSession(pool, Config{Risks: risks, Response: dilution.Ideal{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 
-	version := func() int {
-		var buf bytes.Buffer
-		if err := sess.SaveSession(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var h sessionHeader
-		if err := gob.NewDecoder(&buf).Decode(&h); err != nil {
-			t.Fatal(err)
-		}
-		return h.Version
-	}
-	if v := version(); v != sessionVersion {
-		t.Fatalf("idle session wrote version %d, want %d", v, sessionVersion)
-	}
+	idle := saveSession(t, sess)
 	if _, err := sess.ProposePools(); err != nil {
 		t.Fatal(err)
 	}
-	if v := version(); v != sessionVersionPending {
-		t.Fatalf("pending session wrote version %d, want %d", v, sessionVersionPending)
+	pending := saveSession(t, sess)
+	if _, err := sess.Run(oracle.Test); err != nil {
+		t.Fatal(err)
+	}
+	for shape, raw := range map[string][]byte{"idle": idle, "pending": pending, "completed": saveSession(t, sess)} {
+		if h, _ := splitCheckpoint(t, raw); h.Version != checkpointVersion {
+			t.Fatalf("%s session wrote version %d, want %d", shape, h.Version, checkpointVersion)
+		}
+	}
+}
+
+// TestLoadSessionRejectsWrongVersion: a checkpoint whose header carries any
+// version but the one this build writes is refused by number.
+func TestLoadSessionRejectsWrongVersion(t *testing.T) {
+	pool := newTestPool(t)
+	h, tail := splitCheckpoint(t, saveSession(t, newDenseSession(t, pool, 6, true)))
+	for _, v := range []int{0, 2, 3, checkpointVersion + 1} {
+		h.Version = v
+		_, err := LoadSession(bytes.NewReader(joinCheckpoint(t, h, tail)), pool, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) {
+			t.Fatalf("version %d: %v", v, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package lattice
 
-// Exports for scale_test.go, which is in package lattice_test because it
-// round-trips the model through latticeio (which imports this package).
+// Exports for scale_test.go, which drives the model through its exported
+// API only, from package lattice_test.
 
 // The eager references of oracle_test.go.
 var (

@@ -239,8 +239,8 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 }
 
 // Restore rebuilds a model from a previously captured posterior (state
-// order, length 2^len(cfg.Risks)) and test counter — the checkpointing
-// hook used by internal/latticeio. The posterior is renormalized on load
+// order, length 2^len(cfg.Risks)) and test counter — how a session
+// checkpoint's dense tail becomes a model again (posterior.FromSnapshot). The posterior is renormalized on load
 // (its total's reciprocal is the carried scale) so a checkpoint cannot
 // smuggle in an unnormalized lattice; it is never taken for a prior.
 func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Model, error) {

@@ -1,7 +1,6 @@
 package lattice_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -9,15 +8,14 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/engine"
 	"repro/internal/lattice"
-	"repro/internal/latticeio"
 	"repro/internal/rng"
 )
 
 // TestCarriedScaleMatchesEagerLongCampaign runs the model that carries its
 // normaliser against the eager reference (normalize after every
 // reweighting, oracle_test.go) through a long seeded campaign: 330 updates
-// and 6 conditionings, with a Clone and a latticeio save/load on the way.
-// Between steps the model is read only through Marginals and
+// and 6 conditionings, with a Clone and a Restore (the checkpoint path) on
+// the way. Between steps the model is read only through Marginals and
 // PrefixNegMasses, so the scale stays pending from update to update; the
 // readers that settle run on a throwaway clone. After every step the total
 // mass, the marginals, a random prefix scan and every state agree with the
@@ -65,15 +63,9 @@ func TestCarriedScaleMatchesEagerLongCampaign(t *testing.T) {
 			case step == 110:
 				got = got.Clone()
 			case step == 210:
-				var buf bytes.Buffer
-				if err := latticeio.SaveRaw(&buf, got.Risks(), got.Response(), got.Tests(), got.Posterior().Slice()); err != nil {
-					t.Fatal(err)
-				}
-				risks, resp, tests, post, err := latticeio.LoadRaw(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, err = lattice.Restore(pool, lattice.Config{Risks: risks, Response: resp, Parts: 2}, post, tests); err != nil {
+				var err error
+				cfg := lattice.Config{Risks: got.Risks(), Response: got.Response(), Parts: 2}
+				if got, err = lattice.Restore(pool, cfg, got.Posterior().Slice(), got.Tests()); err != nil {
 					t.Fatal(err)
 				}
 			}

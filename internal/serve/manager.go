@@ -137,12 +137,21 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	// stays on disk until its first request restores it. Tenant labels do
 	// not survive a restart (they live in the manager, not the checkpoint);
 	// recovered cohorts count against the global bound but not a tenant's.
+	// A predecessor that died between creating a checkpoint's temporary
+	// file and renaming it left the file behind; nothing will rename it
+	// now, so it goes.
 	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: scan checkpoint dir: %w", err)
 	}
 	for _, e := range entries {
 		name := e.Name()
+		if strings.HasPrefix(name, "c") && strings.Contains(name, ".tmp") && !e.IsDir() {
+			if err := os.Remove(filepath.Join(cfg.Dir, name)); err != nil {
+				return nil, fmt.Errorf("serve: remove stale checkpoint temp file: %w", err)
+			}
+			continue
+		}
 		id, ok := strings.CutSuffix(name, ".ckpt")
 		if !ok || e.IsDir() {
 			continue
@@ -242,19 +251,7 @@ func (m *Manager) span(parent *obs.Span, name string, attrs ...obs.Attr) *obs.Sp
 func (m *Manager) checkpointLocked(c *cohort, reason string, parent *obs.Span) (err error) {
 	span := m.span(parent, "checkpoint", obs.A("reason", reason), obs.A("tenant", c.tenant), obs.A("cohort", c.id))
 	defer func() { span.Fail(err); span.End() }()
-	f, err := os.CreateTemp(m.cfg.Dir, c.id+".tmp*")
-	if err != nil {
-		return err
-	}
-	err = c.sess.SaveSession(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), m.path(c.id))
-	}
-	if err != nil {
-		os.Remove(f.Name()) //lint:allow errcheck best-effort cleanup of a temp file we are abandoning
+	if err = c.sess.SaveFile(m.path(c.id)); err != nil {
 		return err
 	}
 	if cerr := c.sess.Close(); cerr != nil {

@@ -363,6 +363,43 @@ func TestManagerDrainAndRecover(t *testing.T) {
 	}
 }
 
+// TestManagerSweepsStaleTempFiles: a predecessor that died between
+// creating a checkpoint's temporary file and renaming it left the file
+// beside the cohort's real checkpoint. The successor removes it and still
+// recovers the cohort.
+func TestManagerSweepsStaleTempFiles(t *testing.T) {
+	pool := newTestPool(t)
+	dir := t.TempDir()
+	m := newTestManager(t, ManagerConfig{Pool: pool, Dir: dir})
+	risks := workload.UniformRisks(6, 0.12)
+	id, err := m.Create(CreateCohortRequest{Tenant: "t", Risks: risks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := m.Drain(); err != nil || n != 1 {
+		t.Fatalf("drain checkpointed %d, err %v", n, err)
+	}
+	stale := []string{
+		filepath.Join(dir, id+".ckpt.tmp123456"), // Session.SaveFile's name
+		filepath.Join(dir, id+".tmp987654"),      // the name before it
+	}
+	for _, p := range stale {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m2 := newTestManager(t, ManagerConfig{Pool: pool, Dir: dir})
+	for _, p := range stale {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("stale temp file %s survived NewManager: %v", filepath.Base(p), err)
+		}
+	}
+	driveToCompletion(t, m2, id, workload.Draw(risks, rng.New(34)).Truth)
+	if st, err := m2.Status(id); err != nil || !st.Done {
+		t.Fatalf("status after recovery: %+v %v", st, err)
+	}
+}
+
 func TestManagerDuplicateSubmit(t *testing.T) {
 	// The same batch absorbed twice would double-count evidence; the
 	// second submission must fail without touching the posterior.

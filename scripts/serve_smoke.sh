@@ -8,7 +8,9 @@
 # /debug/flight names the layers, by self time, the window's time went
 # to -> sbgt-top prints the same split and the slowest request's tree),
 # then SIGTERM the process and require a clean drain: exit status 0 and
-# the still-open cohort checkpointed to disk.
+# the still-open cohort checkpointed to disk. Finally boot a second
+# server on the same checkpoint directory and require it to serve that
+# cohort's open proposal byte for byte, then drain cleanly too.
 #
 # Set SMOKE_OUT to a directory to keep the captured artifacts (logs,
 # metrics, span window, flight dump, sbgt-top frame) after the run — CI
@@ -59,7 +61,8 @@ id=$(curl -sSf -X POST "$base/v1/cohorts" \
   -d '{"tenant":"smoke","risks":[0.02,0.02,0.1,0.02]}' \
   | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$id" ] || { echo 'create returned no id'; exit 1; }
-curl -sSf "$base/v1/cohorts/$id/pools" | grep -q '"pools"'
+curl -sSf "$base/v1/cohorts/$id/pools" >"$dir/pools.json"
+grep -q '"pools"' "$dir/pools.json"
 curl -sSf "$base/v1/cohorts/$id" | grep -q '"tenant":"smoke"'
 
 echo '== observability =='
@@ -109,5 +112,28 @@ wait "$pid" || { echo 'server exited non-zero'; cat "$dir/serve.log"; exit 1; }
 pid=
 grep -q 'drain complete' "$dir/serve.log"
 [ -f "$dir/ckpt/$id.ckpt" ] || { echo "no checkpoint for open cohort $id"; ls "$dir/ckpt" || true; exit 1; }
+
+echo '== restart on the same checkpoint directory (the open proposal survives) =='
+rm -f "$dir/addr.txt"
+"$dir/sbgt-serve" -addr 127.0.0.1:0 -addr-file "$dir/addr.txt" -ckpt-dir "$dir/ckpt" \
+  >"$dir/restart.log" 2>&1 &
+pid=$!
+i=0
+while [ ! -s "$dir/addr.txt" ]; do
+  i=$((i + 1))
+  [ "$i" -le 100 ] || { echo 'restarted server never wrote its address'; cat "$dir/restart.log"; exit 1; }
+  kill -0 "$pid" 2>/dev/null || { echo 'restarted server died on startup'; cat "$dir/restart.log"; exit 1; }
+  sleep 0.1
+done
+base="http://$(cat "$dir/addr.txt")"
+curl -sSf "$base/v1/cohorts/$id/pools" >"$dir/pools_restarted.json"
+cmp -s "$dir/pools.json" "$dir/pools_restarted.json" || {
+  echo "restarted server serves a different proposal for $id:"
+  cat "$dir/pools.json" "$dir/pools_restarted.json"
+  exit 1
+}
+kill -TERM "$pid"
+wait "$pid" || { echo 'restarted server exited non-zero'; cat "$dir/restart.log"; exit 1; }
+pid=
 
 echo 'serve smoke passed.'

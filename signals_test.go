@@ -147,7 +147,7 @@ func TestMetricNameRule(t *testing.T) {
 		{"counter", "sbgt_serve_requests_total", true},
 		{"gauge", "sbgt_serve_cohorts", true},
 		{"histogram", "sbgt_serve_request_seconds", true},
-		{"histogram", "sbgt_latticeio_checkpoint_bytes", true},
+		{"histogram", "sbgt_core_checkpoint_bytes", true},
 		{"counter", "requests_total", false},
 		{"counter", "sbgt_serve_requests", false},
 		{"counter", "sbgt_Serve_requests_total", false},
