@@ -19,7 +19,7 @@
 //	                cluster backend: comma-separated external executor
 //	                addresses (sbgt-exec processes); overrides -execs
 //	-maxpool int    pool size cap (default 16)
-//	-lookahead int  pools selected per stage (default 1; dense backend only)
+//	-lookahead int  pools selected per stage, at most 8 (default 1; every backend)
 //	-seed uint      RNG seed (default 1)
 //	-workers int    engine workers (default GOMAXPROCS)
 //	-quiet          only print the final summary

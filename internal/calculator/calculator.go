@@ -67,14 +67,6 @@ func binomPMF(n, k int, p float64) float64 {
 	return math.Exp(logC + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p))
 }
 
-// posProb returns P(a pool of n with k infected reads positive). It is
-// 1 − L(negative | k, n), never L(positive | k, n): a negative reading is
-// a probability mass under every response, while a positive one under a
-// continuous readout (CtValue) is a density at one Ct value.
-func posProb(resp dilution.Response, k, n int) float64 {
-	return 1 - resp.Likelihood(dilution.Negative, k, n)
-}
-
 // Individual returns the exact characteristics of one-test-per-subject
 // testing under the response model.
 func Individual(resp dilution.Response) Design {
@@ -82,7 +74,7 @@ func Individual(resp dilution.Response) Design {
 		Name:            "individual",
 		TestsPerSubject: 1,
 		Stages:          1,
-		Sens:            posProb(resp, 1, 1),
+		Sens:            dilution.PosProb(resp, 1, 1),
 		Spec:            resp.Likelihood(dilution.Negative, 0, 1),
 		Exact:           true,
 	}
@@ -93,7 +85,7 @@ func Individual(resp dilution.Response) Design {
 // block pooled; members of positive blocks are retested individually.
 //
 // Derivation: with J ~ Binomial(k, p) infected in a block and
-// p₊(j, k) = 1 − L(−| j, k) (see posProb),
+// p₊(j, k) = 1 − L(−| j, k) (dilution.PosProb),
 //
 //	E[tests]/k   = 1/k + P(block positive)
 //	P(block positive) = Σ_j P(J=j)·p₊(j, k)
@@ -110,21 +102,21 @@ func Dorfman(p float64, k int, resp dilution.Response) Design {
 	// P(block positive) over the full block.
 	var pPos float64
 	for j := 0; j <= k; j++ {
-		pPos += binomPMF(k, j, p) * posProb(resp, j, k)
+		pPos += binomPMF(k, j, p) * dilution.PosProb(resp, j, k)
 	}
 	// Sensitivity: condition on one infected member; the other k−1 are iid.
 	var sens float64
 	for j := 0; j <= k-1; j++ {
-		sens += binomPMF(k-1, j, p) * posProb(resp, j+1, k)
+		sens += binomPMF(k-1, j, p) * dilution.PosProb(resp, j+1, k)
 	}
-	sens *= posProb(resp, 1, 1)
+	sens *= dilution.PosProb(resp, 1, 1)
 	// False-positive path: clean subject, block fires (others may be
 	// infected), individual test fires spuriously.
 	var fp float64
 	for j := 0; j <= k-1; j++ {
-		fp += binomPMF(k-1, j, p) * posProb(resp, j, k)
+		fp += binomPMF(k-1, j, p) * dilution.PosProb(resp, j, k)
 	}
-	fp *= posProb(resp, 0, 1)
+	fp *= dilution.PosProb(resp, 0, 1)
 	stages := 1 + pPos // second stage happens only for positive blocks
 	return Design{
 		Name:            fmt.Sprintf("dorfman-%d", k),

@@ -359,13 +359,24 @@ func (e *Executor) sumWhere(req Request) Response {
 	return Response{Op: req.Op, Sum: sum}
 }
 
-func (e *Executor) marginals(Request) Response {
-	out := make([]float64, e.n)
-	// Single-threaded accumulation per executor keeps this allocation-free
-	// and is still distributed across executors; shards are the unit of
-	// parallelism for vector-valued reductions on the wire.
-	lattice.AddMarginals(e.lo, e.data, out)
-	return Response{Op: OpMarginals, Vec: out}
+// marginals returns the shard's marginal partials, or with branch pools
+// its look-ahead rows (lattice.AddBranchMarginals), whose pools and tables
+// are checked first: they arrive from outside the process. Accumulation is
+// single-threaded per executor, which keeps it allocation-free and still
+// distributed across executors; shards are the unit of parallelism for
+// vector-valued reductions on the wire.
+func (e *Executor) marginals(req Request) Response {
+	if len(req.BranchPools) == 0 && len(req.BranchTables) == 0 {
+		out := make([]float64, e.n)
+		lattice.AddMarginals(e.lo, e.data, out)
+		return Response{Op: req.Op, Vec: out}
+	}
+	if err := lattice.CheckBranches(req.BranchPools, req.BranchTables, e.n); err != nil {
+		return errorf(req.Op, "%v", err)
+	}
+	out := make([]float64, (e.n+1)<<uint(len(req.BranchPools)))
+	lattice.AddBranchMarginals(e.lo, e.data, req.BranchPools, req.BranchTables, out)
+	return Response{Op: req.Op, Vec: out}
 }
 
 func (e *Executor) negMasses(req Request) Response {
@@ -392,15 +403,25 @@ func (e *Executor) entropy(req Request) Response {
 // prefixScan returns the shard's min-rank histogram for the halving
 // prefix candidates: slot r accumulates the mass of states whose
 // lowest-ranked infected subject (per req.Order) has rank r, slot
-// len(Order) the mass of states disjoint from the whole ordering. The
-// driver merges histograms and suffix-sums them into prefix clean masses.
+// len(Order) the mass of states disjoint from the whole ordering. With
+// branch pools (checked as for marginals) it returns one histogram per
+// outcome branch. The driver merges histograms and suffix-sums them into
+// prefix clean masses.
 func (e *Executor) prefixScan(req Request) Response {
 	tbl, err := lattice.NewRankTable(req.Order, e.n)
 	if err != nil {
 		return errorf(req.Op, "%v", err)
 	}
-	out := make([]float64, len(req.Order)+1)
-	tbl.AddMinRankMasses(e.lo, e.data, out)
+	if len(req.BranchPools) == 0 && len(req.BranchTables) == 0 {
+		out := make([]float64, len(req.Order)+1)
+		tbl.AddMinRankMasses(e.lo, e.data, out)
+		return Response{Op: req.Op, Vec: out}
+	}
+	if err := lattice.CheckBranches(req.BranchPools, req.BranchTables, e.n); err != nil {
+		return errorf(req.Op, "%v", err)
+	}
+	out := make([]float64, (len(req.Order)+1)<<uint(len(req.BranchPools)))
+	tbl.AddBranchMinRankMasses(e.lo, e.data, req.BranchPools, req.BranchTables, out)
 	return Response{Op: req.Op, Vec: out}
 }
 

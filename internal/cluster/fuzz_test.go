@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/lattice"
@@ -51,6 +52,26 @@ func (b *fuzzBytes) float() float64 {
 	}
 }
 
+// prob reads a branch-table entry: 0..250 as a probability in [0, 1], and
+// the top five byte values as entries a boundary must refuse (NaN, ±Inf,
+// −1, 1.5).
+func (b *fuzzBytes) prob() float64 {
+	switch c := b.byte(); c {
+	case 255:
+		return math.NaN()
+	case 254:
+		return math.Inf(1)
+	case 253:
+		return math.Inf(-1)
+	case 252:
+		return -1
+	case 251:
+		return 1.5
+	default:
+		return float64(c) / 250
+	}
+}
+
 func (b *fuzzBytes) floats(max int) []float64 {
 	out := make([]float64, int(b.byte())%(max+1))
 	for i := range out {
@@ -71,6 +92,21 @@ func (b *fuzzBytes) request() Request {
 	for range int(b.byte()) % 8 {
 		req.Order = append(req.Order, int(int8(b.byte())))
 	}
+	// Up to one pool past lattice.MaxBranchPools; a table takes its pool's
+	// popcount+1 entries unless its kind byte is a multiple of 4, which
+	// reads a length of its own.
+	for range int(b.byte()) % (lattice.MaxBranchPools + 2) {
+		pool := b.mask()
+		size := bits.OnesCount64(pool) + 1
+		if b.byte()%4 == 0 {
+			size = int(b.byte()) % 10
+		}
+		table := make([]float64, size)
+		for k := range table {
+			table[k] = b.prob()
+		}
+		req.BranchPools, req.BranchTables = append(req.BranchPools, pool), append(req.BranchTables, table)
+	}
 	return req
 }
 
@@ -86,7 +122,16 @@ func FuzzExecutorDispatch(f *testing.F) {
 	// prior: four subjects, states [0, 16).
 	prior := []byte{3, 0, 15}
 	req := func(op Op, pool, base, lo, hi, factor byte, lik ...byte) []byte {
-		return append([]byte{byte(op), pool, base, lo, hi, factor, byte(len(lik))}, append(lik, 0, 0, 0, 0)...)
+		return append([]byte{byte(op), pool, base, lo, hi, factor, byte(len(lik))}, append(lik, 0, 0, 0, 0, 0)...)
+	}
+	// branch is a look-ahead read: op with the ordering of subjects 0..k−1
+	// (prefix scan) and the given branch fields, raw.
+	branch := func(op Op, k byte, fields ...byte) []byte {
+		out := []byte{byte(op), 0, 0, 0, 0, 0, 0, 0, 0, 0, k}
+		for i := byte(0); i < k; i++ {
+			out = append(out, i)
+		}
+		return append(out, fields...)
 	}
 	cat := func(parts ...[]byte) []byte {
 		var out []byte
@@ -100,6 +145,15 @@ func FuzzExecutorDispatch(f *testing.F) {
 	f.Add(cat(prior, req(OpDotLik, 1, 0, 0, 0, 0, 64, 0), req(OpScale, 0, 0, 0, 0, 128)))
 	f.Add(cat(prior, req(OpCollapse, 2, 2, 0, 0, 80), req(OpLoadShard, 0, 0, 0, 8, 0)))
 	f.Add(cat(prior, req(OpEntropy, 0, 0, 0, 0, 0), req(OpMarginals, 0, 0, 0, 0, 0), req(OpFetch, 0, 0, 4, 12, 0), req(OpMass, 0, 0, 0, 0, 0)))
+	// Branch reads: one valid (pools {0,1} and {2}), then one per refusal —
+	// eight pools, a table of the wrong length, a NaN entry, an entry above
+	// 1, and a pool with a bit at the shard's N (bit 4 of a 4-subject shard).
+	f.Add(cat(prior, branch(OpMarginals, 0, 2, 3, 1, 5, 200, 240, 4, 1, 10, 230), branch(OpPrefix, 3, 1, 3, 1, 5, 200, 240)))
+	f.Add(cat(prior, branch(OpMarginals, 0, 8, 1, 1, 0, 100, 1, 1, 0, 100, 1, 1, 0, 100, 1, 1, 0, 100, 1, 1, 0, 100, 1, 1, 0, 100, 1, 1, 0, 100, 1, 1, 0, 100)))
+	f.Add(cat(prior, branch(OpPrefix, 2, 1, 3, 0, 2, 5, 200)))
+	f.Add(cat(prior, branch(OpMarginals, 0, 1, 3, 1, 5, 255, 240)))
+	f.Add(cat(prior, branch(OpPrefix, 2, 1, 1, 1, 5, 251)))
+	f.Add(cat(prior, branch(OpMarginals, 0, 1, 16, 1, 5, 200)))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		b := fuzzBytes(in)

@@ -34,12 +34,12 @@ const (
 	OpUpdateMul            // multiply shard by a likelihood table, return the products' partial sum and marginal partials
 	OpScale                // multiply shard by a scalar (the driver's settle round, and nothing else)
 	OpSumWhere             // partial sum of states s with s&Pool == Base (NegMass; the conditioning preflight)
-	OpMarginals            // partial per-subject marginal vector
+	OpMarginals            // partial per-subject marginal vector; with branch pools, one row per outcome branch
 	OpNegMasses            // partial clean-mass vector for candidate pools
 	OpEntropy              // partial Σ −p·ln p
 	OpMass                 // partial total mass
 	OpFetch                // return the shard's states outside [Lo, Hi): all of it (snapshots), or what a rebalance moves off it
-	OpPrefix               // partial min-rank histogram for the halving prefix scan
+	OpPrefix               // partial min-rank histogram for the halving prefix scan; with branch pools, one per outcome branch
 	OpLoadShard            // re-base the shard to [Lo, Hi): keep the overlap, splice Data around it
 	OpCollapse             // condition the shard on s&Pool == Base in place, scaled by Factor
 	OpDotLik               // partial Σ π(s)·Lik[|s∩Pool|] with the shard untouched: the look before an OpUpdateMul whose table has a zero
@@ -116,6 +116,16 @@ type Request struct {
 	// boundary. Empty means the call is untraced and the executor records
 	// no spans for it.
 	Trace string
+	// Marginals / Prefix: the look-ahead branch read. With BranchPools set,
+	// the executor weights each state by its factor in every outcome branch
+	// of these pools and answers one marginal row (N+1 floats: marginals,
+	// then the branch weight) or one min-rank histogram per branch, 2^t of
+	// them for t pools. BranchTables[j][k] is P(pool j reads positive | k
+	// of its specimens infected), popcount(BranchPools[j])+1 entries. Both
+	// empty is the plain read. They come last so that every other field
+	// keeps its gob field number, and a request without them its bytes.
+	BranchPools  []uint64
+	BranchTables [][]float64
 }
 
 // Response is one executor→driver message.

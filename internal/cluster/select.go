@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/lattice"
-	"repro/internal/prob"
 )
 
 // PrefixNegMasses returns the clean masses of every nested prefix of the
@@ -34,11 +33,29 @@ func (m *Model) PrefixNegMasses(order []int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	neg := make([]float64, k)
-	var acc prob.Accumulator
-	for i := k - 1; i >= 0; i-- {
-		acc.Add(hist[i+1])
-		neg[i] = acc.Value()
+	return lattice.SuffixCleanMasses(hist, k), nil
+}
+
+// BranchMarginals is lattice.Model.BranchMarginals, distributed: one
+// OpMarginals round carrying the branch pools and tables, whose per-shard
+// rows the driver merges in rank order times the carried scale. pools and
+// pos must have passed lattice.CheckBranches; every executor checks them
+// again.
+func (m *Model) BranchMarginals(pools []uint64, pos [][]float64) ([]float64, error) {
+	return m.fanoutVec((m.n+1)<<uint(len(pools)), func(*conn) Request {
+		return Request{Op: OpMarginals, BranchPools: pools, BranchTables: pos}
+	})
+}
+
+// BranchPrefixNegMasses is lattice.Model.BranchPrefixNegMasses,
+// distributed: one OpPrefix round carrying the branch pools and tables;
+// the merged per-branch histograms are suffix-summed into clean masses.
+func (m *Model) BranchPrefixNegMasses(pools []uint64, pos [][]float64, order []int) ([]float64, error) {
+	hist, err := m.fanoutVec((len(order)+1)<<uint(len(pools)), func(*conn) Request {
+		return Request{Op: OpPrefix, Order: order, BranchPools: pools, BranchTables: pos}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return neg, nil
+	return lattice.SuffixCleanMasses(hist, len(order)), nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -13,42 +12,28 @@ import (
 	"repro/internal/workload"
 )
 
-// TestLookaheadIsABackendCapability pins the capability rule at both doors
-// into a session: a backend that cannot branch its posterior refuses
-// Lookahead > 1 with an error naming it, from NewSessionOn and from
-// LoadSession alike. A cluster checkpoint carries the gathered posterior
-// and restores dense, so there the restored backend — which can branch —
-// decides.
-func TestLookaheadIsABackendCapability(t *testing.T) {
+// TestLookaheadRunsOnEveryBackend: every backend accepts Lookahead 2 at
+// both doors into a session, NewSessionOn and LoadSession, and proposes two
+// pools a stage. A cluster checkpoint carries the gathered posterior and
+// restores dense. A header claiming more than MaxLookahead is refused.
+func TestLookaheadRunsOnEveryBackend(t *testing.T) {
 	pool := newTestPool(t)
 	risks := workload.UniformRisks(8, 0.1)
 	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
 	for _, b := range heldBackends {
-		canBranch := b.spec.Kind == posterior.KindDense
-		restoresDense := b.spec.Kind != posterior.KindSparse
 		t.Run(b.name, func(t *testing.T) {
-			refused := func(door string, err error) {
-				t.Helper()
-				if err == nil || !strings.Contains(err.Error(), string(b.spec.Kind)) {
-					t.Fatalf("%s with Lookahead 2: %v, want an error naming the %s backend", door, err, b.spec.Kind)
-				}
-			}
 			model, err := b.spec.Open(pool, risks, resp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sess, err := NewSessionOn(model, Config{Lookahead: 2})
-			if !canBranch {
-				refused("NewSessionOn", err)
-				// The refused model is still the caller's; a session at
-				// depth 1 takes it and writes the checkpoint to doctor.
-				if sess, err = NewSessionOn(model, Config{}); err != nil {
-					t.Fatal(err)
-				}
-			} else if err != nil {
-				t.Fatal(err)
+			if err != nil {
+				t.Fatalf("NewSessionOn with Lookahead 2: %v", err)
 			}
 			defer sess.Close()
+			if pools, err := sess.ProposePools(); err != nil || len(pools) != 2 {
+				t.Fatalf("%s proposed %v (%v), want two pools", b.spec.Kind, pools, err)
+			}
 
 			save := func(lookahead int) *bytes.Buffer {
 				t.Helper()
@@ -60,12 +45,19 @@ func TestLookaheadIsABackendCapability(t *testing.T) {
 				return &buf
 			}
 			restored, err := LoadSession(save(2), pool, nil)
-			if !restoresDense {
-				refused("LoadSession", err)
-			} else if err != nil {
-				t.Fatal(err)
-			} else if k := restored.Model().Kind(); k != posterior.KindDense {
-				t.Fatalf("restored onto %s, want dense", k)
+			if err != nil {
+				t.Fatalf("LoadSession with Lookahead 2: %v", err)
+			}
+			defer restored.Close()
+			want := posterior.KindDense
+			if b.spec.Kind == posterior.KindSparse {
+				want = posterior.KindSparse
+			}
+			if k := restored.Model().Kind(); k != want {
+				t.Fatalf("restored onto %s, want %s", k, want)
+			}
+			if pools := restored.Outstanding(); len(pools) != 2 {
+				t.Fatalf("restored proposal %v, want two pools", pools)
 			}
 			if _, err := LoadSession(save(MaxLookahead+1), pool, nil); err == nil {
 				t.Fatal("LoadSession accepted a look-ahead above MaxLookahead")
@@ -74,9 +66,9 @@ func TestLookaheadIsABackendCapability(t *testing.T) {
 	}
 }
 
-// TestLookaheadDepthOneIsSelectOn: through the capability interface, found
-// under an instrumentation decorator, one pool of look-ahead is the plain
-// halving choice on the same posterior.Model.
+// TestLookaheadDepthOneIsSelectOn: through the branch reads, found under an
+// instrumentation decorator, one pool of look-ahead is the plain halving
+// choice on the same posterior.Model.
 func TestLookaheadDepthOneIsSelectOn(t *testing.T) {
 	pool := newTestPool(t)
 	m, err := posterior.Spec{Obs: obs.NewRegistry()}.Open(pool, workload.UniformRisks(10, 0.12), dilution.Binary{Sens: 0.95, Spec: 0.99})
@@ -92,11 +84,7 @@ func TestLookaheadDepthOneIsSelectOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := posterior.LookaheadOf(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := halving.SelectLookahead(b, 1, opts)
+	got, err := halving.SelectLookahead(posterior.Branches(m), 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

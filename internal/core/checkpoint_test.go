@@ -240,11 +240,11 @@ func TestCheckpointCarriesEntropyTrace(t *testing.T) {
 	pool := newTestPool(t)
 	risks := workload.BetaRisks(10, 2, 6, rng.New(51))
 	dense := heldBackends[0].spec
-	want := runHeld(t, pool, dense, risks, 52, false, 0)
+	want := runHeld(t, pool, dense, risks, 52, false, 0, 1)
 	if want.Stages < 4 || len(want.EntropyTrace) < 4 {
 		t.Fatalf("campaign too short to interrupt: %d stages, trace %v", want.Stages, want.EntropyTrace)
 	}
-	got := runHeld(t, pool, dense, risks, 52, false, 3)
+	got := runHeld(t, pool, dense, risks, 52, false, 3, 1)
 	if got.Stages != want.Stages || len(got.EntropyTrace) != len(want.EntropyTrace) {
 		t.Fatalf("resumed campaign: %d stages, %d trace points; uninterrupted %d, %d",
 			got.Stages, len(got.EntropyTrace), want.Stages, len(want.EntropyTrace))

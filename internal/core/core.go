@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,6 +25,7 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/engine"
 	"repro/internal/halving"
+	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/posterior"
 )
@@ -112,9 +114,9 @@ type Config struct {
 	// Algorithm with MaxPool 32.
 	Strategy halving.Strategy
 	// Lookahead > 1 selects that many pools per stage with the halving
-	// look-ahead rule (fewer lab round-trips, slightly more tests).
-	// Requires the strategy to be halving (or nil) and a backend that can
-	// branch (halving.Brancher: the dense one); at most MaxLookahead.
+	// look-ahead rule (fewer lab round-trips, slightly more tests), on any
+	// backend. Requires the strategy to be halving (or nil); at most
+	// MaxLookahead.
 	Lookahead int
 	// PosThreshold classifies a subject positive when its marginal reaches
 	// it; 0 defaults to 0.99.
@@ -143,11 +145,12 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// MaxLookahead is the deepest look-ahead a session accepts. Selecting k
-// pools keeps up to 2^(k−1) live copies of the 2^N posterior, and the
-// depth reaches withDefaults from outside the program (the serve API's
-// create request, a checkpoint header); experiment F5 sweeps 1, 2 and 4.
-const MaxLookahead = 8
+// MaxLookahead is the deepest look-ahead a session accepts. The last of k
+// pools is chosen over the 2^(k−1) outcome branches of the others, so every
+// posterior state does 2^(k−1) branch factors' work per read, and the depth
+// reaches withDefaults from outside the program (the serve API's create
+// request, a checkpoint header); experiment F5 sweeps 1, 2 and 4.
+const MaxLookahead = lattice.MaxBranchPools + 1
 
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
@@ -189,10 +192,9 @@ func (c *Config) withDefaults() (Config, error) {
 	return out, nil
 }
 
-// configFor validates cfg for a session over model — fresh or restored —
-// and is the one place that decides whether the model's backend can run
-// the configured look-ahead. Risks and Response default to the model's own
-// when nil; when set, they must agree with the model.
+// configFor validates cfg for a session over model — fresh or restored.
+// Risks and Response default to the model's own when nil; when set, they
+// must agree with the model.
 func configFor(model posterior.Model, cfg Config) (Config, error) {
 	if cfg.Risks == nil {
 		cfg.Risks = model.Risks()
@@ -202,16 +204,7 @@ func configFor(model posterior.Model, cfg Config) (Config, error) {
 	if cfg.Response == nil {
 		cfg.Response = model.Response()
 	}
-	full, err := cfg.withDefaults()
-	if err != nil {
-		return full, err
-	}
-	if full.Lookahead > 1 {
-		if _, err := posterior.LookaheadOf(model); err != nil {
-			return full, fmt.Errorf("core: lookahead %d: %w", full.Lookahead, err)
-		}
-	}
-	return full, nil
+	return cfg.withDefaults()
 }
 
 // traceCarrier is the optional backend capability for distributed
@@ -581,14 +574,15 @@ func (s *Session) proposeLocked() ([]Pool, error) {
 }
 
 // lookaheadPools selects the stage's Lookahead pools (model-position
-// masks) with the halving look-ahead rule.
+// masks) with the halving look-ahead rule. Like the strategy, it reads the
+// marginals the session holds, not the lattice.
 func (s *Session) lookaheadPools() ([]bitvec.Mask, error) {
-	h := s.cfg.Strategy.(halving.Halving) // configFor checked this, and the backend
-	b, err := posterior.LookaheadOf(s.model)
+	h := s.cfg.Strategy.(halving.Halving) // configFor checked this
+	marg, err := s.marginals()
 	if err != nil {
 		return nil, err
 	}
-	sels, err := halving.SelectLookahead(b, s.cfg.Lookahead, h.Opts)
+	sels, err := halving.SelectLookahead(posterior.Branches(heldModel{s.model, marg}), s.cfg.Lookahead, h.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -598,6 +592,16 @@ func (s *Session) lookaheadPools() ([]bitvec.Mask, error) {
 	}
 	return pools, nil
 }
+
+// heldModel answers Marginals from the vector the session holds and
+// everything else from the model, which Base still finds beneath it.
+type heldModel struct {
+	posterior.Model
+	marg []float64
+}
+
+func (h heldModel) Marginals() ([]float64, error) { return slices.Clone(h.marg), nil }
+func (h heldModel) Unwrap() posterior.Model       { return h.Model }
 
 // AbsorbResults folds the outcomes of the currently proposed pools into
 // the posterior and classifies every subject whose marginal crossed a

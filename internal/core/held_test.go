@@ -42,12 +42,13 @@ var heldBackends = []struct {
 	{"cluster", posterior.Spec{Kind: posterior.KindCluster, LocalExecutors: 2, ExecWorkers: 1, DialTimeout: 5 * time.Second}},
 }
 
-// runHeld drives one seeded campaign through propose/absorb. With
-// reference set, selection re-reads marginals (freshMarginals). With
-// reloadAt > 0, the session is saved and restored while that stage's
-// proposal is outstanding, and the campaign continues on the restored
-// session.
-func runHeld(t *testing.T, pool *engine.Pool, spec posterior.Spec, risks []float64, seed uint64, reference bool, reloadAt int) *Result {
+// runHeld drives one seeded campaign through propose/absorb, selecting
+// lookahead pools a stage. With reference set, selection re-reads
+// marginals: through freshMarginals at depth 1, and at depth 2 by dropping
+// the session's held vector before each selection. With reloadAt > 0, the
+// session is saved and restored while that stage's proposal is
+// outstanding, and the campaign continues on the restored session.
+func runHeld(t *testing.T, pool *engine.Pool, spec posterior.Spec, risks []float64, seed uint64, reference bool, reloadAt, lookahead int) *Result {
 	t.Helper()
 	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
 	oracle := workload.NewOracle(workload.Draw(risks, rng.New(seed)), resp, rng.New(seed+1))
@@ -57,13 +58,16 @@ func runHeld(t *testing.T, pool *engine.Pool, spec posterior.Spec, risks []float
 	}
 	var sess *Session
 	var strategy halving.Strategy = halving.Halving{Opts: halving.Options{MaxPool: 32}}
-	if reference {
+	if reference && lookahead <= 1 {
 		strategy = freshMarginals{inner: strategy, sess: &sess}
 	}
-	if sess, err = NewSessionOn(model, Config{Strategy: strategy, EntropyTrace: true}); err != nil {
+	if sess, err = NewSessionOn(model, Config{Strategy: strategy, Lookahead: lookahead, EntropyTrace: true}); err != nil {
 		t.Fatal(err)
 	}
 	for {
+		if reference && lookahead > 1 {
+			sess.marg = nil
+		}
 		pools, err := sess.ProposePools()
 		if err != nil {
 			t.Fatal(err)
@@ -99,25 +103,37 @@ func runHeld(t *testing.T, pool *engine.Pool, spec posterior.Spec, risks []float
 	}
 }
 
-// TestHeldMarginalsMatchFreshSelection: serving the strategy the
+// TestHeldMarginalsMatchFreshSelection: serving the selection the
 // marginals the session already holds must not change a campaign. On each
-// backend, with and without a save/restore while a proposal is
-// outstanding, the pool sequence, the calls and the counters equal those
-// of a session that re-reads marginals at every selection.
+// backend, one pool a stage and two (look-ahead), with and without a
+// save/restore while a proposal is outstanding, the pool sequence, the
+// calls and the counters equal those of a session that re-reads marginals
+// at every selection — and the look-ahead pool sequence is the dense
+// backend's on every backend.
 func TestHeldMarginalsMatchFreshSelection(t *testing.T) {
 	pool := newTestPool(t)
+	denseLog := map[[3]uint64][]TestRecord{}
 	for _, b := range heldBackends {
 		for seed := uint64(1); seed <= 3; seed++ {
 			risks := workload.BetaRisks(10, 2, 6, rng.New(40+seed))
-			for _, reloadAt := range []int{0, 2} {
-				got := runHeld(t, pool, b.spec, risks, seed, false, reloadAt)
-				want := runHeld(t, pool, b.spec, risks, seed, true, reloadAt)
+			for _, arm := range [][2]int{{0, 1}, {2, 1}, {0, 2}, {2, 2}} {
+				reloadAt, lookahead := arm[0], arm[1]
+				got := runHeld(t, pool, b.spec, risks, seed, false, reloadAt, lookahead)
+				want := runHeld(t, pool, b.spec, risks, seed, true, reloadAt, lookahead)
 				if !reflect.DeepEqual(got.Log, want.Log) {
-					t.Fatalf("%s seed %d reload %d: pool sequence diverged:\n%v\n%v", b.name, seed, reloadAt, got.Log, want.Log)
+					t.Fatalf("%s seed %d reload %d lookahead %d: pool sequence diverged:\n%v\n%v", b.name, seed, reloadAt, lookahead, got.Log, want.Log)
+				}
+				if lookahead > 1 {
+					key := [3]uint64{seed, uint64(reloadAt), uint64(lookahead)}
+					if b.spec.Kind == posterior.KindDense {
+						denseLog[key] = got.Log
+					} else if !reflect.DeepEqual(got.Log, denseLog[key]) {
+						t.Fatalf("%s seed %d reload %d lookahead %d: pool sequence differs from dense:\n%v\n%v", b.name, seed, reloadAt, lookahead, got.Log, denseLog[key])
+					}
 				}
 				if got.Tests != want.Tests || got.Stages != want.Stages {
-					t.Fatalf("%s seed %d reload %d: %d tests/%d stages, reference %d/%d",
-						b.name, seed, reloadAt, got.Tests, got.Stages, want.Tests, want.Stages)
+					t.Fatalf("%s seed %d reload %d lookahead %d: %d tests/%d stages, reference %d/%d",
+						b.name, seed, reloadAt, lookahead, got.Tests, got.Stages, want.Tests, want.Stages)
 				}
 				for i, c := range got.Classifications {
 					w := want.Classifications[i]

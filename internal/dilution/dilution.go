@@ -65,6 +65,16 @@ type Response interface {
 	Name() string
 }
 
+// PosProb returns the probability that a pool of n specimens with k
+// infected reads positive: 1 − L(negative | k, n), never L(positive | k, n).
+// A negative reading is a probability mass under every response, while a
+// positive one under a continuous readout (CtValue) is a density at one Ct
+// value. The pooling calculator and the look-ahead branch tables both read
+// the assay through it.
+func PosProb(resp Response, k, n int) float64 {
+	return 1 - resp.Likelihood(Negative, k, n)
+}
+
 // validate panics when a (k, n) pair violates the Response contract.
 // Likelihood sits on the innermost lattice loop, so models call this only
 // in Sample and rely on the engine's bounded inputs for Likelihood.

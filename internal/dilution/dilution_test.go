@@ -138,31 +138,30 @@ func TestSubsampleComposition(t *testing.T) {
 	}
 }
 
+// TestSampleMatchesLikelihood is the Response contract's property test:
+// for every model and every composition k <= n <= 32, the Monte-Carlo
+// frequency of Sample(...).Positive matches PosProb = 1 − L(negative).
+// With T draws the frequency's binomial σ is sqrt(p(1−p)/T); each of the
+// 3360 comparisons may stray 5σ plus one draw's 1/T (so an exact 0 or 1
+// must come out exact). A 5σ miss has probability ≈ 6e-7 per comparison,
+// and the seed is fixed, so the run is deterministic.
 func TestSampleMatchesLikelihood(t *testing.T) {
-	// Empirical positive rate of Sample must match Likelihood(Positive).
 	r := rng.New(99)
-	const trials = 20000
+	const trials = 2000
 	for _, m := range allModels() {
-		for _, kn := range [][2]int{{0, 8}, {1, 8}, {4, 8}, {8, 8}, {1, 32}} {
-			k, n := kn[0], kn[1]
-			pos := 0
-			for i := 0; i < trials; i++ {
-				if m.Sample(r, k, n).Positive {
-					pos++
+		for n := 1; n <= 32; n++ {
+			for k := 0; k <= n; k++ {
+				pos := 0
+				for i := 0; i < trials; i++ {
+					if m.Sample(r, k, n).Positive {
+						pos++
+					}
 				}
-			}
-			var want float64
-			if ct, isCt := m.(CtValue); isCt {
-				want = 1 - ct.Likelihood(Negative, k, n)
-				if k == 0 {
-					want = 1 - ct.Spec
+				want := PosProb(m, k, n)
+				got := float64(pos) / trials
+				if tol := 5*math.Sqrt(want*(1-want)/trials) + 1.0/trials; math.Abs(got-want) > tol {
+					t.Errorf("%s k=%d n=%d: empirical P(pos)=%v, PosProb %v (tolerance %v)", m.Name(), k, n, got, want, tol)
 				}
-			} else {
-				want = m.Likelihood(Positive, k, n)
-			}
-			got := float64(pos) / trials
-			if math.Abs(got-want) > 0.015 {
-				t.Errorf("%s k=%d n=%d: empirical P(pos)=%v, model %v", m.Name(), k, n, got, want)
 			}
 		}
 	}

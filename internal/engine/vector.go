@@ -75,6 +75,12 @@ func (v *Vector) Len() uint64 { return v.n }
 // Parts returns the number of partitions.
 func (v *Vector) Parts() int { return len(v.parts) }
 
+// Partition returns partition p's first global index and its data, for a
+// caller that walks the partitions in order on its own goroutine.
+func (v *Vector) Partition(p int) (offset uint64, data []float64) {
+	return v.offsets[p], v.parts[p]
+}
+
 // Pool returns the pool the vector schedules on.
 func (v *Vector) Pool() *Pool { return v.pool }
 
@@ -163,9 +169,9 @@ func (v *Vector) ReduceSum(body func(part int, offset uint64, data []float64) pr
 // ReduceVec is the multi-output reduction: each partition fills a
 // length-m partial vector (out is zeroed before body runs), and partials
 // are merged component-wise in ascending partition order with compensated
-// accumulators. It returns the merged vector. The marginal computation
-// (m = number of subjects) and the halving candidate scan (m = number of
-// candidate pools) are both single ReduceVec passes.
+// accumulators, into the first partition's vector, which it returns. The
+// marginal computation (m = number of subjects) and the halving candidate
+// scan (m = number of candidate pools) are both single ReduceVec passes.
 func (v *Vector) ReduceVec(m int, body func(part int, offset uint64, data []float64, out []float64)) []float64 {
 	partials := make([][]float64, len(v.parts))
 	v.forParts(func(lo, hi int) {
@@ -175,15 +181,16 @@ func (v *Vector) ReduceVec(m int, body func(part int, offset uint64, data []floa
 			partials[p] = out
 		}
 	})
-	accs := make([]prob.Accumulator, m)
-	for _, part := range partials {
-		for j, x := range part {
-			accs[j].Add(x)
-		}
+	if len(partials) == 0 {
+		return make([]float64, m)
 	}
-	out := make([]float64, m)
-	for j := range accs {
-		out[j] = accs[j].Value()
+	out := partials[0]
+	for j := range out {
+		var acc prob.Accumulator
+		for _, part := range partials {
+			acc.Add(part[j])
+		}
+		out[j] = acc.Value()
 	}
 	return out
 }

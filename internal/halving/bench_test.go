@@ -51,3 +51,11 @@ func BenchmarkLookahead2(b *testing.B) {
 		lookahead(b, m, 2, Options{MaxPool: 8})
 	}
 }
+
+func BenchmarkLookahead8(b *testing.B) {
+	m := benchModel(b, 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookahead(b, m, 8, Options{MaxPool: 16})
+	}
+}

@@ -25,9 +25,10 @@
 package halving
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/bitvec"
 )
@@ -98,7 +99,7 @@ func SelectOn(m Posterior, opts Options) (Selection, error) {
 		return Selection{}, fmt.Errorf("halving: marginals: %w", err)
 	}
 	order := prefixOrder(marg, maxPool)
-	cands := candidates(n, order)
+	cands := candidates(make([]bitvec.Mask, 0, len(order)+n), n, order)
 	masses, err := cleanMasses(m, marg, order, cands)
 	if err != nil {
 		return Selection{}, err
@@ -130,31 +131,25 @@ func prefixOrder(marg []float64, maxPool int) []int {
 			order = append(order, i)
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if marg[order[a]] != marg[order[b]] { //lint:allow floats exact inequality is a deterministic sort tie-break, not a numeric test
-			return marg[order[a]] > marg[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(marg[b], marg[a]) })
 	if len(order) > maxPool {
 		order = order[:maxPool]
 	}
 	return order
 }
 
-// candidates lists the pools one selection scores: the nested prefixes of
-// order, then every singleton. Singletons keep selection sane when all
-// subjects are already probably-positive. The only possible duplicate —
-// the size-1 prefix — is skipped in the singleton sweep.
-func candidates(n int, order []int) []bitvec.Mask {
-	cands := make([]bitvec.Mask, 0, len(order)+n)
+// candidates appends to cands the pools one selection scores: the nested
+// prefixes of order, then every singleton. Singletons keep selection sane
+// when all subjects are already probably-positive. The only possible
+// duplicate — the size-1 prefix — is skipped in the singleton sweep.
+func candidates(cands []bitvec.Mask, n int, order []int) []bitvec.Mask {
 	var prefix, firstPrefix bitvec.Mask
 	for _, subj := range order {
 		prefix = prefix.With(subj)
 		cands = append(cands, prefix)
 	}
 	if len(order) > 0 {
-		firstPrefix = cands[0]
+		firstPrefix = cands[len(cands)-len(order)]
 	}
 	for i := 0; i < n; i++ {
 		if c := bitvec.FromIndices(i); c != firstPrefix {

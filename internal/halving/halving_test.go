@@ -2,6 +2,7 @@ package halving_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -32,14 +33,10 @@ func Select(m Posterior, opts Options) Selection {
 	return sel
 }
 
-// lookahead is SelectLookahead through the backend's stated capability.
+// lookahead is SelectLookahead on the model's branch reads.
 func lookahead(t testing.TB, m posterior.Model, depth int, opts Options) []Selection {
 	t.Helper()
-	b, err := posterior.LookaheadOf(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sels, err := SelectLookahead(b, depth, opts)
+	sels, err := SelectLookahead(posterior.Branches(m), depth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,37 +198,53 @@ func TestHalvingReducesEntropyFasterThanRandom(t *testing.T) {
 	}
 }
 
-// TestExpectedEntropyAfterIsReduction drives the Brancher capability
-// directly: over the two outcomes of the halving pool, the predictive
-// weights sum to one, branching leaves the receiver alone, and the expected
-// posterior entropy Σ_y P(y)·H(π | y) falls by close to the one bit an
-// even split removes.
+// TestExpectedEntropyAfterIsReduction: over the two outcomes of the
+// halving pool, the branch read's weights sum to one, each branch's row is
+// the marginals of a test-local clone of the model (its snapshot restored,
+// then updated with the outcome) times the weight, and the expected
+// posterior entropy Σ_y P(y)·H(π | y) falls by close to the one bit an even
+// split removes. The model itself is left alone.
 func TestExpectedEntropyAfterIsReduction(t *testing.T) {
 	m := newModel(t, uniform(8, 0.2), dilution.Ideal{})
 	before := entropy(t, m)
 	sel := Select(m, Options{})
-	b, err := posterior.LookaheadOf(m)
+	rows, err := posterior.Branches(m).BranchMarginals([]bitvec.Mask{sel.Pool})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := engine.NewPool(1)
+	defer pool.Close()
 	var after, total float64
-	for _, y := range []dilution.Outcome{dilution.Negative, dilution.Positive} {
-		w, err := b.Predictive(sel.Pool, y)
+	for b, y := range []dilution.Outcome{dilution.Negative, dilution.Positive} {
+		row, w := rows[b*9:b*9+8], rows[b*9+8]
+		c, err := posterior.FromSnapshot(pool, snap, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := b.Branch(sel.Pool, y)
+		if err := c.Update(sel.Pool, y); err != nil {
+			t.Fatal(err)
+		}
+		marg, err := c.Marginals()
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i := range marg {
+			if math.Abs(row[i]-w*marg[i]) > 1e-12 {
+				t.Fatalf("%v branch: joint marginal %d = %v, clone's %v × weight %v", y, i, row[i], marg[i], w)
+			}
 		}
 		total += w
-		after += w * entropy(t, c.(posterior.Model))
+		after += w * entropy(t, c)
 	}
 	if math.Abs(total-1) > 1e-12 {
 		t.Fatalf("predictive weights sum to %v", total)
 	}
 	if got := entropy(t, m); got != before {
-		t.Fatalf("branching moved the receiver's entropy %v -> %v", before, got)
+		t.Fatalf("the clones moved the model's entropy %v -> %v", before, got)
 	}
 	if after >= before {
 		t.Fatalf("expected entropy %v did not drop from %v", after, before)
@@ -344,5 +357,27 @@ func TestStrategyNames(t *testing.T) {
 		if s.Name() == "" {
 			t.Errorf("%T has empty name", s)
 		}
+	}
+}
+
+// TestLookaheadAllocatesNoPosteriorCopy: one depth-8 selection at N=16
+// weighs 2^7 outcome branches of a 512 KiB posterior, and allocates less
+// than that posterior: the branch reads fold every branch in one pass over
+// the posterior itself and hold 2^t rows of N+1 floats, never a branch copy.
+func TestLookaheadAllocatesNoPosteriorCopy(t *testing.T) {
+	const n = 16
+	m := newModel(t, uniform(n, 0.06), dilution.Binary{Sens: 0.95, Spec: 0.99})
+	if err := m.Update(bitvec.Full(n/2), dilution.Positive); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sels := lookahead(t, m, 8, Options{MaxPool: n})
+	runtime.ReadMemStats(&after)
+	if len(sels) != 8 {
+		t.Fatalf("%d selections, want 8", len(sels))
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8)<<n; got >= limit {
+		t.Fatalf("depth-8 selection allocated %d bytes, a posterior copy is %d", got, limit)
 	}
 }

@@ -22,6 +22,8 @@ import (
 //	update       LikelihoodTable, MulLikelihood
 //	reductions   AddMarginals, RankTable.AddMinRankMasses, AddCleanMasses,
 //	             SumWhere, DotLikelihood, EntropyNats
+//	look-ahead   CheckBranches, AddBranchMarginals,
+//	             RankTable.AddBranchMinRankMasses, SuffixCleanMasses
 //	conditioning KeptBelow, CollapseBit
 //	rescaling    ValidFactor, Scale, MergeVec
 //	input checks FirstInvalid
@@ -230,6 +232,235 @@ func (t *RankTable) AddMinRankMasses(offset uint64, data []float64, out []float6
 		}
 	}
 	t.addMinRankWalk(tail, data[tail-offset:], out)
+}
+
+// MaxBranchPools bounds the pools a branch read conditions on: a state has
+// one factor per outcome branch, 2^t of them for t pools. It is one less
+// than the deepest look-ahead a session runs (core.MaxLookahead), whose
+// last pool is chosen over the branches of all the others.
+const MaxBranchPools = 7
+
+// CheckBranches validates the pools and outcome tables of a branch read
+// over a cohort of n subjects: at most MaxBranchPools pools, each inside
+// the cohort, each with a table of popcount(pool)+1 probabilities in [0,1]
+// (pos[j][k] = P(pool j reads positive | k of its specimens infected),
+// dilution.PosProb). The tables arrive from outside the process on the
+// cluster wire, and a factor outside [0,1] would make a branch weight
+// that is no probability.
+func CheckBranches(pools []uint64, pos [][]float64, n int) error {
+	if len(pools) > MaxBranchPools {
+		return fmt.Errorf("%d branch pools, at most %d", len(pools), MaxBranchPools)
+	}
+	if len(pos) != len(pools) {
+		return fmt.Errorf("%d branch tables for %d pools", len(pos), len(pools))
+	}
+	for j, pm := range pools {
+		if n < 64 && pm>>uint(n) != 0 {
+			return fmt.Errorf("branch pool %#x outside cohort of %d", pm, n)
+		}
+		if want := bits.OnesCount64(pm) + 1; len(pos[j]) != want {
+			return fmt.Errorf("branch table %d has %d entries, want %d", j, len(pos[j]), want)
+		}
+		for k, p := range pos[j] {
+			if !(p >= 0 && p <= 1) {
+				return fmt.Errorf("branch table %d entry %v at k=%d outside [0,1]", j, p, k)
+			}
+		}
+	}
+	return nil
+}
+
+// branchFactors writes f[b], for every outcome branch b of the pools, the
+// factor state s takes in branch b: Π_j pos[j][k_j] if bit j of b is set
+// (pool j read positive), else 1 − pos[j][k_j], with k_j = |s ∩ pools[j]|.
+// The factors of one state sum to 1. len(f) must be 2^len(pools).
+func branchFactors(s uint64, pools []uint64, pos [][]float64, f []float64) {
+	f[0] = 1
+	for j, pm := range pools {
+		p := pos[j][bits.OnesCount64(s&pm)]
+		half := 1 << uint(j)
+		for b, w := range f[:half] {
+			f[half+b] = w * p
+			f[b] = w * (1 - p)
+		}
+	}
+}
+
+// branchBlocks is the working set of the branch kernels' block form. A
+// block's branch-b weights are the block times one factor per pool: lvl[j]
+// holds the block weighted by pools j..t−1 for the current branch, so
+// stepping from branch b−1 to b redoes only the levels of the pools whose
+// outcome bits changed — two multiplies per state per branch over a branch
+// sweep — with the low byte's intersect counts from a table and the high
+// bits' from one popcount per block. It lives on the kernel's stack.
+type branchBlocks struct {
+	pools []uint64
+	pos   [][]float64
+	low   [MaxBranchPools][foldLen]uint8 // |j ∩ pool| of a low byte j
+	tab   [MaxBranchPools][]float64      // a pool's table shifted by the block's high-bit count
+	lvl   [MaxBranchPools][foldLen]float64
+}
+
+func (bb *branchBlocks) init(pools []uint64, pos [][]float64) {
+	bb.pools, bb.pos = pools, pos
+	for p, pm := range pools {
+		for j := range bb.low[p] {
+			bb.low[p][j] = uint8(bits.OnesCount64(uint64(j) & pm))
+		}
+	}
+}
+
+// start points the tables at the aligned block at state base.
+func (bb *branchBlocks) start(base uint64) {
+	for p, pm := range bb.pools {
+		bb.tab[p] = bb.pos[p][bits.OnesCount64(base&pm):]
+	}
+}
+
+// weigh returns the block blk weighted by its branch-b factors. Called for
+// b = 0, 1, 2, … in turn after start.
+func (bb *branchBlocks) weigh(b int, blk *[foldLen]float64) *[foldLen]float64 {
+	t := len(bb.pools)
+	if t == 0 {
+		return blk
+	}
+	c := t - 1 // the highest pool whose outcome differs from branch b−1's
+	if b > 0 {
+		c = bits.TrailingZeros(uint(b))
+	}
+	for p := c; p >= 0; p-- {
+		src, dst, cnt, tp := blk, &bb.lvl[p], &bb.low[p], bb.tab[p]
+		if p < t-1 {
+			src = &bb.lvl[p+1]
+		}
+		if b>>uint(p)&1 == 1 {
+			for j := range dst {
+				dst[j] = src[j] * tp[cnt[j]]
+			}
+		} else {
+			for j := range dst {
+				dst[j] = src[j] * (1 - tp[cnt[j]])
+			}
+		}
+	}
+	return &bb.lvl[0]
+}
+
+// addBranchMarginalsWalk is AddBranchMarginals state by state: the
+// ragged-edge helper and the whole of a run shorter than a block.
+func addBranchMarginalsWalk(offset uint64, data []float64, pools []uint64, pos [][]float64, out []float64) {
+	width := len(out) >> uint(len(pools))
+	var fbuf [1 << MaxBranchPools]float64
+	f := fbuf[:1<<uint(len(pools))]
+	for j, w := range data {
+		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
+			continue
+		}
+		s := offset + uint64(j)
+		branchFactors(s, pools, pos, f)
+		for b, fb := range f {
+			row, x := out[b*width:(b+1)*width], w*fb
+			row[width-1] += x
+			for v := s; v != 0; v &= v - 1 {
+				row[bits.TrailingZeros64(v)] += x
+			}
+		}
+	}
+}
+
+// AddBranchMarginals is the first look-ahead read: for every outcome branch
+// b of the pools (bit j of b set: pool j reads positive) it adds to row b
+// of out — n+1 floats, so len(out) = 2^len(pools)·(n+1) — the run's joint
+// masses P(S ∋ i, outcomes b) at [i] and P(outcomes b) at [n]: the branch
+// posterior's marginals before normalisation and its predictive weight.
+// pools and pos must have passed CheckBranches. Aligned blocks are weighted
+// per branch (branchBlocks) and folded as in AddMarginals, ragged edges go
+// state by state; the weights over all branches sum to the run's mass.
+func AddBranchMarginals(offset uint64, data []float64, pools []uint64, pos [][]float64, out []float64) {
+	head, tail := blockSpan(offset, offset+uint64(len(data)))
+	if head >= tail {
+		addBranchMarginalsWalk(offset, data, pools, pos, out)
+		return
+	}
+	addBranchMarginalsWalk(offset, data[:head-offset], pools, pos, out)
+	width := len(out) >> uint(len(pools))
+	var bb branchBlocks
+	var scratch [foldLen / 2]float64
+	bb.init(pools, pos)
+	for base := head; base < tail; base += foldLen {
+		blk := (*[foldLen]float64)(data[base-offset:])
+		bb.start(base)
+		for b := 0; b < 1<<uint(len(pools)); b++ {
+			row := out[b*width : (b+1)*width]
+			row[width-1] += foldBlock(base, bb.weigh(b, blk), &scratch, row)
+		}
+	}
+	addBranchMarginalsWalk(tail, data[tail-offset:], pools, pos, out)
+}
+
+// addBranchMinRankWalk is AddBranchMinRankMasses state by state.
+func (t *RankTable) addBranchMinRankWalk(offset uint64, data []float64, pools []uint64, pos [][]float64, out []float64) {
+	width := int(t.k) + 1
+	var fbuf [1 << MaxBranchPools]float64
+	f := fbuf[:1<<uint(len(pools))]
+	for j, w := range data {
+		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
+			continue
+		}
+		s := offset + uint64(j)
+		branchFactors(s, pools, pos, f)
+		r := int(min(t.low[s&255], t.highRank(s)))
+		for b, fb := range f {
+			out[b*width+r] += w * fb
+		}
+	}
+}
+
+// AddBranchMinRankMasses is the second look-ahead read: for every outcome
+// branch b of the pools it histograms the run's branch-b mass by minimum
+// order-rank into row b of out — len(order)+1 floats, laid out as
+// AddMinRankMasses' histogram, so len(out) = 2^len(pools)·(len(order)+1).
+// pools and pos must have passed CheckBranches.
+func (t *RankTable) AddBranchMinRankMasses(offset uint64, data []float64, pools []uint64, pos [][]float64, out []float64) {
+	head, tail := blockSpan(offset, offset+uint64(len(data)))
+	if head >= tail {
+		t.addBranchMinRankWalk(offset, data, pools, pos, out)
+		return
+	}
+	t.addBranchMinRankWalk(offset, data[:head-offset], pools, pos, out)
+	width := int(t.k) + 1
+	var bb branchBlocks
+	bb.init(pools, pos)
+	for base := head; base < tail; base += foldLen {
+		blk, high := (*[foldLen]float64)(data[base-offset:]), t.highRank(base)
+		bb.start(base)
+		for b := 0; b < 1<<uint(len(pools)); b++ {
+			row := out[b*width : (b+1)*width]
+			for j, x := range bb.weigh(b, blk) {
+				row[min(t.low[j], high)] += x
+			}
+		}
+	}
+	t.addBranchMinRankWalk(tail, data[tail-offset:], pools, pos, out)
+}
+
+// SuffixCleanMasses turns rows of min-rank histograms (k+1 floats each, as
+// AddBranchMinRankMasses leaves them) into rows of prefix clean masses (k
+// floats each) in place, and returns them: clean[i] = Σ_{r>i} hist[r], the
+// mass of states whose first-ranked infected subject lies beyond prefix i,
+// summed with compensation as PrefixNegMasses sums it.
+func SuffixCleanMasses(hist []float64, k int) []float64 {
+	rows := len(hist) / (k + 1)
+	for b := 0; b < rows; b++ {
+		row := hist[b*(k+1) : (b+1)*(k+1)]
+		var acc prob.Accumulator
+		for i := k; i >= 1; i-- {
+			acc.Add(row[i])
+			row[i] = acc.Value()
+		}
+		copy(hist[b*k:], row[1:]) // rows only move down, so nothing unread is overwritten
+	}
+	return hist[:rows*k]
 }
 
 // KeptBelow counts the states s < x with s&bit == base: the index, in the

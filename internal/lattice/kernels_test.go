@@ -231,23 +231,25 @@ func TestNegMassesTiledMatchesUntiled(t *testing.T) {
 	}
 }
 
-// TestPredictiveMatchesDefinition checks both Predictive paths — the
-// flat-tail sub-lattice shortcut (count-independent likelihood tables)
-// and the general DotLikelihood pass — against the definition: the
-// intersect-count distribution's dot product with the likelihood table.
+// TestPredictiveMatchesDefinition checks the predictive probabilities the
+// look-ahead branch read weighs its two branches by against the
+// definition: the intersect-count distribution's dot product with the
+// outcome table — P(positive | k) = dilution.PosProb for the positive
+// branch, its complement for the negative one.
 func TestPredictiveMatchesDefinition(t *testing.T) {
 	r := rng.New(505)
 	responses := []dilution.Response{
-		dilution.Binary{Sens: 0.9, Spec: 0.97},                 // flat tail
-		dilution.Ideal{},                                       // flat tail, exact 0/1
-		dilution.Hyperbolic{MaxSens: 0.95, Spec: 0.99, D: 0.4}, // dilution-dependent
+		dilution.Binary{Sens: 0.9, Spec: 0.97},
+		dilution.Ideal{},
+		dilution.Hyperbolic{MaxSens: 0.95, Spec: 0.99, D: 0.4},
+		dilution.DefaultCt(),
 	}
-	for trial := 0; trial < 18; trial++ {
+	for trial := 0; trial < 24; trial++ {
 		n := 5 + r.Intn(6)
 		pool := newTestPool(t)
 		resp := responses[trial%len(responses)]
 		m := mustNew(t, pool, Config{Risks: uniformRisks(n, 0.05+0.2*r.Float64()), Response: resp})
-		if err := m.Update(bitvec.Full(n), dilution.Positive); err != nil {
+		if err := m.Update(bitvec.Full(n), dilution.Negative); err != nil {
 			t.Fatal(err)
 		}
 		for probe := 0; probe < 6; probe++ {
@@ -255,18 +257,102 @@ func TestPredictiveMatchesDefinition(t *testing.T) {
 			if pm == 0 {
 				continue
 			}
-			for _, y := range []dilution.Outcome{dilution.Negative, dilution.Positive} {
-				got := m.Predictive(pm, y)
-				dist := intersectDist(m, pm)
-				want := 0.0
-				for k, w := range dist {
-					want += w * resp.Likelihood(y, k, pm.Count())
-				}
-				if math.Abs(got-want) > 1e-12 {
-					t.Fatalf("trial %d pool %v y=%v: predictive %v vs dot %v", trial, pm, y, got, want)
+			pos := posTable(resp, pm)
+			rows := m.BranchMarginals([]uint64{uint64(pm)}, [][]float64{pos})
+			var want [2]float64
+			for k, w := range intersectDist(m, pm) {
+				want[0] += w * (1 - pos[k])
+				want[1] += w * pos[k]
+			}
+			for b := range want {
+				if got := rows[b*(n+1)+n]; math.Abs(got-want[b]) > 1e-12 {
+					t.Fatalf("trial %d pool %v branch %d: predictive %v vs dot %v", trial, pm, b, got, want[b])
 				}
 			}
 		}
+	}
+}
+
+// posTable is a pool's branch table under resp.
+func posTable(resp dilution.Response, pm bitvec.Mask) []float64 {
+	pos := make([]float64, pm.Count()+1)
+	for k := range pos {
+		pos[k] = dilution.PosProb(resp, k, pm.Count())
+	}
+	return pos
+}
+
+// TestBranchReadsMatchOracle: both look-ahead reads agree with the
+// per-state oracle (branchOracle) on random posteriors, partition counts
+// that leave ragged edges, cohorts below one fold block and above it, and
+// zero to four branch pools; the branch weights sum to the posterior's
+// mass, and each branch's prefix clean masses are its histogram's suffix
+// sums.
+func TestBranchReadsMatchOracle(t *testing.T) {
+	r := rng.New(515)
+	resp := dilution.Hyperbolic{MaxSens: 0.96, Spec: 0.98, D: 0.3}
+	for trial := 0; trial < 30; trial++ {
+		n := 3 + r.Intn(10)
+		m := randomPosteriorParts(t, r, n, 0, trial%3 == 0)
+		pools := make([]uint64, r.Intn(5))
+		pos := make([][]float64, len(pools))
+		for j := range pools {
+			pm := bitvec.Mask(r.Uint64()) & bitvec.Full(n)
+			pools[j], pos[j] = uint64(pm), posTable(resp, pm)
+		}
+		if err := CheckBranches(pools, pos, n); err != nil {
+			t.Fatal(err)
+		}
+		order := r.Perm(n)[:1+r.Intn(n)]
+		wantMarg, wantClean := branchOracle(m, pools, pos, order)
+		gotMarg := m.BranchMarginals(pools, pos)
+		gotClean := m.BranchPrefixNegMasses(pools, pos, order)
+		if len(gotMarg) != len(wantMarg) || len(gotClean) != len(wantClean) {
+			t.Fatalf("trial %d: %d/%d floats, oracle %d/%d", trial, len(gotMarg), len(gotClean), len(wantMarg), len(wantClean))
+		}
+		for i := range wantMarg {
+			if math.Abs(gotMarg[i]-wantMarg[i]) > 1e-12 {
+				t.Fatalf("trial %d n=%d t=%d: marginal row slot %d = %v, oracle %v", trial, n, len(pools), i, gotMarg[i], wantMarg[i])
+			}
+		}
+		for i := range wantClean {
+			if math.Abs(gotClean[i]-wantClean[i]) > 1e-12 {
+				t.Fatalf("trial %d n=%d t=%d: clean slot %d = %v, oracle %v", trial, n, len(pools), i, gotClean[i], wantClean[i])
+			}
+		}
+		var total float64
+		for b := 0; b < 1<<uint(len(pools)); b++ {
+			total += gotMarg[b*(n+1)+n]
+		}
+		if mass := m.Mass(); math.Abs(total-mass) > 1e-12 {
+			t.Fatalf("trial %d: branch weights sum to %v, posterior mass %v", trial, total, mass)
+		}
+	}
+}
+
+// TestCheckBranchesRefuses: every malformed branch read is refused.
+func TestCheckBranchesRefuses(t *testing.T) {
+	ok := [][]float64{{0.01, 0.9, 0.95}}
+	for _, c := range []struct {
+		name  string
+		pools []uint64
+		pos   [][]float64
+	}{
+		{"too many pools", make([]uint64, MaxBranchPools+1), make([][]float64, MaxBranchPools+1)},
+		{"table count", []uint64{3}, nil},
+		{"table length", []uint64{7}, ok},
+		{"NaN entry", []uint64{3}, [][]float64{{0.01, math.NaN(), 0.9}}},
+		{"entry above 1", []uint64{3}, [][]float64{{0.01, 1.5, 0.9}}},
+		{"negative entry", []uint64{3}, [][]float64{{-0.1, 0.5, 0.9}}},
+		{"infinite entry", []uint64{3}, [][]float64{{0.01, math.Inf(1), 0.9}}},
+		{"pool outside cohort", []uint64{1<<4 | 1}, ok},
+	} {
+		if err := CheckBranches(c.pools, c.pos, 4); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	if err := CheckBranches([]uint64{3}, ok, 4); err != nil {
+		t.Fatalf("valid branch read refused: %v", err)
 	}
 }
 

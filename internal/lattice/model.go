@@ -18,7 +18,9 @@
 //     that also leaves the marginals behind: the normaliser is a scalar the
 //     model carries into the next table,
 //   - Marginals / NegMass / NegMasses / PrefixNegMasses: the reductions that
-//     drive classification and the halving test-selection scan,
+//     drive classification and the halving test-selection scan, and
+//     BranchMarginals / BranchPrefixNegMasses, the same two selection reads
+//     over every outcome branch of a stage's chosen pools (look-ahead),
 //   - Condition: collapse a classified subject out of the lattice, halving
 //     the state space (how sequential surveillance keeps the model small).
 //
@@ -26,8 +28,9 @@
 // over one contiguous run of states (offset, []float64): the prior fill
 // (FillPrior, PriorOdds), the update multiply-fold-and-sum (MulLikelihood
 // over a LikelihoodTable), the reductions (AddMarginals, RankTable's
-// min-rank histogram, AddCleanMasses, SumWhere, DotLikelihood, EntropyNats),
-// the conditioning gather (CollapseBit, KeptBelow) and Scale.
+// min-rank histogram, AddCleanMasses, SumWhere, DotLikelihood, EntropyNats,
+// and the look-ahead branch forms AddBranchMarginals and
+// AddBranchMinRankMasses), the conditioning gather (CollapseBit, KeptBelow) and Scale.
 // Model's methods run them per partition and the cluster executor runs
 // them on its shard; each backend owns only its reduction shape and merge
 // order. A loop over posterior states outside kernels.go is a bug
@@ -269,8 +272,7 @@ func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Mo
 }
 
 // Clone returns an independent copy of the model (posterior deep-copied,
-// same pool). Look-ahead selection evaluates hypothetical outcomes on
-// clones.
+// same pool): what Condition collapses, leaving the receiver unchanged.
 func (m *Model) Clone() *Model {
 	return &Model{
 		n:     m.n,

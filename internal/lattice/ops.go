@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/bitvec"
-	"repro/internal/dilution"
 	"repro/internal/prob"
 )
 
@@ -90,45 +89,61 @@ func (m *Model) PrefixNegMasses(order []int) []float64 {
 		tbl.AddMinRankMasses(offset, data, out)
 	})
 	Scale(hist, m.scale)
-	// neg[i] = Σ_{r > i} hist[r]: mass whose first-ranked infected subject
-	// lies beyond the prefix.
-	neg := make([]float64, k)
-	var acc prob.Accumulator
-	for i := k - 1; i >= 0; i-- {
-		acc.Add(hist[i+1])
-		neg[i] = acc.Value()
-	}
-	return neg
+	return SuffixCleanMasses(hist, k)
 }
 
-// Predictive returns the probability of observing outcome y on the given
-// pool under the current posterior and the model's response:
-// P(y | data) = Σ_k P(y | k, |pool|) · P(|S ∩ pool| = k | data).
-//
-// When the likelihood table is flat for k ≥ 1 — the response cannot tell
-// one infected specimen from many, as with the Binary and Ideal assay
-// models — the sum telescopes to lik₀·P(k=0) + lik₁·(1 − P(k=0)), and
-// P(k=0) is a clean-sub-lattice query: the whole predictive costs one
-// 2^(N−g) walk instead of a 2^N pass. Dilution-sensitive responses take
-// a single pass that folds the likelihood table over the intersect count
-// (DotLikelihood). A response that returns an invalid likelihood yields NaN.
-func (m *Model) Predictive(pool bitvec.Mask, y dilution.Outcome) float64 {
-	size := pool.Count()
-	lik, err := LikelihoodTable(m.resp, y, size)
-	if err != nil {
-		return math.NaN()
-	}
-	flat := size > 0
-	for k := 2; k <= size && flat; k++ {
-		flat = lik[k] == lik[1] //lint:allow floats detects an exactly count-independent likelihood table, not a numeric tolerance test
-	}
-	if flat {
-		nm := m.NegMass(pool)
-		return lik[0]*nm + lik[1]*(1-nm)
-	}
-	return m.settle().ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
-		return DotLikelihood(offset, data, uint64(pool), lik)
+// BranchMarginals is the look-ahead marginal read: for every outcome
+// branch b of the pools (bit j of b set: pool j reads positive, with
+// P(positive | k infected) = pos[j][k]), row b of the result — N+1 floats —
+// holds P(S ∋ i, outcomes b | data) at [i] and P(outcomes b | data) at [N].
+// A branch posterior is this one times at most len(pools) table lookups
+// per state, so all 2^len(pools) rows come from one pass over the
+// posterior itself (AddBranchMarginals), with no copy of it. pools and pos
+// must have passed CheckBranches.
+func (m *Model) BranchMarginals(pools []uint64, pos [][]float64) []float64 {
+	return m.branchRead((m.n+1)<<uint(len(pools)), func(offset uint64, data, out []float64) {
+		AddBranchMarginals(offset, data, pools, pos, out)
 	})
+}
+
+// BranchPrefixNegMasses is the look-ahead prefix read: row b of the result
+// — len(order) floats — holds P(S ∩ {order[0..i]} = ∅, outcomes b | data)
+// at [i], for every outcome branch b of the pools as in BranchMarginals.
+// One pass histograms every branch by minimum order-rank
+// (AddBranchMinRankMasses). order must be valid as for PrefixNegMasses.
+func (m *Model) BranchPrefixNegMasses(pools []uint64, pos [][]float64, order []int) []float64 {
+	tbl, err := NewRankTable(order, m.n)
+	if err != nil {
+		panic("lattice: " + err.Error())
+	}
+	hist := m.branchRead((len(order)+1)<<uint(len(pools)), func(offset uint64, data, out []float64) {
+		tbl.AddBranchMinRankMasses(offset, data, pools, pos, out)
+	})
+	return SuffixCleanMasses(hist, len(order))
+}
+
+// branchRead runs a branch kernel over the partitions one after another
+// on the calling goroutine, each into one zeroed partial, and merges the
+// partials component-wise in partition order with compensated accumulators
+// — ReduceVec's merge — times the carried scale. Its scratch is one
+// partial and the accumulators, however many partitions the posterior
+// has: a branch row set outgrows a partition's share of the lattice, so
+// per-partition partials would cost more than the posterior they read.
+func (m *Model) branchRead(width int, kernel func(offset uint64, data, out []float64)) []float64 {
+	part := make([]float64, width)
+	accs := make([]prob.Accumulator, width)
+	for p := 0; p < m.post.Parts(); p++ {
+		clear(part)
+		offset, data := m.post.Partition(p)
+		kernel(offset, data, part)
+		for j, x := range part {
+			accs[j].Add(x)
+		}
+	}
+	for j := range part {
+		part[j] = accs[j].Value() * m.scale
+	}
+	return part
 }
 
 // Entropy returns the Shannon entropy of the posterior in bits: the

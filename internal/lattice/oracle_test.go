@@ -143,6 +143,41 @@ func intersectDist(m *Model, pool bitvec.Mask) []float64 {
 	})
 }
 
+// branchOracle is the look-ahead reads by definition, one state at a time:
+// state s weighs w·Π_j (pool j positive ? pos[j][k_j] : 1 − pos[j][k_j]) in
+// branch b, and row b gathers its joint marginals and weight, and its
+// prefix clean masses P(S ∩ order[0..i] = ∅, b).
+func branchOracle(m *Model, pools []uint64, pos [][]float64, order []int) (marg, clean []float64) {
+	n, k, rows := m.n, len(order), 1<<uint(len(pools))
+	marg, clean = make([]float64, rows*(n+1)), make([]float64, rows*k)
+	post := m.Posterior()
+	for s := uint64(0); s < post.Len(); s++ {
+		w := post.At(s)
+		for b := 0; b < rows; b++ {
+			f := w
+			for j, pm := range pools {
+				p := pos[j][bits.OnesCount64(s&pm)]
+				if b>>uint(j)&1 == 0 {
+					p = 1 - p
+				}
+				f *= p
+			}
+			marg[b*(n+1)+n] += f
+			for i := 0; i < n; i++ {
+				if s>>uint(i)&1 == 1 {
+					marg[b*(n+1)+i] += f
+				}
+			}
+			for i := range order {
+				if s&uint64(bitvec.FromIndices(order[:i+1]...)) == 0 {
+					clean[b*k+i] += f
+				}
+			}
+		}
+	}
+	return marg, clean
+}
+
 // expectedInfectedScan is E[|S|] as a per-state popcount pass, the oracle
 // the marginals' sum is checked against.
 func expectedInfectedScan(m *Model) float64 {

@@ -82,10 +82,13 @@ func TestInvariantsUnderRandomCampaigns(t *testing.T) {
 				if math.Abs(dist[0]-nm) > 1e-9 {
 					t.Fatalf("trial %d: dist[0]=%v vs NegMass=%v", trial, dist[0], nm)
 				}
-				// Invariant: binary predictive probabilities sum to 1.
-				pp := m.Predictive(probe, dilution.Positive)
-				pn := m.Predictive(probe, dilution.Negative)
-				if math.Abs(pp+pn-1) > 1e-9 {
+				// Invariant: the two branch weights of a probe sum to 1.
+				pos := make([]float64, probe.Count()+1)
+				for k := range pos {
+					pos[k] = dilution.PosProb(resp, k, probe.Count())
+				}
+				rows := m.BranchMarginals([]uint64{uint64(probe)}, [][]float64{pos})
+				if pn, pp := rows[n], rows[2*n+1]; math.Abs(pp+pn-1) > 1e-9 {
 					t.Fatalf("trial %d: predictive sums to %v", trial, pp+pn)
 				}
 			}

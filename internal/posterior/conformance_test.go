@@ -185,6 +185,33 @@ func TestConformanceKernels(t *testing.T) {
 			if d := math.Abs(ent - ref.Entropy()); d > kernelTol {
 				t.Fatalf("entropy off by %v", d)
 			}
+			br := posterior.Branches(m)
+			for t0 := 0; t0 <= len(branchPools); t0++ {
+				pools := branchPools[:t0]
+				masks, pos := branchTables(pools)
+				rows, err := br.BranchMarginals(pools)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := append(ref.Marginals(), 1)
+				if t0 > 0 {
+					want = ref.BranchMarginals(masks, pos)
+				}
+				if d := maxAbsDiff(rows, want); len(rows) != len(want) || d > kernelTol {
+					t.Fatalf("branch marginals over %d pools off by %v", t0, d)
+				}
+				clean, err := br.BranchPrefixNegMasses(pools, order)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = ref.PrefixNegMasses(order)
+				if t0 > 0 {
+					want = ref.BranchPrefixNegMasses(masks, pos, order)
+				}
+				if d := maxAbsDiff(clean, want); len(clean) != len(want) || d > kernelTol {
+					t.Fatalf("branch prefix masses over %d pools off by %v", t0, d)
+				}
+			}
 
 			sum, err := m.Summary()
 			if err != nil {
@@ -195,6 +222,52 @@ func TestConformanceKernels(t *testing.T) {
 			}
 			if d := math.Abs(sum.EntropyBits - ref.Entropy()); d > kernelTol {
 				t.Fatalf("summary entropy off by %v", d)
+			}
+		})
+	}
+}
+
+// branchPools are the look-ahead pools the kernel test reads the branches
+// of, under conformanceResp.
+var branchPools = []bitvec.Mask{bitvec.FromIndices(0, 1, 2, 3), bitvec.FromIndices(2, 4, 6), bitvec.FromIndices(7)}
+
+// branchTables is pools' kernel form: masks and P(positive | k) tables.
+func branchTables(pools []bitvec.Mask) ([]uint64, [][]float64) {
+	masks, pos := make([]uint64, len(pools)), make([][]float64, len(pools))
+	for j, p := range pools {
+		masks[j] = uint64(p)
+		for k := 0; k <= p.Count(); k++ {
+			pos[j] = append(pos[j], dilution.PosProb(conformanceResp, k, p.Count()))
+		}
+	}
+	return masks, pos
+}
+
+// TestBranchWeightsUnderCt: a look-ahead branch is weighted by the
+// probability its pools read as it says, on every backend, and under a
+// continuous readout too. For a pool of four subjects of risk 0.05, the
+// positive branch weighs 1 − P(negative) = 1 − Σ_k Binom(k; 4, 0.05)·
+// L(negative | k, 4) ≈ 0.186, not the density of a Ct reading.
+func TestBranchWeightsUnderCt(t *testing.T) {
+	resp := dilution.DefaultCt()
+	pool := bitvec.FromIndices(0, 1, 2, 3)
+	var neg float64
+	for k := 0; k <= 4; k++ {
+		neg += float64(bitvec.Binomial(4, k)) * math.Pow(0.05, float64(k)) * math.Pow(0.95, float64(4-k)) * resp.Likelihood(dilution.Negative, k, 4)
+	}
+	for _, bc := range backends(t) {
+		t.Run(string(bc.kind), func(t *testing.T) {
+			m := bc.open(t, workload.UniformRisks(8, 0.05), resp)
+			defer m.Close() //lint:allow errcheck test teardown; assertions cover the live model
+			rows, err := posterior.Branches(m).BranchMarginals([]bitvec.Mask{pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rows[8]; math.Abs(got-neg) > 1e-12 {
+				t.Fatalf("negative branch weighs %v, want %v", got, neg)
+			}
+			if got := rows[17]; math.Abs(got-(1-neg)) > 1e-12 {
+				t.Fatalf("positive branch weighs %v, want 1 − P(negative) = %v", got, 1-neg)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package posterior
 import (
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
-	"repro/internal/halving"
 	"repro/internal/lattice"
 )
 
@@ -54,23 +53,6 @@ func (d *Dense) Entropy() (float64, error) { return d.m.Entropy(), nil }
 
 // Summary returns the marginals and the entropy.
 func (d *Dense) Summary() (*Summary, error) { return summarize(d) }
-
-// Predictive returns P(y | data) for a test of pool under the current
-// posterior. With Branch it makes Dense a halving.Brancher: the dense
-// lattice is the one backend that can afford look-ahead's outcome clones.
-func (d *Dense) Predictive(pool bitvec.Mask, y dilution.Outcome) (float64, error) {
-	return d.m.Predictive(pool, y), nil
-}
-
-// Branch returns an independent copy of the posterior with the outcome y
-// on pool absorbed; the receiver is unchanged.
-func (d *Dense) Branch(pool bitvec.Mask, y dilution.Outcome) (halving.Brancher, error) {
-	c := d.m.Clone()
-	if err := c.Update(pool, y); err != nil {
-		return nil, err
-	}
-	return FromLattice(c), nil
-}
 
 // Condition collapses subject onto a known status; see Model.Condition.
 // The interface transfers ownership on success, so the dense backend uses

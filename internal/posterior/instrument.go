@@ -1,11 +1,8 @@
 package posterior
 
 import (
-	"fmt"
-
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
-	"repro/internal/halving"
 	"repro/internal/obs"
 )
 
@@ -51,9 +48,9 @@ func Instrument(m Model, reg *obs.Registry) Model {
 }
 
 // Base strips any instrumentation decorators from m, returning the
-// underlying backend model. An optional capability a backend states as an
-// interface (look-ahead: LookaheadOf; trace propagation) is asserted on
-// Base(m), never on m.
+// underlying backend model. A backend-specific read (the look-ahead
+// branch reads of Branches; trace propagation) is found on Base(m), never
+// on m.
 func Base(m Model) Model {
 	for {
 		u, ok := m.(interface{ Unwrap() Model })
@@ -62,19 +59,6 @@ func Base(m Model) Model {
 		}
 		m = u.Unwrap()
 	}
-}
-
-// LookaheadOf returns the look-ahead capability of m's backend, or an
-// error naming the backend that lacks it. Look-ahead is not part of Model:
-// it branches the posterior on hypothetical outcomes, which a truncated or
-// a distributed backend cannot afford, so a backend that can says so by
-// implementing halving.Brancher (Dense does).
-func LookaheadOf(m Model) (halving.Brancher, error) {
-	b, ok := Base(m).(halving.Brancher)
-	if !ok {
-		return nil, fmt.Errorf("posterior: look-ahead needs a backend that can branch the posterior (dense), have %s", m.Kind())
-	}
-	return b, nil
 }
 
 // Unwrap exposes the wrapped model, making the decorator transparent to

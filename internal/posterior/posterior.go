@@ -20,6 +20,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
 	"repro/internal/engine"
+	"repro/internal/halving"
 	"repro/internal/lattice"
 	"repro/internal/sparse"
 )
@@ -179,4 +180,72 @@ func FromSnapshot(pool *engine.Pool, snap *Snapshot, parts int) (Model, error) {
 		return FromSparse(m), nil
 	}
 	return nil, fmt.Errorf("posterior: unknown snapshot kind %q", snap.Kind)
+}
+
+// Branches returns the look-ahead reads of m, on every backend. With no
+// pools they are m's own Marginals (with the one branch's weight, 1,
+// appended) and PrefixNegMasses. With pools, each pool's outcome table is
+// P(positive | k infected) = dilution.PosProb under m's response, and the
+// read is one pass over the posterior (one round on the cluster) that
+// weights each state by its branch factors, with no copy of the posterior.
+func Branches(m Model) halving.Branches { return branches{m} }
+
+type branches struct{ Model }
+
+func (b branches) BranchMarginals(pools []bitvec.Mask) ([]float64, error) {
+	if len(pools) == 0 {
+		marg, err := b.Marginals()
+		if err != nil {
+			return nil, err
+		}
+		return append(marg, 1), nil
+	}
+	return b.read(pools, nil)
+}
+
+func (b branches) BranchPrefixNegMasses(pools []bitvec.Mask, order []int) ([]float64, error) {
+	if len(pools) == 0 || len(order) == 0 {
+		return b.PrefixNegMasses(order)
+	}
+	return b.read(pools, order)
+}
+
+// read is the one switch over backends for the branch reads: the marginal
+// read for a nil order, the prefix read of order otherwise.
+func (b branches) read(pools []bitvec.Mask, order []int) ([]float64, error) {
+	masks := make([]uint64, len(pools))
+	pos := make([][]float64, len(pools))
+	size := 0
+	for _, p := range pools {
+		size += p.Count() + 1
+	}
+	flat, resp := make([]float64, size), b.Response()
+	for j, p := range pools {
+		masks[j] = uint64(p)
+		pos[j], flat = flat[:p.Count()+1], flat[p.Count()+1:]
+		for k := range pos[j] {
+			pos[j][k] = dilution.PosProb(resp, k, p.Count())
+		}
+	}
+	if err := lattice.CheckBranches(masks, pos, b.N()); err != nil {
+		return nil, fmt.Errorf("posterior: %v", err)
+	}
+	switch x := Base(b.Model).(type) {
+	case *Dense:
+		if order == nil {
+			return x.m.BranchMarginals(masks, pos), nil
+		}
+		return x.m.BranchPrefixNegMasses(masks, pos, order), nil
+	case *Sparse:
+		if order == nil {
+			return x.m.BranchMarginals(masks, pos), nil
+		}
+		return x.m.BranchPrefixNegMasses(masks, pos, order), nil
+	case *Cluster:
+		if order == nil {
+			return x.m.BranchMarginals(masks, pos)
+		}
+		return x.m.BranchPrefixNegMasses(masks, pos, order)
+	}
+	return nil, fmt.Errorf("posterior: no branch reads for a %s model", b.Kind())
 }

@@ -161,8 +161,8 @@ func TestServerValidation(t *testing.T) {
 		t.Fatalf("bad kind: %d", code)
 	}
 
-	// A look-ahead depth that would hold 2^23 copies of the posterior: the
-	// client's integer is bounded before any lattice is built.
+	// A look-ahead depth that would weigh every state by 2^23 branch
+	// factors: the client's integer is bounded before any lattice is built.
 	code, _ = doJSON(t, "POST", ts.URL+"/v1/cohorts", CreateCohortRequest{
 		Risks: workload.UniformRisks(16, 0.05), Lookahead: 24,
 	}, nil)

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
+	"repro/internal/lattice"
 	"repro/internal/prob"
 )
 
@@ -329,13 +330,7 @@ func (m *Model) PrefixNegMasses(order []int) []float64 {
 		}
 		hist[rmin] += m.mass[i]
 	}
-	neg := make([]float64, k)
-	var acc prob.Accumulator
-	for i := k - 1; i >= 0; i-- {
-		acc.Add(hist[i+1])
-		neg[i] = acc.Value()
-	}
-	return neg
+	return lattice.SuffixCleanMasses(hist, k)
 }
 
 // NegMasses scores every candidate pool in one pass over the support.
@@ -345,6 +340,46 @@ func (m *Model) NegMasses(cands []bitvec.Mask) []float64 {
 		out[c] = m.NegMass(cand)
 	}
 	return out
+}
+
+// BranchMarginals is lattice.Model.BranchMarginals over the retained
+// support: the look-ahead marginal read, 2^len(pools) rows of N+1 floats.
+// pools and pos must have passed lattice.CheckBranches.
+func (m *Model) BranchMarginals(pools []uint64, pos [][]float64) []float64 {
+	out := make([]float64, (m.n+1)<<uint(len(pools)))
+	m.forRuns(func(offset uint64, data []float64) {
+		lattice.AddBranchMarginals(offset, data, pools, pos, out)
+	})
+	return out
+}
+
+// BranchPrefixNegMasses is lattice.Model.BranchPrefixNegMasses over the
+// retained support: the look-ahead prefix read, 2^len(pools) rows of
+// len(order) clean masses. order must be valid as for PrefixNegMasses.
+func (m *Model) BranchPrefixNegMasses(pools []uint64, pos [][]float64, order []int) []float64 {
+	tbl, err := lattice.NewRankTable(order, m.n)
+	if err != nil {
+		panic("sparse: " + err.Error())
+	}
+	hist := make([]float64, (len(order)+1)<<uint(len(pools)))
+	m.forRuns(func(offset uint64, data []float64) {
+		tbl.AddBranchMinRankMasses(offset, data, pools, pos, hist)
+	})
+	return lattice.SuffixCleanMasses(hist, len(order))
+}
+
+// forRuns hands the retained support to a lattice kernel as maximal runs
+// of consecutive states, each a run (offset, masses) as the dense lattice
+// stores them.
+func (m *Model) forRuns(kernel func(offset uint64, data []float64)) {
+	for i := 0; i < len(m.states); {
+		j := i + 1
+		for j < len(m.states) && m.states[j] == m.states[j-1]+1 {
+			j++
+		}
+		kernel(m.states[i], m.mass[i:j])
+		i = j
+	}
 }
 
 // Entropy returns the posterior entropy in bits over the retained support.

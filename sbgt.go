@@ -115,14 +115,12 @@ func SelectPool(m Posterior, maxPool int, localSearch bool) (Selection, error) {
 	return halving.SelectOn(m, halving.Options{MaxPool: maxPool, LocalSearch: localSearch})
 }
 
-// SelectPools runs the depth-pool look-ahead rule: the pools to run in
-// one stage, before any of their outcomes is known. Look-ahead branches
-// the posterior on hypothetical outcomes, which only the dense backend
-// supports; any other backend is refused with an error naming it.
+// SelectPools runs the depth-pool look-ahead rule on a posterior from
+// OpenBackend (any backend): the pools to run in one stage, before any of
+// their outcomes is known. Each read weighs the posterior over the outcome
+// branches of the pools already chosen, in one pass with no copy of it;
+// depth is at most 8 (2^(depth−1) branches). A non-nil error is a failed
+// posterior read or a depth above that bound.
 func SelectPools(m Posterior, depth, maxPool int) ([]Selection, error) {
-	b, err := posterior.LookaheadOf(m)
-	if err != nil {
-		return nil, err
-	}
-	return halving.SelectLookahead(b, depth, halving.Options{MaxPool: maxPool})
+	return halving.SelectLookahead(posterior.Branches(m), depth, halving.Options{MaxPool: maxPool})
 }

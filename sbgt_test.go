@@ -2,7 +2,6 @@ package sbgt_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -198,9 +197,29 @@ func TestClusterThroughPublicAPI(t *testing.T) {
 	if math.Abs(marg[4]-0.1) > 1e-9 {
 		t.Fatalf("untested marginal = %v", marg[4])
 	}
-	// Look-ahead is a stated capability, and the cluster backend lacks it.
-	if _, err := sbgt.SelectPools(m, 2, 8); err == nil || !strings.Contains(err.Error(), "cluster") {
-		t.Fatalf("look-ahead on the cluster backend: %v, want an error naming it", err)
+	// Look-ahead runs on the cluster backend too, and splits as well as on a
+	// dense twin. (Subjects 3..7 are exchangeable here, so which of them a
+	// pool takes is decided by last-ulp differences in their marginals.)
+	got, err := sbgt.SelectPools(m, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := eng.OpenBackend(sbgt.Backend{}, risks, sbgt.IdealTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	if err := twin.Update(sbgt.Subjects(0, 1, 2), sbgt.Negative); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sbgt.SelectPools(twin, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Pool.Count() != want[i].Pool.Count() || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
+			t.Fatalf("cluster look-ahead pool %d: %v, dense %v", i, got[i], want[i])
+		}
 	}
 }
 
