@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint vet race fuzz examples ci serve-smoke
+.PHONY: build test lint vet race fuzz bench-smoke examples ci serve-smoke
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,16 @@ fuzz:
 	$(GO) test ./internal/cluster -run xxx -fuzz FuzzExecutorDispatch -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzServerAPI -fuzztime 10s
 
+# One iteration of the stage-kernel, kernel-ablation, serial-crossover,
+# cluster-conditioning, look-ahead and span-record benchmarks, so they
+# cannot rot.
+bench-smoke:
+	$(GO) test ./internal/lattice -run '^$$' -bench 'BenchmarkStageKernels|BenchmarkNegMassesTiling|BenchmarkFusion' -benchtime 1x
+	$(GO) test ./internal/engine -run '^$$' -bench BenchmarkSerialCrossover -benchtime 1x -cpu 1,2
+	$(GO) test ./internal/cluster -run '^$$' -bench BenchmarkClusterCondition -benchtime 1x
+	$(GO) test ./internal/halving -run '^$$' -bench BenchmarkLookahead -benchtime 1x
+	$(GO) test ./internal/obs -run '^$$' -bench BenchmarkSpan -benchtime 1x
+
 # Run every example program to completion (a few seconds in all): `go
 # build ./...` compiles them, only this executes them.
 examples:
@@ -49,6 +59,7 @@ examples:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# The full gate, identical to .github/workflows/ci.yml.
+# The full gate, the same steps as .github/workflows/ci.yml. race, fuzz
+# and bench-smoke above are the one copy of their lists; both call them.
 ci:
 	./scripts/ci.sh

@@ -5,7 +5,9 @@
 // a change made the system faster is answered by the repository benchmark
 // (benchmark/README.md). The kernel ablations A2 and A5 are not experiments
 // here: their reference arms are test oracles, compared by
-// `go test ./internal/lattice -run '^$' -bench 'Fusion|NegMassCrossover|NegMassesTiling|Condition'`.
+// `go test ./internal/lattice -run '^$' -bench 'Fusion|NegMassesTiling|StageKernels/marginals'`.
+// The A5 NegMass and Condition-vs-ConditionInPlace rows in EXPERIMENTS.md
+// are history: those arms were deleted with the code they timed.
 // See DESIGN.md §4 for the experiment index.
 //
 // Usage:
@@ -131,7 +133,7 @@ func main() {
 		for _, e := range exps {
 			fmt.Printf("%-4s %s\n", e.id, e.title)
 		}
-		fmt.Println("A2, A5: kernel ablations, run as go test ./internal/lattice -run '^$' -bench 'Fusion|NegMassCrossover|NegMassesTiling|Condition'")
+		fmt.Println("A2, A5: kernel ablations, run as go test ./internal/lattice -run '^$' -bench 'Fusion|NegMassesTiling|StageKernels/marginals'")
 		return
 	}
 

@@ -3,9 +3,8 @@
 // A lattice state for a cohort of N <= 64 subjects is a Mask: bit i is set
 // when subject i is infected. Pools (the subsets of subjects mixed into one
 // physical test) use the same representation, so likelihood evaluation
-// reduces to popcount intersections. The package also provides the
-// combinatorial helpers the halving algorithm needs: ranked k-combinations,
-// subset enumeration, and binomial coefficients.
+// reduces to popcount intersections. Binomial, the one combinatorial helper,
+// is the coefficient of the calculator's binomial PMF.
 package bitvec
 
 import (

@@ -1,15 +1,13 @@
 package bitvec
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Binomial returns C(n, k) using the multiplicative formula with running
 // division. Every result for n <= 64 fits in uint64, but the intermediate
 // product c·(n-i) can exceed 64 bits near the middle of the table, so the
 // multiply-divide step goes through a 128-bit intermediate. It returns 0
-// when k < 0 or k > n, matching the combinatorial convention.
+// when k < 0 or k > n, matching the combinatorial convention. The
+// calculator's binomial PMF is its one caller.
 func Binomial(n, k int) uint64 {
 	if k < 0 || k > n {
 		return 0
@@ -26,65 +24,4 @@ func Binomial(n, k int) uint64 {
 		c, _ = bits.Div64(hi, lo, uint64(i+1))
 	}
 	return c
-}
-
-// CombinationRank returns the rank of mask m within the colexicographic
-// enumeration of all Count(m)-subsets of an unbounded ground set. Combined
-// with UnrankCombination it gives a bijection between [0, C(n,k)) and the
-// k-subsets of {0..n-1}, which the halving candidate generator uses to
-// partition candidate pools across workers without materializing them.
-func CombinationRank(m Mask) uint64 {
-	var rank uint64
-	for j, idx := range m.Indices() {
-		rank += Binomial(idx, j+1)
-	}
-	return rank
-}
-
-// UnrankCombination returns the k-subset of {0..n-1} with the given
-// colexicographic rank. It panics if rank >= Binomial(n, k).
-func UnrankCombination(n, k int, rank uint64) Mask {
-	if rank >= Binomial(n, k) {
-		panic(fmt.Sprintf("bitvec: rank %d out of range for C(%d,%d)=%d", rank, n, k, Binomial(n, k)))
-	}
-	var m Mask
-	for j := k; j >= 1; j-- {
-		// Largest index c with Binomial(c, j) <= rank.
-		c := j - 1
-		for Binomial(c+1, j) <= rank {
-			c++
-		}
-		rank -= Binomial(c, j)
-		m = m.With(c)
-	}
-	return m
-}
-
-// NextCombination advances m to the next k-subset in colexicographic order
-// over the ground set {0..n-1}. It returns false (and leaves m unspecified)
-// when m is already the last combination. Gosper's hack, bounded to n bits.
-func NextCombination(m Mask, n int) (Mask, bool) {
-	if m == 0 {
-		return 0, false
-	}
-	u := uint64(m)
-	c := u & (^u + 1) // lowest set bit
-	r := u + c
-	next := Mask((((r ^ u) >> 2) / c) | r)
-	if next >= Mask(1)<<uint(n) && n < 64 {
-		return 0, false
-	}
-	if n == 64 && next < m { // wrapped
-		return 0, false
-	}
-	return next, true
-}
-
-// FirstCombination returns the colexicographically first k-subset of
-// {0..n-1}: the k lowest indices. It panics when k > n.
-func FirstCombination(n, k int) Mask {
-	if k > n {
-		panic(fmt.Sprintf("bitvec: k=%d exceeds n=%d", k, n))
-	}
-	return Full(k)
 }

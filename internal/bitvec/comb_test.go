@@ -1,9 +1,6 @@
 package bitvec
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestBinomialSmall(t *testing.T) {
 	cases := []struct {
@@ -36,171 +33,4 @@ func TestBinomialPascal(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestRankUnrankRoundTrip(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{6, 3}, {10, 4}, {12, 1}, {8, 8}, {9, 0}} {
-		total := Binomial(tc.n, tc.k)
-		for r := uint64(0); r < total; r++ {
-			m := UnrankCombination(tc.n, tc.k, r)
-			if m.Count() != tc.k {
-				t.Fatalf("UnrankCombination(%d,%d,%d) has %d bits", tc.n, tc.k, r, m.Count())
-			}
-			if m.Highest() >= tc.n {
-				t.Fatalf("UnrankCombination(%d,%d,%d) = %v exceeds ground set", tc.n, tc.k, r, m)
-			}
-			if got := CombinationRank(m); got != r {
-				t.Fatalf("rank(unrank(%d)) = %d for n=%d k=%d", r, got, tc.n, tc.k)
-			}
-		}
-	}
-}
-
-func TestUnrankPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("UnrankCombination out of range did not panic")
-		}
-	}()
-	UnrankCombination(5, 2, Binomial(5, 2))
-}
-
-func TestNextCombinationEnumeratesAll(t *testing.T) {
-	n, k := 10, 4
-	seen := map[Mask]bool{}
-	m := FirstCombination(n, k)
-	for {
-		if m.Count() != k {
-			t.Fatalf("combination %v has wrong size", m)
-		}
-		if seen[m] {
-			t.Fatalf("combination %v visited twice", m)
-		}
-		seen[m] = true
-		next, ok := NextCombination(m, n)
-		if !ok {
-			break
-		}
-		m = next
-	}
-	if got, want := uint64(len(seen)), Binomial(n, k); got != want {
-		t.Fatalf("enumerated %d combinations, want %d", got, want)
-	}
-}
-
-func TestNextCombinationMatchesUnrankOrder(t *testing.T) {
-	n, k := 9, 3
-	m := FirstCombination(n, k)
-	for r := uint64(0); ; r++ {
-		if want := UnrankCombination(n, k, r); m != want {
-			t.Fatalf("rank %d: NextCombination gives %v, unrank gives %v", r, m, want)
-		}
-		next, ok := NextCombination(m, n)
-		if !ok {
-			if r != Binomial(n, k)-1 {
-				t.Fatalf("enumeration ended early at rank %d", r)
-			}
-			break
-		}
-		m = next
-	}
-}
-
-func TestFirstCombinationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FirstCombination(3,4) did not panic")
-		}
-	}()
-	FirstCombination(3, 4)
-}
-
-func TestSubsetsVisitsPowerSet(t *testing.T) {
-	ground := FromIndices(1, 4, 6)
-	seen := map[Mask]bool{}
-	Subsets(ground, func(s Mask) bool {
-		if !s.SubsetOf(ground) {
-			t.Fatalf("subset %v not within ground %v", s, ground)
-		}
-		if seen[s] {
-			t.Fatalf("subset %v visited twice", s)
-		}
-		seen[s] = true
-		return true
-	})
-	if len(seen) != 8 {
-		t.Fatalf("visited %d subsets, want 8", len(seen))
-	}
-}
-
-func TestSubsetsEarlyStop(t *testing.T) {
-	count := 0
-	Subsets(Full(4), func(Mask) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early stop visited %d, want 3", count)
-	}
-}
-
-func TestGrayStatesCoversLattice(t *testing.T) {
-	n := 6
-	seen := make([]bool, 1<<uint(n))
-	var prev Mask
-	first := true
-	GrayStates(n, func(i uint64, s Mask, flipped int) bool {
-		if seen[s] {
-			t.Fatalf("state %v visited twice", s)
-		}
-		seen[s] = true
-		if first {
-			if flipped != -1 || s != 0 || i != 0 {
-				t.Fatalf("first visit (i=%d, s=%v, flipped=%d) malformed", i, s, flipped)
-			}
-			first = false
-		} else {
-			diff := prev ^ s
-			if diff.Count() != 1 {
-				t.Fatalf("states %v -> %v differ in %d bits", prev, s, diff.Count())
-			}
-			if diff.Lowest() != flipped {
-				t.Fatalf("flipped = %d, actual differing bit %d", flipped, diff.Lowest())
-			}
-		}
-		prev = s
-		return true
-	})
-	for s, ok := range seen {
-		if !ok {
-			t.Fatalf("state %d never visited", s)
-		}
-	}
-}
-
-func TestGrayStatesPanicsOnLargeN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("GrayStates(31, ...) did not panic")
-		}
-	}()
-	GrayStates(31, func(uint64, Mask, int) bool { return true })
-}
-
-func TestStateOfIndexOfRoundTrip(t *testing.T) {
-	f := func(v uint64) bool {
-		return IndexOf(StateOf(v)) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStateOfMatchesGrayWalk(t *testing.T) {
-	GrayStates(8, func(i uint64, s Mask, _ int) bool {
-		if StateOf(i) != s {
-			t.Fatalf("StateOf(%d) = %v, walk visited %v", i, StateOf(i), s)
-		}
-		return true
-	})
 }

@@ -2,22 +2,19 @@ package bitvec
 
 import "testing"
 
-// FuzzBitVecRoundTrip checks the two bijections the candidate-pool
-// partitioner depends on: Indices/FromIndices invert each other for every
-// mask, and CombinationRank/UnrankCombination form a bijection between
-// k-subsets of {0..n-1} and [0, C(n,k)).
+// FuzzBitVecRoundTrip checks that Indices and FromIndices invert each other
+// for every mask, and that Indices lists exactly the members Has and Count
+// report.
 func FuzzBitVecRoundTrip(f *testing.F) {
-	f.Add(uint64(0), 8)
-	f.Add(uint64(0b1011), 8)
-	f.Add(uint64(1)<<63, 64)
-	f.Add(^uint64(0), 64)
-	f.Add(uint64(0xdeadbeef), 40)
-	f.Add(uint64(0b111), 3)
+	f.Add(uint64(0))
+	f.Add(uint64(0b1011))
+	f.Add(uint64(1) << 63)
+	f.Add(^uint64(0))
+	f.Add(uint64(0xdeadbeef))
+	f.Add(uint64(0b111))
 
-	f.Fuzz(func(t *testing.T, raw uint64, n int) {
+	f.Fuzz(func(t *testing.T, raw uint64) {
 		m := Mask(raw)
-
-		// Indices/FromIndices round trip.
 		idx := m.Indices()
 		if got := FromIndices(idx...); got != m {
 			t.Fatalf("FromIndices(%v.Indices()) = %v", m, got)
@@ -28,34 +25,6 @@ func FuzzBitVecRoundTrip(f *testing.F) {
 		for _, i := range idx {
 			if !m.Has(i) {
 				t.Fatalf("Indices() reported %d but Has(%d) is false on %v", i, i, m)
-			}
-		}
-
-		// Rank/unrank bijection over the ground set {0..n-1}.
-		if n < 1 || n > 64 {
-			n = (n%64+64)%64 + 1
-		}
-		if m.Count() > 0 && m.Highest() >= n {
-			n = m.Highest() + 1
-		}
-		k := m.Count()
-		rank := CombinationRank(m)
-		if total := Binomial(n, k); rank >= total {
-			t.Fatalf("CombinationRank(%v) = %d out of range [0, C(%d,%d)=%d)", m, rank, n, k, total)
-		}
-		if m != 0 {
-			if got := UnrankCombination(n, k, rank); got != m {
-				t.Fatalf("UnrankCombination(%d, %d, %d) = %v, want %v", n, k, rank, got, m)
-			}
-		}
-
-		// NextCombination preserves popcount and advances the rank by one.
-		if next, ok := NextCombination(m, n); ok && m != 0 {
-			if next.Count() != k {
-				t.Fatalf("NextCombination(%v) = %v changed popcount %d -> %d", m, next, k, next.Count())
-			}
-			if got := CombinationRank(next); got != rank+1 {
-				t.Fatalf("NextCombination(%v) rank %d, want %d", m, got, rank+1)
 			}
 		}
 	})

@@ -152,7 +152,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			t.Fatalf("execs=%d: entropy %v vs %v", execs, le, de)
 		}
 		probe := bitvec.FromIndices(1, 3, 5)
-		ln := local.NegMass(probe)
+		ln := local.NegMasses([]bitvec.Mask{probe})[0]
 		dn, err := dist.NegMasses([]bitvec.Mask{probe})
 		if err != nil {
 			t.Fatal(err)

@@ -99,7 +99,7 @@ func TestConditionChainMatchesLattice(t *testing.T) {
 					aligned := k&(k-1) == 0 && uint64(1)<<uint(subject) < shard
 					bytes, moves := wireBytes(dist), rpcCount(dist, OpFetch)+rpcCount(dist, OpLoadShard)
 
-					local = local.Condition(subject, positive)
+					local = local.ConditionInPlace(subject, positive)
 					next, err := dist.Condition(subject, positive)
 					if err != nil || next == nil || local == nil {
 						t.Fatalf("%s: cluster %v/%v, lattice %v", name, next, err, local)

@@ -80,7 +80,6 @@ type sessionHeader struct {
 	PosThreshold float64
 	NegThreshold float64
 	MaxStages    int
-	Parts        int
 	EntropyTrace bool
 	// Posterior describes the tail; nil for a completed session.
 	Posterior *posteriorHeader
@@ -116,7 +115,6 @@ func (s *Session) SaveSession(w io.Writer) error {
 		PosThreshold: s.cfg.PosThreshold,
 		NegThreshold: s.cfg.NegThreshold,
 		MaxStages:    s.cfg.MaxStages,
-		Parts:        s.cfg.Parts,
 		EntropyTrace: s.cfg.EntropyTrace,
 	}
 	var snap *posterior.Snapshot
@@ -221,7 +219,6 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Se
 			PosThreshold: h.PosThreshold,
 			NegThreshold: h.NegThreshold,
 			MaxStages:    h.MaxStages,
-			Parts:        h.Parts,
 			EntropyTrace: h.EntropyTrace,
 		},
 		// Resumed sessions start unobserved; the detached phase metrics and
@@ -234,7 +231,7 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Se
 	if snap == nil {
 		return s, nil
 	}
-	model, err := posterior.FromSnapshot(pool, snap, h.Parts)
+	model, err := posterior.FromSnapshot(pool, snap)
 	if err != nil {
 		return nil, fmt.Errorf("core: load %s posterior: %w", snap.Kind, err)
 	}

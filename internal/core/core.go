@@ -127,9 +127,6 @@ type Config struct {
 	// MaxStages caps the sequential stages before remaining subjects are
 	// force-classified at the posterior mode; 0 defaults to 64.
 	MaxStages int
-	// Parts is the lattice partition count (engine default when 0). Dense
-	// backend only.
-	Parts int
 	// EntropyTrace makes the session record the posterior entropy of the
 	// prior and of every settled stage (Result.EntropyTrace). Off by
 	// default: no decision reads the entropy, and it is the costliest pass
@@ -313,7 +310,7 @@ func NewSession(pool *engine.Pool, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := posterior.Spec{Parts: full.Parts}.Open(pool, full.Risks, full.Response)
+	model, err := posterior.Spec{}.Open(pool, full.Risks, full.Response)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +545,7 @@ func (s *Session) proposeLocked() ([]Pool, error) {
 		var p bitvec.Mask
 		var marg []float64
 		if marg, err = s.marginals(); err == nil {
-			p, err = s.cfg.Strategy.Next(halving.WithMarginals(s.model, marg))
+			p, err = s.cfg.Strategy.Next(heldModel{s.model, marg})
 		}
 		pools = []bitvec.Mask{p}
 	}

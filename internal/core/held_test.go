@@ -37,7 +37,7 @@ var heldBackends = []struct {
 	name string
 	spec posterior.Spec
 }{
-	{"dense", posterior.Spec{Kind: posterior.KindDense, Parts: 3}},
+	{"dense", posterior.Spec{Kind: posterior.KindDense}},
 	{"sparse", posterior.Spec{Kind: posterior.KindSparse, Eps: 1e-12}},
 	{"cluster", posterior.Spec{Kind: posterior.KindCluster, LocalExecutors: 2, ExecWorkers: 1, DialTimeout: 5 * time.Second}},
 }

@@ -23,23 +23,22 @@ func partitionRunners(v *Vector) map[string]func(fn func(lo, hi int)) {
 // what it returns. TestFillDoubling covers FillDoubling's split.
 func TestSerialThreshold(t *testing.T) {
 	p := newTestPool(t)
-	const subsetBase, subsetFree = uint64(1) << 3, uint64(0xa5a5) &^ (1 << 3)
 	for _, n := range []uint64{serialBelow - 1, serialBelow, serialBelow + 1} {
 		for _, parts := range []int{1, 5, 16} {
-			v := NewVector(p, n, parts)
-			setEach(v, func(i uint64) float64 { return math.Sin(float64(i)) * 1e-3 })
-			sum, vec, subset := v.Sum(), v.ReduceVec(2, func(_ int, offset uint64, data, out []float64) {
+			fill := func(i uint64) float64 { return math.Sin(float64(i)) * 1e-3 }
+			v, scaled := NewVector(p, n, parts), NewVector(p, n, parts)
+			setEach(v, fill)
+			setEach(scaled, fill)
+			scaled.Scale(1.5)
+			sum, vec := v.Sum(), v.ReduceVec(2, func(_ int, offset uint64, data, out []float64) {
 				for j, x := range data {
 					out[0] += x
 					out[1] += x * float64(offset+uint64(j))
 				}
-			}), v.ReduceSubset(subsetBase, subsetFree)
-			scaled := v.Clone()
-			scaled.Scale(1.5)
+			})
 
 			for name, run := range partitionRunners(v) {
 				sums := make([]prob.Accumulator, parts)
-				subsets := make([]prob.Accumulator, parts)
 				vecs := make([][2]float64, parts)
 				run(func(lo, hi int) {
 					for q := lo; q < hi; q++ {
@@ -48,22 +47,17 @@ func TestSerialThreshold(t *testing.T) {
 							sums[q].Add(x)
 							vecs[q][0] += x
 							vecs[q][1] += x * float64(i)
-							if i&^subsetFree == subsetBase {
-								subsets[q].Add(x)
-							}
 						}
 					}
 				})
-				var wantSum, wantSubset prob.Accumulator
+				var wantSum prob.Accumulator
 				var wantVec [2]prob.Accumulator
 				for q := range sums {
 					wantSum.Merge(sums[q])
-					wantSubset.Merge(subsets[q])
 					wantVec[0].Add(vecs[q][0])
 					wantVec[1].Add(vecs[q][1])
 				}
-				if sum != wantSum.Value() || subset != wantSubset.Value() ||
-					vec[0] != wantVec[0].Value() || vec[1] != wantVec[1].Value() {
+				if sum != wantSum.Value() || vec[0] != wantVec[0].Value() || vec[1] != wantVec[1].Value() {
 					t.Fatalf("n=%d parts=%d: reductions differ from the %s run", n, parts, name)
 				}
 				want := make([]float64, n)
@@ -109,7 +103,6 @@ func TestSerialThresholdStaysOnCaller(t *testing.T) {
 		"ForPartitions": func(v *Vector) { v.Scale(2) },
 		"ReduceSum":     func(v *Vector) { v.Sum() },
 		"ReduceVec":     func(v *Vector) { v.ReduceVec(1, func(int, uint64, []float64, []float64) {}) },
-		"ReduceSubset":  func(v *Vector) { v.ReduceSubset(1, 6) },
 	}
 	for name, kernel := range kernels {
 		t0, i0 := tasks.Value(), inline.Value()

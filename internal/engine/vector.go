@@ -195,79 +195,6 @@ func (v *Vector) ReduceVec(m int, body func(part int, offset uint64, data []floa
 	return out
 }
 
-// minSubsetGE returns the smallest submask f of free with f >= x in
-// integer order, and ok = false when free has no such submask. It is the
-// entry-point computation for clamping a masked subset walk to a
-// partition's [offset, offset+len) index range.
-func minSubsetGE(free, x uint64) (f uint64, ok bool) {
-	if x == 0 {
-		return 0, true
-	}
-	var r uint64
-	for b := 63; b >= 0; b-- {
-		bit := uint64(1) << uint(b)
-		if free&bit != 0 {
-			// Match x's bit and stay tight: equal prefixes so far.
-			if x&bit != 0 {
-				r |= bit
-			}
-			continue
-		}
-		if x&bit == 0 {
-			continue
-		}
-		// x demands a 1 at a position free cannot supply, so every submask
-		// with the tight prefix is < x from here down. Bump the lowest free
-		// bit above b still unset in r (its x-bit is 0, so the result
-		// exceeds x) and clear everything below it for minimality.
-		avail := free &^ r &^ (bit | (bit - 1))
-		if avail == 0 {
-			return 0, false
-		}
-		low := avail & (-avail)
-		return (r | low) &^ (low - 1), true
-	}
-	// Tight all the way: x is itself a submask of free.
-	return r, true
-}
-
-// ReduceSubset returns the deterministic compensated sum of the elements
-// whose global index lies in the sub-lattice {base | f : f ⊆ free}. base
-// and free must be disjoint and base|free must be a valid index. Each
-// partition enumerates its slice of the sub-lattice in increasing index
-// order with the masked subset iteration f' = (f − free) & free, clamped
-// to the partition range via minSubsetGE, so the walk stays parallel
-// across partitions and the result is bit-identical to a dense scan that
-// skips non-members — at 2^popcount(free) loads instead of Len().
-func (v *Vector) ReduceSubset(base, free uint64) float64 {
-	if base&free != 0 {
-		panic(fmt.Sprintf("engine: ReduceSubset masks overlap (base %x, free %x)", base, free))
-	}
-	if top := base | free; top >= v.n {
-		panic(fmt.Sprintf("engine: ReduceSubset index %d out of range [0,%d)", top, v.n))
-	}
-	return v.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
-		var acc prob.Accumulator
-		hi := offset + uint64(len(data))
-		if hi <= base {
-			return acc
-		}
-		var xlo uint64
-		if offset > base {
-			xlo = offset - base
-		}
-		f, ok := minSubsetGE(free, xlo)
-		for ok && base+f < hi {
-			acc.Add(data[base+f-offset])
-			if f == free {
-				break
-			}
-			f = (f - free) & free
-		}
-		return acc
-	})
-}
-
 // ShrinkGather shrinks the vector in place to n elements (n <= Len) and
 // re-partitions it into parts partitions (<= 0 selects the engine
 // default). body receives dst — the vector's first n elements after the
@@ -334,15 +261,6 @@ func (v *Vector) Sum() float64 {
 		}
 		return acc
 	})
-}
-
-// Clone returns a deep copy sharing the pool and partition layout.
-func (v *Vector) Clone() *Vector {
-	out := NewVector(v.pool, v.n, len(v.parts))
-	out.ForPartitions(func(p int, _ uint64, data []float64) {
-		copy(data, v.parts[p])
-	})
-	return out
 }
 
 // Slice materializes the whole vector into one flat slice, for tests and

@@ -188,18 +188,32 @@ func TestReduceVecZeroOutputs(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
+func TestShrinkGather(t *testing.T) {
 	p := newTestPool(t)
-	v := NewVector(p, 77, 5)
+	v := NewVector(p, 16, 4)
 	setEach(v, func(i uint64) float64 { return float64(i) })
-	c := v.Clone()
-	if c.Parts() != v.Parts() {
-		t.Fatalf("clone has %d partitions, original %d", c.Parts(), v.Parts())
+	// Forward monotone gather: keep the even positions.
+	v.ShrinkGather(8, 2, func(dst, src []float64) {
+		for i := range dst {
+			dst[i] = src[2*i]
+		}
+	})
+	if v.Len() != 8 || v.Parts() != 2 {
+		t.Fatalf("len=%d parts=%d after shrink", v.Len(), v.Parts())
 	}
-	c.Scale(2)
-	if v.At(10) != 10 || c.At(10) != 20 {
-		t.Fatal("Clone aliases original storage")
+	for i := uint64(0); i < 8; i++ {
+		if v.At(i) != float64(2*i) {
+			t.Fatalf("element %d = %v, want %v", i, v.At(i), float64(2*i))
+		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("growing ShrinkGather did not panic")
+			}
+		}()
+		v.ShrinkGather(9, 0, func(dst, src []float64) {})
+	}()
 }
 
 func TestSlice(t *testing.T) {

@@ -15,7 +15,8 @@
 // scored by ONE histogram pass (PrefixNegMasses) and the singleton
 // fallbacks for free from the marginals — two lattice passes total,
 // independent of the candidate count, and one when the caller already
-// holds the marginals (WithMarginals). An optional local search then
+// holds the marginals and its Posterior answers Marginals from them (as a
+// session's does). An optional local search then
 // perturbs the winning pool one subject at a time (one batched NegMasses
 // sweep).
 //
@@ -61,25 +62,6 @@ type Posterior interface {
 	Marginals() ([]float64, error)
 	NegMasses(cands []bitvec.Mask) ([]float64, error)
 	PrefixNegMasses(order []int) ([]float64, error)
-}
-
-// heldMarginals serves Marginals from a vector the caller already holds
-// and passes every other read through.
-type heldMarginals struct {
-	Posterior
-	marg []float64
-}
-
-func (h heldMarginals) Marginals() ([]float64, error) {
-	return append([]float64(nil), h.marg...), nil
-}
-
-// WithMarginals returns m with Marginals answered from marg, which must be
-// the marginals of m's current posterior. A session that has just read
-// them to classify hands them to its strategy this way, so selection costs
-// one lattice pass (the prefix scan) instead of two.
-func WithMarginals(m Posterior, marg []float64) Posterior {
-	return heldMarginals{Posterior: m, marg: marg}
 }
 
 // SelectOn runs the Bayesian Halving Algorithm on any Posterior. It never

@@ -221,7 +221,7 @@ func TestExpectedEntropyAfterIsReduction(t *testing.T) {
 	var after, total float64
 	for b, y := range []dilution.Outcome{dilution.Negative, dilution.Positive} {
 		row, w := rows[b*9:b*9+8], rows[b*9+8]
-		c, err := posterior.FromSnapshot(pool, snap, 0)
+		c, err := posterior.FromSnapshot(pool, snap)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,21 +88,10 @@ func BenchmarkSelectionScan(b *testing.B) {
 	})
 }
 
-func BenchmarkCondition(b *testing.B) {
-	m := benchLattice(b, 16, flatResp)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c := m.Condition(3, false); c == nil {
-			b.Fatal("condition failed")
-		}
-	}
-}
-
-// BenchmarkConditionInPlace measures the reuse path against the
-// allocating Condition above (now Clone + the same collapse): the collapse gathers inside the receiver's
-// own backing array, so the 2^N vector (and model) allocation disappears.
-// Each collapse shrinks the model, so rebuild when it runs out.
+// BenchmarkConditionInPlace measures the one conditioning path: the
+// collapse gathers inside the receiver's own backing array, so it
+// allocates no 2^N vector and no model. Each collapse shrinks the model,
+// so rebuild when it runs out.
 func BenchmarkConditionInPlace(b *testing.B) {
 	m := benchLattice(b, 16, flatResp)
 	b.ReportAllocs()
@@ -115,36 +104,6 @@ func BenchmarkConditionInPlace(b *testing.B) {
 		}
 		if c := m.ConditionInPlace(0, false); c == nil {
 			b.Fatal("condition failed")
-		}
-	}
-}
-
-// BenchmarkNegMassCrossover sweeps pool size × N for NegMass against the
-// full filtered sweep it replaced (the oracle negMassDense). This sweep
-// backs shipping the sub-lattice walk alone: it visits 2^(N−g) states but
-// strided, the dense sweep visits 2^N contiguously, so a crossover would
-// sit where the 2^g state reduction overtakes the bandwidth advantage — on
-// the reference hardware the walk wins from g=1.
-func BenchmarkNegMassCrossover(b *testing.B) {
-	for _, n := range []int{14, 18, 20} {
-		m := benchLattice(b, n, flatResp)
-		for _, g := range []int{1, 2, 3, 4, 6, 8} {
-			// Spread pool: representative stride pattern (neither the
-			// contiguous high-bits best case nor the unit-stride worst).
-			var pm bitvec.Mask
-			for i := 0; i < g; i++ {
-				pm = pm.With(i * n / g)
-			}
-			b.Run(fmt.Sprintf("N=%d/pool=%d/dense", n, g), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					negMassDense(m, pm)
-				}
-			})
-			b.Run(fmt.Sprintf("N=%d/pool=%d/sublattice", n, g), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m.NegMass(pm)
-				}
-			})
 		}
 	}
 }
@@ -256,9 +215,9 @@ func BenchmarkStageKernels(b *testing.B) {
 			{name: "collapse_low", run: func() { CollapseBit(0, scratch, 1, 0, 1) }},
 			{name: "collapse_mid", run: func() { CollapseBit(0, scratch, 1<<uint(n/2), 0, 1) }},
 			{name: "collapse_top", run: func() { CollapseBit(0, scratch, 1<<uint(n-1), 0, 1) }},
-			{name: "condition_low", run: condition(0), setup: func() { victim = m.Clone() }},
-			{name: "condition_mid", run: condition(n / 2), setup: func() { victim = m.Clone() }},
-			{name: "condition_top", run: condition(n - 1), setup: func() { victim = m.Clone() }},
+			{name: "condition_low", run: condition(0), setup: func() { victim = cloneModel(m) }},
+			{name: "condition_mid", run: condition(n / 2), setup: func() { victim = cloneModel(m) }},
+			{name: "condition_top", run: condition(n - 1), setup: func() { victim = cloneModel(m) }},
 		}
 		for _, k := range kernels {
 			if n == 18 && k.name != "prefix_scan" {

@@ -7,6 +7,7 @@ package lattice
 var (
 	UpdateEager    = updateEager
 	ConditionEager = conditionEager
+	CloneModel     = cloneModel
 )
 
 // StoredMass returns the total of the model's storage as it stands, with

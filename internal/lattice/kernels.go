@@ -16,7 +16,7 @@ import (
 // execute the same instructions; each keeps only its own reduction shape
 // and merge order. A loop over posterior states written anywhere else in
 // the two packages is a bug (engine.Vector's own primitives — Scale, Sum,
-// ReduceSubset, FillDoubling — sit below them).
+// FillDoubling — sit below them).
 //
 //	prior        PriorOdds, PriorTotal, PriorPrefixNegMasses, FillPrior, PriorEntropy
 //	update       LikelihoodTable, MulLikelihood

@@ -17,12 +17,13 @@
 //     of an observed pooled-test outcome and renormalize — one fused pass
 //     that also leaves the marginals behind: the normaliser is a scalar the
 //     model carries into the next table,
-//   - Marginals / NegMass / NegMasses / PrefixNegMasses: the reductions that
+//   - Marginals / NegMasses / PrefixNegMasses: the reductions that
 //     drive classification and the halving test-selection scan, and
 //     BranchMarginals / BranchPrefixNegMasses, the same two selection reads
 //     over every outcome branch of a stage's chosen pools (look-ahead),
-//   - Condition: collapse a classified subject out of the lattice, halving
-//     the state space (how sequential surveillance keeps the model small).
+//   - ConditionInPlace: collapse a classified subject out of the lattice,
+//     halving the state space (how sequential surveillance keeps the model
+//     small).
 //
 // Every per-state loop lives once, in kernels.go, as a plain function
 // over one contiguous run of states (offset, []float64): the prior fill
@@ -269,19 +270,4 @@ func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Mo
 	}
 	m.tests = tests
 	return m, nil
-}
-
-// Clone returns an independent copy of the model (posterior deep-copied,
-// same pool): what Condition collapses, leaving the receiver unchanged.
-func (m *Model) Clone() *Model {
-	return &Model{
-		n:     m.n,
-		risks: append([]float64(nil), m.risks...),
-		resp:  m.resp,
-		post:  m.post.Clone(),
-		tests: m.tests,
-		scale: m.scale,
-		prior: m.prior,
-		marg:  slices.Clone(m.marg),
-	}
 }

@@ -198,7 +198,7 @@ func TestUpdateTwoPassMatchesFused(t *testing.T) {
 	pool := newTestPool(t)
 	resp := dilution.Hyperbolic{MaxSens: 0.95, Spec: 0.98, D: 0.3}
 	a := mustNew(t, pool, Config{Risks: uniformRisks(8, 0.15), Response: resp})
-	b := a.Clone()
+	b := mustNew(t, pool, Config{Risks: uniformRisks(8, 0.15), Response: resp})
 	pm := bitvec.FromIndices(0, 2, 4, 6)
 	if err := a.Update(pm, dilution.Positive); err != nil {
 		t.Fatal(err)
@@ -304,24 +304,6 @@ func TestAccessorsAndRestore(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	pool := newTestPool(t)
-	m := mustNew(t, pool, Config{Risks: uniformRisks(5, 0.2), Response: dilution.Ideal{}})
-	c := m.Clone()
-	if err := c.Update(bitvec.FromIndices(0, 1), dilution.Negative); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Marginals()[0]; math.Abs(got-0.2) > 1e-12 {
-		t.Fatalf("original mutated by clone update: %v", got)
-	}
-	if got := c.Marginals()[0]; got != 0 {
-		t.Fatalf("clone not updated: %v", got)
-	}
-	if c.Tests() != 1 || m.Tests() != 0 {
-		t.Error("test counters entangled")
-	}
-}
-
 // TestFailedUpdateLeavesPosteriorIntact: an outcome the posterior gives no
 // mass must be refused before anything is multiplied. With the ideal
 // assay, a negative test on subject 0 rules its infection out, so a
@@ -400,7 +382,6 @@ func TestPriorClosedFormMatchesSweep(t *testing.T) {
 		}
 		cfg := Config{Risks: risks, Response: dilution.Binary{Sens: 0.93, Spec: 0.98}, Parts: 1 + n%4}
 		check("prior", mustNew(t, pool, cfg), true)
-		check("prior clone", mustNew(t, pool, cfg).Clone(), true)
 
 		// A checkpoint of a posterior that is no product measure, tests == 0.
 		post := mustNew(t, pool, cfg).Posterior().Slice()

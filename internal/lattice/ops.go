@@ -28,22 +28,10 @@ func (m *Model) Marginals() []float64 {
 	return marg
 }
 
-// NegMass returns P(S ∩ pool = ∅ | data): the posterior mass of the up-set
-// of states in which the pool would contain no infected specimen. This is
-// the quantity the Bayesian Halving Algorithm drives to ½.
-//
-// The clean states form the 2^(N−g) sub-lattice of subsets of ^pool, and
-// the kernel enumerates only that sub-lattice (engine.Vector.ReduceSubset):
-// on the reference hardware the masked walk beats a full filtered sweep
-// even at g=1 (~1.3×, BenchmarkNegMassCrossover), because halving the
-// visited states outweighs the sweep's contiguous reads before the
-// exponential reduction kicks in.
-func (m *Model) NegMass(pool bitvec.Mask) float64 {
-	return m.settle().ReduceSubset(0, uint64(bitvec.Full(m.n))&^uint64(pool))
-}
-
-// NegMasses evaluates NegMass for every candidate pool in one parallel
-// sweep over the partitions — the SBGT test-selection scan. Within a
+// NegMasses returns P(S ∩ cand = ∅ | data) — the posterior mass of the
+// states in which the pool would contain no infected specimen, the quantity
+// the Bayesian Halving Algorithm drives to ½ — for every candidate pool in
+// one parallel sweep over the partitions — the SBGT test-selection scan. Within a
 // partition the scan is tiled (see AddCleanMasses): a 32 KiB tile stays
 // L1-resident across all candidates, so a partition larger than L2 is no
 // longer streamed from memory once per candidate — the batching win over
@@ -163,31 +151,24 @@ func (m *Model) Entropy() float64 {
 // invariant checks and tests).
 func (m *Model) Mass() float64 { return m.settle().Sum() }
 
-// Condition collapses subject onto a known status and returns the reduced
-// model over the remaining N−1 subjects:
+// ConditionInPlace collapses subject onto a known status and returns the
+// reduced model over the remaining N−1 subjects:
 //
 //	π'(S') ∝ π(embed(S'))  where embed re-inserts the subject's bit.
 //
 // Conditioning renormalizes, so the caller should have classified the
-// subject at high posterior confidence first. The receiver is unchanged.
-// It returns nil if the conditioning event has zero posterior mass or the
-// model has only one subject left (conditioning would empty the lattice).
-func (m *Model) Condition(subject int, positive bool) *Model {
-	return m.Clone().ConditionInPlace(subject, positive)
-}
-
-// ConditionInPlace is the zero-allocation form of Condition: it collapses
-// subject onto a known status inside the receiver's own backing array and
-// returns the receiver, now a model over the remaining N−1 subjects. The
-// gather is CollapseBit over the whole lattice — the kernel the cluster
-// executors run on their shards — with 1/(the preflight mass) as its factor,
-// so the survivors come out normalized in the one pass.
+// subject at high posterior confidence first. The collapse happens inside
+// the receiver's own backing array, with no allocation, and the receiver
+// is returned. The gather is CollapseBit over the whole lattice — the
+// kernel the cluster executors run on their shards — with 1/(the preflight
+// mass) as its factor, so the survivors come out normalized in the one pass.
 //
-// Like Condition it returns nil when the event has zero posterior mass or
-// only one subject remains — but because the gather destroys the old
-// contents, the event mass is preflighted with an exact SumWhere pass over
-// the kept stretches first, so on nil the receiver is untouched and still
-// usable (core.Session relies on that to retry the complementary event).
+// It returns nil when the event has zero posterior mass or only one
+// subject remains (conditioning would empty the lattice). Because the
+// gather destroys the old contents, the event mass is preflighted with an
+// exact SumWhere pass over the kept stretches first, so on nil the
+// receiver is untouched and still usable (core.Session relies on that to
+// retry the complementary event).
 func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 	if subject < 0 || subject >= m.n || m.n <= 1 {
 		return nil

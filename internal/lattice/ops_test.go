@@ -23,16 +23,24 @@ func TestNegMassPrior(t *testing.T) {
 		{bitvec.FromIndices(0, 1), 0.9 * 0.8},
 		{bitvec.FromIndices(0, 1, 2, 3), 0.9 * 0.8 * 0.7 * 0.6},
 	}
+	cands := []bitvec.Mask{0}
 	for _, c := range cases {
-		if got := m.NegMass(c.pm); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("NegMass(%v) = %v, want %v", c.pm, got, c.want)
-		}
+		cands = append(cands, c.pm)
 	}
-	if got := m.NegMass(0); math.Abs(got-1) > 1e-12 {
-		t.Errorf("NegMass(empty) = %v, want 1", got)
+	got := m.NegMasses(cands)
+	if math.Abs(got[0]-1) > 1e-12 {
+		t.Errorf("NegMass(empty) = %v, want 1", got[0])
+	}
+	for i, c := range cases {
+		if math.Abs(got[i+1]-c.want) > 1e-12 {
+			t.Errorf("NegMass(%v) = %v, want %v", c.pm, got[i+1], c.want)
+		}
 	}
 }
 
+// TestNegMassesMatchesNegMass: a candidate's clean mass (its NegMass, as
+// halving.Selection names it) does not depend on the batch it is scored
+// in — the tiled scan of five pools gives each the value it gets alone.
 func TestNegMassesMatchesNegMass(t *testing.T) {
 	pool := newTestPool(t)
 	m := mustNew(t, pool, Config{Risks: uniformRisks(10, 0.12), Response: dilution.Ideal{}})
@@ -52,7 +60,7 @@ func TestNegMassesMatchesNegMass(t *testing.T) {
 		t.Fatalf("NegMasses returned %d values", len(batch))
 	}
 	for i, c := range cands {
-		if single := m.NegMass(c); math.Abs(batch[i]-single) > 1e-12 {
+		if single := m.NegMasses([]bitvec.Mask{c})[0]; math.Abs(batch[i]-single) > 1e-12 {
 			t.Errorf("candidate %v: batch %v vs single %v", c, batch[i], single)
 		}
 	}
@@ -113,9 +121,9 @@ func TestConditionNegative(t *testing.T) {
 	m := mustNew(t, pool, Config{Risks: risks, Response: dilution.Ideal{}})
 	// Conditioning the *prior* on subject 1 negative must give the product
 	// prior over the remaining subjects (independence).
-	c := m.Condition(1, false)
+	c := m.ConditionInPlace(1, false)
 	if c == nil {
-		t.Fatal("Condition returned nil")
+		t.Fatal("ConditionInPlace returned nil")
 	}
 	if c.N() != 3 || c.States() != 8 {
 		t.Fatalf("reduced model N=%d states=%d", c.N(), c.States())
@@ -139,12 +147,8 @@ func TestConditionPositiveAfterEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := m.Marginals()
-	c := m.Condition(0, true)
-	if c == nil {
-		t.Fatal("Condition returned nil")
-	}
-	// Check against direct conditional: P(1 | 0 infected, data) computed on
-	// the full lattice by restricting to states with bit 0 set.
+	// The direct conditional, P(1 | 0 infected, data), computed on the full
+	// lattice by restricting to states with bit 0 set.
 	var joint, norm float64
 	for s := bitvec.Mask(0); s < 32; s++ {
 		if !s.Has(0) {
@@ -156,6 +160,10 @@ func TestConditionPositiveAfterEvidence(t *testing.T) {
 			joint += w
 		}
 	}
+	c := m.ConditionInPlace(0, true)
+	if c == nil {
+		t.Fatal("ConditionInPlace returned nil")
+	}
 	want := joint / norm
 	if got := c.Marginals()[0]; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("conditional marginal = %v, want %v (full-model marginal was %v)", got, want, full[1])
@@ -165,17 +173,17 @@ func TestConditionPositiveAfterEvidence(t *testing.T) {
 func TestConditionEdgeCases(t *testing.T) {
 	pool := newTestPool(t)
 	m := mustNew(t, pool, Config{Risks: uniformRisks(2, 0.2), Response: dilution.Ideal{}})
-	if got := m.Condition(-1, true); got != nil {
+	if got := m.ConditionInPlace(-1, true); got != nil {
 		t.Error("negative subject accepted")
 	}
-	if got := m.Condition(2, true); got != nil {
+	if got := m.ConditionInPlace(2, true); got != nil {
 		t.Error("out-of-range subject accepted")
 	}
-	one := m.Condition(0, false)
+	one := m.ConditionInPlace(0, false)
 	if one == nil || one.N() != 1 {
 		t.Fatal("conditioning to single subject failed")
 	}
-	if got := one.Condition(0, false); got != nil {
+	if got := one.ConditionInPlace(0, false); got != nil {
 		t.Error("conditioning the last subject should return nil")
 	}
 	// Zero-mass event: after an ideal negative on {0}, conditioning on
@@ -184,7 +192,7 @@ func TestConditionEdgeCases(t *testing.T) {
 	if err := m2.Update(bitvec.FromIndices(0), dilution.Negative); err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.Condition(0, true); got != nil {
+	if got := m2.ConditionInPlace(0, true); got != nil {
 		t.Error("zero-mass conditioning returned a model")
 	}
 }

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
@@ -15,6 +16,21 @@ import (
 // comparisons in bench_test.go. They read the settled vector (m.settle()):
 // the references keep the posterior itself in storage, normalized after
 // every reweighting, which is what the carried scale is compared with.
+
+// cloneModel is an independent copy of m: its stored posterior in the same
+// partitions, its pending scale and its held marginals. A test that
+// perturbs or conditions one model and compares it with another, or reads
+// a settled posterior without settling m, starts from it.
+func cloneModel(m *Model) *Model {
+	c := *m
+	c.risks, c.marg = slices.Clone(m.risks), slices.Clone(m.marg)
+	c.post = engine.NewVector(m.post.Pool(), m.post.Len(), m.post.Parts())
+	c.post.ForPartitions(func(p int, _ uint64, data []float64) {
+		_, src := m.post.Partition(p)
+		copy(data, src)
+	})
+	return &c
+}
 
 // normalize is the eager normalisation — one Sum pass, one Scale pass —
 // and returns the pre-scale total; a degenerate total leaves v unchanged.
@@ -55,7 +71,10 @@ func conditionEager(m *Model, subject int, positive bool) *Model {
 		base = bit
 	}
 	post := m.settle()
-	if mass := post.ReduceSubset(base, uint64(bitvec.Full(m.n))&^bit); !(mass > 0) || m.n <= 1 {
+	mass := post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+		return SumWhere(offset, data, bit, base)
+	})
+	if !(mass > 0) || m.n <= 1 {
 		return nil
 	}
 	post.ShrinkGather(uint64(1)<<uint(m.n-1), post.Parts(), func(_, src []float64) {
@@ -95,22 +114,6 @@ func updateTwoPass(m *Model, pool bitvec.Mask, y dilution.Outcome) {
 func marginalsWalk(m *Model) []float64 {
 	return m.settle().ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
 		addMarginalsWalk(offset, data, out)
-	})
-}
-
-// negMassDense is NegMass as a full filtered sweep: it visits the clean
-// states in increasing index order with the same per-partition accumulator
-// as the sub-lattice walk, so the two agree bit-for-bit.
-func negMassDense(m *Model, pool bitvec.Mask) float64 {
-	pm := uint64(pool)
-	return m.settle().ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
-		var acc prob.Accumulator
-		for j := range data {
-			if (offset+uint64(j))&pm == 0 {
-				acc.Add(data[j])
-			}
-		}
-		return acc
 	})
 }
 

@@ -66,7 +66,7 @@ func TestInvariantsUnderRandomCampaigns(t *testing.T) {
 			// Invariant: NegMass(A) <= 1 - marg_i for every member i.
 			probe := bitvec.Mask(r.Uint64()) & bitvec.Full(n)
 			if probe != 0 {
-				nm := m.NegMass(probe)
+				nm := m.NegMasses([]bitvec.Mask{probe})[0]
 				for _, i := range probe.Indices() {
 					if nm > 1-marg[i]+1e-9 {
 						t.Fatalf("trial %d: NegMass(%v)=%v exceeds 1-marg[%d]=%v",
@@ -165,7 +165,7 @@ func TestUpdateCommutesProperty(t *testing.T) {
 		risks := uniformRisks(n, 0.1+0.2*r.Float64())
 		resp := dilution.Binary{Sens: 0.9, Spec: 0.96}
 		a := mustNew(t, pool, Config{Risks: risks, Response: resp})
-		b := a.Clone()
+		b := mustNew(t, pool, Config{Risks: risks, Response: resp})
 		p1 := bitvec.Mask(r.Uint64())&bitvec.Full(n) | 1
 		p2 := bitvec.Mask(r.Uint64())&bitvec.Full(n) | 2
 		y1, y2 := dilution.Positive, dilution.Negative

@@ -352,8 +352,7 @@ func TestConformanceSummary(t *testing.T) {
 // marginals match the dense reference conditioned the same way.
 func TestConformanceCondition(t *testing.T) {
 	// Reference: condition subject 5 negative on the dense lattice.
-	ref := denseReference(t)
-	refCond := ref.Condition(5, false)
+	refCond := denseReference(t).ConditionInPlace(5, false)
 	if refCond == nil {
 		t.Fatal("reference condition collapsed to nil")
 	}
@@ -418,7 +417,7 @@ func TestConformanceSnapshotRoundTrip(t *testing.T) {
 			if snap.Tests != len(script) {
 				t.Fatalf("snapshot records %d tests, want %d", snap.Tests, len(script))
 			}
-			restored, err := posterior.FromSnapshot(pool, snap, 0)
+			restored, err := posterior.FromSnapshot(pool, snap)
 			if err != nil {
 				t.Fatal(err)
 			}

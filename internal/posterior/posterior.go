@@ -151,9 +151,8 @@ type Snapshot struct {
 // FromSnapshot rebuilds a Model from a snapshot. Dense and cluster
 // snapshots restore as dense models on the given pool (resuming onto a
 // live cluster is a deployment decision, not a checkpoint property);
-// sparse snapshots restore as sparse models and ignore pool. parts is the
-// dense partition count (<= 0 selects the engine default).
-func FromSnapshot(pool *engine.Pool, snap *Snapshot, parts int) (Model, error) {
+// sparse snapshots restore as sparse models and ignore pool.
+func FromSnapshot(pool *engine.Pool, snap *Snapshot) (Model, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("posterior: nil snapshot")
 	}
@@ -162,7 +161,6 @@ func FromSnapshot(pool *engine.Pool, snap *Snapshot, parts int) (Model, error) {
 		m, err := lattice.Restore(pool, lattice.Config{
 			Risks:    snap.Risks,
 			Response: snap.Response,
-			Parts:    parts,
 		}, snap.Dense, snap.Tests)
 		if err != nil {
 			return nil, err

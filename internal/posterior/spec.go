@@ -19,10 +19,6 @@ type Spec struct {
 	// Kind selects the backend; "" means dense.
 	Kind Kind
 
-	// Parts is the dense partition count (<= 0 selects the engine
-	// default). Dense only.
-	Parts int
-
 	// Eps and MaxStates configure the sparse truncation (see
 	// sparse.Config). Sparse only.
 	Eps       float64
@@ -69,7 +65,7 @@ func (s Spec) Open(pool *engine.Pool, risks []float64, resp dilution.Response) (
 	switch kind {
 	case KindDense:
 		var lm *lattice.Model
-		if lm, err = lattice.New(pool, lattice.Config{Risks: risks, Response: resp, Parts: s.Parts}); err == nil {
+		if lm, err = lattice.New(pool, lattice.Config{Risks: risks, Response: resp}); err == nil {
 			m = FromLattice(lm)
 		}
 	case KindSparse:

@@ -156,120 +156,86 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 
 	// Phase 1: create every cohort so the whole population is live on the
 	// server before any campaign advances.
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.Cohorts)
-	sem := make(chan struct{}, cfg.Workers)
-	for i := range campaigns {
-		wg.Add(1)
-		sem <- struct{}{}
-		//lint:allow concurrency load workers simulate independent HTTP clients, not lattice work; engine.Pool is the wrong substrate
-		go func(i int) { //lint:allow goroutineleak errs is buffered to cfg.Cohorts and each worker sends at most once
-			defer wg.Done()
-			defer func() { <-sem }()
-			var out CreateCohortResponse
-			err := lc.do("POST", "/v1/cohorts", CreateCohortRequest{
-				Tenant:   fmt.Sprintf("t%02d", i%16),
-				Risks:    risks,
-				Response: ResponseSpec{Kind: "ideal"},
-			}, &out)
-			if err != nil {
-				errs <- fmt.Errorf("create cohort %d: %w", i, err)
-				return
-			}
-			campaigns[i].id = out.ID
-			campaigns[i].truth = workload.Draw(risks, rng.New(cfg.Seed+uint64(i))).Truth
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	err := fanOut(cfg.Cohorts, cfg.Workers, func(i int) error {
+		var out CreateCohortResponse
+		err := lc.do("POST", "/v1/cohorts", CreateCohortRequest{
+			Tenant:   fmt.Sprintf("t%02d", i%16),
+			Risks:    risks,
+			Response: ResponseSpec{Kind: "ideal"},
+		}, &out)
+		if err != nil {
+			return fmt.Errorf("create cohort %d: %w", i, err)
+		}
+		campaigns[i].id = out.ID
+		campaigns[i].truth = workload.Draw(risks, rng.New(cfg.Seed+uint64(i))).Truth
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	log.Info("loadtest: cohorts created", "cohorts", cfg.Cohorts, "elapsed", time.Since(start))
 
 	// Phase 2: drive every campaign to completion through the pools /
 	// results loop.
-	for i := range campaigns {
-		wg.Add(1)
-		sem <- struct{}{}
-		//lint:allow concurrency load workers simulate independent HTTP clients, not lattice work; engine.Pool is the wrong substrate
-		go func(c *campaign) { //lint:allow goroutineleak errs is buffered to cfg.Cohorts and each worker sends at most once
-			defer wg.Done()
-			defer func() { <-sem }()
-			var pools PoolsResponse
-			if err := lc.do("GET", "/v1/cohorts/"+c.id+"/pools", nil, &pools); err != nil {
-				errs <- err
-				return
+	err = fanOut(cfg.Cohorts, cfg.Workers, func(i int) error {
+		c := &campaigns[i]
+		var pools PoolsResponse
+		if err := lc.do("GET", "/v1/cohorts/"+c.id+"/pools", nil, &pools); err != nil {
+			return err
+		}
+		for !pools.Done {
+			req := SubmitResultsRequest{Results: make([]ResultJSON, len(pools.Pools))}
+			for j, p := range pools.Pools {
+				positive := c.truth.IntersectCount(bitvec.FromIndices(p.Subjects...)) > 0
+				req.Results[j] = ResultJSON{Stage: p.Stage, Index: p.Index, Positive: positive}
 			}
-			for !pools.Done {
-				req := SubmitResultsRequest{Results: make([]ResultJSON, len(pools.Pools))}
-				for j, p := range pools.Pools {
-					positive := c.truth.IntersectCount(bitvec.FromIndices(p.Subjects...)) > 0
-					req.Results[j] = ResultJSON{Stage: p.Stage, Index: p.Index, Positive: positive}
-				}
-				c.sent += len(req.Results)
-				pools = PoolsResponse{}
-				if err := lc.do("POST", "/v1/cohorts/"+c.id+"/results", req, &pools); err != nil {
-					errs <- err
-					return
-				}
+			c.sent += len(req.Results)
+			pools = PoolsResponse{}
+			if err := lc.do("POST", "/v1/cohorts/"+c.id+"/results", req, &pools); err != nil {
+				return err
 			}
-		}(&campaigns[i])
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 
 	// Phase 3: reconcile. The server's per-cohort test counter must equal
 	// the client's sent-result count (zero lost, zero double-absorbed),
 	// and with the Ideal response every classification must match truth.
 	report := &LoadReport{Cohorts: cfg.Cohorts}
-	for i := range campaigns {
-		wg.Add(1)
-		sem <- struct{}{}
-		//lint:allow concurrency load workers simulate independent HTTP clients, not lattice work; engine.Pool is the wrong substrate
-		go func(c *campaign) { //lint:allow goroutineleak errs is buffered to cfg.Cohorts and each worker sends at most once
-			defer wg.Done()
-			defer func() { <-sem }()
-			var st StatusResponse
-			if err := lc.do("GET", "/v1/cohorts/"+c.id, nil, &st); err != nil {
-				errs <- err
-				return
+	err = fanOut(cfg.Cohorts, cfg.Workers, func(i int) error {
+		c := &campaigns[i]
+		var st StatusResponse
+		if err := lc.do("GET", "/v1/cohorts/"+c.id, nil, &st); err != nil {
+			return err
+		}
+		if !st.Done {
+			return fmt.Errorf("cohort %s not done after drive", c.id)
+		}
+		if st.Tests != c.sent {
+			return fmt.Errorf("cohort %s: server absorbed %d tests, client sent %d", c.id, st.Tests, c.sent)
+		}
+		mis := 0
+		for _, cl := range st.Classifications {
+			want := "negative"
+			if c.truth.Has(cl.Subject) {
+				want = "positive"
 			}
-			if !st.Done {
-				errs <- fmt.Errorf("cohort %s not done after drive", c.id)
-				return
+			if cl.Status != want {
+				mis++
 			}
-			if st.Tests != c.sent {
-				errs <- fmt.Errorf("cohort %s: server absorbed %d tests, client sent %d", c.id, st.Tests, c.sent)
-				return
-			}
-			mis := 0
-			for _, cl := range st.Classifications {
-				want := "negative"
-				if c.truth.Has(cl.Subject) {
-					want = "positive"
-				}
-				if cl.Status != want {
-					mis++
-				}
-			}
-			lc.mu.Lock()
-			report.ResultsSent += c.sent
-			report.TestsServer += st.Tests
-			report.Misclassified += mis
-			lc.mu.Unlock()
-		}(&campaigns[i])
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+		}
+		lc.mu.Lock()
+		report.ResultsSent += c.sent
+		report.TestsServer += st.Tests
+		report.Misclassified += mis
+		lc.mu.Unlock()
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 
 	report.Elapsed = time.Since(start)
@@ -285,6 +251,29 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		"p50", report.P50, "p99", report.P99,
 		"misclassified", report.Misclassified, "elapsed", report.Elapsed)
 	return report, nil
+}
+
+// fanOut runs job(0), …, job(n-1), at most workers at a time, and returns
+// the first error a job reported once every job has finished.
+func fanOut(n, workers int, job func(i int) error) error {
+	var wg sync.WaitGroup
+	var once sync.Once
+	var first error
+	sem := make(chan struct{}, workers)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		//lint:allow concurrency load workers simulate independent HTTP clients, not lattice work; engine.Pool is the wrong substrate
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if err := job(i); err != nil {
+				once.Do(func() { first = err })
+			}
+		}(i)
+	}
+	wg.Wait()
+	return first
 }
 
 // percentile returns the exact q-quantile of sorted samples (nearest

@@ -403,7 +403,11 @@ func (m *Manager) create(req CreateCohortRequest, parent *obs.Span) (string, err
 	}
 	m.seq++
 	id := fmt.Sprintf("c%08d", m.seq)
+	// The cohort is published locked and unlocked once its session is in
+	// place: IDs are sequential, so a request, a delete or the idle sweep
+	// may find it before the prior is built, and each must wait for it.
 	c := &cohort{id: id, tenant: req.Tenant, lastUsed: m.cfg.Clock()}
+	c.mu.Lock()
 	m.cohorts[id] = c
 	m.perTenant[req.Tenant]++
 	m.mu.Unlock()
@@ -418,15 +422,16 @@ func (m *Manager) create(req CreateCohortRequest, parent *obs.Span) (string, err
 		Obs:          m.cfg.Obs,
 	})
 	if err != nil {
+		c.deleted = true
+		c.mu.Unlock()
 		m.drop(c)
 		return "", err
 	}
-	c.mu.Lock()
 	c.sess = sess
-	c.mu.Unlock()
 	m.resident.Add(1)
 	gaugeAdd(m.mResident, 1)
 	gaugeAdd(m.mCohorts, 1)
+	c.mu.Unlock()
 	m.makeRoom(parent)
 	m.cfg.Log.Debug("serve: cohort created", "cohort", id, "tenant", req.Tenant, "subjects", len(req.Risks))
 	return id, nil

@@ -283,6 +283,52 @@ func TestManagerAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestManagerDeleteDuringCreate: a Delete that arrives while Create is
+// still building the cohort's session must not leave a resident posterior
+// behind. Both pool workers are parked, so Create's N=17 prior fill (past
+// the engine's serial threshold) queues behind them after the cohort ID is
+// assigned; an unblocked Delete has ample time to finish before the
+// workers are released.
+func TestManagerDeleteDuringCreate(t *testing.T) {
+	pool := newTestPool(t)
+	m := newTestManager(t, ManagerConfig{Pool: pool})
+	parked, release, unparked := make(chan struct{}, 2), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(unparked)
+		pool.Run(2, func(int) { parked <- struct{}{}; <-release })
+	}()
+	<-parked
+	<-parked
+	created := make(chan error, 1)
+	go func() {
+		_, err := m.Create(CreateCohortRequest{Risks: workload.UniformRisks(17, 0.05)})
+		created <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(m.Cohorts()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the cohort was never published")
+		}
+	}
+	deleted := make(chan error, 1)
+	go func() { deleted <- m.Delete("c00000001") }()
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	<-unparked
+	if err := <-created; err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if err := <-deleted; err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	if got := m.Resident(); got != 0 {
+		t.Fatalf("%d posteriors resident after the only cohort was deleted", got)
+	}
+	if ids := m.Cohorts(); len(ids) != 0 {
+		t.Fatalf("cohorts %v left after delete", ids)
+	}
+}
+
 func TestManagerIdleSweep(t *testing.T) {
 	// A cohort untouched past IdleAfter is checkpointed by the background
 	// sweep without any request traffic.

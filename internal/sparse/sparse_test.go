@@ -81,7 +81,7 @@ func TestExactWhenEpsZero(t *testing.T) {
 		t.Fatalf("entropy %v vs %v", a, b)
 	}
 	probe := bitvec.FromIndices(1, 3, 5)
-	if a, b := dense.NegMass(probe), sp.NegMass(probe); math.Abs(a-b) > 1e-10 {
+	if a, b := dense.NegMasses([]bitvec.Mask{probe})[0], sp.NegMass(probe); math.Abs(a-b) > 1e-10 {
 		t.Fatalf("negmass %v vs %v", a, b)
 	}
 	if sp.Pruned() > 1e-12 {
