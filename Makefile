@@ -38,11 +38,11 @@ fuzz:
 	$(GO) test ./internal/cluster -run xxx -fuzz FuzzExecutorDispatch -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzServerAPI -fuzztime 10s
 
-# One iteration of the stage-kernel, kernel-ablation, serial-crossover,
-# cluster-conditioning, look-ahead and span-record benchmarks, so they
-# cannot rot.
+# One iteration of the stage-kernel, kernel-ablation, conditioning,
+# serial-crossover, cluster-conditioning, look-ahead and span-record
+# benchmarks, so they cannot rot.
 bench-smoke:
-	$(GO) test ./internal/lattice -run '^$$' -bench 'BenchmarkStageKernels|BenchmarkNegMassesTiling|BenchmarkFusion' -benchtime 1x
+	$(GO) test ./internal/lattice -run '^$$' -bench 'BenchmarkStageKernels|BenchmarkNegMassesTiling|BenchmarkFusion|BenchmarkConditionInPlace' -benchtime 1x
 	$(GO) test ./internal/engine -run '^$$' -bench BenchmarkSerialCrossover -benchtime 1x -cpu 1,2
 	$(GO) test ./internal/cluster -run '^$$' -bench BenchmarkClusterCondition -benchtime 1x
 	$(GO) test ./internal/halving -run '^$$' -bench BenchmarkLookahead -benchtime 1x

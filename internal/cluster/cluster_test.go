@@ -420,21 +420,28 @@ func TestOneExecutorBitIdenticalToDense(t *testing.T) {
 		order := r.Perm(nn)[:1+r.Intn(nn)]
 		same(step, "unsettled prefix masses", vec(dist.PrefixNegMasses(order)), local.PrefixNegMasses(order))
 	}
-	// heldThenSwept reads Marginals twice straight after one update — both
-	// from the vector that update's pass left behind, no round — and once
-	// after a condition, which sweeps: both paths must be the dense model's.
+	// heldThenSwept reads Marginals twice straight after one update and
+	// again after a condition — each time from the vector that round left
+	// behind, no round — and once after Fetch, which sweeps: every path
+	// must be the dense model's.
 	heldThenSwept := func(step int) {
 		t.Helper()
-		update(step)
-		for read := 0; read < 2; read++ {
-			if dist.marg == nil {
-				t.Fatalf("step %d: the cluster model holds no marginals after an update", step)
+		held := func(what string) {
+			t.Helper()
+			for read := 0; read < 2; read++ {
+				if dist.marg == nil {
+					t.Fatalf("step %d: the cluster model holds no marginals after %s", step, what)
+				}
+				same(step, "held marginals after "+what, vec(dist.Marginals()), local.Marginals())
 			}
-			same(step, "held marginals", vec(dist.Marginals()), local.Marginals())
 		}
+		update(step)
+		held("an update")
 		condition(step, false)
+		held("a condition")
+		same(step, "posterior", vec(dist.Fetch()), local.Posterior().Slice())
 		if dist.marg != nil {
-			t.Fatalf("step %d: the held marginals survived a condition", step)
+			t.Fatalf("step %d: the held marginals survived Fetch", step)
 		}
 		same(step, "swept marginals", vec(dist.Marginals()), local.Marginals())
 	}

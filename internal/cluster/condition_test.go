@@ -30,6 +30,14 @@ func rpcCount(m *Model, op Op) (n uint64) {
 	return n
 }
 
+// allRPCs is how many RPCs of any op the driver has issued so far.
+func allRPCs(m *Model) (n uint64) {
+	for _, op := range allOps {
+		n += rpcCount(m, op)
+	}
+	return n
+}
+
 // checkTiling asserts the connections own contiguous rank-ordered ranges
 // that tile the whole lattice with sizes differing by at most one.
 func checkTiling(t *testing.T, m *Model) {
@@ -177,11 +185,11 @@ func TestConditionZeroMassKeepsReceiver(t *testing.T) {
 
 // TestCollapseAndSpliceValidation: the executor rejects every malformed
 // collapse, shard splice, likelihood table and scale factor without
-// touching its shard.
+// touching its shard; a collapse ignores Factor, which only OpScale reads.
 func TestCollapseAndSpliceValidation(t *testing.T) {
 	e := NewExecutor(1)
 	defer e.Close()
-	valid := Request{Op: OpCollapse, Pool: 2, Base: 2, Factor: 1.5}
+	valid := Request{Op: OpCollapse, Pool: 2, Base: 2, Factor: math.NaN()}
 	if resp := e.dispatch(valid); !strings.Contains(resp.Err, "no shard built") {
 		t.Fatalf("collapse of an unbuilt shard: %q", resp.Err)
 	}
@@ -198,10 +206,7 @@ func TestCollapseAndSpliceValidation(t *testing.T) {
 		"empty mask":          {Op: OpCollapse, Pool: 0, Base: 0, Factor: 1},
 		"bit past cohort":     {Op: OpCollapse, Pool: 16, Base: 0, Factor: 1},
 		"base off the bit":    {Op: OpCollapse, Pool: 2, Base: 1, Factor: 1},
-		"zero factor":         {Op: OpCollapse, Pool: 2, Base: 2, Factor: 0},
-		"negative factor":     {Op: OpCollapse, Pool: 2, Base: 2, Factor: -1},
-		"infinite factor":     {Op: OpCollapse, Pool: 2, Base: 2, Factor: math.Inf(1)},
-		"NaN factor":          {Op: OpCollapse, Pool: 2, Base: 2, Factor: math.NaN()},
+		"collapse inverted":   {Op: OpCollapse, Pool: 2, Base: 2, Lo: 3, Hi: 1},
 		"inverted range":      {Op: OpLoadShard, Lo: 9, Hi: 8},
 		"range past lattice":  {Op: OpLoadShard, Lo: 8, Hi: 17, Data: make([]float64, 5)},
 		"short payload":       {Op: OpLoadShard, Lo: 2, Hi: 12, Data: make([]float64, 1)},
@@ -229,8 +234,28 @@ func TestCollapseAndSpliceValidation(t *testing.T) {
 			t.Fatalf("rejected requests changed state %d: %v, was %v", e.lo+uint64(j), e.data[j], w)
 		}
 	}
-	if resp := e.dispatch(valid); resp.Err != "" || e.n != 3 || e.lo != 2 || len(e.data) != 4 {
+	resp := e.dispatch(valid)
+	if resp.Err != "" || e.n != 3 || e.lo != 2 || len(e.data) != 4 {
 		t.Fatalf("valid collapse: %q, n=%d lo=%d len=%d", resp.Err, e.n, e.lo, len(e.data))
+	}
+	// Unscaled survivors (states 6, 7, 10, 11 of the old shard), their
+	// total and marginal partials, and with an empty range all of them.
+	var wantSum float64
+	for j, s := range []int{6, 7, 10, 11} {
+		if e.data[j] != before[s-4] {
+			t.Fatalf("survivor %d = %v, want state %d's %v", j, e.data[j], s, before[s-4])
+		}
+		wantSum += before[s-4]
+	}
+	wantVec := make([]float64, 3)
+	lattice.AddMarginals(e.lo, e.data, wantVec)
+	if math.Abs(resp.Sum-wantSum) > 1e-15 || len(resp.Vec) != 3 || len(resp.Data) != 4 {
+		t.Fatalf("collapse answered Sum %v (want %v), Vec %v, Data %v", resp.Sum, wantSum, resp.Vec, resp.Data)
+	}
+	for i := range wantVec {
+		if resp.Vec[i] != wantVec[i] {
+			t.Fatalf("collapse marginal partials %v, want %v", resp.Vec, wantVec)
+		}
 	}
 	// Splice: [2,6) re-based to [1,7) keeps its four states between the
 	// payload's first and last.
@@ -275,8 +300,10 @@ func TestCollapseAndSpliceValidation(t *testing.T) {
 // and 3 loopback executors, collapsing the lowest subject (every state
 // stays on its shard when K is a power of two) and the top one (the
 // survivors all sit on the low executors, so the rebalancing move runs),
-// and reports the bytes it put on the wire. scripts/ci.sh runs it at
-// -benchtime 1x.
+// and reports the bytes it put on the wire (wire-B/op) and the rounds it
+// made (rpcs/op: the registry's per-op RPC counts over all ops, per
+// executor): 1 when no state changes owner, 2 with the move. A threshold
+// crossing sends no preflight. make bench-smoke runs it at -benchtime 1x.
 func BenchmarkClusterCondition(b *testing.B) {
 	const n = 16
 	for _, k := range []int{2, 3} {
@@ -287,14 +314,14 @@ func BenchmarkClusterCondition(b *testing.B) {
 		defer stop()
 		for _, subject := range []int{0, n - 1} {
 			b.Run(fmt.Sprintf("K=%d/bit=%d", k, subject), func(b *testing.B) {
-				var bytes uint64
+				var bytes, rpcs uint64
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					m, err := DialWith(addrs, uniform(n, 0.05), dilution.Ideal{}, DialOptions{Timeout: 5 * time.Second, Obs: obs.NewRegistry()})
 					if err != nil {
 						b.Fatal(err)
 					}
-					before := wireBytes(m)
+					before, beforeRPCs := wireBytes(m), allRPCs(m)
 					b.StartTimer()
 					next, err := m.Condition(subject, false)
 					b.StopTimer()
@@ -302,11 +329,55 @@ func BenchmarkClusterCondition(b *testing.B) {
 						b.Fatalf("condition: %v, %v", next, err)
 					}
 					bytes += wireBytes(next) - before
+					rpcs += allRPCs(next) - beforeRPCs
 					next.Close()
 					b.StartTimer()
 				}
 				b.ReportMetric(float64(bytes)/float64(b.N), "wire-B/op")
+				b.ReportMetric(float64(rpcs)/float64(b.N*k), "rpcs/op")
 			})
 		}
 	}
+}
+
+// TestSpentOrClosedModelRefuses: a model that has handed its connections to
+// Condition's result, or been closed, answers every read, Update and
+// Condition with an error that names why — the prior's closed forms and
+// the held marginals included — instead of merging nothing from no
+// executors into zeros.
+func TestSpentOrClosedModelRefuses(t *testing.T) {
+	addrs := startExecutors(t, 2)
+	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
+	check := func(what string, m *Model, cause string) {
+		t.Helper()
+		errs := map[string]error{}
+		_, errs["Marginals"] = m.Marginals()
+		_, errs["Entropy"] = m.Entropy()
+		_, errs["Mass"] = m.Mass()
+		_, errs["PrefixNegMasses"] = m.PrefixNegMasses([]int{1, 0})
+		_, errs["NegMasses"] = m.NegMasses([]bitvec.Mask{1})
+		_, errs["Fetch"] = m.Fetch()
+		errs["Update"] = m.Update(bitvec.FromIndices(0), dilution.Negative)
+		_, errs["Condition"] = m.Condition(0, false)
+		for op, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), cause) {
+				t.Errorf("%s: %s answered %v, want an error saying %q", what, op, err, cause)
+			}
+		}
+	}
+	atPrior := dialTest(t, addrs, uniform(4, 0.1), resp)
+	atPrior.Close()
+	check("closed at the prior", atPrior, "closed")
+
+	m := dialTest(t, addrs, uniform(4, 0.1), resp)
+	if err := m.Update(bitvec.FromIndices(0, 1), dilution.Positive); err != nil {
+		t.Fatal(err)
+	}
+	next, err := m.Condition(2, false)
+	if err != nil || next == nil {
+		t.Fatalf("condition: %v, %v", next, err)
+	}
+	check("conditioned", m, "conditioned")
+	next.Close()
+	check("closed holding marginals", next, "closed")
 }

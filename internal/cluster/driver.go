@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -89,9 +91,10 @@ type Model struct {
 	// scale × what the executors hold, and prior marks the untouched prior.
 	scale float64
 	prior bool
-	// marg is lattice.Model's held marginals: the last Update's partials,
-	// merged and scaled, until Condition or Fetch ends them.
-	marg []float64
+	// marg is lattice.Model's held marginals: the risks, then the last
+	// Update's or Condition's partials, merged and scaled, until Fetch.
+	marg  []float64
+	spent error // what every call answers once the model holds no connections
 
 	// Distributed tracing state: when tracer is set and parent holds a
 	// valid context (injected by the session via SetTraceContext), every
@@ -265,7 +268,7 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 		}(i, addr, lo, hi)
 	}
 	wg.Wait()
-	m := &Model{conns: make([]*conn, 0, len(addrs)), n: n, risks: append([]float64(nil), risks...), resp: resp, scale: 1 / mass, prior: true, met: met, tracer: opts.Tracer}
+	m := &Model{conns: make([]*conn, 0, len(addrs)), n: n, risks: append([]float64(nil), risks...), resp: resp, scale: 1 / mass, prior: true, marg: append([]float64(nil), risks...), met: met, tracer: opts.Tracer}
 	var firstErr error
 	for i, c := range conns {
 		if c != nil {
@@ -289,8 +292,15 @@ func (m *Model) Close() {
 			c.nc.Close() //lint:allow errcheck one-way teardown; a close error leaves nothing to recover
 		}
 	}
-	m.conns = nil
+	m.conns, m.prior, m.marg, m.spent = nil, false, nil, cmp.Or(m.spent, errClosed)
 }
+
+// What a model without connections answers (its prior and marginals
+// dropped, every call reaches fanout), rather than merging nothing to 0.
+var (
+	errClosed      = errors.New("cluster: model is closed")
+	errConditioned = errors.New("cluster: model was conditioned; its executors belong to the model Condition returned")
+)
 
 // N returns the cohort size.
 func (m *Model) N() int { return m.n }
@@ -320,6 +330,9 @@ func shardRange(total uint64, k, i int) (lo, hi uint64) {
 // fanout issues build(c) on every executor concurrently and returns the
 // responses in executor-rank order (first error wins).
 func (m *Model) fanout(build func(c *conn) Request) ([]Response, error) {
+	if m.spent != nil {
+		return nil, m.spent
+	}
 	resps := make([]Response, len(m.conns))
 	errs := make([]error, len(m.conns))
 	var wg sync.WaitGroup
@@ -433,7 +446,7 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 }
 
 // Marginals returns every subject's posterior infection probability: no
-// round at the prior or straight after an Update, else one OpMarginals round.
+// round at the prior or after an Update or a Condition, else one OpMarginals round.
 func (m *Model) Marginals() ([]float64, error) {
 	if m.prior {
 		return m.Risks(), nil

@@ -246,7 +246,7 @@ func (e *Executor) buildPrior(req Request) Response {
 }
 
 // fetch returns the shard's states outside [Lo, Hi), in state order: the
-// whole shard for an empty range (snapshots), and for a rebalance the
+// whole shard for an empty range (snapshots), and after a collapse the
 // states leaving this executor. Unless states leave at both ends the
 // response aliases the shard; handle encodes it before reading the next
 // request, so nothing writes the shard in between.
@@ -296,23 +296,36 @@ func (e *Executor) loadShard(req Request) Response {
 
 // collapse conditions the shard on the subject at req.Pool having status
 // req.Base, in place (lattice.CollapseBit): the survivors are a contiguous
-// range of the halved lattice, so they stay here, scaled by req.Factor.
+// range of the halved lattice, so they stay here, unscaled. It answers their
+// total and marginal partials from one pass, as updateMul does, and in Data
+// what fetch returns for [Lo, Hi), this executor's range in the even split:
+// the states a rebalance moves off it.
 func (e *Executor) collapse(req Request) Response {
 	if bits.OnesCount64(req.Pool) != 1 || req.Pool >= uint64(1)<<uint(e.n) {
 		return errorf(req.Op, "bit %#x is not one subject of a cohort of %d", req.Pool, e.n)
 	}
-	if req.Base != 0 && req.Base != req.Pool {
-		return errorf(req.Op, "base %#x is neither 0 nor the bit %#x", req.Base, req.Pool)
-	}
-	if !lattice.ValidFactor(req.Factor) {
-		return errorf(req.Op, "invalid factor %v", req.Factor)
+	if req.Base != 0 && req.Base != req.Pool || req.Lo > req.Hi {
+		return errorf(req.Op, "base %#x is neither 0 nor the bit %#x, or range [%d,%d) is inverted", req.Base, req.Pool, req.Lo, req.Hi)
 	}
 	if e.n <= 1 {
 		return errorf(req.Op, "cannot collapse a one-subject lattice")
 	}
-	lo, kept := lattice.CollapseBit(e.lo, e.data, req.Pool, req.Base, req.Factor)
+	lo, kept := lattice.CollapseBit(e.lo, e.data, req.Pool, req.Base)
 	e.n, e.lo, e.data = e.n-1, lo, e.data[:kept]
-	return Response{Op: req.Op}
+	resp := e.withMarginals(req.Op, lattice.AddMarginals)
+	resp.Data = e.fetch(req).Vec
+	return resp
+}
+
+// withMarginals runs kernel over the shard's chunks, each into its own
+// marginal partial, and answers the merged total and partials (Sum, Vec).
+func (e *Executor) withMarginals(op Op, kernel func(offset uint64, data, marg []float64) prob.Accumulator) Response {
+	partials := make([][]float64, (len(e.data)+reduceChunk-1)/reduceChunk)
+	sum := e.reduceChunks(func(p int, offset uint64, data []float64) prob.Accumulator {
+		partials[p] = make([]float64, e.n)
+		return kernel(offset, data, partials[p])
+	})
+	return Response{Op: op, Sum: sum, Vec: lattice.MergeVec(partials, e.n, 1)}
 }
 
 // updateMul multiplies the shard by the likelihood table and returns the
@@ -334,12 +347,9 @@ func (e *Executor) updateMul(req Request) Response {
 			return lattice.DotLikelihood(offset, data, req.Pool, req.Lik)
 		})}
 	}
-	partials := make([][]float64, (len(e.data)+reduceChunk-1)/reduceChunk)
-	sum := e.reduceChunks(func(p int, offset uint64, data []float64) prob.Accumulator {
-		partials[p] = make([]float64, e.n)
-		return lattice.MulLikelihood(offset, data, req.Pool, req.Lik, partials[p])
+	return e.withMarginals(req.Op, func(offset uint64, data, marg []float64) prob.Accumulator {
+		return lattice.MulLikelihood(offset, data, req.Pool, req.Lik, marg)
 	})
-	return Response{Op: req.Op, Sum: sum, Vec: lattice.MergeVec(partials, e.n, 1)}
 }
 
 func (e *Executor) scale(req Request) Response {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"testing"
@@ -114,7 +115,8 @@ func (b *fuzzBytes) request() Request {
 // sequence of driver requests. The executor sits behind a TCP trust
 // boundary, so whatever arrives must leave it sound: dispatch never
 // panics, a request it refuses leaves the shard bit-identical, and the
-// shard never holds a negative, NaN or infinite state.
+// shard never holds a negative, NaN or infinite state. An accepted
+// collapse answers what the driver merges (checkCollapse).
 func FuzzExecutorDispatch(f *testing.F) {
 	e := NewExecutor(1)
 	f.Cleanup(e.Close)
@@ -154,6 +156,9 @@ func FuzzExecutorDispatch(f *testing.F) {
 	f.Add(cat(prior, branch(OpMarginals, 0, 1, 3, 1, 5, 255, 240)))
 	f.Add(cat(prior, branch(OpPrefix, 2, 1, 1, 1, 5, 251)))
 	f.Add(cat(prior, branch(OpMarginals, 0, 1, 16, 1, 5, 200)))
+	f.Add(cat(prior, req(OpCollapse, 1, 0, 2, 6, 0)))   // ranged: states 2..5 stay, the rest leave
+	f.Add(cat(prior, req(OpCollapse, 8, 8, 0, 0, 255))) // a NaN Factor, which a collapse ignores
+	f.Add(cat(prior, req(OpCollapse, 8, 0, 5, 3, 0)))   // an inverted range, refused
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		b := fuzzBytes(in)
@@ -178,6 +183,11 @@ func FuzzExecutorDispatch(f *testing.F) {
 			if i := lattice.FirstInvalid(e.data); i >= 0 {
 				t.Fatalf("step %d: after %s the shard holds %v at state %d", step, req.Op, e.data[i], e.lo+uint64(i))
 			}
+			if req.Op == OpCollapse && resp.Err == "" {
+				if err := checkCollapse(e, req, resp); err != "" {
+					t.Fatalf("step %d: collapse %+v: %s", step, req, err)
+				}
+			}
 		}
 	})
 }
@@ -192,4 +202,29 @@ func sameShard(n int, lo uint64, data []float64, n0 int, lo0 uint64, data0 []flo
 		}
 	}
 	return true
+}
+
+// checkCollapse checks an accepted collapse's response against the shard it
+// left: one marginal partial per remaining subject, the survivors' total
+// to 1e-12 relative of their plain sum, and in Data exactly the survivors
+// outside the request's range, in state order.
+func checkCollapse(e *Executor, req Request, resp Response) string {
+	if len(resp.Vec) != e.n {
+		return fmt.Sprintf("%d marginal partials for %d subjects", len(resp.Vec), e.n)
+	}
+	var plain float64
+	var outside []float64
+	for j, w := range e.data {
+		plain += w
+		if s := e.lo + uint64(j); s < req.Lo || s >= req.Hi {
+			outside = append(outside, w)
+		}
+	}
+	if math.Abs(resp.Sum-plain) > 1e-12*plain {
+		return fmt.Sprintf("total %v, survivors sum to %v", resp.Sum, plain)
+	}
+	if len(resp.Data) != len(outside) || !sameShard(0, 0, resp.Data, 0, 0, outside) {
+		return fmt.Sprintf("returned %v outside [%d,%d), want %v", resp.Data, req.Lo, req.Hi, outside)
+	}
+	return ""
 }

@@ -33,15 +33,15 @@ const (
 	OpBuildPrior           // materialize the prior product measure on the shard, unnormalized (the driver knows its total in closed form)
 	OpUpdateMul            // multiply shard by a likelihood table, return the products' partial sum and marginal partials
 	OpScale                // multiply shard by a scalar (the driver's settle round, and nothing else)
-	OpSumWhere             // partial sum of states s with s&Pool == Base (NegMass; the conditioning preflight)
+	OpSumWhere             // partial sum of states s with s&Pool == Base: the preflight of a condition whose event may have zero mass
 	OpMarginals            // partial per-subject marginal vector; with branch pools, one row per outcome branch
 	OpNegMasses            // partial clean-mass vector for candidate pools
 	OpEntropy              // partial Σ −p·ln p
 	OpMass                 // partial total mass
-	OpFetch                // return the shard's states outside [Lo, Hi): all of it (snapshots), or what a rebalance moves off it
+	OpFetch                // return the shard's states outside [Lo, Hi): all of it for an empty range (snapshots)
 	OpPrefix               // partial min-rank histogram for the halving prefix scan; with branch pools, one per outcome branch
 	OpLoadShard            // re-base the shard to [Lo, Hi): keep the overlap, splice Data around it
-	OpCollapse             // condition the shard on s&Pool == Base in place, scaled by Factor
+	OpCollapse             // condition the shard on s&Pool == Base in place, unscaled; return the survivors' partial total and marginal partials, and the states outside [Lo, Hi)
 	OpDotLik               // partial Σ π(s)·Lik[|s∩Pool|] with the shard untouched: the look before an OpUpdateMul whose table has a zero
 )
 
@@ -90,8 +90,9 @@ type Request struct {
 	// BuildPrior: the global state range this executor owns. LoadShard: the
 	// shard's new range (Lo == Hi is a valid empty shard, for a lattice that
 	// has shrunk below the executor count). Fetch: the range whose states
-	// are NOT returned — empty for the whole shard, the new range to get
-	// the states a rebalance takes off this executor.
+	// are NOT returned — empty for the whole shard. Collapse: the
+	// executor's range in the even split of the halved lattice, whose
+	// survivors outside it come back in Response.Data.
 	Lo, Hi uint64
 	// UpdateMul / DotLik: pool mask. SumWhere: the bits to test. Collapse:
 	// the single bit of the subject being conditioned out.
@@ -103,8 +104,7 @@ type Request struct {
 	Base uint64
 	// Prefix: subject ordering for the prefix scan.
 	Order []int
-	// Scale: the multiplier. Collapse: 1 / the event mass, applied in the
-	// same pass, so the collapsed posterior is already normalized.
+	// Scale: the multiplier (the driver's settle round). No other op reads it.
 	Factor float64
 	// LoadShard: the states of [Lo, Hi) the executor does not already hold,
 	// in state order — those below its retained overlap, then those above.
@@ -139,6 +139,7 @@ type Response struct {
 	// request carried a trace context. The driver absorbs them into its
 	// own tracer so the assembled trace holds both sides of the RPC.
 	Spans []WireSpan
+	Data  []float64 // Collapse: the survivors outside [Lo, Hi), for the rebalance to move
 }
 
 // WireSpan is one finished span in wire form: a gob-friendly flattening

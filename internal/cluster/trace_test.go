@@ -148,7 +148,7 @@ func TestConditionKeepsTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer next.Close()
-	if _, err := next.Marginals(); err != nil {
+	if _, err := next.PrefixNegMasses([]int{1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -158,13 +158,18 @@ func TestConditionKeepsTracer(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatalf("assembled %d traces, want 1", len(traces))
 	}
-	if traces[0].Find("rpc:marginals") == nil {
-		t.Error("post-Condition marginals RPC missing from the trace")
+	if traces[0].Find("rpc:prefix-scan") == nil {
+		t.Error("the reduced model's first RPC is missing from the trace")
 	}
-	for _, name := range []string{"rpc:sum-where", "rpc:collapse", "exec:collapse"} {
+	for _, name := range []string{"rpc:collapse", "exec:collapse"} {
 		if traces[0].Find(name) == nil {
 			t.Errorf("Condition's %s span missing from the trace", name)
 		}
+	}
+	// Subject 0 is negative at probability 0.95: a threshold crossing, whose
+	// mass is never preflighted.
+	if traces[0].Find("rpc:sum-where") != nil {
+		t.Error("a condition held above ½ sent a sum-where preflight")
 	}
 }
 

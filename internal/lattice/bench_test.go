@@ -88,10 +88,12 @@ func BenchmarkSelectionScan(b *testing.B) {
 	})
 }
 
-// BenchmarkConditionInPlace measures the one conditioning path: the
-// collapse gathers inside the receiver's own backing array, so it
-// allocates no 2^N vector and no model. Each collapse shrinks the model,
-// so rebuild when it runs out.
+// BenchmarkConditionInPlace measures a classification as a session makes
+// it: ConditionInPlace, then the Marginals read that follows, which takes
+// the vector the collapse's own pass held. The collapse gathers inside the
+// receiver's own backing array, so it allocates no 2^N vector and no
+// model. Each collapse shrinks the model, so rebuild when it runs out.
+// make bench-smoke runs it at -benchtime 1x.
 func BenchmarkConditionInPlace(b *testing.B) {
 	m := benchLattice(b, 16, flatResp)
 	b.ReportAllocs()
@@ -105,6 +107,7 @@ func BenchmarkConditionInPlace(b *testing.B) {
 		if c := m.ConditionInPlace(0, false); c == nil {
 			b.Fatal("condition failed")
 		}
+		m.Marginals()
 	}
 }
 
@@ -212,9 +215,9 @@ func BenchmarkStageKernels(b *testing.B) {
 					b.Fatal(err)
 				}
 			}},
-			{name: "collapse_low", run: func() { CollapseBit(0, scratch, 1, 0, 1) }},
-			{name: "collapse_mid", run: func() { CollapseBit(0, scratch, 1<<uint(n/2), 0, 1) }},
-			{name: "collapse_top", run: func() { CollapseBit(0, scratch, 1<<uint(n-1), 0, 1) }},
+			{name: "collapse_low", run: func() { CollapseBit(0, scratch, 1, 0) }},
+			{name: "collapse_mid", run: func() { CollapseBit(0, scratch, 1<<uint(n/2), 0) }},
+			{name: "collapse_top", run: func() { CollapseBit(0, scratch, 1<<uint(n-1), 0) }},
 			{name: "condition_low", run: condition(0), setup: func() { victim = cloneModel(m) }},
 			{name: "condition_mid", run: condition(n / 2), setup: func() { victim = cloneModel(m) }},
 			{name: "condition_top", run: condition(n - 1), setup: func() { victim = cloneModel(m) }},

@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -237,10 +238,10 @@ func poolTasks(reg *obs.Registry) (n uint64) {
 }
 
 // TestHeldMarginalsRules pins when Marginals reads the vector the last
-// Update left behind and when it sweeps, by the pool tasks it submits:
-// none straight after Update (and what it returns is, to 1e-15 relative,
-// AddMarginals of the settled vector); a sweep after ConditionInPlace,
-// after Restore and once Posterior has handed the storage out.
+// pass left behind and when it sweeps, by the pool tasks it submits: none
+// after Update, after ConditionInPlace and after Restore (and what it
+// returns is, to 1e-15 relative, AddMarginals of the settled vector); a
+// sweep once Posterior has handed the storage out.
 func TestHeldMarginalsRules(t *testing.T) {
 	reg := obs.NewRegistry()
 	pool := engine.NewPool(2)
@@ -262,34 +263,38 @@ func TestHeldMarginalsRules(t *testing.T) {
 		}
 		return marg
 	}
+	held := func(what string, m *Model) {
+		t.Helper()
+		got := sweeps(what, m, false)
+		want := make([]float64, m.N())
+		AddMarginals(0, cloneModel(m).settle().Slice(), want)
+		for i := range want {
+			if !relNear(got[i], want[i], 1e-15) {
+				t.Fatalf("%s: held marginal %d = %v, AddMarginals of the settled vector %v", what, i, got[i], want[i])
+			}
+		}
+	}
 	m := mustNew(t, pool, cfg)
 	for round := 0; round < 4; round++ {
 		pm := bitvec.Mask(r.Uint64())&bitvec.Full(n) | 1
 		if err := m.Update(pm, dilution.Outcome{Positive: round%2 == 0}); err != nil {
 			t.Fatal(err)
 		}
-		held := sweeps("after Update", m, false)
-		want := make([]float64, n)
-		AddMarginals(0, cloneModel(m).settle().Slice(), want)
-		for i := range want {
-			if !relNear(held[i], want[i], 1e-15) {
-				t.Fatalf("round %d: held marginal %d = %v, AddMarginals of the settled vector %v", round, i, held[i], want[i])
-			}
-		}
+		held(fmt.Sprintf("round %d: after Update", round), m)
 	}
 	if m.ConditionInPlace(3, false) == nil {
 		t.Fatal("condition rejected")
 	}
-	sweeps("after ConditionInPlace", m, true)
+	held("after ConditionInPlace", m)
 	if err := m.Update(bitvec.FromIndices(1, 4), dilution.Negative); err != nil {
 		t.Fatal(err)
 	}
-	sweeps("after the next Update", m, false)
+	held("after the next Update", m)
 	post := m.Posterior().Slice()
 	sweeps("after Posterior was handed out", m, true)
 	restored, err := Restore(pool, Config{Risks: m.Risks(), Response: cfg.Response, Parts: 5}, post, m.Tests())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweeps("after Restore", restored, true)
+	held("after Restore", restored)
 }

@@ -24,7 +24,7 @@ import (
 //	             SumWhere, DotLikelihood, EntropyNats
 //	look-ahead   CheckBranches, AddBranchMarginals,
 //	             RankTable.AddBranchMinRankMasses, SuffixCleanMasses
-//	conditioning KeptBelow, CollapseBit
+//	conditioning KeptBelow, CollapseBit (then AddMarginals), EventMayBeEmpty
 //	rescaling    ValidFactor, Scale, MergeVec
 //	input checks FirstInvalid
 
@@ -38,14 +38,15 @@ const foldBits = 8
 const foldLen = 1 << foldBits
 
 // addMarginalsWalk accumulates each state's mass onto its set bits with
-// the per-state bit walk: the ragged-edge helper of AddMarginals and the
-// reference it is tested against.
-func addMarginalsWalk(offset uint64, data []float64, out []float64) {
+// the per-state bit walk, and into acc: the ragged-edge helper of
+// AddMarginals and MulLikelihood, and the reference they are tested against.
+func addMarginalsWalk(offset uint64, data []float64, out []float64, acc *prob.Accumulator) {
 	for j := range data {
 		w := data[j]
 		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
 			continue
 		}
+		acc.Add(w)
 		for v := offset + uint64(j); v != 0; v &= v - 1 {
 			out[bits.TrailingZeros64(v)] += w
 		}
@@ -103,26 +104,29 @@ func blockSpan(offset, end uint64) (head, tail uint64) {
 
 // AddMarginals accumulates onto out[i] the mass of every state in the run
 // that has bit i set — one partition's (or one shard's) contribution to
-// the marginals. out must cover every bit set in any state of the run.
+// the marginals — and returns the run's compensated total. out must cover
+// every bit set in any state of the run.
 //
 // Aligned foldLen-state blocks take the halving folds (foldBlock): two
-// additions per state with no data-dependent branch. The sums are
-// pairwise, so they are at least as accurate as the per-state walk, from
-// which they differ in the last ulps. Ragged edges (a run need not start
-// or end on a block boundary) take the walk. The order of every addition
-// is fixed by (offset, len(data)), so results are deterministic.
-func AddMarginals(offset uint64, data []float64, out []float64) {
+// additions per state with no data-dependent branch, one compensated add
+// per block. The sums are pairwise, so they are at least as accurate as
+// the per-state walk, from which they differ in the last ulps. Ragged
+// edges (a run need not start or end on a block boundary) take the walk.
+// The order of every addition is fixed by (offset, len(data)).
+func AddMarginals(offset uint64, data []float64, out []float64) prob.Accumulator {
+	var acc prob.Accumulator
 	head, tail := blockSpan(offset, offset+uint64(len(data)))
 	if head >= tail {
-		addMarginalsWalk(offset, data, out)
-		return
+		addMarginalsWalk(offset, data, out, &acc)
+		return acc
 	}
-	addMarginalsWalk(offset, data[:head-offset], out)
+	addMarginalsWalk(offset, data[:head-offset], out, &acc)
 	var scratch [foldLen / 2]float64
 	for b := head; b < tail; b += foldLen {
-		foldBlock(b, (*[foldLen]float64)(data[b-offset:]), &scratch, out)
+		acc.Add(foldBlock(b, (*[foldLen]float64)(data[b-offset:]), &scratch, out))
 	}
-	addMarginalsWalk(tail, data[tail-offset:], out)
+	addMarginalsWalk(tail, data[tail-offset:], out, &acc)
+	return acc
 }
 
 // RankTable is the lookup state of the prefix scan for one subject
@@ -475,23 +479,30 @@ func KeptBelow(x, bit, base uint64) uint64 {
 }
 
 // CollapseBit conditions the run on s&bit == base, in place: the surviving
-// states move to the front of data in state order, each multiplied by
-// factor, and their indices lose the bit. The survivors of [lo, hi) are
+// states move to the front of data in state order, unscaled, and their
+// indices lose the bit. The survivors of [lo, hi) are
 // exactly the states [KeptBelow(lo), KeptBelow(hi)) of the halved lattice —
 // a contiguous range, so a shard never hands a state to another owner —
 // and survivor j is read from at or above slot j (no more states are
 // dropped below the run than below any state in it), so the gather runs
 // forward over its own storage. It returns the new range's start and
 // length. bit must be a power of two and base 0 or bit.
-func CollapseBit(offset uint64, data []float64, bit, base uint64, factor float64) (newOffset uint64, kept int) {
+func CollapseBit(offset uint64, data []float64, bit, base uint64) (newOffset uint64, kept int) {
 	newOffset = KeptBelow(offset, bit, base)
 	kept = int(KeptBelow(offset+uint64(len(data)), bit, base) - newOffset)
 	low := bit - 1
 	for j := range data[:kept] {
 		sp := newOffset + uint64(j)
-		data[j] = data[(sp&low|sp&^low<<1|base)-offset] * factor
+		data[j] = data[(sp&low|sp&^low<<1|base)-offset]
 	}
 	return newOffset, kept
+}
+
+// EventMayBeEmpty reports whether an event must be summed (SumWhere) before
+// a collapse destroys what it drops: when held (a model's held marginals)
+// is nil or puts it below ½. A threshold crossing has half the mass or more.
+func EventMayBeEmpty(held []float64, subject int, positive bool) bool {
+	return held == nil || positive && held[subject] < 0.5 || !positive && held[subject] > 0.5
 }
 
 // FillPrior writes the product prior of the run: state s gets base times
@@ -604,15 +615,13 @@ func LikelihoodTable(resp dilution.Response, y dilution.Outcome, size int) ([]fl
 	return lik, nil
 }
 
-// mulLikelihoodWalk is MulLikelihood's per-state edge form: one compensated
-// add per state, and the bit walk for marg.
+// mulLikelihoodWalk is MulLikelihood's per-state edge form: the multiply,
+// then the bit walk for marg and acc.
 func mulLikelihoodWalk(offset uint64, data []float64, pool uint64, lik, marg []float64, acc *prob.Accumulator) {
 	for j := range data {
-		w := data[j] * lik[bits.OnesCount64((offset+uint64(j))&pool)]
-		data[j] = w
-		acc.Add(w)
+		data[j] *= lik[bits.OnesCount64((offset+uint64(j))&pool)]
 	}
-	addMarginalsWalk(offset, data, marg)
+	addMarginalsWalk(offset, data, marg, acc)
 }
 
 // MulLikelihood is the fused update pass: every state s of the run is

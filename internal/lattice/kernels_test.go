@@ -429,27 +429,23 @@ func TestCollapseBitMatchesOracle(t *testing.T) {
 		}
 		bit := uint64(1) << uint(trial%n)
 		base := bit * uint64(trial/n%2)
-		factor := 1.0
-		if trial%3 == 0 {
-			factor = 1 / (0.1 + r.Float64())
-		}
 		low := bit - 1
 		want := map[uint64]float64{} // collapsed index → mass
 		for s := lo; s < hi; s++ {
 			if s&bit == base {
-				want[s&low|s>>1&^low] = full[s] * factor
+				want[s&low|s>>1&^low] = full[s]
 			}
 		}
 		run := append([]float64(nil), full[lo:hi]...)
-		off, kept := CollapseBit(lo, run, bit, base, factor)
+		off, kept := CollapseBit(lo, run, bit, base)
 		if off != KeptBelow(lo, bit, base) || off+uint64(kept) != KeptBelow(hi, bit, base) || kept != len(want) {
 			t.Fatalf("[%d,%d) bit %#x base %#x: range [%d,+%d), want [%d,%d) holding %d",
 				lo, hi, bit, base, off, kept, KeptBelow(lo, bit, base), KeptBelow(hi, bit, base), len(want))
 		}
 		for j, got := range run[:kept] {
 			if w, ok := want[off+uint64(j)]; !ok || got != w {
-				t.Fatalf("[%d,%d) bit %#x base %#x factor %v: state %d = %v, oracle %v (present %v)",
-					lo, hi, bit, base, factor, off+uint64(j), got, w, ok)
+				t.Fatalf("[%d,%d) bit %#x base %#x: state %d = %v, oracle %v (present %v)",
+					lo, hi, bit, base, off+uint64(j), got, w, ok)
 			}
 		}
 	}

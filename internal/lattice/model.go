@@ -23,7 +23,7 @@
 //     over every outcome branch of a stage's chosen pools (look-ahead),
 //   - ConditionInPlace: collapse a classified subject out of the lattice,
 //     halving the state space (how sequential surveillance keeps the model
-//     small).
+//     small), with the survivors' total and marginals from one pass.
 //
 // Every per-state loop lives once, in kernels.go, as a plain function
 // over one contiguous run of states (offset, []float64): the prior fill
@@ -89,13 +89,29 @@ type Model struct {
 	tests int // pooled tests absorbed so far (diagnostics)
 	// scale is the carried normaliser: the posterior is scale × post. Update
 	// folds it into its table, Marginals and PrefixNegMasses into their sums,
-	// ConditionInPlace into its factor; every other reader calls settle.
+	// ConditionInPlace and Restore replace it; every other reader calls settle.
 	scale float64
 	prior bool // post is still New's product prior: its marginals are the risks, its entropy PriorEntropy
-	// marg, when non-nil, is the marginals the last Update's pass left behind
-	// (its partials × the new scale), good until a conditioning or a caller of
-	// Posterior changes post.
+	// marg, when non-nil, is the risks at the prior, then the marginals the
+	// last Update, ConditionInPlace or Restore pass left behind (its partials
+	// × the new scale), good until a caller of Posterior changes post.
 	marg []float64
+}
+
+// hold runs kernel over every partition, each into its own marginal
+// partial, and returns the merged total; if it can normalise, its
+// reciprocal becomes the scale and the partials, merged as ReduceVec does
+// and times it, the held marginals.
+func (m *Model) hold(kernel func(offset uint64, data, marg []float64) prob.Accumulator) float64 {
+	partials := make([][]float64, m.post.Parts())
+	total := m.post.ReduceSum(func(p int, offset uint64, data []float64) prob.Accumulator {
+		partials[p] = make([]float64, m.n)
+		return kernel(offset, data, partials[p])
+	})
+	if m.marg = nil; ValidFactor(1 / total) {
+		m.scale, m.prior, m.marg = 1/total, false, MergeVec(partials, m.n, 1/total)
+	}
+	return total
 }
 
 // settle applies the carried normaliser and returns post, now the posterior.
@@ -161,7 +177,7 @@ func New(pool *engine.Pool, cfg Config) (*Model, error) {
 	}
 	m := alloc(pool, cfg)
 	m.post.FillDoubling(base, odds)
-	m.scale, m.prior = 1/total, true
+	m.scale, m.prior, m.marg = 1/total, true, m.Risks()
 	return m, nil
 }
 
@@ -225,28 +241,24 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 			return DotLikelihood(offset, data, uint64(pool), lik)
 		})
 	}
-	partials := make([][]float64, m.post.Parts())
 	if ValidFactor(1 / total) {
-		total = m.post.ReduceSum(func(p int, offset uint64, data []float64) prob.Accumulator {
-			partials[p] = make([]float64, m.n)
-			return MulLikelihood(offset, data, uint64(pool), lik, partials[p])
+		total = m.hold(func(offset uint64, data, marg []float64) prob.Accumulator {
+			return MulLikelihood(offset, data, uint64(pool), lik, marg)
 		})
-		m.marg = nil
 	}
 	if !ValidFactor(1 / total) {
 		return fmt.Errorf("lattice: outcome %v on pool %v has zero total likelihood (total %v)", y, pool, total)
 	}
-	m.scale, m.prior = 1/total, false
-	m.marg = MergeVec(partials, m.n, m.scale)
 	m.tests++
 	return nil
 }
 
 // Restore rebuilds a model from a previously captured posterior (state
 // order, length 2^len(cfg.Risks)) and test counter — how a session
-// checkpoint's dense tail becomes a model again (posterior.FromSnapshot). The posterior is renormalized on load
-// (its total's reciprocal is the carried scale) so a checkpoint cannot
-// smuggle in an unnormalized lattice; it is never taken for a prior.
+// checkpoint's dense tail becomes a model again (posterior.FromSnapshot).
+// One pass copies it in and folds it (AddMarginals): the total's reciprocal
+// is the carried scale, so a checkpoint cannot smuggle in an unnormalized
+// lattice, and the marginals are held. It is never taken for a prior.
 func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Model, error) {
 	if _, _, err := validate(cfg); err != nil {
 		return nil, err
@@ -259,10 +271,11 @@ func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Mo
 	if i := FirstInvalid(posterior); i >= 0 {
 		return nil, fmt.Errorf("lattice: invalid posterior mass %v", posterior[i])
 	}
-	m.post.ForPartitions(func(_ int, offset uint64, data []float64) {
+	total := m.hold(func(offset uint64, data, marg []float64) prob.Accumulator {
 		copy(data, posterior[offset:])
+		return AddMarginals(offset, data, marg)
 	})
-	if m.scale = 1 / m.post.Sum(); !ValidFactor(m.scale) {
+	if !ValidFactor(1 / total) {
 		return nil, fmt.Errorf("lattice: restored posterior has zero mass")
 	}
 	if tests < 0 {

@@ -9,11 +9,11 @@ import (
 )
 
 // Marginals returns each subject's posterior infection probability,
-// P(i infected | data) = Σ_{S ∋ i} π(S). Straight after an Update it is a
-// copy of the vector that update's pass left behind, and at the prior the
-// risks: no pass. Otherwise — after a conditioning, a Restore, or once
-// Posterior has handed the storage out — it is one parallel ReduceVec pass
-// of the halving-fold kernel AddMarginals, times the carried scale.
+// P(i infected | data) = Σ_{S ∋ i} π(S). After an Update, a
+// ConditionInPlace or a Restore it is a copy of the vector that pass left
+// behind, and at the prior the risks: no pass. Once Posterior has handed
+// the storage out it is one parallel ReduceVec pass of the halving-fold
+// kernel AddMarginals, times the carried scale.
 func (m *Model) Marginals() []float64 {
 	if m.prior {
 		return m.Risks()
@@ -159,16 +159,17 @@ func (m *Model) Mass() float64 { return m.settle().Sum() }
 // Conditioning renormalizes, so the caller should have classified the
 // subject at high posterior confidence first. The collapse happens inside
 // the receiver's own backing array, with no allocation, and the receiver
-// is returned. The gather is CollapseBit over the whole lattice — the
-// kernel the cluster executors run on their shards — with 1/(the preflight
-// mass) as its factor, so the survivors come out normalized in the one pass.
+// is returned. As in Update, the gather (CollapseBit over the whole
+// lattice, the kernel the cluster executors run on their shards) leaves
+// the survivors unscaled, and one pass of AddMarginals partials gives
+// their total, whose reciprocal is the new scale, and the marginals, held
+// for the Marginals call that follows.
 //
 // It returns nil when the event has zero posterior mass or only one
-// subject remains (conditioning would empty the lattice). Because the
-// gather destroys the old contents, the event mass is preflighted with an
-// exact SumWhere pass over the kept stretches first, so on nil the
-// receiver is untouched and still usable (core.Session relies on that to
-// retry the complementary event).
+// subject remains (conditioning would empty the lattice), with the
+// receiver untouched and still usable (core.Session relies on that to
+// retry the complementary event): an event that may have zero mass
+// (EventMayBeEmpty) is summed with an exact SumWhere pass first.
 func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 	if subject < 0 || subject >= m.n || m.n <= 1 {
 		return nil
@@ -178,19 +179,16 @@ func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 	if positive {
 		base = bit
 	}
-	// Preflight, of stored mass: the pending scale cancels in the factor.
-	factor := 1 / m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+	if EventMayBeEmpty(m.marg, subject, positive) && !ValidFactor(1/m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
 		return SumWhere(offset, data, bit, base)
-	})
-	if !ValidFactor(factor) {
+	})) {
 		return nil
 	}
-	nn := m.n - 1
-	m.post.ShrinkGather(uint64(1)<<uint(nn), m.post.Parts(), func(_, src []float64) {
-		CollapseBit(0, src, bit, base, factor)
+	m.post.ShrinkGather(uint64(1)<<uint(m.n-1), m.post.Parts(), func(_, src []float64) {
+		CollapseBit(0, src, bit, base)
 	})
-	m.scale, m.prior, m.marg = 1, false, nil
 	m.risks = append(m.risks[:subject], m.risks[subject+1:]...)
-	m.n = nn
+	m.n--
+	m.hold(AddMarginals)
 	return m
 }

@@ -62,8 +62,8 @@ func updateEager(m *Model, pool bitvec.Mask, y dilution.Outcome) {
 	m.tests++
 }
 
-// conditionEager is ConditionInPlace as it was: CollapseBit with factor 1,
-// then Normalize. It returns nil, receiver untouched, on a zero-mass event.
+// conditionEager is ConditionInPlace as it was before the normaliser was
+// carried: CollapseBit, then Normalize. It returns nil, receiver untouched, on a zero-mass event.
 func conditionEager(m *Model, subject int, positive bool) *Model {
 	bit := uint64(1) << uint(subject)
 	var base uint64
@@ -78,7 +78,7 @@ func conditionEager(m *Model, subject int, positive bool) *Model {
 		return nil
 	}
 	post.ShrinkGather(uint64(1)<<uint(m.n-1), post.Parts(), func(_, src []float64) {
-		CollapseBit(0, src, bit, base, 1)
+		CollapseBit(0, src, bit, base)
 	})
 	normalize(post)
 	m.risks = append(m.risks[:subject], m.risks[subject+1:]...)
@@ -113,7 +113,8 @@ func updateTwoPass(m *Model, pool bitvec.Mask, y dilution.Outcome) {
 // agrees with Marginals up to accumulation-order rounding.
 func marginalsWalk(m *Model) []float64 {
 	return m.settle().ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
-		addMarginalsWalk(offset, data, out)
+		var acc prob.Accumulator
+		addMarginalsWalk(offset, data, out, &acc)
 	})
 }
 

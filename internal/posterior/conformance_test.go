@@ -395,6 +395,51 @@ func TestConformanceCondition(t *testing.T) {
 	}
 }
 
+// TestConformanceZeroMassCondition: an event of zero mass is reached
+// through the path below ½ — its held marginal says it may be empty, so
+// its mass is summed before anything collapses — and returns (nil, nil)
+// with the receiver untouched: its marginals unchanged and the
+// complementary event still collapsing it (core.Session's fallback).
+func TestConformanceZeroMassCondition(t *testing.T) {
+	for _, bc := range backends(t) {
+		bc := bc
+		t.Run(string(bc.kind), func(t *testing.T) {
+			m := bc.open(t, conformanceRisks, dilution.Ideal{})
+			defer m.Close() //lint:allow errcheck test teardown; assertions cover the live model
+			// An ideal negative test of subject 3 alone makes "3 infected" impossible.
+			if err := m.Update(bitvec.FromIndices(3), dilution.Negative); err != nil {
+				t.Fatal(err)
+			}
+			before, err := m.Marginals()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if red, err := m.Condition(3, true); red != nil || err != nil {
+				t.Fatalf("zero-mass event returned %v, %v; want nil, nil", red, err)
+			}
+			after, err := m.Marginals()
+			if err != nil {
+				t.Fatalf("receiver unusable after a zero-mass event: %v", err)
+			}
+			if d := maxAbsDiff(after, before); d != 0 {
+				t.Fatalf("a refused event moved the marginals by %v", d)
+			}
+			red, err := m.Condition(3, false)
+			if err != nil || red == nil {
+				t.Fatalf("complementary event returned %v, %v", red, err)
+			}
+			marg, err := red.Marginals()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(append([]float64(nil), before[:3]...), before[4:]...)
+			if d := maxAbsDiff(marg, want); d > kernelTol {
+				t.Fatalf("conditioning on a sure event moved the other marginals by %v", d)
+			}
+		})
+	}
+}
+
 // TestConformanceSnapshotRoundTrip snapshots every backend mid-script
 // and restores through FromSnapshot: the restored marginals must match.
 // Cluster snapshots are documented to restore as dense models.
