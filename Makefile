@@ -39,10 +39,13 @@ fuzz:
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzServerAPI -fuzztime 10s
 
 # One iteration of the stage-kernel, kernel-ablation, conditioning,
-# serial-crossover, cluster-conditioning, look-ahead and span-record
-# benchmarks, so they cannot rot.
+# collapse copy-width, serial-crossover, cluster-conditioning, look-ahead
+# and span-record benchmarks, so they cannot rot. The wave-gather arms run
+# again at -cpu 1,2: one worker takes every wave inline, two fan the long
+# ones out.
 bench-smoke:
-	$(GO) test ./internal/lattice -run '^$$' -bench 'BenchmarkStageKernels|BenchmarkNegMassesTiling|BenchmarkFusion|BenchmarkConditionInPlace' -benchtime 1x
+	$(GO) test ./internal/lattice -run '^$$' -bench 'BenchmarkStageKernels|BenchmarkNegMassesTiling|BenchmarkFusion|BenchmarkConditionInPlace|BenchmarkCollapseCopyWidth' -benchtime 1x
+	$(GO) test ./internal/lattice -run '^$$' -bench 'BenchmarkStageKernels/gather_' -benchtime 1x -cpu 1,2
 	$(GO) test ./internal/engine -run '^$$' -bench BenchmarkSerialCrossover -benchtime 1x -cpu 1,2
 	$(GO) test ./internal/cluster -run '^$$' -bench BenchmarkClusterCondition -benchtime 1x
 	$(GO) test ./internal/halving -run '^$$' -bench BenchmarkLookahead -benchtime 1x

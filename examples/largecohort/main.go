@@ -2,8 +2,8 @@
 //
 // The dense lattice tops out at 30 subjects (2^30 states). This example
 // uses the truncated sparse posterior — only states above a relative mass
-// threshold are retained, with the discarded mass reported as an explicit
-// error bound — to run a full halving-driven campaign on a 48-subject
+// threshold are retained, with a bound on the discarded mass reported as an
+// explicit error bound — to run a full halving-driven campaign on a 48-subject
 // cohort at 2% prevalence, where the exact lattice would need 2^48 states.
 //
 //	go run ./examples/largecohort

@@ -159,6 +159,12 @@ func FuzzExecutorDispatch(f *testing.F) {
 	f.Add(cat(prior, req(OpCollapse, 1, 0, 2, 6, 0)))   // ranged: states 2..5 stay, the rest leave
 	f.Add(cat(prior, req(OpCollapse, 8, 8, 0, 0, 255))) // a NaN Factor, which a collapse ignores
 	f.Add(cat(prior, req(OpCollapse, 8, 0, 5, 3, 0)))   // an inverted range, refused
+	// Collapses at and above lattice's copy width (bit 8) on a six-subject
+	// shard with a ragged lo, states [5, 64), with both bases.
+	ragged := []byte{5, 5, 58}
+	f.Add(cat(ragged, req(OpCollapse, 8, 0, 0, 0, 0), req(OpCollapse, 16, 16, 20, 40, 0)))
+	f.Add(cat(ragged, req(OpCollapse, 32, 32, 0, 0, 0), req(OpCollapse, 8, 0, 3, 9, 0)))
+	f.Add(cat(ragged, req(OpCollapse, 16, 0, 0, 0, 0), req(OpCollapse, 8, 8, 0, 32, 0)))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		b := fuzzBytes(in)

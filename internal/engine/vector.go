@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/prob"
 )
@@ -197,17 +198,34 @@ func (v *Vector) ReduceVec(m int, body func(part int, offset uint64, data []floa
 
 // ShrinkGather shrinks the vector in place to n elements (n <= Len) and
 // re-partitions it into parts partitions (<= 0 selects the engine
-// default). body receives dst — the vector's first n elements after the
-// call — and src, the full previous contents. The two alias the same
-// backing array, so body must only assign dst[i] from src positions >= i
-// (a forward monotone gather, like a bit-splice collapse); it runs
-// single-threaded because the aliasing makes partition-parallel writes
-// racy. This is the zero-allocation substrate of in-place conditioning.
-func (v *Vector) ShrinkGather(n uint64, parts int, body func(dst, src []float64)) {
+// default). Element j becomes element src(j), where src(j)-j >= 0 never
+// decreases (a forward gather like a bit-splice collapse, which drops ever
+// more elements below its source); gather(data, lo, hi) assigns data[j] =
+// data[src(j)] for j in [lo, hi) over the old contents. Past the in-place
+// prefix (src(j) == j) it runs in ascending waves [a, src(a)), each
+// writing only below what it reads, so a wave's chunks may run at once:
+// from serialBelow elements on the pool, shorter waves back to back on the
+// caller. No buffer is allocated.
+func (v *Vector) ShrinkGather(n uint64, parts int, src func(j uint64) uint64, gather func(data []float64, lo, hi uint64)) {
 	if n > v.n {
 		panic(fmt.Sprintf("engine: ShrinkGather to %d exceeds length %d", n, v.n))
 	}
-	body(v.backing[:n], v.backing[:v.n])
+	data := v.backing[:v.n]
+	wave := func(a uint64) uint64 { return min(src(a), n) } // the end of the wave from a
+	a := uint64(sort.Search(int(n), func(j int) bool { return src(uint64(j)) > uint64(j) }))
+	for a < n {
+		b := a
+		for b < n && wave(b)-b < serialBelow {
+			b = wave(b)
+		}
+		if b > a {
+			gather(data, a, b)
+		} else {
+			b = wave(a)
+			v.pool.For(int(b-a), 0, func(lo, hi int) { gather(data, a+uint64(lo), a+uint64(hi)) })
+		}
+		a = b
+	}
 	v.n = n
 	v.partition(parts)
 }

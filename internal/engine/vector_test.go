@@ -193,9 +193,9 @@ func TestShrinkGather(t *testing.T) {
 	v := NewVector(p, 16, 4)
 	setEach(v, func(i uint64) float64 { return float64(i) })
 	// Forward monotone gather: keep the even positions.
-	v.ShrinkGather(8, 2, func(dst, src []float64) {
-		for i := range dst {
-			dst[i] = src[2*i]
+	v.ShrinkGather(8, 2, func(j uint64) uint64 { return 2 * j }, func(data []float64, lo, hi uint64) {
+		for i := lo; i < hi; i++ {
+			data[i] = data[2*i]
 		}
 	})
 	if v.Len() != 8 || v.Parts() != 2 {
@@ -212,7 +212,7 @@ func TestShrinkGather(t *testing.T) {
 				t.Fatal("growing ShrinkGather did not panic")
 			}
 		}()
-		v.ShrinkGather(9, 0, func(dst, src []float64) {})
+		v.ShrinkGather(9, 0, nil, nil)
 	}()
 }
 

@@ -164,16 +164,19 @@ func BenchmarkFusionTwoPass(b *testing.B) {
 
 // BenchmarkStageKernels times every full-lattice pass a session stage
 // makes, plus the prior build and conditioning on the lowest, middle and
-// top bit — the bare gather (collapse_*) and ConditionInPlace whole,
-// preflight included (condition_*) — as ns/state at the benchmark's three
-// cohort sizes. update_marginals is the pair the session issues (the
-// Marginals call reads what the update held; marginals alone is the sweep),
-// update_eager the oracle's multiply pass plus Scale pass, sum the
-// per-state compensated chain (Vector.Sum) the block folds took out of the
-// update. prefix_scan also runs at N=18, whose 2^15-state partitions are
-// the first the row histogram takes: N=16 times the per-state loop below
-// the rule, N=18 and 22 the rows above it. scripts/ci.sh runs it at
-// -benchtime 1x so it cannot rot.
+// top bit — the serial kernel alone (collapse_*), the kernel in
+// ShrinkGather's waves as ConditionInPlace runs it (gather_*; the top arms
+// of both keep the positive half, as a negative one is a truncation), and
+// ConditionInPlace whole, preflight included (condition_*) — as ns/state
+// at the benchmark's three cohort sizes. update_marginals is the pair the
+// session issues (the Marginals call reads what the update held; marginals
+// alone is the sweep), update_eager the oracle's multiply pass plus Scale
+// pass, sum the per-state compensated chain (Vector.Sum) the block folds
+// took out of the update. prefix_scan also runs at N=18, whose 2^15-state
+// partitions are the first the row histogram takes: N=16 times the
+// per-state loop below the rule, N=18 and 22 the rows above it.
+// scripts/ci.sh runs it at -benchtime 1x so it cannot rot, and the
+// gather_* arms again at -cpu 1,2.
 func BenchmarkStageKernels(b *testing.B) {
 	for _, n := range []int{12, 16, 18, 22} {
 		m := benchLattice(b, n, flatResp)
@@ -217,7 +220,10 @@ func BenchmarkStageKernels(b *testing.B) {
 			}},
 			{name: "collapse_low", run: func() { CollapseBit(0, scratch, 1, 0) }},
 			{name: "collapse_mid", run: func() { CollapseBit(0, scratch, 1<<uint(n/2), 0) }},
-			{name: "collapse_top", run: func() { CollapseBit(0, scratch, 1<<uint(n-1), 0) }},
+			{name: "collapse_top", run: func() { CollapseBit(0, scratch, 1<<uint(n-1), 1<<uint(n-1)) }},
+			{name: "gather_low", run: func() { collapseVector(victim.post, 1, 0) }, setup: func() { victim = cloneModel(m) }},
+			{name: "gather_mid", run: func() { collapseVector(victim.post, 1<<uint(n/2), 0) }, setup: func() { victim = cloneModel(m) }},
+			{name: "gather_top", run: func() { collapseVector(victim.post, 1<<uint(n-1), 1<<uint(n-1)) }, setup: func() { victim = cloneModel(m) }},
 			{name: "condition_low", run: condition(0), setup: func() { victim = cloneModel(m) }},
 			{name: "condition_mid", run: condition(n / 2), setup: func() { victim = cloneModel(m) }},
 			{name: "condition_top", run: condition(n - 1), setup: func() { victim = cloneModel(m) }},
@@ -240,6 +246,29 @@ func BenchmarkStageKernels(b *testing.B) {
 					k.run()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.States()), "ns/state")
+			})
+		}
+	}
+}
+
+// BenchmarkCollapseCopyWidth times both forms of the collapse gather, the
+// per-state loop and the stretch copy, on every bit from 1 to 256 of an
+// N=20 run, in ns/state: collapseCopyBit is the narrowest bit at which the
+// copy wins. The positive half is kept, so no survivor is in place.
+func BenchmarkCollapseCopyWidth(b *testing.B) {
+	const n = 20
+	data := make([]float64, 1<<n)
+	for k := 0; k <= 8; k++ {
+		bit := uint64(1) << uint(k)
+		for _, form := range []struct {
+			name string
+			run  func(offset uint64, data []float64, bit, base, lo, hi uint64)
+		}{{"states", collapseStates}, {"stretches", collapseStretches}} {
+			b.Run(fmt.Sprintf("bit=%d/%s", bit, form.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					form.run(0, data, bit, bit, 0, 1<<(n-1))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(1<<(n-1)), "ns/state")
 			})
 		}
 	}

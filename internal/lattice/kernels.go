@@ -485,17 +485,54 @@ func KeptBelow(x, bit, base uint64) uint64 {
 // a contiguous range, so a shard never hands a state to another owner —
 // and survivor j is read from at or above slot j (no more states are
 // dropped below the run than below any state in it), so the gather runs
-// forward over its own storage. It returns the new range's start and
-// length. bit must be a power of two and base 0 or bit.
+// forward over its own storage. Survivors that read their own slot (for
+// base 0, those below bit) are not touched: a negative collapse of a top
+// bit is a truncation. It returns the new range's start and length. bit
+// must be a power of two and base 0 or bit.
 func CollapseBit(offset uint64, data []float64, bit, base uint64) (newOffset uint64, kept int) {
 	newOffset = KeptBelow(offset, bit, base)
 	kept = int(KeptBelow(offset+uint64(len(data)), bit, base) - newOffset)
-	low := bit - 1
-	for j := range data[:kept] {
-		sp := newOffset + uint64(j)
-		data[j] = data[(sp&low|sp&^low<<1|base)-offset]
+	var from uint64
+	if base == 0 && offset < bit {
+		from = min(uint64(kept), bit-offset)
 	}
+	collapseRange(offset, data, bit, base, from, uint64(kept))
 	return newOffset, kept
+}
+
+// collapseSource is the state survivor j of the halved lattice is read from.
+func collapseSource(j, bit, base uint64) uint64 { return j&(bit-1) | j&^(bit-1)<<1 | base }
+
+// collapseCopyBit is the narrowest bit whose bit-long stretches of survivors
+// (each one contiguous source run) move faster with one copy than with the
+// per-state loop (BenchmarkCollapseCopyWidth).
+const collapseCopyBit = 8
+
+// collapseRange is CollapseBit's gather of survivors [lo, hi) only, counted
+// from the run's first survivor: one chunk of an engine.Vector.ShrinkGather wave.
+func collapseRange(offset uint64, data []float64, bit, base, lo, hi uint64) {
+	if bit < collapseCopyBit {
+		collapseStates(offset, data, bit, base, lo, hi)
+	} else {
+		collapseStretches(offset, data, bit, base, lo, hi)
+	}
+}
+
+func collapseStates(offset uint64, data []float64, bit, base, lo, hi uint64) {
+	first := KeptBelow(offset, bit, base)
+	for j := lo; j < hi; j++ {
+		data[j] = data[collapseSource(first+j, bit, base)-offset]
+	}
+}
+
+func collapseStretches(offset uint64, data []float64, bit, base, lo, hi uint64) {
+	first := KeptBelow(offset, bit, base)
+	for j := lo; j < hi; {
+		sp := first + j
+		end := min(hi, j+bit-sp&(bit-1)) // the end of sp's stretch
+		copy(data[j:end], data[collapseSource(sp, bit, base)-offset:])
+		j = end
+	}
 }
 
 // EventMayBeEmpty reports whether an event must be summed (SumWhere) before

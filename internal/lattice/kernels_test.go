@@ -428,6 +428,11 @@ func TestCollapseBitMatchesOracle(t *testing.T) {
 			lo, hi = 0, uint64(len(full)) // the dense model's call
 		}
 		bit := uint64(1) << uint(trial%n)
+		if trial%8 == 4 { // the copy path over several stretches, ragged at both ends
+			bit = collapseCopyBit << uint(trial/8%2)
+			lo = 3*bit + 5
+			hi = lo + 4*bit + 3
+		}
 		base := bit * uint64(trial/n%2)
 		low := bit - 1
 		want := map[uint64]float64{} // collapsed index → mass
@@ -446,6 +451,44 @@ func TestCollapseBitMatchesOracle(t *testing.T) {
 			if w, ok := want[off+uint64(j)]; !ok || got != w {
 				t.Fatalf("[%d,%d) bit %#x base %#x: state %d = %v, oracle %v (present %v)",
 					lo, hi, bit, base, off+uint64(j), got, w, ok)
+			}
+		}
+	}
+}
+
+// TestWaveGatherMatchesCollapseBit: ConditionInPlace's gather
+// (collapseVector, collapseRange chunks in ShrinkGather's waves) must leave
+// exactly what one serial CollapseBit of the same input leaves, for every
+// bit and both bases, at sizes whose waves reach serialBelow and fan out
+// over the pool.
+func TestWaveGatherMatchesCollapseBit(t *testing.T) {
+	pool := engine.NewPool(4)
+	defer pool.Close()
+	for _, n := range []int{17, 18, 20} {
+		want := make([]float64, 1<<n)
+		for k := 0; k < n; k++ {
+			bit := uint64(1) << uint(k)
+			for _, base := range []uint64{0, bit} {
+				v := engine.NewVector(pool, 1<<n, 0)
+				v.ForPartitions(func(_ int, offset uint64, data []float64) {
+					for j := range data {
+						data[j] = float64(offset+uint64(j)) + 0.5
+					}
+				})
+				for j := range want {
+					want[j] = float64(j) + 0.5
+				}
+				_, kept := CollapseBit(0, want, bit, base)
+				collapseVector(v, bit, base)
+				got := v.Slice()
+				if len(got) != kept {
+					t.Fatalf("N=%d bit %#x base %#x: %d states, want %d", n, bit, base, len(got), kept)
+				}
+				for j, x := range got {
+					if x != want[j] {
+						t.Fatalf("N=%d bit %#x base %#x: state %d = %v, serial %v", n, bit, base, j, x, want[j])
+					}
+				}
 			}
 		}
 	}

@@ -123,6 +123,13 @@ func (m *Model) settle() *engine.Vector {
 	return m.post
 }
 
+// collapseVector is CollapseBit over the whole vector, gathered in
+// ShrinkGather's waves: ConditionInPlace's collapse.
+func collapseVector(v *engine.Vector, bit, base uint64) {
+	v.ShrinkGather(v.Len()/2, v.Parts(), func(j uint64) uint64 { return collapseSource(j, bit, base) },
+		func(data []float64, lo, hi uint64) { collapseRange(0, data, bit, base, lo, hi) })
+}
+
 // validate checks cfg and returns its product prior's base and odds.
 func validate(cfg Config) (base float64, odds []float64, err error) {
 	n := len(cfg.Risks)

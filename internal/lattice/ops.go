@@ -159,8 +159,8 @@ func (m *Model) Mass() float64 { return m.settle().Sum() }
 // Conditioning renormalizes, so the caller should have classified the
 // subject at high posterior confidence first. The collapse happens inside
 // the receiver's own backing array, with no allocation, and the receiver
-// is returned. As in Update, the gather (CollapseBit over the whole
-// lattice, the kernel the cluster executors run on their shards) leaves
+// is returned. As in Update, the gather (CollapseBit's kernel in parallel
+// waves over the whole lattice; the executors run it on their shards) leaves
 // the survivors unscaled, and one pass of AddMarginals partials gives
 // their total, whose reciprocal is the new scale, and the marginals, held
 // for the Marginals call that follows.
@@ -184,9 +184,7 @@ func (m *Model) ConditionInPlace(subject int, positive bool) *Model {
 	})) {
 		return nil
 	}
-	m.post.ShrinkGather(uint64(1)<<uint(m.n-1), m.post.Parts(), func(_, src []float64) {
-		CollapseBit(0, src, bit, base)
-	})
+	collapseVector(m.post, bit, base)
 	m.risks = append(m.risks[:subject], m.risks[subject+1:]...)
 	m.n--
 	m.hold(AddMarginals)

@@ -77,9 +77,7 @@ func conditionEager(m *Model, subject int, positive bool) *Model {
 	if !(mass > 0) || m.n <= 1 {
 		return nil
 	}
-	post.ShrinkGather(uint64(1)<<uint(m.n-1), post.Parts(), func(_, src []float64) {
-		CollapseBit(0, src, bit, base)
-	})
+	collapseVector(post, bit, base)
 	normalize(post)
 	m.risks = append(m.risks[:subject], m.risks[subject+1:]...)
 	m.n, m.prior, m.marg = m.n-1, false, nil

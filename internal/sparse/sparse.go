@@ -9,12 +9,19 @@
 // counterpart to SBGT's brute-force scaling, and the path to cohorts of
 // 40–64 subjects on one machine.
 //
-// Guarantees: after every operation, Pruned() bounds the total variation
-// between the truncated posterior and the exact one *for the same
-// observation sequence*, because pruning only ever discards mass
-// (renormalization spreads the discard proportionally). Tests
-// cross-validate against the dense engine at eps=0 (exact agreement) and
-// verify the bound at coarse eps.
+// Guarantee: Pruned() bounds the total variation between the truncated
+// posterior and the exact one *for the same observation sequence*. The
+// retained states' masses are exact up to one common scale, so that
+// distance is d/(K+d), with K the kept and d the discarded states' mass in
+// the same units. The model carries an upper bound D on d as the ratio
+// D/K: each outcome multiplies it by the assay's largest likelihood (no
+// discarded state can grow faster than that) before adding what the
+// outcome's own pruning drops, and a conditioning divides it by the kept
+// event's probability (all of d may lie in that event). A discarded state
+// never comes back, so later evidence can make the bound approach 1 — the
+// sign that the support no longer holds the truth. Tests cross-validate
+// against the dense engine at eps=0 (exact agreement) and check the bound
+// against dense at coarse eps.
 package sparse
 
 import (
@@ -42,7 +49,7 @@ type Model struct {
 	states []uint64  // retained state masks, ascending
 	mass   []float64 // aligned with states; sums to 1
 	eps    float64   // relative truncation threshold
-	pruned float64   // cumulative discarded mass (pre-renormalization units)
+	ratio  float64   // bound on the discarded states' mass over the kept mass
 	tests  int
 }
 
@@ -147,10 +154,7 @@ func New(cfg Config) (*Model, error) {
 	}
 	sort.Sort(byState{m.states, m.mass})
 	total := prob.Sum(m.mass)
-	m.pruned = 1 - total // the prior sums to 1 analytically
-	if m.pruned < 0 {
-		m.pruned = 0
-	}
+	m.ratio = max(0, 1-total) / total // the prior sums to 1 analytically
 	inv := 1 / total
 	for i := range m.mass {
 		m.mass[i] *= inv
@@ -177,10 +181,15 @@ func (m *Model) N() int { return m.n }
 // Support returns the number of retained states.
 func (m *Model) Support() int { return len(m.states) }
 
-// Pruned returns the cumulative discarded mass: an upper bound on the
-// total-variation error of every probability this model reports, relative
-// to exact inference on the same observations.
-func (m *Model) Pruned() float64 { return m.pruned }
+// Pruned returns an upper bound, in [0, 1], on the total-variation error of
+// every probability this model reports, relative to exact inference on the
+// same observations: the bounded discarded mass over the whole, D/(K+D).
+func (m *Model) Pruned() float64 {
+	if math.IsInf(m.ratio, 1) {
+		return 1
+	}
+	return m.ratio / (1 + m.ratio)
+}
 
 // Tests returns how many outcomes have been absorbed.
 func (m *Model) Tests() int { return m.tests }
@@ -230,7 +239,10 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 		lik[k] = l
 	}
 	pm := uint64(pool)
-	maxMass := 0.0
+	maxMass, maxLik := 0.0, 0.0
+	for _, l := range lik {
+		maxLik = max(maxLik, l)
+	}
 	var acc prob.Accumulator
 	for i, s := range m.states {
 		w := m.mass[i] * lik[bits.OnesCount64(s&pm)]
@@ -244,14 +256,16 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	if !(total > 0) || math.IsInf(total, 0) {
 		return fmt.Errorf("sparse: outcome %v on pool %v has zero total likelihood", y, pool)
 	}
-	m.prune(maxMass, total)
+	m.prune(maxMass, total, m.ratio*maxLik)
 	m.tests++
 	return nil
 }
 
-// prune drops states below eps·maxMass and renormalizes, accounting the
-// discarded fraction into the cumulative bound.
-func (m *Model) prune(maxMass, total float64) {
+// prune drops states below eps·maxMass and renormalizes. discarded bounds
+// the mass of the states dropped before, in the units of total (the
+// retained mass before this pruning); with what this pruning drops, over
+// what it keeps, it becomes the carried ratio.
+func (m *Model) prune(maxMass, total, discarded float64) {
 	thresh := m.eps * maxMass
 	keepStates := m.states[:0]
 	keepMass := m.mass[:0]
@@ -266,8 +280,8 @@ func (m *Model) prune(maxMass, total float64) {
 	}
 	m.states = keepStates
 	m.mass = keepMass
-	m.pruned += dropped.Value() / total
 	kept := total - dropped.Value()
+	m.ratio = (discarded + dropped.Value()) / kept
 	inv := 1 / kept
 	for i := range m.mass {
 		m.mass[i] *= inv
@@ -432,9 +446,10 @@ func (m *Model) CredibleSet(level float64) ([]bitvec.Mask, float64) {
 // dropped, the subject's bit is spliced out, and the survivors are
 // renormalized. The receiver is unchanged. It returns nil when the event
 // has zero retained mass, the subject index is invalid, or only one
-// subject remains (conditioning would empty the support). The cumulative
-// Pruned() bound carries over: truncation errors made before conditioning
-// still bound the conditional posterior for the same observations.
+// subject remains (conditioning would empty the support). The bound carries
+// over divided by the kept event's probability: every discarded state may
+// lie in the event, and the event's share of the kept mass is all that
+// renormalization scales up.
 func (m *Model) Condition(subject int, positive bool) *Model {
 	if subject < 0 || subject >= m.n || m.n <= 1 {
 		return nil
@@ -442,12 +457,11 @@ func (m *Model) Condition(subject int, positive bool) *Model {
 	bit := uint64(1) << uint(subject)
 	low := bit - 1
 	out := &Model{
-		n:      m.n - 1,
-		risks:  make([]float64, 0, m.n-1),
-		resp:   m.resp,
-		eps:    m.eps,
-		pruned: m.pruned,
-		tests:  m.tests,
+		n:     m.n - 1,
+		risks: make([]float64, 0, m.n-1),
+		resp:  m.resp,
+		eps:   m.eps,
+		tests: m.tests,
 	}
 	out.risks = append(out.risks, m.risks[:subject]...)
 	out.risks = append(out.risks, m.risks[subject+1:]...)
@@ -466,6 +480,7 @@ func (m *Model) Condition(subject int, positive bool) *Model {
 	if !(total > 0) {
 		return nil
 	}
+	out.ratio = m.ratio / total
 	inv := 1 / total
 	for i := range out.mass {
 		out.mass[i] *= inv
@@ -476,7 +491,7 @@ func (m *Model) Condition(subject int, positive bool) *Model {
 // Restore rebuilds a model from a previously captured support — the
 // checkpointing hook for sparse-backed sessions. states must be strictly
 // ascending masks within the cohort; mass is renormalized on load, and the
-// cumulative pruned bound and test counter are taken from the checkpoint.
+// Pruned() bound and test counter are taken from the checkpoint.
 func Restore(cfg Config, states []uint64, mass []float64, pruned float64, tests int) (*Model, error) {
 	n := len(cfg.Risks)
 	if n == 0 || n > MaxSubjects {
@@ -531,7 +546,7 @@ func Restore(cfg Config, states []uint64, mass []float64, pruned float64, tests 
 		states: append([]uint64(nil), states...),
 		mass:   append([]float64(nil), mass...),
 		eps:    cfg.Eps,
-		pruned: pruned,
+		ratio:  pruned / (1 - pruned), // +Inf at 1, which Pruned reports as 1
 		tests:  tests,
 	}
 	inv := 1 / total

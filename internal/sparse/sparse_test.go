@@ -91,7 +91,7 @@ func TestExactWhenEpsZero(t *testing.T) {
 
 func TestPrunedBoundsMarginalError(t *testing.T) {
 	// Coarse truncation: marginal error must stay within the reported
-	// pruned-mass bound (generous multiple for renormalization effects).
+	// pruned-mass bound.
 	pool := engine.NewPool(2)
 	defer pool.Close()
 	risks := uniform(10, 0.06)
@@ -129,10 +129,60 @@ func TestPrunedBoundsMarginalError(t *testing.T) {
 	}
 	dm, sm := dense.Marginals(), sp.Marginals()
 	for i := range dm {
-		if diff := math.Abs(dm[i] - sm[i]); diff > 10*bound+1e-12 {
+		if diff := math.Abs(dm[i] - sm[i]); diff > bound+1e-12 {
 			t.Fatalf("marginal[%d] error %v exceeds bound %v", i, diff, bound)
 		}
 	}
+}
+
+// probeSingles tests each subject of tested alone three times, all
+// positive, under Binary{0.95, 0.99}, and checks every marginal against the
+// exact one within Pruned(). Single-subject tests keep the posterior a
+// product, so the exact marginal of a tested subject of risk p is
+// p·0.95³ / (p·0.95³ + (1−p)·0.01³), and an untested one keeps its risk.
+func probeSingles(t *testing.T, risks []float64, eps float64, tested []int) {
+	t.Helper()
+	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
+	sp, err := New(Config{Risks: risks, Response: resp, Eps: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := append([]float64(nil), risks...)
+	for _, i := range tested {
+		for range 3 {
+			if err := sp.Update(bitvec.FromIndices(i), dilution.Positive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pos, neg := risks[i]*math.Pow(0.95, 3), (1-risks[i])*math.Pow(0.01, 3)
+		exact[i] = pos / (pos + neg)
+	}
+	bound := sp.Pruned()
+	if !(bound >= 0 && bound <= 1) {
+		t.Fatalf("Pruned() = %v outside [0, 1]", bound)
+	}
+	for i, m := range sp.Marginals() {
+		if diff := math.Abs(m - exact[i]); diff > bound+1e-12 {
+			t.Fatalf("marginal[%d] = %v, exact %v: error %v exceeds Pruned() %v", i, m, exact[i], diff, bound)
+		}
+	}
+}
+
+// TestPrunedBoundsDroppedTruth: a subject whose prior positive states all
+// fall under eps is then confirmed positive three times. The support never
+// held the truth, so the sparse marginal stays near 0 while the exact one
+// is 0.9988; Pruned() must grow with the evidence to cover that error.
+func TestPrunedBoundsDroppedTruth(t *testing.T) {
+	risks := uniform(16, 0.02)
+	risks[5] = 0.001
+	probeSingles(t, risks, 0.01, []int{5})
+}
+
+// TestPrunedBoundsShippedEps: at the shipped eps 1e-9 the N=40 prior
+// support holds no state with all seven later-confirmed positives, so
+// their sparse marginals fall short of the exact 0.99994.
+func TestPrunedBoundsShippedEps(t *testing.T) {
+	probeSingles(t, uniform(40, 0.02), 1e-9, []int{0, 1, 2, 3, 4, 5, 6})
 }
 
 func TestLargeCohortBeyondDenseLimit(t *testing.T) {
