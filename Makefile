@@ -28,7 +28,7 @@ race:
 	$(GO) test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs ./internal/serve
 
 # Short fuzz smoke over the numeric-kernel, lint-input and trust-boundary
-# (executor wire, HTTP API) invariants.
+# (executor dispatch and wire frame, HTTP API) invariants.
 fuzz:
 	$(GO) test ./internal/prob -run FuzzLogSumExp -fuzz FuzzLogSumExp -fuzztime 10s
 	$(GO) test ./internal/bitvec -run FuzzBitVecRoundTrip -fuzz FuzzBitVecRoundTrip -fuzztime 10s
@@ -36,18 +36,19 @@ fuzz:
 	$(GO) test ./internal/analysis -run xxx -fuzz FuzzAllowParser -fuzztime 10s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSessionCheckpointLoad -fuzztime 10s
 	$(GO) test ./internal/cluster -run xxx -fuzz FuzzExecutorDispatch -fuzztime 10s
+	$(GO) test ./internal/cluster -run xxx -fuzz FuzzFrame -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzServerAPI -fuzztime 10s
 
 # One iteration of the stage-kernel, kernel-ablation, conditioning,
-# collapse copy-width, serial-crossover, cluster-conditioning, look-ahead
-# and span-record benchmarks, so they cannot rot. The wave-gather arms run
+# collapse copy-width, serial-crossover, cluster-conditioning, cluster-round,
+# look-ahead and span-record benchmarks, so they cannot rot. The wave-gather arms run
 # again at -cpu 1,2: one worker takes every wave inline, two fan the long
 # ones out.
 bench-smoke:
 	$(GO) test ./internal/lattice -run '^$$' -bench 'BenchmarkStageKernels|BenchmarkNegMassesTiling|BenchmarkFusion|BenchmarkConditionInPlace|BenchmarkCollapseCopyWidth' -benchtime 1x
 	$(GO) test ./internal/lattice -run '^$$' -bench 'BenchmarkStageKernels/gather_' -benchtime 1x -cpu 1,2
 	$(GO) test ./internal/engine -run '^$$' -bench BenchmarkSerialCrossover -benchtime 1x -cpu 1,2
-	$(GO) test ./internal/cluster -run '^$$' -bench BenchmarkClusterCondition -benchtime 1x
+	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkClusterCondition|BenchmarkClusterRound' -benchtime 1x -benchmem
 	$(GO) test ./internal/halving -run '^$$' -bench BenchmarkLookahead -benchtime 1x
 	$(GO) test ./internal/obs -run '^$$' -bench BenchmarkSpan -benchtime 1x
 

@@ -9,7 +9,10 @@
 //
 // Start one process per node (or per NUMA domain), then hand the list of
 // addresses to the driver. The executor is stateless between drivers: a
-// new driver connection rebuilds the shard with BuildPrior.
+// new driver connection starts with no shard and builds one with
+// BuildPrior (the executor keeps only the storage, for the next shard).
+// Drivers and sbgt-exec must be upgraded together: each refuses a peer of
+// another wire-frame version on its first frame.
 //
 // With -metrics-addr the executor also serves its own /metrics (the
 // worker-pool series), /healthz, /readyz, /spans, /debug/flight, and

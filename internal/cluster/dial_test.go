@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"encoding/gob"
 	"net"
 	"strings"
 	"testing"
@@ -41,17 +40,16 @@ func faultyExecutor(t *testing.T) string {
 			return
 		}
 		defer c.Close()
-		dec, enc := gob.NewDecoder(c), gob.NewEncoder(c)
 		for {
-			var req cluster.Request
-			if err := dec.Decode(&req); err != nil {
+			req, err := cluster.ReadRequest(c)
+			if err != nil {
 				return
 			}
 			resp := cluster.Response{Op: req.Op, Sum: 1}
 			if req.Op != cluster.OpBuildPrior {
 				resp = cluster.Response{Op: req.Op, Err: "injected fault"}
 			}
-			if err := enc.Encode(resp); err != nil {
+			if err := cluster.WriteResponse(c, resp); err != nil {
 				return
 			}
 		}

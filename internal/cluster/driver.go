@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"bufio"
 	"cmp"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"slices"
@@ -21,12 +22,14 @@ import (
 // conn is one executor connection with its shard assignment. rank is the
 // executor's stable index in the fan-out — the bounded-cardinality label
 // dial and RPC metrics use instead of the (ephemeral) host:port string.
+// wbuf and rbuf are the frame buffers its rounds reuse.
 type conn struct {
 	addr   string
 	rank   int
 	nc     net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	r      *bufio.Reader
+	wbuf   []byte
+	rbuf   []byte
 	lo, hi uint64
 	met    *clusterMetrics // nil when the model is uninstrumented
 	// rpcTimeout bounds each call's send+receive round; <= 0 leaves the
@@ -49,11 +52,11 @@ func (c *conn) call(req Request) (Response, error) {
 		// trip a stale deadline on the next call's write.
 		defer c.nc.SetDeadline(time.Time{})
 	}
-	if err := c.enc.Encode(req); err != nil {
+	if err := writeRequest(c.nc, &c.wbuf, &req); err != nil {
 		return Response{}, fmt.Errorf("cluster: send %s to %s: %w", req.Op, c.addr, err)
 	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := readResponse(c.r, &c.rbuf, &resp); err != nil {
 		return Response{}, fmt.Errorf("cluster: recv %s from %s: %w", req.Op, c.addr, err)
 	}
 	if resp.Err != "" {
@@ -125,13 +128,7 @@ func (m *Model) call(c *conn, req Request) (Response, error) {
 	resp, err := c.call(req)
 	if span != nil {
 		span.Fail(err)
-		if len(resp.Spans) > 0 {
-			recs := make([]obs.SpanRecord, len(resp.Spans))
-			for i, ws := range resp.Spans {
-				recs[i] = ws.Record()
-			}
-			m.tracer.Absorb(recs...)
-		}
+		m.tracer.Absorb(resp.Spans...)
 		span.End()
 	}
 	return resp, err
@@ -183,9 +180,13 @@ func dialOne(addr string, rank int, lo, hi uint64, risks []float64, timeout, rpc
 			return nil, fmt.Errorf("set deadline: %w", err)
 		}
 	}
-	c := &conn{addr: addr, rank: rank, nc: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc), lo: lo, hi: hi, met: met}
+	c := &conn{addr: addr, rank: rank, nc: nc, r: bufio.NewReader(nc), lo: lo, hi: hi, met: met}
 	if _, err := c.call(Request{Op: OpBuildPrior, Risks: risks, Lo: lo, Hi: hi}); err != nil {
 		nc.Close() //lint:allow errcheck teardown of a connection we are abandoning
+		if errors.Is(err, io.EOF) {
+			// An executor that cannot read this frame hangs up on it.
+			err = fmt.Errorf("%w (the executor hung up on its first frame: %s)", err, upgradeTogether)
+		}
 		return nil, err
 	}
 	if timeout > 0 {

@@ -1,12 +1,13 @@
 package cluster
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"io"
 	"log/slog"
 	"math/bits"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -17,17 +18,22 @@ import (
 
 // Executor serves lattice-shard kernels to one driver connection at a
 // time. It owns a contiguous state range [lo, hi) and evaluates kernels
-// over it with a local engine pool.
+// over it with a local engine pool. It keeps the largest shard array it
+// has needed until Close: every shard, built or re-based, is a prefix of
+// it, so only a shard larger than any before allocates.
 type Executor struct {
 	pool   *engine.Pool
 	log    *slog.Logger
 	tracer *obs.Tracer   // always non-nil; records traced dispatches
 	idle   time.Duration // per-round read/write bound; 0 disables
 
-	// Shard state, valid after OpBuildPrior.
+	// Shard state: data is nil until this connection's OpBuildPrior, then a
+	// prefix of buf. mu orders a dispatch against Close's release of buf.
+	mu   sync.Mutex
 	n    int
 	lo   uint64
 	data []float64
+	buf  []float64
 }
 
 // NewExecutor returns an executor whose kernels run on workers local
@@ -66,8 +72,13 @@ func (e *Executor) SetIdleTimeout(d time.Duration) {
 	e.idle = d
 }
 
-// Close releases the local worker pool.
-func (e *Executor) Close() { e.pool.Close() }
+// Close releases the local worker pool and the kept shard storage.
+func (e *Executor) Close() {
+	e.pool.Close()
+	e.mu.Lock()
+	e.data, e.buf = nil, nil
+	e.mu.Unlock()
+}
 
 // Serve accepts driver connections on l until l is closed. Each connection
 // is handled serially — the protocol has a single driver — and a dropped
@@ -88,10 +99,14 @@ func (e *Executor) Serve(l net.Listener) error {
 }
 
 // handle runs one connection's request loop until the driver hangs up or
-// the connection fails.
+// the connection fails (a frame this build cannot read included). It
+// starts with no shard and reuses one read and one write buffer.
 func (e *Executor) handle(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	e.mu.Lock()
+	e.data = nil
+	e.mu.Unlock()
+	r := bufio.NewReader(conn)
+	var rbuf, wbuf []byte
 	for {
 		if e.idle > 0 {
 			// Bound the wait for the next request: a silent or half-open
@@ -102,9 +117,9 @@ func (e *Executor) handle(conn net.Conn) {
 			}
 		}
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := readRequest(r, &rbuf, &req); err != nil {
 			if !errors.Is(err, io.EOF) {
-				e.log.Warn("cluster executor: decode", "err", err)
+				e.log.Warn("cluster executor: read request", "err", err)
 			}
 			return
 		}
@@ -116,9 +131,11 @@ func (e *Executor) handle(conn net.Conn) {
 				return
 			}
 		}
+		e.mu.Lock()
 		resp := e.serve(req)
-		if err := enc.Encode(resp); err != nil {
-			e.log.Warn("cluster executor: encode", "err", err)
+		e.mu.Unlock()
+		if err := writeResponse(conn, &wbuf, &resp); err != nil {
+			e.log.Warn("cluster executor: send response", "err", err)
 			return
 		}
 	}
@@ -145,12 +162,12 @@ func (e *Executor) serve(req Request) Response {
 	resp := e.dispatch(req)
 	kernel.End()
 	span.End()
-	resp.Spans = make([]WireSpan, 0, 2)
+	resp.Spans = make([]obs.SpanRecord, 0, 2)
 	if rec, ok := span.Record(); ok {
-		resp.Spans = append(resp.Spans, wireFromRecord(rec))
+		resp.Spans = append(resp.Spans, rec)
 	}
 	if rec, ok := kernel.Record(); ok {
-		resp.Spans = append(resp.Spans, wireFromRecord(rec))
+		resp.Spans = append(resp.Spans, rec)
 	}
 	return resp
 }
@@ -236,13 +253,21 @@ func (e *Executor) buildPrior(req Request) Response {
 	if err != nil {
 		return errorf(req.Op, "%v", err)
 	}
-	e.n = n
-	e.lo = req.Lo
-	e.data = make([]float64, req.Hi-req.Lo)
+	// FillPrior writes every state, so reused storage needs no clearing.
+	e.n, e.lo, e.data = n, req.Lo, e.shard(req.Hi-req.Lo)
 	e.forRange(func(lo, hi int) {
 		lattice.FillPrior(e.lo+uint64(lo), e.data[lo:hi], base, odds)
 	})
 	return Response{Op: req.Op} // unnormalized; the driver has the total in closed form
+}
+
+// shard returns a prefix of the kept array for size states, non-nil even
+// when empty (nil means "no shard built"); only a larger size replaces it.
+func (e *Executor) shard(size uint64) []float64 {
+	if uint64(cap(e.buf)) < size || e.buf == nil {
+		e.buf = make([]float64, size)
+	}
+	return e.buf[:size]
 }
 
 // fetch returns the shard's states outside [Lo, Hi), in state order: the
@@ -266,9 +291,9 @@ func (e *Executor) fetch(req Request) Response {
 // loadShard re-bases the shard to [Lo, Hi) after a collapse left the
 // executors unevenly loaded: the states it already holds in that range
 // stay, and Data supplies the rest — those below the retained overlap,
-// then those above. Only states whose owner changed cross the wire. An
-// empty range is valid, so a lattice that has shrunk below the executor
-// count still keeps every connection assigned.
+// then those above, spliced in place. Only states whose owner changed
+// cross the wire. An empty range is valid, so a lattice that has shrunk
+// below the executor count still keeps every connection assigned.
 func (e *Executor) loadShard(req Request) Response {
 	if req.Lo > req.Hi || req.Hi > uint64(1)<<uint(e.n) {
 		return errorf(req.Op, "invalid shard range [%d,%d) of %d", req.Lo, req.Hi, uint64(1)<<uint(e.n))
@@ -284,11 +309,10 @@ func (e *Executor) loadShard(req Request) Response {
 	if i := lattice.FirstInvalid(req.Data); i >= 0 {
 		return errorf(req.Op, "invalid shard mass %v", req.Data[i])
 	}
-	// make (not append) so an empty shard is non-nil: nil means "no shard
-	// built" to dispatch, and an empty shard is a built shard.
-	data := make([]float64, req.Hi-req.Lo)
-	copy(data, req.Data[:head])
+	// keep may lie in the array shard returns: move it (a memmove) first.
+	data := e.shard(req.Hi - req.Lo)
 	copy(data[head:], keep)
+	copy(data, req.Data[:head])
 	copy(data[head+uint64(len(keep)):], req.Data[head:])
 	e.lo, e.data = req.Lo, data
 	return Response{Op: req.Op}

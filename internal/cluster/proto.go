@@ -7,8 +7,10 @@
 // local worker pool). The driver fans a request out to every executor,
 // waits for all partial results, and merges them in executor-rank order so
 // distributed reductions are as deterministic as local ones. The wire
-// format is encoding/gob over one persistent TCP connection per executor,
-// with exactly one request in flight per connection.
+// format is a fixed binary frame (frame.go) over one persistent TCP
+// connection per executor, with one request in flight per connection and
+// its buffers reused from round to round; a peer of another frame version
+// is refused at its first frame, so drivers and sbgt-exec upgrade together.
 //
 // The protocol is intentionally lattice-specific rather than a generic
 // serialized-closure RPC: shipping *named kernels + small parameter
@@ -19,7 +21,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -82,7 +83,7 @@ func (o Op) String() string {
 }
 
 // Request is one driver→executor message. Fields are op-specific; unused
-// fields stay zero and gob elides them.
+// fields stay zero and the frame leaves them out.
 type Request struct {
 	Op Op
 	// BuildPrior.
@@ -122,8 +123,7 @@ type Request struct {
 	// then the branch weight) or one min-rank histogram per branch, 2^t of
 	// them for t pools. BranchTables[j][k] is P(pool j reads positive | k
 	// of its specimens infected), popcount(BranchPools[j])+1 entries. Both
-	// empty is the plain read. They come last so that every other field
-	// keeps its gob field number, and a request without them its bytes.
+	// empty is the plain read, and leaves the frame's bytes as without them.
 	BranchPools  []uint64
 	BranchTables [][]float64
 }
@@ -137,60 +137,11 @@ type Response struct {
 	// Spans is the trace trailer: the executor-side spans completed while
 	// serving this request (dispatch + kernel), present only when the
 	// request carried a trace context. The driver absorbs them into its
-	// own tracer so the assembled trace holds both sides of the RPC.
-	Spans []WireSpan
+	// own tracer so the assembled trace holds both sides of the RPC. On the
+	// wire an attribute value is its string and a start its Unix
+	// nanoseconds (executor clock), so that is what the driver receives.
+	Spans []obs.SpanRecord
 	Data  []float64 // Collapse: the survivors outside [Lo, Hi), for the rebalance to move
-}
-
-// WireSpan is one finished span in wire form: a gob-friendly flattening
-// of obs.SpanRecord (attribute values become strings, timestamps become
-// Unix nanos) so the protocol stays free of interface-typed payloads.
-type WireSpan struct {
-	TraceID  uint64
-	ID       uint64
-	ParentID uint64
-	Name     string
-	StartNs  int64 // span start, Unix nanoseconds (executor clock)
-	DurNs    int64
-	Attrs    []WireAttr
-}
-
-// WireAttr is one span attribute with its value rendered as a string.
-type WireAttr struct {
-	Key   string
-	Value string
-}
-
-// wireFromRecord flattens a finished span record for the wire.
-func wireFromRecord(rec obs.SpanRecord) WireSpan {
-	w := WireSpan{
-		TraceID:  rec.TraceID,
-		ID:       rec.ID,
-		ParentID: rec.ParentID,
-		Name:     rec.Name,
-		StartNs:  rec.Start.UnixNano(),
-		DurNs:    int64(rec.Duration),
-	}
-	for _, a := range rec.Attrs {
-		w.Attrs = append(w.Attrs, WireAttr{Key: a.Key, Value: fmt.Sprint(a.Value)})
-	}
-	return w
-}
-
-// Record re-inflates a wire span into the tracer's record form.
-func (w WireSpan) Record() obs.SpanRecord {
-	rec := obs.SpanRecord{
-		TraceID:  w.TraceID,
-		ID:       w.ID,
-		ParentID: w.ParentID,
-		Name:     w.Name,
-		Start:    time.Unix(0, w.StartNs),
-		Duration: time.Duration(w.DurNs),
-	}
-	for _, a := range w.Attrs {
-		rec.Attrs = append(rec.Attrs, obs.Attr{Key: a.Key, Value: a.Value})
-	}
-	return rec
 }
 
 // errorf builds a failure response for the given op.

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"net"
 	"strings"
 	"testing"
@@ -35,20 +34,18 @@ func stallExecutor(t *testing.T) string {
 		if err := c.SetDeadline(time.Now().Add(time.Minute)); err != nil {
 			return
 		}
-		dec := gob.NewDecoder(c)
-		enc := gob.NewEncoder(c)
 		for {
-			var req Request
-			if err := dec.Decode(&req); err != nil {
+			req, err := ReadRequest(c)
+			if err != nil {
 				return
 			}
 			switch req.Op {
 			case OpBuildPrior:
-				if err := enc.Encode(Response{Op: req.Op, Sum: 1}); err != nil {
+				if err := WriteResponse(c, Response{Op: req.Op, Sum: 1}); err != nil {
 					return
 				}
 			case OpScale:
-				if err := enc.Encode(Response{Op: req.Op}); err != nil {
+				if err := WriteResponse(c, Response{Op: req.Op}); err != nil {
 					return
 				}
 			default:
@@ -146,13 +143,11 @@ func TestIdleTimeoutFreesServeLoop(t *testing.T) {
 	if err := healthy.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	enc := gob.NewEncoder(healthy)
-	dec := gob.NewDecoder(healthy)
-	if err := enc.Encode(Request{Op: OpPing}); err != nil {
+	if err := WriteRequest(healthy, Request{Op: OpPing}); err != nil {
 		t.Fatalf("send ping: %v", err)
 	}
-	var resp Response
-	if err := dec.Decode(&resp); err != nil {
+	resp, err := ReadResponse(healthy)
+	if err != nil {
 		t.Fatalf("the executor never served the healthy driver: %v", err)
 	}
 	if resp.Op != OpPing || resp.Err != "" {

@@ -186,7 +186,20 @@ func BenchmarkStageKernels(b *testing.B) {
 		}
 		pm := bitvec.Full(n / 2)
 		scratch := make([]float64, m.States()) // CollapseBit overwrites its input
-		var victim *Model                      // ConditionInPlace consumes its receiver
+		// The gather and condition arms consume victim, one clone made once;
+		// refill makes it m's copy again, full length over the same backing,
+		// so no arm times the collector or a fresh allocation's cold memory.
+		victim := cloneModel(m)
+		full, risks := *victim.post, victim.risks
+		refill := func() {
+			post := victim.post
+			*victim, *post = *m, full
+			victim.post, victim.risks = post, append(risks[:0], m.risks...)
+			post.ForPartitions(func(p int, _ uint64, data []float64) {
+				_, src := m.post.Partition(p)
+				copy(data, src)
+			})
+		}
 		condition := func(subject int) func() {
 			return func() {
 				if victim.ConditionInPlace(subject, false) == nil {
@@ -221,12 +234,12 @@ func BenchmarkStageKernels(b *testing.B) {
 			{name: "collapse_low", run: func() { CollapseBit(0, scratch, 1, 0) }},
 			{name: "collapse_mid", run: func() { CollapseBit(0, scratch, 1<<uint(n/2), 0) }},
 			{name: "collapse_top", run: func() { CollapseBit(0, scratch, 1<<uint(n-1), 1<<uint(n-1)) }},
-			{name: "gather_low", run: func() { collapseVector(victim.post, 1, 0) }, setup: func() { victim = cloneModel(m) }},
-			{name: "gather_mid", run: func() { collapseVector(victim.post, 1<<uint(n/2), 0) }, setup: func() { victim = cloneModel(m) }},
-			{name: "gather_top", run: func() { collapseVector(victim.post, 1<<uint(n-1), 1<<uint(n-1)) }, setup: func() { victim = cloneModel(m) }},
-			{name: "condition_low", run: condition(0), setup: func() { victim = cloneModel(m) }},
-			{name: "condition_mid", run: condition(n / 2), setup: func() { victim = cloneModel(m) }},
-			{name: "condition_top", run: condition(n - 1), setup: func() { victim = cloneModel(m) }},
+			{name: "gather_low", run: func() { collapseVector(victim.post, 1, 0) }, setup: refill},
+			{name: "gather_mid", run: func() { collapseVector(victim.post, 1<<uint(n/2), 0) }, setup: refill},
+			{name: "gather_top", run: func() { collapseVector(victim.post, 1<<uint(n-1), 1<<uint(n-1)) }, setup: refill},
+			{name: "condition_low", run: condition(0), setup: refill},
+			{name: "condition_mid", run: condition(n / 2), setup: refill},
+			{name: "condition_top", run: condition(n - 1), setup: refill},
 		}
 		for _, k := range kernels {
 			if n == 18 && k.name != "prefix_scan" {
