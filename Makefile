@@ -50,7 +50,8 @@ bench-smoke:
 	$(GO) test ./internal/engine -run '^$$' -bench BenchmarkSerialCrossover -benchtime 1x -cpu 1,2
 	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkClusterCondition|BenchmarkClusterRound' -benchtime 1x -benchmem
 	$(GO) test ./internal/halving -run '^$$' -bench BenchmarkLookahead -benchtime 1x
-	$(GO) test ./internal/obs -run '^$$' -bench BenchmarkSpan -benchtime 1x
+	$(GO) test ./internal/obs -run '^$$' -bench 'BenchmarkSpan|BenchmarkRegistryLookup' -benchtime 1x -benchmem
+	$(GO) test ./internal/posterior -run '^$$' -bench BenchmarkInstrumentedCondition -benchtime 1x -benchmem
 
 # Run every example program to completion (a few seconds in all): `go
 # build ./...` compiles them, only this executes them.

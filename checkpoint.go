@@ -16,7 +16,8 @@ func SaveSession(w io.Writer, s *Session) error {
 // LoadSession resumes a checkpointed session on the engine. strategy
 // supplies the selection policy for the resumed campaign (nil = the
 // default halving strategy); strategies are deliberately not serialized,
-// so an operator may change policy across a restart.
+// so an operator may change policy across a restart. The resumed session
+// is unobserved: it reports no session or posterior metrics.
 func (e *Engine) LoadSession(r io.Reader, strategy Strategy) (*Session, error) {
-	return core.LoadSession(r, e.pool, strategy)
+	return core.LoadSession(r, e.pool, strategy, nil)
 }

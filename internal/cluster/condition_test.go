@@ -32,7 +32,7 @@ func rpcCount(m *Model, op Op) (n uint64) {
 
 // allRPCs is how many RPCs of any op the driver has issued so far.
 func allRPCs(m *Model) (n uint64) {
-	for _, op := range allOps {
+	for op := Op(0); op < numOps; op++ {
 		n += rpcCount(m, op)
 	}
 	return n

@@ -7,13 +7,6 @@ import (
 	"repro/internal/obs"
 )
 
-// allOps enumerates the protocol for per-op metric registration.
-var allOps = []Op{
-	OpPing, OpBuildPrior, OpUpdateMul, OpScale, OpSumWhere, OpMarginals,
-	OpNegMasses, OpEntropy, OpMass, OpFetch,
-	OpPrefix, OpLoadShard, OpCollapse, OpDotLik,
-}
-
 // clusterMetrics is the driver-side reporting surface, shared by every
 // executor connection of one model (and transferred with them on
 // Condition). A nil *clusterMetrics disables all reporting.
@@ -23,7 +16,7 @@ var allOps = []Op{
 // cardinality at the fan-out width and stay comparable across redials,
 // where raw addresses would mint a fresh series per ephemeral port.
 type clusterMetrics struct {
-	rpc       []map[Op]*obs.Histogram // round-trip latency by executor rank and op
+	rpc       [][numOps]*obs.Histogram // round-trip latency by executor rank and op
 	bytesSent *obs.Counter
 	bytesRecv *obs.Counter
 }
@@ -33,14 +26,13 @@ func newClusterMetrics(reg *obs.Registry, executors int) *clusterMetrics {
 		return nil
 	}
 	m := &clusterMetrics{
-		rpc:       make([]map[Op]*obs.Histogram, executors),
+		rpc:       make([][numOps]*obs.Histogram, executors),
 		bytesSent: reg.Counter("sbgt_cluster_bytes_sent_total"),
 		bytesRecv: reg.Counter("sbgt_cluster_bytes_recv_total"),
 	}
 	for rank := 0; rank < executors; rank++ {
 		idx := obs.L("executor", strconv.Itoa(rank))
-		m.rpc[rank] = make(map[Op]*obs.Histogram, len(allOps))
-		for _, op := range allOps {
+		for op := Op(0); op < numOps; op++ {
 			m.rpc[rank][op] = reg.Histogram("sbgt_cluster_rpc_seconds", nil, obs.L("op", op.String()), idx)
 		}
 	}

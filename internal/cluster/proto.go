@@ -44,6 +44,8 @@ const (
 	OpLoadShard            // re-base the shard to [Lo, Hi): keep the overlap, splice Data around it
 	OpCollapse             // condition the shard on s&Pool == Base in place, unscaled; return the survivors' partial total and marginal partials, and the states outside [Lo, Hi)
 	OpDotLik               // partial Σ π(s)·Lik[|s∩Pool|] with the shard untouched: the look before an OpUpdateMul whose table has a zero
+
+	numOps // how many ops the protocol has: per-op metric tables are this long
 )
 
 // String names the op for errors and logs.

@@ -44,7 +44,7 @@ func TestLookaheadRunsOnEveryBackend(t *testing.T) {
 				}
 				return &buf
 			}
-			restored, err := LoadSession(save(2), pool, nil)
+			restored, err := LoadSession(save(2), pool, nil, nil)
 			if err != nil {
 				t.Fatalf("LoadSession with Lookahead 2: %v", err)
 			}
@@ -59,7 +59,7 @@ func TestLookaheadRunsOnEveryBackend(t *testing.T) {
 			if pools := restored.Outstanding(); len(pools) != 2 {
 				t.Fatalf("restored proposal %v, want two pools", pools)
 			}
-			if _, err := LoadSession(save(MaxLookahead+1), pool, nil); err == nil {
+			if _, err := LoadSession(save(MaxLookahead+1), pool, nil, nil); err == nil {
 				t.Fatal("LoadSession accepted a look-ahead above MaxLookahead")
 			}
 		})

@@ -202,7 +202,13 @@ func (s *Session) SaveFile(path string) (err error) {
 // checkpoint carries the gathered posterior, and which executors to dial
 // is a deployment decision, not a checkpoint property — re-open a cluster
 // session explicitly if distribution is still wanted.
-func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Session, error) {
+//
+// reg, when non-nil, observes the resumed session as Config.Obs observes
+// a fresh one: its stage phases report to sbgt_session_stage_seconds and
+// its posterior is instrumented. A nil reg resumes it unobserved. A
+// resumed session is never traced; its stage spans time but record
+// nowhere.
+func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy, reg *obs.Registry) (*Session, error) {
 	h, snap, err := readCheckpoint(bufio.NewReader(r))
 	if err != nil {
 		return nil, err
@@ -220,12 +226,9 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Se
 			NegThreshold: h.NegThreshold,
 			MaxStages:    h.MaxStages,
 			EntropyTrace: h.EntropyTrace,
+			Obs:          reg,
 		},
-		// Resumed sessions start unobserved; the detached phase metrics and
-		// detached root span keep the stage loop's timing path valid. Attach
-		// a registry by setting cfg.Obs before resuming a campaign through
-		// NewSessionOn instead.
-		phases: newStagePhases(nil),
+		phases: newStagePhases(reg),
 		root:   (*obs.Tracer)(nil).Start("session"),
 	}
 	if snap == nil {
@@ -244,7 +247,7 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy) (*Se
 	if s.marg, err = model.Marginals(); err != nil {
 		return nil, fmt.Errorf("core: restored marginals: %w", err)
 	}
-	s.model = model
+	s.model = posterior.Instrument(model, reg)
 	if len(h.Pending) > 0 {
 		s.pend = &pending{
 			span:   s.root.Child("stage", obs.A("stage", h.Stage)),

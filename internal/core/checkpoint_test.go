@@ -56,7 +56,7 @@ func TestSessionCheckpointMidCampaign(t *testing.T) {
 		}
 		return res
 	}
-	restored, err := LoadSession(bytes.NewReader(raw), pool, nil)
+	restored, err := LoadSession(bytes.NewReader(raw), pool, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSessionCheckpointCompleted(t *testing.T) {
 	if err := sess.SaveSession(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSession(&buf, pool, nil)
+	restored, err := LoadSession(&buf, pool, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLoadSessionRejectsGarbage(t *testing.T) {
 		"text":     []byte("not a checkpoint"),
 		"trailing": append(append([]byte(nil), raw...), 0),
 	} {
-		if _, err := LoadSession(bytes.NewReader(data), pool, nil); err == nil {
+		if _, err := LoadSession(bytes.NewReader(data), pool, nil, nil); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -137,7 +137,7 @@ func TestLoadSessionRejectsGarbage(t *testing.T) {
 // under another magic and a stream that stops inside the magic.
 func TestLoadSessionRejectsBadMagic(t *testing.T) {
 	pool := newTestPool(t)
-	_, err := LoadSession(strings.NewReader("NOTACKPTxxxxxxxxxxxx"), pool, nil)
+	_, err := LoadSession(strings.NewReader("NOTACKPTxxxxxxxxxxxx"), pool, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), `"NOTACKPT"`) {
 		t.Fatalf("bad magic: %v, want it named", err)
 	}
@@ -146,7 +146,7 @@ func TestLoadSessionRejectsBadMagic(t *testing.T) {
 		"real checkpoint": append([]byte("NOTACKPT"), raw[len(checkpointMagic):]...),
 		"short":           []byte(checkpointMagic[:5]),
 	} {
-		if _, err := LoadSession(bytes.NewReader(data), pool, nil); err == nil {
+		if _, err := LoadSession(bytes.NewReader(data), pool, nil, nil); err == nil {
 			t.Fatalf("%s under a bad magic accepted", name)
 		}
 	}
@@ -158,7 +158,7 @@ func TestLoadSessionRejectsTruncation(t *testing.T) {
 	pool := newTestPool(t)
 	raw, header := freshCheckpoint(t, pool, 8)
 	for _, cut := range []int{4, 12, header / 2, header - 1} {
-		if _, err := LoadSession(bytes.NewReader(raw[:cut]), pool, nil); err == nil {
+		if _, err := LoadSession(bytes.NewReader(raw[:cut]), pool, nil, nil); err == nil {
 			t.Fatalf("truncation at %d of a %d-byte magic and header accepted", cut, header)
 		}
 	}
@@ -172,7 +172,7 @@ func TestLoadSessionRejectsTruncatedLattice(t *testing.T) {
 	raw, header := freshCheckpoint(t, pool, 8)
 	tail := len(raw) - header
 	for _, keep := range []int{0, 8, tail / 2, tail - 1} {
-		if _, err := LoadSession(bytes.NewReader(raw[:header+keep]), pool, nil); err == nil {
+		if _, err := LoadSession(bytes.NewReader(raw[:header+keep]), pool, nil, nil); err == nil {
 			t.Fatalf("tail cut to %d of %d bytes accepted", keep, tail)
 		}
 	}
@@ -208,7 +208,7 @@ func TestLoadSessionRejectsCorruptPosterior(t *testing.T) {
 	sparse := saveSession(t, newSparseSession(t, 6))
 	binary.LittleEndian.PutUint64(sparse[len(sparse)-8:], math.Float64bits(-0.5))
 	for name, raw := range map[string][]byte{"dense NaN": dense, "sparse negative": sparse} {
-		if _, err := LoadSession(bytes.NewReader(raw), pool, nil); err == nil {
+		if _, err := LoadSession(bytes.NewReader(raw), pool, nil, nil); err == nil {
 			t.Fatalf("%s mass accepted", name)
 		}
 	}
@@ -227,7 +227,7 @@ func TestLoadSessionStrategyMismatch(t *testing.T) {
 	if err := sess.SaveSession(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSession(&buf, pool, halving.Individual{}); err == nil {
+	if _, err := LoadSession(&buf, pool, halving.Individual{}, nil); err == nil {
 		t.Fatal("lookahead checkpoint accepted a non-halving strategy")
 	}
 }
@@ -267,7 +267,7 @@ func TestLoadSessionRefusesParentFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = LoadSession(bytes.NewReader(raw), pool, nil)
+		_, err = LoadSession(bytes.NewReader(raw), pool, nil, nil)
 		if err == nil || !strings.Contains(err.Error(), "retired gob-first layout (versions 1–3)") {
 			t.Fatalf("%s: %v, want the retired layout named", name, err)
 		}
@@ -307,7 +307,7 @@ func TestCheckpointRoundTripResponses(t *testing.T) {
 		if err := sess.Step(oracle.Test); err != nil {
 			t.Fatal(err)
 		}
-		back, err := LoadSession(bytes.NewReader(saveSession(t, sess)), pool, nil)
+		back, err := LoadSession(bytes.NewReader(saveSession(t, sess)), pool, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", resp.Name(), err)
 		}
@@ -334,7 +334,7 @@ func TestCheckpointTailCrossesChunks(t *testing.T) {
 		t.Fatalf("sparse support of %d states fits in one chunk", n)
 	}
 	for _, s := range []*Session{dense, sparse} {
-		back, err := LoadSession(bytes.NewReader(saveSession(t, s)), pool, nil)
+		back, err := LoadSession(bytes.NewReader(saveSession(t, s)), pool, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func TestLoadSessionRejectsIncoherentHeader(t *testing.T) {
 		t.Fatalf("base campaign: done=%v, %d remaining, %v", sess.Done(), sess.Remaining(), err)
 	}
 	raw := saveSession(t, sess)
-	if _, err := LoadSession(bytes.NewReader(raw), pool, nil); err != nil {
+	if _, err := LoadSession(bytes.NewReader(raw), pool, nil, nil); err != nil {
 		t.Fatalf("the unmodified base does not load: %v", err)
 	}
 	base, tail := splitCheckpoint(t, raw)
@@ -448,7 +448,7 @@ func TestLoadSessionRejectsIncoherentHeader(t *testing.T) {
 	} {
 		h, _ := splitCheckpoint(t, raw) // a fresh copy of the base header
 		c.mutate(h)
-		if _, err := LoadSession(bytes.NewReader(joinCheckpoint(t, h, c.tail)), pool, nil); err == nil {
+		if _, err := LoadSession(bytes.NewReader(joinCheckpoint(t, h, c.tail)), pool, nil, nil); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}

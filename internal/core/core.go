@@ -233,14 +233,18 @@ type StageTiming struct {
 	Classify time.Duration `json:"classify_ns"`
 }
 
-// stagePhases holds the per-phase latency histograms. The fields are
-// detached (but functional) histograms when no registry was configured,
-// so the stage loop times unconditionally.
+// stagePhases holds the per-phase latency histograms, resolved once per
+// session. The fields are nil when no registry was configured: a nil
+// histogram discards its observations, so the stage loop times
+// unconditionally.
 type stagePhases struct {
 	sel, test, update, classify *obs.Histogram
 }
 
 func newStagePhases(reg *obs.Registry) stagePhases {
+	if reg == nil {
+		return stagePhases{}
+	}
 	hist := func(phase string) *obs.Histogram {
 		return reg.Histogram("sbgt_session_stage_seconds", nil, obs.L("phase", phase))
 	}

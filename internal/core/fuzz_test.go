@@ -126,7 +126,7 @@ func FuzzSessionCheckpointLoad(f *testing.F) {
 	f.Add(joinCheckpoint(f, h, tail))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := LoadSession(bytes.NewReader(data), pool, nil)
+		s, err := LoadSession(bytes.NewReader(data), pool, nil, nil)
 		if err != nil {
 			return // rejection is the expected outcome for junk
 		}
@@ -139,7 +139,7 @@ func FuzzSessionCheckpointLoad(f *testing.F) {
 		if err := s.SaveSession(&buf); err != nil {
 			t.Fatalf("accepted checkpoint cannot re-save: %v", err)
 		}
-		back, err := LoadSession(&buf, pool, nil)
+		back, err := LoadSession(&buf, pool, nil, nil)
 		if err != nil {
 			t.Fatalf("re-saved checkpoint does not load: %v", err)
 		}
@@ -176,7 +176,7 @@ func FuzzCheckpointTail(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		for _, header := range headers {
 			raw := append(append([]byte(nil), header...), tail...)
-			s, err := LoadSession(bytes.NewReader(raw), pool, nil)
+			s, err := LoadSession(bytes.NewReader(raw), pool, nil, nil)
 			if err != nil {
 				continue // rejection is the expected outcome for junk
 			}
@@ -190,7 +190,7 @@ func FuzzCheckpointTail(f *testing.F) {
 			if err := s.SaveSession(&buf); err != nil {
 				t.Fatalf("accepted tail cannot re-save: %v", err)
 			}
-			back, err := LoadSession(&buf, pool, nil)
+			back, err := LoadSession(&buf, pool, nil, nil)
 			if err != nil {
 				t.Fatalf("re-saved tail does not load: %v", err)
 			}

@@ -86,7 +86,7 @@ func runHeld(t *testing.T, pool *engine.Pool, spec posterior.Spec, risks []float
 			if err := sess.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if sess, err = LoadSession(&buf, pool, strategy); err != nil {
+			if sess, err = LoadSession(&buf, pool, strategy, nil); err != nil {
 				t.Fatal(err)
 			}
 			if got := sess.Outstanding(); !reflect.DeepEqual(got, pools) {

@@ -308,7 +308,7 @@ func TestCheckpointPendingProposalRoundTrip(t *testing.T) {
 	if err := sess.SaveSession(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSession(bytes.NewReader(buf.Bytes()), pool, nil)
+	restored, err := LoadSession(bytes.NewReader(buf.Bytes()), pool, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestLoadSessionRejectsWrongVersion(t *testing.T) {
 	h, tail := splitCheckpoint(t, saveSession(t, newDenseSession(t, pool, 6, true)))
 	for _, v := range []int{0, 2, 3, checkpointVersion + 1} {
 		h.Version = v
-		_, err := LoadSession(bytes.NewReader(joinCheckpoint(t, h, tail)), pool, nil)
+		_, err := LoadSession(bytes.NewReader(joinCheckpoint(t, h, tail)), pool, nil, nil)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) {
 			t.Fatalf("version %d: %v", v, err)
 		}
@@ -418,7 +418,7 @@ func TestRunFromRestoredPendingSession(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSession(&buf, pool, nil)
+	restored, err := LoadSession(&buf, pool, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

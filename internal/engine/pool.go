@@ -233,19 +233,29 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 // inline runs fn(0, n) on the calling goroutine, skipping the scheduling
 // machinery entirely but still counting the work as one inline task when
 // instrumented. It is For's single-chunk path and the serial side of
-// Vector's serial-versus-fan-out policy.
+// Vector's serial-versus-fan-out policy, so it builds no closure: the
+// wait is observed and the task counted in line, and a panic in fn is
+// recovered by callInline and re-raised as For re-raises a worker's.
 func (p *Pool) inline(n int, fn func(lo, hi int)) {
-	var box panicBox
-	run := func() {
-		defer box.capture()
-		fn(0, n)
-	}
-	if m := p.metrics.Load(); m != nil {
+	m := p.metrics.Load()
+	if m != nil {
 		m.inline.Inc()
-		run = m.wrap(run)
+		m.submitWait.Observe(0) // no queue: the caller is the worker
 	}
-	run()
-	box.rethrow()
+	r := callInline(n, fn)
+	if m != nil {
+		m.tasks.Inc()
+	}
+	if r != nil {
+		panic(fmt.Sprintf("engine: worker panic: %v", r))
+	}
+}
+
+// callInline calls fn(0, n) and returns what it panicked with, if it did.
+func callInline(n int, fn func(lo, hi int)) (r any) {
+	defer func() { r = recover() }()
+	fn(0, n)
+	return nil
 }
 
 // Run executes n independent jobs fn(0..n-1) on the pool, one claim per

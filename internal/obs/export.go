@@ -157,27 +157,13 @@ func formatValue(v float64) string {
 }
 
 // promLabels renders a label set (plus an optional extra pair) in
-// exposition format: {k="v",...} or the empty string.
+// exposition format: {k="v",...} or the empty string. It is the
+// registry key's rendering (appendFullName) with an empty name.
 func promLabels(labels []Label, extraKey, extraVal string) string {
-	if len(labels) == 0 && extraKey == "" {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
-	}
 	if extraKey != "" {
-		if len(labels) > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", extraKey, extraVal)
+		labels = append(labels[:len(labels):len(labels)], L(extraKey, extraVal))
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(appendFullName(nil, "", labels))
 }
 
 // WritePrometheus renders the snapshot in Prometheus text exposition

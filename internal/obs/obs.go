@@ -29,8 +29,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 )
 
 // Label is one key=value metric dimension (e.g. backend="dense").
@@ -46,22 +45,47 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // by its labels sorted by key, in Prometheus notation. Two registrations
 // with the same full name return the same metric.
 func fullName(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
+	var sorted [maxStackLabels]Label
+	return string(appendFullName(nil, name, sortLabels(sorted[:0], labels)))
+}
+
+// maxStackLabels is how many labels a lookup sorts in a stack array; a
+// metric with more still works, its sort just lands on the heap.
+const maxStackLabels = 8
+
+// sortLabels appends labels to dst in key order. It is an insertion sort:
+// stable, and label lists are a handful long.
+func sortLabels(dst, labels []Label) []Label {
+	for _, l := range labels {
+		i := len(dst)
+		dst = append(dst, l)
+		for ; i > 0 && dst[i-1].Key > l.Key; i-- {
+			dst[i] = dst[i-1]
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		dst[i] = l
 	}
-	b.WriteByte('}')
-	return b.String()
+	return dst
+}
+
+// appendFullName appends name and labels to b in Prometheus notation,
+// the labels in the order given: a registry key passes them sorted, the
+// exporter passes a snapshot's (sorted) labels with "le" after them.
+// strconv.AppendQuote writes the bytes fmt's %q does.
+func appendFullName(b []byte, name string, labels []Label) []byte {
+	b = append(b, name...)
+	if len(labels) == 0 {
+		return b
+	}
+	b = append(b, '{')
+	for i, l := range labels {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
+	}
+	return append(b, '}')
 }
 
 // validName reports whether name is a legal metric identifier

@@ -180,10 +180,13 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*entry)}
 }
 
-// lookup returns the entry for the full name, creating it with mk when
-// absent. It panics when the name is invalid or already registered as a
-// different kind — both programmer errors in metric declarations.
-func (r *Registry) lookup(k kind, name string, labels []Label, mk func() *entry) *entry {
+// lookup returns the entry for name+labels, creating it (a histogram with
+// the given bounds) when absent. It panics when a name is invalid or
+// already registered as a different kind — both programmer errors in
+// metric declarations. The key is built in stack buffers and the map is
+// indexed without converting it, so a hit allocates nothing; only a new
+// series copies its labels and key to the heap.
+func (r *Registry) lookup(k kind, name string, labels []Label, bounds []float64) *entry {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -192,17 +195,28 @@ func (r *Registry) lookup(k kind, name string, labels []Label, mk func() *entry)
 			panic(fmt.Sprintf("obs: invalid label key %q on metric %q", l.Key, name))
 		}
 	}
-	full := fullName(name, labels)
+	var sortBuf [maxStackLabels]Label
+	sorted := sortLabels(sortBuf[:0], labels)
+	var keyBuf [256]byte
+	key := appendFullName(keyBuf[:0], name, sorted)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[full]; ok {
+	if e, ok := r.entries[string(key)]; ok {
 		if e.kind != k {
-			panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", full, e.kind, k))
+			panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", string(key), e.kind, k))
 		}
 		return e
 	}
-	e := mk()
-	r.entries[full] = e
+	e := &entry{kind: k, name: name, labels: append([]Label(nil), sorted...)}
+	switch k {
+	case kindCounter:
+		e.c = new(Counter)
+	case kindGauge:
+		e.g = new(Gauge)
+	case kindHistogram:
+		e.h = newHistogram(bounds)
+	}
+	r.entries[string(key)] = e
 	return e
 }
 
@@ -212,9 +226,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return new(Counter)
 	}
-	return r.lookup(kindCounter, name, labels, func() *entry {
-		return &entry{kind: kindCounter, name: name, labels: labels, c: new(Counter)}
-	}).c
+	return r.lookup(kindCounter, name, labels, nil).c
 }
 
 // Gauge returns the gauge registered under name+labels, creating it on
@@ -223,9 +235,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return new(Gauge)
 	}
-	return r.lookup(kindGauge, name, labels, func() *entry {
-		return &entry{kind: kindGauge, name: name, labels: labels, g: new(Gauge)}
-	}).g
+	return r.lookup(kindGauge, name, labels, nil).g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at snapshot
@@ -235,9 +245,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	e := r.lookup(kindGaugeFunc, name, labels, func() *entry {
-		return &entry{kind: kindGaugeFunc, name: name, labels: labels}
-	})
+	e := r.lookup(kindGaugeFunc, name, labels, nil)
 	r.mu.Lock()
 	e.gf = fn
 	r.mu.Unlock()
@@ -254,9 +262,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return newHistogram(bounds)
 	}
-	return r.lookup(kindHistogram, name, labels, func() *entry {
-		return &entry{kind: kindHistogram, name: name, labels: labels, h: newHistogram(bounds)}
-	}).h
+	return r.lookup(kindHistogram, name, labels, bounds).h
 }
 
 // snapshotEntries returns the entries sorted by full name, for exporters.

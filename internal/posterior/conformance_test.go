@@ -598,7 +598,7 @@ func TestConformanceSessionCheckpoint(t *testing.T) {
 			if err := sess.Close(); err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := core.LoadSession(&buf, pool, nil)
+			resumed, err := core.LoadSession(&buf, pool, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,30 +13,25 @@ import (
 type instrumented struct {
 	m   Model
 	reg *obs.Registry
+	ops *opHists
+}
 
+// opHists is one decorator lineage's handles on
+// sbgt_posterior_op_seconds{backend,op}: resolved when Instrument wraps a
+// model and shared by every survivor Condition hands back, so a collapse
+// looks nothing up.
+type opHists struct {
+	kind                                                              Kind
 	update, marginals, negMasses, prefix, entropy, summary, condition *obs.Histogram
 }
 
-// Instrument wraps m so that Update, Marginals, NegMasses,
-// PrefixNegMasses, Entropy, Summary, and Condition report latency into
-// sbgt_posterior_op_seconds{backend,op}. A nil registry (or nil model)
-// returns m unchanged, so callers can wire instrumentation
-// unconditionally. Wrapping an already-instrumented model re-points it at
-// the new registry instead of stacking decorators.
-func Instrument(m Model, reg *obs.Registry) Model {
-	if m == nil || reg == nil {
-		return m
-	}
-	if w, ok := m.(*instrumented); ok {
-		m = w.m
-	}
-	backend := obs.L("backend", string(m.Kind()))
+func newOpHists(reg *obs.Registry, kind Kind) *opHists {
+	backend := obs.L("backend", string(kind))
 	hist := func(op string) *obs.Histogram {
 		return reg.Histogram("sbgt_posterior_op_seconds", nil, backend, obs.L("op", op))
 	}
-	return &instrumented{
-		m:         m,
-		reg:       reg,
+	return &opHists{
+		kind:      kind,
 		update:    hist("update"),
 		marginals: hist("marginals"),
 		negMasses: hist("neg_masses"),
@@ -45,6 +40,26 @@ func Instrument(m Model, reg *obs.Registry) Model {
 		summary:   hist("summary"),
 		condition: hist("condition"),
 	}
+}
+
+// Instrument wraps m so that Update, Marginals, NegMasses,
+// PrefixNegMasses, Entropy, Summary, and Condition report latency into
+// sbgt_posterior_op_seconds{backend,op}. A nil registry (or nil model)
+// returns m unchanged, so callers can wire instrumentation
+// unconditionally. A model already instrumented against reg is returned
+// as it is; wrapping one instrumented against another registry re-points
+// it at reg instead of stacking decorators.
+func Instrument(m Model, reg *obs.Registry) Model {
+	if m == nil || reg == nil {
+		return m
+	}
+	if w, ok := m.(*instrumented); ok {
+		if w.reg == reg {
+			return w
+		}
+		m = w.m
+	}
+	return &instrumented{m: m, reg: reg, ops: newOpHists(reg, m.Kind())}
 }
 
 // Base strips any instrumentation decorators from m, returning the
@@ -72,43 +87,43 @@ func (w *instrumented) Response() dilution.Response { return w.m.Response() }
 func (w *instrumented) Tests() int                  { return w.m.Tests() }
 
 func (w *instrumented) Update(pool bitvec.Mask, y dilution.Outcome) error {
-	stop := w.update.Time()
+	stop := w.ops.update.Time()
 	defer stop()
 	return w.m.Update(pool, y)
 }
 
 func (w *instrumented) Marginals() ([]float64, error) {
-	stop := w.marginals.Time()
+	stop := w.ops.marginals.Time()
 	defer stop()
 	return w.m.Marginals()
 }
 
 func (w *instrumented) NegMasses(cands []bitvec.Mask) ([]float64, error) {
-	stop := w.negMasses.Time()
+	stop := w.ops.negMasses.Time()
 	defer stop()
 	return w.m.NegMasses(cands)
 }
 
 func (w *instrumented) PrefixNegMasses(order []int) ([]float64, error) {
-	stop := w.prefix.Time()
+	stop := w.ops.prefix.Time()
 	defer stop()
 	return w.m.PrefixNegMasses(order)
 }
 
 func (w *instrumented) Entropy() (float64, error) {
-	stop := w.entropy.Time()
+	stop := w.ops.entropy.Time()
 	defer stop()
 	return w.m.Entropy()
 }
 
 func (w *instrumented) Summary() (*Summary, error) {
-	stop := w.summary.Time()
+	stop := w.ops.summary.Time()
 	defer stop()
 	return w.m.Summary()
 }
 
 func (w *instrumented) Condition(subject int, positive bool) (Model, error) {
-	stop := w.condition.Time()
+	stop := w.ops.condition.Time()
 	defer stop()
 	next, err := w.m.Condition(subject, positive)
 	if err != nil {
@@ -119,7 +134,10 @@ func (w *instrumented) Condition(subject int, positive bool) (Model, error) {
 		// and still instrumented.
 		return nil, nil
 	}
-	return Instrument(next, w.reg), nil
+	if next.Kind() != w.ops.kind {
+		return Instrument(next, w.reg), nil
+	}
+	return &instrumented{m: next, reg: w.reg, ops: w.ops}, nil
 }
 
 func (w *instrumented) Snapshot() (*Snapshot, error) { return w.m.Snapshot() }

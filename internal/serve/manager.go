@@ -279,7 +279,7 @@ func (m *Manager) restoreLocked(c *cohort, parent *obs.Span) (err error) {
 		return fmt.Errorf("serve: restore %s: %w", c.id, err)
 	}
 	defer f.Close()
-	sess, err := core.LoadSession(f, m.cfg.Pool, nil)
+	sess, err := core.LoadSession(f, m.cfg.Pool, nil, m.cfg.Obs)
 	if err != nil {
 		return fmt.Errorf("serve: restore %s: %w", c.id, err)
 	}

@@ -483,3 +483,76 @@ func TestManagerDuplicateSubmit(t *testing.T) {
 		t.Fatalf("duplicate submit changed test count: %d -> %d", tests.Tests, after.Tests)
 	}
 }
+
+// TestRestoredCohortStaysObserved: a cohort restored after an LRU
+// eviction keeps reporting its posterior updates and stage phases to the
+// manager's registry, as it did before its first checkpoint.
+func TestRestoredCohortStaysObserved(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newTestManager(t, ManagerConfig{MaxResident: 1, Obs: reg})
+	risks := workload.UniformRisks(8, 0.1)
+	truth := bitvec.FromIndices(2)
+	// counts reads the restore counter, the dense posterior's update
+	// histogram and the session's update-phase histogram.
+	counts := func() (restores, updates, phases uint64) {
+		snap := reg.Snapshot()
+		for _, c := range snap.Counters {
+			if c.Name == "sbgt_serve_restores_total" {
+				restores = c.Value
+			}
+		}
+		for _, h := range snap.Histograms {
+			for _, l := range h.Labels {
+				switch {
+				case h.Name == "sbgt_posterior_op_seconds" && l.Key == "op" && l.Value == "update":
+					updates += h.Count
+				case h.Name == "sbgt_session_stage_seconds" && l.Key == "phase" && l.Value == "update":
+					phases += h.Count
+				}
+			}
+		}
+		return restores, updates, phases
+	}
+
+	a, err := m.Create(CreateCohortRequest{Tenant: "ta", Risks: risks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Create(CreateCohortRequest{Tenant: "tb", Risks: risks}) // evicts a
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 3; round++ {
+		// Pools restores a, evicting b; the Submit absorbs into the
+		// restored session.
+		pools, err := m.Pools(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pools.Done {
+			t.Fatalf("round %d: cohort done before its absorb", round)
+		}
+		restores, updates, phases := counts()
+		if want := uint64(2*round - 1); restores != want {
+			t.Fatalf("round %d: %d restores, want %d", round, restores, want)
+		}
+		results := make([]core.TestResult, len(pools.Pools))
+		for i, p := range pools.Pools {
+			results[i] = core.TestResult{Stage: p.Stage, Index: p.Index, Outcome: idealOutcome(truth, bitvec.FromIndices(p.Subjects...))}
+		}
+		if err := m.Submit(a, results); err != nil {
+			t.Fatal(err)
+		}
+		_, afterUpdates, afterPhases := counts()
+		if afterUpdates < updates+uint64(len(results)) {
+			t.Errorf("round %d: posterior updates %d → %d over %d results on a restored cohort", round, updates, afterUpdates, len(results))
+		}
+		if afterPhases != phases+1 {
+			t.Errorf("round %d: update phase count %d → %d on a restored cohort, want one more", round, phases, afterPhases)
+		}
+		// Touching b restores it and evicts a again.
+		if _, err := m.Pools(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
