@@ -28,20 +28,23 @@ race:
 	$(GO) test -race -short ./internal/engine ./internal/lattice ./internal/cluster ./internal/posterior ./internal/core ./internal/obs ./internal/serve
 
 # Short fuzz smoke over the numeric-kernel, lint-input and trust-boundary
-# (executor dispatch and wire frame, HTTP API) invariants.
+# (checkpoint header and tail, executor dispatch and wire frame, HTTP API)
+# invariants.
 fuzz:
 	$(GO) test ./internal/prob -run FuzzLogSumExp -fuzz FuzzLogSumExp -fuzztime 10s
 	$(GO) test ./internal/bitvec -run FuzzBitVecRoundTrip -fuzz FuzzBitVecRoundTrip -fuzztime 10s
 	$(GO) test ./internal/obs -run FuzzTraceContextRoundTrip -fuzz FuzzTraceContextRoundTrip -fuzztime 10s
 	$(GO) test ./internal/analysis -run xxx -fuzz FuzzAllowParser -fuzztime 10s
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSessionCheckpointLoad -fuzztime 10s
+	$(GO) test ./internal/core -run xxx -fuzz FuzzCheckpointTail -fuzztime 10s
+	$(GO) test ./internal/core -run xxx -fuzz FuzzCheckpointHeader -fuzztime 10s
 	$(GO) test ./internal/cluster -run xxx -fuzz FuzzExecutorDispatch -fuzztime 10s
 	$(GO) test ./internal/cluster -run xxx -fuzz FuzzFrame -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzServerAPI -fuzztime 10s
 
 # One iteration of the stage-kernel, kernel-ablation, conditioning,
 # collapse copy-width, serial-crossover, cluster-conditioning, cluster-round,
-# look-ahead and span-record benchmarks, so they cannot rot. The wave-gather arms run
+# look-ahead, span-record and checkpoint benchmarks, so they cannot rot. The wave-gather arms run
 # again at -cpu 1,2: one worker takes every wave inline, two fan the long
 # ones out.
 bench-smoke:
@@ -52,6 +55,7 @@ bench-smoke:
 	$(GO) test ./internal/halving -run '^$$' -bench BenchmarkLookahead -benchtime 1x
 	$(GO) test ./internal/obs -run '^$$' -bench 'BenchmarkSpan|BenchmarkRegistryLookup' -benchtime 1x -benchmem
 	$(GO) test ./internal/posterior -run '^$$' -bench BenchmarkInstrumentedCondition -benchtime 1x -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench BenchmarkCheckpoint -benchtime 1x -benchmem
 
 # Run every example program to completion (a few seconds in all): `go
 # build ./...` compiles them, only this executes them.

@@ -22,14 +22,13 @@ import (
 // conn is one executor connection with its shard assignment. rank is the
 // executor's stable index in the fan-out — the bounded-cardinality label
 // dial and RPC metrics use instead of the (ephemeral) host:port string.
-// wbuf and rbuf are the frame buffers its rounds reuse.
+// bufs are the frame buffers its rounds reuse, handed on at Close.
 type conn struct {
 	addr   string
 	rank   int
 	nc     net.Conn
 	r      *bufio.Reader
-	wbuf   []byte
-	rbuf   []byte
+	bufs   *frameBuffers
 	lo, hi uint64
 	met    *clusterMetrics // nil when the model is uninstrumented
 	// rpcTimeout bounds each call's send+receive round; <= 0 leaves the
@@ -52,11 +51,11 @@ func (c *conn) call(req Request) (Response, error) {
 		// trip a stale deadline on the next call's write.
 		defer c.nc.SetDeadline(time.Time{})
 	}
-	if err := writeRequest(c.nc, &c.wbuf, &req); err != nil {
+	if err := writeRequest(c.nc, &c.bufs.w, &req); err != nil {
 		return Response{}, fmt.Errorf("cluster: send %s to %s: %w", req.Op, c.addr, err)
 	}
 	var resp Response
-	if err := readResponse(c.r, &c.rbuf, &resp); err != nil {
+	if err := readResponse(c.r, &c.bufs.r, &resp); err != nil {
 		return Response{}, fmt.Errorf("cluster: recv %s from %s: %w", req.Op, c.addr, err)
 	}
 	if resp.Err != "" {
@@ -180,7 +179,7 @@ func dialOne(addr string, rank int, lo, hi uint64, risks []float64, timeout, rpc
 			return nil, fmt.Errorf("set deadline: %w", err)
 		}
 	}
-	c := &conn{addr: addr, rank: rank, nc: nc, r: bufio.NewReader(nc), lo: lo, hi: hi, met: met}
+	c := &conn{addr: addr, rank: rank, nc: nc, r: bufio.NewReader(nc), bufs: spareBuffers.Get().(*frameBuffers), lo: lo, hi: hi, met: met}
 	if _, err := c.call(Request{Op: OpBuildPrior, Risks: risks, Lo: lo, Hi: hi}); err != nil {
 		nc.Close() //lint:allow errcheck teardown of a connection we are abandoning
 		if errors.Is(err, io.EOF) {
@@ -291,6 +290,10 @@ func (m *Model) Close() {
 	for _, c := range m.conns {
 		if c.nc != nil {
 			c.nc.Close() //lint:allow errcheck one-way teardown; a close error leaves nothing to recover
+		}
+		if c.bufs != nil {
+			spareBuffers.Put(c.bufs)
+			c.bufs = nil
 		}
 	}
 	m.conns, m.prior, m.marg, m.spent = nil, false, nil, cmp.Or(m.spent, errClosed)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/lattice"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // frameSeeds returns one frame per op as a campaign's driver sends it, the
@@ -87,7 +88,7 @@ func frameSeeds(tb testing.TB) (msgs []anyMessage, bad [][]byte) {
 }
 
 // anyMessage is a *Request or a *Response.
-type anyMessage interface{ code(*codec) *Op }
+type anyMessage interface{ code(*wire.Codec) *Op }
 
 // encode is the one frame a writer makes of m.
 func encode(tb testing.TB, m anyMessage) []byte {

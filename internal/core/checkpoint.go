@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
@@ -20,41 +20,46 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/posterior"
+	"repro/internal/wire"
 )
 
 // A session checkpoint has one layout, whatever the session's shape:
 //
-//	magic "SBGTSESS" | one gob sessionHeader | raw little-endian tail
+//	magic "SBGTSESS" | version byte | header length, 4 bytes LE | header | raw little-endian tail
 //
-// The tail is the 2^N dense posterior as float64s (dense and cluster
-// backends; a cluster posterior is gathered first), or the sparse support's
-// |support| states as uint64s followed by their |support| masses as
-// float64s, or nothing for a completed session. The header says which and
-// how long, so a loader knows the tail's exact size before it reads a byte
-// of it.
+// The header is one fixed binary record (sessionHeader.code, coded by
+// internal/wire: every field in declaration order, integers as varints,
+// floats as their 8 bytes, slices as a count and their elements), and the
+// reader takes only what the writer makes, so an accepted header
+// re-encodes to its own bytes. The tail is the 2^N dense posterior as
+// float64s (dense and cluster backends; a dense one is encoded from the
+// lattice's own storage, a cluster one gathered first), or the sparse
+// support's |support| states as uint64s followed by their |support|
+// masses as float64s, or nothing for a completed session. The header says
+// which and how long, so a loader knows the tail's exact size before it
+// reads a byte of it.
 const checkpointMagic = "SBGTSESS"
 
-// checkpointVersion is the layout's version, the header's first field. It
-// follows the retired gob-first layout's versions 1–3, which this build
-// refuses by name rather than reads.
-const checkpointVersion = 4
+// checkpointVersion is the layout's version, the byte after the magic. It
+// follows version 4, whose header was one gob message, and the retired
+// gob-first layout's versions 1–3; this build refuses all of them by name
+// rather than reads them.
+const checkpointVersion = 5
 
-// tailChunk is how many 8-byte words the tail moves per write or read
-// (64 KiB).
-const tailChunk = 8192
-
-func init() {
-	// Register every concrete response model so the interface value in the
-	// header round-trips. A third-party Response implementation must be
-	// registered by the caller with gob.Register before a session holding
-	// it is saved or loaded.
-	gob.Register(dilution.Ideal{})
-	gob.Register(dilution.Binary{})
-	gob.Register(dilution.Hyperbolic{})
-	gob.Register(dilution.Logistic{})
-	gob.Register(dilution.Subsample{})
-	gob.Register(dilution.CtValue{})
-}
+const (
+	// headerPrefix is the version byte and the header's length.
+	headerPrefix = 1 + 4
+	// headerChunk is a header read's first step; each later one at most
+	// doubles what arrived (wire.ReadN).
+	headerChunk = 4 << 10
+	// tailChunk is how many 8-byte words the tail moves per write or read
+	// (64 KiB).
+	tailChunk = 8192
+	// tailCap is how many states a tail's first allocation holds at most
+	// (512 KiB): the tail the header announces, up to this, and past it
+	// only what has arrived.
+	tailCap = 1 << 16
+)
 
 // sessionHeader is everything a checkpoint holds except the posterior's
 // bulk. The selection strategy is deliberately NOT serialized: strategies
@@ -63,7 +68,7 @@ func init() {
 // caller — which also lets an operator change selection policy across a
 // restart without invalidating the posterior.
 type sessionHeader struct {
-	Version int
+	Version int   // the byte before the record, not a field of it
 	Active  []int // model position -> global subject; empty once the session is done
 	Calls   []Classification
 	Stage   int
@@ -96,11 +101,162 @@ type posteriorHeader struct {
 	Support  int     // sparse only: retained states in the tail
 }
 
+// code is the header record's one field list: it writes h to c, or reads
+// it from c.
+func (h *sessionHeader) code(c *wire.Codec) {
+	wire.Each(c, &h.Active, 1, c.Int)
+	wire.Each(c, &h.Calls, 12, func(k *Classification) { // 12: four one-byte varints and a float
+		c.Int(&k.Subject)
+		status := uint64(k.Status)
+		if c.Uvarint(&status); c.Dec && status > uint64(StatusPositive) {
+			c.Fail("unknown call status %d", status)
+		} else if c.Dec {
+			k.Status = Status(status)
+		}
+		c.Float(&k.Marginal)
+		c.Int(&k.Stage)
+		c.Bool(&k.Forced)
+	})
+	c.Int(&h.Stage)
+	c.Int(&h.Tests)
+	c.Floats(&h.Entropy)
+	wire.Each(c, &h.Log, 11, func(r *TestRecord) { // 11: three one-byte varints and a float
+		c.Int(&r.Stage)
+		c.Uvarint((*uint64)(&r.Pool))
+		c.Bool(&r.Outcome.Positive)
+		c.Float(&r.Outcome.Ct)
+	})
+	wire.Each(c, &h.Pending, 1, func(m *bitvec.Mask) { c.Uvarint((*uint64)(m)) })
+	c.Int(&h.Lookahead)
+	c.Float(&h.PosThreshold)
+	c.Float(&h.NegThreshold)
+	c.Int(&h.MaxStages)
+	c.Bool(&h.EntropyTrace)
+	live := h.Posterior != nil
+	if c.Bool(&live); !live {
+		return
+	}
+	if c.Dec {
+		h.Posterior = new(posteriorHeader)
+	}
+	p := h.Posterior
+	kind := string(p.Kind)
+	if c.Str(&kind); c.Dec {
+		p.Kind = posterior.Kind(kind)
+	}
+	c.Floats(&p.Risks)
+	codeResponse(c, &p.Response)
+	c.Int(&p.Tests)
+	c.Float(&p.Eps)
+	c.Float(&p.Pruned)
+	c.Int(&p.Support)
+}
+
+// The response tags: a header names its assay model by one of the six
+// shipped dilution types and then gives that type's parameters in
+// declaration order. Tag 0 is no model, which checkHeader refuses.
+const (
+	respNone = iota
+	respIdeal
+	respBinary
+	respHyperbolic
+	respLogistic
+	respSubsample
+	respCt
+)
+
+// codeResponse codes a response model as its tag and parameters. Written,
+// any other type fails with its name: a checkpoint holds only models this
+// package can rebuild.
+func codeResponse(c *wire.Codec, r *dilution.Response) {
+	var tag uint64
+	if !c.Dec {
+		switch (*r).(type) {
+		case nil:
+			tag = respNone
+		case dilution.Ideal:
+			tag = respIdeal
+		case dilution.Binary:
+			tag = respBinary
+		case dilution.Hyperbolic:
+			tag = respHyperbolic
+		case dilution.Logistic:
+			tag = respLogistic
+		case dilution.Subsample:
+			tag = respSubsample
+		case dilution.CtValue:
+			tag = respCt
+		default:
+			c.Fail("cannot checkpoint response model %T: a checkpoint holds one of the six dilution models", *r)
+			return
+		}
+	}
+	c.Uvarint(&tag)
+	switch tag {
+	case respNone:
+	case respIdeal:
+		params(c, r, func(*dilution.Ideal) []*float64 { return nil })
+	case respBinary:
+		params(c, r, func(v *dilution.Binary) []*float64 { return []*float64{&v.Sens, &v.Spec} })
+	case respHyperbolic:
+		params(c, r, func(v *dilution.Hyperbolic) []*float64 { return []*float64{&v.MaxSens, &v.Spec, &v.D} })
+	case respLogistic:
+		params(c, r, func(v *dilution.Logistic) []*float64 { return []*float64{&v.MaxSens, &v.Spec, &v.Alpha, &v.Beta} })
+	case respSubsample:
+		params(c, r, func(v *dilution.Subsample) []*float64 { return []*float64{&v.Q, &v.Spec} })
+	case respCt:
+		params(c, r, func(v *dilution.CtValue) []*float64 {
+			return []*float64{&v.Base, &v.Slope, &v.Sigma, &v.MaxCycles, &v.Spec, &v.ContamWindow}
+		})
+	default:
+		c.Fail("unknown response model tag %d", tag)
+	}
+}
+
+// params codes a response model of type T as the parameters fields lists.
+func params[T dilution.Response](c *wire.Codec, r *dilution.Response, fields func(*T) []*float64) {
+	v, _ := (*r).(T)
+	for _, f := range fields(&v) {
+		c.Float(f)
+	}
+	if c.Dec {
+		*r = v
+	}
+}
+
+// appendHeader appends h's version byte, length and record to b.
+func appendHeader(b []byte, h *sessionHeader) ([]byte, error) {
+	start := len(b)
+	c := wire.Codec{All: true, B: append(b, byte(h.Version), 0, 0, 0, 0)}
+	if h.code(&c); c.Err != nil {
+		return nil, c.Err
+	}
+	n := len(c.B) - start - headerPrefix
+	if uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("header of %d bytes", n)
+	}
+	binary.LittleEndian.PutUint32(c.B[start+1:], uint32(n))
+	return c.B, nil
+}
+
+// decodeHeader reads one header record of the given version from b, which
+// it must use up.
+func decodeHeader(version byte, b []byte) (*sessionHeader, error) {
+	h := &sessionHeader{Version: int(version)}
+	c := wire.Codec{Dec: true, All: true, B: b}
+	h.code(&c)
+	return h, c.Finish()
+}
+
 // SaveSession checkpoints a session: classifications made so far, the
 // stage/test counters, the test log, any outstanding ProposePools
 // proposal, and — unless the session is already complete — the live
-// posterior over the still-active subjects. The encoding is one gob
-// message and one raw tail (see checkpointMagic).
+// posterior over the still-active subjects. The encoding is one binary
+// header and one raw tail (see checkpointMagic). Saving is a read: a dense
+// posterior's tail is encoded straight from the lattice's storage, which,
+// with its carried scale and held marginals, stays as it was. A session
+// whose response model is not one of the six dilution types cannot be
+// saved; the error names its type.
 func (s *Session) SaveSession(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,15 +274,20 @@ func (s *Session) SaveSession(w io.Writer) error {
 		EntropyTrace: s.cfg.EntropyTrace,
 	}
 	var snap *posterior.Snapshot
+	var dense *lattice.Model // the lattice a dense tail is read from in place
 	if s.model != nil {
-		var err error
-		if snap, err = s.model.Snapshot(); err != nil {
-			return fmt.Errorf("core: snapshot posterior: %w", err)
+		if dense = posterior.Lattice(s.model); dense != nil {
+			snap = &posterior.Snapshot{Kind: posterior.KindDense, Risks: dense.Risks(), Response: dense.Response(), Tests: dense.Tests()}
+		} else {
+			var err error
+			if snap, err = s.model.Snapshot(); err != nil {
+				return fmt.Errorf("core: snapshot posterior: %w", err)
+			}
 		}
 		p := &posteriorHeader{Kind: snap.Kind, Risks: snap.Risks, Response: snap.Response, Tests: snap.Tests}
 		switch snap.Kind {
 		case posterior.KindDense, posterior.KindCluster:
-			if uint64(len(snap.Dense)) != uint64(1)<<uint(len(snap.Risks)) {
+			if dense == nil && uint64(len(snap.Dense)) != uint64(1)<<uint(len(snap.Risks)) {
 				return fmt.Errorf("core: %s snapshot has %d states for %d subjects", snap.Kind, len(snap.Dense), len(snap.Risks))
 			}
 		case posterior.KindSparse:
@@ -139,25 +300,24 @@ func (s *Session) SaveSession(w io.Writer) error {
 			h.Pending = s.pend.local
 		}
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(checkpointMagic); err != nil {
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	if err := gob.NewEncoder(bw).Encode(&h); err != nil {
+	head, err := appendHeader(append(make([]byte, 0, 1<<10), checkpointMagic...), &h)
+	if err != nil {
 		return fmt.Errorf("core: encode session header: %w", err)
 	}
-	var err error
-	switch {
-	case snap == nil:
-	case snap.Kind == posterior.KindSparse:
-		if err = writeTail(bw, snap.States); err == nil {
-			err = writeTail(bw, snap.Mass)
+	chunk := tailChunks.Get().(*[8 * tailChunk]byte)
+	defer tailChunks.Put(chunk)
+	if _, err = w.Write(head); err == nil {
+		switch {
+		case snap == nil:
+		case dense != nil:
+			err = dense.WriteStates(w, chunk[:])
+		case snap.Kind == posterior.KindSparse:
+			if err = writeTail(w, snap.States, chunk); err == nil {
+				err = writeTail(w, snap.Mass, chunk)
+			}
+		default:
+			err = writeTail(w, snap.Dense, chunk)
 		}
-	default:
-		err = writeTail(bw, snap.Dense)
-	}
-	if err == nil {
-		err = bw.Flush()
 	}
 	if err != nil {
 		return fmt.Errorf("core: write checkpoint: %w", err)
@@ -275,24 +435,40 @@ func readCheckpoint(br *bufio.Reader) (*sessionHeader, *posterior.Snapshot, erro
 	if _, err := br.Discard(len(checkpointMagic)); err != nil {
 		return nil, nil, fmt.Errorf("core: read checkpoint magic: %w", err)
 	}
-	var h sessionHeader
-	if err := gob.NewDecoder(br).Decode(&h); err != nil {
+	var pre [headerPrefix]byte
+	if _, err := io.ReadFull(br, pre[:1]); err != nil {
+		return nil, nil, fmt.Errorf("core: read checkpoint version: %w", err)
+	}
+	if pre[0] != checkpointVersion {
+		return nil, nil, versionError(pre[0], br)
+	}
+	if _, err := io.ReadFull(br, pre[1:]); err != nil {
+		return nil, nil, fmt.Errorf("core: read session header length: %w", err)
+	}
+	b, err := wire.ReadN(br, nil, uint64(binary.LittleEndian.Uint32(pre[1:])), headerChunk)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: read session header: %w", err)
+	}
+	h, err := decodeHeader(pre[0], b)
+	if err != nil {
 		return nil, nil, fmt.Errorf("core: decode session header: %w", err)
 	}
-	if err := checkHeader(&h); err != nil {
+	if err := checkHeader(h); err != nil {
 		return nil, nil, err
 	}
 	var snap *posterior.Snapshot
 	if p := h.Posterior; p != nil {
 		snap = &posterior.Snapshot{Kind: p.Kind, Risks: p.Risks, Response: p.Response, Tests: p.Tests, Eps: p.Eps, Pruned: p.Pruned}
+		chunk := tailChunks.Get().(*[8 * tailChunk]byte)
 		if p.Kind == posterior.KindSparse {
 			n := uint64(p.Support)
-			if snap.States, err = readTail[uint64](br, n); err == nil {
-				snap.Mass, err = readTail[float64](br, n)
+			if snap.States, err = readTail[uint64](br, n, chunk); err == nil {
+				snap.Mass, err = readTail[float64](br, n, chunk)
 			}
 		} else {
-			snap.Dense, err = readTail[float64](br, uint64(1)<<uint(len(p.Risks)))
+			snap.Dense, err = readTail[float64](br, uint64(1)<<uint(len(p.Risks)), chunk)
 		}
+		tailChunks.Put(chunk)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: read posterior (truncated checkpoint?): %w", err)
 		}
@@ -303,7 +479,7 @@ func readCheckpoint(br *bufio.Reader) (*sessionHeader, *posterior.Snapshot, erro
 	case err != io.EOF:
 		return nil, nil, fmt.Errorf("core: read checkpoint: %w", err)
 	}
-	return &h, snap, nil
+	return h, snap, nil
 }
 
 // formatError names what a stream without the checkpoint magic holds: a
@@ -317,6 +493,18 @@ func formatError(br *bufio.Reader) error {
 	return fmt.Errorf("core: not a session checkpoint: starts %q, want magic %q", head[:min(len(head), len(checkpointMagic))], checkpointMagic)
 }
 
+// versionError names what follows the magic when it is not this build's
+// version: a version 4 checkpoint, whose gob header opens with the type
+// definition of its header where the version byte now stands, or another
+// version by number.
+func versionError(v byte, br *bufio.Reader) error {
+	head, _ := br.Peek(32) //lint:allow errcheck a short stream is named by the bytes it has
+	if bytes.Contains(head, []byte("sessionHeader")) {
+		return fmt.Errorf("core: a session checkpoint with a gob header (version 4); this build reads only version %d — finish the campaign on the build that wrote it", checkpointVersion)
+	}
+	return fmt.Errorf("core: session checkpoint version %d, this build reads %d", v, checkpointVersion)
+}
+
 // checkHeader rejects a header that describes no session this package
 // could have written, before any of the tail is read: no subject active
 // twice or both active and called, every unclassified subject active while
@@ -324,9 +512,6 @@ func formatError(br *bufio.Reader) error {
 // proposal only on a live stage, and a posterior whose size the backend's
 // bounds allow.
 func checkHeader(h *sessionHeader) error {
-	if h.Version != checkpointVersion {
-		return fmt.Errorf("core: session checkpoint version %d, this build reads %d", h.Version, checkpointVersion)
-	}
 	n := len(h.Calls)
 	if n == 0 || n > bitvec.MaxSubjects {
 		return fmt.Errorf("core: checkpoint cohort of %d subjects", n)
@@ -396,10 +581,14 @@ func checkHeader(h *sessionHeader) error {
 	return nil
 }
 
+// tailChunks holds the chunk buffers tails move through (8·tailChunk
+// bytes) between saves and loads: a server spilling and restoring cohorts
+// would otherwise allocate one each way every turn.
+var tailChunks = sync.Pool{New: func() any { return new([8 * tailChunk]byte) }}
+
 // writeTail writes vals as little-endian 8-byte words (a float64 as its
-// IEEE-754 bits), tailChunk at a time.
-func writeTail[T float64 | uint64](w io.Writer, vals []T) error {
-	buf := make([]byte, 8*tailChunk)
+// IEEE-754 bits), through buf a tailChunk at a time.
+func writeTail[T float64 | uint64](w io.Writer, vals []T, buf *[8 * tailChunk]byte) error {
 	for off := 0; off < len(vals); off += tailChunk {
 		n := 0
 		switch vs := any(vals[off:min(off+tailChunk, len(vals))]).(type) { // once a chunk, so the loops are concrete
@@ -421,14 +610,16 @@ func writeTail[T float64 | uint64](w io.Writer, vals []T) error {
 	return nil
 }
 
-// readTail reads n little-endian 8-byte words, tailChunk at a time. The
-// slice grows with what has arrived, never with what the header claims: a
-// corrupt or crafted header can announce 2^30 states over ten bytes, and a
-// server restoring evicted cohorts must fail on the short read, not
-// commit gigabytes to a lie.
-func readTail[T float64 | uint64](r io.Reader, n uint64) ([]T, error) {
-	out := make([]T, 0, min(n, tailChunk))
-	buf := make([]byte, 8*min(n, tailChunk))
+// readTail reads n little-endian 8-byte words, through buf a tailChunk at
+// a time, into
+// one slice the restored model keeps. Its first allocation holds the
+// announced tail up to tailCap words; past that the slice grows with what
+// has arrived, never with what the header claims: a corrupt or crafted
+// header can announce 2^30 states over ten bytes, and a server restoring
+// evicted cohorts must fail on the short read, having committed at most
+// the cap, not gigabytes, to a lie.
+func readTail[T float64 | uint64](r io.Reader, n uint64, buf *[8 * tailChunk]byte) ([]T, error) {
+	out := make([]T, 0, min(n, tailCap))
 	for off := uint64(0); off < n; off += tailChunk {
 		chunk := buf[:8*min(n-off, tailChunk)]
 		if _, err := io.ReadFull(r, chunk); err != nil {

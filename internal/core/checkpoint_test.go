@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"fmt"
+	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -258,18 +261,24 @@ func TestCheckpointCarriesEntropyTrace(t *testing.T) {
 
 // TestLoadSessionRefusesParentFormat: checkpoints in the retired
 // gob-first layout (written by the build before the one-header layout: a
-// v2 idle dense session and a v3 one with a proposal outstanding) are
-// refused with an error that names that layout, never mis-read.
+// v2 idle dense session and a v3 one with a proposal outstanding) and in
+// the gob-header layout (a v4 session with a proposal outstanding,
+// written by the build before the binary header) are refused with an
+// error that names their layout, never mis-read.
 func TestLoadSessionRefusesParentFormat(t *testing.T) {
 	pool := newTestPool(t)
-	for _, name := range []string{"parent_v2_dense.ckpt", "parent_v3_pending.ckpt"} {
+	for name, want := range map[string]string{
+		"parent_v2_dense.ckpt":   "retired gob-first layout (versions 1–3)",
+		"parent_v3_pending.ckpt": "retired gob-first layout (versions 1–3)",
+		"parent_v4_pending.ckpt": "gob header (version 4)",
+	} {
 		raw, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = LoadSession(bytes.NewReader(raw), pool, nil, nil)
-		if err == nil || !strings.Contains(err.Error(), "retired gob-first layout (versions 1–3)") {
-			t.Fatalf("%s: %v, want the retired layout named", name, err)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want %q named", name, err, want)
 		}
 	}
 }
@@ -344,7 +353,7 @@ func TestCheckpointTailCrossesChunks(t *testing.T) {
 }
 
 // TestCheckpointLayout pins the layout on every backend a session runs
-// on: after the magic and one gob message, what is left is exactly the
+// on: after the magic and the binary header, what is left is exactly the
 // raw tail — 8·2^N bytes for a dense or cluster-gathered posterior (idle
 // or with a proposal outstanding), 16·|support| for a sparse one, and
 // nothing once the campaign is complete.
@@ -457,9 +466,11 @@ func TestLoadSessionRejectsIncoherentHeader(t *testing.T) {
 	}
 }
 
+// newDenseSession is a dense n-subject session after one stage, still open
+// over its whole cohort, with a proposal outstanding if propose is set.
 func newDenseSession(t testing.TB, pool *engine.Pool, n int, propose bool) *Session {
 	t.Helper()
-	risks := workload.UniformRisks(n, 0.07)
+	risks := workload.UniformRisks(n, 0.2)
 	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
 	sess, err := NewSession(pool, Config{Risks: risks, Response: resp})
 	if err != nil {
@@ -468,6 +479,9 @@ func newDenseSession(t testing.TB, pool *engine.Pool, n int, propose bool) *Sess
 	t.Cleanup(func() { sess.Close() })
 	if err := sess.Step(workload.NewOracle(workload.Draw(risks, rng.New(1)), resp, rng.New(2)).Test); err != nil {
 		t.Fatal(err)
+	}
+	if sess.Done() {
+		t.Fatalf("a %d-subject session is done after one stage", n)
 	}
 	if propose {
 		if _, err := sess.ProposePools(); err != nil {
@@ -527,29 +541,206 @@ func samePosterior(t testing.TB, what string, got, want *posterior.Snapshot, tol
 	}
 }
 
-// splitCheckpoint decodes a checkpoint's one gob header and returns it with
-// every byte that follows it.
+// splitCheckpoint decodes a checkpoint's one binary header and returns it
+// with every byte that follows it.
 func splitCheckpoint(t testing.TB, raw []byte) (*sessionHeader, []byte) {
 	t.Helper()
 	if !bytes.HasPrefix(raw, []byte(checkpointMagic)) {
 		t.Fatalf("checkpoint starts %q", raw[:min(len(raw), len(checkpointMagic))])
 	}
-	r := bytes.NewReader(raw[len(checkpointMagic):])
-	var h sessionHeader
-	if err := gob.NewDecoder(r).Decode(&h); err != nil {
+	rest := raw[len(checkpointMagic):]
+	if len(rest) < headerPrefix {
+		t.Fatalf("checkpoint stops %d bytes after its magic", len(rest))
+	}
+	n := int(binary.LittleEndian.Uint32(rest[1:]))
+	if len(rest) < headerPrefix+n {
+		t.Fatalf("a %d-byte header in %d bytes", n, len(rest)-headerPrefix)
+	}
+	h, err := decodeHeader(rest[0], rest[headerPrefix:headerPrefix+n])
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &h, raw[len(raw)-r.Len():]
+	return h, rest[headerPrefix+n:]
 }
 
 // joinCheckpoint is splitCheckpoint's inverse: it writes a header and a
 // tail in the checkpoint layout, whatever they say.
 func joinCheckpoint(t testing.TB, h *sessionHeader, tail []byte) []byte {
 	t.Helper()
-	buf := bytes.NewBufferString(checkpointMagic)
-	if err := gob.NewEncoder(buf).Encode(h); err != nil {
+	raw, err := appendHeader([]byte(checkpointMagic), h)
+	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Write(tail)
-	return buf.Bytes()
+	return append(raw, tail...)
+}
+
+// TestSaveSessionIsARead: saving a session changes nothing it goes on to
+// compute. A campaign saved after every stage reports, stage by stage,
+// marginals bit-identical to the same campaign never saved, on the dense
+// and the sparse backend (a dense save reads the lattice in place rather
+// than settling its carried scale into the storage).
+func TestSaveSessionIsARead(t *testing.T) {
+	pool := newTestPool(t)
+	resp := dilution.Hyperbolic{MaxSens: 0.95, Spec: 0.99, D: 0.3}
+	for _, b := range heldBackends[:2] {
+		for seed := uint64(1); seed <= 6; seed++ {
+			risks := workload.BetaRisks(12, 2, 8, rng.New(90+seed))
+			run := func(save bool) (marg [][]float64) {
+				model, err := b.spec.Open(pool, risks, resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := NewSessionOn(model, Config{MaxStages: 60})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				oracle := workload.NewOracle(workload.Draw(risks, rng.New(seed)), resp, rng.New(seed+100))
+				for !sess.Done() {
+					if err := sess.Step(oracle.Test); err != nil {
+						t.Fatal(err)
+					}
+					marg = append(marg, slices.Clone(sess.marg))
+					if save {
+						if err := sess.SaveSession(io.Discard); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				return marg
+			}
+			want, got := run(false), run(true)
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d stages saved, %d unsaved", b.name, seed, len(got), len(want))
+			}
+			for stage := range want {
+				for i := range want[stage] {
+					if math.Float64bits(got[stage][i]) != math.Float64bits(want[stage][i]) {
+						t.Fatalf("%s seed %d stage %d: subject %d's marginal %v saved, %v unsaved",
+							b.name, seed, stage+1, i, got[stage][i], want[stage][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCheckpointHeaderRoundTrip: a header under each of the six dilution
+// models decodes to what was written and re-encodes to its own bytes.
+func TestCheckpointHeaderRoundTrip(t *testing.T) {
+	pool := newTestPool(t)
+	h, _ := splitCheckpoint(t, saveSession(t, newDenseSession(t, pool, 6, true)))
+	for _, resp := range []dilution.Response{
+		dilution.Ideal{},
+		dilution.Binary{Sens: 0.9, Spec: 0.97},
+		dilution.Hyperbolic{MaxSens: 0.95, Spec: 0.99, D: 0.3},
+		dilution.Logistic{MaxSens: 0.97, Spec: 0.99, Alpha: 4, Beta: -2.5},
+		dilution.Subsample{Q: 0.8, Spec: 0.995},
+		dilution.DefaultCt(),
+	} {
+		h.Posterior.Response = resp
+		raw := joinCheckpoint(t, h, nil)
+		got, tail := splitCheckpoint(t, raw)
+		if len(tail) != 0 || !reflect.DeepEqual(got, h) {
+			t.Fatalf("%s: header read back as %+v (%d bytes left), want %+v", resp.Name(), got, len(tail), h)
+		}
+		if again := joinCheckpoint(t, got, nil); !bytes.Equal(again, raw) {
+			t.Fatalf("%s: header re-encodes to\n%x, not\n%x", resp.Name(), again, raw)
+		}
+	}
+}
+
+// privateAssay is a response model outside the six a checkpoint names.
+type privateAssay struct{ dilution.Binary }
+
+// TestSaveSessionRefusesUnknownResponse: a session under a response model
+// the header cannot name is refused at save, and the error names its type.
+func TestSaveSessionRefusesUnknownResponse(t *testing.T) {
+	pool := newTestPool(t)
+	sess, err := NewSession(pool, Config{Risks: workload.UniformRisks(6, 0.1), Response: privateAssay{dilution.Binary{Sens: 0.9, Spec: 0.99}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.SaveSession(io.Discard); err == nil || !strings.Contains(err.Error(), "privateAssay") {
+		t.Fatalf("save under a private response model: %v, want its type named", err)
+	}
+}
+
+// TestLoadSessionRefusesNonCanonicalHeader: a header no writer makes is
+// refused — an unknown response tag, a non-minimal varint, a count past
+// the bytes left, bytes after the record — so an accepted header is the
+// one encoding of its value.
+func TestLoadSessionRefusesNonCanonicalHeader(t *testing.T) {
+	pool := newTestPool(t)
+	h, tail := splitCheckpoint(t, saveSession(t, newDenseSession(t, pool, 6, true)))
+	h.Posterior.Response = dilution.Ideal{}
+	ideal := joinCheckpoint(t, h, nil)
+	h.Posterior.Response = dilution.Binary{}
+	start := len(checkpointMagic) + headerPrefix // the record's first byte: the active list's count
+	tag := start                                 // the response tag: the first record byte the two encodings differ in
+	for joinCheckpoint(t, h, nil)[tag] == ideal[tag] {
+		tag++
+	}
+	if ideal[start] >= 0x40 {
+		t.Fatalf("%d active subjects do not fit a one-byte count", ideal[start])
+	}
+	// rewrite replaces the record's byte at i with with, fixing up the length.
+	rewrite := func(i int, with ...byte) []byte {
+		raw := append(append(append([]byte(nil), ideal[:i]...), with...), ideal[i+1:]...)
+		binary.LittleEndian.PutUint32(raw[len(checkpointMagic)+1:], uint32(len(raw)-start))
+		return append(raw, tail...)
+	}
+	if _, err := LoadSession(bytes.NewReader(rewrite(start, ideal[start])), pool, nil, nil); err != nil {
+		t.Fatalf("the unmodified base does not load: %v", err)
+	}
+	for name, raw := range map[string][]byte{
+		"unknown response tag":      rewrite(tag, 7),
+		"non-minimal varint":        rewrite(start, 0x80|ideal[start], 0),
+		"count past the bytes left": rewrite(start, 0xff, 0x7f),
+		"trailing byte":             rewrite(len(ideal)-1, ideal[len(ideal)-1], 0),
+	} {
+		if _, err := LoadSession(bytes.NewReader(raw), pool, nil, nil); err == nil || !strings.Contains(err.Error(), "decode session header") {
+			t.Errorf("%s: %v, want the header refused", name, err)
+		}
+	}
+}
+
+// BenchmarkCheckpoint prices a dense session's checkpoint through the file
+// system at N=14 and N=16: SaveFile (encode, temp file, rename) and
+// LoadSession from the file (decode into the restored lattice's storage,
+// one validating pass). Run it with -benchmem: a save allocates no copy of
+// the posterior, and a load exactly one.
+func BenchmarkCheckpoint(b *testing.B) {
+	pool := engine.NewPool(1)
+	defer pool.Close()
+	for _, n := range []int{14, 16} {
+		sess := newDenseSession(b, pool, n, false)
+		path := filepath.Join(b.TempDir(), "session.ckpt")
+		b.Run(fmt.Sprintf("save_N%d", n), func(b *testing.B) {
+			b.SetBytes(8 << n)
+			for i := 0; i < b.N; i++ {
+				if err := sess.SaveFile(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("load_N%d", n), func(b *testing.B) {
+			b.SetBytes(8 << n)
+			for i := 0; i < b.N; i++ {
+				f, err := os.Open(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				back, err := LoadSession(f, pool, nil, nil)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				back.Close()
+			}
+		})
+	}
 }

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dilution"
@@ -151,7 +156,7 @@ func FuzzSessionCheckpointLoad(f *testing.F) {
 // FuzzCheckpointTail holds a checkpoint's header fixed — a dense session's
 // with a proposal outstanding, and a sparse session's — and fuzzes only
 // the raw tail after it, so a mutation reaches the posterior decoder and
-// the backend's validation instead of first breaking the gob header. Each
+// the backend's validation instead of first breaking the header. Each
 // input is tried behind both headers. An accepted tail must restore a
 // coherent session whose marginals are probabilities, and a load → save →
 // load round trip must keep it. The seeds are the real dense tail, an
@@ -197,6 +202,70 @@ func FuzzCheckpointTail(f *testing.F) {
 			sameSession(t, back, s)
 			back.Close()
 			s.Close()
+		}
+	})
+}
+
+// FuzzCheckpointHeader feeds arbitrary bytes to the checkpoint reader as
+// what follows the magic: version, header length, header record and tail.
+// It never panics, never allocates more than a small multiple of the input
+// plus one tail's first allocation (tailCap states and a read chunk), and
+// a header record it accepts re-encodes to its own bytes. The seeds are
+// the real checkpoints of every shape, a header announcing a 2^30-state
+// tail it does not carry, and a header cut short.
+func FuzzCheckpointHeader(f *testing.F) {
+	pool := engine.NewPool(1)
+	defer pool.Close()
+	var seeds [][]byte
+	for _, s := range []*Session{newDenseSession(f, pool, 8, false), newDenseSession(f, pool, 8, true), newSparseSession(f, 6)} {
+		seeds = append(seeds, saveSession(f, s))
+	}
+	risks := workload.UniformRisks(8, 0.12)
+	fin, err := NewSession(pool, Config{Risks: risks, Response: dilution.DefaultCt(), EntropyTrace: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := fin.Run(workload.NewOracle(workload.Draw(risks, rng.New(5)), dilution.DefaultCt(), rng.New(6)).Test); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, saveSession(f, fin))
+	// A dense header over lattice.MaxSubjects subjects and no tail: the
+	// reader commits at most tailCap states before the short read.
+	lie := &sessionHeader{Version: checkpointVersion, Posterior: &posteriorHeader{Kind: posterior.KindDense, Response: dilution.Ideal{}}}
+	for i := range 30 {
+		lie.Active = append(lie.Active, i)
+		lie.Calls = append(lie.Calls, Classification{Subject: i})
+		lie.Posterior.Risks = append(lie.Posterior.Risks, 0.1)
+	}
+	seeds = append(seeds, joinCheckpoint(f, lie, nil))
+	for _, s := range seeds {
+		f.Add(s[len(checkpointMagic):])
+	}
+	f.Add(seeds[1][len(checkpointMagic) : len(checkpointMagic)+headerPrefix+4])
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		br := bufio.NewReader(io.MultiReader(strings.NewReader(checkpointMagic), bytes.NewReader(in)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := readCheckpoint(br)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(in))+8*(tailCap+2*tailChunk)+headerChunk; got > limit {
+			t.Fatalf("reading %d bytes allocated %d, over %d (%v)", len(in), got, limit, err)
+		}
+		if len(in) < headerPrefix {
+			return
+		}
+		n := uint64(binary.LittleEndian.Uint32(in[1:]))
+		if uint64(len(in)-headerPrefix) < n {
+			return
+		}
+		record := in[:headerPrefix+int(n)]
+		h, err := decodeHeader(record[0], record[headerPrefix:])
+		if err != nil {
+			return // rejection is the expected outcome for junk
+		}
+		if again, err := appendHeader(nil, h); err != nil || !bytes.Equal(again, record) {
+			t.Fatalf("%+v re-encodes to\n%x (%v), not\n%x", h, again, err, record)
 		}
 	})
 }

@@ -26,13 +26,20 @@ type Vector struct {
 // The backing store is one contiguous allocation, so partition boundaries
 // cost nothing in locality.
 func NewVector(pool *Pool, n uint64, parts int) *Vector {
+	return VectorOver(pool, make([]float64, n), parts)
+}
+
+// VectorOver is NewVector over a given backing store of len(backing)
+// elements, which the vector keeps as its storage: the caller hands the
+// slice over and must not use it afterwards.
+func VectorOver(pool *Pool, backing []float64, parts int) *Vector {
 	if pool == nil {
 		panic("engine: NewVector with nil pool")
 	}
 	v := &Vector{
 		pool:    pool,
-		backing: make([]float64, n),
-		n:       n,
+		backing: backing,
+		n:       uint64(len(backing)),
 	}
 	v.partition(parts)
 	return v

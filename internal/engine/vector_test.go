@@ -284,3 +284,26 @@ func TestFillDoubling(t *testing.T) {
 	}()
 	v.FillDoubling(1, factors[:3])
 }
+
+// TestVectorOverAdoptsBacking: a vector built over a slice keeps that
+// slice as its storage — the same length and partition layout NewVector
+// gives, and no copy: a write through either is seen through the other.
+func TestVectorOverAdoptsBacking(t *testing.T) {
+	pool := newTestPool(t)
+	backing := []float64{1, 2, 3, 4, 5, 6, 7}
+	v := VectorOver(pool, backing, 3)
+	want := NewVector(pool, 7, 3)
+	if v.Len() != want.Len() || v.Parts() != want.Parts() {
+		t.Fatalf("%d elements in %d partitions, NewVector gives %d in %d", v.Len(), v.Parts(), want.Len(), want.Parts())
+	}
+	for p := range v.Parts() {
+		if off, data := v.Partition(p); off != want.offsets[p] || len(data) != len(want.parts[p]) {
+			t.Fatalf("partition %d: offset %d length %d, NewVector's %d, %d", p, off, len(data), want.offsets[p], len(want.parts[p]))
+		}
+	}
+	v.Set(4, 9)
+	backing[6] = -1
+	if backing[4] != 9 || v.At(6) != -1 || v.At(0) != 1 {
+		t.Fatalf("vector and backing diverged: %v vs %v", v.Slice(), backing)
+	}
+}

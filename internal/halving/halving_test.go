@@ -3,6 +3,7 @@ package halving_test
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -221,7 +222,9 @@ func TestExpectedEntropyAfterIsReduction(t *testing.T) {
 	var after, total float64
 	for b, y := range []dilution.Outcome{dilution.Negative, dilution.Positive} {
 		row, w := rows[b*9:b*9+8], rows[b*9+8]
-		c, err := posterior.FromSnapshot(pool, snap)
+		clone := *snap // a restore adopts its snapshot's Dense slice
+		clone.Dense = slices.Clone(snap.Dense)
+		c, err := posterior.FromSnapshot(pool, &clone)
 		if err != nil {
 			t.Fatal(err)
 		}

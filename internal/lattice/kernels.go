@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -806,6 +807,17 @@ func ValidFactor(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
 func Scale(data []float64, factor float64) {
 	for j := range data {
 		data[j] *= factor
+	}
+}
+
+// PutScaled writes each state of data times scale into dst as its
+// little-endian IEEE-754 bits, 8 bytes a state: a checkpoint's dense tail
+// encoded from stored mass with the carried normaliser folded in — Scale's
+// multiply, made on the way out instead of in place.
+func PutScaled(dst []byte, data []float64, scale float64) {
+	dst = dst[:8*len(data)]
+	for i, x := range data {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x*scale))
 	}
 }
 

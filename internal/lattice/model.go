@@ -52,6 +52,7 @@ package lattice
 
 import (
 	"fmt"
+	"io"
 	"slices"
 
 	"repro/internal/bitvec"
@@ -148,15 +149,14 @@ func validate(cfg Config) (base float64, odds []float64, err error) {
 	return base, odds, nil
 }
 
-// alloc returns a model of a validated cfg's cohort around a zeroed
-// posterior, for New and Restore to fill.
-func alloc(pool *engine.Pool, cfg Config) *Model {
-	n := len(cfg.Risks)
+// alloc returns a model of a validated cfg's cohort around post, for New
+// and Restore to fill.
+func alloc(cfg Config, post *engine.Vector) *Model {
 	return &Model{
-		n:     n,
+		n:     len(cfg.Risks),
 		risks: append([]float64(nil), cfg.Risks...),
 		resp:  cfg.Response,
-		post:  engine.NewVector(pool, uint64(1)<<uint(n), cfg.Parts),
+		post:  post,
 	}
 }
 
@@ -182,7 +182,7 @@ func New(pool *engine.Pool, cfg Config) (*Model, error) {
 	if !ValidFactor(1 / total) {
 		return nil, fmt.Errorf("lattice: degenerate prior (total %v)", total)
 	}
-	m := alloc(pool, cfg)
+	m := alloc(cfg, engine.NewVector(pool, uint64(1)<<uint(len(cfg.Risks)), cfg.Parts))
 	m.post.FillDoubling(base, odds)
 	m.scale, m.prior, m.marg = 1/total, true, m.Risks()
 	return m, nil
@@ -260,33 +260,66 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	return nil
 }
 
+// WriteStates writes the posterior to w in state order, as little-endian
+// float64 bits: each stored state times the carried scale (PutScaled), the
+// bytes Posterior().Slice() would hold — how a session checkpoint's dense
+// tail is written. It is a read: the storage, the scale and the held
+// marginals stay as they were. The partitions are walked in order on the
+// caller, cap(buf)/8 states at a time through buf, a scratch chunk (one
+// of 64 KiB when buf holds no state).
+func (m *Model) WriteStates(w io.Writer, buf []byte) error {
+	if cap(buf) < 8 {
+		buf = make([]byte, 8*8192)
+	}
+	states := min(uint64(cap(buf)/8), m.post.Len())
+	buf = buf[: 0 : 8*states]
+	for p := range m.post.Parts() {
+		_, data := m.post.Partition(p)
+		for len(data) > 0 {
+			k := min(len(data), (cap(buf)-len(buf))/8)
+			PutScaled(buf[len(buf):len(buf)+8*k], data[:k], m.scale)
+			buf, data = buf[:len(buf)+8*k], data[k:]
+			if len(buf) == cap(buf) {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+		}
+	}
+	if len(buf) > 0 {
+		_, err := w.Write(buf)
+		return err
+	}
+	return nil
+}
+
 // Restore rebuilds a model from a previously captured posterior (state
 // order, length 2^len(cfg.Risks)) and test counter — how a session
 // checkpoint's dense tail becomes a model again (posterior.FromSnapshot).
-// One pass copies it in and folds it (AddMarginals): the total's reciprocal
-// is the carried scale, so a checkpoint cannot smuggle in an unnormalized
-// lattice, and the marginals are held. It is never taken for a prior.
+// The model adopts posterior as its storage, with no copy: the caller
+// hands the slice over and must not use it afterwards (on an error it is
+// left as it was). One FirstInvalid pass checks it and one AddMarginals
+// pass folds it: the total's reciprocal is the carried scale, so a
+// checkpoint cannot smuggle in an unnormalized lattice, and the marginals
+// are held. It is never taken for a prior.
 func Restore(pool *engine.Pool, cfg Config, posterior []float64, tests int) (*Model, error) {
 	if _, _, err := validate(cfg); err != nil {
 		return nil, err
 	}
-	m := alloc(pool, cfg)
-	if uint64(len(posterior)) != m.post.Len() {
+	if states := uint64(1) << uint(len(cfg.Risks)); uint64(len(posterior)) != states {
 		return nil, fmt.Errorf("lattice: posterior has %d states, cohort of %d needs %d",
-			len(posterior), m.n, m.post.Len())
+			len(posterior), len(cfg.Risks), states)
+	}
+	if tests < 0 {
+		return nil, fmt.Errorf("lattice: negative test count %d", tests)
 	}
 	if i := FirstInvalid(posterior); i >= 0 {
 		return nil, fmt.Errorf("lattice: invalid posterior mass %v", posterior[i])
 	}
-	total := m.hold(func(offset uint64, data, marg []float64) prob.Accumulator {
-		copy(data, posterior[offset:])
-		return AddMarginals(offset, data, marg)
-	})
-	if !ValidFactor(1 / total) {
+	m := alloc(cfg, engine.VectorOver(pool, posterior, cfg.Parts))
+	if total := m.hold(AddMarginals); !ValidFactor(1 / total) {
 		return nil, fmt.Errorf("lattice: restored posterior has zero mass")
-	}
-	if tests < 0 {
-		return nil, fmt.Errorf("lattice: negative test count %d", tests)
 	}
 	m.tests = tests
 	return m, nil

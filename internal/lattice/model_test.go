@@ -1,6 +1,8 @@
 package lattice
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -409,6 +411,77 @@ func TestPriorClosedFormMatchesSweep(t *testing.T) {
 		}
 		if n > 1 {
 			check("conditioned", mustNew(t, pool, cfg).ConditionInPlace(r.Intn(n), r.Bool()), false)
+		}
+	}
+}
+
+// TestWriteStatesIsARead: WriteStates writes the settled posterior's bytes
+// — a copy's Posterior(), as little-endian float64s — through any chunk,
+// one state or many partitions' worth, and leaves the model's storage,
+// carried scale and held marginals bit for bit as they were.
+func TestWriteStatesIsARead(t *testing.T) {
+	pool := newTestPool(t)
+	cfg := Config{Risks: []float64{0.1, 0.3, 0.2, 0.05, 0.15, 0.25, 0.4}, Response: dilution.Binary{Sens: 0.9, Spec: 0.97}, Parts: 3}
+	m := mustNew(t, pool, cfg)
+	if err := m.Update(bitvec.FromIndices(0, 2, 5), dilution.Positive); err != nil {
+		t.Fatal(err)
+	}
+	if m.scale == 1 || m.marg == nil {
+		t.Fatal("the model carries no scale or holds no marginals to keep")
+	}
+	stored, scale, marg := m.post.Slice(), m.scale, append([]float64(nil), m.marg...)
+	var want []byte
+	for _, x := range cloneModel(m).Posterior().Slice() {
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(x))
+	}
+	for _, chunk := range []int{0, 8, 40, 8 << 7, 8 << 10} {
+		var out bytes.Buffer
+		if err := m.WriteStates(&out, make([]byte, chunk)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("a %d-byte chunk wrote %d bytes unlike the settled posterior's %d", chunk, out.Len(), len(want))
+		}
+	}
+	if math.Float64bits(m.scale) != math.Float64bits(scale) || !bitsEqual(m.post.Slice(), stored) || !bitsEqual(m.marg, marg) {
+		t.Fatal("WriteStates changed the model's storage, scale or held marginals")
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRestoreAdoptsPosterior: Restore keeps the slice it is handed as the
+// model's storage instead of copying it, and reads it as it was handed
+// over: the restored posterior equals the saved one.
+func TestRestoreAdoptsPosterior(t *testing.T) {
+	pool := newTestPool(t)
+	cfg := Config{Risks: []float64{0.1, 0.3, 0.2, 0.05, 0.15}, Response: dilution.Binary{Sens: 0.9, Spec: 0.97}, Parts: 3}
+	m := mustNew(t, pool, cfg)
+	if err := m.Update(bitvec.FromIndices(1, 3), dilution.Negative); err != nil {
+		t.Fatal(err)
+	}
+	post := m.Posterior().Slice()
+	want := append([]float64(nil), post...)
+	r, err := Restore(pool, cfg, post, m.Tests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, data := r.post.Partition(0); &data[0] != &post[0] {
+		t.Fatal("Restore copied the posterior it was handed")
+	}
+	for s, w := range want {
+		if got := r.StateMass(bitvec.Mask(s)); math.Abs(got-w) > 1e-15 {
+			t.Fatalf("state %d restored as %v, saved %v", s, got, w)
 		}
 	}
 }

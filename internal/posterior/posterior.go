@@ -151,7 +151,10 @@ type Snapshot struct {
 // FromSnapshot rebuilds a Model from a snapshot. Dense and cluster
 // snapshots restore as dense models on the given pool (resuming onto a
 // live cluster is a deployment decision, not a checkpoint property);
-// sparse snapshots restore as sparse models and ignore pool.
+// sparse snapshots restore as sparse models and ignore pool. A dense
+// model adopts snap.Dense as its storage (lattice.Restore): the snapshot
+// is handed over, and its Dense slice must not be used afterwards — copy
+// it first to restore one snapshot twice.
 func FromSnapshot(pool *engine.Pool, snap *Snapshot) (Model, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("posterior: nil snapshot")
@@ -178,6 +181,18 @@ func FromSnapshot(pool *engine.Pool, snap *Snapshot) (Model, error) {
 		return FromSparse(m), nil
 	}
 	return nil, fmt.Errorf("posterior: unknown snapshot kind %q", snap.Kind)
+}
+
+// Lattice returns the in-process lattice under m (Instrument's wrapper
+// seen through), or nil when m keeps its posterior elsewhere: a sparse
+// support or cluster shards. A checkpoint writes a dense tail from it in
+// place (lattice.Model.WriteStates), where Snapshot would settle the
+// lattice and copy it.
+func Lattice(m Model) *lattice.Model {
+	if d, ok := Base(m).(*Dense); ok {
+		return d.m
+	}
+	return nil
 }
 
 // Branches returns the look-ahead reads of m, on every backend. With no

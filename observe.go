@@ -38,5 +38,9 @@ func AssembleTraces(sets ...[]SpanRecord) []*Trace { return obs.Assemble(sets...
 
 // Instrument attaches the engine's worker pool to a registry (see
 // internal/obs): task counts, queue depth, in-flight gauge, task-time
-// and submit-wait histograms under sbgt_engine_pool_*.
-func (e *Engine) Instrument(reg *Metrics) { e.pool.Instrument(reg) }
+// and submit-wait histograms under sbgt_engine_pool_*. The engine keeps
+// the registry, and a session it resumes (LoadSession) reports to it.
+func (e *Engine) Instrument(reg *Metrics) {
+	e.pool.Instrument(reg)
+	e.reg.Store(reg)
+}

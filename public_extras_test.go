@@ -134,3 +134,55 @@ func TestEpidemicPublic(t *testing.T) {
 		t.Fatalf("prevalence %v", p)
 	}
 }
+
+// TestLoadSessionReportsToEngineRegistry: a session resumed on an
+// instrumented engine keeps reporting to the engine's registry — its
+// stage phases count on past the save.
+func TestLoadSessionReportsToEngineRegistry(t *testing.T) {
+	eng := newEngine(t)
+	reg := sbgt.NewMetrics()
+	eng.Instrument(reg)
+	phases := func() uint64 {
+		var n uint64
+		for _, h := range reg.Snapshot().Histograms {
+			if h.Name == "sbgt_session_stage_seconds" {
+				n += h.Count
+			}
+		}
+		return n
+	}
+	risks := sbgt.UniformRisks(12, 0.1)
+	assay := sbgt.BinaryTest(0.9, 0.95)
+	oracle := sbgt.NewOracle(sbgt.DrawPopulation(risks, sbgt.NewRand(41)), assay, sbgt.NewRand(42))
+	sess, err := eng.NewSession(sbgt.Config{Risks: risks, Response: assay, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Step(oracle.Test); err != nil {
+		t.Fatal(err)
+	}
+	saved := phases()
+	if saved == 0 {
+		t.Fatal("an observed stage recorded no phase")
+	}
+	var buf bytes.Buffer
+	if err := sbgt.SaveSession(&buf, sess); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := eng.LoadSession(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		before := phases()
+		if restored.Done() {
+			t.Fatalf("campaign ended after %d resumed stages", i)
+		}
+		if err := restored.Step(oracle.Test); err != nil {
+			t.Fatal(err)
+		}
+		if phases() <= before {
+			t.Fatalf("resumed stage %d recorded no phase: %d observations before it and after", i+1, before)
+		}
+	}
+}

@@ -1,11 +1,14 @@
 package sbgt
 
 import (
+	"sync/atomic"
+
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/dilution"
 	"repro/internal/engine"
 	"repro/internal/halving"
+	"repro/internal/obs"
 	"repro/internal/posterior"
 )
 
@@ -69,6 +72,7 @@ type Selection = halving.Selection
 // process (or one per isolation domain) and Close it when done.
 type Engine struct {
 	pool *engine.Pool
+	reg  atomic.Pointer[obs.Registry] // the registry Instrument attached; LoadSession observes into it
 }
 
 // NewEngine creates an engine with the given number of workers
