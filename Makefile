@@ -44,7 +44,8 @@ fuzz:
 
 # One iteration of the stage-kernel, kernel-ablation, conditioning,
 # collapse copy-width, serial-crossover, cluster-conditioning, cluster-round,
-# look-ahead, span-record and checkpoint benchmarks, so they cannot rot. The wave-gather arms run
+# look-ahead, span-record, dense-open and checkpoint benchmarks, so they
+# cannot rot. The wave-gather arms run
 # again at -cpu 1,2: one worker takes every wave inline, two fan the long
 # ones out.
 bench-smoke:
@@ -54,7 +55,7 @@ bench-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -bench 'BenchmarkClusterCondition|BenchmarkClusterRound' -benchtime 1x -benchmem
 	$(GO) test ./internal/halving -run '^$$' -bench BenchmarkLookahead -benchtime 1x
 	$(GO) test ./internal/obs -run '^$$' -bench 'BenchmarkSpan|BenchmarkRegistryLookup' -benchtime 1x -benchmem
-	$(GO) test ./internal/posterior -run '^$$' -bench BenchmarkInstrumentedCondition -benchtime 1x -benchmem
+	$(GO) test ./internal/posterior -run '^$$' -bench 'BenchmarkInstrumentedCondition|BenchmarkOpenDense' -benchtime 1x -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench BenchmarkCheckpoint -benchtime 1x -benchmem
 
 # Run every example program to completion (a few seconds in all): `go

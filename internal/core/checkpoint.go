@@ -369,7 +369,7 @@ func (s *Session) SaveFile(path string) (err error) {
 // resumed session is never traced; its stage spans time but record
 // nowhere.
 func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy, reg *obs.Registry) (*Session, error) {
-	h, snap, err := readCheckpoint(bufio.NewReader(r))
+	h, snap, err := readCheckpoint(bufio.NewReader(r), pool)
 	if err != nil {
 		return nil, err
 	}
@@ -401,11 +401,14 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy, reg 
 	// Rebuild the config through the usual validation path so the resumed
 	// session enforces the same invariants as a fresh one.
 	s.cfg.Strategy = strategy
-	if s.cfg, err = configFor(model, s.cfg); err != nil {
-		return nil, err
+	if s.cfg, err = configFor(model, s.cfg); err == nil {
+		if s.marg, err = model.Marginals(); err != nil {
+			err = fmt.Errorf("core: restored marginals: %w", err)
+		}
 	}
-	if s.marg, err = model.Marginals(); err != nil {
-		return nil, fmt.Errorf("core: restored marginals: %w", err)
+	if err != nil {
+		model.Close() //lint:allow errcheck the load's error is the one to report
+		return nil, err
 	}
 	s.model = posterior.Instrument(model, reg)
 	if len(h.Pending) > 0 {
@@ -423,8 +426,11 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy, reg 
 
 // readCheckpoint decodes and checks one checkpoint: the magic, the header
 // (checkHeader), and exactly the tail the header announces. It returns a
-// nil snapshot for a completed session.
-func readCheckpoint(br *bufio.Reader) (*sessionHeader, *posterior.Snapshot, error) {
+// nil snapshot for a completed session. A dense tail is read into the
+// pool's spare when the spare has the tail's size (engine.Pool.TakeSpare);
+// a load that fails after taking it drops it, so the pool never keeps a
+// half-written spare.
+func readCheckpoint(br *bufio.Reader, pool *engine.Pool) (*sessionHeader, *posterior.Snapshot, error) {
 	head, err := br.Peek(len(checkpointMagic))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: read checkpoint magic: %w", err)
@@ -462,11 +468,12 @@ func readCheckpoint(br *bufio.Reader) (*sessionHeader, *posterior.Snapshot, erro
 		chunk := tailChunks.Get().(*[8 * tailChunk]byte)
 		if p.Kind == posterior.KindSparse {
 			n := uint64(p.Support)
-			if snap.States, err = readTail[uint64](br, n, chunk); err == nil {
-				snap.Mass, err = readTail[float64](br, n, chunk)
+			if snap.States, err = readTail[uint64](br, n, chunk, nil); err == nil {
+				snap.Mass, err = readTail[float64](br, n, chunk, nil)
 			}
 		} else {
-			snap.Dense, err = readTail[float64](br, uint64(1)<<uint(len(p.Risks)), chunk)
+			n := uint64(1) << uint(len(p.Risks))
+			snap.Dense, err = readTail(br, n, chunk, pool.TakeSpare(n))
 		}
 		tailChunks.Put(chunk)
 		if err != nil {
@@ -611,15 +618,19 @@ func writeTail[T float64 | uint64](w io.Writer, vals []T, buf *[8 * tailChunk]by
 }
 
 // readTail reads n little-endian 8-byte words, through buf a tailChunk at
-// a time, into
-// one slice the restored model keeps. Its first allocation holds the
-// announced tail up to tailCap words; past that the slice grows with what
-// has arrived, never with what the header claims: a corrupt or crafted
-// header can announce 2^30 states over ten bytes, and a server restoring
-// evicted cohorts must fail on the short read, having committed at most
-// the cap, not gigabytes, to a lie.
-func readTail[T float64 | uint64](r io.Reader, n uint64, buf *[8 * tailChunk]byte) ([]T, error) {
-	out := make([]T, 0, min(n, tailCap))
+// a time, into one slice the restored model keeps: spare when it holds n
+// words (storage the pool already has, so nothing is allocated), else a
+// new one. The new slice's first allocation holds the announced tail up
+// to tailCap words; past that it grows with what has arrived, never with
+// what the header claims: a corrupt or crafted header can announce 2^30
+// states over ten bytes, and a server restoring evicted cohorts must fail
+// on the short read, having committed at most the cap, not gigabytes, to a
+// lie.
+func readTail[T float64 | uint64](r io.Reader, n uint64, buf *[8 * tailChunk]byte, spare []T) ([]T, error) {
+	out := spare[:0]
+	if uint64(len(spare)) != n {
+		out = make([]T, 0, min(n, tailCap))
+	}
 	for off := uint64(0); off < n; off += tailChunk {
 		chunk := buf[:8*min(n-off, tailChunk)]
 		if _, err := io.ReadFull(r, chunk); err != nil {

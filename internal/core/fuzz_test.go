@@ -208,16 +208,25 @@ func FuzzCheckpointTail(f *testing.F) {
 
 // FuzzCheckpointHeader feeds arbitrary bytes to the checkpoint reader as
 // what follows the magic: version, header length, header record and tail.
-// It never panics, never allocates more than a small multiple of the input
-// plus one tail's first allocation (tailCap states and a read chunk), and
-// a header record it accepts re-encodes to its own bytes. The seeds are
-// the real checkpoints of every shape, a header announcing a 2^30-state
-// tail it does not carry, and a header cut short.
+// It never panics, a header record it accepts re-encodes to its own bytes,
+// and a header that announces more tail than the bytes after it never
+// costs more than a small multiple of the input plus one tail's first
+// allocation (tailCap states and a read chunk). Only such inputs test that
+// bound, so only they pay for the allocation count (two
+// runtime.ReadMemStats, each a stop-the-world). Before every input the
+// pool is given a spare of spareStates, as a closed session leaves one, so
+// a dense tail of that size is read into storage the pool already has.
+// The seeds are the real checkpoints of every shape, a header announcing a
+// 2^30-state tail it does not carry, one announcing a tail of the spare's
+// size it does not carry, and a header cut short. The real ones are of
+// three-subject cohorts: the fuzzer minimises each new interesting input
+// in time quadratic in its length, and 2–4 KB seeds (eight subjects) kept
+// both workers minimising for most of a 10 s run.
 func FuzzCheckpointHeader(f *testing.F) {
 	pool := engine.NewPool(1)
 	defer pool.Close()
 	var seeds [][]byte
-	for _, s := range []*Session{newDenseSession(f, pool, 8, false), newDenseSession(f, pool, 8, true), newSparseSession(f, 6)} {
+	for _, s := range []*Session{newDenseSession(f, pool, 3, false), newDenseSession(f, pool, 3, true), newSparseSession(f, 3)} {
 		seeds = append(seeds, saveSession(f, s))
 	}
 	risks := workload.UniformRisks(8, 0.12)
@@ -229,45 +238,84 @@ func FuzzCheckpointHeader(f *testing.F) {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, saveSession(f, fin))
-	// A dense header over lattice.MaxSubjects subjects and no tail: the
-	// reader commits at most tailCap states before the short read.
-	lie := &sessionHeader{Version: checkpointVersion, Posterior: &posteriorHeader{Kind: posterior.KindDense, Response: dilution.Ideal{}}}
-	for i := range 30 {
-		lie.Active = append(lie.Active, i)
-		lie.Calls = append(lie.Calls, Classification{Subject: i})
-		lie.Posterior.Risks = append(lie.Posterior.Risks, 0.1)
+	// Dense headers with no tail: over lattice.MaxSubjects subjects the
+	// reader commits at most tailCap states before the short read, and
+	// over spareBits it reads into the spare and commits nothing.
+	const spareBits = 17 // 1 MiB of states, more than the bound allows a fresh tail
+	spare := make([]float64, 1<<spareBits)
+	for _, n := range []int{30, spareBits} {
+		lie := &sessionHeader{Version: checkpointVersion, Posterior: &posteriorHeader{Kind: posterior.KindDense, Response: dilution.Ideal{}}}
+		for i := range n {
+			lie.Active = append(lie.Active, i)
+			lie.Calls = append(lie.Calls, Classification{Subject: i})
+			lie.Posterior.Risks = append(lie.Posterior.Risks, 0.1)
+		}
+		seeds = append(seeds, joinCheckpoint(f, lie, nil))
 	}
-	seeds = append(seeds, joinCheckpoint(f, lie, nil))
 	for _, s := range seeds {
 		f.Add(s[len(checkpointMagic):])
 	}
 	f.Add(seeds[1][len(checkpointMagic) : len(checkpointMagic)+headerPrefix+4])
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		br := bufio.NewReader(io.MultiReader(strings.NewReader(checkpointMagic), bytes.NewReader(in)))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, err := readCheckpoint(br)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(in))+8*(tailCap+2*tailChunk)+headerChunk; got > limit {
-			t.Fatalf("reading %d bytes allocated %d, over %d (%v)", len(in), got, limit, err)
+		engine.VectorOver(pool, spare, 1).Release()
+		read := func() error {
+			_, _, err := readCheckpoint(bufio.NewReader(io.MultiReader(strings.NewReader(checkpointMagic), bytes.NewReader(in))), pool)
+			return err
 		}
-		if len(in) < headerPrefix {
-			return
+		h, record := fuzzedHeader(in)
+		if h == nil || !tailShort(h, len(in)-len(record)) {
+			read() //lint:allow errcheck junk is expected to be refused; only a panic fails here
+		} else {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(in))+8*(tailCap+2*tailChunk)+headerChunk; got > limit {
+				t.Fatalf("reading %d bytes allocated %d, over %d (%v)", len(in), got, limit, err)
+			}
 		}
-		n := uint64(binary.LittleEndian.Uint32(in[1:]))
-		if uint64(len(in)-headerPrefix) < n {
-			return
-		}
-		record := in[:headerPrefix+int(n)]
-		h, err := decodeHeader(record[0], record[headerPrefix:])
-		if err != nil {
+		if h == nil {
 			return // rejection is the expected outcome for junk
 		}
 		if again, err := appendHeader(nil, h); err != nil || !bytes.Equal(again, record) {
 			t.Fatalf("%+v re-encodes to\n%x (%v), not\n%x", h, again, err, record)
 		}
 	})
+}
+
+// fuzzedHeader decodes the header record at the start of in (version
+// byte, length, record), returning it and its bytes, or nil when in holds
+// no whole record that decodes.
+func fuzzedHeader(in []byte) (*sessionHeader, []byte) {
+	if len(in) < headerPrefix {
+		return nil, nil
+	}
+	n := uint64(binary.LittleEndian.Uint32(in[1:]))
+	if uint64(len(in)-headerPrefix) < n {
+		return nil, nil
+	}
+	record := in[:headerPrefix+int(n)]
+	h, err := decodeHeader(record[0], record[headerPrefix:])
+	if err != nil {
+		return nil, nil
+	}
+	return h, record
+}
+
+// tailShort reports whether h announces a tail longer than the rest bytes
+// that follow it.
+func tailShort(h *sessionHeader, rest int) bool {
+	p := h.Posterior
+	switch {
+	case p == nil:
+		return false
+	case p.Kind == posterior.KindSparse:
+		return uint64(p.Support) > uint64(rest)/16
+	case len(p.Risks) >= 60:
+		return true
+	}
+	return uint64(8)<<uint(len(p.Risks)) > uint64(rest)
 }
 
 // checkCoherent fails unless every subject of an accepted session is

@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -37,16 +38,22 @@ import (
 // execution to stay deadlock-free, at the cost of parallelism).
 type Pool struct {
 	workers int
-	tasks   chan func()
+	tasks   chan *forTask
 	lifecyc sync.WaitGroup
 
 	// mu makes submit's closed-check-then-send atomic with respect to
 	// Close's close(tasks): submitters hold it shared for the send, Close
 	// holds it exclusively while marking closed. A plain atomic flag is not
 	// enough — a Close between the load and the send would panic the
-	// submitter with a send on a closed channel.
+	// submitter with a send on a closed channel. It also guards spare,
+	// held exclusively for the once-a-posterior take and release.
 	mu     sync.RWMutex
 	closed bool
+
+	// spare is the backing array of the last Vector released on the pool
+	// (Vector.Release), kept for the next vector of its length (TakeSpare);
+	// nil when there is none. The pool holds at most this one.
+	spare []float64
 
 	// metrics is nil until Instrument attaches a registry; the hot path
 	// pays one atomic load and a branch when uninstrumented.
@@ -58,18 +65,6 @@ type poolMetrics struct {
 	tasks      *obs.Counter   // every task executed (worker-run or inline)
 	inline     *obs.Counter   // the subset run inline (closed pool, saturated workers, a single chunk, or a Vector below serialBelow)
 	submitWait *obs.Histogram // submit-to-start queue latency
-}
-
-// wrap instruments one task: queue wait observed when the task starts,
-// the task counted when it returns. Every body handed to wrap recovers
-// its own panics (panicBox), so the count needs no defer.
-func (m *poolMetrics) wrap(fn func()) func() {
-	wait := m.submitWait.Time()
-	return func() {
-		wait()
-		fn()
-		m.tasks.Inc()
-	}
 }
 
 // Instrument attaches the pool to a registry under the
@@ -98,14 +93,14 @@ func NewPool(workers int) *Pool {
 	}
 	p := &Pool{
 		workers: workers,
-		tasks:   make(chan func(), workers),
+		tasks:   make(chan *forTask, workers),
 	}
 	p.lifecyc.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer p.lifecyc.Done()
-			for fn := range p.tasks {
-				fn()
+			for t := range p.tasks {
+				t.run()
 			}
 		}()
 	}
@@ -115,12 +110,13 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool's parallel width.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close shuts the workers down and waits for them to exit. Close is
-// idempotent. Operations submitted after Close run inline on the caller.
+// Close shuts the workers down and waits for them to exit, and lets the
+// spare go. Close is idempotent. Operations submitted after Close run
+// inline on the caller; a vector released after it keeps no spare.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	already := p.closed
-	p.closed = true
+	p.closed, p.spare = true, nil
 	if !already {
 		close(p.tasks)
 	}
@@ -130,32 +126,58 @@ func (p *Pool) Close() {
 	}
 }
 
-// submit hands fn to a worker, or runs it inline when the pool is closed or
+// TakeSpare hands over the backing array of the last vector released on
+// the pool if it holds exactly n elements, and returns nil otherwise;
+// either way the pool holds no spare afterwards, so an open of another
+// size, or of no vector at all (DropSpare), does not keep one posterior's
+// bytes alive beside its own. The contents are whatever the released
+// vector left: the caller must write every element before it reads one.
+// A nil pool holds no spare.
+func (p *Pool) TakeSpare(n uint64) []float64 {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	spare := p.spare
+	p.spare = nil
+	p.mu.Unlock()
+	if uint64(len(spare)) != n {
+		return nil
+	}
+	return spare
+}
+
+// DropSpare lets the pool's spare go: what an open that takes no storage
+// from the pool (a sparse or cluster posterior, or a restore that brings
+// its own) calls.
+func (p *Pool) DropSpare() { p.TakeSpare(0) }
+
+// keep makes backing the pool's spare, replacing any it held; a closed
+// pool keeps none.
+func (p *Pool) keep(backing []float64) {
+	p.mu.Lock()
+	if !p.closed {
+		p.spare = backing
+	}
+	p.mu.Unlock()
+}
+
+// submit hands t to a worker, or runs it inline when the pool is closed or
 // every worker is saturated (which also makes accidental nesting safe
 // instead of deadlocking).
-func (p *Pool) submit(fn func()) {
-	m := p.metrics.Load()
-	if m != nil {
-		fn = m.wrap(fn)
-	}
+func (p *Pool) submit(t *forTask) {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
-		if m != nil {
-			m.inline.Inc()
-		}
-		fn()
+		t.runInline()
 		return
 	}
 	select {
-	case p.tasks <- fn:
+	case p.tasks <- t:
 		p.mu.RUnlock()
 	default:
 		p.mu.RUnlock()
-		if m != nil {
-			m.inline.Inc()
-		}
-		fn()
+		t.runInline()
 	}
 }
 
@@ -204,30 +226,68 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 		return
 	}
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var box panicBox
-	body := func() {
-		defer wg.Done()
-		defer box.capture()
-		for {
-			hi := int(next.Add(int64(grain)))
-			lo := hi - grain
-			if lo >= n {
-				return
-			}
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
+	t := &forTask{n: n, grain: grain, fn: fn, m: p.metrics.Load()}
+	if t.m != nil {
+		t.sent = time.Now()
 	}
-	wg.Add(spawn)
+	t.wg.Add(spawn)
 	for w := 0; w < spawn; w++ {
-		p.submit(body)
+		p.submit(t)
 	}
-	wg.Wait()
-	box.rethrow()
+	t.wg.Wait()
+	t.box.rethrow()
+}
+
+// forTask is one For call: its range, grain and body, the claim counter,
+// barrier and panic box its workers share, and what instrumentation needs,
+// in one allocation. Every worker the call spawns runs the same task.
+type forTask struct {
+	n, grain int
+	fn       func(lo, hi int)
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	box      panicBox
+	m        *poolMetrics // nil when the pool is uninstrumented
+	sent     time.Time    // when the call began submitting, for the submit-wait histogram
+}
+
+// run is one worker's share of the call: queue wait observed when it
+// starts, chunks claimed until the range is spent, the task counted before
+// the barrier is released.
+func (t *forTask) run() {
+	if t.m != nil {
+		t.m.submitWait.Observe(time.Since(t.sent).Seconds())
+	}
+	t.claim()
+	if t.m != nil {
+		t.m.tasks.Inc()
+	}
+	t.wg.Done()
+}
+
+// runInline is run on the submitter, counted as an inline task.
+func (t *forTask) runInline() {
+	if t.m != nil {
+		t.m.inline.Inc()
+	}
+	t.run()
+}
+
+// claim takes chunks of the range until none is left; a panic in fn is
+// kept for For to re-raise.
+func (t *forTask) claim() {
+	defer t.box.capture()
+	for {
+		hi := int(t.next.Add(int64(t.grain)))
+		lo := hi - t.grain
+		if lo >= t.n {
+			return
+		}
+		if hi > t.n {
+			hi = t.n
+		}
+		t.fn(lo, hi)
+	}
 }
 
 // inline runs fn(0, n) on the calling goroutine, skipping the scheduling

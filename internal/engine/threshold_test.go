@@ -83,14 +83,14 @@ func TestSerialThreshold(t *testing.T) {
 // same kernels do send. The pool's task channel has a spy on its receiving
 // end in place of workers.
 func TestSerialThresholdStaysOnCaller(t *testing.T) {
-	p := &Pool{workers: 2, tasks: make(chan func(), 2)}
+	p := &Pool{workers: 2, tasks: make(chan *forTask, 2)}
 	var sent int
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for fn := range p.tasks {
+		for task := range p.tasks {
 			sent++
-			fn()
+			task.run()
 		}
 	}()
 	defer func() { close(p.tasks); <-done }()

@@ -20,21 +20,18 @@ type Vector struct {
 	n       uint64
 }
 
-// NewVector allocates a zero-filled vector of n elements on pool, split
-// into the given number of partitions (parts <= 0 selects 4 per worker,
-// enough slack for dynamic balancing without drowning in scheduling).
-// The backing store is one contiguous allocation, so partition boundaries
-// cost nothing in locality.
-func NewVector(pool *Pool, n uint64, parts int) *Vector {
-	return VectorOver(pool, make([]float64, n), parts)
-}
-
-// VectorOver is NewVector over a given backing store of len(backing)
-// elements, which the vector keeps as its storage: the caller hands the
-// slice over and must not use it afterwards.
+// VectorOver returns a vector of len(backing) elements on pool over the
+// given backing store, which the vector keeps as its storage: the caller
+// hands the slice over and must not use it afterwards. It is split into
+// the given number of partitions (parts <= 0 selects 4 per worker, enough
+// slack for dynamic balancing without drowning in scheduling); the
+// backing store is one contiguous array, so partition boundaries cost
+// nothing in locality. A caller that overwrites every element passes the
+// pool's spare when it fits (Pool.TakeSpare) rather than a new, zeroed
+// array.
 func VectorOver(pool *Pool, backing []float64, parts int) *Vector {
 	if pool == nil {
-		panic("engine: NewVector with nil pool")
+		panic("engine: VectorOver with nil pool")
 	}
 	v := &Vector{
 		pool:    pool,
@@ -47,7 +44,8 @@ func VectorOver(pool *Pool, backing []float64, parts int) *Vector {
 
 // partition re-slices the first n elements of the backing array into the
 // given number of partitions (<= 0 selects 4 per worker), with sizes
-// differing by at most one.
+// differing by at most one. The partition tables are reused when they hold
+// that many, as after every ShrinkGather that keeps the count.
 func (v *Vector) partition(parts int) {
 	if parts <= 0 {
 		parts = v.pool.Workers() * 4
@@ -58,8 +56,11 @@ func (v *Vector) partition(parts int) {
 	if v.n == 0 {
 		parts = 0
 	}
-	v.parts = make([][]float64, parts)
-	v.offsets = make([]uint64, parts)
+	if cap(v.parts) >= parts {
+		v.parts, v.offsets = v.parts[:parts], v.offsets[:parts]
+	} else {
+		v.parts, v.offsets = make([][]float64, parts), make([]uint64, parts)
+	}
 	if parts == 0 {
 		return
 	}
@@ -75,6 +76,19 @@ func (v *Vector) partition(parts int) {
 		v.offsets[i] = off
 		off += size
 	}
+}
+
+// Release hands the vector's backing array, at the length it was made
+// with (a ShrinkGather does not shorten it), to its pool as the spare for
+// the next vector of that length (Pool.TakeSpare), and empties the vector:
+// it holds no element afterwards, so a stale holder reads nothing rather
+// than the next owner's data.
+func (v *Vector) Release() {
+	if v.backing == nil {
+		return
+	}
+	v.pool.keep(v.backing)
+	v.backing, v.parts, v.offsets, v.n = nil, nil, nil, 0
 }
 
 // Len returns the number of elements.
@@ -228,8 +242,9 @@ func (v *Vector) ShrinkGather(n uint64, parts int, src func(j uint64) uint64, ga
 		if b > a {
 			gather(data, a, b)
 		} else {
-			b = wave(a)
-			v.pool.For(int(b-a), 0, func(lo, hi int) { gather(data, a+uint64(lo), a+uint64(hi)) })
+			start := a // captured by value, so the serial waves leave a on the stack
+			b = wave(start)
+			v.pool.For(int(b-start), 0, func(lo, hi int) { gather(data, start+uint64(lo), start+uint64(hi)) })
 		}
 		a = b
 	}

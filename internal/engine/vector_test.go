@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/prob"
 )
 
@@ -305,5 +307,93 @@ func TestVectorOverAdoptsBacking(t *testing.T) {
 	backing[6] = -1
 	if backing[4] != 9 || v.At(6) != -1 || v.At(0) != 1 {
 		t.Fatalf("vector and backing diverged: %v vs %v", v.Slice(), backing)
+	}
+}
+
+// TestReleaseKeepsOneSpare: a released vector's backing, at the length it
+// was made with, is the pool's one spare; TakeSpare hands it over only for
+// that length and lets it go otherwise, DropSpare and Close let it go, a
+// closed pool keeps none, and the released vector holds nothing a stale
+// reader could see.
+func TestReleaseKeepsOneSpare(t *testing.T) {
+	p := NewPool(2)
+	v := NewVector(p, 64, 4)
+	v.ShrinkGather(32, 0, func(j uint64) uint64 { return j }, func([]float64, uint64, uint64) {})
+	v.Release()
+	v.Release() // idempotent
+	if v.Len() != 0 || v.Parts() != 0 || len(v.Slice()) != 0 {
+		t.Fatalf("a released vector reads %d elements in %d partitions", v.Len(), v.Parts())
+	}
+	if p.TakeSpare(32) != nil {
+		t.Fatal("a spare of 64 elements was handed over for 32")
+	}
+	if p.TakeSpare(64) != nil {
+		t.Fatal("a mismatched take did not let the spare go")
+	}
+
+	NewVector(p, 64, 4).Release()
+	last := NewVector(p, 64, 4)
+	want := &last.backing[0]
+	last.Release()
+	if got := p.TakeSpare(64); len(got) != 64 || &got[0] != want {
+		t.Fatalf("TakeSpare(64) handed over %d elements, want the last released backing", len(got))
+	}
+	if p.TakeSpare(64) != nil {
+		t.Fatal("a spare was handed over twice")
+	}
+
+	NewVector(p, 16, 0).Release()
+	p.DropSpare()
+	if p.TakeSpare(16) != nil {
+		t.Fatal("DropSpare kept the spare")
+	}
+	NewVector(p, 16, 0).Release()
+	p.Close()
+	if p.TakeSpare(16) != nil {
+		t.Fatal("Close kept the spare")
+	}
+	NewVector(p, 16, 0).Release()
+	if p.TakeSpare(16) != nil {
+		t.Fatal("a closed pool kept a spare")
+	}
+	var none *Pool
+	none.DropSpare()
+	if none.TakeSpare(0) != nil {
+		t.Fatal("a nil pool handed over a spare")
+	}
+}
+
+// TestForAllocatesOnce: a fanned-out For call is one allocation — its
+// range, body, claim counter, barrier and panic box together — whether or
+// not the pool is instrumented.
+func TestForAllocatesOnce(t *testing.T) {
+	var sum atomic.Int64
+	body := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+	bare := NewPool(2)
+	defer bare.Close()
+	inst := NewPool(2)
+	defer inst.Close()
+	inst.Instrument(obs.NewRegistry())
+	for name, p := range map[string]*Pool{"bare": bare, "instrumented": inst} {
+		if got := testing.AllocsPerRun(200, func() { p.For(64, 1, body) }); got != 1 {
+			t.Errorf("%s: For allocated %v times per call, want 1", name, got)
+		}
+	}
+}
+
+// TestShrinkGatherKeepsPartitionTables: a ShrinkGather that keeps the
+// partition count re-slices the vector's partition tables instead of
+// allocating new ones.
+func TestShrinkGatherKeepsPartitionTables(t *testing.T) {
+	p := newTestPool(t)
+	v := NewVector(p, 1<<10, 8)
+	src := func(j uint64) uint64 { return j }
+	gather := func([]float64, uint64, uint64) {}
+	n := v.Len()
+	if got := testing.AllocsPerRun(8, func() {
+		n /= 2
+		v.ShrinkGather(n, 8, src, gather)
+	}); got != 0 {
+		t.Fatalf("ShrinkGather allocated %v times per call, want 0", got)
 	}
 }

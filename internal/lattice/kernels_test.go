@@ -157,7 +157,7 @@ func TestPriorDoublingBitForBit(t *testing.T) {
 				logBase += math.Log1p(-risks[i])
 			}
 			base := math.Exp(logBase)
-			want := engine.NewVector(pool, uint64(1)<<uint(n), parts)
+			want := engine.VectorOver(pool, make([]float64, 1<<n), parts)
 			want.ForPartitions(func(_ int, offset uint64, data []float64) {
 				for j := range data {
 					w := base
@@ -469,7 +469,7 @@ func TestWaveGatherMatchesCollapseBit(t *testing.T) {
 		for k := 0; k < n; k++ {
 			bit := uint64(1) << uint(k)
 			for _, base := range []uint64{0, bit} {
-				v := engine.NewVector(pool, 1<<n, 0)
+				v := engine.VectorOver(pool, make([]float64, 1<<n), 0)
 				v.ForPartitions(func(_ int, offset uint64, data []float64) {
 					for j := range data {
 						data[j] = float64(offset+uint64(j)) + 0.5

@@ -173,6 +173,10 @@ func alloc(cfg Config, post *engine.Vector) *Model {
 // to rounding; that total is PriorTotal's closed form, not a sweep, and its
 // reciprocal is the carried scale. A degenerate prior (total 0: the risks'
 // all-negative mass underflowed) is refused before the 2^N allocation.
+//
+// The fill writes every state, so the storage is the pool's spare when it
+// has 2^N states (the last lattice Released on the pool) and a fresh
+// array otherwise; either way the pool keeps no spare (Pool.TakeSpare).
 func New(pool *engine.Pool, cfg Config) (*Model, error) {
 	base, odds, err := validate(cfg)
 	if err != nil {
@@ -182,7 +186,12 @@ func New(pool *engine.Pool, cfg Config) (*Model, error) {
 	if !ValidFactor(1 / total) {
 		return nil, fmt.Errorf("lattice: degenerate prior (total %v)", total)
 	}
-	m := alloc(cfg, engine.NewVector(pool, uint64(1)<<uint(len(cfg.Risks)), cfg.Parts))
+	states := uint64(1) << uint(len(cfg.Risks))
+	backing := pool.TakeSpare(states)
+	if backing == nil {
+		backing = make([]float64, states)
+	}
+	m := alloc(cfg, engine.VectorOver(pool, backing, cfg.Parts))
 	m.post.FillDoubling(base, odds)
 	m.scale, m.prior, m.marg = 1/total, true, m.Risks()
 	return m, nil
@@ -202,6 +211,11 @@ func (m *Model) Response() dilution.Response { return m.resp }
 
 // Risks returns the prior risk vector (a copy).
 func (m *Model) Risks() []float64 { return append([]float64(nil), m.risks...) }
+
+// Release hands the lattice's storage to its pool as the spare for the
+// next lattice of the same 2^N (New, or a restore whose tail is read into
+// it): engine.Vector.Release. The model must not be used afterwards.
+func (m *Model) Release() { m.post.Release() }
 
 // Posterior exposes the partitioned posterior for engine-level consumers
 // (the halving scan and the cluster runtime). Callers must not mutate it —

@@ -24,7 +24,7 @@ import (
 func cloneModel(m *Model) *Model {
 	c := *m
 	c.risks, c.marg = slices.Clone(m.risks), slices.Clone(m.marg)
-	c.post = engine.NewVector(m.post.Pool(), m.post.Len(), m.post.Parts())
+	c.post = engine.VectorOver(m.post.Pool(), make([]float64, m.post.Len()), m.post.Parts())
 	c.post.ForPartitions(func(p int, _ uint64, data []float64) {
 		_, src := m.post.Partition(p)
 		copy(data, src)
@@ -213,7 +213,7 @@ func conditionGather(m *Model, subject int, positive bool) *Model {
 		n:     nn,
 		risks: make([]float64, 0, nn),
 		resp:  m.resp,
-		post:  engine.NewVector(m.post.Pool(), uint64(1)<<uint(nn), parts),
+		post:  engine.VectorOver(m.post.Pool(), make([]float64, 1<<nn), parts),
 		tests: m.tests,
 		scale: 1,
 	}

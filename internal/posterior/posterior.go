@@ -9,9 +9,9 @@
 // exercises every backend through the same scripted scenarios so a new
 // representation only has to satisfy one contract. Every method that
 // touches the posterior is fallible — the cluster backend can lose an
-// executor mid-kernel — and the in-process backends simply never fail,
-// so callers pay one uniform error path instead of a panic/trap bridge
-// per transport.
+// executor mid-kernel — and the in-process backends fail only once a
+// dense model is closed or conditioned away, so callers pay one uniform
+// error path instead of a panic/trap bridge per transport.
 package posterior
 
 import (
@@ -99,8 +99,11 @@ type Model interface {
 	// independent of the model (safe to hold across further updates).
 	Snapshot() (*Snapshot, error)
 
-	// Close releases backend resources (connections, local executors).
-	// In-process backends are no-ops. Close is idempotent.
+	// Close releases backend resources: a cluster model's connections and
+	// local executors, a dense model's lattice storage (which its engine
+	// pool keeps as the spare for the next dense open of the same size).
+	// After Close every fallible method returns an error naming the closed
+	// model. A sparse model holds nothing to release. Close is idempotent.
 	Close() error
 }
 
@@ -154,11 +157,14 @@ type Snapshot struct {
 // sparse snapshots restore as sparse models and ignore pool. A dense
 // model adopts snap.Dense as its storage (lattice.Restore): the snapshot
 // is handed over, and its Dense slice must not be used afterwards — copy
-// it first to restore one snapshot twice.
+// it first to restore one snapshot twice. A restore brings its own
+// storage, so the pool's spare goes either way (engine.Pool.DropSpare; a
+// reader that can fill the spare takes it before it builds the snapshot).
 func FromSnapshot(pool *engine.Pool, snap *Snapshot) (Model, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("posterior: nil snapshot")
 	}
+	pool.DropSpare()
 	switch snap.Kind {
 	case KindDense, KindCluster:
 		m, err := lattice.Restore(pool, lattice.Config{
@@ -187,9 +193,10 @@ func FromSnapshot(pool *engine.Pool, snap *Snapshot) (Model, error) {
 // seen through), or nil when m keeps its posterior elsewhere: a sparse
 // support or cluster shards. A checkpoint writes a dense tail from it in
 // place (lattice.Model.WriteStates), where Snapshot would settle the
-// lattice and copy it.
+// lattice and copy it. A spent dense model (closed or conditioned) has no
+// lattice of its own: nil.
 func Lattice(m Model) *lattice.Model {
-	if d, ok := Base(m).(*Dense); ok {
+	if d, ok := Base(m).(*Dense); ok && d.spent == nil {
 		return d.m
 	}
 	return nil
@@ -245,6 +252,9 @@ func (b branches) read(pools []bitvec.Mask, order []int) ([]float64, error) {
 	}
 	switch x := Base(b.Model).(type) {
 	case *Dense:
+		if x.spent != nil {
+			return nil, x.spent
+		}
 		if order == nil {
 			return x.m.BranchMarginals(masks, pos), nil
 		}

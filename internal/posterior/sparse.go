@@ -6,9 +6,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// Sparse adapts the truncated sparse model to the Model interface. Like
-// Dense, its fallible methods never fail; the truncation error is
-// tracked by the wrapped model's Pruned bound, not the error path.
+// Sparse adapts the truncated sparse model to the Model interface. Its
+// fallible methods never fail; the truncation error is tracked by the
+// wrapped model's Pruned bound, not the error path.
 type Sparse struct {
 	m *sparse.Model
 }

@@ -55,11 +55,17 @@ type Spec struct {
 
 // Open builds the prior posterior for the spec. pool is used by the
 // dense backend only (sparse is single-threaded, cluster executors own
-// their pools); it may be nil for the other kinds.
+// their pools); it may be nil for the other kinds. A dense open takes the
+// pool's spare storage when it has the lattice's size (lattice.New); any
+// other open lets it go, so a pool never keeps a spare no open is about to
+// use.
 func (s Spec) Open(pool *engine.Pool, risks []float64, resp dilution.Response) (Model, error) {
 	kind, err := ParseKind(string(s.Kind))
 	if err != nil {
 		return nil, err
+	}
+	if kind != KindDense {
+		pool.DropSpare()
 	}
 	var m Model
 	switch kind {

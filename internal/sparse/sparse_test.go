@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/dilution"
 	"repro/internal/engine"
 	"repro/internal/lattice"
+	"repro/internal/prob"
 	"repro/internal/rng"
 )
 
@@ -413,4 +415,149 @@ func TestSupportGrowsWithEps(t *testing.T) {
 	if prev != 1<<16 {
 		t.Fatalf("eps=0 support = %d, want 65536", prev)
 	}
+}
+
+// TestPrunedBoundsTotalVariation is the property behind Pruned(): on
+// random campaigns at N ≤ 20 under every shipped assay model and at eps
+// 1e-2, 1e-4 and 1e-9, after every update and every collapse, the total
+// variation between the sparse posterior and the exact dense one is at
+// most Pruned() — with no multiple, only a 1e-12 allowance for the
+// rounding of the 2^N-term sum. Outcomes are drawn from a true state, so
+// the evidence may keep pointing at states the support has dropped; an
+// outcome the support cannot explain at all (zero likelihood on every
+// retained state) ends that campaign with the sparse model's error, which
+// is its honest answer.
+func TestPrunedBoundsTotalVariation(t *testing.T) {
+	pool := engine.NewPool(2)
+	defer pool.Close()
+	responses := []dilution.Response{
+		dilution.Ideal{},
+		dilution.Binary{Sens: 0.95, Spec: 0.99},
+		dilution.Hyperbolic{MaxSens: 0.98, Spec: 0.995, D: 0.25},
+		dilution.Logistic{MaxSens: 0.99, Spec: 0.99, Alpha: 4, Beta: 1.5},
+		dilution.Subsample{Q: 0.95, Spec: 0.99},
+		dilution.DefaultCt(),
+	}
+	campaigns := 3
+	if testing.Short() {
+		campaigns = 1
+	}
+	r := rng.New(18)
+	var worst float64
+	var checks, pruned, cut int
+	for _, resp := range responses {
+		for _, eps := range []float64{1e-2, 1e-4, 1e-9} {
+			for c := range campaigns {
+				n := 6 + r.Intn(11) // 6..16, and one campaign a model at 20
+				if c == 0 && eps == 1e-4 {
+					n = 20
+				}
+				st := tvCampaign(t, pool, resp, eps, n, r)
+				worst, checks, pruned = max(worst, st.excess), checks+st.checks, pruned+st.pruned
+				if st.cut {
+					cut++
+				}
+			}
+		}
+	}
+	t.Logf("%d checks, %d with Pruned() > 0, %d campaigns cut short by an outcome the support could not explain; largest TV − Pruned() %.3g",
+		checks, pruned, cut, worst)
+	if pruned == 0 {
+		t.Fatal("no campaign pruned anything: the bound was never exercised")
+	}
+}
+
+// tvStats is what one campaign of TestPrunedBoundsTotalVariation checked.
+type tvStats struct {
+	checks, pruned int     // bound checks made, and how many found Pruned() > 0
+	excess         float64 // the largest TV − Pruned() seen (≤ 1e-12, or the test fails)
+	cut            bool    // an outcome the support could not explain ended the campaign
+}
+
+// tvCampaign runs one random campaign at the given size and checks the
+// bound after every operation.
+func tvCampaign(t *testing.T, pool *engine.Pool, resp dilution.Response, eps float64, n int, r *rng.Source) tvStats {
+	t.Helper()
+	risks := make([]float64, n)
+	for i := range risks {
+		risks[i] = 0.02 + 0.18*r.Float64()
+	}
+	var truth bitvec.Mask
+	for i, p := range risks {
+		if r.Float64() < p {
+			truth = truth.With(i)
+		}
+	}
+	dense, err := lattice.New(pool, lattice.Config{Risks: risks, Response: resp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dense.Release()
+	sp, err := New(Config{Risks: risks, Response: resp, Eps: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st tvStats
+	check := func(what string) {
+		tv, bound := totalVariation(dense, sp), sp.Pruned()
+		if tv-bound > 1e-12 {
+			t.Fatalf("%s, N=%d, eps %g, after %s: TV %v exceeds Pruned() %v", resp.Name(), n, eps, what, tv, bound)
+		}
+		st.checks++
+		st.excess = max(st.excess, tv-bound)
+		if bound > 0 {
+			st.pruned++
+		}
+	}
+	check("the prior")
+	for step := range 10 {
+		var pm bitvec.Mask
+		for pm == 0 {
+			pm = bitvec.Mask(r.Uint64()) & bitvec.Full(dense.N())
+			if step%2 == 0 { // every other pool is small, as late halving pools are
+				pm &= bitvec.Mask(r.Uint64()) & bitvec.Mask(r.Uint64())
+			}
+		}
+		y := resp.Sample(r, (pm & truth).Count(), pm.Count())
+		if err := sp.Update(pm, y); err != nil {
+			st.cut = true
+			return st
+		}
+		if err := dense.Update(pm, y); err != nil {
+			t.Fatalf("dense refused an outcome sparse accepted: %v", err)
+		}
+		check(fmt.Sprintf("update %d", step))
+		if step%4 == 3 && dense.N() > 2 {
+			// Collapse a subject onto its true status, as a session calls one.
+			i := r.Intn(dense.N())
+			next := sp.Condition(i, truth.Has(i))
+			if next == nil {
+				continue // the support holds no state of that status
+			}
+			if dense.ConditionInPlace(i, truth.Has(i)) == nil {
+				t.Fatal("dense refused a collapse sparse made")
+			}
+			sp, truth = next, truth&bitvec.Full(i)|(truth>>1)&^bitvec.Full(i)
+			check("a collapse")
+		}
+	}
+	return st
+}
+
+// totalVariation returns ½ Σ_S |p(S) − q(S)| between the dense posterior
+// and the sparse one.
+func totalVariation(dense *lattice.Model, sp *Model) float64 {
+	exact := dense.Posterior().Slice()
+	states, mass := sp.SupportStates(), sp.SupportMass()
+	var sum prob.Accumulator
+	j := 0
+	for s, p := range exact {
+		q := 0.0
+		if j < len(states) && states[j] == uint64(s) {
+			q = mass[j]
+			j++
+		}
+		sum.Add(math.Abs(p - q))
+	}
+	return sum.Value() / 2
 }

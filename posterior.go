@@ -33,8 +33,9 @@ func ParseBackend(s string) (BackendKind, error) { return posterior.ParseKind(s)
 // OpenBackend builds the prior posterior for the spec on this engine's
 // worker pool (the pool is used by the dense backend only). Close the
 // returned model when done — the cluster backend holds connections and
-// possibly local executors — or hand it to NewSessionOn, which takes
-// ownership.
+// possibly local executors, and a closed dense model's storage is what
+// the engine's next dense open of the same size fills — or hand it to
+// NewSessionOn, which takes ownership.
 func (e *Engine) OpenBackend(spec Backend, risks []float64, resp Response) (Posterior, error) {
 	return spec.Open(e.pool, risks, resp)
 }
