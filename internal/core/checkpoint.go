@@ -6,11 +6,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/bitvec"
@@ -25,7 +26,7 @@ import (
 
 // A session checkpoint has one layout, whatever the session's shape:
 //
-//	magic "SBGTSESS" | version byte | header length, 4 bytes LE | header | raw little-endian tail
+//	magic "SBGTSESS" | version byte | header length, 4 bytes LE | header | raw little-endian tail | CRC-32C, 4 bytes LE
 //
 // The header is one fixed binary record (sessionHeader.code, coded by
 // internal/wire: every field in declaration order, integers as varints,
@@ -37,18 +38,26 @@ import (
 // support's |support| states as uint64s followed by their |support|
 // masses as float64s, or nothing for a completed session. The header says
 // which and how long, so a loader knows the tail's exact size before it
-// reads a byte of it.
+// reads a byte of it. The trailer is the CRC-32C (Castagnoli) of every
+// byte before it, summed as they are written and checked as they are read,
+// so a torn or corrupt checkpoint is refused rather than resumed.
 const checkpointMagic = "SBGTSESS"
 
 // checkpointVersion is the layout's version, the byte after the magic. It
-// follows version 4, whose header was one gob message, and the retired
+// follows version 5 (the same header without a generation, and no
+// trailer), version 4, whose header was one gob message, and the retired
 // gob-first layout's versions 1–3; this build refuses all of them by name
 // rather than reads them.
-const checkpointVersion = 5
+const checkpointVersion = 6
+
+// castagnoli is the CRC-32C table of the checkpoint trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
 	// headerPrefix is the version byte and the header's length.
 	headerPrefix = 1 + 4
+	// trailerLen is the CRC-32C trailer's length.
+	trailerLen = 4
 	// headerChunk is a header read's first step; each later one at most
 	// doubles what arrived (wire.ReadN).
 	headerChunk = 4 << 10
@@ -68,7 +77,11 @@ const (
 // caller — which also lets an operator change selection policy across a
 // restart without invalidating the posterior.
 type sessionHeader struct {
-	Version int   // the byte before the record, not a field of it
+	Version int // the byte before the record, not a field of it
+	// Gen is the save's generation in its checkpoint pair (Pair): 1 for the
+	// pair's first save, one more for each save after it; 0 for a stream
+	// save (SaveSession), which belongs to no pair.
+	Gen     uint64
 	Active  []int // model position -> global subject; empty once the session is done
 	Calls   []Classification
 	Stage   int
@@ -104,6 +117,7 @@ type posteriorHeader struct {
 // code is the header record's one field list: it writes h to c, or reads
 // it from c.
 func (h *sessionHeader) code(c *wire.Codec) {
+	c.Uvarint(&h.Gen)
 	wire.Each(c, &h.Active, 1, c.Int)
 	wire.Each(c, &h.Calls, 12, func(k *Classification) { // 12: four one-byte varints and a float
 		c.Int(&k.Subject)
@@ -252,16 +266,22 @@ func decodeHeader(version byte, b []byte) (*sessionHeader, error) {
 // stage/test counters, the test log, any outstanding ProposePools
 // proposal, and — unless the session is already complete — the live
 // posterior over the still-active subjects. The encoding is one binary
-// header and one raw tail (see checkpointMagic). Saving is a read: a dense
-// posterior's tail is encoded straight from the lattice's storage, which,
-// with its carried scale and held marginals, stays as it was. A session
-// whose response model is not one of the six dilution types cannot be
-// saved; the error names its type.
-func (s *Session) SaveSession(w io.Writer) error {
+// header, one raw tail and a CRC-32C trailer (see checkpointMagic); a
+// stream save carries generation 0. Saving is a read: a dense posterior's
+// tail is encoded straight from the lattice's storage, which, with its
+// carried scale and held marginals, stays as it was. A session whose
+// response model is not one of the six dilution types cannot be saved;
+// the error names its type.
+func (s *Session) SaveSession(w io.Writer) error { return s.save(w, 0) }
+
+// save writes the session's checkpoint of generation gen to w, summing the
+// CRC-32C as it goes and ending with it.
+func (s *Session) save(w io.Writer, gen uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h := sessionHeader{
 		Version:      checkpointVersion,
+		Gen:          gen,
 		Calls:        s.calls,
 		Stage:        s.stage,
 		Tests:        s.tests,
@@ -306,18 +326,22 @@ func (s *Session) SaveSession(w io.Writer) error {
 	}
 	chunk := tailChunks.Get().(*[8 * tailChunk]byte)
 	defer tailChunks.Put(chunk)
-	if _, err = w.Write(head); err == nil {
+	cw := &crcWriter{w: w}
+	if _, err = cw.Write(head); err == nil {
 		switch {
 		case snap == nil:
 		case dense != nil:
-			err = dense.WriteStates(w, chunk[:])
+			err = dense.WriteStates(cw, chunk[:])
 		case snap.Kind == posterior.KindSparse:
-			if err = writeTail(w, snap.States, chunk); err == nil {
-				err = writeTail(w, snap.Mass, chunk)
+			if err = writeTail(cw, snap.States, chunk); err == nil {
+				err = writeTail(cw, snap.Mass, chunk)
 			}
 		default:
-			err = writeTail(w, snap.Dense, chunk)
+			err = writeTail(cw, snap.Dense, chunk)
 		}
+	}
+	if err == nil {
+		_, err = w.Write(binary.LittleEndian.AppendUint32(chunk[:0], cw.crc))
 	}
 	if err != nil {
 		return fmt.Errorf("core: write checkpoint: %w", err)
@@ -325,37 +349,99 @@ func (s *Session) SaveSession(w io.Writer) error {
 	return nil
 }
 
-// SaveFile checkpoints the session to path atomically: SaveSession into a
-// temporary file beside path (path's base name + ".tmp" + a random
-// suffix), then a rename over path, so a reader of path finds the previous
-// checkpoint or this one and never a torn file. A failed save removes its
-// temporary file; a crash between create and rename leaves it behind for
-// whoever owns the directory to sweep.
-func (s *Session) SaveFile(path string) (err error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+// crcWriter hands what it is given on to w and sums it into crc.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+}
+
+func (w *crcWriter) Write(p []byte) (int, error) {
+	n, err := w.w.Write(p)
+	w.crc = crc32.Update(w.crc, castagnoli, p[:n])
+	return n, err
+}
+
+// Pair is a checkpoint on disk: two slot files, Path+".0" and Path+".1",
+// each save overwriting the older one in place (from offset 0, with no
+// truncation, temporary file or rename) and carrying the generation after
+// the newer one's. A process killed mid-save leaves the slot it was
+// writing torn, which its trailer gives away, and the other slot whole, so
+// loading the pair resumes from the previous checkpoint or the new one,
+// never a torn one, on any filesystem. A rewrite shorter than the slot's
+// old contents leaves their end behind its trailer, where a pair's read
+// stops. Durability across power loss is not promised: no save syncs.
+//
+// The caller keeps the value between saves and loads. A Pair that has not
+// been saved or loaded in this process (Gen 0) knows nothing of its slots:
+// its first load reads both, and its first save starts the pair afresh.
+type Pair struct {
+	Path string
+	Slot int    // the slot the newest save is in
+	Gen  uint64 // that save's generation, from 1; 0 while unknown
+}
+
+// slotSuffix names a pair's two slots after its Path.
+var slotSuffix = [2]string{".0", ".1"}
+
+// SlotFile returns the name of the pair's slot i (0 or 1).
+func (p *Pair) SlotFile(i int) string { return p.Path + slotSuffix[i] }
+
+// PairPath reports the pair path whose slot file name is, if it is one.
+func PairPath(name string) (string, bool) {
+	for _, suffix := range slotSuffix {
+		if path, ok := strings.CutSuffix(name, suffix); ok {
+			return path, true
+		}
+	}
+	return "", false
+}
+
+// Remove deletes both of the pair's slots; a missing slot is no error.
+func (p *Pair) Remove() error { return errors.Join(p.removeSlot(0), p.removeSlot(1)) }
+
+// removeSlot deletes slot i; a missing slot is no error.
+func (p *Pair) removeSlot(i int) error {
+	if err := os.Remove(p.SlotFile(i)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return nil
+}
+
+// SavePair checkpoints the session into p's older slot, overwritten in
+// place, as generation p.Gen+1, and on success records that slot in p as
+// the newest. The first save of a pair (Gen 0) creates slot 0 and removes
+// any slot 1 left by an earlier pair of that path, which could otherwise
+// outrank it; the second creates slot 1. A failed save leaves p as it was,
+// so the next save rewrites the same slot.
+func (s *Session) SavePair(p *Pair) error {
+	slot, gen := 1-p.Slot, p.Gen+1
+	if p.Gen == 0 {
+		slot = 0
+		if err := p.removeSlot(1); err != nil {
+			return fmt.Errorf("core: start checkpoint pair: %w", err)
+		}
+	}
+	f, err := os.OpenFile(p.SlotFile(slot), os.O_WRONLY|os.O_CREATE, 0o600)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err != nil {
-			os.Remove(f.Name()) // best effort: the save error is the one to report
-		}
-	}()
-	err = s.SaveSession(f)
+	err = s.save(f, gen)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return err
 	}
-	return os.Rename(f.Name(), path)
+	p.Slot, p.Gen = slot, gen
+	return nil
 }
 
 // LoadSession restores a session checkpoint onto the pool. strategy
 // supplies the selection policy for the resumed campaign (nil selects the
 // default halving strategy); it must be compatible with the Lookahead
 // recorded in the checkpoint (lookahead > 1 requires halving and a
-// backend that can branch, as at session construction).
+// backend that can branch, as at session construction). The stream must
+// end at the checkpoint's trailer.
 //
 // Dense checkpoints resume on the dense backend and sparse checkpoints on
 // the sparse backend. Cluster checkpoints resume as *dense* sessions: the
@@ -369,10 +455,101 @@ func (s *Session) SaveFile(path string) (err error) {
 // resumed session is never traced; its stage spans time but record
 // nowhere.
 func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy, reg *obs.Registry) (*Session, error) {
-	h, snap, err := readCheckpoint(bufio.NewReader(r), pool)
+	cr := &ckptReader{br: bufio.NewReader(r)}
+	h, err := cr.header()
 	if err != nil {
 		return nil, err
 	}
+	snap, err := cr.rest(h, pool)
+	if err != nil {
+		return nil, err
+	}
+	switch _, err := cr.br.ReadByte(); {
+	case err == nil:
+		return nil, errors.New("core: trailing bytes after the checkpoint's trailer")
+	case err != io.EOF:
+		return nil, fmt.Errorf("core: read checkpoint: %w", err)
+	}
+	return resume(h, snap, pool, strategy, reg)
+}
+
+// LoadPair restores the session a checkpoint pair holds, as LoadSession
+// restores one from a stream, and records in p the slot it came from. A
+// pair whose newest slot p knows (Gen > 0, from this process's last save
+// or load) opens that slot alone and requires its generation. Otherwise
+// both slots are read: the one of the higher generation whose trailer
+// verifies wins, and the other is the fallback; when neither loads, the
+// error names both files.
+func LoadPair(p *Pair, pool *engine.Pool, strategy halving.Strategy, reg *obs.Registry) (*Session, error) {
+	if p.Gen > 0 {
+		return loadSlot(p.SlotFile(p.Slot), p.Gen, pool, strategy, reg)
+	}
+	var gens [2]uint64
+	var errs [2]error
+	for i := range gens {
+		gens[i], errs[i] = slotGen(p.SlotFile(i))
+	}
+	order := [2]int{0, 1}
+	if errs[0] != nil || (errs[1] == nil && gens[1] > gens[0]) {
+		order = [2]int{1, 0}
+	}
+	for _, i := range order {
+		if errs[i] != nil {
+			continue
+		}
+		var s *Session
+		if s, errs[i] = loadSlot(p.SlotFile(i), gens[i], pool, strategy, reg); errs[i] == nil {
+			p.Slot, p.Gen = i, gens[i]
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("core: no slot of checkpoint pair %s loads: %w; %w", p.Path, errs[0], errs[1])
+}
+
+// slotGen reads the generation from a slot's header.
+func slotGen(name string) (uint64, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	h, err := (&ckptReader{br: bufio.NewReader(f)}).header()
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", name, err)
+	}
+	return h.Gen, nil
+}
+
+// loadSlot restores the session in one slot file, which must hold
+// generation gen. The read stops at the checkpoint's trailer: what follows
+// it is the end of a longer checkpoint the slot held before.
+func loadSlot(name string, gen uint64, pool *engine.Pool, strategy halving.Strategy, reg *obs.Registry) (*Session, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	cr := &ckptReader{br: bufio.NewReader(f)}
+	h, err := cr.header()
+	if err == nil && h.Gen != gen {
+		err = fmt.Errorf("core: checkpoint of generation %d, the pair's newest is %d", h.Gen, gen)
+	}
+	var snap *posterior.Snapshot
+	if err == nil {
+		snap, err = cr.rest(h, pool)
+	}
+	var s *Session
+	if err == nil {
+		s, err = resume(h, snap, pool, strategy, reg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return s, nil
+}
+
+// resume builds the session a checkpoint's header and posterior describe.
+func resume(h *sessionHeader, snap *posterior.Snapshot, pool *engine.Pool, strategy halving.Strategy, reg *obs.Registry) (*Session, error) {
 	s := &Session{
 		active:  h.Active,
 		calls:   h.Calls,
@@ -424,69 +601,91 @@ func LoadSession(r io.Reader, pool *engine.Pool, strategy halving.Strategy, reg 
 	return s, nil
 }
 
-// readCheckpoint decodes and checks one checkpoint: the magic, the header
-// (checkHeader), and exactly the tail the header announces. It returns a
-// nil snapshot for a completed session. A dense tail is read into the
-// pool's spare when the spare has the tail's size (engine.Pool.TakeSpare);
-// a load that fails after taking it drops it, so the pool never keeps a
-// half-written spare.
-func readCheckpoint(br *bufio.Reader, pool *engine.Pool) (*sessionHeader, *posterior.Snapshot, error) {
+// ckptReader reads one checkpoint from br, summing every byte before the
+// trailer into crc as it passes.
+type ckptReader struct {
+	br  *bufio.Reader
+	crc uint32
+}
+
+func (r *ckptReader) Read(p []byte) (int, error) {
+	n, err := r.br.Read(p)
+	r.crc = crc32.Update(r.crc, castagnoli, p[:n])
+	return n, err
+}
+
+// header decodes and checks (checkHeader) a checkpoint's magic, version
+// and header record.
+func (r *ckptReader) header() (*sessionHeader, error) {
+	br := r.br
 	head, err := br.Peek(len(checkpointMagic))
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: read checkpoint magic: %w", err)
+		return nil, fmt.Errorf("core: read checkpoint magic: %w", err)
 	}
 	if string(head) != checkpointMagic {
-		return nil, nil, formatError(br)
+		return nil, formatError(br)
 	}
+	r.crc = crc32.Update(r.crc, castagnoli, head)
 	if _, err := br.Discard(len(checkpointMagic)); err != nil {
-		return nil, nil, fmt.Errorf("core: read checkpoint magic: %w", err)
+		return nil, fmt.Errorf("core: read checkpoint magic: %w", err)
 	}
 	var pre [headerPrefix]byte
-	if _, err := io.ReadFull(br, pre[:1]); err != nil {
-		return nil, nil, fmt.Errorf("core: read checkpoint version: %w", err)
+	if _, err := io.ReadFull(r, pre[:1]); err != nil {
+		return nil, fmt.Errorf("core: read checkpoint version: %w", err)
 	}
 	if pre[0] != checkpointVersion {
-		return nil, nil, versionError(pre[0], br)
+		return nil, versionError(pre[0], br)
 	}
-	if _, err := io.ReadFull(br, pre[1:]); err != nil {
-		return nil, nil, fmt.Errorf("core: read session header length: %w", err)
+	if _, err := io.ReadFull(r, pre[1:]); err != nil {
+		return nil, fmt.Errorf("core: read session header length: %w", err)
 	}
-	b, err := wire.ReadN(br, nil, uint64(binary.LittleEndian.Uint32(pre[1:])), headerChunk)
+	b, err := wire.ReadN(r, nil, uint64(binary.LittleEndian.Uint32(pre[1:])), headerChunk)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: read session header: %w", err)
+		return nil, fmt.Errorf("core: read session header: %w", err)
 	}
 	h, err := decodeHeader(pre[0], b)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: decode session header: %w", err)
+		return nil, fmt.Errorf("core: decode session header: %w", err)
 	}
 	if err := checkHeader(h); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	return h, nil
+}
+
+// rest reads exactly the tail h announces and the trailer after it, which
+// must hold the CRC-32C of every byte before it. It returns a nil snapshot
+// for a completed session. A dense tail is read into the pool's spare when
+// the spare has the tail's size (engine.Pool.TakeSpare); a load that fails
+// after taking it drops it, so the pool never keeps a half-written spare.
+func (r *ckptReader) rest(h *sessionHeader, pool *engine.Pool) (*posterior.Snapshot, error) {
 	var snap *posterior.Snapshot
+	chunk := tailChunks.Get().(*[8 * tailChunk]byte)
+	defer tailChunks.Put(chunk)
 	if p := h.Posterior; p != nil {
 		snap = &posterior.Snapshot{Kind: p.Kind, Risks: p.Risks, Response: p.Response, Tests: p.Tests, Eps: p.Eps, Pruned: p.Pruned}
-		chunk := tailChunks.Get().(*[8 * tailChunk]byte)
+		var err error
 		if p.Kind == posterior.KindSparse {
 			n := uint64(p.Support)
-			if snap.States, err = readTail[uint64](br, n, chunk, nil); err == nil {
-				snap.Mass, err = readTail[float64](br, n, chunk, nil)
+			if snap.States, err = readTail[uint64](r, n, chunk, nil); err == nil {
+				snap.Mass, err = readTail[float64](r, n, chunk, nil)
 			}
 		} else {
 			n := uint64(1) << uint(len(p.Risks))
-			snap.Dense, err = readTail(br, n, chunk, pool.TakeSpare(n))
+			snap.Dense, err = readTail(r, n, chunk, pool.TakeSpare(n))
 		}
-		tailChunks.Put(chunk)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: read posterior (truncated checkpoint?): %w", err)
+			return nil, fmt.Errorf("core: read posterior (truncated checkpoint?): %w", err)
 		}
 	}
-	switch _, err := br.ReadByte(); {
-	case err == nil:
-		return nil, nil, errors.New("core: trailing bytes after the checkpoint's tail")
-	case err != io.EOF:
-		return nil, nil, fmt.Errorf("core: read checkpoint: %w", err)
+	trailer := chunk[:trailerLen]
+	if _, err := io.ReadFull(r.br, trailer); err != nil {
+		return nil, fmt.Errorf("core: read checkpoint trailer (truncated checkpoint?): %w", err)
 	}
-	return h, snap, nil
+	if got := binary.LittleEndian.Uint32(trailer); got != r.crc {
+		return nil, fmt.Errorf("core: checkpoint trailer holds CRC-32C %08x, its bytes sum to %08x (torn or corrupt checkpoint)", got, r.crc)
+	}
+	return snap, nil
 }
 
 // formatError names what a stream without the checkpoint magic holds: a
@@ -501,10 +700,13 @@ func formatError(br *bufio.Reader) error {
 }
 
 // versionError names what follows the magic when it is not this build's
-// version: a version 4 checkpoint, whose gob header opens with the type
-// definition of its header where the version byte now stands, or another
-// version by number.
+// version: a version 5 checkpoint (no generation, no trailer), a version 4
+// one, whose gob header opens with the type definition of its header where
+// the version byte now stands, or another version by number.
 func versionError(v byte, br *bufio.Reader) error {
+	if v == 5 {
+		return fmt.Errorf("core: a session checkpoint of version 5 (no pair generation, no CRC-32C trailer); this build reads only version %d — finish the campaign on the build that wrote it", checkpointVersion)
+	}
 	head, _ := br.Peek(32) //lint:allow errcheck a short stream is named by the bytes it has
 	if bytes.Contains(head, []byte("sessionHeader")) {
 		return fmt.Errorf("core: a session checkpoint with a gob header (version 4); this build reads only version %d — finish the campaign on the build that wrote it", checkpointVersion)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/posterior"
 	"repro/internal/rng"
-	"repro/internal/sparse"
 	"repro/internal/workload"
 )
 
@@ -22,83 +22,58 @@ import (
 // The session manager in internal/serve restores evicted cohorts from
 // disk on demand, so a corrupt or truncated checkpoint must come back as
 // an error — never a panic, a huge allocation, or a session that lies
-// about its state. An accepted checkpoint must describe a coherent
-// session (checkCoherent), and a load → save → load round trip must keep
-// it. The corpus seeds every real checkpoint shape: dense idle, dense with
-// a pending proposal, sparse-backed, a completed campaign and a traced
-// session (EntropyTrace set in the header), plus truncations, bit flips,
-// a bad magic, a NaN mass and a header listing a subject active twice.
+// about its state. With restamp set, the body first overwrites the input's
+// last four bytes with the CRC-32C of the rest, so a mutated header or
+// tail still reaches the parsers and the success path; an input loaded as
+// it is must be refused unless its trailer verifies. An accepted
+// checkpoint must describe a coherent session (checkCoherent), and a load
+// → save → load round trip must keep it. The corpus seeds every real
+// checkpoint shape: dense idle, dense with a pending proposal,
+// sparse-backed, a completed campaign and a traced session (EntropyTrace
+// set in the header), plus truncations, bit flips, a bad magic, a NaN
+// mass, a header listing a subject active twice and a real checkpoint
+// under a wrong trailer, which must be refused by name. The real ones are
+// of three-subject cohorts: the fuzzer minimises each new interesting
+// input in time quadratic in its length, and 0.5–4 KB seeds (six and
+// eight subjects) kept both workers minimising for most of a 10 s run.
 func FuzzSessionCheckpointLoad(f *testing.F) {
 	pool := engine.NewPool(1)
 	defer pool.Close()
 
-	checkpoint := func(s *Session) []byte {
-		var buf bytes.Buffer
-		if err := s.SaveSession(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	risks := workload.UniformRisks(8, 0.12)
-	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
-	popu := workload.Draw(risks, rng.New(31))
-	oracle := workload.NewOracle(popu, resp, rng.New(32))
-
-	// Dense, mid-campaign, no outstanding proposal.
-	dense, err := NewSession(pool, Config{Risks: risks, Response: resp})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := dense.Step(oracle.Test); err != nil {
-		f.Fatal(err)
-	}
-	idle := checkpoint(dense)
-	f.Add(idle)
-
-	// Same session with a proposal outstanding.
+	// Dense, mid-campaign, no outstanding proposal; then the same session
+	// with a proposal outstanding.
+	dense := newDenseSession(f, pool, 3, false)
+	idle := saveSession(f, dense)
+	f.Add(idle, true)
 	if _, err := dense.ProposePools(); err != nil {
 		f.Fatal(err)
 	}
-	pending := checkpoint(dense)
-	f.Add(pending)
-	dense.Close()
+	pending := saveSession(f, dense)
+	f.Add(pending, true)
 
 	// Sparse-backed session.
-	sm, err := sparse.New(sparse.Config{Risks: risks, Response: resp, Eps: 1e-9})
-	if err != nil {
-		f.Fatal(err)
-	}
-	sp, err := NewSessionOn(posterior.FromSparse(sm), Config{Risks: risks, Response: resp})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := sp.Step(oracle.Test); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(checkpoint(sp))
-	sp.Close()
+	f.Add(saveSession(f, newSparseSession(f, 3)), true)
 
 	// Completed campaign (no posterior payload).
+	risks := workload.UniformRisks(3, 0.2)
+	resp := dilution.Binary{Sens: 0.95, Spec: 0.99}
 	fin, err := NewSession(pool, Config{Risks: risks, Response: resp})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := fin.Run(oracle.Test); err != nil {
+	if _, err := fin.Run(workload.NewOracle(workload.Draw(risks, rng.New(31)), resp, rng.New(32)).Test); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(checkpoint(fin))
+	f.Add(saveSession(f, fin), true)
 
 	// Truncations and corruptions of the structured seeds.
-	f.Add(idle[:len(idle)/2])
-	f.Add(pending[:len(pending)-3])
+	f.Add(idle[:len(idle)/2], true)
+	f.Add(pending[:len(pending)-3], true)
 	flipped := append([]byte(nil), pending...)
-	if len(flipped) > 40 {
-		flipped[40] ^= 0x5a
-	}
-	f.Add(flipped)
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, 96))
+	flipped[40] ^= 0x5a
+	f.Add(flipped, true)
+	f.Add([]byte{}, true)
+	f.Add(bytes.Repeat([]byte{0xff}, 96), true)
 
 	// A traced session mid-proposal: the header's EntropyTrace field set.
 	traced, err := NewSession(pool, Config{Risks: risks, Response: resp, EntropyTrace: true})
@@ -108,29 +83,41 @@ func FuzzSessionCheckpointLoad(f *testing.F) {
 	if _, err := traced.ProposePools(); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(checkpoint(traced))
+	f.Add(saveSession(f, traced), true)
 	traced.Close()
 
 	// A stream that stops after the magic, a bad magic, a tail one byte
 	// short, a NaN as the last state's mass, and a bit flip in the header.
-	f.Add([]byte(checkpointMagic))
-	f.Add(append([]byte("NOTACKPT"), idle[len(checkpointMagic):]...))
-	f.Add(idle[:len(idle)-1])
-	nan := append([]byte(nil), idle...)
+	f.Add([]byte(checkpointMagic), true)
+	f.Add(append([]byte("NOTACKPT"), idle[len(checkpointMagic):]...), true)
+	f.Add(idle[:len(idle)-1], true)
+	h, tail := splitCheckpoint(f, idle)
+	nan := slices.Clone(tail)
 	for i := len(nan) - 8; i < len(nan); i++ {
 		nan[i] = 0xff
 	}
-	f.Add(nan)
+	f.Add(joinCheckpoint(f, h, nan), true)
 	flipped = append([]byte(nil), idle...)
 	flipped[20] ^= 0x5a
-	f.Add(flipped)
+	f.Add(flipped, true)
 
 	// A header listing one subject active twice (and another not at all).
-	h, tail := splitCheckpoint(f, pending)
+	h, tail = splitCheckpoint(f, pending)
 	h.Active[1] = h.Active[0]
-	f.Add(joinCheckpoint(f, h, tail))
+	f.Add(joinCheckpoint(f, h, tail), true)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	// A real checkpoint whose trailer does not match its bytes.
+	torn := slices.Clone(idle)
+	torn[len(torn)-1] ^= 0x01
+	if _, err := LoadSession(bytes.NewReader(torn), pool, nil, nil); err == nil || !strings.Contains(err.Error(), "trailer") {
+		f.Fatalf("a checkpoint under a wrong trailer: %v, want the trailer named", err)
+	}
+	f.Add(torn, false)
+
+	f.Fuzz(func(t *testing.T, data []byte, restamp bool) {
+		if restamp && len(data) >= trailerLen {
+			data = stamp(data[:len(data)-trailerLen])
+		}
 		s, err := LoadSession(bytes.NewReader(data), pool, nil, nil)
 		if err != nil {
 			return // rejection is the expected outcome for junk
@@ -139,6 +126,9 @@ func FuzzSessionCheckpointLoad(f *testing.F) {
 			t.Fatal("nil session with nil error")
 		}
 		defer s.Close()
+		if !bytes.Equal(stamp(data[:len(data)-trailerLen]), data) {
+			t.Fatal("accepted a checkpoint whose trailer does not verify")
+		}
 		checkCoherent(t, s)
 		var buf bytes.Buffer
 		if err := s.SaveSession(&buf); err != nil {
@@ -154,10 +144,11 @@ func FuzzSessionCheckpointLoad(f *testing.F) {
 }
 
 // FuzzCheckpointTail holds a checkpoint's header fixed — a dense session's
-// with a proposal outstanding, and a sparse session's — and fuzzes only
-// the raw tail after it, so a mutation reaches the posterior decoder and
-// the backend's validation instead of first breaking the header. Each
-// input is tried behind both headers. An accepted tail must restore a
+// with a proposal outstanding, and a sparse session's, both of three
+// subjects — and fuzzes only the raw tail after it, stamping the trailer
+// that matches, so a mutation reaches the posterior decoder and the
+// backend's validation instead of first breaking the header or the CRC.
+// Each input is tried behind both headers. An accepted tail must restore a
 // coherent session whose marginals are probabilities, and a load → save →
 // load round trip must keep it. The seeds are the real dense tail, an
 // empty tail, a dense tail of NaNs (all bits set) and the real sparse
@@ -168,9 +159,9 @@ func FuzzCheckpointTail(f *testing.F) {
 
 	var headers [][]byte
 	var tails [][]byte
-	for _, s := range []*Session{newDenseSession(f, pool, 6, true), newSparseSession(f, 6)} {
+	for _, s := range []*Session{newDenseSession(f, pool, 3, true), newSparseSession(f, 3)} {
 		h, tail := splitCheckpoint(f, saveSession(f, s))
-		headers = append(headers, joinCheckpoint(f, h, nil))
+		headers = append(headers, encodeHeader(f, h))
 		tails = append(tails, tail)
 	}
 	f.Add(tails[0])
@@ -180,7 +171,7 @@ func FuzzCheckpointTail(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		for _, header := range headers {
-			raw := append(append([]byte(nil), header...), tail...)
+			raw := stamp(append(slices.Clip(header), tail...))
 			s, err := LoadSession(bytes.NewReader(raw), pool, nil, nil)
 			if err != nil {
 				continue // rejection is the expected outcome for junk
@@ -250,7 +241,7 @@ func FuzzCheckpointHeader(f *testing.F) {
 			lie.Calls = append(lie.Calls, Classification{Subject: i})
 			lie.Posterior.Risks = append(lie.Posterior.Risks, 0.1)
 		}
-		seeds = append(seeds, joinCheckpoint(f, lie, nil))
+		seeds = append(seeds, encodeHeader(f, lie))
 	}
 	for _, s := range seeds {
 		f.Add(s[len(checkpointMagic):])
@@ -260,7 +251,11 @@ func FuzzCheckpointHeader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		engine.VectorOver(pool, spare, 1).Release()
 		read := func() error {
-			_, _, err := readCheckpoint(bufio.NewReader(io.MultiReader(strings.NewReader(checkpointMagic), bytes.NewReader(in))), pool)
+			r := &ckptReader{br: bufio.NewReader(io.MultiReader(strings.NewReader(checkpointMagic), bytes.NewReader(in)))}
+			h, err := r.header()
+			if err == nil {
+				_, err = r.rest(h, pool)
+			}
 			return err
 		}
 		h, record := fuzzedHeader(in)

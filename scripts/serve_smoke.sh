@@ -8,7 +8,8 @@
 # /debug/flight names the layers, by self time, the window's time went
 # to -> sbgt-top prints the same split and the slowest request's tree),
 # then SIGTERM the process and require a clean drain: exit status 0 and
-# the still-open cohort checkpointed to disk. Finally boot a second
+# the still-open cohort checkpointed to a pair of slot files, one of which
+# loads. Finally boot a second
 # server on the same checkpoint directory and require it to serve that
 # cohort's open proposal byte for byte, then drain cleanly too.
 #
@@ -35,6 +36,7 @@ trap finish EXIT INT TERM
 
 echo '== build =='
 go build -o "$dir/sbgt-serve" ./cmd/sbgt-serve
+go build -o "$dir/sbgt" ./cmd/sbgt
 
 echo '== start (impossible p99 objective to induce one anomaly; 4 resident slots, so the drive churns checkpoints) =='
 "$dir/sbgt-serve" -addr 127.0.0.1:0 -addr-file "$dir/addr.txt" -ckpt-dir "$dir/ckpt" \
@@ -111,7 +113,12 @@ kill -TERM "$pid"
 wait "$pid" || { echo 'server exited non-zero'; cat "$dir/serve.log"; exit 1; }
 pid=
 grep -q 'drain complete' "$dir/serve.log"
-[ -f "$dir/ckpt/$id.ckpt" ] || { echo "no checkpoint for open cohort $id"; ls "$dir/ckpt" || true; exit 1; }
+# The open cohort's checkpoint is a pair of slot files, $id.ckpt.0 and
+# $id.ckpt.1; one of them must load (sbgt -resume reads the pair and runs
+# the campaign on, writing nothing).
+"$dir/sbgt" -resume "$dir/ckpt/$id.ckpt" -n 4 -quiet >"$dir/resume.txt" 2>&1 \
+  && grep -q "^resumed from $dir/ckpt/$id.ckpt: stage " "$dir/resume.txt" \
+  || { echo "no slot of open cohort $id's checkpoint pair loads"; cat "$dir/resume.txt"; ls "$dir/ckpt" || true; exit 1; }
 
 echo '== restart on the same checkpoint directory (the open proposal survives) =='
 rm -f "$dir/addr.txt"
