@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint vet race fuzz bench-smoke examples ci serve-smoke
+.PHONY: build test lint vet big-endian race fuzz bench-smoke examples ci serve-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Cross-compile (and vet, so the tests type-check too) the packages whose
+# checkpoint I/O reads and writes a lattice's storage as bytes for s390x,
+# a big-endian target, so the word-swapping side of that I/O keeps
+# building. Needs no network: the standard library builds from GOROOT.
+big-endian:
+	GOARCH=s390x $(GO) build ./internal/core ./internal/lattice ./internal/engine
+	GOARCH=s390x $(GO) vet ./internal/core ./internal/lattice ./internal/engine
 
 # Formatting, then repo-invariant static analysis (six analyzers;
 # `sbgt-lint -list` describes them). gofmt -l must print nothing. -audit
@@ -44,8 +52,9 @@ fuzz:
 
 # One iteration of the stage-kernel, kernel-ablation, conditioning,
 # collapse copy-width, serial-crossover, cluster-conditioning, cluster-round,
-# look-ahead, span-record, dense-open and checkpoint benchmarks, so they
-# cannot rot. The wave-gather arms run
+# look-ahead, span-record, dense-open and checkpoint benchmarks (save, and
+# restore into a new array and into a spare, with their allocations), so
+# they cannot rot. The wave-gather arms run
 # again at -cpu 1,2: one worker takes every wave inline, two fan the long
 # ones out.
 bench-smoke:

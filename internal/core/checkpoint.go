@@ -10,9 +10,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
@@ -33,8 +31,9 @@ import (
 // floats as their 8 bytes, slices as a count and their elements), and the
 // reader takes only what the writer makes, so an accepted header
 // re-encodes to its own bytes. The tail is the 2^N dense posterior as
-// float64s (dense and cluster backends; a dense one is encoded from the
-// lattice's own storage, a cluster one gathered first), or the sparse
+// float64s at any positive scale (dense and cluster backends; a dense one
+// is the lattice's stored mass, written from and read into its storage as
+// it is, a cluster one gathered first), or the sparse
 // support's |support| states as uint64s followed by their |support|
 // masses as float64s, or nothing for a completed session. The header says
 // which and how long, so a loader knows the tail's exact size before it
@@ -61,12 +60,9 @@ const (
 	// headerChunk is a header read's first step; each later one at most
 	// doubles what arrived (wire.ReadN).
 	headerChunk = 4 << 10
-	// tailChunk is how many 8-byte words the tail moves per write or read
-	// (64 KiB).
-	tailChunk = 8192
 	// tailCap is how many states a tail's first allocation holds at most
-	// (512 KiB): the tail the header announces, up to this, and past it
-	// only what has arrived.
+	// (512 KiB): the storage the header asks for, up to this, and past it
+	// only twice what has arrived.
 	tailCap = 1 << 16
 )
 
@@ -275,7 +271,8 @@ func decodeHeader(version byte, b []byte) (*sessionHeader, error) {
 func (s *Session) SaveSession(w io.Writer) error { return s.save(w, 0) }
 
 // save writes the session's checkpoint of generation gen to w, summing the
-// CRC-32C as it goes and ending with it.
+// CRC-32C as it goes and ending with it. A dense tail is the lattice's
+// stored mass, unscaled, written with one Write from its storage.
 func (s *Session) save(w io.Writer, gen uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -324,24 +321,22 @@ func (s *Session) save(w io.Writer, gen uint64) error {
 	if err != nil {
 		return fmt.Errorf("core: encode session header: %w", err)
 	}
-	chunk := tailChunks.Get().(*[8 * tailChunk]byte)
-	defer tailChunks.Put(chunk)
 	cw := &crcWriter{w: w}
 	if _, err = cw.Write(head); err == nil {
 		switch {
 		case snap == nil:
 		case dense != nil:
-			err = dense.WriteStates(cw, chunk[:])
+			err = dense.WriteStates(cw)
 		case snap.Kind == posterior.KindSparse:
-			if err = writeTail(cw, snap.States, chunk); err == nil {
-				err = writeTail(cw, snap.Mass, chunk)
+			if err = lattice.WriteWords(cw, snap.States); err == nil {
+				err = lattice.WriteWords(cw, snap.Mass)
 			}
 		default:
-			err = writeTail(cw, snap.Dense, chunk)
+			err = lattice.WriteWords(cw, snap.Dense)
 		}
 	}
 	if err == nil {
-		_, err = w.Write(binary.LittleEndian.AppendUint32(chunk[:0], cw.crc))
+		_, err = w.Write(binary.LittleEndian.AppendUint32(head[:0], cw.crc))
 	}
 	if err != nil {
 		return fmt.Errorf("core: write checkpoint: %w", err)
@@ -655,37 +650,41 @@ func (r *ckptReader) header() (*sessionHeader, error) {
 
 // rest reads exactly the tail h announces and the trailer after it, which
 // must hold the CRC-32C of every byte before it. It returns a nil snapshot
-// for a completed session. A dense tail is read into the pool's spare when
-// the spare has the tail's size (engine.Pool.TakeSpare); a load that fails
-// after taking it drops it, so the pool never keeps a half-written spare.
+// for a completed session. A dense tail is read straight into a pool
+// spare when one fits: at least the tail's 2^n states and at most the
+// cohort's first size, 2^len(h.Calls) (engine.Pool.TakeSpare). A load that
+// fails after taking one drops it, so the pool never keeps a half-written
+// spare.
 func (r *ckptReader) rest(h *sessionHeader, pool *engine.Pool) (*posterior.Snapshot, error) {
 	var snap *posterior.Snapshot
-	chunk := tailChunks.Get().(*[8 * tailChunk]byte)
-	defer tailChunks.Put(chunk)
 	if p := h.Posterior; p != nil {
 		snap = &posterior.Snapshot{Kind: p.Kind, Risks: p.Risks, Response: p.Response, Tests: p.Tests, Eps: p.Eps, Pruned: p.Pruned}
 		var err error
 		if p.Kind == posterior.KindSparse {
 			n := uint64(p.Support)
-			if snap.States, err = readTail[uint64](r, n, chunk, nil); err == nil {
-				snap.Mass, err = readTail[float64](r, n, chunk, nil)
+			if snap.States, err = readTail[uint64](r, n, n, nil); err == nil {
+				snap.Mass, err = readTail[float64](r, n, n, nil)
 			}
 		} else {
 			n := uint64(1) << uint(len(p.Risks))
-			snap.Dense, err = readTail(r, n, chunk, pool.TakeSpare(n))
+			// The cohort's first size; checkHeader holds len(p.Risks) to
+			// at most both len(h.Calls) and lattice.MaxSubjects.
+			first := uint64(1) << uint(min(len(h.Calls), lattice.MaxSubjects))
+			snap.Dense, err = readTail(r, n, first, pool.TakeSpare(n, first))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: read posterior (truncated checkpoint?): %w", err)
 		}
 	}
-	trailer := chunk[:trailerLen]
-	if _, err := io.ReadFull(r.br, trailer); err != nil {
+	trailer, err := r.br.Peek(trailerLen)
+	if err != nil {
 		return nil, fmt.Errorf("core: read checkpoint trailer (truncated checkpoint?): %w", err)
 	}
 	if got := binary.LittleEndian.Uint32(trailer); got != r.crc {
 		return nil, fmt.Errorf("core: checkpoint trailer holds CRC-32C %08x, its bytes sum to %08x (torn or corrupt checkpoint)", got, r.crc)
 	}
-	return snap, nil
+	_, err = r.br.Discard(trailerLen)
+	return snap, err
 }
 
 // formatError names what a stream without the checkpoint magic holds: a
@@ -790,65 +789,33 @@ func checkHeader(h *sessionHeader) error {
 	return nil
 }
 
-// tailChunks holds the chunk buffers tails move through (8·tailChunk
-// bytes) between saves and loads: a server spilling and restoring cohorts
-// would otherwise allocate one each way every turn.
-var tailChunks = sync.Pool{New: func() any { return new([8 * tailChunk]byte) }}
-
-// writeTail writes vals as little-endian 8-byte words (a float64 as its
-// IEEE-754 bits), through buf a tailChunk at a time.
-func writeTail[T float64 | uint64](w io.Writer, vals []T, buf *[8 * tailChunk]byte) error {
-	for off := 0; off < len(vals); off += tailChunk {
-		n := 0
-		switch vs := any(vals[off:min(off+tailChunk, len(vals))]).(type) { // once a chunk, so the loops are concrete
-		case []float64:
-			for _, v := range vs {
-				binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
-				n += 8
-			}
-		case []uint64:
-			for _, v := range vs {
-				binary.LittleEndian.PutUint64(buf[n:], v)
-				n += 8
-			}
-		}
-		if _, err := w.Write(buf[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readTail reads n little-endian 8-byte words, through buf a tailChunk at
-// a time, into one slice the restored model keeps: spare when it holds n
-// words (storage the pool already has, so nothing is allocated), else a
-// new one. The new slice's first allocation holds the announced tail up
-// to tailCap words; past that it grows with what has arrived, never with
-// what the header claims: a corrupt or crafted header can announce 2^30
-// states over ten bytes, and a server restoring evicted cohorts must fail
-// on the short read, having committed at most the cap, not gigabytes, to a
-// lie.
-func readTail[T float64 | uint64](r io.Reader, n uint64, buf *[8 * tailChunk]byte, spare []T) ([]T, error) {
+// readTail reads n little-endian 8-byte words with io.ReadFull straight
+// into the memory of the slice the restored model keeps, and turns them
+// to this host's order in place (lattice.LittleEndianInPlace). The slice
+// is spare when the caller has one (length n), else a new one of capacity
+// limit (at least n: a dense tail's cohort's first size, so the storage
+// can serve any later restore of that cohort). The new slice's first
+// allocation holds at most tailCap words; past that it grows to at most
+// twice what has arrived, never to what the header claims: a corrupt or
+// crafted header can announce 2^30 states over ten bytes, and a server
+// restoring evicted cohorts must fail on the short read, having committed
+// at most the cap, not gigabytes, to a lie.
+func readTail[T float64 | uint64](r io.Reader, n, limit uint64, spare []T) ([]T, error) {
+	limit = max(limit, n)
 	out := spare[:0]
-	if uint64(len(spare)) != n {
-		out = make([]T, 0, min(n, tailCap))
+	if spare == nil {
+		out = make([]T, 0, min(limit, tailCap))
 	}
-	for off := uint64(0); off < n; off += tailChunk {
-		chunk := buf[:8*min(n-off, tailChunk)]
-		if _, err := io.ReadFull(r, chunk); err != nil {
+	for uint64(len(out)) < n {
+		if len(out) == cap(out) {
+			out = append(make([]T, 0, min(limit, 2*uint64(cap(out)))), out...)
+		}
+		k := min(n, uint64(cap(out)))
+		if _, err := io.ReadFull(r, lattice.WordBytes(out[len(out):k])); err != nil {
 			return nil, err
 		}
-		out = slices.Grow(out, len(chunk)/8)[:len(out)+len(chunk)/8]
-		switch vs := any(out[off:]).(type) {
-		case []float64:
-			for i := range vs {
-				vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
-			}
-		case []uint64:
-			for i := range vs {
-				vs[i] = binary.LittleEndian.Uint64(chunk[8*i:])
-			}
-		}
+		out = out[:k]
 	}
+	lattice.LittleEndianInPlace(out)
 	return out, nil
 }

@@ -336,23 +336,38 @@ func TestCheckpointRoundTripResponses(t *testing.T) {
 	}
 }
 
-// TestCheckpointTailCrossesChunks: tails longer than one 8192-word chunk —
-// a 2^14-state dense posterior, and a sparse support past 8192 states —
-// round-trip intact.
+// TestCheckpointTailCrossesChunks: a tail the reader takes in more than
+// one step round-trips intact — a 2^17-state dense posterior restored with
+// no spare, whose first allocation holds tailCap states and grows as the
+// rest arrives, into storage of exactly its cohort's size — as do a
+// 2^14-state one restored into the saved session's closed storage and a
+// sparse support.
 func TestCheckpointTailCrossesChunks(t *testing.T) {
 	pool := newTestPool(t)
-	dense := newDenseSession(t, pool, 14, false)
-	sparse := newSparseSession(t, 14)
-	if n := len(snapshotOf(t, sparse).States); n <= tailChunk {
-		t.Fatalf("sparse support of %d states fits in one chunk", n)
+	wide := newDenseSession(t, pool, 17, false)
+	if 1<<17 <= tailCap {
+		t.Fatalf("a 2^17-state tail fits the first allocation of %d states", tailCap)
 	}
-	for _, s := range []*Session{dense, sparse} {
-		back, err := LoadSession(bytes.NewReader(saveSession(t, s)), pool, nil, nil)
+	for _, c := range []struct {
+		s      *Session
+		closed bool // restored after the session's Close, into its storage
+	}{{wide, false}, {newDenseSession(t, pool, 14, false), true}, {newSparseSession(t, 14), false}} {
+		raw, want := saveSession(t, c.s), snapshotOf(t, c.s)
+		pool.DropSpare()
+		if c.closed {
+			c.s.Close()
+		}
+		back, err := LoadSession(bytes.NewReader(raw), pool, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := snapshotOf(t, s)
 		samePosterior(t, string(want.Kind), snapshotOf(t, back), want, 1e-15)
+		if d := posterior.Lattice(back.model); d != nil {
+			if got := cap(d.Posterior().Data()); got != len(want.Dense) {
+				t.Fatalf("a %d-state tail was restored into storage of %d states", len(want.Dense), got)
+			}
+		}
+		back.Close()
 	}
 }
 
@@ -645,6 +660,94 @@ func TestSaveSessionIsARead(t *testing.T) {
 	}
 }
 
+// TestUnscaledTailRestoresTwin: a dense tail is the lattice's stored mass
+// with the carried scale not applied. A session saved while its scale is
+// far from 1 — a stage of improbable positives absorbed, nothing settled —
+// writes a tail whose words sum far from 1, and the session restored from
+// it proposes the same pools as a never-saved twin stage after stage, with
+// marginals within 1e-12, restored again after every stage.
+func TestUnscaledTailRestoresTwin(t *testing.T) {
+	pool := newTestPool(t)
+	risks := workload.UniformRisks(12, 0.01)
+	resp := dilution.Binary{Sens: 0.95, Spec: 0.999}
+	open := func() *Session {
+		s, err := NewSession(pool, Config{Risks: risks, Response: resp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// answer proposes a stage on s and absorbs lab's outcome for each pool,
+	// returning the pools, or nil once s is done.
+	answer := func(s *Session, lab func(bitvec.Mask) dilution.Outcome) []bitvec.Mask {
+		props, err := s.ProposePools()
+		if err != nil || props == nil {
+			if err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}
+		var pools []bitvec.Mask
+		results := make([]TestResult, len(props))
+		for i, p := range props {
+			pools = append(pools, p.Pool)
+			results[i] = TestResult{Stage: p.Stage, Index: p.Index, Outcome: lab(p.Pool)}
+		}
+		if err := s.AbsorbResults(results); err != nil {
+			t.Fatal(err)
+		}
+		return pools
+	}
+	positive := func(bitvec.Mask) dilution.Outcome { return dilution.Positive }
+	saved, twin := open(), open()
+	defer func() { saved.Close() }()
+	defer twin.Close()
+	answer(saved, positive)
+	answer(twin, positive)
+
+	raw := saveSession(t, saved)
+	_, tail := splitCheckpoint(t, raw)
+	var sum float64
+	for i := 0; i < len(tail); i += 8 {
+		sum += math.Float64frombits(binary.LittleEndian.Uint64(tail[i:]))
+	}
+	if sum > 0.5 && sum < 2 {
+		t.Fatalf("the tail's words sum to %v: the carried scale is not far from 1", sum)
+	}
+	lab := workload.NewOracle(workload.Draw(risks, rng.New(77)), resp, rng.New(78)).Test
+	for stage := 1; ; stage++ {
+		saved.Close()
+		var err error
+		if saved, err = LoadSession(bytes.NewReader(raw), pool, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if twin.Done() || saved.Done() {
+			if !twin.Done() || !saved.Done() || stage < 3 {
+				t.Fatalf("stage %d: restored session done %v, its twin %v; want both, after 3 stages at least", stage, saved.Done(), twin.Done())
+			}
+			return
+		}
+		got, err := saved.marginals()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.marginals()
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("stage %d: %d restored marginals, the twin's %d (%v)", stage, len(got), len(want), err)
+		}
+		for i, p := range want {
+			if math.Abs(got[i]-p) > 1e-12 {
+				t.Fatalf("stage %d subject %d: restored marginal %v, twin's %v", stage, i, got[i], p)
+			}
+		}
+		wantPools := answer(twin, lab)
+		if gotPools := answer(saved, lab); !reflect.DeepEqual(gotPools, wantPools) {
+			t.Fatalf("stage %d: the restored session proposed %v, its twin %v", stage, gotPools, wantPools)
+		}
+		raw = saveSession(t, saved)
+	}
+}
+
 // TestCheckpointHeaderRoundTrip: a header under each of the six dilution
 // models decodes to what was written and re-encodes to its own bytes.
 func TestCheckpointHeaderRoundTrip(t *testing.T) {
@@ -729,11 +832,15 @@ func TestLoadSessionRefusesNonCanonicalHeader(t *testing.T) {
 }
 
 // BenchmarkCheckpoint prices a dense session's checkpoint through the file
-// system at N=14 and N=16: SavePair (encode, overwrite the pair's older
-// slot in place) and LoadPair from the newest slot it knows, as a served
-// cohort's restore reads it (decode into the restored lattice's storage,
-// one validating pass). Run it with -benchmem: a save allocates no copy of
-// the posterior, and a load at most one.
+// system at N=14 and N=16: SavePair (the lattice's stored mass written
+// with one Write, overwriting the pair's older slot in place) and LoadPair
+// from the newest slot it knows, as a served cohort's restore reads it
+// (one read into the restored lattice's storage, one validating pass).
+// load_fresh drops the pool's spares before every load, so the tail is
+// read into a new array; load_spare restores into the storage the previous
+// iteration's Close released, as a served restore reads into the storage
+// its eviction just freed. Run it with -benchmem: a save allocates no copy
+// of the posterior, load_fresh one, and load_spare none.
 func BenchmarkCheckpoint(b *testing.B) {
 	pool := engine.NewPool(1)
 	defer pool.Close()
@@ -748,15 +855,20 @@ func BenchmarkCheckpoint(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("load_N%d", n), func(b *testing.B) {
-			b.SetBytes(8 << n)
-			for i := 0; i < b.N; i++ {
-				back, err := LoadPair(ckpt, pool, nil, nil)
-				if err != nil {
-					b.Fatal(err)
+		for _, arm := range []string{"fresh", "spare"} {
+			b.Run(fmt.Sprintf("load_%s_N%d", arm, n), func(b *testing.B) {
+				b.SetBytes(8 << n)
+				for i := 0; i < b.N; i++ {
+					if arm == "fresh" {
+						pool.DropSpare()
+					}
+					back, err := LoadPair(ckpt, pool, nil, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					back.Close()
 				}
-				back.Close()
-			}
-		})
+			})
+		}
 	}
 }

@@ -202,8 +202,8 @@ func FuzzCheckpointTail(f *testing.F) {
 // It never panics, a header record it accepts re-encodes to its own bytes,
 // and a header that announces more tail than the bytes after it never
 // costs more than a small multiple of the input plus one tail's first
-// allocation (tailCap states and a read chunk). Only such inputs test that
-// bound, so only they pay for the allocation count (two
+// allocation (tailCap states) and the reader's buffers. Only such inputs
+// test that bound, so only they pay for the allocation count (two
 // runtime.ReadMemStats, each a stop-the-world). Before every input the
 // pool is given a spare of spareStates, as a closed session leaves one, so
 // a dense tail of that size is read into storage the pool already has.
@@ -266,7 +266,7 @@ func FuzzCheckpointHeader(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			err := read()
 			runtime.ReadMemStats(&after)
-			if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(in))+8*(tailCap+2*tailChunk)+headerChunk; got > limit {
+			if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(in))+8*tailCap+16*headerChunk; got > limit {
 				t.Fatalf("reading %d bytes allocated %d, over %d (%v)", len(in), got, limit, err)
 			}
 		}

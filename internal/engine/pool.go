@@ -45,15 +45,17 @@ type Pool struct {
 	// Close's close(tasks): submitters hold it shared for the send, Close
 	// holds it exclusively while marking closed. A plain atomic flag is not
 	// enough — a Close between the load and the send would panic the
-	// submitter with a send on a closed channel. It also guards spare,
+	// submitter with a send on a closed channel. It also guards spares,
 	// held exclusively for the once-a-posterior take and release.
 	mu     sync.RWMutex
 	closed bool
 
-	// spare is the backing array of the last Vector released on the pool
-	// (Vector.Release), kept for the next vector of its length (TakeSpare);
-	// nil when there is none. The pool holds at most this one.
-	spare []float64
+	// spares are the backing arrays of the last Vectors released on the
+	// pool (Vector.Release), each at its full capacity, oldest first, kept
+	// for the next vectors that fit them (TakeSpare). The pool holds at
+	// most Workers() of them; a slot past the end is always nil, so the
+	// slice's own array keeps no taken or dropped backing alive.
+	spares [][]float64
 
 	// metrics is nil until Instrument attaches a registry; the hot path
 	// pays one atomic load and a branch when uninstrumented.
@@ -94,6 +96,7 @@ func NewPool(workers int) *Pool {
 	p := &Pool{
 		workers: workers,
 		tasks:   make(chan *forTask, workers),
+		spares:  make([][]float64, 0, workers),
 	}
 	p.lifecyc.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -111,12 +114,13 @@ func NewPool(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Close shuts the workers down and waits for them to exit, and lets the
-// spare go. Close is idempotent. Operations submitted after Close run
+// spares go. Close is idempotent. Operations submitted after Close run
 // inline on the caller; a vector released after it keeps no spare.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	already := p.closed
-	p.closed, p.spare = true, nil
+	p.closed = true
+	p.dropLocked()
 	if !already {
 		close(p.tasks)
 	}
@@ -126,38 +130,65 @@ func (p *Pool) Close() {
 	}
 }
 
-// TakeSpare hands over the backing array of the last vector released on
-// the pool if it holds exactly n elements, and returns nil otherwise;
-// either way the pool holds no spare afterwards, so an open of another
-// size, or of no vector at all (DropSpare), does not keep one posterior's
-// bytes alive beside its own. The contents are whatever the released
-// vector left: the caller must write every element before it reads one.
-// A nil pool holds no spare.
-func (p *Pool) TakeSpare(n uint64) []float64 {
+// TakeSpare hands over a released backing array that can hold n elements
+// and is no larger than limit, as a slice of length n, and returns nil when
+// the pool keeps none: the smallest that fits, the last released among
+// equals. A take that misses leaves the spares alone. A lattice open
+// passes its own size as the limit, so it takes an exact fit; a restore
+// passes its cohort's first size, so a restored posterior never holds more
+// storage than one that was never evicted. The contents are whatever the
+// released vector left: the caller must write every element before it
+// reads one. A nil pool holds no spare.
+func (p *Pool) TakeSpare(n, limit uint64) []float64 {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
-	spare := p.spare
-	p.spare = nil
-	p.mu.Unlock()
-	if uint64(len(spare)) != n {
+	defer p.mu.Unlock()
+	best := -1
+	for i := len(p.spares) - 1; i >= 0; i-- {
+		c := uint64(cap(p.spares[i]))
+		if c >= n && c <= limit && (best < 0 || c < uint64(cap(p.spares[best]))) {
+			best = i
+		}
+	}
+	if best < 0 {
 		return nil
 	}
-	return spare
+	spare, last := p.spares[best], len(p.spares)-1
+	copy(p.spares[best:], p.spares[best+1:])
+	p.spares[last] = nil
+	p.spares = p.spares[:last]
+	return spare[:n]
 }
 
-// DropSpare lets the pool's spare go: what an open that takes no storage
-// from the pool (a sparse or cluster posterior, or a restore that brings
-// its own) calls.
-func (p *Pool) DropSpare() { p.TakeSpare(0) }
+// DropSpare lets every spare go: what an open that takes no storage from
+// the pool (a sparse or cluster posterior) calls. A nil pool holds none.
+func (p *Pool) DropSpare() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.dropLocked()
+	p.mu.Unlock()
+}
 
-// keep makes backing the pool's spare, replacing any it held; a closed
-// pool keeps none.
+// dropLocked lets every spare go; the caller holds mu.
+func (p *Pool) dropLocked() {
+	clear(p.spares)
+	p.spares = p.spares[:0]
+}
+
+// keep makes backing a spare; when the pool already keeps Workers() of
+// them, the oldest goes. A closed pool keeps none.
 func (p *Pool) keep(backing []float64) {
 	p.mu.Lock()
 	if !p.closed {
-		p.spare = backing
+		if len(p.spares) == p.workers {
+			copy(p.spares, p.spares[1:])
+			p.spares = p.spares[:len(p.spares)-1] // append overwrites the vacated last slot
+		}
+		p.spares = append(p.spares, backing)
 	}
 	p.mu.Unlock()
 }

@@ -27,8 +27,9 @@ type Vector struct {
 // slack for dynamic balancing without drowning in scheduling); the
 // backing store is one contiguous array, so partition boundaries cost
 // nothing in locality. A caller that overwrites every element passes the
-// pool's spare when it fits (Pool.TakeSpare) rather than a new, zeroed
-// array.
+// pool's spare when one fits (Pool.TakeSpare) rather than a new, zeroed
+// array; the backing's capacity past its length goes back to the pool
+// with it (Release).
 func VectorOver(pool *Pool, backing []float64, parts int) *Vector {
 	if pool == nil {
 		panic("engine: VectorOver with nil pool")
@@ -78,16 +79,17 @@ func (v *Vector) partition(parts int) {
 	}
 }
 
-// Release hands the vector's backing array, at the length it was made
-// with (a ShrinkGather does not shorten it), to its pool as the spare for
-// the next vector of that length (Pool.TakeSpare), and empties the vector:
-// it holds no element afterwards, so a stale holder reads nothing rather
-// than the next owner's data.
+// Release hands the vector's backing array, at its full capacity (a
+// ShrinkGather does not shorten it, and a backing taken from the pool
+// goes back at the capacity it came with), to its pool as a spare for the
+// next vector it fits (Pool.TakeSpare), and empties the vector: it holds
+// no element afterwards, so a stale holder reads nothing rather than the
+// next owner's data.
 func (v *Vector) Release() {
 	if v.backing == nil {
 		return
 	}
-	v.pool.keep(v.backing)
+	v.pool.keep(v.backing[:cap(v.backing)])
 	v.backing, v.parts, v.offsets, v.n = nil, nil, nil, 0
 }
 
@@ -102,6 +104,11 @@ func (v *Vector) Parts() int { return len(v.parts) }
 func (v *Vector) Partition(p int) (offset uint64, data []float64) {
 	return v.offsets[p], v.parts[p]
 }
+
+// Data returns the vector's elements in index order: the one contiguous
+// array its partitions slice into, for a caller that reads or writes the
+// whole vector on its own goroutine, as a checkpoint's I/O does.
+func (v *Vector) Data() []float64 { return v.backing[:v.n] }
 
 // Pool returns the pool the vector schedules on.
 func (v *Vector) Pool() *Pool { return v.pool }

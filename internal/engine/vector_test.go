@@ -310,55 +310,95 @@ func TestVectorOverAdoptsBacking(t *testing.T) {
 	}
 }
 
-// TestReleaseKeepsOneSpare: a released vector's backing, at the length it
-// was made with, is the pool's one spare; TakeSpare hands it over only for
-// that length and lets it go otherwise, DropSpare and Close let it go, a
-// closed pool keeps none, and the released vector holds nothing a stale
-// reader could see.
-func TestReleaseKeepsOneSpare(t *testing.T) {
+// TestReleaseKeepsSparesByCapacity: a released vector's backing, at its
+// full capacity, is a pool spare; TakeSpare hands one over only when it
+// holds n elements and is no larger than the taker's limit — the smallest
+// that fits, the last released among equals — as a slice of length n, and
+// a take that misses leaves every spare where it was. The pool keeps at
+// most Workers() spares, dropping the oldest; DropSpare and Close let them
+// all go, a closed pool keeps none, and the released vector holds nothing
+// a stale reader could see.
+func TestReleaseKeepsSparesByCapacity(t *testing.T) {
 	p := NewPool(2)
+	first := func(s []float64) *float64 { return &s[:1][0] }
+	release := func(n, c int) *float64 {
+		b := make([]float64, n, c)
+		VectorOver(p, b, 0).Release()
+		return first(b)
+	}
+
 	v := NewVector(p, 64, 4)
+	want := &v.backing[0]
 	v.ShrinkGather(32, 0, func(j uint64) uint64 { return j }, func([]float64, uint64, uint64) {})
 	v.Release()
 	v.Release() // idempotent
 	if v.Len() != 0 || v.Parts() != 0 || len(v.Slice()) != 0 {
 		t.Fatalf("a released vector reads %d elements in %d partitions", v.Len(), v.Parts())
 	}
-	if p.TakeSpare(32) != nil {
-		t.Fatal("a spare of 64 elements was handed over for 32")
+	if p.TakeSpare(32, 32) != nil || p.TakeSpare(65, 128) != nil {
+		t.Fatal("a spare of 64 elements was handed over for a limit of 32, or for 65 elements")
 	}
-	if p.TakeSpare(64) != nil {
-		t.Fatal("a mismatched take did not let the spare go")
+	if got := p.TakeSpare(32, 64); len(got) != 32 || cap(got) != 64 || &got[0] != want {
+		t.Fatalf("TakeSpare(32, 64) handed over %d elements of %d, want the shrunk vector's whole backing", len(got), cap(got))
 	}
-
-	NewVector(p, 64, 4).Release()
-	last := NewVector(p, 64, 4)
-	want := &last.backing[0]
-	last.Release()
-	if got := p.TakeSpare(64); len(got) != 64 || &got[0] != want {
-		t.Fatalf("TakeSpare(64) handed over %d elements, want the last released backing", len(got))
-	}
-	if p.TakeSpare(64) != nil {
+	if p.TakeSpare(1, 64) != nil {
 		t.Fatal("a spare was handed over twice")
 	}
 
-	NewVector(p, 16, 0).Release()
+	// A backing goes back at its capacity, not its length.
+	wide := release(8, 32)
+	if got := p.TakeSpare(32, 32); len(got) != 32 || &got[0] != wide {
+		t.Fatal("a backing of 8 elements in 32 was not kept at its capacity")
+	}
+
+	// Smallest fit first; a miss leaves both spares alone.
+	big, small := release(128, 128), release(64, 64)
+	if p.TakeSpare(256, 1<<20) != nil || p.TakeSpare(16, 32) != nil {
+		t.Fatal("a take that fits no spare handed one over")
+	}
+	if got := p.TakeSpare(16, 128); len(got) != 16 || &got[0] != small {
+		t.Fatal("TakeSpare(16, 128) did not hand over the smaller spare")
+	}
+	if got := p.TakeSpare(16, 128); len(got) != 16 || &got[0] != big {
+		t.Fatal("a take that missed let the larger spare go")
+	}
+
+	// Among equals the last released goes first; past Workers() spares the
+	// oldest is dropped.
+	release(16, 16)
+	b := release(16, 16)
+	if got := p.TakeSpare(16, 16); &got[0] != b {
+		t.Fatal("TakeSpare handed over an older spare before the last released")
+	}
+	release(16, 16)
+	b, c := release(16, 16), release(16, 16)
+	for _, want := range []*float64{c, b} {
+		if got := p.TakeSpare(16, 16); got == nil || &got[0] != want {
+			t.Fatal("the pool did not keep its last Workers() spares, newest first")
+		}
+	}
+	if p.TakeSpare(16, 16) != nil {
+		t.Fatal("the pool kept more than Workers() spares")
+	}
+
+	release(16, 16)
+	release(16, 16)
 	p.DropSpare()
-	if p.TakeSpare(16) != nil {
-		t.Fatal("DropSpare kept the spare")
+	if p.TakeSpare(1, 16) != nil {
+		t.Fatal("DropSpare kept a spare")
 	}
-	NewVector(p, 16, 0).Release()
+	release(16, 16)
 	p.Close()
-	if p.TakeSpare(16) != nil {
-		t.Fatal("Close kept the spare")
+	if p.TakeSpare(1, 16) != nil {
+		t.Fatal("Close kept a spare")
 	}
-	NewVector(p, 16, 0).Release()
-	if p.TakeSpare(16) != nil {
+	release(16, 16)
+	if p.TakeSpare(1, 16) != nil {
 		t.Fatal("a closed pool kept a spare")
 	}
 	var none *Pool
 	none.DropSpare()
-	if none.TakeSpare(0) != nil {
+	if none.TakeSpare(0, 1) != nil {
 		t.Fatal("a nil pool handed over a spare")
 	}
 }

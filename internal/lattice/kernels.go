@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/dilution"
 	"repro/internal/prob"
@@ -810,14 +811,38 @@ func Scale(data []float64, factor float64) {
 	}
 }
 
-// PutScaled writes each state of data times scale into dst as its
-// little-endian IEEE-754 bits, 8 bytes a state: a checkpoint's dense tail
-// encoded from stored mass with the carried normaliser folded in — Scale's
-// multiply, made on the way out instead of in place.
-func PutScaled(dst []byte, data []float64, scale float64) {
-	dst = dst[:8*len(data)]
-	for i, x := range data {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x*scale))
+// hostLittleEndian reports whether this host keeps a word's low byte
+// first, as a checkpoint tail does.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// WordBytes returns the memory of words as bytes, 8 a word, with no copy:
+// a checkpoint tail's bytes once LittleEndianInPlace has run over them.
+func WordBytes[T float64 | uint64](words []T) []byte {
+	if len(words) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))
+}
+
+// LittleEndianInPlace turns each word's bytes from this host's order to
+// little-endian, or back, in place: nothing on a little-endian host and
+// swapWords on a big-endian one, which is its own inverse. A checkpoint
+// tail is written from and read into a posterior's storage through
+// WordBytes, with this around the I/O.
+func LittleEndianInPlace[T float64 | uint64](words []T) {
+	if !hostLittleEndian {
+		swapWords(words)
+	}
+}
+
+// swapWords reverses the byte order of every word in place.
+func swapWords[T float64 | uint64](words []T) {
+	if len(words) == 0 {
+		return
+	}
+	u := unsafe.Slice((*uint64)(unsafe.Pointer(&words[0])), len(words))
+	for i, x := range u {
+		u[i] = bits.ReverseBytes64(x)
 	}
 }
 

@@ -174,9 +174,9 @@ func alloc(cfg Config, post *engine.Vector) *Model {
 // reciprocal is the carried scale. A degenerate prior (total 0: the risks'
 // all-negative mass underflowed) is refused before the 2^N allocation.
 //
-// The fill writes every state, so the storage is the pool's spare when it
-// has 2^N states (the last lattice Released on the pool) and a fresh
-// array otherwise; either way the pool keeps no spare (Pool.TakeSpare).
+// The fill writes every state, so the storage is a pool spare of exactly
+// 2^N states when the pool keeps one (a lattice Released on the pool) and
+// a fresh array otherwise (Pool.TakeSpare).
 func New(pool *engine.Pool, cfg Config) (*Model, error) {
 	base, odds, err := validate(cfg)
 	if err != nil {
@@ -187,7 +187,7 @@ func New(pool *engine.Pool, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("lattice: degenerate prior (total %v)", total)
 	}
 	states := uint64(1) << uint(len(cfg.Risks))
-	backing := pool.TakeSpare(states)
+	backing := pool.TakeSpare(states, states)
 	if backing == nil {
 		backing = make([]float64, states)
 	}
@@ -212,9 +212,10 @@ func (m *Model) Response() dilution.Response { return m.resp }
 // Risks returns the prior risk vector (a copy).
 func (m *Model) Risks() []float64 { return append([]float64(nil), m.risks...) }
 
-// Release hands the lattice's storage to its pool as the spare for the
-// next lattice of the same 2^N (New, or a restore whose tail is read into
-// it): engine.Vector.Release. The model must not be used afterwards.
+// Release hands the lattice's storage, at the capacity it was opened
+// with, to its pool as a spare for the next lattice it fits (New of the
+// same 2^N, or a restore whose tail is read into it):
+// engine.Vector.Release. The model must not be used afterwards.
 func (m *Model) Release() { m.post.Release() }
 
 // Posterior exposes the partitioned posterior for engine-level consumers
@@ -274,43 +275,29 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	return nil
 }
 
-// WriteStates writes the posterior to w in state order, as little-endian
-// float64 bits: each stored state times the carried scale (PutScaled), the
-// bytes Posterior().Slice() would hold — how a session checkpoint's dense
-// tail is written. It is a read: the storage, the scale and the held
-// marginals stay as they were. The partitions are walked in order on the
-// caller, cap(buf)/8 states at a time through buf, a scratch chunk (one
-// of 64 KiB when buf holds no state).
-func (m *Model) WriteStates(w io.Writer, buf []byte) error {
-	if cap(buf) < 8 {
-		buf = make([]byte, 8*8192)
-	}
-	states := min(uint64(cap(buf)/8), m.post.Len())
-	buf = buf[: 0 : 8*states]
-	for p := range m.post.Parts() {
-		_, data := m.post.Partition(p)
-		for len(data) > 0 {
-			k := min(len(data), (cap(buf)-len(buf))/8)
-			PutScaled(buf[len(buf):len(buf)+8*k], data[:k], m.scale)
-			buf, data = buf[:len(buf)+8*k], data[k:]
-			if len(buf) == cap(buf) {
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-	}
-	if len(buf) > 0 {
-		_, err := w.Write(buf)
-		return err
-	}
-	return nil
+// WriteStates writes the lattice's stored mass to w in state order, as
+// little-endian float64 bits, with one Write straight from its storage
+// (WriteWords) — how a session checkpoint's dense tail is written. The
+// carried scale is not applied: the bytes are the posterior times a
+// positive factor, which Restore renormalises away by its own sum. It is a
+// read: the storage, the scale and the held marginals stay as they were.
+func (m *Model) WriteStates(w io.Writer) error { return WriteWords(w, m.post.Data()) }
+
+// WriteWords writes words to w as little-endian 8-byte words (a float64 as
+// its IEEE-754 bits) with one Write straight from their memory. A
+// big-endian host swaps them to little-endian for the Write and back after
+// it (LittleEndianInPlace), so words read the same afterwards either way.
+func WriteWords[T float64 | uint64](w io.Writer, words []T) error {
+	LittleEndianInPlace(words)
+	_, err := w.Write(WordBytes(words))
+	LittleEndianInPlace(words)
+	return err
 }
 
 // Restore rebuilds a model from a previously captured posterior (state
-// order, length 2^len(cfg.Risks)) and test counter — how a session
-// checkpoint's dense tail becomes a model again (posterior.FromSnapshot).
+// order, length 2^len(cfg.Risks), at any positive scale) and test counter
+// — how a session checkpoint's dense tail becomes a model again
+// (posterior.FromSnapshot).
 // The model adopts posterior as its storage, with no copy: the caller
 // hands the slice over and must not use it afterwards (on an error it is
 // left as it was). One FirstInvalid pass checks it and one AddMarginals

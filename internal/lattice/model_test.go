@@ -415,36 +415,76 @@ func TestPriorClosedFormMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestWriteStatesIsARead: WriteStates writes the settled posterior's bytes
-// — a copy's Posterior(), as little-endian float64s — through any chunk,
-// one state or many partitions' worth, and leaves the model's storage,
-// carried scale and held marginals bit for bit as they were.
+// TestWriteStatesIsARead: WriteStates writes the lattice's stored mass —
+// its storage's words, the carried scale not applied, as little-endian
+// float64s — and leaves the model's storage, carried scale and held
+// marginals bit for bit as they were. Its bytes restore, renormalised by
+// their own sum, to the model's marginals and posterior within 1e-12, and
+// the words survive LittleEndianInPlace and swapWords round trips.
 func TestWriteStatesIsARead(t *testing.T) {
 	pool := newTestPool(t)
-	cfg := Config{Risks: []float64{0.1, 0.3, 0.2, 0.05, 0.15, 0.25, 0.4}, Response: dilution.Binary{Sens: 0.9, Spec: 0.97}, Parts: 3}
+	cfg := Config{Risks: []float64{0.01, 0.03, 0.02, 0.005, 0.015, 0.025, 0.04}, Response: dilution.Binary{Sens: 0.9, Spec: 0.999}, Parts: 3}
 	m := mustNew(t, pool, cfg)
-	if err := m.Update(bitvec.FromIndices(0, 2, 5), dilution.Positive); err != nil {
-		t.Fatal(err)
+	for _, i := range []int{3, 0, 4} { // improbable positives: each leaves a scale far from 1
+		if err := m.Update(bitvec.FromIndices(i), dilution.Positive); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if m.scale == 1 || m.marg == nil {
-		t.Fatal("the model carries no scale or holds no marginals to keep")
+	if !(m.scale > 10) || m.marg == nil {
+		t.Fatalf("the model carries scale %v and held marginals %v; the test needs a scale far from 1", m.scale, m.marg != nil)
 	}
 	stored, scale, marg := m.post.Slice(), m.scale, append([]float64(nil), m.marg...)
 	var want []byte
-	for _, x := range cloneModel(m).Posterior().Slice() {
+	for _, x := range stored {
 		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(x))
 	}
-	for _, chunk := range []int{0, 8, 40, 8 << 7, 8 << 10} {
-		var out bytes.Buffer
-		if err := m.WriteStates(&out, make([]byte, chunk)); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Fatalf("a %d-byte chunk wrote %d bytes unlike the settled posterior's %d", chunk, out.Len(), len(want))
-		}
+	var out bytes.Buffer
+	if err := m.WriteStates(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("WriteStates wrote %d bytes unlike the stored mass's %d", out.Len(), len(want))
 	}
 	if math.Float64bits(m.scale) != math.Float64bits(scale) || !bitsEqual(m.post.Slice(), stored) || !bitsEqual(m.marg, marg) {
 		t.Fatal("WriteStates changed the model's storage, scale or held marginals")
+	}
+
+	back := make([]float64, len(stored))
+	copy(WordBytes(back), out.Bytes())
+	LittleEndianInPlace(back)
+	restored, err := Restore(pool, cfg, back, m.Tests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range restored.Marginals() {
+		if math.Abs(p-marg[i]) > 1e-12 {
+			t.Fatalf("subject %d: restored marginal %v, written model's %v", i, p, marg[i])
+		}
+	}
+	settled := cloneModel(m).Posterior().Slice()
+	for s, p := range restored.Posterior().Slice() {
+		if math.Abs(p-settled[s]) > 1e-12 {
+			t.Fatalf("state %d: restored mass %v, written model's %v", s, p, settled[s])
+		}
+	}
+
+	words := []uint64{0x0102030405060708, 0xff00000000000001}
+	before := append([]byte(nil), WordBytes(words)...)
+	swapWords(words)
+	if words[0] != 0x0807060504030201 || words[1] != 0x01000000000000ff {
+		t.Fatalf("swapWords gave %x", words)
+	}
+	for i, b := range WordBytes(words) {
+		if j := i&^7 + 7 - i&7; b != before[j] {
+			t.Fatalf("byte %d of the swapped words is %#x, byte %d before was %#x", i, b, j, before[j])
+		}
+	}
+	swapWords(words)
+	floats := append([]float64(nil), stored...)
+	LittleEndianInPlace(floats)
+	LittleEndianInPlace(floats)
+	if words[0] != 0x0102030405060708 || words[1] != 0xff00000000000001 || !bitsEqual(floats, stored) {
+		t.Fatal("swapWords or LittleEndianInPlace twice is not the identity")
 	}
 }
 

@@ -117,8 +117,8 @@ func (d *Dense) Snapshot() (*Snapshot, error) {
 	}, nil
 }
 
-// Close hands the lattice's storage to its engine pool as the spare for
-// the next dense open of the same size (lattice.Model.Release) and spends
+// Close hands the lattice's storage to its engine pool as a spare for the
+// next dense open or restore it fits (lattice.Model.Release) and spends
 // the model. Idempotent; a conditioned model's Close does nothing.
 func (d *Dense) Close() error {
 	if d.spent == nil {

@@ -101,7 +101,7 @@ type Model interface {
 
 	// Close releases backend resources: a cluster model's connections and
 	// local executors, a dense model's lattice storage (which its engine
-	// pool keeps as the spare for the next dense open of the same size).
+	// pool keeps as a spare for the next dense open or restore it fits).
 	// After Close every fallible method returns an error naming the closed
 	// model. A sparse model holds nothing to release. Close is idempotent.
 	Close() error
@@ -157,14 +157,14 @@ type Snapshot struct {
 // sparse snapshots restore as sparse models and ignore pool. A dense
 // model adopts snap.Dense as its storage (lattice.Restore): the snapshot
 // is handed over, and its Dense slice must not be used afterwards — copy
-// it first to restore one snapshot twice. A restore brings its own
-// storage, so the pool's spare goes either way (engine.Pool.DropSpare; a
-// reader that can fill the spare takes it before it builds the snapshot).
+// it first to restore one snapshot twice. A restore leaves the pool's
+// spares alone: a reader that can fill one takes it before it builds the
+// snapshot (engine.Pool.TakeSpare), and the others wait for the next open
+// or restore they fit.
 func FromSnapshot(pool *engine.Pool, snap *Snapshot) (Model, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("posterior: nil snapshot")
 	}
-	pool.DropSpare()
 	switch snap.Kind {
 	case KindDense, KindCluster:
 		m, err := lattice.Restore(pool, lattice.Config{
@@ -192,8 +192,8 @@ func FromSnapshot(pool *engine.Pool, snap *Snapshot) (Model, error) {
 // Lattice returns the in-process lattice under m (Instrument's wrapper
 // seen through), or nil when m keeps its posterior elsewhere: a sparse
 // support or cluster shards. A checkpoint writes a dense tail from it in
-// place (lattice.Model.WriteStates), where Snapshot would settle the
-// lattice and copy it. A spent dense model (closed or conditioned) has no
+// place (lattice.Model.WriteStates: the stored mass, unscaled), where
+// Snapshot would settle the lattice and copy it. A spent dense model (closed or conditioned) has no
 // lattice of its own: nil.
 func Lattice(m Model) *lattice.Model {
 	if d, ok := Base(m).(*Dense); ok && d.spent == nil {

@@ -63,7 +63,7 @@ func TestClosedDenseRefusesReads(t *testing.T) {
 		if err := next.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if pool.TakeSpare(1<<10) != nil {
+		if pool.TakeSpare(1, 1<<10) != nil {
 			t.Fatal("closing a conditioned receiver released the survivor's storage")
 		}
 		if _, err := survivor.Marginals(); err != nil {
@@ -124,10 +124,12 @@ func refusesReads(t *testing.T, m posterior.Model, want string) {
 	}
 }
 
-// TestSpareDroppedByOtherOpen: a closed dense model's storage waits on the
-// pool for the next dense open of its size, and a sparse open, a cluster
-// open, a dense open of another size or a sparse restore each let it go.
-func TestSpareDroppedByOtherOpen(t *testing.T) {
+// TestSparesDroppedByNonDenseOpen: closed dense models' storage waits on
+// the pool, up to Workers() backings, for the next dense open or restore
+// it fits. A sparse or a cluster open lets every spare go; a dense open of
+// another size, a dense restore and a sparse restore take none they do
+// not fit and leave the rest where they were.
+func TestSparesDroppedByNonDenseOpen(t *testing.T) {
 	pool := engine.NewPool(2)
 	defer pool.Close()
 	risks := workload.UniformRisks(10, 0.08)
@@ -138,39 +140,68 @@ func TestSpareDroppedByOtherOpen(t *testing.T) {
 		}
 		return m
 	}
-	openDenseN(t, pool, 10).Close()
-	if pool.TakeSpare(1<<10) == nil {
-		t.Fatal("a closed dense model left no spare")
+	// spares closes three dense models of ten subjects, one more than the
+	// pool keeps, runs between, and returns how many spares of their size
+	// the pool holds afterwards.
+	spares := func(between func()) int {
+		open := []posterior.Model{openDenseN(t, pool, 10), openDenseN(t, pool, 10), openDenseN(t, pool, 10)}
+		for _, m := range open {
+			m.Close()
+		}
+		between()
+		n := 0
+		for pool.TakeSpare(1<<10, 1<<10) != nil {
+			n++
+		}
+		return n
 	}
-	sparseSnap := func() *posterior.Snapshot {
-		m := openSpec(posterior.Spec{Kind: posterior.KindSparse, Eps: 1e-9}, 10)
+	if n := spares(func() {}); n != pool.Workers() {
+		t.Fatalf("three closed dense models left %d spares, want Workers() = %d", n, pool.Workers())
+	}
+	snapshot := func(spec posterior.Spec, n int) *posterior.Snapshot {
+		m := openSpec(spec, n)
 		defer m.Close()
 		snap, err := m.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return snap
-	}()
-	for name, other := range map[string]func() posterior.Model{
-		"sparse open": func() posterior.Model { return openSpec(posterior.Spec{Kind: posterior.KindSparse, Eps: 1e-9}, 10) },
-		"cluster open": func() posterior.Model {
+	}
+	sparseSnap := snapshot(posterior.Spec{Kind: posterior.KindSparse, Eps: 1e-9}, 10)
+	denseSnap := snapshot(posterior.Spec{}, 9)
+	for _, c := range []struct {
+		name  string
+		other func() posterior.Model
+		keeps int
+	}{
+		{"sparse open", func() posterior.Model { return openSpec(posterior.Spec{Kind: posterior.KindSparse, Eps: 1e-9}, 10) }, 0},
+		{"cluster open", func() posterior.Model {
 			return openSpec(posterior.Spec{Kind: posterior.KindCluster, LocalExecutors: 1, ExecWorkers: 1, DialTimeout: 5 * time.Second}, 10)
-		},
-		"dense open of another size": func() posterior.Model { return openSpec(posterior.Spec{}, 9) },
-		"sparse restore": func() posterior.Model {
+		}, 0},
+		{"dense open of another size", func() posterior.Model { return openSpec(posterior.Spec{}, 9) }, 2},
+		{"dense restore", func() posterior.Model {
+			snap := *denseSnap
+			snap.Dense = append([]float64(nil), denseSnap.Dense...)
+			m, err := posterior.FromSnapshot(pool, &snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}, 2},
+		{"sparse restore", func() posterior.Model {
 			m, err := posterior.FromSnapshot(pool, sparseSnap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
-		},
+		}, 2},
 	} {
-		openDenseN(t, pool, 10).Close()
-		m := other()
-		if pool.TakeSpare(1<<10) != nil {
-			t.Errorf("a %s kept the closed model's storage", name)
+		var m posterior.Model
+		if n := spares(func() { m = c.other() }); n != c.keeps {
+			t.Errorf("a %s left %d spares of the closed models' size, want %d", c.name, n, c.keeps)
 		}
 		m.Close()
+		pool.DropSpare()
 	}
 }
 

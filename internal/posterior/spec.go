@@ -55,10 +55,10 @@ type Spec struct {
 
 // Open builds the prior posterior for the spec. pool is used by the
 // dense backend only (sparse is single-threaded, cluster executors own
-// their pools); it may be nil for the other kinds. A dense open takes the
-// pool's spare storage when it has the lattice's size (lattice.New); any
-// other open lets it go, so a pool never keeps a spare no open is about to
-// use.
+// their pools); it may be nil for the other kinds. A dense open takes a
+// pool spare of exactly the lattice's size when there is one
+// (lattice.New); a sparse or cluster open lets every spare go, so a pool
+// that has stopped opening dense lattices keeps none.
 func (s Spec) Open(pool *engine.Pool, risks []float64, resp dilution.Response) (Model, error) {
 	kind, err := ParseKind(string(s.Kind))
 	if err != nil {

@@ -36,9 +36,10 @@ type ManagerConfig struct {
 	Pool *engine.Pool
 	// Dir is where idle cohorts are checkpointed. Required.
 	Dir string
-	// MaxResident bounds how many posteriors stay in memory at once;
-	// admitting or restoring past the bound evicts the least-recently-used
-	// cohort to disk first. Zero means 256.
+	// MaxResident bounds how many posteriors are in memory at once, those
+	// being restored or built included; admitting or restoring past the
+	// bound evicts the least-recently-used cohort to disk first. Zero means
+	// 256.
 	MaxResident int
 	// MaxCohorts bounds the total population, resident plus checkpointed.
 	// Zero means 65536.
@@ -269,8 +270,9 @@ func (m *Manager) pair(id string) core.Pair {
 	return core.Pair{Path: filepath.Join(m.cfg.Dir, id+".ckpt")}
 }
 
-// restoreLocked loads c's session back from disk, timed as a restore
-// span under parent. Caller holds c.mu and c.sess == nil.
+// restoreLocked loads c's session back from disk into the resident slot
+// the caller has counted (admit), timed as a restore span under parent.
+// Caller holds c.mu and c.sess == nil.
 func (m *Manager) restoreLocked(c *cohort, parent *obs.Span) (err error) {
 	span := m.span(parent, "restore", obs.A("reason", "demand"), obs.A("tenant", c.tenant), obs.A("cohort", c.id))
 	defer func() { span.Fail(err); span.End() }()
@@ -279,43 +281,75 @@ func (m *Manager) restoreLocked(c *cohort, parent *obs.Span) (err error) {
 		return fmt.Errorf("serve: restore %s: %w", c.id, err)
 	}
 	c.sess = sess
-	m.resident.Add(1)
-	gaugeAdd(m.mResident, 1)
 	inc(m.mRestored)
 	m.cfg.Log.Debug("serve: cohort restored", "cohort", c.id)
 	return nil
 }
 
-// makeRoom evicts least-recently-used resident cohorts until the
-// resident count is back under MaxResident; the checkpoints hang under
-// parent, the request whose admission or restore made the room short.
-// Called outside any cohort lock.
-func (m *Manager) makeRoom(parent *obs.Span) {
-	for m.resident.Load() > int64(m.cfg.MaxResident) {
-		var victim *cohort
-		var oldest time.Time
-		for _, c := range m.snapshot() {
-			c.mu.Lock()
-			live := c.sess != nil && !c.deleted
-			used := c.lastUsed
-			c.mu.Unlock()
-			if live && (victim == nil || used.Before(oldest)) {
-				victim, oldest = c, used
+// admit counts one more resident posterior, one the caller is about to
+// restore or build, evicting least-recently-used resident cohorts first
+// until the count fits under MaxResident; the checkpoints hang under
+// parent, the request whose admission or restore needs the room. So the
+// evictee's lattice storage is the pool's spare by the time the restore or
+// build asks for one, and MaxResident holds at every moment. While every
+// counted slot is a restore or build still in flight there is no victim,
+// and admit looks again every admitWait until one lands. A failed
+// eviction fails the admission. Called outside any cohort lock: the
+// victim search locks each cohort in turn.
+func (m *Manager) admit(parent *obs.Span) error {
+	for {
+		n := m.resident.Load()
+		if n < int64(m.cfg.MaxResident) {
+			if m.resident.CompareAndSwap(n, n+1) {
+				gaugeAdd(m.mResident, 1)
+				return nil
 			}
+			continue
 		}
+		victim := m.lru()
 		if victim == nil {
-			return
+			time.Sleep(admitWait)
+			continue
 		}
 		m.lockCohort(victim, parent)
+		var err error
 		if victim.sess != nil && !victim.deleted {
-			if err := m.checkpointLocked(victim, "lru", parent); err != nil {
+			if err = m.checkpointLocked(victim, "lru", parent); err != nil {
 				m.cfg.Log.Error("serve: LRU eviction failed", "cohort", victim.id, "err", err)
-				victim.mu.Unlock()
-				return
 			}
 		}
 		victim.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("serve: make room: evict %s: %w", victim.id, err)
+		}
 	}
+}
+
+// admitWait is how long admit waits before it looks for a victim again
+// when every resident slot is a restore or build in flight: about one
+// restore of a 2^16-state lattice.
+const admitWait = 100 * time.Microsecond
+
+// unadmit gives back a slot admit counted that no posterior filled.
+func (m *Manager) unadmit() {
+	m.resident.Add(-1)
+	gaugeAdd(m.mResident, -1)
+}
+
+// lru returns the least recently used resident cohort, or nil when none is.
+func (m *Manager) lru() *cohort {
+	var victim *cohort
+	var oldest time.Time
+	for _, c := range m.snapshot() {
+		c.mu.Lock()
+		live := c.sess != nil && !c.deleted
+		used := c.lastUsed
+		c.mu.Unlock()
+		if live && (victim == nil || used.Before(oldest)) {
+			victim, oldest = c, used
+		}
+	}
+	return victim
 }
 
 // lookup finds a cohort by ID.
@@ -340,39 +374,47 @@ func (m *Manager) lockCohort(c *cohort, parent *obs.Span) {
 // withSession runs fn with the cohort resident and its lock held,
 // restoring from disk first when needed; the lock wait, the restore, the
 // session's phase spans and any checkpoint it forces hang under parent.
-// LRU pressure from a restore is relieved after the cohort lock drops —
-// makeRoom locks other cohorts, and this one is now the most recently
-// used, so it is not the victim.
+// A cohort on disk is admitted first (admit) with its lock dropped —
+// admit locks other cohorts, and this one, not resident, is never the
+// victim — and restored once the lock is taken again, unless another
+// request restored it meanwhile, which gives the slot back.
 func (m *Manager) withSession(id string, parent *obs.Span, fn func(*core.Session) error) error {
 	c, err := m.lookup(id)
 	if err != nil {
 		return err
 	}
-	restored, err := func() (bool, error) {
-		m.lockCohort(c, parent)
-		defer c.mu.Unlock()
-		if c.deleted {
-			return false, ErrNotFound
-		}
-		restored := false
-		if c.sess == nil {
-			if err := m.restoreLocked(c, parent); err != nil {
-				return false, err
-			}
-			restored = true
-		}
-		c.lastUsed = m.cfg.Clock()
-		if parent != nil {
-			sess := c.sess
-			sess.SetRequestSpan(parent)
-			defer sess.SetRequestSpan(nil)
-		}
-		return restored, fn(c.sess)
-	}()
-	if restored {
-		m.makeRoom(parent)
+	m.lockCohort(c, parent)
+	defer c.mu.Unlock()
+	if c.deleted {
+		return ErrNotFound
 	}
-	return err
+	if c.sess == nil {
+		c.mu.Unlock()
+		err := m.admit(parent)
+		m.lockCohort(c, parent)
+		if err != nil {
+			return err
+		}
+		switch {
+		case c.deleted:
+			m.unadmit()
+			return ErrNotFound
+		case c.sess != nil:
+			m.unadmit()
+		default:
+			if err := m.restoreLocked(c, parent); err != nil {
+				m.unadmit()
+				return err
+			}
+		}
+	}
+	c.lastUsed = m.cfg.Clock()
+	if parent != nil {
+		sess := c.sess
+		sess.SetRequestSpan(parent)
+		defer sess.SetRequestSpan(nil)
+	}
+	return fn(c.sess)
 }
 
 // Create admits a new cohort and returns its ID.
@@ -387,14 +429,20 @@ func (m *Manager) create(req CreateCohortRequest, parent *obs.Span) (string, err
 		return "", err
 	}
 
-	m.mu.Lock()
-	if len(m.cohorts) >= m.cfg.MaxCohorts {
-		m.mu.Unlock()
-		return "", ErrBusy
+	// The admission bounds are checked before the resident slot is counted,
+	// so a refused create evicts nothing, and again under the same lock as
+	// the cohort is published.
+	if err := m.admissible(req.Tenant); err != nil {
+		return "", err
 	}
-	if m.cfg.MaxPerTenant > 0 && m.perTenant[req.Tenant] >= m.cfg.MaxPerTenant {
+	if err := m.admit(parent); err != nil {
+		return "", err
+	}
+	m.mu.Lock()
+	if err := m.admissibleLocked(req.Tenant); err != nil {
 		m.mu.Unlock()
-		return "", fmt.Errorf("%w: tenant %q", ErrTenantLimit, req.Tenant)
+		m.unadmit()
+		return "", err
 	}
 	m.seq++
 	id := fmt.Sprintf("c%08d", m.seq)
@@ -419,17 +467,34 @@ func (m *Manager) create(req CreateCohortRequest, parent *obs.Span) (string, err
 	if err != nil {
 		c.deleted = true
 		c.mu.Unlock()
+		m.unadmit()
 		m.drop(c)
 		return "", err
 	}
 	c.sess = sess
-	m.resident.Add(1)
-	gaugeAdd(m.mResident, 1)
 	gaugeAdd(m.mCohorts, 1)
 	c.mu.Unlock()
-	m.makeRoom(parent)
 	m.cfg.Log.Debug("serve: cohort created", "cohort", id, "tenant", req.Tenant, "subjects", len(req.Risks))
 	return id, nil
+}
+
+// admissible reports whether a cohort of tenant may be admitted under
+// MaxCohorts and MaxPerTenant.
+func (m *Manager) admissible(tenant string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.admissibleLocked(tenant)
+}
+
+// admissibleLocked is admissible with m.mu held.
+func (m *Manager) admissibleLocked(tenant string) error {
+	if len(m.cohorts) >= m.cfg.MaxCohorts {
+		return ErrBusy
+	}
+	if m.cfg.MaxPerTenant > 0 && m.perTenant[tenant] >= m.cfg.MaxPerTenant {
+		return fmt.Errorf("%w: tenant %q", ErrTenantLimit, tenant)
+	}
+	return nil
 }
 
 // drop removes a cohort from the maps (bookkeeping only).
@@ -633,5 +698,6 @@ func (m *Manager) Cohorts() []string {
 	return out
 }
 
-// Resident reports how many posteriors are currently in memory.
+// Resident reports how many posteriors are currently in memory, counting
+// those being restored or built; it never exceeds MaxResident.
 func (m *Manager) Resident() int { return int(m.resident.Load()) }

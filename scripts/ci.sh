@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Full CI gate: build, gofmt, vet, repo-invariant lint, tests, the example
-# programs, race tests, fuzz smoke, serve smoke.
+# Full CI gate: build, gofmt, vet, a big-endian cross-compile,
+# repo-invariant lint, tests, the example programs, race tests, fuzz smoke,
+# serve smoke.
 # Mirrors .github/workflows/ci.yml so the same gate runs locally via
 # `make ci`; the benchmark, race and fuzz lists live once, in the Makefile.
 # Fails on the first broken step.
@@ -21,6 +22,9 @@ fi
 
 echo '== go vet =='
 go vet ./...
+
+echo '== big-endian cross-compile (make big-endian: GOARCH=s390x) =='
+make -s big-endian
 
 echo '== sbgt-lint (waiver audit) =='
 go run ./cmd/sbgt-lint -audit ./...
