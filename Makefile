@@ -11,13 +11,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Cross-compile (and vet, so the tests type-check too) the packages whose
-# checkpoint I/O reads and writes a lattice's storage as bytes for s390x,
-# a big-endian target, so the word-swapping side of that I/O keeps
-# building. Needs no network: the standard library builds from GOROOT.
+# Cross-compile (and vet, so the tests type-check too) for s390x, a
+# big-endian target, the packages whose checkpoint I/O reads and writes a
+# lattice's storage as bytes, so the word-swapping side of that I/O keeps
+# building, and the frame codec and cluster wire, which code floats as
+# little-endian bytes. Needs no network: the standard library builds from
+# GOROOT.
 big-endian:
-	GOARCH=s390x $(GO) build ./internal/core ./internal/lattice ./internal/engine
-	GOARCH=s390x $(GO) vet ./internal/core ./internal/lattice ./internal/engine
+	GOARCH=s390x $(GO) build ./internal/core ./internal/lattice ./internal/engine ./internal/wire ./internal/cluster
+	GOARCH=s390x $(GO) vet ./internal/core ./internal/lattice ./internal/engine ./internal/wire ./internal/cluster
 
 # Formatting, then repo-invariant static analysis (six analyzers;
 # `sbgt-lint -list` describes them). gofmt -l must print nothing. -audit

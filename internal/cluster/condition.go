@@ -85,9 +85,10 @@ func (m *Model) Condition(subject int, positive bool) (*Model, error) {
 // collapse response carries what its executor holds outside its new range,
 // and since executors and ranges are both in state order, those states
 // laid end to end split into each executor's gain, off[i] to off[i+1], in
-// rank order. OpLoadShard splices the gain around what the executor keeps.
-// Executors past the state count end with valid empty shards, so every
-// connection stays in the fan-out.
+// rank order. OpLoadShard splices the gain around what the executor keeps;
+// it is posted, so its ack is read by the model's next round or Close, and
+// a refused one spends the model there. Executors past the state count end
+// with valid empty shards, so every connection stays in the fan-out.
 func (m *Model) rebalance(collapsed []Response, off []uint64) error {
 	var moved []float64
 	for _, r := range collapsed {
@@ -96,8 +97,7 @@ func (m *Model) rebalance(collapsed []Response, off []uint64) error {
 	if uint64(len(moved)) != off[len(off)-1] {
 		return fmt.Errorf("cluster: rebalance: executors gave up %d states, their new shards lack %d", len(moved), off[len(off)-1])
 	}
-	_, err := m.fanout(func(c *conn) Request {
+	return m.post(func(c *conn) Request {
 		return Request{Op: OpLoadShard, Lo: c.lo, Hi: c.hi, Data: moved[off[c.rank]:off[c.rank+1]]}
 	})
-	return err
 }

@@ -302,8 +302,11 @@ func TestCollapseAndSpliceValidation(t *testing.T) {
 // survivors all sit on the low executors, so the rebalancing move runs),
 // and reports the bytes it put on the wire (wire-B/op) and the rounds it
 // made (rpcs/op: the registry's per-op RPC counts over all ops, per
-// executor): 1 when no state changes owner, 2 with the move. A threshold
-// crossing sends no preflight. make bench-smoke runs it at -benchtime 1x.
+// executor): 1 when no state changes owner, 2 with the move. The driver
+// does not wait for the move's load-shard acks: the timed Condition ends at
+// their send, and they are read, counted and their bytes added at the
+// untimed Close. A threshold crossing sends no preflight. make bench-smoke
+// runs it at -benchtime 1x.
 func BenchmarkClusterCondition(b *testing.B) {
 	const n = 16
 	for _, k := range []int{2, 3} {
@@ -328,9 +331,9 @@ func BenchmarkClusterCondition(b *testing.B) {
 					if err != nil || next == nil {
 						b.Fatalf("condition: %v, %v", next, err)
 					}
+					next.Close() // reads the load-shard acks, which are counted but not timed
 					bytes += wireBytes(next) - before
 					rpcs += allRPCs(next) - beforeRPCs
-					next.Close()
 					b.StartTimer()
 				}
 				b.ReportMetric(float64(bytes)/float64(b.N), "wire-B/op")

@@ -23,6 +23,14 @@ import (
 // executor's stable index in the fan-out — the bounded-cardinality label
 // dial and RPC metrics use instead of the (ephemeral) host:port string.
 // bufs are the frame buffers its rounds reuse, handed on at Close.
+//
+// The executor answers requests in the order they arrive, so a conn may
+// have several in flight: sent holds them, oldest first. All but the last
+// are owed acks — the empty success responses of OpLoadShard and OpScale,
+// which the driver does not wait for — and recv reads them before the
+// response it waits for. The driver never writes to an executor whose
+// non-empty response it has not read: only acks of a few bytes can sit
+// unread, so neither side blocks writing while the other also writes.
 type conn struct {
 	addr   string
 	rank   int
@@ -31,37 +39,112 @@ type conn struct {
 	bufs   *frameBuffers
 	lo, hi uint64
 	met    *clusterMetrics // nil when the model is uninstrumented
-	// rpcTimeout bounds each call's send+receive round; <= 0 leaves the
-	// connection unbounded (the pre-RPCTimeout behaviour, where a dead
-	// executor parked the calling goroutine — and its session — forever).
+	// rpcTimeout bounds each round from a request's send to the read of
+	// its response (an owed request's send alone: its ack is read inside
+	// the next round's bound); <= 0 leaves the connection unbounded (the
+	// pre-RPCTimeout behaviour, where a dead executor parked the calling
+	// goroutine — and its session — forever).
 	rpcTimeout time.Duration
+	sent       []rpc
 }
 
-// call sends one request and waits for its response.
-func (c *conn) call(req Request) (Response, error) {
-	if c.met != nil {
-		stop := c.met.rpcHist(req.Op, c.rank).Time()
-		defer stop()
+// rpc is one request written and not yet answered: what its latency
+// histogram and its span need when the response is read.
+type rpc struct {
+	op     Op
+	owed   bool // an ack the driver did not wait for
+	start  time.Time
+	span   *obs.Span   // nil when untraced
+	tracer *obs.Tracer // absorbs the executor spans the response carries
+}
+
+// ackError is an owed ack that failed: the executor's shard is no longer
+// what the driver took it to be, so the model that sent it is spent.
+type ackError struct{ error }
+
+func (e ackError) Unwrap() error { return e.error }
+
+// arm bounds the connection's next round by rpcTimeout, if it has one.
+func (c *conn) arm(now time.Time) error {
+	if c.rpcTimeout <= 0 {
+		return nil
 	}
+	return c.nc.SetDeadline(now.Add(c.rpcTimeout))
+}
+
+// disarm clears the deadline after a round, so an idle session between
+// stages cannot trip a stale deadline on the next call's write.
+func (c *conn) disarm() {
 	if c.rpcTimeout > 0 {
-		if err := c.nc.SetDeadline(time.Now().Add(c.rpcTimeout)); err != nil {
-			return Response{}, fmt.Errorf("cluster: arm rpc deadline for %s to %s: %w", req.Op, c.addr, err)
+		c.nc.SetDeadline(time.Time{}) //lint:allow errcheck the next round re-arms; a dead socket fails it there
+	}
+}
+
+// send writes req as the connection's next request: the deadline armed,
+// one Write. An owed request is disarmed at once and its ack left for the
+// next recv. A failed send abandons whatever the connection had in flight.
+func (c *conn) send(req *Request, p rpc) error {
+	p.op, p.start = req.Op, time.Now()
+	err := c.arm(p.start)
+	if err != nil {
+		err = fmt.Errorf("cluster: arm rpc deadline for %s to %s: %w", req.Op, c.addr, err)
+	} else if err = writeRequest(c.nc, &c.bufs.w, req); err != nil {
+		err = fmt.Errorf("cluster: send %s to %s: %w", req.Op, c.addr, err)
+	}
+	c.sent = append(c.sent, p)
+	if err != nil {
+		c.abandon(0, err)
+		c.disarm()
+	} else if p.owed {
+		c.disarm()
+	}
+	return err
+}
+
+// recv reads every response in flight on the connection, owed acks first,
+// then disarms the deadline, and returns the last. A failed owed ack is an
+// ackError, and the responses behind it are abandoned unread.
+func (c *conn) recv() (resp Response, err error) {
+	for i, p := range c.sent {
+		resp = Response{}
+		if err = readResponse(c.r, &c.bufs.r, &resp); err != nil {
+			err = fmt.Errorf("cluster: recv %s from %s: %w", p.op, c.addr, err)
+		} else if resp.Err != "" {
+			err = fmt.Errorf("cluster: executor %s: %s: %s", c.addr, p.op, resp.Err)
 		}
-		// Disarm after the round so an idle session between stages cannot
-		// trip a stale deadline on the next call's write.
-		defer c.nc.SetDeadline(time.Time{})
+		if err != nil && p.owed {
+			err = ackError{err}
+		}
+		c.finish(p, resp.Spans, err)
+		if err != nil {
+			c.abandon(i+1, err)
+			break
+		}
 	}
-	if err := writeRequest(c.nc, &c.bufs.w, &req); err != nil {
-		return Response{}, fmt.Errorf("cluster: send %s to %s: %w", req.Op, c.addr, err)
+	c.sent = c.sent[:0]
+	c.disarm()
+	return resp, err
+}
+
+// abandon finishes the requests in flight from sent[from] on without
+// reading their responses: the connection can no longer be trusted to
+// deliver them in order.
+func (c *conn) abandon(from int, err error) {
+	for _, p := range c.sent[from:] {
+		c.finish(p, nil, err)
 	}
-	var resp Response
-	if err := readResponse(c.r, &c.bufs.r, &resp); err != nil {
-		return Response{}, fmt.Errorf("cluster: recv %s from %s: %w", req.Op, c.addr, err)
+	c.sent = c.sent[:0]
+}
+
+// finish records one RPC from its send to the read of its response (or
+// its failure): the latency histogram, and the span with the executor's.
+func (c *conn) finish(p rpc, spans []obs.SpanRecord, err error) {
+	c.met.rpcHist(p.op, c.rank).Observe(time.Since(p.start).Seconds())
+	if p.span != nil {
+		p.span.Fail(err)
+		p.tracer.Absorb(spans...)
+		p.span.End()
 	}
-	if resp.Err != "" {
-		return Response{}, fmt.Errorf("cluster: executor %s: %s: %s", c.addr, req.Op, resp.Err)
-	}
-	return resp, nil
 }
 
 // DefaultRPCTimeout is the post-dial per-RPC bound DialWith applies when
@@ -114,23 +197,19 @@ type Model struct {
 // invalid (zero) context disables tracing for subsequent calls.
 func (m *Model) SetTraceContext(tc obs.TraceContext) { m.parent = tc }
 
-// call issues one RPC on c, wrapped in a driver-side span when tracing
-// is active: the span's context rides in the request frame, and the
-// executor's completed spans come back in the response trailer and are
-// absorbed into the driver's tracer.
-func (m *Model) call(c *conn, req Request) (Response, error) {
-	var span *obs.Span
+// send writes one request on c, wrapped in a driver-side span when
+// tracing is active: the span's context rides in the request frame, and
+// the executor's completed spans come back in the response trailer and
+// are absorbed into the driver's tracer when c reads it. The span and the
+// RPC's latency run from here to that read. An owed request is one whose
+// empty ack the driver does not wait for.
+func (m *Model) send(c *conn, req Request, owed bool) error {
+	p := rpc{owed: owed}
 	if m.tracer != nil && m.parent.Valid() {
-		span = m.tracer.StartUnder("rpc:"+req.Op.String(), m.parent, obs.A("executor", c.rank))
-		req.Trace = span.Context().Encode()
+		p.span, p.tracer = m.tracer.StartUnder("rpc:"+req.Op.String(), m.parent, obs.A("executor", c.rank)), m.tracer
+		req.Trace = p.span.Context().Encode()
 	}
-	resp, err := c.call(req)
-	if span != nil {
-		span.Fail(err)
-		m.tracer.Absorb(resp.Spans...)
-		span.End()
-	}
-	return resp, err
+	return c.send(&req, p)
 }
 
 // DialOptions tunes DialWith beyond the required executor set.
@@ -180,7 +259,11 @@ func dialOne(addr string, rank int, lo, hi uint64, risks []float64, timeout, rpc
 		}
 	}
 	c := &conn{addr: addr, rank: rank, nc: nc, r: bufio.NewReader(nc), bufs: spareBuffers.Get().(*frameBuffers), lo: lo, hi: hi, met: met}
-	if _, err := c.call(Request{Op: OpBuildPrior, Risks: risks, Lo: lo, Hi: hi}); err != nil {
+	err = c.send(&Request{Op: OpBuildPrior, Risks: risks, Lo: lo, Hi: hi}, rpc{})
+	if err == nil {
+		_, err = c.recv()
+	}
+	if err != nil {
 		nc.Close() //lint:allow errcheck teardown of a connection we are abandoning
 		if errors.Is(err, io.EOF) {
 			// An executor that cannot read this frame hangs up on it.
@@ -284,10 +367,14 @@ func DialWith(addrs []string, risks []float64, resp dilution.Response, opts Dial
 	return m, nil
 }
 
-// Close tears down every connection. Executors stay alive for the next
+// Close reads every connection's owed acks, so each RPC sent is observed,
+// then tears the connections down. Executors stay alive for the next
 // driver; they stop when their owner closes their listeners.
 func (m *Model) Close() {
 	for _, c := range m.conns {
+		if len(c.sent) > 0 && c.arm(time.Now()) == nil {
+			c.recv() //lint:allow errcheck the model is going away; a failed ack is on its span and histogram
+		}
 		if c.nc != nil {
 			c.nc.Close() //lint:allow errcheck one-way teardown; a close error leaves nothing to recover
 		}
@@ -331,29 +418,62 @@ func shardRange(total uint64, k, i int) (lo, hi uint64) {
 	return lo, hi
 }
 
-// fanout issues build(c) on every executor concurrently and returns the
-// responses in executor-rank order (first error wins).
+// fanout sends build(c) to every executor in rank order, then reads their
+// responses in rank order, and returns them (the first error in rank order
+// wins). Every executor that was sent a request has its response read,
+// after another's failure too, so the connections stay frame-aligned. An
+// owed ack that failed wins over any other error and spends the model: its
+// connections are closed and every later call answers that error.
 func (m *Model) fanout(build func(c *conn) Request) ([]Response, error) {
 	if m.spent != nil {
 		return nil, m.spent
 	}
-	resps := make([]Response, len(m.conns))
-	errs := make([]error, len(m.conns))
-	var wg sync.WaitGroup
-	wg.Add(len(m.conns))
+	var err, ack error
+	at := len(m.conns) // the rank err came from
 	for i, c := range m.conns {
-		go func(i int, c *conn) {
-			defer wg.Done()
-			resps[i], errs[i] = m.call(c, build(c))
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		if e := m.send(c, build(c), false); e != nil && err == nil {
+			err, at = e, i
 		}
 	}
+	resps := make([]Response, len(m.conns))
+	for i, c := range m.conns {
+		if len(c.sent) == 0 {
+			continue // its send failed: nothing to read
+		}
+		var e error
+		if resps[i], e = c.recv(); e != nil && i < at {
+			err, at = e, i
+		}
+		if _, owed := e.(ackError); owed && ack == nil {
+			ack = e
+		}
+	}
+	if ack != nil {
+		m.spent = ack
+		m.Close()
+		return nil, ack
+	}
+	if err != nil {
+		return nil, err
+	}
 	return resps, nil
+}
+
+// post sends build(c) to every executor in rank order as an owed request:
+// the driver does not wait for its empty ack, which the connection's next
+// recv (or Close) reads. Only ops whose success response is empty are
+// posted, so the no-deadlock rule on conn holds.
+func (m *Model) post(build func(c *conn) Request) error {
+	if m.spent != nil {
+		return m.spent
+	}
+	var err error
+	for _, c := range m.conns {
+		if e := m.send(c, build(c), true); err == nil {
+			err = e
+		}
+	}
+	return err
 }
 
 // mergeSum merges scalar partials with compensation, in rank order.
@@ -394,12 +514,12 @@ func (m *Model) fanoutVec(length int, build func(c *conn) Request) ([]float64, e
 }
 
 // settle applies the carried normaliser to the shards — the one OpScale
-// round — for the readers that take raw mass.
+// round, posted — for the readers that take raw mass.
 func (m *Model) settle() error {
 	if m.scale == 1 { //lint:allow floats exactly 1 marks "nothing pending", not a numeric test
 		return nil
 	}
-	_, err := m.fanout(func(*conn) Request { return Request{Op: OpScale, Factor: m.scale} })
+	err := m.post(func(*conn) Request { return Request{Op: OpScale, Factor: m.scale} })
 	if err == nil {
 		m.scale = 1
 	}

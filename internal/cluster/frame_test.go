@@ -361,8 +361,12 @@ func TestProtocolIdentity(t *testing.T) {
 // executors run in the benchmark's process, so theirs count too): a ping
 // (frames and loopback alone), an update (the update-mul kernel and its
 // marginal partials), a collapse of the top subject with the rebalance it
-// forces (two rounds, a quarter of the lattice moved), and a cohort's
-// dial, prior build and close. make bench-smoke runs it at -benchtime 1x.
+// forces (two rounds, a quarter of the lattice moved; the driver does not
+// wait for the load-shard acks, so collapse_rebalance stops at the move's
+// send, and the acks are read in the untimed close), the same collapse and
+// the update after it (collapse_rebalance_update: that update reads the
+// acks, so they are timed), and a cohort's dial, prior build and close.
+// make bench-smoke runs it at -benchtime 1x.
 func BenchmarkClusterRound(b *testing.B) {
 	const n = 18
 	addrs, stop, err := StartLocalObs(2, 1, nil)
@@ -411,6 +415,24 @@ func BenchmarkClusterRound(b *testing.B) {
 			if err != nil || next == nil {
 				b.Fatalf("condition: %v, %v", next, err)
 			}
+			next.Close()
+			b.StartTimer()
+		}
+	})
+	b.Run("collapse_rebalance_update", func(b *testing.B) {
+		pool := bitvec.FromIndices(1, 5, 9, 13)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := dial(b)
+			b.StartTimer()
+			next, err := m.Condition(n-1, false)
+			if err != nil || next == nil {
+				b.Fatalf("condition: %v, %v", next, err)
+			}
+			if err := next.Update(pool, dilution.Positive); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
 			next.Close()
 			b.StartTimer()
 		}

@@ -4,13 +4,24 @@
 //
 // Each executor owns one contiguous shard of the 2^N lattice posterior and
 // runs the same partition kernels the in-process engine uses (with its own
-// local worker pool). The driver fans a request out to every executor,
-// waits for all partial results, and merges them in executor-rank order so
-// distributed reductions are as deterministic as local ones. The wire
-// format is a fixed binary frame (frame.go) over one persistent TCP
-// connection per executor, with one request in flight per connection and
-// its buffers reused from round to round; a peer of another frame version
-// is refused at its first frame, so drivers and sbgt-exec upgrade together.
+// local worker pool). The driver writes a round's request to every
+// executor in rank order, then reads the responses in rank order — one
+// goroutine, one write and one read per executor — and merges them in
+// executor-rank order so distributed reductions are as deterministic as
+// local ones. The wire format is a fixed binary frame (frame.go) over one
+// persistent TCP connection per executor, its buffers reused from round to
+// round; a peer of another frame version is refused at its first frame,
+// so drivers and sbgt-exec upgrade together.
+//
+// An executor answers its requests one at a time, in order. The driver
+// waits for every response that carries something; OpLoadShard and
+// OpScale, whose success response is empty, are owed acks instead: sent
+// without waiting, and read by the connection's next round (or by Close)
+// before its own response. A failed ack fails that round, naming the op,
+// and spends the model. The invariant that keeps both sides from blocking
+// on full socket buffers: the driver never writes to an executor whose
+// non-empty response it has not yet read, so all that can sit unread is a
+// few acks of a few bytes each.
 //
 // The protocol is intentionally lattice-specific rather than a generic
 // serialized-closure RPC: shipping *named kernels + small parameter

@@ -155,22 +155,30 @@ func (c *Codec) Str(s *string) {
 	}
 }
 
-// Floats is Each for a float vector, without a call per element.
+// Floats is Each for a float vector, coded in one loop over the counted
+// span: the bytes a Fixed call per element would make.
 func (c *Codec) Floats(v *[]float64) {
 	if !c.present(len(*v) > 0) {
 		return
 	}
-	if n := c.count(len(*v), 8); !c.Dec {
-		c.B = slices.Grow(c.B, 8*n)
-	} else if n > 0 || !c.All {
+	n := c.count(len(*v), 8)
+	if !c.Dec {
+		off := len(c.B)
+		c.B = slices.Grow(c.B, 8*n)[:off+8*n]
+		dst := c.B[off:]
+		for i, f := range *v {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(f))
+		}
+		return
+	}
+	if n > 0 || !c.All {
 		*v = make([]float64, n)
 	}
-	for i := range *v {
-		bits := math.Float64bits((*v)[i])
-		if c.Fixed(&bits); c.Dec {
-			(*v)[i] = math.Float64frombits(bits)
-		}
+	src := c.B[:8*n] // count checked that the span is there
+	for i := range n {
+		(*v)[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
+	c.B = c.B[8*n:]
 }
 
 // Each codes a present slice: its count, then every element with code,

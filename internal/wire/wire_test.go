@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // record is a fixed record of every kind of field, coded by one list.
@@ -98,5 +101,68 @@ func TestReadNGrowsWithArrival(t *testing.T) {
 	p, err = ReadN(bytes.NewReader(body), p, 4096, 1024)
 	if err != nil || !bytes.Equal(p, body[:4096]) {
 		t.Fatalf("honest length: %d bytes, %v", len(p), err)
+	}
+}
+
+// fixedEach is the per-element coding Floats replaces: Each over Fixed.
+func fixedEach(c *Codec, v *[]float64) {
+	Each(c, v, 8, func(f *float64) {
+		bits := math.Float64bits(*f)
+		if c.Fixed(&bits); c.Dec {
+			*f = math.Float64frombits(bits)
+		}
+	})
+}
+
+// TestFloatsMatchesFixed: Floats writes the bytes a Fixed call per element
+// writes and reads them back bit for bit — NaN payloads, −0, ±Inf and
+// subnormals included — in bitmap mode and in a fixed record; a cut input
+// fails instead of panicking.
+func TestFloatsMatchesFixed(t *testing.T) {
+	special := []uint64{
+		0x7ff8000000000000, 0x7ff0000000000001, 0xfff00000deadbeef, 0x7fffffffffffffff, // NaNs
+		0x8000000000000000, 0, // −0, +0
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		1, 0x000fffffffffffff, 0x800ffffffffffffe, // subnormals
+		math.Float64bits(math.MaxFloat64), math.Float64bits(math.SmallestNonzeroFloat64),
+	}
+	r := rng.New(52)
+	vecs := [][]float64{nil, {0}}
+	for len(vecs) < 64 {
+		v := make([]float64, r.Intn(40)+1)
+		for i := range v {
+			bits := r.Uint64()
+			if r.Intn(2) == 0 {
+				bits = special[r.Intn(len(special))]
+			}
+			v[i] = math.Float64frombits(bits)
+		}
+		vecs = append(vecs, v)
+	}
+	for _, all := range []bool{false, true} {
+		for _, v := range vecs {
+			got, want := Codec{All: all}, Codec{All: all}
+			got.Floats(&v)
+			fixedEach(&want, &v)
+			if !bytes.Equal(got.B, want.B) || got.Mask != want.Mask {
+				t.Fatalf("all=%v, %d floats: Floats wrote %x (mask %b), Fixed %x (mask %b)", all, len(v), got.B, got.Mask, want.B, want.Mask)
+			}
+			var back []float64
+			dec := Codec{Dec: true, All: all, B: got.B, Mask: got.Mask}
+			if dec.Floats(&back); dec.Finish() != nil || len(back) != len(v) {
+				t.Fatalf("all=%v: read %d of %d floats, %v", all, len(back), len(v), dec.Finish())
+			}
+			for i := range v {
+				if math.Float64bits(back[i]) != math.Float64bits(v[i]) {
+					t.Fatalf("all=%v: float %d read %#x, wrote %#x", all, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
+				}
+			}
+			for cut := range len(got.B) {
+				short := Codec{Dec: true, All: all, B: got.B[:cut], Mask: got.Mask}
+				if short.Floats(&back); short.Finish() == nil {
+					t.Fatalf("all=%v: %d of %d bytes accepted", all, cut, len(got.B))
+				}
+			}
+		}
 	}
 }
