@@ -74,9 +74,11 @@ bench-smoke:
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
-# End-to-end smoke of the surveillance service: boot sbgt-serve, drive
-# cohorts to classification over HTTP, scrape /metrics, SIGTERM-drain,
-# and require a clean exit with the open cohort checkpointed.
+# End-to-end smoke of the surveillance service: boot sbgt-serve with 4
+# resident slots, drive 25 cohorts to classification with curl and jq and
+# reconcile each against its truth and its sent count, hunt the induced
+# SLO anomaly, SIGTERM-drain, and require a clean exit with the open
+# cohort checkpointed and served again after a restart.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

@@ -48,16 +48,6 @@
 // /debug/flight; SIGQUIT writes the dumps and the live /spans window to
 // stderr without exiting).
 //
-// Load-driver mode:
-//
-//	-loadtest             run the load client instead of the server
-//	-target string        server base URL (default http://127.0.0.1:8344)
-//	-cohorts int          concurrent cohorts to simulate (default 10000)
-//	-subjects int         subjects per cohort (default 8)
-//	-risk float           uniform prior risk (default 0.08)
-//	-load-workers int     client concurrency (default 128)
-//	-seed uint            population seed (default 1)
-//
 // Observability flags (shared across the sbgt commands): -metrics-addr,
 // -log-level, -trace-out, -cpuprofile, -memprofile. A breach's dump
 // totals its window as self time per span name (http, lock_wait,
@@ -69,7 +59,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -101,14 +90,6 @@ func main() {
 		sloShedBurst = flag.Int("slo-shed-burst", 0, "max sheds per evaluation window before anomaly (0 = off)")
 		sloInterval  = flag.Duration("slo-interval", 10*time.Second, "SLO evaluation window")
 		sloDegrade   = flag.Bool("slo-degrade", false, "flip /readyz to 503 while an SLO objective burns")
-
-		loadtest    = flag.Bool("loadtest", false, "run the load client instead of the server")
-		target      = flag.String("target", "http://127.0.0.1:8344", "loadtest: server base URL")
-		cohorts     = flag.Int("cohorts", 10000, "loadtest: concurrent cohorts")
-		subjects    = flag.Int("subjects", 8, "loadtest: subjects per cohort")
-		risk        = flag.Float64("risk", 0.08, "loadtest: uniform prior risk")
-		loadWorkers = flag.Int("load-workers", 128, "loadtest: client concurrency")
-		seed        = flag.Uint64("seed", 1, "loadtest: population seed")
 	)
 	obsFlags := obs.RegisterFlags(nil)
 	flag.Parse()
@@ -119,27 +100,6 @@ func main() {
 		os.Exit(2)
 	}
 	defer rt.Close()
-
-	if *loadtest {
-		report, err := serve.RunLoad(serve.LoadConfig{
-			Target:   *target,
-			Cohorts:  *cohorts,
-			Subjects: *subjects,
-			Risk:     *risk,
-			Workers:  *loadWorkers,
-			Seed:     *seed,
-			Log:      rt.Log,
-		})
-		if err != nil {
-			rt.Fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			rt.Fatal(err)
-		}
-		return
-	}
 
 	rt.DumpFlightOnSIGQUIT()
 

@@ -14,17 +14,18 @@ import (
 )
 
 // stage answers id's outstanding proposal from truth (Ideal response),
-// proposing one first when none is outstanding, and reports whether the
-// cohort is done. after runs after each Manager call.
-func stage(t *testing.T, m *Manager, id string, truth bitvec.Mask, after func()) bool {
+// proposing one first when none is outstanding, and returns how many
+// results it sent: 0 once the cohort is done or a call failed. after runs
+// after each Manager call.
+func stage(t *testing.T, m *Manager, id string, truth bitvec.Mask, after func()) int {
 	pools, err := m.Pools(id)
 	after()
 	if err != nil {
 		t.Errorf("pools %s: %v", id, err)
-		return true
+		return 0
 	}
 	if pools.Done {
-		return true
+		return 0
 	}
 	results := make([]core.TestResult, len(pools.Pools))
 	for i, p := range pools.Pools {
@@ -34,9 +35,9 @@ func stage(t *testing.T, m *Manager, id string, truth bitvec.Mask, after func())
 	after()
 	if err != nil {
 		t.Errorf("submit %s: %v", id, err)
-		return true
+		return 0
 	}
-	return false
+	return len(results)
 }
 
 // TestManagerResidentHardBound: four goroutines drive three cohorts each
@@ -72,7 +73,7 @@ func TestManagerResidentHardBound(t *testing.T) {
 			}
 			for len(ids) > 0 {
 				for i := 0; i < len(ids); i++ {
-					if stage(t, m, ids[i], truth, sample) {
+					if stage(t, m, ids[i], truth, sample) == 0 {
 						ids = append(ids[:i], ids[i+1:]...)
 						i--
 					}
@@ -113,7 +114,7 @@ func TestManagerChurnAllocationBudget(t *testing.T) {
 	cohorts := [2]cohort{open(), open()}
 	turn := func(i int) {
 		c := &cohorts[i%2]
-		if stage(t, m, c.id, c.truth, func() {}) {
+		if stage(t, m, c.id, c.truth, func() {}) == 0 {
 			*c = open()
 		}
 	}

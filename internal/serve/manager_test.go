@@ -55,26 +55,11 @@ func driveToCompletion(t *testing.T, m *Manager, id string, truth bitvec.Mask) i
 	t.Helper()
 	sent := 0
 	for {
-		pools, err := m.Pools(id)
-		if err != nil {
-			t.Fatalf("pools %s: %v", id, err)
-		}
-		if pools.Done {
+		n := stage(t, m, id, truth, func() {})
+		if n == 0 {
 			return sent
 		}
-		results := make([]core.TestResult, len(pools.Pools))
-		for i, p := range pools.Pools {
-			mask := bitvec.FromIndices(p.Subjects...)
-			results[i] = core.TestResult{
-				Stage:   p.Stage,
-				Index:   p.Index,
-				Outcome: idealOutcome(truth, mask),
-			}
-		}
-		if err := m.Submit(id, results); err != nil {
-			t.Fatalf("submit %s: %v", id, err)
-		}
-		sent += len(results)
+		sent += n
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -251,15 +252,7 @@ func breachDump(t *testing.T, maxResident int) obs.AnomalyDump {
 			if pools[i].Done {
 				continue
 			}
-			req := SubmitResultsRequest{}
-			for _, p := range pools[i].Pools {
-				positive := false
-				for _, s := range p.Subjects {
-					positive = positive || s == 1
-				}
-				req.Results = append(req.Results, ResultJSON{Stage: p.Stage, Index: p.Index, Positive: positive})
-			}
-			if code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts/"+id+"/results", req, nil); code != http.StatusOK {
+			if code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts/"+id+"/results", answer(pools[i], bitvec.FromIndices(1)), nil); code != http.StatusOK {
 				t.Fatalf("results %s: status %d", id, code)
 			}
 		}

@@ -7,9 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -360,18 +358,4 @@ func (s *Server) handleDrain(w http.ResponseWriter, req *http.Request, ri *reqIn
 		return fail(w, err)
 	}
 	return writeJSON(w, http.StatusOK, DrainResponse{Draining: true, Checkpointed: n})
-}
-
-// RetryAfter parses a Retry-After header value in seconds (the only form
-// this server emits); 0 when absent or malformed.
-func RetryAfter(h http.Header) time.Duration {
-	v := h.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }

@@ -7,9 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/workload"
@@ -25,31 +28,50 @@ func newTestServer(t *testing.T, mcfg ManagerConfig, scfg ServerConfig) (*Server
 	return s, ts
 }
 
+// doJSON sends in (when not nil) as method's JSON body, decodes a 2xx
+// answer into out (when not nil) and returns the status. It is safe on any
+// goroutine: a request that fails reports itself with t.Errorf and returns
+// status 0.
 func doJSON(t *testing.T, method, url string, in, out any) (int, http.Header) {
 	t.Helper()
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%s %s: %v", method, url, err)
+			return 0, nil
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequest(method, url, body)
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("%s %s: %v", method, url, err)
+		return 0, nil
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("%s %s: %v", method, url, err)
+		t.Errorf("%s %s: %v", method, url, err)
+		return 0, nil
 	}
 	defer resp.Body.Close()
 	if out != nil && resp.StatusCode < 300 {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("%s %s: decode: %v", method, url, err)
+			t.Errorf("%s %s: decode: %v", method, url, err)
+			return 0, nil
 		}
 	}
 	return resp.StatusCode, resp.Header
+}
+
+// answer is the Ideal lab's results for pools: a pool is positive iff it
+// holds a subject infected under truth.
+func answer(pools PoolsResponse, truth bitvec.Mask) SubmitResultsRequest {
+	req := SubmitResultsRequest{Results: make([]ResultJSON, len(pools.Pools))}
+	for i, p := range pools.Pools {
+		positive := idealOutcome(truth, bitvec.FromIndices(p.Subjects...)).Positive
+		req.Results[i] = ResultJSON{Stage: p.Stage, Index: p.Index, Positive: positive}
+	}
+	return req
 }
 
 func TestServerEndToEnd(t *testing.T) {
@@ -84,18 +106,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	for !pools.Done {
-		req := SubmitResultsRequest{}
-		for _, p := range pools.Pools {
-			var mask int64
-			for _, s := range p.Subjects {
-				mask |= 1 << s
-			}
-			req.Results = append(req.Results, ResultJSON{
-				Stage:    p.Stage,
-				Index:    p.Index,
-				Positive: int64(truth)&mask != 0,
-			})
-		}
+		req := answer(pools, truth)
 		pools = PoolsResponse{}
 		if code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts/"+created.ID+"/results", req, &pools); code != http.StatusOK {
 			t.Fatalf("results: %d", code)
@@ -204,8 +215,8 @@ func TestServerBackpressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated server answered %d, want 429", resp.StatusCode)
 	}
-	if RetryAfter(resp.Header) <= 0 {
-		t.Fatal("429 without a Retry-After hint")
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs <= 0 {
+		t.Fatalf("429 with Retry-After %q, want a positive number of seconds", resp.Header.Get("Retry-After"))
 	}
 	<-s.inflight
 
@@ -261,72 +272,115 @@ func TestServerDrain(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("create during drain: %d, want 503", code)
 	}
-	if RetryAfter(hdr) <= 0 {
-		t.Fatal("503 without a Retry-After hint")
+	if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || secs <= 0 {
+		t.Fatalf("503 with Retry-After %q, want a positive number of seconds", hdr.Get("Retry-After"))
 	}
 }
 
-func TestRunLoadSmall(t *testing.T) {
-	// A miniature of the 10k loadtest: enough cohorts to exercise the
-	// eviction path (MaxResident below the population), full verification
-	// of counters and classifications.
+// TestServerReconcile creates 512 cohorts before it drives any, then 64
+// concurrent clients drive them to classification over HTTP against 8
+// resident slots. Every cohort ends done, with the server's test count
+// equal to the results its client sent (none lost, none absorbed twice)
+// and every subject classified as the Ideal lab's truth says. Creating
+// 512 cohorts in 8 slots evicts at least 504, and the 504 or more left on
+// disk must each be restored to be driven: restores and evictions each
+// reach cohorts − MaxResident. The resident gauge ends within MaxResident.
+func TestServerReconcile(t *testing.T) {
+	const cohorts, subjects, resident, clients = 512, 8, 8, 64
 	reg := obs.NewRegistry()
 	_, ts := newTestServer(t,
-		ManagerConfig{Obs: reg, MaxResident: 8},
+		ManagerConfig{Obs: reg, MaxResident: resident},
 		ServerConfig{Obs: reg})
 
-	report, err := RunLoad(LoadConfig{
-		Target:   ts.URL,
-		Cohorts:  32,
-		Subjects: 8,
-		Risk:     0.1,
-		Workers:  16,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	risks := workload.UniformRisks(subjects, 0.1)
+	type campaign struct {
+		id    string
+		truth bitvec.Mask
+		sent  int
 	}
-	if report.Misclassified != 0 {
-		t.Fatalf("%d misclassifications under the Ideal response", report.Misclassified)
+	campaigns := make([]campaign, cohorts)
+	// eachCohort runs job on every campaign, clients at a time: client w
+	// takes campaigns w, w+clients, … in turn and stops at its first failure.
+	eachCohort := func(job func(i int, c *campaign) bool) {
+		var wg sync.WaitGroup
+		for w := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < cohorts && job(i, &campaigns[i]); i += clients {
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
 	}
-	if report.ResultsSent != report.TestsServer {
-		t.Fatalf("client sent %d results, server absorbed %d", report.ResultsSent, report.TestsServer)
-	}
-	if report.P99 < report.P50 || report.P50 <= 0 {
-		t.Fatalf("implausible latency percentiles: p50=%v p99=%v", report.P50, report.P99)
-	}
-	if v := reg.Gauge("sbgt_serve_cohorts_resident").Value(); v > 8 {
-		t.Fatalf("resident gauge %v exceeds MaxResident", v)
-	}
-}
 
-func TestRunLoad10kCohorts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10k-cohort load run in -short mode")
-	}
-	reg := obs.NewRegistry()
-	_, ts := newTestServer(t,
-		ManagerConfig{Obs: reg, MaxResident: 512, MaxCohorts: 20000},
-		ServerConfig{Obs: reg, MaxInflight: 256})
-
-	report, err := RunLoad(LoadConfig{
-		Target:   ts.URL,
-		Cohorts:  10000,
-		Subjects: 8,
-		Risk:     0.08,
-		Workers:  128,
-		Seed:     2,
+	eachCohort(func(i int, c *campaign) bool {
+		var created CreateCohortResponse
+		code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts", CreateCohortRequest{
+			Tenant:   fmt.Sprintf("t%02d", i%16),
+			Risks:    risks,
+			Response: ResponseSpec{Kind: "ideal"},
+		}, &created)
+		if code != http.StatusCreated {
+			t.Errorf("create cohort %d: status %d", i, code)
+			return false
+		}
+		*c = campaign{id: created.ID, truth: workload.Draw(risks, rng.New(uint64(i))).Truth}
+		return true
 	})
-	if err != nil {
-		t.Fatal(err)
+
+	eachCohort(func(_ int, c *campaign) bool {
+		var pools PoolsResponse
+		if code, _ := doJSON(t, "GET", ts.URL+"/v1/cohorts/"+c.id+"/pools", nil, &pools); code != http.StatusOK {
+			t.Errorf("pools %s: status %d", c.id, code)
+			return false
+		}
+		for !pools.Done {
+			req := answer(pools, c.truth)
+			c.sent += len(req.Results)
+			pools = PoolsResponse{}
+			if code, _ := doJSON(t, "POST", ts.URL+"/v1/cohorts/"+c.id+"/results", req, &pools); code != http.StatusOK {
+				t.Errorf("results %s: status %d", c.id, code)
+				return false
+			}
+		}
+		return true
+	})
+
+	eachCohort(func(_ int, c *campaign) bool {
+		var st StatusResponse
+		if code, _ := doJSON(t, "GET", ts.URL+"/v1/cohorts/"+c.id, nil, &st); code != http.StatusOK {
+			t.Errorf("status %s: %d", c.id, code)
+			return false
+		}
+		if !st.Done || len(st.Classifications) != subjects {
+			t.Errorf("cohort %s after its drive: done %v, %d calls", c.id, st.Done, len(st.Classifications))
+		}
+		if st.Tests != c.sent {
+			t.Errorf("cohort %s: server absorbed %d tests, client sent %d", c.id, st.Tests, c.sent)
+		}
+		for _, cl := range st.Classifications {
+			want := "negative"
+			if c.truth.Has(cl.Subject) {
+				want = "positive"
+			}
+			if cl.Status != want {
+				t.Errorf("cohort %s subject %d: %s, truth %s", c.id, cl.Subject, cl.Status, want)
+			}
+		}
+		return true
+	})
+	for _, name := range []string{"sbgt_serve_restores_total", "sbgt_serve_evictions_total"} {
+		got := reg.Counter(name).Value()
+		if got < cohorts-resident {
+			t.Errorf("%s = %d, want at least %d (cohorts − MaxResident)", name, got, cohorts-resident)
+		}
+		t.Logf("%s: %.2f per cohort", name, float64(got)/cohorts)
 	}
-	if report.Misclassified != 0 {
-		t.Fatalf("%d misclassifications across 10k cohorts", report.Misclassified)
+	if v := reg.Gauge("sbgt_serve_cohorts_resident").Value(); v > resident {
+		t.Errorf("resident gauge %v exceeds MaxResident %d", v, resident)
 	}
-	if report.ResultsSent != report.TestsServer {
-		t.Fatalf("lost or double-absorbed results: client sent %d, server absorbed %d",
-			report.ResultsSent, report.TestsServer)
-	}
-	t.Logf("10k cohorts: %d requests, p50=%v p99=%v, %.0f req/s",
-		report.Requests, report.P50, report.P99, report.Throughput())
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # End-to-end smoke of cmd/sbgt-serve: boot the server on an ephemeral
-# port, drive a small cohort population to classification over HTTP with
-# the built-in load client (which reconciles every classification against
-# drawn truth and the server's test counters against the client's sent
-# count), walk the API once with curl, scrape the metrics endpoint, run
+# port, drive 25 cohorts to classification over HTTP with curl and jq (then
+# reconcile every classification against the cohort's fixed truth and the
+# server's test count against the results the script sent), walk the API
+# once with curl, scrape the metrics endpoint, run
 # the hunt (impossible SLO -> anomaly ID in the log -> its dump on
 # /debug/flight names the layers, by self time, the window's time went
 # to -> sbgt-top prints the same split and the slowest request's tree),
@@ -13,8 +13,9 @@
 # server on the same checkpoint directory and require it to serve that
 # cohort's open proposal byte for byte, then drain cleanly too.
 #
-# Set SMOKE_OUT to a directory to keep the captured artifacts (logs,
-# metrics, span window, flight dump, sbgt-top frame) after the run — CI
+# Set SMOKE_OUT to a directory to keep the captured artifacts (logs, the
+# drive's per-cohort summary, metrics, span window, flight dump, sbgt-top
+# frame) after the run — CI
 # uploads them.
 set -eu
 
@@ -53,10 +54,68 @@ done
 base="http://$(cat "$dir/addr.txt")"
 echo "listening at $base"
 
-echo '== load drive (25 cohorts to classification, reconciled) =='
-"$dir/sbgt-serve" -loadtest -target "$base" -cohorts 25 -subjects 6 -load-workers 8 \
-  | tee "$dir/load.json"
-grep -q '"misclassified": 0' "$dir/load.json"
+echo '== drive (25 cohorts to classification, one stage of each open cohort a pass, reconciled) =='
+# Cohort k belongs to tenant t(k mod 4), answers under the ideal
+# (noiseless) response, and its infected subjects are the set bits of
+# (k mod 8) << (k mod 4): zero to three of its six. Every cohort is
+# created before any is driven, so under 4 resident slots most requests
+# restore their cohort from its checkpoint and evict another.
+cohorts=25
+mkdir "$dir/drive"
+k=0
+while [ "$k" -lt "$cohorts" ]; do
+  c="$dir/drive/$k"
+  mkdir "$c"
+  mask=$(( (k % 8) << (k % 4) ))
+  truth=
+  s=0
+  while [ "$s" -lt 6 ]; do
+    [ $(( (mask >> s) & 1 )) -eq 0 ] || truth="$truth${truth:+,}$s"
+    s=$((s + 1))
+  done
+  echo "[$truth]" >"$c/truth"
+  echo 0 >"$c/sent"
+  curl -sSf -X POST "$base/v1/cohorts" \
+    -d "{\"tenant\":\"t$((k % 4))\",\"risks\":[0.08,0.08,0.08,0.08,0.08,0.08],\"response\":{\"kind\":\"ideal\"}}" \
+    | jq -er .id >"$c/id"
+  k=$((k + 1))
+done
+pass=0
+open=$cohorts
+while [ "$open" -gt 0 ]; do
+  pass=$((pass + 1))
+  [ "$pass" -le 50 ] || { echo "$open cohorts still open after 50 passes"; exit 1; }
+  open=0
+  for c in "$dir"/drive/*; do
+    if [ -e "$c/done" ]; then continue; fi
+    id=$(cat "$c/id")
+    curl -sSf "$base/v1/cohorts/$id/pools" >"$c/pools.json"
+    if jq -e .done "$c/pools.json" >/dev/null; then
+      touch "$c/done"
+      continue
+    fi
+    jq --argjson inf "$(cat "$c/truth")" \
+      '{results: [.pools[] | {stage, index, positive: any(.subjects[]; . as $s | any($inf[]; . == $s))}]}' \
+      "$c/pools.json" >"$c/results.json"
+    echo $(( $(cat "$c/sent") + $(jq '.results | length' "$c/results.json") )) >"$c/sent"
+    curl -sSf -X POST "$base/v1/cohorts/$id/results" -d @"$c/results.json" >/dev/null
+    open=$((open + 1))
+  done
+done
+# Reconcile: every cohort done, the server's test count equal to the
+# results sent (none lost, none absorbed twice), every call equal to truth.
+for c in "$dir"/drive/*; do
+  id=$(cat "$c/id")
+  curl -sSf "$base/v1/cohorts/$id" >"$c/status.json"
+  jq -c --argjson sent "$(cat "$c/sent")" --argjson inf "$(cat "$c/truth")" \
+    '{id, tenant, done, tests, sent: $sent, truth: $inf, calls: [.classifications[] | .status]}' \
+    "$c/status.json" >>"$dir/drive.txt"
+  jq -e --argjson sent "$(cat "$c/sent")" --argjson inf "$(cat "$c/truth")" \
+    '.done and .tests == $sent and (.classifications | length) == 6
+     and all(.classifications[]; .status == (if (.subject as $s | any($inf[]; . == $s)) then "positive" else "negative" end))' \
+    "$c/status.json" >/dev/null || { echo "cohort $id does not reconcile (sent $(cat "$c/sent"), truth $(cat "$c/truth")):"; cat "$c/status.json"; exit 1; }
+done
+echo "drive: $cohorts cohorts reconciled after $pass passes"
 
 echo '== curl walk (create a cohort, leave its proposal open) =='
 id=$(curl -sSf -X POST "$base/v1/cohorts" \
@@ -74,13 +133,13 @@ for series in sbgt_serve_requests_total sbgt_serve_request_seconds sbgt_serve_co
   grep -q "^$series" "$dir/metrics.txt" || { echo "missing metric $series"; exit 1; }
 done
 
-echo '== span window (http spans with trace IDs and tenants after the load drive) =='
+echo '== span window (http spans with trace IDs and tenants after the drive) =='
 curl -sSf "$base/spans" >"$dir/spans.json"
 jq -e '[.spans[] | select(.name == "http" and (.trace_id // 0) != 0 and any(.attrs[]?; .key == "tenant"))] | length > 0' \
   "$dir/spans.json" >/dev/null || { echo 'no http span with a trace_id and a tenant attr on /spans'; exit 1; }
 
 echo '== the hunt (SLO breach -> anomaly ID -> the dump names its layers) =='
-# The evaluator's first window opens when the server starts, so the load
+# The evaluator's first window opens when the server starts, so the
 # drive above breaches the impossible p99 objective at the next tick: the
 # flight recorder freezes the tail of the span ring and logs its ID. Wait
 # for that line, then resolve the ID on /debug/flight to a dump whose
